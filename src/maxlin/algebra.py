@@ -124,9 +124,12 @@ def x_ground_var(i: int) -> Variable:
 
 
 def state_digits(state: Sequence[int]) -> str:
-    if any(not 0 <= v <= 9 for v in state):
+    """The state as a digit string, e.g. (0, 1, 2) -> "012"; every entry
+    must be one digit, so that the string decodes to a single state."""
+    text = "".join([str(v) for v in state])
+    if len(text) != len(state):
         raise ValueError(f"state {tuple(state)} has entries outside 0..9")
-    return "".join(str(v) for v in state)
+    return text
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -146,8 +149,6 @@ def fraction_text(value: Scalar) -> str:
 Monomial = tuple[tuple[Variable, int], ...]
 
 EMPTY_MONOMIAL: Monomial = ()
-
-_ZERO = Fraction(0)
 
 
 def mono_from_dict(exps: Mapping[Variable, int]) -> Monomial:
@@ -823,83 +824,24 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     )
 
 
-class _ReductionContext:
-    """Precomputed leading terms plus, when every leading monomial is a
-    squarefree quadratic (the lattice-binomial case), an index from variable
-    pairs to the first basis element with that leading monomial."""
-
-    def __init__(self, basis: Sequence[Polynomial], order: MonomialOrder):
-        self.order = order
-        self.terms = [b.terms for b in basis]
-        self.leads = [order.leading_term(b) for b in basis]
-        self.pair_index: dict[tuple[Variable, Variable], int] | None = {}
-        for i, (mono, _) in enumerate(self.leads):
-            if len(mono) != 2 or mono[0][1] != 1 or mono[1][1] != 1:
-                self.pair_index = None
-                break
-            key = (mono[0][0], mono[1][0])
-            if key not in self.pair_index:
-                self.pair_index[key] = i
-
-    def find_divisor(self, mono: Monomial) -> int | None:
-        if self.pair_index is not None:
-            best: int | None = None
-            count = len(mono)
-            for a in range(count):
-                va = mono[a][0]
-                for b in range(a + 1, count):
-                    idx = self.pair_index.get((va, mono[b][0]))
-                    if idx is not None and (best is None or idx < best):
-                        best = idx
-            return best
-        for i, (lead, _) in enumerate(self.leads):
-            if mono_divides(lead, mono):
-                return i
-        return None
-
-    def lead_of(self, terms: dict[Monomial, Fraction]) -> Monomial:
-        compare = self.order.compare
-        best: Monomial | None = None
-        for mono in terms:
-            if best is None or compare(mono, best) > 0:
-                best = mono
-        return best
-
-    def reduce_terms(self, work: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """Standard division algorithm on a mutable term dict: cancel the
-        leading term against the first basis element whose leading monomial
-        divides it, moving irreducible leading terms to the remainder."""
-        remainder: dict[Monomial, Fraction] = {}
-        while work:
-            mono = self.lead_of(work)
-            coeff = work.pop(mono)
-            i = self.find_divisor(mono)
-            if i is None:
-                remainder[mono] = coeff
-                continue
-            lead_mono, lead_coeff = self.leads[i]
-            factor = mono_div(mono, lead_mono)
-            scale = coeff if lead_coeff == 1 else coeff / lead_coeff
-            for m, c in self.terms[i].items():
-                if m == lead_mono:
-                    continue
-                key = mono_mul(m, factor)
-                delta = scale if c == 1 else (-scale if c == -1 else scale * c)
-                value = work.get(key)
-                value = -delta if value is None else value - delta
-                if value:
-                    work[key] = value
-                else:
-                    work.pop(key, None)
-        return remainder
-
-
 def reduce_modulo(
     poly: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 ) -> Polynomial:
-    """Remainder of the standard division algorithm modulo a basis list."""
-    ctx = _ReductionContext(basis, order)
-    return Polynomial._raw(ctx.reduce_terms(dict(poly.terms)))
+    """Remainder of the standard division algorithm modulo a basis list: the
+    leading term is cancelled against the first basis element whose leading
+    monomial divides it, or else moved to the remainder."""
+    leads = [order.leading_term(b) for b in basis]
+    remainder: dict[Monomial, Fraction] = {}
+    while not poly.is_zero:
+        mono, coeff = order.leading_term(poly)
+        for b, (lead, lead_coeff) in zip(basis, leads):
+            if mono_divides(lead, mono):
+                poly = poly - b._mul_term(mono_div(mono, lead), coeff / lead_coeff)
+                break
+        else:
+            remainder[mono] = coeff
+            poly = poly - Polynomial.from_term(mono, coeff)
+    return Polynomial._raw(remainder)
 
 
 def default_lattice_order(
@@ -918,37 +860,50 @@ def buchberger_check(
     """Check the Buchberger criterion: the S-polynomial of every generator
     pair reduces to 0 modulo the generator set, so the set is a Groebner
     basis under the given order (degree-reverse-lexicographic over the
-    lattice's linear extension by default)."""
+    lattice's linear extension by default).
+
+    Divided by its leading coefficient, every generator is lead - tail with
+    two quadratic monomials, so the S-polynomial of a pair is the difference
+    of the monomials lcm/lead_j*tail_j and lcm/lead_i*tail_i. A monomial is
+    rewritten by replacing the lead of the lowest-index generator dividing it
+    with that generator's tail, as the division algorithm would; the pair
+    reduces to 0 exactly when both monomials reach the same normal form."""
     if order is None:
         order = default_lattice_order(generators)
-    polys = [gen.polynomial() for gen in generators]
-    ctx = _ReductionContext(polys, order)
+    split: list[tuple[Monomial, Monomial]] = []
+    by_lead: dict[tuple[Variable, Variable], int] = {}
+    for i, gen in enumerate(generators):
+        poly = gen.polynomial()
+        lead, _ = order.leading_term(poly)
+        (tail,) = (m for m in poly.terms if m != lead)
+        split.append((lead, tail))
+        # a quadratic lead is v*w or v^2: key it by its two variables
+        by_lead.setdefault((lead[0][0], lead[-1][0]), i)
+
+    def normal_form(mono: Monomial) -> Monomial:
+        while True:
+            best = None
+            for a, (va, ea) in enumerate(mono):
+                for vb, _ in mono[a if ea > 1 else a + 1 :]:
+                    idx = by_lead.get((va, vb))
+                    if idx is not None and (best is None or idx < best):
+                        best = idx
+            if best is None:
+                return mono
+            lead, tail = split[best]
+            mono = mono_mul(mono_div(mono, lead), tail)
+
     failures = []
     pairs = 0
-    for i in range(len(polys)):
-        mi, ci = ctx.leads[i]
-        terms_i = ctx.terms[i]
-        for j in range(i + 1, len(polys)):
+    for i, (lead_i, tail_i) in enumerate(split):
+        for j in range(i + 1, len(split)):
             pairs += 1
-            mj, cj = ctx.leads[j]
-            lcm = mono_lcm(mi, mj)
-            factor_i, factor_j = mono_div(lcm, mi), mono_div(lcm, mj)
-            work: dict[Monomial, Fraction] = {}
-            for m, c in terms_i.items():
-                key = mono_mul(m, factor_i)
-                coeff = c if ci == 1 else c / ci
-                work[key] = work.get(key, _ZERO) + coeff
-            for m, c in ctx.terms[j].items():
-                key = mono_mul(m, factor_j)
-                coeff = c if cj == 1 else c / cj
-                value = work.get(key, _ZERO) - coeff
-                if value:
-                    work[key] = value
-                else:
-                    work.pop(key, None)
-            remainder = ctx.reduce_terms(work)
-            if remainder:
-                text = Polynomial._raw(remainder).to_text()
+            lead_j, tail_j = split[j]
+            lcm = mono_lcm(lead_i, lead_j)
+            nf_i = normal_form(mono_mul(mono_div(lcm, lead_i), tail_i))
+            nf_j = normal_form(mono_mul(mono_div(lcm, lead_j), tail_j))
+            if nf_i != nf_j:
+                text = Polynomial({nf_j: 1, nf_i: -1}).to_text()
                 failures.append(
                     f"S-polynomial of {generators[i].to_text()} and "
                     f"{generators[j].to_text()} leaves {text}"

@@ -23,6 +23,7 @@ from .algebra import (
     hibi_generators,
     monomial_map,
     parse_polynomial,
+    state_digits,
     verify_vanishing,
 )
 from .dag import Dag, parse_dag, transitive_closure
@@ -36,9 +37,7 @@ from .model import (
 )
 from .poset import StateLattice, ideal_lattice, order_preserving_maps
 from .report import Report
-from .transforms import roundtrip_check, zeta_factorization_check, zeta_transform
-
-VERIFY_SUITES = ("vanishing", "theorem31", "oracle", "moebius", "eq5", "groebner")
+from .transforms import eq5_check, roundtrip_check, zeta_transform
 
 
 @dataclass
@@ -53,10 +52,6 @@ class CommandConfig:
     suite: str | None = None
     poly_path: str | None = None
     generators_of: str = "states"
-
-
-def _digits(state) -> str:
-    return "".join(str(v) for v in state)
 
 
 def _load_dag(config: CommandConfig) -> Dag:
@@ -80,16 +75,16 @@ def _state_lattice(dag: Dag) -> StateLattice:
 
 def _emit_states(states, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([_digits(g) for g in states], indent=2)
-    return "\n".join(_digits(g) for g in states)
+        return json.dumps([state_digits(g) for g in states], indent=2)
+    return "\n".join(state_digits(g) for g in states)
 
 
 def _emit_value_map(values, prefix: str, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(
-            {_digits(g): fraction_text(v) for g, v in values.items()}, indent=2
+            {state_digits(g): fraction_text(v) for g, v in values.items()}, indent=2
         )
-    return "\n".join(f"{prefix}{_digits(g)} = {v}" for g, v in values.items())
+    return "\n".join(f"{prefix}{state_digits(g)} = {v}" for g, v in values.items())
 
 
 def _oracle_limit() -> int:
@@ -97,45 +92,28 @@ def _oracle_limit() -> int:
     return int(raw) if raw else DEFAULT_ORACLE_LIMIT
 
 
-def _eq5_suite(dag: Dag, trials: int, seed: int) -> Report:
-    """Symbolic factorization check plus seeded random rational tables."""
-    import random
-
-    symbolic = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, dag.k))
-    failures = [f"symbolic: {f}" for f in symbolic.failures]
-    total = symbolic.total
-    rng = random.Random(seed)
-    for trial in range(trials):
-        report = zeta_factorization_check(dag, ParamTable.random(dag.n, dag.k, rng))
-        total += report.total
-        failures.extend(f"trial {trial}: {f}" for f in report.failures)
-    detail = (
-        f"symbolic + {trials} random tables, {symbolic.total} states each"
-        if not failures
-        else ""
-    )
-    return Report("eq5", total=total, failures=failures, detail=detail)
+def _vanishing_suite(dag: Dag, config: CommandConfig) -> Report:
+    lattice = _state_lattice(dag)
+    return verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
 
 
-def _run_verify(config: CommandConfig, dag: Dag) -> Report:
-    if config.suite == "vanishing":
-        lattice = _state_lattice(dag)
-        return verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
-    if config.suite == "theorem31":
-        return cbn_correspondence_check(dag, trials=config.trials, seed=config.seed)
-    if config.suite == "oracle":
-        return oracle_equivalence_check(
-            dag, trials=config.trials, seed=config.seed, limit=_oracle_limit()
-        )
-    if config.suite == "moebius":
-        return roundtrip_check(
-            _state_lattice(dag), trials=config.trials, seed=config.seed
-        )
-    if config.suite == "eq5":
-        return _eq5_suite(dag, trials=config.trials, seed=config.seed)
-    if config.suite == "groebner":
-        return buchberger_check(hibi_generators(_state_lattice(dag)))
-    raise MaxlinError(f"unknown verify suite {config.suite!r}")
+# Suite name -> runner. The lambdas look the checks up when they run, so a
+# check replaced in this module's namespace is the one that runs.
+_SUITES = {
+    "vanishing": _vanishing_suite,
+    "theorem31": lambda dag, c: cbn_correspondence_check(
+        dag, trials=c.trials, seed=c.seed
+    ),
+    "oracle": lambda dag, c: oracle_equivalence_check(
+        dag, trials=c.trials, seed=c.seed, limit=_oracle_limit()
+    ),
+    "moebius": lambda dag, c: roundtrip_check(
+        _state_lattice(dag), trials=c.trials, seed=c.seed
+    ),
+    "eq5": lambda dag, c: eq5_check(dag, trials=c.trials, seed=c.seed),
+    "groebner": lambda dag, c: buchberger_check(hibi_generators(_state_lattice(dag))),
+}
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def run(config: CommandConfig) -> int:
@@ -171,7 +149,7 @@ def run(config: CommandConfig) -> int:
             print("\n".join(g.to_text() for g in generators))
         return 0
     if config.command == "verify":
-        report = _run_verify(config, dag)
+        report = _SUITES[config.suite](dag, config)
         if config.fmt == "json":
             print(json.dumps(report.to_json_dict(), indent=2))
         else:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Union
 
-from .algebra import Polynomial, parse_fraction, fraction_text, theta_var
+from .algebra import Polynomial, parse_fraction, fraction_text, state_digits, theta_var
 from .dag import Dag, ancestors, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
 from .poset import (
@@ -178,24 +178,6 @@ def _ancestor_positions(dag: Dag) -> list[tuple[int, ...]]:
     ]
 
 
-def joint_oracle(dag: Dag, theta: ParamTable, g, limit: int = DEFAULT_ORACLE_LIMIT) -> Value:
-    """Independent probability of g by brute force over all innovation
-    vectors z: each vertex takes the max innovation over its ancestors and
-    itself, and the matching z contribute the product of their weights.
-
-    Raises:
-        TooLargeError: k**n exceeds the enumeration guard.
-    """
-    _check_table(dag, theta)
-    _check_vector(g, dag.n, dag.k)
-    target = tuple(g)
-    total: Value = Fraction(0)
-    for outcome, weight in _innovation_outcomes(dag, theta, limit):
-        if outcome == target:
-            total = total + weight
-    return total
-
-
 def oracle_distribution(
     dag: Dag, theta: ParamTable, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> dict[State, Value]:
@@ -284,8 +266,7 @@ def cbn_correspondence_check(dag: Dag, trials: int = 100, seed: int = 0) -> Repo
             image = cbn_to_dmlbn_state(closure, g)
             if accum[g] != maxmodel[image]:
                 failures.append(
-                    f"{label}: ideal {''.join(map(str, g))} vs state "
-                    f"{''.join(map(str, image))}"
+                    f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}"
                 )
 
     compare(ParamTable.symbolic(dag.n, 2), "symbolic")
@@ -321,9 +302,9 @@ def oracle_equivalence_check(
             checks += 1
             factored = joint_factored(dag, theta, g)
             if factored != by_oracle.get(g, Fraction(0)):
-                failures.append(f"trial {trial}: state {''.join(map(str, g))}")
+                failures.append(f"trial {trial}: state {state_digits(g)}")
             elif (factored == 0) != (g not in lattice):
-                failures.append(f"trial {trial}: support at {''.join(map(str, g))}")
+                failures.append(f"trial {trial}: support at {state_digits(g)}")
     detail = (
         f"{trials}/{trials} trials, {len(lattice)} states each, exact match"
         if not failures

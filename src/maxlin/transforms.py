@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .algebra import state_digits
 from .dag import Dag, transitive_closure
 from .errors import NotMonotoneError, SupportMismatchError
 from .model import ParamTable, Value, eliminate_simplex, full_distribution
@@ -191,9 +192,28 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
         lhs = eliminate_simplex(cumulative[g], theta.n, theta.k)
         rhs = eliminate_simplex(product, theta.n, theta.k)
         if lhs != rhs:
-            failures.append(f"state {''.join(map(str, g))}")
+            failures.append(f"state {state_digits(g)}")
     detail = f"{len(lattice)} states factor exactly" if not failures else ""
     return Report("eq5", total=len(lattice), failures=failures, detail=detail)
+
+
+def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
+    """The eq5 suite: zeta_factorization_check on the symbolic table and on
+    seeded random rational tables."""
+    symbolic = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, dag.k))
+    failures = [f"symbolic: {f}" for f in symbolic.failures]
+    total = symbolic.total
+    rng = random.Random(seed)
+    for trial in range(trials):
+        report = zeta_factorization_check(dag, ParamTable.random(dag.n, dag.k, rng))
+        total += report.total
+        failures.extend(f"trial {trial}: {f}" for f in report.failures)
+    detail = (
+        f"symbolic + {trials} random tables, {symbolic.total} states each"
+        if not failures
+        else ""
+    )
+    return Report("eq5", total=total, failures=failures, detail=detail)
 
 
 def roundtrip_check(lattice: StateLattice, trials: int = 100, seed: int = 0) -> Report:

@@ -1,8 +1,10 @@
 """Polynomial arithmetic, the grammar, monomial orders, lattice binomials,
 monomial maps, and the Buchberger criterion."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -38,7 +40,7 @@ from maxlin.algebra import (
     x_ground_var,
     x_var,
 )
-from maxlin.dag import transitive_closure
+from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import ParseError, UnboundVariableError, UnmappedVariableError
 from maxlin.model import ParamTable, full_distribution
 from maxlin.poset import ideal_lattice, incomparable_pairs, order_preserving_maps
@@ -90,6 +92,8 @@ class TestVariable:
     def test_state_digits_guard(self):
         with pytest.raises(ValueError):
             state_digits((0, 10))
+        with pytest.raises(ValueError):
+            state_digits((-1, 0))
 
 
 class TestMonomialHelpers:
@@ -497,3 +501,51 @@ class TestBuchberger:
     def test_irrelevant_order_kind_on_trivial_set(self):
         report = buchberger_check([], MonomialOrder([t_var()], kind="lex"))
         assert report.passed and report.total == 0
+
+
+def division_failures(generators):
+    """Failure lines of the Buchberger criterion computed with the general
+    division algorithm over every pair, as the reference for the check."""
+    order = default_lattice_order(generators)
+    polys = [gen.polynomial() for gen in generators]
+    failures = []
+    for i, j in combinations(range(len(polys)), 2):
+        remainder = reduce_modulo(s_polynomial(polys[i], polys[j], order), polys, order)
+        if not remainder.is_zero:
+            failures.append(
+                f"S-polynomial of {generators[i].to_text()} and "
+                f"{generators[j].to_text()} leaves {remainder.to_text()}"
+            )
+    return failures
+
+
+class TestBuchbergerAgainstDivision:
+    @pytest.fixture(
+        params=["fig2", "fig3", "fig1_ideals", "antichain4"], scope="class"
+    )
+    def lattice(self, request, fig2_dag, fig3_dag, fig1_poset):
+        if request.param == "fig2":
+            return order_preserving_maps(transitive_closure(fig2_dag), 2)
+        if request.param == "fig3":
+            return order_preserving_maps(transitive_closure(fig3_dag), 3)
+        if request.param == "fig1_ideals":
+            return ideal_lattice(fig1_poset)
+        return order_preserving_maps(transitive_closure(Dag(n=4, k=2)), 2)
+
+    @pytest.mark.parametrize("broken", ["none", "drop", "join_top", "h_is_g"])
+    def test_same_failures_as_division(self, lattice, broken):
+        generators = hibi_generators(lattice)
+        mid = len(generators) // 2
+        gen = generators[mid]
+        if broken == "drop":
+            generators = generators[:mid] + generators[mid + 1 :]
+        elif broken == "join_top":
+            generators[mid] = dataclasses.replace(gen, join=lattice.states[-1])
+        elif broken == "h_is_g":
+            generators[mid] = dataclasses.replace(gen, h=gen.g)
+        expected = division_failures(generators)
+        report = buchberger_check(generators)
+        assert report.failures == expected
+        # the fig1 ideal lattice has two generators, and no edit here breaks them
+        assert report.passed == (broken == "none" or len(generators) <= 2)
+        assert report.total == len(generators) * (len(generators) - 1) // 2

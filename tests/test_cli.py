@@ -256,6 +256,19 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "--theta" in err
 
+    @pytest.mark.parametrize("command", ["lattice", "distribution", "zeta"])
+    def test_eleven_states_exits_two(self, capsys, fig_files, tmp_path, command):
+        # state strings are one digit per vertex, so k >= 11 has no encoding
+        theta = tmp_path / "theta11.json"
+        theta.write_text(json.dumps({"theta": [["1/11"] * 11] * 3}), encoding="utf-8")
+        argv = [command, "--dag", fig_files["fig3.dag"], "--k", "11"]
+        if command != "lattice":
+            argv += ["--theta", str(theta)]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_identical_config_identical_output(self, capsys, fig_files):
         argv = [
             "verify", "eq5",

@@ -25,7 +25,6 @@ from maxlin.model import (
     eliminate_simplex,
     full_distribution,
     joint_factored,
-    joint_oracle,
     oracle_distribution,
     oracle_equivalence_check,
 )
@@ -159,30 +158,26 @@ class TestOracle:
     def test_single_vertex(self):
         dag = Dag(n=1, k=3)
         theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
+        by_oracle = oracle_distribution(dag, theta)
         for j in range(3):
-            assert joint_oracle(dag, theta, (j,)) == theta.weight(1, j)
+            assert by_oracle.get((j,), Fraction(0)) == theta.weight(1, j)
 
     def test_matches_factored_on_fig2(self, fig2_dag):
         rng = random.Random(13)
         for _ in range(5):
             theta = ParamTable.random(5, 2, rng)
+            by_oracle = oracle_distribution(fig2_dag, theta)
             for g in product(range(2), repeat=5):
-                assert joint_factored(fig2_dag, theta, g) == joint_oracle(fig2_dag, theta, g)
+                assert joint_factored(fig2_dag, theta, g) == by_oracle.get(g, Fraction(0))
 
     def test_non_state_unreachable(self, fig2_dag):
         theta = ParamTable.uniform(5, 2)
-        assert joint_oracle(fig2_dag, theta, (1, 0, 0, 0, 0)) == 0
-
-    def test_distribution_agrees_with_pointwise(self, fig3_dag):
-        theta = ParamTable.uniform(3, 3)
-        bucketed = oracle_distribution(fig3_dag, theta)
-        for g in product(range(3), repeat=3):
-            assert bucketed.get(g, Fraction(0)) == joint_oracle(fig3_dag, theta, g)
+        assert oracle_distribution(fig2_dag, theta).get((1, 0, 0, 0, 0), Fraction(0)) == 0
 
     def test_enumeration_guard(self, fig2_dag):
         theta = ParamTable.uniform(5, 2)
         with pytest.raises(TooLargeError):
-            joint_oracle(fig2_dag, theta, (0,) * 5, limit=31)
+            oracle_distribution(fig2_dag, theta, limit=31)
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)
