@@ -867,11 +867,17 @@ def buchberger_check(
     of the monomials lcm/lead_j*tail_j and lcm/lead_i*tail_i. A monomial is
     rewritten by replacing the lead of the lowest-index generator dividing it
     with that generator's tail, as the division algorithm would; the pair
-    reduces to 0 exactly when both monomials reach the same normal form."""
+    reduces to 0 exactly when both monomials reach the same normal form.
+
+    By Buchberger's first criterion, a pair whose leading monomials are
+    coprime reduces to 0 modulo the two generators alone, so only the pairs
+    whose leads share a variable are formed and reduced; the others count as
+    checked and passing."""
     if order is None:
         order = default_lattice_order(generators)
     split: list[tuple[Monomial, Monomial]] = []
     by_lead: dict[tuple[Variable, Variable], int] = {}
+    by_var: dict[Variable, list[int]] = {}
     for i, gen in enumerate(generators):
         poly = gen.polynomial()
         lead, _ = order.leading_term(poly)
@@ -879,6 +885,8 @@ def buchberger_check(
         split.append((lead, tail))
         # a quadratic lead is v*w or v^2: key it by its two variables
         by_lead.setdefault((lead[0][0], lead[-1][0]), i)
+        for var, _ in lead:
+            by_var.setdefault(var, []).append(i)
 
     def normal_form(mono: Monomial) -> Monomial:
         while True:
@@ -894,10 +902,11 @@ def buchberger_check(
             mono = mono_mul(mono_div(mono, lead), tail)
 
     failures = []
-    pairs = 0
+    reduced = 0
     for i, (lead_i, tail_i) in enumerate(split):
-        for j in range(i + 1, len(split)):
-            pairs += 1
+        # the later generators whose leads share a variable with lead_i
+        for j in sorted({j for var, _ in lead_i for j in by_var[var] if j > i}):
+            reduced += 1
             lead_j, tail_j = split[j]
             lcm = mono_lcm(lead_i, lead_j)
             nf_i = normal_form(mono_mul(mono_div(lcm, lead_i), tail_i))
@@ -908,5 +917,10 @@ def buchberger_check(
                     f"S-polynomial of {generators[i].to_text()} and "
                     f"{generators[j].to_text()} leaves {text}"
                 )
-    detail = f"{pairs} S-polynomials reduce to 0" if not failures else ""
+    pairs = len(split) * (len(split) - 1) // 2
+    counts = f"({reduced} reduced, {pairs - reduced} skipped: coprime leading monomials)"
+    if failures:
+        detail = f"{len(failures)} of {pairs} S-polynomials do not reduce to 0 {counts}"
+    else:
+        detail = f"{pairs} S-polynomials reduce to 0 {counts}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (
+    Polynomial,
     buchberger_check,
     evaluate_at_distribution,
     fraction_text,
@@ -85,6 +86,21 @@ def _emit_value_map(values, prefix: str, fmt: str) -> str:
             {state_digits(g): fraction_text(v) for g, v in values.items()}, indent=2
         )
     return "\n".join(f"{prefix}{state_digits(g)} = {v}" for g, v in values.items())
+
+
+def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
+    """The joint, with 0 bound to every p-variable of the polynomial whose
+    index has length n and entries below k but is not a lattice state: the
+    model never reaches such a vector, so its probability is exactly 0."""
+    zeros = {
+        v.index: 0
+        for v in poly.variables()
+        if v.family == "p"
+        and len(v.index) == dag.n
+        and max(v.index, default=0) < dag.k
+        and v.index not in dist
+    }
+    return {**dist, **zeros}
 
 
 def _oracle_limit() -> int:
@@ -165,7 +181,8 @@ def run(config: CommandConfig) -> int:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            value = evaluate_at_distribution(parse_polynomial(line), dist)
+            poly = parse_polynomial(line)
+            value = evaluate_at_distribution(poly, _with_off_lattice_zeros(poly, dist, dag))
             results.append((line, value))
         if config.fmt == "json":
             print(

@@ -504,19 +504,31 @@ class TestBuchberger:
 
 
 def division_failures(generators):
-    """Failure lines of the Buchberger criterion computed with the general
-    division algorithm over every pair, as the reference for the check."""
+    """Yield pair (i, j) and failure line of every S-polynomial left non-zero
+    by the general division algorithm over all pairs, in pair order, as the
+    reference for the check."""
     order = default_lattice_order(generators)
     polys = [gen.polynomial() for gen in generators]
-    failures = []
     for i, j in combinations(range(len(polys)), 2):
         remainder = reduce_modulo(s_polynomial(polys[i], polys[j], order), polys, order)
         if not remainder.is_zero:
-            failures.append(
+            yield (i, j), (
                 f"S-polynomial of {generators[i].to_text()} and "
                 f"{generators[j].to_text()} leaves {remainder.to_text()}"
             )
-    return failures
+
+
+def coprime_pairs(generators):
+    """Pairs (i, j) whose leading monomials share no variable."""
+    order = default_lattice_order(generators)
+    supports = [
+        {var for var, _ in order.leading_term(gen.polynomial())[0]} for gen in generators
+    ]
+    return {
+        (i, j)
+        for i, j in combinations(range(len(supports)), 2)
+        if supports[i].isdisjoint(supports[j])
+    }
 
 
 class TestBuchbergerAgainstDivision:
@@ -543,9 +555,52 @@ class TestBuchbergerAgainstDivision:
             generators[mid] = dataclasses.replace(gen, join=lattice.states[-1])
         elif broken == "h_is_g":
             generators[mid] = dataclasses.replace(gen, h=gen.g)
-        expected = division_failures(generators)
+        expected = list(division_failures(generators))
+        coprime = coprime_pairs(generators)
         report = buchberger_check(generators)
-        assert report.failures == expected
+        # coprime pairs are skipped, so only failures among the others are listed
+        assert report.failures == [line for pair, line in expected if pair not in coprime]
+        # but the verdict is the division algorithm's over every pair
+        assert report.passed == (not expected)
         # the fig1 ideal lattice has two generators, and no edit here breaks them
         assert report.passed == (broken == "none" or len(generators) <= 2)
         assert report.total == len(generators) * (len(generators) - 1) // 2
+
+
+class TestFirstCriterion:
+    def test_every_edit_of_fig3_same_verdict_as_division(self, fig3_dag):
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        generators = hibi_generators(lattice)
+        assert len(generators) == 21
+        edited = []
+        for mid, gen in enumerate(generators):
+            edited.append(generators[:mid] + generators[mid + 1 :])
+            top = dataclasses.replace(gen, join=lattice.states[-1])
+            edited.append(generators[:mid] + [top] + generators[mid + 1 :])
+        verdicts = [buchberger_check(gens).passed for gens in edited]
+        assert verdicts == [next(division_failures(gens), None) is None for gens in edited]
+        assert sum(verdicts) == 3
+
+    def test_skipped_count_is_coprime_pairs(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        generators = hibi_generators(lattice)
+        skipped = len(coprime_pairs(generators))
+        assert skipped == 30438
+        report = buchberger_check(generators)
+        assert report.passed and report.total == 34453
+        assert report.detail == (
+            f"34453 S-polynomials reduce to 0 ({34453 - skipped} reduced, "
+            f"{skipped} skipped: coprime leading monomials)"
+        )
+
+    def test_failing_detail_names_counts(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        generators = hibi_generators(lattice)
+        generators[0] = dataclasses.replace(generators[0], join=lattice.states[-1])
+        skipped = len(coprime_pairs(generators))
+        report = buchberger_check(generators)
+        assert not report.passed
+        assert report.detail == (
+            f"{len(report.failures)} of 34453 S-polynomials do not reduce to 0 "
+            f"({34453 - skipped} reduced, {skipped} skipped: coprime leading monomials)"
+        )

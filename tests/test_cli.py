@@ -233,6 +233,40 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    def test_off_lattice_vector_is_zero(self, capsys, fig_files, tmp_path):
+        # 10000 has entries below k but is not monotone, so it has probability 0
+        poly = tmp_path / "off.poly"
+        poly.write_text("p[10000]\np[00000] + p[10000]\n", encoding="utf-8")
+        code, out, _ = run_main(
+            capsys,
+            [
+                "eval",
+                "--dag", fig_files["fig2.dag"],
+                "--theta", fig_files["theta2"],
+                "--poly", str(poly),
+            ],
+        )
+        assert code == 0
+        assert [r["value"] for r in json.loads(out)] == ["0", "1/32"]
+
+    @pytest.mark.parametrize("variable", ["p[1000]", "p[20000]"])
+    def test_vector_outside_the_cube_exits_two(self, capsys, fig_files, tmp_path, variable):
+        # wrong length, or an entry of at least k
+        poly = tmp_path / "bad.poly"
+        poly.write_text(variable, encoding="utf-8")
+        code, out, err = run_main(
+            capsys,
+            [
+                "eval",
+                "--dag", fig_files["fig2.dag"],
+                "--theta", fig_files["theta2"],
+                "--poly", str(poly),
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no value for variable {variable}\n"
+
 
 class TestErrorsAndDeterminism:
     def test_cyclic_dag_exits_two(self, capsys, tmp_path):
