@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import BadVertexError, CyclicGraphError, DagSyntaxError
-from .poset import Poset
+from .poset import Poset, bit_positions
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,19 @@ def topological_order(dag: Dag) -> list[int]:
 def ancestors(dag: Dag, v: int) -> frozenset[int]:
     """All u with a directed path u -> ... -> v, excluding v itself."""
     dag._check_vertex(v)
-    seen: set[int] = set()
-    stack = list(dag.parents(v))
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(dag.parents(u))
-    return frozenset(seen)
+    below = transitive_closure(dag).down[v - 1] ^ (1 << (v - 1))
+    return frozenset(j + 1 for j in bit_positions(below))
 
 
 def transitive_closure(dag: Dag) -> Poset:
-    """The reachability poset: j <= i iff j = i or there is a path j -> i."""
-    pairs = {(v, v) for v in range(1, dag.n + 1)}
-    for v in range(1, dag.n + 1):
-        for u in ancestors(dag, v):
-            pairs.add((u, v))
-    return Poset(tuple(range(1, dag.n + 1)), frozenset(pairs))
+    """The reachability poset: j <= i iff j = i or there is a path j -> i.
+
+    Vertex v's down-set mask is its own bit OR the masks of its parents,
+    taken in topological order."""
+    down = [0] * dag.n
+    for v in topological_order(dag):
+        mask = 1 << (v - 1)
+        for u in dag.parents(v):
+            mask |= down[u - 1]
+        down[v - 1] = mask
+    return Poset(tuple(range(1, dag.n + 1)), tuple(down))

@@ -14,12 +14,13 @@ from itertools import product
 from typing import Union
 
 from .algebra import Polynomial, parse_fraction, fraction_text, state_digits, theta_var
-from .dag import Dag, ancestors, transitive_closure
+from .dag import Dag, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
 from .poset import (
     Poset,
     State,
     StateLattice,
+    bit_positions,
     ideal_lattice,
     is_order_ideal,
     order_preserving_maps,
@@ -170,12 +171,9 @@ def full_distribution(
     return {g: joint_factored(dag, theta, g) for g in lattice}
 
 
-def _ancestor_positions(dag: Dag) -> list[tuple[int, ...]]:
+def _ancestor_positions(dag: Dag) -> list[list[int]]:
     """0-indexed positions of ancestors-with-self for each vertex."""
-    return [
-        tuple(sorted(j - 1 for j in ancestors(dag, i) | {i}))
-        for i in range(1, dag.n + 1)
-    ]
+    return [bit_positions(mask) for mask in transitive_closure(dag).down]
 
 
 def oracle_distribution(
@@ -220,10 +218,14 @@ def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:
     return Fraction(1) if g[pos] == 0 else Fraction(0)
 
 
-def cbn_distribution(poset: Poset, theta: ParamTable) -> dict[State, Value]:
+def cbn_distribution(
+    poset: Poset, theta: ParamTable, lattice: StateLattice | None = None
+) -> dict[State, Value]:
     """The accumulation model's joint over the order ideals of the poset,
-    ideals written as 0-1 indicator vectors."""
-    lattice = ideal_lattice(poset)
+    ideals written as 0-1 indicator vectors; `lattice`, when given, is
+    `ideal_lattice(poset)`."""
+    if lattice is None:
+        lattice = ideal_lattice(poset)
     out: dict[State, Value] = {}
     for g in lattice:
         value: Value = Fraction(1)
@@ -257,11 +259,12 @@ def cbn_correspondence_check(dag: Dag, trials: int = 100, seed: int = 0) -> Repo
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
     ideals = ideal_lattice(closure)
+    states = order_preserving_maps(closure, 2)
     failures: list[str] = []
 
     def compare(theta: ParamTable, label: str) -> None:
-        accum = cbn_distribution(closure, theta)
-        maxmodel = full_distribution(dag2, theta.swapped())
+        accum = cbn_distribution(closure, theta, ideals)
+        maxmodel = full_distribution(dag2, theta.swapped(), states)
         for g in ideals:
             image = cbn_to_dmlbn_state(closure, g)
             if accum[g] != maxmodel[image]:

@@ -11,68 +11,134 @@ Label = Hashable
 State = tuple[int, ...]
 
 
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, lowest first."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _transpose(down: tuple[int, ...]) -> list[int]:
+    """Up-set masks from down-set masks: bit i of up[j] iff bit j of down[i]."""
+    up = [0] * len(down)
+    for i, mask in enumerate(down):
+        bit = 1 << i
+        for j in bit_positions(mask):
+            up[j] |= bit
+    return up
+
+
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order given by its full relation (reflexive pairs included).
+    """A finite partial order stored as one down-set mask per element.
 
     `elements` fixes the coordinate order used by indicator vectors and state
-    vectors; `relation` holds every pair (a, b) with a <= b. The axioms are
-    checked at construction (desk scale, so the cubic loop is fine).
+    vectors; bit j of `down[i]` is set iff elements[j] <= elements[i]. The
+    axioms are checked once at construction, in one OR per related pair,
+    and the same pass yields the Hasse diagram.
     """
 
     elements: tuple[Label, ...]
-    relation: frozenset[tuple[Label, Label]]
+    down: tuple[int, ...]
+    _index: dict[Label, int] = field(init=False, repr=False, compare=False)
+    _lower_covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        members = set(self.elements)
-        if len(members) != len(self.elements):
+        n = len(self.elements)
+        index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != n:
             raise ValueError("duplicate poset elements")
-        for a, b in self.relation:
-            if a not in members or b not in members:
+        if len(self.down) != n:
+            raise ValueError(f"{len(self.down)} down-set masks for {n} elements")
+        for i, (e, mask) in enumerate(zip(self.elements, self.down)):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"down-set of {e!r} reaches outside the element set")
+            if not mask >> i & 1:
+                raise ValueError(f"relation is not reflexive at {e!r}")
+        strict = [mask ^ (1 << i) for i, mask in enumerate(self.down)]
+        covers = []
+        for i, below in enumerate(strict):
+            # below_below: everything strictly below something strictly below
+            # i; the rest of i's strict down-set are its lower covers.
+            below_below = 0
+            for j in bit_positions(below):
+                below_below |= strict[j]
+            if below_below >> i & 1:
+                j = next(j for j in bit_positions(below) if strict[j] >> i & 1)
+                raise ValueError(
+                    "relation is not antisymmetric on "
+                    f"({self.elements[j]!r}, {self.elements[i]!r})"
+                )
+            if below_below & ~below:
+                j = next(j for j in bit_positions(below) if strict[j] & ~below)
+                c = bit_positions(strict[j] & ~below)[0]
+                raise ValueError(
+                    "relation is not transitive on "
+                    f"({self.elements[c]!r}, {self.elements[j]!r}, {self.elements[i]!r})"
+                )
+            covers.append(below & ~below_below)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lower_covers", tuple(covers))
+
+    @classmethod
+    def from_relation(cls, elements, pairs) -> "Poset":
+        """The poset on `elements` whose relation is `pairs`, every (a, b)
+        with a <= b, reflexive pairs included."""
+        elements = tuple(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        down = [0] * len(elements)
+        for a, b in pairs:
+            if a not in index or b not in index:
                 raise ValueError(f"relation pair ({a!r}, {b!r}) outside the element set")
-        for a in self.elements:
-            if (a, a) not in self.relation:
-                raise ValueError(f"relation is not reflexive at {a!r}")
-        for a, b in self.relation:
-            if a != b and (b, a) in self.relation:
-                raise ValueError(f"relation is not antisymmetric on ({a!r}, {b!r})")
-        for a, b in self.relation:
-            for c in self.elements:
-                if (b, c) in self.relation and (a, c) not in self.relation:
-                    raise ValueError(f"relation is not transitive on ({a!r}, {b!r}, {c!r})")
+            down[index[b]] |= 1 << index[a]
+        return cls(elements, tuple(down))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index(self, element: Label) -> int:
-        return self.elements.index(element)
+        try:
+            return self._index[element]
+        except KeyError:
+            raise ValueError(f"{element!r} is not a poset element") from None
 
     def leq(self, a: Label, b: Label) -> bool:
-        return (a, b) in self.relation
+        return bool(self.down[self.index(b)] >> self.index(a) & 1)
+
+    @property
+    def relation(self) -> frozenset[tuple[Label, Label]]:
+        """Every pair (a, b) with a <= b, reflexive pairs included."""
+        e = self.elements
+        return frozenset(
+            (e[j], e[i]) for i, mask in enumerate(self.down) for j in bit_positions(mask)
+        )
 
     def strict_pairs(self) -> list[tuple[Label, Label]]:
         """All (a, b) with a < b, sorted by element position."""
-        pos = {e: i for i, e in enumerate(self.elements)}
-        pairs = [(a, b) for a, b in self.relation if a != b]
-        pairs.sort(key=lambda p: (pos[p[0]], pos[p[1]]))
-        return pairs
+        e = self.elements
+        return [
+            (e[i], e[j])
+            for i, mask in enumerate(_transpose(self.down))
+            for j in bit_positions(mask)
+            if j != i
+        ]
 
     def covers(self) -> list[tuple[Label, Label]]:
-        """All cover pairs (a, b): a < b with nothing strictly between."""
-        out = []
-        for a, b in self.strict_pairs():
-            if not any(
-                c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                for c in self.elements
-            ):
-                out.append((a, b))
-        return out
+        """All cover pairs (a, b): a < b with nothing strictly between,
+        sorted by element position."""
+        e = self.elements
+        return [
+            (e[i], e[j])
+            for i, mask in enumerate(_transpose(self._lower_covers))
+            for j in bit_positions(mask)
+        ]
 
     def covers_below(self, b: Label) -> tuple[Label, ...]:
-        return tuple(a for a, c in self.covers() if c == b)
+        """The elements b covers: the maximal elements strictly below b."""
+        return tuple(
+            self.elements[j] for j in bit_positions(self._lower_covers[self.index(b)])
+        )
 
     def dual(self) -> "Poset":
-        return Poset(self.elements, frozenset((b, a) for a, b in self.relation))
+        return Poset(self.elements, tuple(_transpose(self.down)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,14 +154,13 @@ def _json_label(e: Label):
 
 
 def antichain(labels: tuple[Label, ...]) -> Poset:
-    return Poset(labels, frozenset((a, a) for a in labels))
+    return Poset.from_relation(labels, ((a, a) for a in labels))
 
 
 def chain(length: int) -> Poset:
     """The chain 0 < 1 < ... < length-1."""
     elems = tuple(range(length))
-    rel = frozenset((a, b) for a in elems for b in elems if a <= b)
-    return Poset(elems, rel)
+    return Poset.from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
 
 
 @dataclass(frozen=True)
@@ -144,50 +209,62 @@ def lattice_meet_join(g: State, h: State) -> tuple[State, State]:
     return meet, join
 
 
+def _maximal(subset: int, down) -> int:
+    """The maximal elements of a subset, as a mask, for the order whose
+    down-set masks are `down` (up-set masks give the minimal elements).
+    Scanning from the highest position skips every element already known to
+    lie below a scanned one, so when positions follow a linear extension
+    only the maximal elements themselves are scanned."""
+    below = 0
+    rest = subset
+    while rest:
+        c = rest.bit_length() - 1
+        below |= down[c] ^ (1 << c)
+        rest &= ~(below | 1 << c)
+    return subset & ~below
+
+
 def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list[State]:
     """All vectors over {0..k-1} monotone along the poset relation, in
-    lexicographic order.
-
-    Backtracks position by position, pruning as soon as an assigned pair
-    violates the relation; with reverse=True the vectors must be
+    lexicographic order; with reverse=True the vectors must be
     order-reversing instead (used for order-ideal indicators).
+
+    Position t takes the values from the largest value of the maximal
+    assigned elements below it to the smallest value of the minimal assigned
+    elements above it. Every monotone prefix extends to a full monotone
+    vector, so the walk never meets a dead end.
     """
-    n = len(poset.elements)
     if k < 1:
         raise ValueError(f"chain size must be >= 1, got {k}")
-    # constraints[t]: list of (s, lo) meaning value[s] must be <= value[t]
-    # when lo else >= value[t], for already-assigned s < t
-    constraints: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for t, et in enumerate(poset.elements):
-        for s in range(t):
-            es = poset.elements[s]
-            if poset.leq(es, et):
-                constraints[t].append((s, not reverse))
-            elif poset.leq(et, es):
-                constraints[t].append((s, reverse))
+    n = len(poset.elements)
+    down = poset.down
+    up = _transpose(down)
+    below = [bit_positions(_maximal(down[t] & ((1 << t) - 1), down)) for t in range(n)]
+    above = [bit_positions(_maximal(up[t] & ((1 << t) - 1), up)) for t in range(n)]
+    if reverse:
+        below, above = above, below
+    # value[n] = 0 and value[n + 1] = k - 1 bound positions with nothing
+    # assigned below or above them.
+    for t in range(n):
+        below[t].append(n)
+        above[t].append(n + 1)
+    value = [0] * n + [0, k - 1]
+    top = [0] * n
+    get = value.__getitem__
     out: list[State] = []
-    value = [0] * n
-
-    def extend(t: int) -> None:
-        if t == n:
-            out.append(tuple(value))
-            return
-        for v in range(k):
-            ok = True
-            for s, lo in constraints[t]:
-                if lo:
-                    if value[s] > v:
-                        ok = False
-                        break
-                elif value[s] < v:
-                    ok = False
-                    break
-            if ok:
-                value[t] = v
-                extend(t + 1)
-
-    extend(0)
-    return out
+    t = 0
+    while True:
+        for t in range(t, n):
+            value[t] = max(map(get, below[t]))
+            top[t] = min(map(get, above[t]))
+        out.append(tuple(value[:n]))
+        t = n - 1
+        while t >= 0 and value[t] >= top[t]:
+            t -= 1
+        if t < 0:
+            return out
+        value[t] += 1
+        t += 1
 
 
 def order_preserving_maps(poset: Poset, k: int) -> StateLattice:
@@ -217,23 +294,18 @@ def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:
 def is_order_ideal(poset: Poset, indicator: State) -> bool:
     if len(indicator) != len(poset.elements) or any(b not in (0, 1) for b in indicator):
         raise BadStateError(f"indicator {indicator!r} is not a 0-1 vector over the poset")
-    for i, ei in enumerate(poset.elements):
-        if not indicator[i]:
-            continue
-        for j, ej in enumerate(poset.elements):
-            if poset.leq(ej, ei) and not indicator[j]:
-                return False
-    return True
+    members = sum(1 << i for i, b in enumerate(indicator) if b)
+    return all(not poset.down[i] & ~members for i in bit_positions(members))
 
 
 def is_order_preserving(poset: Poset, g: State, k: int) -> bool:
     if len(g) != len(poset.elements) or any(not 0 <= v < k for v in g):
         raise BadStateError(f"vector {g!r} is not over {{0..{k - 1}}}^{len(poset.elements)}")
-    for i, ei in enumerate(poset.elements):
-        for j, ej in enumerate(poset.elements):
-            if poset.leq(ei, ej) and g[i] > g[j]:
-                return False
-    return True
+    return all(
+        g[j] <= v
+        for v, covers in zip(g, poset._lower_covers)
+        for j in bit_positions(covers)
+    )
 
 
 def chain_product(poset: Poset, m: int) -> Poset:
@@ -242,13 +314,10 @@ def chain_product(poset: Poset, m: int) -> Poset:
     if m < 0:
         raise ValueError(f"chain size must be >= 0, got {m}")
     elems = tuple((e, r) for e in poset.elements for r in range(m))
-    rel = frozenset(
-        ((a, r), (b, s))
-        for a, r in elems
-        for b, s in elems
-        if poset.leq(a, b) and r <= s
+    pairs = (
+        ((a, r), (b, s)) for a, b in poset.relation for r in range(m) for s in range(r, m)
     )
-    return Poset(elems, rel)
+    return Poset.from_relation(elems, pairs)
 
 
 def state_to_ideal(poset: Poset, g: State, k: int) -> frozenset[tuple[Label, int]]:
@@ -269,11 +338,21 @@ def state_to_ideal(poset: Poset, g: State, k: int) -> frozenset[tuple[Label, int
 
 def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
     """All unordered incomparable pairs, listed as (g, h) with g before h in
-    the lattice's lexicographic state order."""
-    out = []
+    the lattice's lexicographic state order.
+
+    Lexicographic order is a linear extension of the lattice order, so a
+    later state is never below an earlier one, and (g, h) is incomparable
+    iff g is not below h. Each state is encoded in unary, coordinate i
+    holding g_i ones among k-1 bits, so g <= h iff g's bits lie in h's.
+    """
+    width = lattice.k - 1
     states = lattice.states
-    for i, g in enumerate(states):
-        for h in states[i + 1 :]:
-            if not state_leq(g, h) and not state_leq(h, g):
-                out.append((g, h))
+    masks = [
+        sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in states
+    ]
+    out = []
+    for i, (g, m) in enumerate(zip(states, masks)):
+        out.extend(
+            (g, states[j]) for j in range(i + 1, len(states)) if m & ~masks[j]
+        )
     return out

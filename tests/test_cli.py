@@ -58,6 +58,17 @@ class TestEmissions:
         assert code == 0
         assert json.loads(out) == FIG2_STATES
 
+    def test_lattice_of_long_chain(self, capsys, tmp_path):
+        """The enumeration is iterative: a chain longer than Python's
+        recursion limit still prints every state."""
+        dag = tmp_path / "chain1200.dag"
+        dag.write_text("1200 2\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
+        code, out, _ = run_main(capsys, ["lattice", "--dag", str(dag), "--format", "text"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1201
+        assert lines[0] == "0" * 1200 and lines[-1] == "1" * 1200
+
     def test_ideals(self, capsys, fig_files):
         code, out, _ = run_main(capsys, ["ideals", "--dag", fig_files["fig2.dag"]])
         assert code == 0

@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import BadStateError, NotAStateError
@@ -17,6 +19,7 @@ from maxlin.poset import (
     ideal_members,
     incomparable_pairs,
     is_order_ideal,
+    is_order_preserving,
     lattice_meet_join,
     order_ideals,
     order_preserving_maps,
@@ -24,7 +27,13 @@ from maxlin.poset import (
     state_to_ideal,
 )
 
-from conftest import brute_force_ideals, brute_force_states, catalog_dags, random_dag
+from conftest import (
+    CATALOG,
+    brute_force_ideals,
+    brute_force_states,
+    catalog_dags,
+    random_dag,
+)
 
 
 def digits(states):
@@ -33,16 +42,43 @@ def digits(states):
 
 class TestPosetType:
     def test_rejects_missing_reflexivity(self):
-        with pytest.raises(ValueError):
-            Poset((1, 2), frozenset({(1, 1)}))
+        with pytest.raises(ValueError, match=r"not reflexive at 2"):
+            Poset.from_relation((1, 2), {(1, 1)})
 
     def test_rejects_antisymmetry_violation(self):
-        with pytest.raises(ValueError):
-            Poset((1, 2), frozenset({(1, 1), (2, 2), (1, 2), (2, 1)}))
+        with pytest.raises(ValueError, match=r"not antisymmetric on \([12], [12]\)"):
+            Poset.from_relation((1, 2), {(1, 1), (2, 2), (1, 2), (2, 1)})
 
     def test_rejects_intransitivity(self):
+        with pytest.raises(ValueError, match=r"not transitive on \(1, 2, 3\)"):
+            Poset.from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)})
+
+    @pytest.mark.parametrize(
+        "elements, down",
+        [
+            ((1, 1), (0b01, 0b10)),  # duplicate element
+            ((1, 2), (0b01,)),  # one mask for two elements
+            ((1, 2), (0b101, 0b10)),  # bit outside the element set
+            ((1, 2), (-1, 0b10)),
+        ],
+    )
+    def test_rejects_malformed_masks(self, elements, down):
         with pytest.raises(ValueError):
-            Poset((1, 2, 3), frozenset({(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}))
+            Poset(elements, down)
+
+    def test_rejects_pair_outside_elements(self):
+        with pytest.raises(ValueError, match="outside the element set"):
+            Poset.from_relation((1, 2), {(1, 1), (2, 2), (1, 3)})
+
+    def test_masks_and_relation(self):
+        p = Poset.from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)})
+        assert p.down == (0b001, 0b010, 0b111)
+        assert p.relation == {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)}
+        assert p.index(3) == 2
+        with pytest.raises(ValueError):
+            p.index(4)
+        assert p.covers_below(3) == (1, 2)
+        assert p.covers_below(1) == ()
 
     def test_covers_of_chain(self):
         assert chain(4).covers() == [(0, 1), (1, 2), (2, 3)]
@@ -272,3 +308,91 @@ class TestLatticeCorrespondence:
                 tuple(1 - b for b in ind) for ind in order_ideals(poset)
             }
             assert states == complements
+
+
+# Slow, independent references for the mask-based fast paths.
+
+
+def dfs_reachable(dag: Dag) -> set[tuple[int, int]]:
+    """Every (u, v) with a directed path u -> ... -> v, v itself included,
+    by a depth-first search from each vertex along the edge list."""
+    children = {v: [b for a, b in dag.edges if a == v] for v in range(1, dag.n + 1)}
+    pairs = set()
+    for u in range(1, dag.n + 1):
+        stack, seen = [u], set()
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(children[v])
+        pairs.update((u, v) for v in seen)
+    return pairs
+
+
+def cubic_covers(poset: Poset) -> list:
+    """Cover pairs by the definition: a < b with nothing strictly between."""
+    return [
+        (a, b)
+        for a, b in poset.strict_pairs()
+        if not any(
+            c != a and c != b and poset.leq(a, c) and poset.leq(c, b)
+            for c in poset.elements
+        )
+    ]
+
+
+def pairwise_incomparable(states) -> list:
+    return [
+        (g, h)
+        for i, g in enumerate(states)
+        for h in states[i + 1 :]
+        if not state_leq(g, h) and not state_leq(h, g)
+    ]
+
+
+def check_against_slow_paths(dag: Dag, ks=(1, 2, 3)) -> None:
+    poset = transitive_closure(dag)
+    reachable = dfs_reachable(dag)
+    for a in poset.elements:
+        for b in poset.elements:
+            assert poset.leq(a, b) == ((a, b) in reachable)
+    assert poset.relation == reachable
+    covers = cubic_covers(poset)
+    assert poset.covers() == covers
+    for b in poset.elements:
+        assert poset.covers_below(b) == tuple(a for a, c in covers if c == b)
+    assert poset.dual().relation == {(b, a) for a, b in reachable}
+    for k in ks:
+        lattice = order_preserving_maps(poset, k)
+        assert list(lattice) == brute_force_states(poset, k)
+        box = product(range(k), repeat=dag.n)
+        assert [g for g in box if is_order_preserving(poset, g, k)] == list(lattice)
+        assert incomparable_pairs(lattice) == pairwise_incomparable(lattice.states)
+    ideals = order_ideals(poset)
+    assert ideals == brute_force_ideals(poset)
+    box = product((0, 1), repeat=dag.n)
+    assert [g for g in box if is_order_ideal(poset, g)] == ideals
+    assert incomparable_pairs(ideal_lattice(poset)) == pairwise_incomparable(ideals)
+
+
+@st.composite
+def dags(draw, max_n: int = 8) -> Dag:
+    """A DAG on 1..n whose edges follow a drawn vertex order, so acyclic."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    candidates = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    return Dag(n=n, k=2, edges=frozenset(e for e, kept in zip(candidates, keep) if kept))
+
+
+class TestFastPathsAgainstSlowPaths:
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG])
+    def test_catalog(self, name):
+        check_against_slow_paths(dict(catalog_dags(2))[name])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dags())
+    def test_random_dags(self, dag):
+        # k = 3 above 6 vertices gives up to 6,561 states, too many for the
+        # pairwise incomparability reference in a unit test.
+        check_against_slow_paths(dag, ks=(1, 2, 3) if dag.n <= 6 else (1, 2))
