@@ -139,8 +139,11 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     """
     _check_table(dag, theta)
     _check_vector(g, dag.n, dag.k)
-    parent_values = [g[j - 1] for j in dag.parents(i)]
-    m = max(parent_values, default=0)
+    return _conditional(dag, theta, i, g)
+
+
+def _conditional(dag: Dag, theta: ParamTable, i: int, g) -> Value:
+    m = max((g[j - 1] for j in dag.parents(i)), default=0)
     if g[i - 1] < m:
         return Fraction(0)
     if g[i - 1] == m:
@@ -153,9 +156,11 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
 def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:
     """Product of the conditional probabilities over all vertices; 0 exactly
     when g is not order-preserving for the reachability poset."""
+    _check_table(dag, theta)
+    _check_vector(g, dag.n, dag.k)
     result: Value = Fraction(1)
     for i in range(1, dag.n + 1):
-        factor = conditional_probability(dag, theta, i, g)
+        factor = _conditional(dag, theta, i, g)
         if factor == 0:
             return Fraction(0)
         result = result * factor

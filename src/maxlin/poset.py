@@ -170,6 +170,11 @@ class StateLattice:
 
     `states` is sorted lexicographically and that order is a linear extension
     of the lattice order.
+
+    The zeta and Moebius walks need the states to be all the monotone maps of
+    a poset, as `order_preserving_maps` and `ideal_lattice` build them: then
+    every line g + t*e_i meets the states in an interval, and lowering g to a
+    state h <= g in increasing order of column sums passes through states only.
     """
 
     n: int

@@ -7,6 +7,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.dag import Dag, parse_dag, transitive_closure
@@ -115,3 +116,13 @@ def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:
             if rng.random() < 0.5:
                 edges.add((order[i], order[j]))
     return Dag(n=n, k=k, edges=frozenset(edges))
+
+
+@st.composite
+def dags(draw, max_n: int = 8) -> Dag:
+    """A DAG on 1..n whose edges follow a drawn vertex order, so acyclic."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    candidates = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    return Dag(n=n, k=2, edges=frozenset(e for e, kept in zip(candidates, keep) if kept))

@@ -310,6 +310,24 @@ class TestHibiGenerators:
         with pytest.raises(ValueError):
             BinomialGenerator.from_pair((0, 0), (0, 1))
 
+    def test_same_as_from_pair(self):
+        for k in (2, 3):
+            for _, dag in catalog_dags(k):
+                lattice = order_preserving_maps(transitive_closure(dag), k)
+                pairs = incomparable_pairs(lattice)
+                expected = [BinomialGenerator.from_pair(g, h) for g, h in pairs]
+                assert hibi_generators(lattice) == expected
+
+    def test_json_dict_golden(self, fig2_dag):
+        gen = hibi_generators(order_preserving_maps(transitive_closure(fig2_dag), 2))[0]
+        assert gen.to_json_dict() == {
+            "pair": ["00011", "00101"],
+            "meet": "00001",
+            "join": "00111",
+            "polynomial": "q[00011]*q[00101] - q[00001]*q[00111]",
+        }
+        assert gen.to_text() == gen.to_json_dict()["polynomial"]
+
 
 class TestMonomialMap:
     def test_fig3_golden(self, fig3_dag):
@@ -410,6 +428,31 @@ class TestVerifyVanishing:
         report = verify_vanishing(hibi_generators(lattice), MonomialMap(broken))
         assert not report.passed
         assert report.failures
+
+    def test_failures_name_the_generic_substitution(self, fig2_dag):
+        # the monomial comparison reports what substituting into the whole
+        # generator polynomial gives
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        mapping = monomial_map(lattice)
+        for gen in hibi_generators(lattice):
+            for broken in (
+                dataclasses.replace(gen, join=lattice.top),
+                dataclasses.replace(gen, meet=gen.g),
+            ):
+                image = substitute(broken.polynomial(), mapping)
+                line = f"{broken.to_text()} maps to {image.to_text()}"
+                expected = [] if image.is_zero else [line]
+                assert verify_vanishing([broken], mapping).failures == expected
+
+    def test_unmapped_variable_named_in_generator_order(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        gen = hibi_generators(lattice)[0]
+        images = dict(monomial_map(lattice).images)
+        del images[q_var(gen.join)], images[q_var(gen.meet)]
+        from maxlin.algebra import MonomialMap
+
+        with pytest.raises(UnmappedVariableError, match=r"q\[00001\]"):
+            verify_vanishing([gen], MonomialMap(images))
 
 
 class TestPullback:

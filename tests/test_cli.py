@@ -106,6 +106,25 @@ class TestEmissions:
         assert values["11111"] == "1"
         assert values["00000"] == "1/32"
 
+    def test_zeta_and_moebius_of_long_chain(self, capsys, tmp_path):
+        """The transforms walk the lattice once per coordinate, so a 50-chain
+        with k=3 (1,326 states) stays cheap for zeta and the moebius suite."""
+        dag = tmp_path / "chain50.dag"
+        dag.write_text("50 3\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 50)))
+        theta = tmp_path / "theta50.json"
+        theta.write_text(json.dumps({"theta": [["1/6", "1/3", "1/2"]] * 50}))
+        code, out, _ = run_main(capsys, ["zeta", "--dag", str(dag), "--theta", str(theta)])
+        assert code == 0
+        values = json.loads(out)
+        assert len(values) == 1326
+        assert values["2" * 50] == "1"
+        code, out, _ = run_main(
+            capsys, ["verify", "moebius", "--dag", str(dag), "--trials", "2"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] and report["total"] == 4
+
     def test_generators_text(self, capsys, fig_files):
         code, out, _ = run_main(
             capsys,

@@ -103,6 +103,17 @@ class TestConditionalProbability:
         with pytest.raises(ValueError):
             conditional_probability(fig2_dag, ParamTable.uniform(5, 3), 1, (0,) * 5)
 
+    def test_joint_checks_once_with_the_same_errors(self, fig2_dag):
+        # joint_factored validates the table and the vector itself, then
+        # applies the rule per vertex without checks
+        theta = ParamTable.uniform(5, 2)
+        with pytest.raises(BadStateError, match=r"\(0, 0, 0, 0, 2\)"):
+            joint_factored(fig2_dag, theta, (0, 0, 0, 0, 2))
+        with pytest.raises(BadStateError):
+            joint_factored(fig2_dag, theta, (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="parameter table is 5x3"):
+            joint_factored(fig2_dag, ParamTable.uniform(5, 3), (0,) * 5)
+
 
 class TestFactoredJoint:
     def test_symbolic_fig2_matches_published_monomials(self, fig2_dag):

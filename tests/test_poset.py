@@ -6,7 +6,6 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import BadStateError, NotAStateError
@@ -32,6 +31,7 @@ from conftest import (
     brute_force_ideals,
     brute_force_states,
     catalog_dags,
+    dags,
     random_dag,
 )
 
@@ -373,16 +373,6 @@ def check_against_slow_paths(dag: Dag, ks=(1, 2, 3)) -> None:
     box = product((0, 1), repeat=dag.n)
     assert [g for g in box if is_order_ideal(poset, g)] == ideals
     assert incomparable_pairs(ideal_lattice(poset)) == pairwise_incomparable(ideals)
-
-
-@st.composite
-def dags(draw, max_n: int = 8) -> Dag:
-    """A DAG on 1..n whose edges follow a drawn vertex order, so acyclic."""
-    n = draw(st.integers(1, max_n))
-    order = draw(st.permutations(range(1, n + 1)))
-    candidates = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
-    return Dag(n=n, k=2, edges=frozenset(e for e, kept in zip(candidates, keep) if kept))
 
 
 class TestFastPathsAgainstSlowPaths:

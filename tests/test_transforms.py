@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from maxlin.algebra import Polynomial, theta_var
+from maxlin.algebra import Polynomial, p_var, theta_var
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import NotMonotoneError, SupportMismatchError
 from maxlin.model import ParamTable, eliminate_simplex, full_distribution
-from maxlin.poset import order_preserving_maps, state_leq
+from maxlin.poset import ideal_lattice, order_preserving_maps, state_leq
 from maxlin.transforms import (
     AlphaTable,
     XTable,
@@ -24,7 +25,7 @@ from maxlin.transforms import (
     zeta_transform,
 )
 
-from conftest import catalog_dags
+from conftest import CATALOG, catalog_dags, dags
 
 
 def tv(i, j):
@@ -33,6 +34,58 @@ def tv(i, j):
 
 def random_lattice_function(lattice, rng):
     return {g: Fraction(rng.randint(-500, 500), rng.randint(1, 40)) for g in lattice}
+
+
+def quadratic_zeta(values, lattice):
+    """Reference zeta: for every state, sum the values at all states below it,
+    found by comparing every pair of states."""
+    out = {}
+    for g in lattice:
+        total = Fraction(0)
+        for h in lattice:
+            if h in values and state_leq(h, g):
+                total = total + values[h]
+        out[g] = total
+    return out
+
+
+def back_substitution_moebius(values, lattice):
+    """Reference Moebius inverse: unitriangular back-substitution along the
+    lexicographic linear extension, comparing every pair of states."""
+    out = {}
+    for g in lattice:
+        total = values.get(g, Fraction(0))
+        for h, done in out.items():
+            if h != g and state_leq(h, g):
+                total = total - done
+        out[g] = total
+    return out
+
+
+def lattices_of(dag, ks):
+    """The state lattices of the reachability poset and of its dual for each
+    k in ks, and the ideal lattices of both."""
+    poset = transitive_closure(dag)
+    for order in (poset, poset.dual()):
+        for k in ks:
+            yield order_preserving_maps(order, k)
+        yield ideal_lattice(order)
+
+
+def check_walk_against_quadratic(lattice, rng):
+    # Rational values with some states left out (they count as 0), and one
+    # variable per state, so each h <= g must be summed into g exactly once.
+    rational = {
+        g: Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        for g in lattice
+        if rng.random() < 0.8
+    }
+    symbolic = {g: Polynomial.from_variable(p_var(g)) for g in lattice}
+    for values in (rational, symbolic):
+        cumulative = zeta_transform(values, lattice)
+        assert list(cumulative) == list(lattice)
+        assert cumulative == quadratic_zeta(values, lattice)
+        assert moebius_inverse(values, lattice) == back_substitution_moebius(values, lattice)
 
 
 class TestZeta:
@@ -76,6 +129,23 @@ class TestZeta:
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         with pytest.raises(SupportMismatchError):
             zeta_transform({(1, 0, 0, 0, 0): Fraction(1)}, lattice)
+
+
+class TestWalkAgainstQuadratic:
+    @pytest.mark.parametrize("name", [name for name, _, _ in CATALOG])
+    def test_catalog(self, name):
+        rng = random.Random(name)
+        for lattice in lattices_of(dict(catalog_dags(2))[name], ks=(1, 2, 3, 4)):
+            check_walk_against_quadratic(lattice, rng)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=7))
+    def test_random_dags(self, dag):
+        # k = 3 above 5 vertices gives up to 2,187 states, too many for the
+        # quadratic references in a unit test.
+        rng = random.Random(repr(dag))
+        for lattice in lattices_of(dag, ks=(1, 2, 3) if dag.n <= 5 else (1, 2)):
+            check_walk_against_quadratic(lattice, rng)
 
 
 class TestMoebiusInverse:
