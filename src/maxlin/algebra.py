@@ -1,5 +1,6 @@
 """Exact multivariate polynomials over the rationals, binomial generators of
-distributive lattices, monomial parameterizations, and a Buchberger check.
+distributive lattices, their monomial parameterization, and a Buchberger
+check.
 
 Rational coefficients are ``fractions.Fraction`` (always reduced, positive
 denominator). Variables are named by family and index; the fixed total order
@@ -82,17 +83,6 @@ class Variable:
             return f"{self.family}[{state_digits(self.index)}]"
         return f"{self.family}[{','.join(str(i) for i in self.index)}]"
 
-    def display_text(self) -> str:
-        """Display form with superscripted vertex, e.g. theta1^(3), x0^(1)."""
-        if self.family == "t":
-            return "t"
-        if self.family in ("p", "q"):
-            return f"{self.family}{state_digits(self.index)}"
-        if len(self.index) == 1:
-            return f"{self.family}{self.index[0]}"
-        i, j = self.index
-        return f"{self.family}{j}^({i})"
-
 
 def p_var(state: State) -> Variable:
     return Variable("p", tuple(state))
@@ -116,11 +106,6 @@ def alpha_var(i: int, j: int) -> Variable:
 
 def x_var(i: int, r: int) -> Variable:
     return Variable("x", (i, r))
-
-
-def x_ground_var(i: int) -> Variable:
-    """Single-index x variable used when the lattice is a plain ideal lattice."""
-    return Variable("x", (i,))
 
 
 def state_digits(state: Sequence[int]) -> str:
@@ -428,13 +413,12 @@ class Polynomial:
             self.terms.items(), key=lambda mc: (mono_degree(mc[0]), mc[0]), reverse=True
         )
 
-    def to_text(self, style: str = "grammar") -> str:
+    def to_text(self) -> str:
         if self.is_zero:
             return "0"
-        render = (lambda v: v.display_text()) if style == "display" else (lambda v: v.key_text())
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = [render(v) + (f"^{e}" if e > 1 else "") for v, e in mono]
+            factors = [v.key_text() + (f"^{e}" if e > 1 else "") for v, e in mono]
             mag = abs(coeff)
             if mag != 1 or not factors:
                 factors.insert(0, fraction_text(mag))
@@ -444,15 +428,6 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
-
-    def to_json_list(self) -> list[dict]:
-        return [
-            {
-                "coeff": fraction_text(coeff),
-                "vars": {v.key_text(): e for v, e in mono},
-            }
-            for mono, coeff in self.sorted_terms()
-        ]
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
@@ -672,6 +647,13 @@ class BinomialGenerator:
     meet: State
     join: State
 
+    def __post_init__(self) -> None:
+        if {self.g, self.h} == {self.meet, self.join}:
+            raise ValueError(
+                f"binomial of g={self.g}, h={self.h}, meet={self.meet},"
+                f" join={self.join} is zero: its two monomials coincide"
+            )
+
     @classmethod
     def from_pair(cls, g: State, h: State) -> "BinomialGenerator":
         if state_leq(g, h) or state_leq(h, g):
@@ -727,35 +709,19 @@ class MonomialMap:
         return var in self.images
 
 
-def monomial_map(lattice: StateLattice, k: int | None = None) -> MonomialMap:
+def monomial_map(lattice: StateLattice) -> MonomialMap:
     """q_g -> t * prod of x[i, r] over the order ideal that g corresponds to
-    in the product of the underlying poset with a (k-1)-chain; coordinate i
-    of a state is taken to belong to vertex i+1."""
-    if k is None:
-        k = lattice.k
-    if k != lattice.k:
-        raise ValueError(f"lattice has k={lattice.k}, not {k}")
+    in the product of the underlying poset with a (k-1)-chain, k = lattice.k:
+    the pairs (i, r) with r < k - g_i - 1, coordinate i of a state taken to
+    belong to vertex i+1. On an ideal lattice (k = 2) the x[i, 0] of g are
+    the elements outside the ideal g."""
+    k = lattice.k
     images: dict[Variable, Monomial] = {}
     for g in lattice:
         exps: dict[Variable, int] = {t_var(): 1}
         for idx, v in enumerate(g):
             for r in range(k - v - 1):
                 exps[x_var(idx + 1, r)] = 1
-        images[q_var(g)] = mono_from_dict(exps)
-    return MonomialMap(images)
-
-
-def ideal_monomial_map(lattice: StateLattice) -> MonomialMap:
-    """q_g -> t * prod of x[i] over the members of the order ideal g, for a
-    lattice whose states are 0-1 ideal indicators."""
-    if lattice.k != 2:
-        raise ValueError("ideal lattices carry 0-1 indicators, so k must be 2")
-    images: dict[Variable, Monomial] = {}
-    for g in lattice:
-        exps: dict[Variable, int] = {t_var(): 1}
-        for idx, bit in enumerate(g):
-            if bit:
-                exps[x_ground_var(idx + 1)] = 1
         images[q_var(g)] = mono_from_dict(exps)
     return MonomialMap(images)
 
@@ -783,22 +749,6 @@ def verify_vanishing(generators: Sequence[BinomialGenerator], mmap: MonomialMap)
             failures.append(f"{gen.to_text()} maps to {image.to_text()}")
     detail = f"{len(generators)} generators map to 0" if not failures else ""
     return Report("vanishing", total=len(generators), failures=failures, detail=detail)
-
-
-def pullback_to_p(poly: Polynomial, lattice: StateLattice) -> Polynomial:
-    """Replace every q_g by the sum of p_h over lattice states h <= g and
-    expand to canonical form."""
-    mapping: dict[Variable, Polynomial] = {}
-    for v in poly.variables():
-        if v.family != "q":
-            continue
-        g = v.index
-        if g not in lattice:
-            raise UnmappedVariableError(f"state {state_digits(g)} is not in the lattice")
-        mapping[v] = Polynomial(
-            {((p_var(h), 1),): 1 for h in lattice if state_leq(h, g)}
-        )
-    return poly.substitute(mapping)
 
 
 def evaluate_at_distribution(poly: Polynomial, probs: Mapping[State, Scalar]) -> Fraction:

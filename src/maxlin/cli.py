@@ -105,7 +105,12 @@ def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
 
 def _oracle_limit() -> int:
     raw = os.environ.get("MAXLIN_ORACLE_LIMIT")
-    return int(raw) if raw else DEFAULT_ORACLE_LIMIT
+    if not raw:
+        return DEFAULT_ORACLE_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise MaxlinError(f"MAXLIN_ORACLE_LIMIT must be an integer, got {raw!r}") from None
 
 
 def _vanishing_suite(dag: Dag, config: CommandConfig) -> Report:

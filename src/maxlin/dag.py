@@ -94,13 +94,6 @@ def parse_dag(text: str) -> Dag:
     return Dag(n=n, k=k, edges=frozenset(edges))
 
 
-def serialize_dag(dag: Dag) -> str:
-    """Inverse of parse_dag, edges emitted smallest-first."""
-    lines = [f"{dag.n} {dag.k}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(dag.edges))
-    return "\n".join(lines) + "\n"
-
-
 def topological_order(dag: Dag) -> list[int]:
     """Kahn-style peeling with a smallest-label-first tie-break."""
     indegree = {v: 0 for v in range(1, dag.n + 1)}

@@ -33,10 +33,6 @@ class NotAnIdealError(MaxlinError):
     """Indicator vector is not downward closed."""
 
 
-class NotMonotoneError(MaxlinError):
-    """Cumulative-weight row is not nondecreasing with final entry 1."""
-
-
 class SupportMismatchError(MaxlinError):
     """Coordinate map mentions states outside the lattice."""
 

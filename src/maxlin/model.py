@@ -8,12 +8,12 @@ polynomial variables) yields the same formulas as polynomials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Union
 
-from .algebra import Polynomial, parse_fraction, fraction_text, state_digits, theta_var
+from .algebra import Polynomial, parse_fraction, state_digits, theta_var
 from .dag import Dag, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
 from .poset import (
@@ -36,9 +36,16 @@ DEFAULT_ORACLE_LIMIT = 10**7
 class ParamTable:
     """Per-vertex innovation distributions: row i-1 holds the k state weights
     of vertex i. Rational rows must be nonnegative and sum to exactly 1;
-    polynomial rows are accepted for symbolic work and not checked."""
+    polynomial rows are accepted for symbolic work and not checked.
+
+    `cumulative` holds the model's change of coordinates, built once: entry j
+    of row i-1 is alpha_{i,j}, the weight of the levels 0..j at vertex i. The
+    last entry is the constant 1 (the whole row), also for symbolic rows, so
+    symbolic output keeps the reduced form the weights satisfy on the simplex.
+    """
 
     rows: tuple[tuple[Value, ...], ...]
+    cumulative: tuple[tuple[Value, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -52,6 +59,8 @@ class ParamTable:
                     raise ValueError(f"row {idx + 1} has a negative weight")
                 if sum(row) != 1:
                     raise ValueError(f"row {idx + 1} sums to {sum(row)}, not 1")
+        cumulative = tuple((*accumulate(row[:-1]), Fraction(1)) for row in self.rows)
+        object.__setattr__(self, "cumulative", cumulative)
 
     @property
     def n(self) -> int:
@@ -86,9 +95,6 @@ class ParamTable:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError('"theta" must be a list of rows of rational strings')
         return cls(tuple(tuple(parse_fraction(str(v)) for v in row) for row in rows))
-
-    def to_json_dict(self) -> dict:
-        return {"theta": [[fraction_text(v) for v in row] for row in self.rows]}
 
     @classmethod
     def uniform(cls, n: int, k: int) -> "ParamTable":
@@ -132,10 +138,8 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     """P(X_i = g_i | parents at their g values) for the max-of-parents model.
 
     With M the maximum of the parent values (0 for a source vertex): 0 when
-    g_i < M; the partial weight sum up to M when g_i = M; the single weight
-    of g_i when g_i > M. A full-row sum (M = k-1) is returned as the constant
-    1, which the row invariant guarantees and which keeps symbolic output in
-    the same reduced form the weights satisfy on the simplex.
+    g_i < M; the cumulative weight alpha_{i,M} when g_i = M (the constant 1
+    when M = k-1); the single weight of g_i when g_i > M.
     """
     _check_table(dag, theta)
     _check_vector(g, dag.n, dag.k)
@@ -147,9 +151,7 @@ def _conditional(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     if g[i - 1] < m:
         return Fraction(0)
     if g[i - 1] == m:
-        if m == dag.k - 1:
-            return Fraction(1)
-        return sum((theta.weight(i, level) for level in range(m + 1)), Fraction(0))
+        return theta.cumulative[i - 1][m]
     return theta.weight(i, g[i - 1])
 
 

@@ -111,16 +111,6 @@ class Poset:
             (e[j], e[i]) for i, mask in enumerate(self.down) for j in bit_positions(mask)
         )
 
-    def strict_pairs(self) -> list[tuple[Label, Label]]:
-        """All (a, b) with a < b, sorted by element position."""
-        e = self.elements
-        return [
-            (e[i], e[j])
-            for i, mask in enumerate(_transpose(self.down))
-            for j in bit_positions(mask)
-            if j != i
-        ]
-
     def covers(self) -> list[tuple[Label, Label]]:
         """All cover pairs (a, b): a < b with nothing strictly between,
         sorted by element position."""
@@ -139,18 +129,6 @@ class Poset:
 
     def dual(self) -> "Poset":
         return Poset(self.elements, tuple(_transpose(self.down)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": [_json_label(e) for e in self.elements],
-            "strict_relations": [
-                [_json_label(a), _json_label(b)] for a, b in self.strict_pairs()
-            ],
-        }
-
-
-def _json_label(e: Label):
-    return list(e) if isinstance(e, tuple) else e
 
 
 def antichain(labels: tuple[Label, ...]) -> Poset:

@@ -1,18 +1,17 @@
-"""The coordinate changes: cumulative (zeta) coordinates on the state lattice
-with their Moebius inverse, cumulative weight rows, and the multiplicative
-reparameterization used by the monomial map."""
+"""The coordinate change on the state lattice: cumulative (zeta) coordinates
+and their Moebius inverse, and the checks that the cumulative coordinates
+factor into the cumulative weight rows of the parameter table."""
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .algebra import state_digits
 from .dag import Dag, transitive_closure
-from .errors import NotMonotoneError, SupportMismatchError
+from .errors import SupportMismatchError
 from .model import ParamTable, Value, eliminate_simplex, full_distribution
 from .poset import State, StateLattice, order_preserving_maps
 from .report import Report
@@ -60,120 +59,6 @@ def _fibre_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Val
     return out
 
 
-@dataclass(frozen=True)
-class AlphaTable:
-    """Cumulative weight rows: entry j of row i is the weight of states up to
-    j at vertex i. Rational rows must be nondecreasing and end in 1."""
-
-    rows: tuple[tuple[Value, ...], ...]
-
-    def __post_init__(self) -> None:
-        for idx, row in enumerate(self.rows):
-            if not row:
-                raise ValueError(f"row {idx + 1} is empty")
-            if all(isinstance(v, Fraction) for v in row):
-                if any(a > b for a, b in zip(row, row[1:])):
-                    raise NotMonotoneError(f"row {idx + 1} is not nondecreasing")
-                if row[-1] != 1:
-                    raise NotMonotoneError(f"row {idx + 1} ends in {row[-1]}, not 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows[0])
-
-    def weight(self, i: int, j: int) -> Value:
-        return self.rows[i - 1][j]
-
-
-@dataclass(frozen=True)
-class XTable:
-    """Multiplicative parameters: row i has k-1 entries whose partial
-    products from the left rebuild the cumulative row of vertex i."""
-
-    rows: tuple[tuple[Value, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows[0]) + 1
-
-    def weight(self, i: int, r: int) -> Value:
-        return self.rows[i - 1][r]
-
-
-def alpha_params(theta: ParamTable) -> AlphaTable:
-    """Partial sums of each weight row; the final entry is the constant 1
-    (the whole row), also for symbolic rows."""
-    rows = []
-    for row in theta.rows:
-        partial: Value = Fraction(0)
-        out = []
-        for j in range(len(row) - 1):
-            partial = partial + row[j]
-            out.append(partial)
-        out.append(Fraction(1))
-        rows.append(tuple(out))
-    return AlphaTable(tuple(rows))
-
-
-def theta_from_alpha(alpha: AlphaTable) -> ParamTable:
-    """Consecutive differences; inverse of alpha_params.
-
-    Raises:
-        NotMonotoneError: a difference would be negative (cannot happen for a
-            validated rational AlphaTable, but guards symbolic-free misuse).
-    """
-    rows = []
-    for idx, row in enumerate(alpha.rows):
-        out = [row[0]]
-        for j in range(1, len(row)):
-            diff = row[j] - row[j - 1]
-            if isinstance(diff, Fraction) and diff < 0:
-                raise NotMonotoneError(f"row {idx + 1} decreases at entry {j}")
-            out.append(diff)
-        rows.append(tuple(out))
-    return ParamTable(tuple(rows))
-
-
-def x_params(alpha: AlphaTable) -> XTable:
-    """Ratios of consecutive cumulative weights, indexed so that the product
-    of entries 0..k-j-2 of a row rebuilds the cumulative weight of level j.
-
-    Rational tables only; a zero cumulative weight raises ZeroDivisionError.
-    """
-    k = alpha.k
-    rows = []
-    for i in range(1, alpha.n + 1):
-        row: list[Value] = [Fraction(0)] * (k - 1)
-        for j in range(1, k):
-            row[k - j - 1] = alpha.weight(i, j - 1) / alpha.weight(i, j)
-        rows.append(tuple(row))
-    return XTable(tuple(rows))
-
-
-def alpha_from_x(x: XTable) -> AlphaTable:
-    """Rebuild cumulative rows from the multiplicative parameters; inverse of
-    x_params."""
-    k = x.k
-    rows = []
-    for i in range(1, x.n + 1):
-        row = []
-        for j in range(k):
-            value: Value = Fraction(1)
-            for r in range(k - j - 1):
-                value = value * x.weight(i, r)
-            row.append(value)
-        rows.append(tuple(row))
-    return AlphaTable(tuple(rows))
-
-
 def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
@@ -186,10 +71,9 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
     theta = ParamTable.from_rows(reduced)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     cumulative = zeta_transform(full_distribution(dag, theta, lattice), lattice)
-    alpha = alpha_params(theta)
     failures = []
     for g in lattice:
-        factors = [alpha.weight(pos + 1, level) for pos, level in enumerate(g)]
+        factors = [row[level] for row, level in zip(theta.cumulative, g)]
         if cumulative[g] != math.prod(factors, start=Fraction(1)):
             failures.append(f"state {state_digits(g)}")
     detail = f"{len(lattice)} states factor exactly" if not failures else ""

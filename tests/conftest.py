@@ -1,9 +1,11 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
-brute-force enumerators, and random generators for property-style tests."""
+brute-force enumerators, reference helpers, and random generators for
+property-style tests."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.dag import Dag, parse_dag, transitive_closure
+from maxlin.model import ParamTable
 from maxlin.poset import Poset
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
@@ -103,6 +106,21 @@ def brute_force_ideals(poset: Poset) -> list[tuple[int, ...]]:
         if ok:
             out.append(ind)
     return out
+
+
+def strict_pairs(poset: Poset) -> list:
+    """All (a, b) with a < b, sorted by element position."""
+    e = poset.elements
+    return [(a, b) for a in e for b in e if a != b and poset.leq(a, b)]
+
+
+def x_ratios(theta: ParamTable) -> list[list[Fraction]]:
+    """The multiplicative parameters of a rational table: entry r of row i-1
+    is alpha_{i,k-r-2} / alpha_{i,k-r-1}, so the product of entries
+    0..k-j-2 of a row rebuilds the cumulative weight alpha_{i,j}."""
+    return [
+        [row[j - 1] / row[j] for j in range(len(row) - 1, 0, -1)] for row in theta.cumulative
+    ]
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

@@ -19,7 +19,6 @@ from maxlin.algebra import (
     evaluate_at_distribution,
     fraction_text,
     hibi_generators,
-    ideal_monomial_map,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -28,7 +27,6 @@ from maxlin.algebra import (
     p_var,
     parse_fraction,
     parse_polynomial,
-    pullback_to_p,
     q_var,
     reduce_modulo,
     s_polynomial,
@@ -37,19 +35,28 @@ from maxlin.algebra import (
     t_var,
     theta_var,
     verify_vanishing,
-    x_ground_var,
     x_var,
 )
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import ParseError, UnboundVariableError, UnmappedVariableError
 from maxlin.model import ParamTable, full_distribution
-from maxlin.poset import ideal_lattice, incomparable_pairs, order_preserving_maps
+from maxlin.poset import ideal_lattice, incomparable_pairs, order_preserving_maps, state_leq
 
 from conftest import catalog_dags, random_dag
 
 
 def poly_of(var):
     return Polynomial.from_variable(var)
+
+
+def pullback_to_p(poly, lattice):
+    """Replace every q_g by the sum of p_h over the lattice states h <= g."""
+    return poly.substitute(
+        {
+            q_var(g): Polynomial({((p_var(h), 1),): 1 for h in lattice if state_leq(h, g)})
+            for g in lattice
+        }
+    )
 
 
 def random_polynomial(rng, variables, terms=4, max_exp=3):
@@ -83,10 +90,8 @@ class TestVariable:
     def test_text_forms(self):
         assert q_var((0, 1, 0, 1, 1)).key_text() == "q[01011]"
         assert theta_var(3, 1).key_text() == "theta[3,1]"
-        assert theta_var(3, 1).display_text() == "theta1^(3)"
-        assert x_var(1, 0).display_text() == "x0^(1)"
-        assert x_ground_var(2).key_text() == "x[2]"
-        assert x_ground_var(2).display_text() == "x2"
+        assert x_var(1, 0).key_text() == "x[1,0]"
+        assert Variable("x", (2,)).key_text() == "x[2]"
         assert t_var().key_text() == "t"
 
     def test_state_digits_guard(self):
@@ -197,7 +202,7 @@ class TestGrammar:
 
     def test_parse_indexed_families(self):
         assert parse_polynomial("theta[3,1]") == poly_of(theta_var(3, 1))
-        assert parse_polynomial("x[2]") == poly_of(x_ground_var(2))
+        assert parse_polynomial("x[2]") == poly_of(Variable("x", (2,)))
         assert parse_polynomial("t^2") == poly_of(t_var()) ** 2
 
     def test_parse_leading_minus(self):
@@ -216,12 +221,6 @@ class TestGrammar:
         for _ in range(40):
             poly = random_polynomial(rng, variables)
             assert parse_polynomial(poly.to_text()) == poly
-
-    def test_json_terms(self):
-        poly = parse_polynomial("1/2*q[01]*t - q[11]")
-        data = poly.to_json_list()
-        assert {"coeff": "1/2", "vars": {"q[01]": 1, "t": 1}} in data
-        assert {"coeff": "-1", "vars": {"q[11]": 1}} in data
 
     def test_fraction_text(self):
         assert fraction_text(Fraction(1, 2)) == "1/2"
@@ -310,6 +309,12 @@ class TestHibiGenerators:
         with pytest.raises(ValueError):
             BinomialGenerator.from_pair((0, 0), (0, 1))
 
+    def test_rejects_coinciding_monomials(self):
+        # {g, h} = {meet, join} makes the binomial 0, so no such generator
+        for meet, join in (((0, 1), (1, 1)), ((1, 1), (0, 1))):
+            with pytest.raises(ValueError, match=r"g=\(0, 1\), h=\(1, 1\), meet="):
+                BinomialGenerator((0, 1), (1, 1), meet, join)
+
     def test_same_as_from_pair(self):
         for k in (2, 3):
             for _, dag in catalog_dags(k):
@@ -354,31 +359,29 @@ class TestMonomialMap:
                 assert dict(mapping.image(q_var(g))).get(t_var()) == 1
 
     def test_ideal_map_golden(self, fig1_poset):
-        lattice = ideal_lattice(fig1_poset)
-        mapping = ideal_monomial_map(lattice)
-        assert mapping.image(q_var((0, 0, 0, 0, 0))) == ((t_var(), 1),)
-        assert mapping.image(q_var((1, 0, 0, 0, 0))) == ((t_var(), 1), (x_ground_var(1), 1))
-        assert mapping.image(q_var((1, 1, 0, 0, 0))) == (
-            (t_var(), 1),
-            (x_ground_var(1), 1),
-            (x_ground_var(2), 1),
-        )
-
-    def test_ideal_map_requires_two_states(self, fig3_dag):
-        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        with pytest.raises(ValueError):
-            ideal_monomial_map(lattice)
+        # on an ideal lattice, q_g maps to t times x[i, 0] for every element
+        # i outside the ideal g
+        mapping = monomial_map(ideal_lattice(fig1_poset))
+        outside = {
+            (0, 0, 0, 0, 0): (1, 2, 3, 4, 5),
+            (1, 0, 0, 0, 0): (2, 3, 4, 5),
+            (1, 1, 0, 0, 0): (3, 4, 5),
+            (1, 1, 1, 1, 1): (),
+        }
+        for g, elements in outside.items():
+            image = ((t_var(), 1), *((x_var(i, 0), 1) for i in elements))
+            assert mapping.image(q_var(g)) == image
 
 
 class TestSubstitute:
     def test_fig1_generator_vanishes(self, fig1_poset):
-        mapping = ideal_monomial_map(ideal_lattice(fig1_poset))
+        mapping = monomial_map(ideal_lattice(fig1_poset))
         poly = parse_polynomial("q[10000]*q[01000] - q[00000]*q[11000]")
         assert substitute(poly, mapping).is_zero
         product = substitute(parse_polynomial("q[10000]*q[01000]"), mapping)
-        assert product == poly_of(t_var()) ** 2 * poly_of(x_ground_var(1)) * poly_of(
-            x_ground_var(2)
-        )
+        assert product == poly_of(t_var()) ** 2 * poly_of(x_var(1, 0)) * poly_of(
+            x_var(2, 0)
+        ) * (poly_of(x_var(3, 0)) * poly_of(x_var(4, 0)) * poly_of(x_var(5, 0))) ** 2
 
     def test_single_variable_maps_to_image(self, fig3_dag):
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
@@ -414,7 +417,7 @@ class TestVerifyVanishing:
 
     def test_fig1_ideal_lattice(self, fig1_poset):
         lattice = ideal_lattice(fig1_poset)
-        report = verify_vanishing(hibi_generators(lattice), ideal_monomial_map(lattice))
+        report = verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
         assert report.passed and report.total == 2
 
     def test_corrupted_map_fails(self, fig2_dag):
@@ -479,11 +482,6 @@ class TestPullback:
             for gen in generators:
                 pulled = pullback_to_p(gen.polynomial(), lattice)
                 assert evaluate_at_distribution(pulled, dist) == 0
-
-    def test_unknown_state_rejected(self, fig2_dag):
-        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        with pytest.raises(UnmappedVariableError):
-            pullback_to_p(parse_polynomial("q[10000]"), lattice)
 
 
 class TestEvaluateAtDistribution:

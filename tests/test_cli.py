@@ -224,6 +224,14 @@ class TestVerify:
         assert code == 2
         assert "guard" in err
 
+    def test_oracle_limit_env_not_an_integer(self, capsys, fig_files, monkeypatch):
+        monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "abc")
+        code, out, err = run_main(
+            capsys, ["verify", "oracle", "--dag", fig_files["fig2.dag"]]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: MAXLIN_ORACLE_LIMIT must be an integer, got 'abc'\n"
+
 
 class TestEval:
     def test_sum_to_one_relation(self, capsys, fig_files, tmp_path):

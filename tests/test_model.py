@@ -1,6 +1,7 @@
 """The max-of-parents model, its brute-force oracle, the accumulation model,
 and the two-state correspondence between them."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -53,7 +54,8 @@ class TestParamTable:
     def test_json_roundtrip(self):
         table = ParamTable.from_json_dict({"theta": [["1/2", "1/2"], ["1/4", "3/4"]]})
         assert table.weight(2, 0) == Fraction(1, 4)
-        assert ParamTable.from_json_dict(table.to_json_dict()) == table
+        data = {"theta": [[str(v) for v in row] for row in table.rows]}
+        assert ParamTable.from_json_dict(data) == table
 
     def test_random_tables_are_valid_and_bounded(self):
         rng = random.Random(0)
@@ -189,6 +191,18 @@ class TestOracle:
         theta = ParamTable.uniform(5, 2)
         with pytest.raises(TooLargeError):
             oracle_distribution(fig2_dag, theta, limit=31)
+
+    def test_corrupted_cumulative_row_is_caught(self, fig2_dag):
+        # the factored joint reads the table's cumulative rows and the oracle
+        # reads the weights only, so a wrong alpha entry shows as a mismatch
+        dag = dataclasses.replace(fig2_dag, k=3)
+        for i, j in ((0, 0), (4, 1)):
+            theta = ParamTable.random(5, 3, random.Random(17))
+            assert full_distribution(dag, theta) == oracle_distribution(dag, theta)
+            rows = [list(row) for row in theta.cumulative]
+            rows[i][j] += Fraction(1, 7)
+            object.__setattr__(theta, "cumulative", tuple(map(tuple, rows)))
+            assert full_distribution(dag, theta) != oracle_distribution(dag, theta)
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)

@@ -1,6 +1,7 @@
-"""Cumulative coordinates, Moebius inversion, and the weight-space
-reparameterizations."""
+"""Cumulative coordinates, Moebius inversion, the cumulative weight rows,
+and the factorization that links them."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,23 +10,17 @@ from hypothesis import given, settings
 
 from maxlin.algebra import Polynomial, p_var, theta_var
 from maxlin.dag import Dag, transitive_closure
-from maxlin.errors import NotMonotoneError, SupportMismatchError
+from maxlin.errors import SupportMismatchError
 from maxlin.model import ParamTable, eliminate_simplex, full_distribution
 from maxlin.poset import ideal_lattice, order_preserving_maps, state_leq
 from maxlin.transforms import (
-    AlphaTable,
-    XTable,
-    alpha_from_x,
-    alpha_params,
     moebius_inverse,
     roundtrip_check,
-    theta_from_alpha,
-    x_params,
     zeta_factorization_check,
     zeta_transform,
 )
 
-from conftest import CATALOG, catalog_dags, dags
+from conftest import CATALOG, catalog_dags, dags, x_ratios
 
 
 def tv(i, j):
@@ -176,69 +171,69 @@ class TestMoebiusInverse:
 
 
 class TestAlphaTable:
+    """The cumulative rows alpha that a ParamTable builds from its weights."""
+
     def test_partial_sums_golden(self):
         theta = ParamTable.from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
-        alpha = alpha_params(theta)
-        assert alpha.rows == ((Fraction(1, 4), Fraction(1, 2), Fraction(1)),)
+        assert theta.cumulative == ((Fraction(1, 4), Fraction(1, 2), Fraction(1)),)
 
     def test_two_state_first_entry_is_theta0(self):
         theta = ParamTable.from_rows([[Fraction(1, 3), Fraction(2, 3)]])
-        assert alpha_params(theta).weight(1, 0) == Fraction(1, 3)
+        assert theta.cumulative[0][0] == Fraction(1, 3)
 
     def test_point_mass_gives_all_ones(self):
         theta = ParamTable.from_rows([[1, 0, 0]])
-        assert alpha_params(theta).rows == ((Fraction(1), Fraction(1), Fraction(1)),)
+        assert theta.cumulative == ((Fraction(1), Fraction(1), Fraction(1)),)
 
     def test_rejects_decreasing_row(self):
-        with pytest.raises(NotMonotoneError):
-            AlphaTable(((Fraction(1, 2), Fraction(1, 4), Fraction(1)),))
+        # the partial sums 1/2, 1/4, 1 would decrease: a negative weight
+        with pytest.raises(ValueError, match="negative"):
+            ParamTable(((Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4)),))
 
     def test_rejects_row_not_ending_in_one(self):
-        with pytest.raises(NotMonotoneError):
-            AlphaTable(((Fraction(1, 4), Fraction(1, 2)),))
+        # the partial sums 1/4, 1/2 would not end in 1
+        with pytest.raises(ValueError, match="not 1"):
+            ParamTable(((Fraction(1, 4), Fraction(1, 4)),))
 
-    def test_theta_from_alpha_golden(self):
-        alpha = AlphaTable(((Fraction(1, 4), Fraction(1, 2), Fraction(1)),))
-        assert theta_from_alpha(alpha).rows == (
-            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-        )
-
-    def test_all_ones_row_is_point_mass(self):
-        alpha = AlphaTable(((Fraction(1), Fraction(1), Fraction(1)),))
-        assert theta_from_alpha(alpha).rows == ((Fraction(1), Fraction(0), Fraction(0)),)
+    def test_symbolic_rows_end_in_one(self):
+        theta = ParamTable.symbolic(2, 3)
+        assert theta.cumulative[1] == (tv(2, 0), tv(2, 0) + tv(2, 1), Fraction(1))
 
     def test_roundtrips(self):
         rng = random.Random(21)
         for _ in range(40):
             theta = ParamTable.random(3, 4, rng)
-            alpha = alpha_params(theta)
-            assert theta_from_alpha(alpha) == theta
-            assert alpha_params(theta_from_alpha(alpha)) == alpha
+            for row, alpha in zip(theta.rows, theta.cumulative):
+                assert alpha[-1] == 1
+                assert (alpha[0], *(b - a for a, b in zip(alpha, alpha[1:]))) == row
 
 
 class TestXTable:
+    """The multiplicative parameters x of the tests' reference helper."""
+
     def test_three_state_relations(self):
-        alpha = AlphaTable(((Fraction(1, 4), Fraction(1, 2), Fraction(1)),))
-        x = x_params(alpha)
-        assert x.rows[0] == (Fraction(1, 2), Fraction(1, 2))
-        assert x.weight(1, 0) * x.weight(1, 1) == alpha.weight(1, 0)
-        assert x.weight(1, 0) == alpha.weight(1, 1)
+        theta = ParamTable.from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
+        alpha = theta.cumulative[0]
+        x = x_ratios(theta)[0]
+        assert x == [Fraction(1, 2), Fraction(1, 2)]
+        assert x[0] * x[1] == alpha[0]
+        assert x[0] == alpha[1]
 
     def test_two_state_x_equals_alpha(self):
-        alpha = AlphaTable(((Fraction(1, 3), Fraction(1)),))
-        assert x_params(alpha).rows == ((Fraction(1, 3),),)
+        theta = ParamTable.from_rows([[Fraction(1, 3), Fraction(2, 3)]])
+        assert x_ratios(theta) == [[Fraction(1, 3)]]
 
     def test_zero_weight_divides(self):
-        alpha = AlphaTable(((Fraction(0), Fraction(0), Fraction(1)),))
+        theta = ParamTable.from_rows([[0, 0, 1]])
         with pytest.raises(ZeroDivisionError):
-            x_params(alpha)
+            x_ratios(theta)
 
     def test_reconstruction_roundtrip(self):
         rng = random.Random(77)
         for _ in range(40):
             theta = ParamTable.random(2, 4, rng)
-            alpha = alpha_params(theta)
-            assert alpha_from_x(x_params(alpha)) == alpha
+            for x, alpha in zip(x_ratios(theta), theta.cumulative):
+                assert [math.prod(x[: 4 - j - 1]) for j in range(4)] == list(alpha)
 
 
 class TestZetaFactorization:
@@ -275,7 +270,7 @@ class TestZetaFactorization:
         for k in (2, 3):
             for _, dag in catalog_dags(k):
                 theta = ParamTable.random(dag.n, k, rng)
-                x = x_params(alpha_params(theta))
+                x = x_ratios(theta)
                 lattice = order_preserving_maps(transitive_closure(dag), k)
                 cumulative = zeta_transform(
                     full_distribution(dag, theta, lattice), lattice
@@ -284,7 +279,7 @@ class TestZetaFactorization:
                 assignment = {t_var(): Fraction(1)}
                 for i in range(1, dag.n + 1):
                     for r in range(k - 1):
-                        assignment[x_var(i, r)] = x.weight(i, r)
+                        assignment[x_var(i, r)] = x[i - 1][r]
                 for g in lattice:
                     image = Polynomial.from_term(mapping.image(q_var(g)), 1)
                     assert image.evaluate(assignment) == cumulative[g]
