@@ -1,6 +1,7 @@
 """Exact multivariate polynomials over the rationals, binomial generators of
-distributive lattices, their monomial parameterization, and a Buchberger
-check.
+distributive lattices, their monomial parameterization, a Hilbert-function
+certificate that the generators are a Groebner basis of the toric ideal, and
+a Buchberger check.
 
 Rational coefficients are ``fractions.Fraction`` (always reduced, positive
 denominator). Variables are named by family and index; the fixed total order
@@ -9,12 +10,13 @@ on variables is (family name, index tuple), compared lexicographically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ParseError, UnboundVariableError, UnmappedVariableError
+from .errors import ParseError, TooLargeError, UnboundVariableError, UnmappedVariableError
 from .poset import State, StateLattice, incomparable_pairs, lattice_meet_join, state_leq
 from .report import Report
 
@@ -661,13 +663,13 @@ class BinomialGenerator:
         meet, join = lattice_meet_join(g, h)
         return cls(g=g, h=h, meet=meet, join=join)
 
+    def monomials(self) -> tuple[Monomial, Monomial]:
+        """q_g*q_h and q_meet*q_join."""
+        return _quadratic(self.g, self.h), _quadratic(self.meet, self.join)
+
     def polynomial(self) -> Polynomial:
-        return Polynomial(
-            {
-                mono_mul(((q_var(self.g), 1),), ((q_var(self.h), 1),)): 1,
-                mono_mul(((q_var(self.meet), 1),), ((q_var(self.join), 1),)): -1,
-            }
-        )
+        left, right = self.monomials()
+        return Polynomial({left: 1, right: -1})
 
     def to_text(self) -> str:
         return self.to_json_dict()["polynomial"]
@@ -680,6 +682,13 @@ class BinomialGenerator:
             "join": join,
             "polynomial": f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]",
         }
+
+
+def _quadratic(a: State, b: State) -> Monomial:
+    va, vb = q_var(a), q_var(b)
+    if va == vb:
+        return ((va, 2),)
+    return ((va, 1), (vb, 1)) if va < vb else ((vb, 1), (va, 1))
 
 
 def hibi_generators(lattice: StateLattice) -> list[BinomialGenerator]:
@@ -751,9 +760,16 @@ def verify_vanishing(generators: Sequence[BinomialGenerator], mmap: MonomialMap)
     return Report("vanishing", total=len(generators), failures=failures, detail=detail)
 
 
-def evaluate_at_distribution(poly: Polynomial, probs: Mapping[State, Scalar]) -> Fraction:
-    """Evaluate a polynomial in p-variables at a distribution, exactly."""
+def evaluate_at_distribution(
+    poly: Polynomial,
+    probs: Mapping[State, Scalar],
+    cumulative: Mapping[State, Scalar] | None = None,
+) -> Fraction:
+    """Evaluate a polynomial in p-variables at a distribution, exactly; its
+    q-variables take the values of `cumulative`, when given."""
     assignment = {p_var(g): Fraction(v) for g, v in probs.items()}
+    if cumulative is not None:
+        assignment.update((q_var(g), Fraction(v)) for g, v in cumulative.items())
     return poly.evaluate(assignment)
 
 
@@ -800,6 +816,21 @@ def default_lattice_order(
     return MonomialOrder(variables, kind=kind)
 
 
+def _lead_split(
+    generators: Sequence[BinomialGenerator], order: MonomialOrder | None = None
+) -> list[tuple[Monomial, Monomial]]:
+    """Each generator as (leading monomial, other monomial) under the order,
+    degree-reverse-lexicographic over the lattice's linear extension by
+    default; both Groebner checks read their leads from here."""
+    if order is None:
+        order = default_lattice_order(generators)
+    split = []
+    for gen in generators:
+        left, right = gen.monomials()
+        split.append((left, right) if order.compare(left, right) > 0 else (right, left))
+    return split
+
+
 def buchberger_check(
     generators: Sequence[BinomialGenerator], order: MonomialOrder | None = None
 ) -> Report:
@@ -819,16 +850,10 @@ def buchberger_check(
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
     checked and passing."""
-    if order is None:
-        order = default_lattice_order(generators)
-    split: list[tuple[Monomial, Monomial]] = []
+    split = _lead_split(generators, order)
     by_lead: dict[tuple[Variable, Variable], int] = {}
     by_var: dict[Variable, list[int]] = {}
-    for i, gen in enumerate(generators):
-        poly = gen.polynomial()
-        lead, _ = order.leading_term(poly)
-        (tail,) = (m for m in poly.terms if m != lead)
-        split.append((lead, tail))
+    for i, (lead, _) in enumerate(split):
         # a quadratic lead is v*w or v^2: key it by its two variables
         by_lead.setdefault((lead[0][0], lead[-1][0]), i)
         for var, _ in lead:
@@ -870,3 +895,112 @@ def buchberger_check(
     else:
         detail = f"{pairs} S-polynomials reduce to 0 {counts}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-function certificate
+
+DEFAULT_HILBERT_LIMIT = 10**7
+
+
+def hilbert_check(
+    lattice: StateLattice,
+    generators: Sequence[BinomialGenerator],
+    order: MonomialOrder | None = None,
+    limit: int = DEFAULT_HILBERT_LIMIT,
+) -> Report:
+    """Certify that the generators are a Groebner basis of the toric ideal
+    I = ker(phi) of the lattice's monomial map phi, and that they generate I
+    through degree 3.
+
+    Two conditions: every generator maps to 0 (G in I), and for d = 1, 2, 3
+    the degree-d monomials that no leading monomial of G divides (the
+    standard monomials) are as many as the distinct images phi(m) of the
+    degree-d monomials m. Since in(G)_d is contained in in(I)_d, and the two
+    counts are dim S_d - dim in(G)_d and dim (S/I)_d = dim S_d - dim in(I)_d,
+    agreement gives in(G)_d = in(I)_d through degree 3. Every S-pair whose
+    leads share a variable has degree at most 3, so it reduces to 0; the
+    others reduce to 0 by Buchberger's first criterion. So G is a Groebner
+    basis, and <G> = I through degree 3 (in every degree by Hibi's theorem
+    for the lattice's own generators).
+
+    Only when the certificate fails does `buchberger_check` run, to name the
+    S-pairs that do not reduce to 0. `total` counts the generator pairs, as
+    there.
+
+    Raises:
+        TooLargeError: the degree-3 image count would form more than `limit`
+            sums.
+    """
+    size = len(lattice)
+    sums = math.comb(size + 2, 3)
+    if sums > limit:
+        raise TooLargeError(
+            f"the degree-3 count needs C({size} + 2, 3) = {sums} monomials"
+            f" but the guard is {limit}"
+        )
+    mmap = monomial_map(lattice)
+    vanishing = verify_vanishing(generators, mmap)
+    index = {q_var(g): i for i, g in enumerate(lattice)}
+    leads = {
+        (index[lead[0][0]], index[lead[-1][0]]) for lead, _ in _lead_split(generators, order)
+    }
+    standard = _standard_counts(size, leads)
+    images = _image_counts([mmap.image(q_var(g)) for g in lattice])
+    failures = [
+        f"degree {d}: {s} standard monomials, {i} image monomials"
+        for d, s, i in zip((1, 2, 3), standard, images)
+        if s != i
+    ]
+    failures += vanishing.failures
+    pairs = len(generators) * (len(generators) - 1) // 2
+    counts = "standard/image monomials in degrees 1-3: " + ", ".join(
+        f"{s}/{i}" for s, i in zip(standard, images)
+    )
+    if not failures:
+        detail = f"{len(generators)} generators map to 0; {counts}"
+        return Report("groebner", total=pairs, detail=detail)
+    buchberger = buchberger_check(generators, order)
+    failures += buchberger.failures
+    detail = f"{counts}; {buchberger.detail}"
+    return Report("groebner", total=pairs, failures=failures, detail=detail)
+
+
+def _standard_counts(size: int, leads: set[tuple[int, int]]) -> tuple[int, int, int]:
+    """Degree-1, 2 and 3 monomials in `size` variables that no quadratic
+    lead x_a*x_b (a <= b, given as index pairs) divides.
+
+    A degree-3 monomial x_a*x_b*x_c (a <= b <= c) is standard when none of
+    x_a*x_b, x_a*x_c, x_b*x_c is a lead: a triangle, loops included, of the
+    graph joining a and b when x_a*x_b is not a lead. Row a of the graph is
+    a bitset over b."""
+    full = (1 << size) - 1
+    rows = [full] * size
+    for a, b in leads:
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+    triangles = 0
+    for a in range(size):
+        row_a = rows[a] >> a << a  # c >= a
+        for b in range(a, size):
+            if row_a >> b & 1:
+                triangles += (row_a & rows[b] >> b << b).bit_count()
+    return size, size * (size + 1) // 2 - len(leads), triangles
+
+
+def _image_counts(images: Sequence[Monomial]) -> tuple[int, int, int]:
+    """Distinct images of the degree-1, 2 and 3 monomials in variables with
+    the given squarefree images.
+
+    Each image is packed into an int with 2 bits per variable, enough for an
+    exponent of 3, so the image of a product is the sum of the ints. The
+    degree-3 images whose largest variable is c are the degree-2 images in
+    the variables up to c, plus c's image."""
+    slots = {v: 2 * s for s, v in enumerate(sorted({v for m in images for v, _ in m}))}
+    packed = [sum(e << slots[v] for v, e in m) for m in images]
+    pairs: set[int] = set()
+    triples: set[int] = set()
+    for c, z in enumerate(packed):
+        pairs.update([y + z for y in packed[: c + 1]])
+        triples.update([y + z for y in pairs])
+    return len(set(packed)), len(pairs), len(triples)

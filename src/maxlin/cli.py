@@ -17,18 +17,19 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (
+    DEFAULT_HILBERT_LIMIT,
     Polynomial,
-    buchberger_check,
     evaluate_at_distribution,
     fraction_text,
     hibi_generators,
+    hilbert_check,
     monomial_map,
     parse_polynomial,
     state_digits,
     verify_vanishing,
 )
 from .dag import Dag, parse_dag, transitive_closure
-from .errors import MaxlinError
+from .errors import MaxlinError, TooLargeError
 from .model import (
     DEFAULT_ORACLE_LIMIT,
     ParamTable,
@@ -103,19 +104,38 @@ def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
     return {**dist, **zeros}
 
 
-def _oracle_limit() -> int:
-    raw = os.environ.get("MAXLIN_ORACLE_LIMIT")
-    if not raw:
-        return DEFAULT_ORACLE_LIMIT
+# Size guards: environment variable -> default. A check takes its limit as
+# an argument and raises TooLargeError when the guard trips.
+_LIMITS = {
+    "MAXLIN_ORACLE_LIMIT": DEFAULT_ORACLE_LIMIT,
+    "MAXLIN_HILBERT_LIMIT": DEFAULT_HILBERT_LIMIT,
+}
+
+
+def _guarded(variable: str, check, *args, **kwargs) -> Report:
+    """Run a check under the limit that `variable` sets (its default when
+    unset), naming the variable if the guard trips."""
+    raw = os.environ.get(variable)
+    limit = _LIMITS[variable]
+    if raw:
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise MaxlinError(f"{variable} must be an integer, got {raw!r}") from None
     try:
-        return int(raw)
-    except ValueError:
-        raise MaxlinError(f"MAXLIN_ORACLE_LIMIT must be an integer, got {raw!r}") from None
+        return check(*args, limit=limit, **kwargs)
+    except TooLargeError as exc:
+        raise TooLargeError(f"{exc}; {variable} sets the guard") from None
 
 
 def _vanishing_suite(dag: Dag, config: CommandConfig) -> Report:
     lattice = _state_lattice(dag)
     return verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
+
+
+def _groebner_suite(dag: Dag, config: CommandConfig) -> Report:
+    lattice = _state_lattice(dag)
+    return _guarded("MAXLIN_HILBERT_LIMIT", hilbert_check, lattice, hibi_generators(lattice))
 
 
 # Suite name -> runner. The lambdas look the checks up when they run, so a
@@ -125,14 +145,14 @@ _SUITES = {
     "theorem31": lambda dag, c: cbn_correspondence_check(
         dag, trials=c.trials, seed=c.seed
     ),
-    "oracle": lambda dag, c: oracle_equivalence_check(
-        dag, trials=c.trials, seed=c.seed, limit=_oracle_limit()
+    "oracle": lambda dag, c: _guarded(
+        "MAXLIN_ORACLE_LIMIT", oracle_equivalence_check, dag, trials=c.trials, seed=c.seed
     ),
     "moebius": lambda dag, c: roundtrip_check(
         _state_lattice(dag), trials=c.trials, seed=c.seed
     ),
     "eq5": lambda dag, c: eq5_check(dag, trials=c.trials, seed=c.seed),
-    "groebner": lambda dag, c: buchberger_check(hibi_generators(_state_lattice(dag))),
+    "groebner": _groebner_suite,
 }
 VERIFY_SUITES = tuple(_SUITES)
 
@@ -178,7 +198,9 @@ def run(config: CommandConfig) -> int:
         return 0 if report.passed else 1
     if config.command == "eval":
         theta = _load_theta(config)
-        dist = full_distribution(dag, theta)
+        lattice = _state_lattice(dag)
+        dist = full_distribution(dag, theta, lattice)
+        cumulative = None  # the zeta coordinates, formed for the first q-variable
         if config.poly_path is None:
             raise MaxlinError("the eval command needs --poly")
         results = []
@@ -187,7 +209,11 @@ def run(config: CommandConfig) -> int:
             if not line:
                 continue
             poly = parse_polynomial(line)
-            value = evaluate_at_distribution(poly, _with_off_lattice_zeros(poly, dist, dag))
+            if cumulative is None and any(v.family == "q" for v in poly.variables()):
+                cumulative = zeta_transform(dist, lattice)
+            value = evaluate_at_distribution(
+                poly, _with_off_lattice_zeros(poly, dist, dag), cumulative
+            )
             results.append((line, value))
         if config.fmt == "json":
             print(

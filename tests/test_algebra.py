@@ -1,14 +1,19 @@
 """Polynomial arithmetic, the grammar, monomial orders, lattice binomials,
-monomial maps, and the Buchberger criterion."""
+monomial maps, the Hilbert-function certificate, and the Buchberger
+criterion."""
 
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxlin import algebra
 from maxlin.algebra import (
+    EMPTY_MONOMIAL,
     BinomialGenerator,
     MonomialOrder,
     Polynomial,
@@ -19,6 +24,7 @@ from maxlin.algebra import (
     evaluate_at_distribution,
     fraction_text,
     hibi_generators,
+    hilbert_check,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -38,11 +44,17 @@ from maxlin.algebra import (
     x_var,
 )
 from maxlin.dag import Dag, transitive_closure
-from maxlin.errors import ParseError, UnboundVariableError, UnmappedVariableError
+from maxlin.errors import (
+    ParseError,
+    TooLargeError,
+    UnboundVariableError,
+    UnmappedVariableError,
+)
 from maxlin.model import ParamTable, full_distribution
 from maxlin.poset import ideal_lattice, incomparable_pairs, order_preserving_maps, state_leq
+from maxlin.report import Report
 
-from conftest import catalog_dags, random_dag
+from conftest import catalog_dags, dags, random_dag
 
 
 def poly_of(var):
@@ -645,3 +657,204 @@ class TestFirstCriterion:
             f"{len(report.failures)} of 34453 S-polynomials do not reduce to 0 "
             f"({34453 - skipped} reduced, {skipped} skipped: coprime leading monomials)"
         )
+
+
+# Dropping one of these generators (named by its pair of states) from fig2's
+# k=3 set leaves a Groebner basis of a smaller ideal: vanishing and the
+# Buchberger criterion both pass, and only the counts see that the set no
+# longer generates the toric ideal.
+SILENT_DROPS = [
+    ("00002", "11111"),
+    ("00101", "02022"),
+    ("00202", "01011"),
+    ("00202", "02022"),
+    ("00202", "11111"),
+    ("00202", "12122"),
+    ("01011", "20222"),
+    ("02022", "10111"),
+    ("02022", "10212"),
+    ("02022", "20222"),
+    ("02222", "10111"),
+]
+
+
+class CountOracle:
+    """Standard and image monomials of degrees 1-3 of a lattice's q-ring, by
+    enumeration: every monomial is listed with its quadratic divisors, which
+    are tested against the set of leads, and every image is multiplied out
+    as a monomial."""
+
+    def __init__(self, lattice):
+        mmap = monomial_map(lattice)
+        variables = [q_var(g) for g in lattice]
+        self.divisors = []  # per degree, the quadratic divisors of each monomial
+        self.images = []  # per degree, the number of distinct images
+        for d in (1, 2, 3):
+            monomials = list(combinations_with_replacement(variables, d))
+            self.divisors.append(
+                [
+                    {mono_mul(((a, 1),), ((b, 1),)) for a, b in combinations(m, 2)}
+                    for m in monomials
+                ]
+            )
+            images = set()
+            for m in monomials:
+                image = EMPTY_MONOMIAL
+                for v in m:
+                    image = mono_mul(image, mmap.image(v))
+                images.add(image)
+            self.images.append(len(images))
+
+    def counts(self, generators, order=None):
+        """(standard, image) for d = 1, 2, 3."""
+        order = order or default_lattice_order(generators)
+        leads = {order.leading_term(gen.polynomial())[0] for gen in generators}
+        standard = [sum(map(leads.isdisjoint, divisors)) for divisors in self.divisors]
+        return list(zip(standard, self.images))
+
+
+def certified(lattice, generators, oracle, order=None):
+    """The certificate's verdict from its parts: the generators vanish, the
+    counts agree in degrees 1-3, and the Buchberger criterion holds (implied
+    by the other two; it runs only when they hold)."""
+    return (
+        verify_vanishing(generators, monomial_map(lattice)).passed
+        and all(s == i for s, i in oracle.counts(generators, order))
+        and buchberger_check(generators, order).passed
+    )
+
+
+def count_detail(counts):
+    return "standard/image monomials in degrees 1-3: " + ", ".join(
+        f"{s}/{i}" for s, i in counts
+    )
+
+
+def single_edits(lattice):
+    """Every generator set with one generator dropped, then every set with
+    one join replaced by the lattice top."""
+    generators = hibi_generators(lattice)
+    for mid in range(len(generators)):
+        yield generators[:mid] + generators[mid + 1 :]
+    for mid, gen in enumerate(generators):
+        if gen.join != lattice.top:
+            top = dataclasses.replace(gen, join=lattice.top)
+            yield generators[:mid] + [top] + generators[mid + 1 :]
+
+
+def drop_pair(generators, pair):
+    states = {tuple(int(c) for c in text) for text in pair}
+    return [gen for gen in generators if {gen.g, gen.h} != states]
+
+
+class TestHilbertCertificate:
+    @pytest.mark.parametrize("figure", ["fig3", "fig2"])
+    def test_every_edit_same_verdict_as_parts(self, figure, fig2_dag, fig3_dag, monkeypatch):
+        dag = {"fig2": fig2_dag, "fig3": fig3_dag}[figure]
+        lattice = order_preserving_maps(transitive_closure(dag), 3)
+        oracle = CountOracle(lattice)
+        edits = list(single_edits(lattice))
+        expected = [certified(lattice, gens, oracle) for gens in edits]
+        # The verdict is settled before the Buchberger check runs to name the
+        # failing pairs; a stub keeps the 516 failing sets of fig2 fast, and
+        # test_failure_lines checks the named pairs.
+        stub = lambda gens, order=None: Report("groebner", 0)  # noqa: E731
+        monkeypatch.setattr(algebra, "buchberger_check", stub)
+        assert [hilbert_check(lattice, gens).passed for gens in edits] == expected
+        assert not any(expected)
+
+    def test_catalog(self):
+        for k in (2, 3):
+            for name, dag in catalog_dags(k):
+                lattice = order_preserving_maps(transitive_closure(dag), k)
+                generators = hibi_generators(lattice)
+                oracle = CountOracle(lattice)
+                report = hilbert_check(lattice, generators)
+                assert report.passed == certified(lattice, generators, oracle), (name, k)
+                assert report.passed, (name, k, report.failures[:2])
+                assert report.detail == (
+                    f"{len(generators)} generators map to 0; "
+                    f"{count_detail(oracle.counts(generators))}"
+                )
+                assert report.total == len(generators) * (len(generators) - 1) // 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.data())
+    def test_random_dags(self, dag, data):
+        lattice = order_preserving_maps(transitive_closure(dag), 2)
+        generators = hibi_generators(lattice)
+        oracle = CountOracle(lattice)
+        drop = data.draw(st.integers(0, len(generators)))
+        edited = generators[:drop] + generators[drop + 1 :]
+        for gens in (generators, edited):
+            assert hilbert_check(lattice, gens).passed == certified(lattice, gens, oracle)
+
+    @pytest.mark.parametrize("kind", MonomialOrder.KINDS)
+    def test_order_kinds(self, kind, fig2_dag, fig3_dag):
+        for dag, k in ((fig2_dag, 2), (fig3_dag, 3)):
+            lattice = order_preserving_maps(transitive_closure(dag), k)
+            oracle = CountOracle(lattice)
+            for gens in [hibi_generators(lattice), *single_edits(lattice)]:
+                order = default_lattice_order(gens, kind)
+                report = hilbert_check(lattice, gens, order)
+                assert report.passed == certified(lattice, gens, oracle, order)
+
+    def test_ideal_lattice(self, fig1_poset):
+        lattice = ideal_lattice(fig1_poset)
+        report = hilbert_check(lattice, hibi_generators(lattice))
+        assert report.passed and report.total == 1
+        counts = CountOracle(lattice).counts(hibi_generators(lattice))
+        assert counts == [(8, 8), (34, 34), (104, 104)]
+        assert report.detail == f"2 generators map to 0; {count_detail(counts)}"
+
+    def test_silent_drops_fail(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        generators = hibi_generators(lattice)
+        mmap = monomial_map(lattice)
+        for pair in SILENT_DROPS:
+            dropped = drop_pair(generators, pair)
+            assert len(dropped) == len(generators) - 1
+            assert verify_vanishing(dropped, mmap).passed, pair
+            assert buchberger_check(dropped).passed, pair
+            report = hilbert_check(lattice, dropped)
+            assert not report.passed, pair
+            # one lead fewer: one more standard monomial in degree 2
+            assert report.failures[0] == "degree 2: 558 standard monomials, 557 image monomials"
+            assert all(line.startswith("degree ") for line in report.failures)
+            assert report.total == 34191
+        report = hilbert_check(lattice, drop_pair(generators, SILENT_DROPS[0]))
+        assert report.failures == [
+            "degree 2: 558 standard monomials, 557 image monomials",
+            "degree 3: 4407 standard monomials, 4395 image monomials",
+        ]
+        assert report.detail == (
+            "standard/image monomials in degrees 1-3: 40/40, 558/557, 4407/4395; "
+            "34191 S-polynomials reduce to 0 (3987 reduced, 30204 skipped: "
+            "coprime leading monomials)"
+        )
+
+    def test_failure_lines(self, fig3_dag):
+        # counts, then the generators that do not vanish, then the S-pairs
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        oracle = CountOracle(lattice)
+        mmap = monomial_map(lattice)
+        for gens in single_edits(lattice):
+            report = hilbert_check(lattice, gens)
+            buchberger = buchberger_check(gens)
+            counts = oracle.counts(gens)
+            expected = [
+                f"degree {d}: {s} standard monomials, {i} image monomials"
+                for d, (s, i) in enumerate(counts, 1)
+                if s != i
+            ]
+            expected += verify_vanishing(gens, mmap).failures + buchberger.failures
+            assert report.failures == expected
+            assert report.detail == f"{count_detail(counts)}; {buchberger.detail}"
+            assert report.total == buchberger.total
+
+    def test_guard(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        generators = hibi_generators(lattice)
+        assert hilbert_check(lattice, generators, limit=11480).passed  # C(42, 3)
+        with pytest.raises(TooLargeError, match=r"C\(40 \+ 2, 3\) = 11480 .* guard is 11479"):
+            hilbert_check(lattice, generators, limit=11479)

@@ -233,6 +233,56 @@ class TestVerify:
         assert err == "error: MAXLIN_ORACLE_LIMIT must be an integer, got 'abc'\n"
 
 
+    def test_groebner_certificate_at_scale(self, capsys, fig_files):
+        # 125 states and 3,480 generators: S-pair reduction took seconds here
+        code, out, _ = run_main(
+            capsys, ["verify", "groebner", "--dag", fig_files["fig2.dag"], "--k", "4"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True and report["total"] == 6053460
+        assert report["detail"] == (
+            "3480 generators map to 0; standard/image monomials in degrees 1-3: "
+            "125/125, 4395/4395, 75664/75664"
+        )
+
+    @pytest.mark.parametrize(
+        "suite, variable, limit, message",
+        [
+            (
+                "oracle",
+                "MAXLIN_ORACLE_LIMIT",
+                "31",
+                "enumeration needs 2**5 = 32 innovation vectors but the guard is 31",
+            ),
+            (
+                "groebner",
+                "MAXLIN_HILBERT_LIMIT",
+                "164",
+                "the degree-3 count needs C(9 + 2, 3) = 165 monomials but the guard is 164",
+            ),
+        ],
+    )
+    def test_guard_names_its_variable(
+        self, capsys, fig_files, monkeypatch, suite, variable, limit, message
+    ):
+        monkeypatch.setenv(variable, limit)
+        argv = ["verify", suite, "--dag", fig_files["fig2.dag"], "--trials", "1"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}; {variable} sets the guard\n"
+        monkeypatch.setenv(variable, str(int(limit) + 1))
+        assert run_main(capsys, argv)[0] == 0
+
+    def test_hilbert_limit_env_not_an_integer(self, capsys, fig_files, monkeypatch):
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1e7")
+        code, out, err = run_main(
+            capsys, ["verify", "groebner", "--dag", fig_files["fig2.dag"]]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: MAXLIN_HILBERT_LIMIT must be an integer, got '1e7'\n"
+
+
 class TestEval:
     def test_sum_to_one_relation(self, capsys, fig_files, tmp_path):
         poly = tmp_path / "relations.poly"
@@ -304,6 +354,38 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == f"error: no value for variable {variable}\n"
+
+
+    def test_q_variables_take_the_zeta_coordinates(self, capsys, tmp_path):
+        # on the 2-chain 1 -> 2 the states are 00, 01, 11, and q_g sums p
+        # over the states below g
+        dag = tmp_path / "chain2.dag"
+        dag.write_text("2 2\n1 2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": [["1/3", "2/3"], ["1/4", "3/4"]]}), encoding="utf-8")
+        poly = tmp_path / "q.poly"
+        poly.write_text(
+            "q[11] - 1\nq[01] - p[00] - p[01]\nq[00]\n2*q[01]*p[11]\n", encoding="utf-8"
+        )
+        argv = ["eval", "--dag", str(dag), "--theta", str(theta), "--poly", str(poly)]
+        code, out, err = run_main(capsys, argv + ["--format", "text"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "q[11] - 1 = 0",
+            "q[01] - p[00] - p[01] = 0",
+            "q[00] = 1/12",
+            "2*q[01]*p[11] = 4/9",
+        ]
+
+    def test_off_lattice_q_variable_exits_two(self, capsys, tmp_path):
+        dag = tmp_path / "chain2.dag"
+        dag.write_text("2 2\n1 2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": [["1/2", "1/2"]] * 2}), encoding="utf-8")
+        poly = tmp_path / "q.poly"
+        poly.write_text("q[10]\n", encoding="utf-8")
+        argv = ["eval", "--dag", str(dag), "--theta", str(theta), "--poly", str(poly)]
+        assert run_main(capsys, argv) == (2, "", "error: no value for variable q[10]\n")
 
 
 class TestErrorsAndDeterminism:
