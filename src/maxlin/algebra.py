@@ -906,12 +906,12 @@ DEFAULT_HILBERT_LIMIT = 10**7
 def hilbert_check(
     lattice: StateLattice,
     generators: Sequence[BinomialGenerator],
-    order: MonomialOrder | None = None,
     limit: int = DEFAULT_HILBERT_LIMIT,
 ) -> Report:
     """Certify that the generators are a Groebner basis of the toric ideal
-    I = ker(phi) of the lattice's monomial map phi, and that they generate I
-    through degree 3.
+    I = ker(phi) of the lattice's monomial map phi, under the
+    degree-reverse-lexicographic order over the lattice's linear extension,
+    and that they generate I through degree 3.
 
     Two conditions: every generator maps to 0 (G in I), and for d = 1, 2, 3
     the degree-d monomials that no leading monomial of G divides (the
@@ -925,8 +925,10 @@ def hilbert_check(
     for the lattice's own generators).
 
     Only when the certificate fails does `buchberger_check` run, to name the
-    S-pairs that do not reduce to 0. `total` counts the generator pairs, as
-    there.
+    S-pairs that do not reduce to 0. The lattice's own generators pass by
+    Hibi's theorem, so from `verify groebner` that path runs only on a defect;
+    library callers reach it with edited sets. `total` counts the generator
+    pairs, as there.
 
     Raises:
         TooLargeError: the degree-3 image count would form more than `limit`
@@ -943,7 +945,7 @@ def hilbert_check(
     vanishing = verify_vanishing(generators, mmap)
     index = {q_var(g): i for i, g in enumerate(lattice)}
     leads = {
-        (index[lead[0][0]], index[lead[-1][0]]) for lead, _ in _lead_split(generators, order)
+        (index[lead[0][0]], index[lead[-1][0]]) for lead, _ in _lead_split(generators)
     }
     standard = _standard_counts(size, leads)
     images = _image_counts([mmap.image(q_var(g)) for g in lattice])
@@ -960,7 +962,7 @@ def hilbert_check(
     if not failures:
         detail = f"{len(generators)} generators map to 0; {counts}"
         return Report("groebner", total=pairs, detail=detail)
-    buchberger = buchberger_check(generators, order)
+    buchberger = buchberger_check(generators)
     failures += buchberger.failures
     detail = f"{counts}; {buchberger.detail}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)

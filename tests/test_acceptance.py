@@ -17,6 +17,7 @@ from maxlin.algebra import (
     buchberger_check,
     evaluate_at_distribution,
     hibi_generators,
+    hilbert_check,
     monomial_map,
     parse_polynomial,
     substitute,
@@ -298,10 +299,18 @@ def test_criterion_11_lattice_correspondence(fig3_dag):
                         assert images[g] >= images[h]
 
 
-@criterion(12, "the binomial generators pass the Buchberger criterion for every catalog lattice")
+@criterion(
+    12,
+    "the binomial generators pass the Buchberger criterion and the Hilbert-count"
+    " certificate for every catalog lattice",
+)
 def test_criterion_12_groebner():
     for k in (2, 3):
         for name, dag in catalog_dags(k):
             lattice = order_preserving_maps(transitive_closure(dag), k)
-            report = buchberger_check(hibi_generators(lattice))
+            generators = hibi_generators(lattice)
+            report = buchberger_check(generators)
             assert report.passed, (name, k, report.failures[:1])
+            certificate = hilbert_check(lattice, generators)
+            assert certificate.passed, (name, k, certificate.failures[:2])
+            assert certificate.total == report.total
