@@ -14,10 +14,19 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParseError, TooLargeError, UnboundVariableError, UnmappedVariableError
-from .poset import State, StateLattice, incomparable_pairs, lattice_meet_join, state_leq
+from .poset import (
+    State,
+    StateLattice,
+    incomparable_pairs,
+    lattice_meet_join,
+    state_leq,
+    unary_masks,
+)
 from .report import Report
 
 Scalar = Union[int, Fraction]
@@ -102,18 +111,22 @@ def theta_var(i: int, j: int) -> Variable:
     return Variable("theta", (i, j))
 
 
-def alpha_var(i: int, j: int) -> Variable:
-    return Variable("alpha", (i, j))
-
-
 def x_var(i: int, r: int) -> Variable:
     return Variable("x", (i, r))
+
+
+# Byte v < 10 becomes the digit v; bytes 10..255 are deleted.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NOT_DIGITS = bytes(range(10, 256))
 
 
 def state_digits(state: Sequence[int]) -> str:
     """The state as a digit string, e.g. (0, 1, 2) -> "012"; every entry
     must be one digit, so that the string decodes to a single state."""
-    text = "".join([str(v) for v in state])
+    try:
+        text = bytes(state).translate(_DIGITS, _NOT_DIGITS).decode()
+    except ValueError:  # an entry outside 0..255
+        text = ""
     if len(text) != len(state):
         raise ValueError(f"state {tuple(state)} has entries outside 0..9")
     return text
@@ -665,7 +678,10 @@ class BinomialGenerator:
 
     def monomials(self) -> tuple[Monomial, Monomial]:
         """q_g*q_h and q_meet*q_join."""
-        return _quadratic(self.g, self.h), _quadratic(self.meet, self.join)
+        return (
+            _quadratic(q_var(self.g), q_var(self.h)),
+            _quadratic(q_var(self.meet), q_var(self.join)),
+        )
 
     def polynomial(self) -> Polynomial:
         left, right = self.monomials()
@@ -684,18 +700,27 @@ class BinomialGenerator:
         }
 
 
-def _quadratic(a: State, b: State) -> Monomial:
-    va, vb = q_var(a), q_var(b)
-    if va == vb:
-        return ((va, 2),)
-    return ((va, 1), (vb, 1)) if va < vb else ((vb, 1), (va, 1))
+def _quadratic(a: Variable, b: Variable) -> Monomial:
+    if a is b:  # variables are interned
+        return ((a, 2),)
+    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
 def hibi_generators(lattice: StateLattice) -> list[BinomialGenerator]:
     """One binomial per incomparable pair, in the deterministic pair order;
-    empty for chains."""
-    pairs = incomparable_pairs(lattice)
-    return [BinomialGenerator(g, h, *lattice_meet_join(g, h)) for g, h in pairs]
+    empty for chains.
+
+    Meet and join are read off the lattice's `unary_masks`: the state whose
+    mask is the AND, and the state whose mask is the OR, of the pair's
+    masks. So they are the lattice's own state tuples."""
+    masks = unary_masks(lattice)
+    mask_of = dict(zip(lattice.states, masks))
+    state_of = dict(zip(masks, lattice.states))
+    generators = []
+    for g, h in incomparable_pairs(lattice):
+        a, b = mask_of[g], mask_of[h]
+        generators.append(BinomialGenerator(g, h, state_of[a & b], state_of[a | b]))
+    return generators
 
 
 # ---------------------------------------------------------------------------
@@ -748,16 +773,46 @@ def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
 
 def verify_vanishing(generators: Sequence[BinomialGenerator], mmap: MonomialMap) -> Report:
     """Check that every generator maps to the zero polynomial: q_g*q_h and
-    q_meet*q_join have the same monomial image."""
+    q_meet*q_join have the same monomial image.
+
+    Each distinct state's image is packed into an int once (`_pack_images`),
+    so a generator maps to 0 iff the two sums of packed images agree. Only a
+    failing generator has its images multiplied out, to print its image."""
+    states = _states_of(generators)
+    images = {s: mmap.image(q_var(s)) for s in states}
+    packed = dict(zip(states, _pack_images(list(images.values()))))
     failures = []
     for gen in generators:
-        g, h, meet, join = (mmap.image(q_var(s)) for s in (gen.g, gen.h, gen.meet, gen.join))
-        left, right = mono_mul(g, h), mono_mul(meet, join)
-        if left != right:
+        if packed[gen.g] + packed[gen.h] != packed[gen.meet] + packed[gen.join]:
+            left = mono_mul(images[gen.g], images[gen.h])
+            right = mono_mul(images[gen.meet], images[gen.join])
             image = Polynomial({left: 1, right: -1})
             failures.append(f"{gen.to_text()} maps to {image.to_text()}")
     detail = f"{len(generators)} generators map to 0" if not failures else ""
     return Report("vanishing", total=len(generators), failures=failures, detail=detail)
+
+
+_STATES = attrgetter("g", "h", "meet", "join")
+
+
+def _states_of(generators: Sequence[BinomialGenerator]) -> list[State]:
+    """The states the generators name, each once, in order of first use."""
+    return list(dict.fromkeys(chain.from_iterable(map(_STATES, generators))))
+
+
+def _pack_images(images: Sequence[Monomial]) -> list[int]:
+    """Each monomial packed into an int, one slot of bits per variable
+    holding its exponent.
+
+    A slot is wide enough for the sum of three of the exponents, so adding
+    up to three packed ints never carries from one slot into the next: the
+    packed image of a product of up to three monomials is the sum of their
+    ints, and two such products are equal iff their sums are."""
+    slots = dict.fromkeys(v for m in images for v, _ in m)
+    width = (3 * max((e for m in images for _, e in m), default=0)).bit_length()
+    for s, v in enumerate(slots):
+        slots[v] = s * width
+    return [sum(e << slots[v] for v, e in m) for m in images]
 
 
 def evaluate_at_distribution(
@@ -809,11 +864,7 @@ def reduce_modulo(
 def default_lattice_order(
     generators: Sequence[BinomialGenerator], kind: str = "degrevlex"
 ) -> MonomialOrder:
-    variables: set[Variable] = set()
-    for gen in generators:
-        for state in (gen.g, gen.h, gen.meet, gen.join):
-            variables.add(q_var(state))
-    return MonomialOrder(variables, kind=kind)
+    return MonomialOrder(map(q_var, _states_of(generators)), kind=kind)
 
 
 def _lead_split(
@@ -824,9 +875,11 @@ def _lead_split(
     default; both Groebner checks read their leads from here."""
     if order is None:
         order = default_lattice_order(generators)
+    q = {s: q_var(s) for s in _states_of(generators)}
     split = []
     for gen in generators:
-        left, right = gen.monomials()
+        left = _quadratic(q[gen.g], q[gen.h])
+        right = _quadratic(q[gen.meet], q[gen.join])
         split.append((left, right) if order.compare(left, right) > 0 else (right, left))
     return split
 
@@ -943,12 +996,13 @@ def hilbert_check(
         )
     mmap = monomial_map(lattice)
     vanishing = verify_vanishing(generators, mmap)
-    index = {q_var(g): i for i, g in enumerate(lattice)}
+    variables = [q_var(g) for g in lattice]
+    index = {v: i for i, v in enumerate(variables)}
     leads = {
         (index[lead[0][0]], index[lead[-1][0]]) for lead, _ in _lead_split(generators)
     }
     standard = _standard_counts(size, leads)
-    images = _image_counts([mmap.image(q_var(g)) for g in lattice])
+    images = _image_counts([mmap.image(v) for v in variables])
     failures = [
         f"degree {d}: {s} standard monomials, {i} image monomials"
         for d, s, i in zip((1, 2, 3), standard, images)
@@ -994,12 +1048,10 @@ def _image_counts(images: Sequence[Monomial]) -> tuple[int, int, int]:
     """Distinct images of the degree-1, 2 and 3 monomials in variables with
     the given squarefree images.
 
-    Each image is packed into an int with 2 bits per variable, enough for an
-    exponent of 3, so the image of a product is the sum of the ints. The
-    degree-3 images whose largest variable is c are the degree-2 images in
-    the variables up to c, plus c's image."""
-    slots = {v: 2 * s for s, v in enumerate(sorted({v for m in images for v, _ in m}))}
-    packed = [sum(e << slots[v] for v, e in m) for m in images]
+    With the images packed by `_pack_images`, the image of a product is the
+    sum of the ints. The degree-3 images whose largest variable is c are the
+    degree-2 images in the variables up to c, plus c's image."""
+    packed = _pack_images(images)
     pairs: set[int] = set()
     triples: set[int] = set()
     for c, z in enumerate(packed):

@@ -319,20 +319,28 @@ def state_to_ideal(poset: Poset, g: State, k: int) -> frozenset[tuple[Label, int
     )
 
 
+def unary_masks(lattice: StateLattice) -> list[int]:
+    """Each state in unary, coordinate i holding g_i ones among k-1 bits.
+
+    g <= h iff g's bits lie in h's, and the coordinate-wise min and max of
+    two states, their meet and join, have the AND and the OR of their masks.
+    Distinct states have distinct masks."""
+    width = lattice.k - 1
+    return [
+        sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in lattice.states
+    ]
+
+
 def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
     """All unordered incomparable pairs, listed as (g, h) with g before h in
     the lattice's lexicographic state order.
 
     Lexicographic order is a linear extension of the lattice order, so a
     later state is never below an earlier one, and (g, h) is incomparable
-    iff g is not below h. Each state is encoded in unary, coordinate i
-    holding g_i ones among k-1 bits, so g <= h iff g's bits lie in h's.
+    iff g is not below h: iff g's `unary_masks` mask has a bit outside h's.
     """
-    width = lattice.k - 1
     states = lattice.states
-    masks = [
-        sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in states
-    ]
+    masks = unary_masks(lattice)
     out = []
     for i, (g, m) in enumerate(zip(states, masks)):
         out.extend(

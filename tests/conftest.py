@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from maxlin import data
+from maxlin.algebra import Variable
 from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.model import ParamTable
 from maxlin.poset import Poset
@@ -112,6 +113,11 @@ def strict_pairs(poset: Poset) -> list:
     """All (a, b) with a < b, sorted by element position."""
     e = poset.elements
     return [(a, b) for a in e for b in e if a != b and poset.leq(a, b)]
+
+
+def alpha_var(i: int, j: int) -> Variable:
+    """The variable alpha[i,j]; the polynomial grammar keeps the family."""
+    return Variable("alpha", (i, j))
 
 
 def x_ratios(theta: ParamTable) -> list[list[Fraction]]:

@@ -4,21 +4,22 @@ criterion."""
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxlin import algebra
 from maxlin.algebra import (
     EMPTY_MONOMIAL,
     BinomialGenerator,
+    MonomialMap,
     MonomialOrder,
     Polynomial,
     Variable,
-    alpha_var,
     buchberger_check,
     default_lattice_order,
     evaluate_at_distribution,
@@ -27,6 +28,7 @@ from maxlin.algebra import (
     hilbert_check,
     mono_div,
     mono_divides,
+    mono_from_dict,
     mono_lcm,
     mono_mul,
     monomial_map,
@@ -51,10 +53,16 @@ from maxlin.errors import (
     UnmappedVariableError,
 )
 from maxlin.model import ParamTable, full_distribution
-from maxlin.poset import ideal_lattice, incomparable_pairs, order_preserving_maps, state_leq
+from maxlin.poset import (
+    ideal_lattice,
+    incomparable_pairs,
+    lattice_meet_join,
+    order_preserving_maps,
+    state_leq,
+)
 from maxlin.report import Report
 
-from conftest import catalog_dags, dags, random_dag
+from conftest import alpha_var, catalog_dags, dags, random_dag
 
 
 def poly_of(var):
@@ -107,10 +115,20 @@ class TestVariable:
         assert t_var().key_text() == "t"
 
     def test_state_digits_guard(self):
-        with pytest.raises(ValueError):
-            state_digits((0, 10))
-        with pytest.raises(ValueError):
-            state_digits((-1, 0))
+        # 256 and -1 do not fit a byte; 10 and 255 do but are not digits
+        for bad in (10, 255, 256, -1):
+            state = (0, bad, 3)
+            message = re.escape(f"state {state} has entries outside 0..9")
+            with pytest.raises(ValueError, match=message):
+                state_digits(state)
+            with pytest.raises(ValueError, match=message):
+                state_digits(list(state))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 9), max_size=12).map(tuple))
+    @example(())
+    def test_state_digits_is_str_join(self, state):
+        assert state_digits(state) == "".join(map(str, state))
 
 
 class TestMonomialHelpers:
@@ -335,6 +353,22 @@ class TestHibiGenerators:
                 expected = [BinomialGenerator.from_pair(g, h) for g, h in pairs]
                 assert hibi_generators(lattice) == expected
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=4), st.sampled_from((2, 3, 4)))
+    def test_masks_agree_with_from_pair(self, dag, k):
+        """AND/OR of the unary masks against the coordinate-wise min/max of
+        `from_pair`, which keeps `lattice_meet_join`; the meet and join are
+        the lattice's own state tuples."""
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        pairs = incomparable_pairs(lattice)
+        generators = hibi_generators(lattice)
+        assert generators == [BinomialGenerator.from_pair(g, h) for g, h in pairs]
+        assert [(gen.meet, gen.join) for gen in generators] == [
+            lattice_meet_join(g, h) for g, h in pairs
+        ]
+        own = {id(s) for s in lattice.states}
+        assert all(id(gen.meet) in own and id(gen.join) in own for gen in generators)
+
     def test_json_dict_golden(self, fig2_dag):
         gen = hibi_generators(order_preserving_maps(transitive_closure(fig2_dag), 2))[0]
         assert gen.to_json_dict() == {
@@ -438,8 +472,6 @@ class TestVerifyVanishing:
         broken = dict(mapping.images)
         state = lattice.states[1]
         broken[q_var(state)] = mono_mul(broken[q_var(state)], ((x_var(9, 9), 1),))
-        from maxlin.algebra import MonomialMap
-
         report = verify_vanishing(hibi_generators(lattice), MonomialMap(broken))
         assert not report.passed
         assert report.failures
@@ -464,10 +496,79 @@ class TestVerifyVanishing:
         gen = hibi_generators(lattice)[0]
         images = dict(monomial_map(lattice).images)
         del images[q_var(gen.join)], images[q_var(gen.meet)]
-        from maxlin.algebra import MonomialMap
-
         with pytest.raises(UnmappedVariableError, match=r"q\[00001\]"):
             verify_vanishing([gen], MonomialMap(images))
+
+
+def vanishing_failures(generators, mmap):
+    """The failure lines of `verify_vanishing`, from each generator's two
+    image monomials multiplied out with `mono_mul`."""
+    lines = []
+    for gen in generators:
+        g, h, meet, join = (mmap.image(q_var(s)) for s in (gen.g, gen.h, gen.meet, gen.join))
+        left, right = mono_mul(g, h), mono_mul(meet, join)
+        if left != right:
+            image = Polynomial({left: 1, right: -1})
+            lines.append(f"{gen.to_text()} maps to {image.to_text()}")
+    return lines
+
+
+class TestPackedVanishing:
+    # variables outside every lattice image
+    FOREIGN = (x_var(9, 9), theta_var(9, 9), p_var((9,)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=4), st.sampled_from((2, 3, 4)), st.data())
+    def test_same_lines_as_mono_mul(self, dag, k, data):
+        """Images redrawn with exponents up to 3 and foreign variables, and
+        generators edited join -> top or meet -> g."""
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        images = dict(monomial_map(lattice).images)
+        pool = sorted({v for m in images.values() for v, _ in m}) + list(self.FOREIGN)
+        factors = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=4)
+        for g in data.draw(st.lists(st.sampled_from(lattice.states), max_size=3)):
+            images[q_var(g)] = mono_from_dict(dict(data.draw(factors)))
+        mmap = MonomialMap(images)
+        generators = hibi_generators(lattice)
+        if generators:
+            edits = st.tuples(st.integers(0, len(generators) - 1), st.booleans())
+            for i, to_top in data.draw(st.lists(edits, max_size=3)):
+                gen = generators[i]
+                generators[i] = (
+                    dataclasses.replace(gen, join=lattice.top)
+                    if to_top
+                    else dataclasses.replace(gen, meet=gen.g)
+                )
+        expected = vanishing_failures(generators, mmap)
+        report = verify_vanishing(generators, mmap)
+        assert report.failures == expected
+        assert report.passed == (not expected)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # 1 + 1 in a 1-bit slot would carry into the next variable's slot
+            (((x_var(1, 0), 1),), ((x_var(1, 1), 1),)),
+            # 3 + 3 in a 2-bit slot would read as x[1,0]^2*x[1,1]
+            (((x_var(1, 0), 3),), ((x_var(1, 0), 2), (x_var(1, 1), 1))),
+        ],
+    )
+    def test_sums_never_carry(self, left, right):
+        """q[01]*q[10] - q[00]*q[11] with q[01], q[10] -> left and
+        q[00], q[11] -> right/1: the images differ, but a narrow slot would
+        make their packed sums agree."""
+        gen = BinomialGenerator((0, 1), (1, 0), (0, 0), (1, 1))
+        mmap = MonomialMap(
+            {
+                q_var((0, 1)): left,
+                q_var((1, 0)): left,
+                q_var((0, 0)): right,
+                q_var((1, 1)): EMPTY_MONOMIAL,
+            }
+        )
+        expected = vanishing_failures([gen], mmap)
+        assert len(expected) == 1
+        assert verify_vanishing([gen], mmap).failures == expected
 
 
 class TestPullback:

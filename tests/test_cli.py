@@ -1,6 +1,7 @@
 """The command-line driver: emissions, verify suites, exit codes,
 determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,63 @@ class TestEmissions:
         assert all(
             set(e) == {"pair", "meet", "join", "polynomial"} for e in entries
         )
+
+
+def ladder_dag_text(n: int) -> str:
+    """Two chains a_1 < ... < a_m and b_1 < ... < b_m (a_i = 2i-1, b_i = 2i,
+    m = n/2) with rungs a_i < b_(i+1): a width-2 poset, as a 2-state DAG."""
+    edges = []
+    for i in range(1, n // 2):
+        a, b, a2, b2 = 2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2
+        edges += [(a, a2), (b, b2), (a, b2)]
+    return f"{n} 2\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+# (input, command, format) -> (bytes, sha-256) of stdout, taken from the
+# coordinate-wise min/max meets and joins and the per-entry str() rendering
+# of states; fig2 runs with --k 3.
+PINNED_STDOUT = {
+    ("fig2", "generators", "json"): (
+        41820, "2abd745a587ac294c6663901bd6c1206dd0f7a57a7c2a1f2a19181f1c069b199"
+    ),
+    ("fig2", "generators", "text"): (
+        9994, "44042496369612638a674b2e8658b48bf112a5f52805def8c028883bdeab2bb7"
+    ),
+    ("fig2", "lattice", "json"): (
+        443, "f28e26ee53cf94d105e691597fe2d4266d086722c7dbf7a1f6fcdc618510c643"
+    ),
+    ("fig2", "lattice", "text"): (
+        240, "fc9721ae586f881f6fe82da04184dcb2fcee81fce166f58fb3d3878cb56220e7"
+    ),
+    ("ladder20", "generators", "json"): (
+        199488, "0b7c1fe9c2113f953e52512d7d2f293e75fd23932ad65ff32dc7fbe0a3785a93"
+    ),
+    ("ladder20", "generators", "text"): (
+        70070, "b40667027106645b5f051deefe68eb666e2d5436d9071b8f4e38d41e27f4db44"
+    ),
+    ("ladder20", "lattice", "json"): (
+        1979, "cd9cead93fed5b721a8651152bed38059dd5ccaaab7d93140ea73bc93775a1f8"
+    ),
+    ("ladder20", "lattice", "text"): (
+        1596, "8c2d051726635e4c65a2453a34af8201aa74dac1e7807f2df32a1ba6c1426b92"
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("case", list(PINNED_STDOUT), ids="-".join)
+    def test_stdout_digest(self, capsys, fig_files, tmp_path, case):
+        source, command, fmt = case
+        if source == "fig2":
+            argv = ["--dag", fig_files["fig2.dag"], "--k", "3"]
+        else:
+            dag = tmp_path / "ladder20.dag"
+            dag.write_text(ladder_dag_text(20), encoding="utf-8")
+            argv = ["--dag", str(dag)]
+        code, out, err = run_main(capsys, [command, *argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_STDOUT[case]
 
 
 class TestVerify:
