@@ -457,9 +457,16 @@ class Polynomial:
 #   variable := 't' | family '[' indices ']'
 #
 # p/q indices are digit strings ("q[01011]"); theta/alpha/x take one or two
-# comma-separated integers ("theta[3,1]", "x[2]").
+# comma-separated integers ("theta[3,1]", "x[2]"). Digits are ASCII 0-9 only,
+# and an exponent above MAX_EXPONENT is refused, so evaluation stays bounded.
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]+|.)")
+MAX_EXPONENT = 1000
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_]+|.)")
+
+
+def _is_number(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
 
 
 def _tokenize(text: str) -> list[str]:
@@ -521,7 +528,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError(f"unexpected end of polynomial in {self.text!r}")
-        if tok.isdigit():
+        if _is_number(tok):
             return Polynomial.constant(self.parse_rational())
         return self.parse_power()
 
@@ -530,7 +537,7 @@ class _Parser:
         if self.peek() == "/":
             self.take("/")
             den = self.take()
-            if not den.isdigit() or int(den) == 0:
+            if not _is_number(den) or int(den) == 0:
                 raise ParseError(f"bad denominator {den!r} in {self.text!r}")
             return Fraction(num, int(den))
         return Fraction(num)
@@ -541,8 +548,13 @@ class _Parser:
         if self.peek() == "^":
             self.take("^")
             digits = self.take()
-            if not digits.isdigit():
+            if not _is_number(digits):
                 raise ParseError(f"bad exponent {digits!r} in {self.text!r}")
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {digits} exceeds the cap of {MAX_EXPONENT} in {self.text!r}"
+                )
             exp = int(digits)
         return Polynomial.from_term(((var, exp),) if exp else EMPTY_MONOMIAL, 1)
 
@@ -554,7 +566,7 @@ class _Parser:
             raise ParseError(f"unknown variable family {name!r} in {self.text!r}")
         self.take("[")
         first = self.take()
-        if not first.isdigit():
+        if not _is_number(first):
             raise ParseError(f"bad index {first!r} in {self.text!r}")
         if name in ("p", "q"):
             self.take("]")
@@ -562,7 +574,7 @@ class _Parser:
         if self.peek() == ",":
             self.take(",")
             second = self.take()
-            if not second.isdigit():
+            if not _is_number(second):
                 raise ParseError(f"bad index {second!r} in {self.text!r}")
             self.take("]")
             return Variable(name, (int(first), int(second)))
@@ -573,7 +585,10 @@ class _Parser:
 def parse_polynomial(text: str) -> Polynomial:
     """Parse one polynomial in the text grammar, e.g.
     "q[01011]*q[10111] - q[00011]*q[11111]" or "1/2*p[00]^2 - p[01]"."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except ValueError as exc:  # a number with more digits than int() converts
+        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 
 from .errors import BadVertexError, CyclicGraphError, DagSyntaxError
 from .poset import Poset, bit_positions
+
+# An integer of the file format: ASCII digits with an optional minus sign.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,9 @@ class Dag:
 def parse_dag(text: str) -> Dag:
     """Parse the DAG file format.
 
-    Line 1 is "n k"; each later non-empty line is "u v" for an edge u -> v.
-    "#" starts a comment; blank lines and extra whitespace are ignored.
+    Line 1 is "n k"; each later non-empty line is "u v" for an edge u -> v,
+    integers written in ASCII digits with an optional "-". "#" starts a
+    comment; blank lines and extra whitespace are ignored.
 
     Raises:
         DagSyntaxError: malformed line or duplicate edge.
@@ -74,10 +79,10 @@ def parse_dag(text: str) -> Dag:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise DagSyntaxError(f"line {lineno}: expected two integers, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+                raise ValueError(line)
+            a, b = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
         except ValueError:
             raise DagSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
         if header is None:

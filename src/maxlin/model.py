@@ -203,12 +203,24 @@ def _innovation_outcomes(dag: Dag, theta: ParamTable, limit: int):
             f" but the guard is {limit}"
         )
     anc = _ancestor_positions(dag)
-    for z in product(range(dag.k), repeat=dag.n):
-        outcome = tuple(max(z[p] for p in positions) for positions in anc)
-        weight: Value = Fraction(1)
-        for pos, level in enumerate(z):
-            weight = weight * theta.weight(pos + 1, level)
-        yield outcome, weight
+    n, k, rows = dag.n, dag.k, theta.rows
+    # The box in product order, as an odometer: weights[p + 1] is the product
+    # of the weights of z[0..p], and only the products from the position the
+    # odometer turned on are formed again, about k/(k-1) per vector.
+    z = [0] * n
+    weights: list[Value] = [Fraction(1)] * (n + 1)
+    turned = 0
+    while True:
+        for p in range(turned, n):
+            weights[p + 1] = weights[p] * rows[p][z[p]]
+        yield tuple(max(z[p] for p in positions) for positions in anc), weights[n]
+        turned = n - 1
+        while turned >= 0 and z[turned] == k - 1:
+            z[turned] = 0
+            turned -= 1
+        if turned < 0:
+            return
+        z[turned] += 1
 
 
 def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:

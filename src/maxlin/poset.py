@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Hashable, Iterator
 
 from .errors import BadStateError, NotAStateError
@@ -147,7 +148,9 @@ class StateLattice:
     coordinate-wise, closed under coordinate-wise min and max.
 
     `states` is sorted lexicographically and that order is a linear extension
-    of the lattice order.
+    of the lattice order. `order_preserving_maps` and `ideal_lattice` build
+    it by one walk along a linear extension of the poset (`_monotone_vectors`),
+    one OR per state on unary vectors, and one sort at the end.
 
     The zeta and Moebius walks need the states to be all the monotone maps of
     a poset, as `order_preserving_maps` and `ideal_lattice` build them: then
@@ -192,19 +195,8 @@ def lattice_meet_join(g: State, h: State) -> tuple[State, State]:
     return meet, join
 
 
-def _maximal(subset: int, down) -> int:
-    """The maximal elements of a subset, as a mask, for the order whose
-    down-set masks are `down` (up-set masks give the minimal elements).
-    Scanning from the highest position skips every element already known to
-    lie below a scanned one, so when positions follow a linear extension
-    only the maximal elements themselves are scanned."""
-    below = 0
-    rest = subset
-    while rest:
-        c = rest.bit_length() - 1
-        below |= down[c] ^ (1 << c)
-        rest &= ~(below | 1 << c)
-    return subset & ~below
+# A byte of r low one-bits -> r: decodes the bytes of a unary slot.
+_UNARY_BYTES = bytes.maketrans(bytes((1 << r) - 1 for r in range(9)), bytes(range(9)))
 
 
 def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list[State]:
@@ -212,42 +204,63 @@ def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list[St
     lexicographic order; with reverse=True the vectors must be
     order-reversing instead (used for order-ideal indicators).
 
-    Position t takes the values from the largest value of the maximal
-    assigned elements below it to the smallest value of the minimal assigned
-    elements above it. Every monotone prefix extends to a full monotone
-    vector, so the walk never meets a dead end.
+    The walk visits the positions along a linear extension (the dual's for
+    reverse=True), so no position is bounded from above by an earlier one.
+    The next vector raises the last position below k-1 and resets every later
+    position to the least value the prefix allows; it never meets a dead end.
+    A vector is one int with a slot of ceil((k-1)/8) bytes per position, the
+    value v as v one-bits, so elementwise max is OR: the reset is the OR of
+    the prefix's vector and the raised value copied into the slots of every
+    element above the raised one. The walk's order is lexicographic in the
+    extension's positions; one sort at the end restores coordinate order,
+    and it is linear when the extension is the identity.
     """
     if k < 1:
         raise ValueError(f"chain size must be >= 1, got {k}")
     n = len(poset.elements)
-    down = poset.down
-    up = _transpose(down)
-    below = [bit_positions(_maximal(down[t] & ((1 << t) - 1), down)) for t in range(n)]
-    above = [bit_positions(_maximal(up[t] & ((1 << t) - 1), up)) for t in range(n)]
-    if reverse:
-        below, above = above, below
-    # value[n] = 0 and value[n + 1] = k - 1 bound positions with nothing
-    # assigned below or above them.
-    for t in range(n):
-        below[t].append(n)
-        above[t].append(n + 1)
-    value = [0] * n + [0, k - 1]
-    top = [0] * n
-    get = value.__getitem__
+    order = sorted(range(n), key=lambda i: poset.down[i].bit_count(), reverse=reverse)
+    width = (k + 6) // 8 or 1  # bytes per slot; k = 1 keeps one empty byte
+    full = ((1 << (k - 1)) - 1).to_bytes(width, "little")
+    # ones[i]: the lowest bit of the slot of every element above element i
+    # in the walk's order, i itself included, built along the covers from
+    # the last position back.
+    ones = [0] * n
+    for t in range(n - 1, -1, -1):
+        i = order[t]
+        ones[i] |= 1 << 8 * width * t
+        covers = poset._lower_covers[i]
+        while covers:
+            j = (covers & -covers).bit_length() - 1
+            covers &= covers - 1
+            if reverse:
+                ones[i] |= ones[j]
+            else:
+                ones[j] |= ones[i]
+    ones = [ones[i] for i in order]
+    pos = [0] * n
+    for t, i in enumerate(order):
+        pos[i] = t
+    permute = tuple if order == list(range(n)) else itemgetter(*pos)
+    # prefix[t]: the least vector that agrees with the current one before t.
+    prefix = [0] * n
+    vec = 0
     out: list[State] = []
-    t = 0
     while True:
-        for t in range(t, n):
-            value[t] = max(map(get, below[t]))
-            top[t] = min(map(get, above[t]))
-        out.append(tuple(value[:n]))
-        t = n - 1
-        while t >= 0 and value[t] >= top[t]:
-            t -= 1
-        if t < 0:
+        raw = vec.to_bytes(n * width, "little")
+        values = raw.translate(_UNARY_BYTES)
+        if width > 1:
+            values = tuple(map(sum, zip(*[iter(values)] * width)))
+        out.append(permute(values))
+        # Strips whole slots only: a slot's top byte is one of full's bytes
+        # only when the slot is full.
+        raw = raw.rstrip(full)
+        if not raw:
+            out.sort()
             return out
-        value[t] += 1
-        t += 1
+        t = len(raw) // width - 1
+        raised = int.from_bytes(raw[-width:], "little") << 1 | 1
+        vec = prefix[t] | ones[t] * raised
+        prefix[t + 1 :] = [vec] * (n - t - 1)
 
 
 def order_preserving_maps(poset: Poset, k: int) -> StateLattice:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from maxlin import algebra
 from maxlin.algebra import (
+    MAX_EXPONENT,
     EMPTY_MONOMIAL,
     BinomialGenerator,
     MonomialMap,
@@ -244,6 +245,36 @@ class TestGrammar:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_polynomial(text)
+
+    @pytest.mark.parametrize(
+        "text", ["p[\u0660\u0660]", "\u0663*p[00]", "p[00]^\u00b2", "p[00]^\u0662", "1/\u0663"]
+    )
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_polynomial(text)
+
+    def test_exponent_cap(self):
+        assert parse_polynomial(f"t^{MAX_EXPONENT}") == poly_of(t_var()) ** MAX_EXPONENT
+        with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_EXPONENT}"):
+            parse_polynomial(f"p[00]^{MAX_EXPONENT + 1}")
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            parse_polynomial("p[00]^99999999")
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            parse_polynomial("p[00]^" + "1" * 5000)
+        assert parse_polynomial(f"t^000{MAX_EXPONENT}") == poly_of(t_var()) ** MAX_EXPONENT
+
+    def test_numbers_past_the_int_digit_limit(self):
+        for text in ("1" * 5000, "1/" + "1" * 5000, "p[00]*" + "1" * 5000):
+            with pytest.raises(ParseError):
+                parse_polynomial(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet="pqtx[],^*/+- 0129\u0660\u0663\u00b2", max_size=24))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse_polynomial(text)
+        except ParseError:
+            pass
 
     def test_text_roundtrip_random(self):
         rng = random.Random(29)

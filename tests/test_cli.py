@@ -176,10 +176,30 @@ def ladder_dag_text(n: int) -> str:
     return f"{n} 2\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def relabelled_chain_text(n: int) -> str:
+    """A chain whose i-th vertex is labelled 11*i mod n + 1 (n coprime to
+    11), so the labels are not a topological order, as a 2-state DAG."""
+    labels = [11 * i % n + 1 for i in range(n)]
+    return f"{n} 2\n" + "".join(f"{u} {v}\n" for u, v in zip(labels, labels[1:]))
+
+
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
-# coordinate-wise min/max meets and joins and the per-entry str() rendering
-# of states; fig2 runs with --k 3.
+# coordinate-wise min/max meets and joins, the per-entry str() rendering of
+# states and the prefix-by-prefix lattice enumeration; fig2 and chain30 run
+# with --k 3.
 PINNED_STDOUT = {
+    ("chain30", "ideals", "json"): (
+        1119, "aaffa4f03b9b68d94740cbc099b0ac7daad3cc1cd0abd91d29145d8817b52204"
+    ),
+    ("chain30", "ideals", "text"): (
+        961, "49d271377a706ff83cb9b3e684b7c25f1c0ccebb5503eb6353262901f4cbd28c"
+    ),
+    ("chain30", "lattice", "json"): (
+        17859, "23b4a9878b0db7b21f33a60ab88846bd360e8e992dfafe88837695509dcec2c3"
+    ),
+    ("chain30", "lattice", "text"): (
+        15376, "7e34a1c02af2c8dabd64bcd959e5b7fc438fac66c8af248df59054e69fb761f8"
+    ),
     ("fig2", "generators", "json"): (
         41820, "2abd745a587ac294c6663901bd6c1206dd0f7a57a7c2a1f2a19181f1c069b199"
     ),
@@ -213,6 +233,10 @@ class TestPinnedOutput:
         source, command, fmt = case
         if source == "fig2":
             argv = ["--dag", fig_files["fig2.dag"], "--k", "3"]
+        elif source == "chain30":
+            dag = tmp_path / "chain30.dag"
+            dag.write_text(relabelled_chain_text(30), encoding="utf-8")
+            argv = ["--dag", str(dag), "--k", "3"]
         else:
             dag = tmp_path / "ladder20.dag"
             dag.write_text(ladder_dag_text(20), encoding="utf-8")

@@ -1,13 +1,16 @@
 """DAG parsing, validation, reachability, and the closure poset."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin.dag import Dag, ancestors, parse_dag, topological_order, transitive_closure
 from maxlin.errors import BadVertexError, CyclicGraphError, DagSyntaxError
 
-from conftest import catalog_dags, random_dag, strict_pairs
+from conftest import catalog_dags, dags, random_dag, strict_pairs
 
 FIG2_TEXT = "5 2\n1 3\n1 4\n2 4\n3 5\n4 5"
 
@@ -63,6 +66,32 @@ class TestParse:
     def test_bad_state_count(self):
         with pytest.raises(DagSyntaxError):
             parse_dag("2 0\n1 2")
+
+    @pytest.mark.parametrize(
+        "line", ["\u0662 \u0662", "1_0 2", "+1 2", "1 2.0", "0x1 2", "1 \u00b2"]
+    )
+    def test_only_ascii_integers(self, line):
+        with pytest.raises(DagSyntaxError, match="expected two integers"):
+            parse_dag(f"{line}\n")
+        with pytest.raises(DagSyntaxError, match="line 2: expected two integers"):
+            parse_dag(f"12 2\n{line}\n")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dags(), st.integers(1, 11))
+    def test_write_parse_roundtrip(self, dag, k):
+        dag = dataclasses.replace(dag, k=k)
+        assert parse_dag(write_dag(dag)) == dag
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        dags(),
+        st.lists(st.text(alphabet="0129-+_# \t\u0662\u00b2x", max_size=8), max_size=4),
+    )
+    def test_junk_lines_raise_only_input_errors(self, dag, junk):
+        try:
+            parse_dag(write_dag(dag) + "\n".join(junk))
+        except (DagSyntaxError, BadVertexError, CyclicGraphError):
+            pass
 
     def test_serialize_roundtrip(self):
         rng = random.Random(11)

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin.algebra import Polynomial, theta_var
 from maxlin.dag import Dag, transitive_closure
@@ -31,7 +33,7 @@ from maxlin.model import (
 )
 from maxlin.poset import ideal_lattice, order_preserving_maps
 
-from conftest import catalog_dags
+from conftest import catalog_dags, dags
 
 
 def tv(i, j):
@@ -167,6 +169,29 @@ class TestFactoredJoint:
         assert dist == {(0,): Fraction(1, 6), (1,): Fraction(1, 3), (2,): Fraction(1, 2)}
 
 
+def reference_oracle(dag: Dag, theta: ParamTable) -> dict:
+    """The oracle vector by vector: each vertex takes the max of the
+    innovations of its ancestors and itself, found by following parents, and
+    each innovation vector weighs the product of its n weights."""
+    ancestry = {}
+    for v in range(1, dag.n + 1):
+        seen, stack = {v}, [v]
+        while stack:
+            for u in dag.parents(stack.pop()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        ancestry[v] = seen
+    out = {}
+    for z in product(range(dag.k), repeat=dag.n):
+        outcome = tuple(max(z[u - 1] for u in ancestry[v]) for v in range(1, dag.n + 1))
+        weight = Fraction(1)
+        for i, level in enumerate(z):
+            weight *= theta.weight(i + 1, level)
+        out[outcome] = out.get(outcome, Fraction(0)) + weight
+    return out
+
+
 class TestOracle:
     def test_single_vertex(self):
         dag = Dag(n=1, k=3)
@@ -203,6 +228,13 @@ class TestOracle:
             rows[i][j] += Fraction(1, 7)
             object.__setattr__(theta, "cumulative", tuple(map(tuple, rows)))
             assert full_distribution(dag, theta) != oracle_distribution(dag, theta)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32))
+    def test_matches_vector_by_vector_reference(self, dag, k, seed):
+        dag = dataclasses.replace(dag, k=k)
+        theta = ParamTable.random(dag.n, k, random.Random(seed))
+        assert oracle_distribution(dag, theta) == reference_oracle(dag, theta)
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)

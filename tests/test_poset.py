@@ -376,3 +376,33 @@ class TestFastPathsAgainstSlowPaths:
         # k = 3 above 6 vertices gives up to 6,561 states, too many for the
         # pairwise incomparability reference in a unit test.
         check_against_slow_paths(dag, ks=(1, 2, 3) if dag.n <= 6 else (1, 2))
+
+
+# Small posets whose labels are not a topological order, so the walk's
+# linear extension permutes the coordinates: the chain 1 < 0, the chain
+# 2 < 0 < 1, 2 below both 0 and 1, 0 and 2 below 1, and 1 below 0 beside 2.
+RELABELLED = [
+    Poset((0, 1), (0b11, 0b10)),
+    Poset((0, 1, 2), (0b101, 0b111, 0b100)),
+    Poset((0, 1, 2), (0b101, 0b110, 0b100)),
+    Poset((0, 1, 2), (0b001, 0b111, 0b100)),
+    Poset((0, 1, 2), (0b011, 0b010, 0b100)),
+]
+
+
+class TestWalk:
+    """The linear-extension walk against the brute-force box filters, at
+    slot widths of one, two and three bytes (k - 1 = 7, 8 | 9, 10, 16 | 17)."""
+
+    @pytest.mark.parametrize("k", [8, 9, 10, 11, 17, 18])
+    def test_relabelled_posets(self, k):
+        for poset in RELABELLED:
+            assert list(order_preserving_maps(poset, k)) == brute_force_states(poset, k)
+            assert order_ideals(poset) == brute_force_ideals(poset)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 10, 18])
+    def test_empty_and_single_posets(self, k):
+        assert list(order_preserving_maps(Poset((), ()), k)) == [()]
+        assert list(order_preserving_maps(Poset(("a",), (1,)), k)) == [(v,) for v in range(k)]
+        assert order_ideals(Poset((), ())) == [()]
+        assert order_ideals(Poset(("a",), (1,))) == [(0,), (1,)]
