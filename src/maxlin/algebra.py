@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -38,9 +38,9 @@ class Variable:
     """A named indexed variable, totally ordered by (family, index).
 
     Instances are interned (one object per name) with a precomputed sort key
-    and hash: variables are compared and hashed millions of times inside the
-    Buchberger loop, and interning lets those comparisons short-circuit on
-    identity.
+    and hash: polynomial arithmetic, substitution and the grammar compare and
+    hash a variable for every factor they touch, and interning lets equality
+    short-circuit on identity.
     """
 
     __slots__ = ("family", "index", "_key", "_hash")
@@ -132,10 +132,18 @@ def state_digits(state: Sequence[int]) -> str:
     return text
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """An integer, a fraction a/b or a plain decimal in ASCII digits, e.g.
+    "3", "-1/2", "0.25"; exponents, signs other than a leading "-", "_",
+    whitespace and non-ASCII digits are refused before `Fraction` sees them."""
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {text!r}: expected an integer, a/b or a decimal")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int()'s digit limit
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -184,59 +192,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    exps = dict(b)
-    return all(exps.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(num: Monomial, den: Monomial) -> Monomial:
-    """Quotient of sorted monomials; raises if den does not divide num."""
-    if not den:
-        return num
-    out = []
-    j = 0
-    ld = len(den)
-    for v, e in num:
-        if j < ld and den[j][0] == v:
-            e -= den[j][1]
-            j += 1
-            if e < 0:
-                raise ValueError(f"{den} does not divide {num}")
-            if e:
-                out.append((v, e))
-        else:
-            out.append((v, e))
-    if j < ld:
-        raise ValueError(f"{den} does not divide {num}")
-    return tuple(out)
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea if ea >= eb else eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +318,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def _mul_term(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
-        c = coeff if type(coeff) is Fraction else Fraction(coeff)
-        if not c:
-            return Polynomial._raw({})
-        return Polynomial._raw(
-            {mono_mul(m, mono): cc * c for m, cc in self.terms.items()}
-        )
-
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
@@ -412,7 +359,7 @@ class Polynomial:
             for v, e in mono:
                 image = mapping.get(v)
                 if image is None:
-                    term = term._mul_term(((v, e),), 1)
+                    term = term * Polynomial.from_term(((v, e),), 1)
                 else:
                     image_poly = self._coerce(image)
                     if image_poly is None:
@@ -423,16 +370,12 @@ class Polynomial:
 
     # emission
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(
-            self.terms.items(), key=lambda mc: (mono_degree(mc[0]), mc[0]), reverse=True
-        )
-
     def to_text(self) -> str:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        terms = sorted(self.terms.items(), key=lambda mc: (mono_degree(mc[0]), mc[0]))
+        for mono, coeff in reversed(terms):
             factors = [v.key_text() + (f"^{e}" if e > 1 else "") for v, e in mono]
             mag = abs(coeff)
             if mag != 1 or not factors:
@@ -596,72 +539,30 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 class MonomialOrder:
-    """A monomial order over a fixed variable universe.
+    """The degree-reverse-lexicographic order over a fixed variable universe.
 
     Variables rank by the package-wide variable order (family, then index),
     so q-variables rank by the lexicographic order of their states, which is
-    a linear extension of the lattice order. Kinds: "degrevlex" (default),
-    "deglex", "lex".
+    a linear extension of the lattice order.
     """
 
-    KINDS = ("degrevlex", "deglex", "lex")
-
-    def __init__(self, variables: Iterable[Variable], kind: str = "degrevlex"):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
+    def __init__(self, variables: Iterable[Variable]):
         self.variables = tuple(sorted(set(variables)))
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0, or 1 as a <, =, > b under the order.
-
-        Monomials are sorted by the variable order, which is also the rank
-        order here, so both scans run directly on the sorted tuples.
-        """
-        if a == b:
-            return 0
-        if self.kind in ("degrevlex", "deglex"):
-            da, db = mono_degree(a), mono_degree(b)
-            if da != db:
-                return -1 if da < db else 1
-        if self.kind == "degrevlex":
-            # equal degree: the monomial with the smaller exponent on the
-            # smallest differing variable is the larger one
-            i = j = 0
-            la, lb = len(a), len(b)
-            while i < la or j < lb:
-                if i < la and (j >= lb or a[i][0] < b[j][0]):
-                    return -1
-                if j < lb and (i >= la or b[j][0] < a[i][0]):
-                    return 1
-                ea, eb = a[i][1], b[j][1]
-                if ea != eb:
-                    return 1 if ea < eb else -1
-                i += 1
-                j += 1
-            return 0
-        # lex and the deglex tie-break: scan from the largest variable down
-        i, j = len(a) - 1, len(b) - 1
-        while i >= 0 or j >= 0:
-            if i >= 0 and (j < 0 or a[i][0] > b[j][0]):
-                return 1
-            if j >= 0 and (i < 0 or b[j][0] > a[i][0]):
-                return -1
-            ea, eb = a[i][1], b[j][1]
-            if ea != eb:
-                return 1 if ea > eb else -1
-            i -= 1
-            j -= 1
-        return 0
+    @staticmethod
+    def key(mono: Monomial) -> tuple:
+        """The degree, then the variables in increasing order, each repeated
+        by its exponent. At equal degree the lists first differ at the smallest
+        variable whose exponents differ, and the list holding more copies of
+        it is the smaller, as in degrevlex."""
+        variables = tuple(v for v, e in mono for _ in range(e))
+        return len(variables), variables
 
     def leading_term(self, poly: Polynomial) -> tuple[Monomial, Fraction]:
         if poly.is_zero:
             raise ValueError("the zero polynomial has no leading term")
-        best: Monomial | None = None
-        for mono in poly.terms:
-            if best is None or self.compare(mono, best) > 0:
-                best = mono
-        return best, poly.terms[best]
+        lead = max(poly.terms, key=self.key)
+        return lead, poly.terms[lead]
 
 
 # ---------------------------------------------------------------------------
@@ -754,9 +655,6 @@ class MonomialMap:
             raise UnmappedVariableError(f"variable {var.key_text()} is not in the map")
         return self.images[var]
 
-    def __contains__(self, var: Variable) -> bool:
-        return var in self.images
-
 
 def monomial_map(lattice: StateLattice) -> MonomialMap:
     """q_g -> t * prod of x[i, r] over the order ideal that g corresponds to
@@ -846,66 +744,48 @@ def evaluate_at_distribution(
 # ---------------------------------------------------------------------------
 # Buchberger criterion
 
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    mf, cf = order.leading_term(f)
-    mg, cg = order.leading_term(g)
-    lcm = mono_lcm(mf, mg)
-    return f._mul_term(mono_div(lcm, mf), Fraction(1, 1) / cf) - g._mul_term(
-        mono_div(lcm, mg), Fraction(1, 1) / cg
-    )
+IndexMonomial = tuple[int, ...]
 
 
-def reduce_modulo(
-    poly: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
-) -> Polynomial:
-    """Remainder of the standard division algorithm modulo a basis list: the
-    leading term is cancelled against the first basis element whose leading
-    monomial divides it, or else moved to the remainder."""
-    leads = [order.leading_term(b) for b in basis]
-    remainder: dict[Monomial, Fraction] = {}
-    while not poly.is_zero:
-        mono, coeff = order.leading_term(poly)
-        for b, (lead, lead_coeff) in zip(basis, leads):
-            if mono_divides(lead, mono):
-                poly = poly - b._mul_term(mono_div(mono, lead), coeff / lead_coeff)
-                break
-        else:
-            remainder[mono] = coeff
-            poly = poly - Polynomial.from_term(mono, coeff)
-    return Polynomial._raw(remainder)
-
-
-def default_lattice_order(
-    generators: Sequence[BinomialGenerator], kind: str = "degrevlex"
-) -> MonomialOrder:
-    return MonomialOrder(map(q_var, _states_of(generators)), kind=kind)
+def default_lattice_order(generators: Sequence[BinomialGenerator]) -> MonomialOrder:
+    return MonomialOrder(map(q_var, _states_of(generators)))
 
 
 def _lead_split(
-    generators: Sequence[BinomialGenerator], order: MonomialOrder | None = None
-) -> list[tuple[Monomial, Monomial]]:
-    """Each generator as (leading monomial, other monomial) under the order,
-    degree-reverse-lexicographic over the lattice's linear extension by
-    default; both Groebner checks read their leads from here."""
-    if order is None:
-        order = default_lattice_order(generators)
-    q = {s: q_var(s) for s in _states_of(generators)}
+    generators: Sequence[BinomialGenerator], states: Sequence[State]
+) -> list[tuple[IndexMonomial, IndexMonomial]]:
+    """Each generator as (lead, tail), two sorted pairs of indices into
+    `states`, which must be in lexicographic order; both Groebner checks
+    read their leads from here.
+
+    q-variables rank as their states do, so a product of them is the sorted
+    tuple of its variables' indices, each repeated by its exponent, and
+    degrevlex compares such tuples as `MonomialOrder.key` does: by length,
+    then lexicographically. A quadratic binomial's lead is its larger pair."""
+    index = {s: i for i, s in enumerate(states)}
     split = []
     for gen in generators:
-        left = _quadratic(q[gen.g], q[gen.h])
-        right = _quadratic(q[gen.meet], q[gen.join])
-        split.append((left, right) if order.compare(left, right) > 0 else (right, left))
+        left = tuple(sorted((index[gen.g], index[gen.h])))
+        right = tuple(sorted((index[gen.meet], index[gen.join])))
+        split.append((left, right) if left > right else (right, left))
     return split
 
 
-def buchberger_check(
-    generators: Sequence[BinomialGenerator], order: MonomialOrder | None = None
-) -> Report:
+def _rewrite(mono: IndexMonomial, lead: IndexMonomial, tail: IndexMonomial) -> IndexMonomial:
+    """mono / lead * tail, skipping the indices of lead that mono lacks: for
+    two leads, _rewrite(lead_j, lead_i, tail_i) is lcm / lead_i * tail_i."""
+    rest = list(mono)
+    for i in lead:
+        if i in rest:
+            rest.remove(i)
+    return tuple(sorted(rest + list(tail)))
+
+
+def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
     """Check the Buchberger criterion: the S-polynomial of every generator
     pair reduces to 0 modulo the generator set, so the set is a Groebner
-    basis under the given order (degree-reverse-lexicographic over the
-    lattice's linear extension by default).
+    basis under the degree-reverse-lexicographic order over the lattice's
+    linear extension.
 
     Divided by its leading coefficient, every generator is lead - tail with
     two quadratic monomials, so the S-polynomial of a pair is the difference
@@ -913,45 +793,44 @@ def buchberger_check(
     rewritten by replacing the lead of the lowest-index generator dividing it
     with that generator's tail, as the division algorithm would; the pair
     reduces to 0 exactly when both monomials reach the same normal form.
+    Monomials are index tuples; only a failure line spells them in
+    q-variables.
 
     By Buchberger's first criterion, a pair whose leading monomials are
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
     checked and passing."""
-    split = _lead_split(generators, order)
-    by_lead: dict[tuple[Variable, Variable], int] = {}
-    by_var: dict[Variable, list[int]] = {}
+    states = sorted(_states_of(generators))
+    split = _lead_split(generators, states)
+    by_lead: dict[IndexMonomial, int] = {}
+    by_var: dict[int, list[int]] = {}
     for i, (lead, _) in enumerate(split):
-        # a quadratic lead is v*w or v^2: key it by its two variables
-        by_lead.setdefault((lead[0][0], lead[-1][0]), i)
-        for var, _ in lead:
+        by_lead.setdefault(lead, i)
+        for var in lead:
             by_var.setdefault(var, []).append(i)
 
-    def normal_form(mono: Monomial) -> Monomial:
+    def normal_form(mono: IndexMonomial) -> IndexMonomial:
         while True:
-            best = None
-            for a, (va, ea) in enumerate(mono):
-                for vb, _ in mono[a if ea > 1 else a + 1 :]:
-                    idx = by_lead.get((va, vb))
-                    if idx is not None and (best is None or idx < best):
-                        best = idx
-            if best is None:
+            found = [by_lead[p] for p in combinations(mono, 2) if p in by_lead]
+            if not found:
                 return mono
-            lead, tail = split[best]
-            mono = mono_mul(mono_div(mono, lead), tail)
+            lead, tail = split[min(found)]
+            mono = _rewrite(mono, lead, tail)
+
+    def q_monomial(mono: IndexMonomial) -> Monomial:
+        return tuple((q_var(states[i]), mono.count(i)) for i in dict.fromkeys(mono))
 
     failures = []
     reduced = 0
     for i, (lead_i, tail_i) in enumerate(split):
         # the later generators whose leads share a variable with lead_i
-        for j in sorted({j for var, _ in lead_i for j in by_var[var] if j > i}):
+        for j in sorted({j for var in lead_i for j in by_var[var] if j > i}):
             reduced += 1
             lead_j, tail_j = split[j]
-            lcm = mono_lcm(lead_i, lead_j)
-            nf_i = normal_form(mono_mul(mono_div(lcm, lead_i), tail_i))
-            nf_j = normal_form(mono_mul(mono_div(lcm, lead_j), tail_j))
+            nf_i = normal_form(_rewrite(lead_j, lead_i, tail_i))
+            nf_j = normal_form(_rewrite(lead_i, lead_j, tail_j))
             if nf_i != nf_j:
-                text = Polynomial({nf_j: 1, nf_i: -1}).to_text()
+                text = Polynomial({q_monomial(nf_j): 1, q_monomial(nf_i): -1}).to_text()
                 failures.append(
                     f"S-polynomial of {generators[i].to_text()} and "
                     f"{generators[j].to_text()} leaves {text}"
@@ -1011,13 +890,9 @@ def hilbert_check(
         )
     mmap = monomial_map(lattice)
     vanishing = verify_vanishing(generators, mmap)
-    variables = [q_var(g) for g in lattice]
-    index = {v: i for i, v in enumerate(variables)}
-    leads = {
-        (index[lead[0][0]], index[lead[-1][0]]) for lead, _ in _lead_split(generators)
-    }
+    leads = {lead for lead, _ in _lead_split(generators, lattice.states)}
     standard = _standard_counts(size, leads)
-    images = _image_counts([mmap.image(v) for v in variables])
+    images = _image_counts([mmap.image(q_var(g)) for g in lattice])
     failures = [
         f"degree {d}: {s} standard monomials, {i} image monomials"
         for d, s, i in zip((1, 2, 3), standard, images)

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .algebra import (
@@ -75,18 +76,20 @@ def _state_lattice(dag: Dag) -> StateLattice:
     return order_preserving_maps(transitive_closure(dag), dag.k)
 
 
-def _emit_states(states, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([state_digits(g) for g in states], indent=2)
-    return "\n".join(state_digits(g) for g in states)
+def _emit(fmt: str, data, lines: Iterable[str]) -> None:
+    """Print `data` as indented JSON, or `lines` one per line for the text
+    format; `lines` is usually a lazy generator over `data`."""
+    print(json.dumps(data, indent=2) if fmt == "json" else "\n".join(lines))
 
 
-def _emit_value_map(values, prefix: str, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {state_digits(g): fraction_text(v) for g, v in values.items()}, indent=2
-        )
-    return "\n".join(f"{prefix}{state_digits(g)} = {v}" for g, v in values.items())
+def _emit_states(states, fmt: str) -> None:
+    digits = [state_digits(g) for g in states]
+    _emit(fmt, digits, digits)
+
+
+def _emit_value_map(values, prefix: str, fmt: str) -> None:
+    data = {state_digits(g): fraction_text(v) for g, v in values.items()}
+    _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
 def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
@@ -161,40 +164,34 @@ def run(config: CommandConfig) -> int:
     """Execute one command; prints the result and returns the exit status."""
     dag = _load_dag(config)
     if config.command == "lattice":
-        print(_emit_states(_state_lattice(dag).states, config.fmt))
+        _emit_states(_state_lattice(dag).states, config.fmt)
         return 0
     if config.command == "ideals":
         lattice = ideal_lattice(transitive_closure(dag))
-        print(_emit_states(lattice.states, config.fmt))
+        _emit_states(lattice.states, config.fmt)
         return 0
     if config.command == "distribution":
         theta = _load_theta(config)
         dist = full_distribution(dag, theta)
-        print(_emit_value_map(dist, "p", config.fmt))
+        _emit_value_map(dist, "p", config.fmt)
         return 0
     if config.command == "zeta":
         theta = _load_theta(config)
         lattice = _state_lattice(dag)
         dist = full_distribution(dag, theta, lattice)
-        print(_emit_value_map(zeta_transform(dist, lattice), "q", config.fmt))
+        _emit_value_map(zeta_transform(dist, lattice), "q", config.fmt)
         return 0
     if config.command == "generators":
         if config.generators_of == "ideals":
             lattice = ideal_lattice(transitive_closure(dag))
         else:
             lattice = _state_lattice(dag)
-        generators = hibi_generators(lattice)
-        if config.fmt == "json":
-            print(json.dumps([g.to_json_dict() for g in generators], indent=2))
-        else:
-            print("\n".join(g.to_text() for g in generators))
+        data = [g.to_json_dict() for g in hibi_generators(lattice)]
+        _emit(config.fmt, data, (g["polynomial"] for g in data))
         return 0
     if config.command == "verify":
         report = _SUITES[config.suite](dag, config)
-        if config.fmt == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
-        else:
-            print(report.to_text())
+        _emit(config.fmt, report.to_json_dict(), [report.to_text()])
         return 0 if report.passed else 1
     if config.command == "eval":
         theta = _load_theta(config)
@@ -203,7 +200,7 @@ def run(config: CommandConfig) -> int:
         cumulative = None  # the zeta coordinates, formed for the first q-variable
         if config.poly_path is None:
             raise MaxlinError("the eval command needs --poly")
-        results = []
+        data = []
         for raw in Path(config.poly_path).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -214,19 +211,8 @@ def run(config: CommandConfig) -> int:
             value = evaluate_at_distribution(
                 poly, _with_off_lattice_zeros(poly, dist, dag), cumulative
             )
-            results.append((line, value))
-        if config.fmt == "json":
-            print(
-                json.dumps(
-                    [
-                        {"polynomial": line, "value": fraction_text(v)}
-                        for line, v in results
-                    ],
-                    indent=2,
-                )
-            )
-        else:
-            print("\n".join(f"{line} = {v}" for line, v in results))
+            data.append({"polynomial": line, "value": fraction_text(value)})
+        _emit(config.fmt, data, (f"{d['polynomial']} = {d['value']}" for d in data))
         return 0
     raise MaxlinError(f"unknown command {config.command!r}")
 

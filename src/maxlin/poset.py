@@ -132,16 +132,6 @@ class Poset:
         return Poset(self.elements, tuple(_transpose(self.down)))
 
 
-def antichain(labels: tuple[Label, ...]) -> Poset:
-    return Poset.from_relation(labels, ((a, a) for a in labels))
-
-
-def chain(length: int) -> Poset:
-    """The chain 0 < 1 < ... < length-1."""
-    elems = tuple(range(length))
-    return Poset.from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
-
-
 @dataclass(frozen=True)
 class StateLattice:
     """The distributive lattice of length-n vectors over {0..k-1}, ordered
@@ -281,10 +271,6 @@ def ideal_lattice(poset: Poset) -> StateLattice:
     """Order ideals as a 2-state lattice: inclusion is the coordinate-wise
     order on indicators, intersection/union are min/max."""
     return StateLattice(n=len(poset.elements), k=2, states=tuple(order_ideals(poset)))
-
-
-def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:
-    return frozenset(e for e, bit in zip(poset.elements, indicator) if bit)
 
 
 def is_order_ideal(poset: Poset, indicator: State) -> bool:

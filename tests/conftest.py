@@ -1,6 +1,6 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
-brute-force enumerators, reference helpers, and random generators for
-property-style tests."""
+brute-force enumerators, the general division algorithm, reference helpers,
+and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.algebra import Variable
+from maxlin.algebra import Polynomial, Variable, mono_degree, mono_from_dict
 from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.model import ParamTable
-from maxlin.poset import Poset
+from maxlin.poset import Label, Poset, State
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
 # including the two bundled figure graphs, chains, antichains, forks,
@@ -68,6 +68,20 @@ def fig3_dag() -> Dag:
 @pytest.fixture(scope="session")
 def fig1_poset() -> Poset:
     return transitive_closure(parse_dag(data.read("fig1.poset")))
+
+
+def antichain(labels: tuple[Label, ...]) -> Poset:
+    return Poset.from_relation(labels, ((a, a) for a in labels))
+
+
+def chain(length: int) -> Poset:
+    """The chain 0 < 1 < ... < length-1."""
+    elems = tuple(range(length))
+    return Poset.from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
+
+
+def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:
+    return frozenset(e for e, bit in zip(poset.elements, indicator) if bit)
 
 
 def brute_force_states(poset: Poset, k: int) -> list[tuple[int, ...]]:
@@ -150,3 +164,93 @@ def dags(draw, max_n: int = 8) -> Dag:
     candidates = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
     return Dag(n=n, k=2, edges=frozenset(e for e, kept in zip(candidates, keep) if kept))
+
+
+# ---------------------------------------------------------------------------
+# The general division algorithm under degrevlex, with monomials as sorted
+# (Variable, exponent) tuples: the reference for `buchberger_check`, and its
+# scan-based comparison the reference for `MonomialOrder.key`.
+
+
+def mono_divides(a, b) -> bool:
+    exps = dict(b)
+    return all(exps.get(v, 0) >= e for v, e in a)
+
+
+def mono_div(num, den):
+    """Quotient of monomials; raises if den does not divide num."""
+    if not mono_divides(den, num):
+        raise ValueError(f"{den} does not divide {num}")
+    exps = dict(num)
+    for v, e in den:
+        exps[v] -= e
+    return mono_from_dict(exps)
+
+
+def mono_lcm(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = max(exps.get(v, 0), e)
+    return mono_from_dict(exps)
+
+
+def degrevlex_compare(a, b) -> int:
+    """-1, 0 or 1 as a <, =, > b: the higher degree wins; at equal degree,
+    scanning from the smallest variable, the monomial with the smaller
+    exponent on the first variable where they differ is the larger one."""
+    if a == b:
+        return 0
+    da, db = mono_degree(a), mono_degree(b)
+    if da != db:
+        return -1 if da < db else 1
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if i < len(a) and (j >= len(b) or a[i][0] < b[j][0]):
+            return -1
+        if j < len(b) and (i >= len(a) or b[j][0] < a[i][0]):
+            return 1
+        ea, eb = a[i][1], b[j][1]
+        if ea != eb:
+            return 1 if ea < eb else -1
+        i += 1
+        j += 1
+    return 0
+
+
+def leading_term(poly: Polynomial):
+    """(monomial, coefficient) of the largest term by `degrevlex_compare`."""
+    best = None
+    for mono in poly.terms:
+        if best is None or degrevlex_compare(mono, best) > 0:
+            best = mono
+    if best is None:
+        raise ValueError("the zero polynomial has no leading term")
+    return best, poly.terms[best]
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    mf, cf = leading_term(f)
+    mg, cg = leading_term(g)
+    lcm = mono_lcm(mf, mg)
+    return Polynomial.from_term(mono_div(lcm, mf), 1 / cf) * f - Polynomial.from_term(
+        mono_div(lcm, mg), 1 / cg
+    ) * g
+
+
+def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Remainder of the standard division algorithm modulo a basis list: the
+    leading term is cancelled against the first basis element whose leading
+    monomial divides it, or else moved to the remainder."""
+    leads = [leading_term(b) for b in basis]
+    remainder = Polynomial.zero()
+    while not poly.is_zero:
+        mono, coeff = leading_term(poly)
+        for b, (lead, lead_coeff) in zip(basis, leads):
+            if mono_divides(lead, mono):
+                poly = poly - Polynomial.from_term(mono_div(mono, lead), coeff / lead_coeff) * b
+                break
+        else:
+            term = Polynomial.from_term(mono, coeff)
+            remainder = remainder + term
+            poly = poly - term
+    return remainder

@@ -5,11 +5,12 @@ criterion."""
 import dataclasses
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxlin import algebra
@@ -27,18 +28,13 @@ from maxlin.algebra import (
     fraction_text,
     hibi_generators,
     hilbert_check,
-    mono_div,
-    mono_divides,
     mono_from_dict,
-    mono_lcm,
     mono_mul,
     monomial_map,
     p_var,
     parse_fraction,
     parse_polynomial,
     q_var,
-    reduce_modulo,
-    s_polynomial,
     state_digits,
     substitute,
     t_var,
@@ -63,7 +59,20 @@ from maxlin.poset import (
 )
 from maxlin.report import Report
 
-from conftest import alpha_var, catalog_dags, dags, random_dag
+from conftest import (
+    alpha_var,
+    catalog_dags,
+    chain,
+    dags,
+    degrevlex_compare,
+    leading_term,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    random_dag,
+    reduce_modulo,
+    s_polynomial,
+)
 
 
 def poly_of(var):
@@ -293,33 +302,31 @@ class TestGrammar:
 
 class TestMonomialOrder:
     def test_degrevlex_degree_first(self):
-        order = MonomialOrder([q_var((0,)), q_var((1,))])
         big = ((q_var((0,)), 3),)
         small = ((q_var((1,)), 2),)
-        assert order.compare(big, small) > 0
+        assert MonomialOrder.key(big) > MonomialOrder.key(small)
+        assert degrevlex_compare(big, small) > 0
 
     def test_degrevlex_tie_break(self):
         a, b, c = q_var((0,)), q_var((1,)), q_var((2,))
-        order = MonomialOrder([a, b, c])
         # equal degree: less weight on the smallest variable wins
         m1 = ((a, 1), (c, 2))
         m2 = ((b, 2), (c, 1))
-        assert order.compare(m1, m2) < 0
+        assert MonomialOrder.key(m1) < MonomialOrder.key(m2)
+        assert degrevlex_compare(m1, m2) < 0
 
-    def test_lex(self):
-        a, b = q_var((0,)), q_var((1,))
-        order = MonomialOrder([a, b], kind="lex")
-        assert order.compare(((b, 1),), ((a, 5),)) > 0
-
-    def test_deglex(self):
-        a, b = q_var((0,)), q_var((1,))
-        order = MonomialOrder([a, b], kind="deglex")
-        assert order.compare(((a, 5),), ((b, 1),)) > 0
-        assert order.compare(((b, 1),), ((a, 1),)) > 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            MonomialOrder([t_var()], kind="weighted")
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_key_agrees_with_scan(self, data):
+        """The sort key against the scan-based comparison on monomials of
+        degree up to 9 in variables of several families."""
+        pool = [q_var((0, 1)), q_var((1, 0)), q_var((1, 1)), t_var(), x_var(1, 0), p_var((0,))]
+        monomial = st.dictionaries(st.sampled_from(pool), st.integers(1, 3), max_size=3).map(
+            mono_from_dict
+        )
+        a, b = data.draw(monomial), data.draw(monomial)
+        key_a, key_b = MonomialOrder.key(a), MonomialOrder.key(b)
+        assert (key_a > key_b) - (key_a < key_b) == degrevlex_compare(a, b)
 
     def test_leading_term(self):
         a, b = q_var((0,)), q_var((1,))
@@ -352,8 +359,6 @@ class TestHibiGenerators:
         }
 
     def test_chain_lattice_empty(self):
-        from maxlin.poset import chain
-
         # two-state maps on a chain form a chain of prefixes
         assert hibi_generators(order_preserving_maps(chain(3), 2)) == []
         # the states of a single vertex form a k-chain
@@ -649,23 +654,18 @@ class TestEvaluateAtDistribution:
 class TestBuchberger:
     def test_self_reduction(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        generators = hibi_generators(lattice)
-        order = default_lattice_order(generators)
-        for gen in generators:
+        for gen in hibi_generators(lattice):
             poly = gen.polynomial()
-            assert reduce_modulo(poly, [poly], order).is_zero
+            assert reduce_modulo(poly, [poly]).is_zero
 
     def test_s_polynomial_of_coprime_pair_reduces(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        generators = hibi_generators(lattice)
-        order = default_lattice_order(generators)
-        polys = [g.polynomial() for g in generators]
+        polys = [g.polynomial() for g in hibi_generators(lattice)]
         f, g = polys[0], polys[4]
-        lead_f = set(dict(order.leading_term(f)[0]))
-        lead_g = set(dict(order.leading_term(g)[0]))
+        lead_f = set(dict(leading_term(f)[0]))
+        lead_g = set(dict(leading_term(g)[0]))
         assert not (lead_f & lead_g)  # coprime leading monomials
-        s = s_polynomial(f, g, order)
-        assert reduce_modulo(s, polys, order).is_zero
+        assert reduce_modulo(s_polynomial(f, g), polys).is_zero
 
     def test_fig2_passes(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
@@ -683,19 +683,20 @@ class TestBuchberger:
         report = buchberger_check(generators[:2])
         assert not report.passed
 
-    def test_irrelevant_order_kind_on_trivial_set(self):
-        report = buchberger_check([], MonomialOrder([t_var()], kind="lex"))
+    def test_empty_set(self):
+        report = buchberger_check([])
         assert report.passed and report.total == 0
 
 
-def division_failures(generators):
+def division_failures(generators, skip=frozenset()):
     """Yield pair (i, j) and failure line of every S-polynomial left non-zero
-    by the general division algorithm over all pairs, in pair order, as the
-    reference for the check."""
-    order = default_lattice_order(generators)
+    by the general division algorithm over all pairs not in `skip`, in pair
+    order, as the reference for the check."""
     polys = [gen.polynomial() for gen in generators]
     for i, j in combinations(range(len(polys)), 2):
-        remainder = reduce_modulo(s_polynomial(polys[i], polys[j], order), polys, order)
+        if (i, j) in skip:
+            continue
+        remainder = reduce_modulo(s_polynomial(polys[i], polys[j]), polys)
         if not remainder.is_zero:
             yield (i, j), (
                 f"S-polynomial of {generators[i].to_text()} and "
@@ -705,10 +706,7 @@ def division_failures(generators):
 
 def coprime_pairs(generators):
     """Pairs (i, j) whose leading monomials share no variable."""
-    order = default_lattice_order(generators)
-    supports = [
-        {var for var, _ in order.leading_term(gen.polynomial())[0]} for gen in generators
-    ]
+    supports = [{var for var, _ in leading_term(gen.polynomial())[0]} for gen in generators]
     return {
         (i, j)
         for i, j in combinations(range(len(supports)), 2)
@@ -750,6 +748,49 @@ class TestBuchbergerAgainstDivision:
         # the fig1 ideal lattice has two generators, and no edit here breaks them
         assert report.passed == (broken == "none" or len(generators) <= 2)
         assert report.total == len(generators) * (len(generators) - 1) // 2
+
+
+def q_monomial(mono, states):
+    """An index tuple of `buchberger_check` as a monomial in q-variables."""
+    return mono_from_dict(Counter(q_var(states[i]) for i in mono))
+
+
+class TestIndexRewriting:
+    """The check's rewriting of sorted state-index tuples, against the
+    division algorithm and the scan-based degrevlex comparison of
+    tests/conftest.py."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.sampled_from((2, 3)), st.data())
+    def test_random_dag_with_one_edit(self, dag, k, data):
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        generators = hibi_generators(lattice)
+        assume(0 < len(generators) <= 100)
+        mid = data.draw(st.integers(0, len(generators) - 1))
+        gen = generators[mid]
+        edit = data.draw(st.sampled_from(("drop", "join_top", "h_is_g")))
+        if edit == "drop":
+            del generators[mid]
+        elif edit == "join_top":
+            assume(gen.join != lattice.top)
+            generators[mid] = dataclasses.replace(gen, join=lattice.top)
+        else:
+            generators[mid] = dataclasses.replace(gen, h=gen.g)
+
+        states = lattice.states
+        for gen, (lead, _) in zip(generators, algebra._lead_split(generators, states)):
+            assert q_monomial(lead, states) == leading_term(gen.polynomial())[0]
+
+        coprime = coprime_pairs(generators)
+        lines = [line for _, line in division_failures(generators, skip=coprime)]
+        pairs = len(generators) * (len(generators) - 1) // 2
+        counts = f"({pairs - len(coprime)} reduced, {len(coprime)} skipped: coprime leading monomials)"
+        report = buchberger_check(generators)
+        assert report.failures == lines
+        if lines:
+            assert report.detail == f"{len(lines)} of {pairs} S-polynomials do not reduce to 0 {counts}"
+        else:
+            assert report.detail == f"{pairs} S-polynomials reduce to 0 {counts}"
 
 
 class TestFirstCriterion:

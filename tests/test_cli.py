@@ -1,10 +1,15 @@
 """The command-line driver: emissions, verify suites, exit codes,
 determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.cli import CommandConfig, main, run
@@ -520,3 +525,87 @@ class TestErrorsAndDeterminism:
         config = CommandConfig(command="lattice", dag_path=fig_files["fig2.dag"], fmt="text")
         assert run(config) == 0
         assert capsys.readouterr().out.splitlines() == FIG2_STATES
+
+
+# The theta grammar: an integer, a/b or a plain decimal, in ASCII digits.
+RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+# ASCII digits and the characters Fraction() also takes, plus Arabic-Indic
+# digits and the fullwidth digit one.
+THETA_CHARS = "0129/.-+_ eE\u0661\u0662\uff11"
+
+# Entries of a 2 x 2 table: 0, 1/2 and 1 spelled in and out of the grammar
+# (Fraction() takes every spelling here but the last three), random text
+# over THETA_CHARS, and JSON numbers.
+THETA_ENTRIES = st.one_of(
+    st.sampled_from(
+        ["0", "1", "1/2", "0.5", "2/4", "-0", "+1/2", " 1/2", "1/2\n", "0_1/2", "1/0_2",
+         "5e-1", "50E-2", "1.", ".5", "\u0661/\u0662", "1/\uff12", "1/2.0", "1 /2", "0x1"]
+    ),
+    st.text(THETA_CHARS, max_size=8),
+    st.integers(-1, 2),
+    st.floats(),
+)
+
+
+def distribution_on_a_two_chain(directory, theta_text: str) -> tuple[int, str, str]:
+    """(status, stdout, stderr) of `distribution` on the 2-chain with k=2
+    and the given theta file text."""
+    dag, theta = directory / "chain2.dag", directory / "theta.json"
+    dag.write_text("2 2\n1 2\n", encoding="utf-8")
+    theta.write_text(theta_text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["distribution", "--dag", str(dag), "--theta", str(theta)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def loads_or_one_error_line(code: int, out: str, err: str) -> bool:
+    if code == 0:
+        return err == "" and bool(json.loads(out))
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestThetaInput:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["\u0661/\u0662", "1_0/2_0"], ["+1/2", "0.5"]],
+            [["1e-100000", "1"], ["1/2", "1/2"]],
+            [["1e-4000000", "1"], ["1/2", "1/2"]],
+            [[" 1/2", "1/2"], ["1/2", "1/2"]],
+            [[1e-05, "1"], ["1/2", "1/2"]],
+        ],
+    )
+    def test_outside_the_grammar_exits_two(self, tmp_path, rows):
+        code, out, err = distribution_on_a_two_chain(tmp_path, json.dumps({"theta": rows}))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: bad rational .*: expected an integer, a/b or a decimal\n", err)
+
+    def test_numbers_and_decimals_load(self, tmp_path):
+        theta = json.dumps({"theta": [[0.25, "0.75"], ["-0/3", 1]]})
+        code, out, err = distribution_on_a_two_chain(tmp_path, theta)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"00": "0", "01": "1/4", "11": "3/4"}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.lists(st.lists(THETA_ENTRIES, min_size=2, max_size=2), min_size=2, max_size=2),
+            st.lists(st.lists(THETA_ENTRIES, max_size=3), max_size=3),
+        )
+    )
+    def test_any_entries_load_or_exit_two(self, tmp_path_factory, rows):
+        """Entries outside the grammar always exit 2; tables in it load or
+        exit 2 on the table's own checks (row length, sign, sum)."""
+        directory = tmp_path_factory.mktemp("theta")
+        code, out, err = distribution_on_a_two_chain(directory, json.dumps({"theta": rows}))
+        assert loads_or_one_error_line(code, out, err)
+        if not all(RATIONAL.fullmatch(str(v)) for row in rows for v in row):
+            assert code == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.text('{}[]",: theta0129/.-e\u0661', max_size=40))
+    def test_any_text_loads_or_exits_two(self, tmp_path_factory, text):
+        directory = tmp_path_factory.mktemp("theta")
+        assert loads_or_one_error_line(*distribution_on_a_two_chain(directory, text))

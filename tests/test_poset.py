@@ -11,11 +11,8 @@ from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import BadStateError, NotAStateError
 from maxlin.poset import (
     Poset,
-    antichain,
-    chain,
     chain_product,
     ideal_lattice,
-    ideal_members,
     incomparable_pairs,
     is_order_ideal,
     is_order_preserving,
@@ -28,10 +25,13 @@ from maxlin.poset import (
 
 from conftest import (
     CATALOG,
+    antichain,
     brute_force_ideals,
     brute_force_states,
     catalog_dags,
+    chain,
     dags,
+    ideal_members,
     random_dag,
     strict_pairs,
 )
