@@ -10,7 +10,6 @@ on variables is (family name, index tuple), compared lexicographically.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -717,12 +716,12 @@ def _pack_images(images: Sequence[Monomial]) -> list[int]:
     """Each monomial packed into an int, one slot of bits per variable
     holding its exponent.
 
-    A slot is wide enough for the sum of three of the exponents, so adding
-    up to three packed ints never carries from one slot into the next: the
-    packed image of a product of up to three monomials is the sum of their
-    ints, and two such products are equal iff their sums are."""
+    A slot is wide enough for the sum of two of the exponents, so adding two
+    packed ints never carries from one slot into the next: the packed image
+    of a product of two monomials is the sum of their ints, and two such
+    products are equal iff their sums are."""
     slots = dict.fromkeys(v for m in images for v, _ in m)
-    width = (3 * max((e for m in images for _, e in m), default=0)).bit_length()
+    width = (2 * max((e for m in images for _, e in m), default=0)).bit_length()
     for s, v in enumerate(slots):
         slots[v] = s * width
     return [sum(e << slots[v] for v, e in m) for m in images]
@@ -862,14 +861,24 @@ def hilbert_check(
 
     Two conditions: every generator maps to 0 (G in I), and for d = 1, 2, 3
     the degree-d monomials that no leading monomial of G divides (the
-    standard monomials) are as many as the distinct images phi(m) of the
-    degree-d monomials m. Since in(G)_d is contained in in(I)_d, and the two
-    counts are dim S_d - dim in(G)_d and dim (S/I)_d = dim S_d - dim in(I)_d,
-    agreement gives in(G)_d = in(I)_d through degree 3. Every S-pair whose
-    leads share a variable has degree at most 3, so it reduces to 0; the
-    others reduce to 0 by Buchberger's first criterion. So G is a Groebner
-    basis, and <G> = I through degree 3 (in every degree by Hibi's theorem
-    for the lattice's own generators).
+    standard monomials) are as many as the multichains h1 <= ... <= hd of L.
+
+    The certificate needs no precondition on the states. Since in(G)_d is
+    contained in in(I)_d, the standard monomials, dim S_d - dim in(G)_d, are
+    at least dim (S/I)_d = dim S_d - dim in(I)_d, the number of distinct
+    images phi(m) of the degree-d monomials m. The image of q_h1*...*q_hd
+    fixes the multiset of values in each coordinate, and a multichain is
+    sorted in every coordinate, so distinct multichains have distinct
+    images: on any set of states the images are at least the multichains.
+    Equal counts thus force in(G)_d = in(I)_d through degree 3. The
+    lattice's own generators pass because L is closed under meet and join:
+    sorting each coordinate of h1, ..., hd gives a multichain of L with the
+    same image, so the images are exactly as many as the multichains.
+
+    Every S-pair whose leads share a variable has degree at most 3, so it
+    reduces to 0; the others reduce to 0 by Buchberger's first criterion.
+    So G is a Groebner basis, and <G> = I through degree 3 (in every degree
+    by Hibi's theorem for the lattice's own generators).
 
     Only when the certificate fails does `buchberger_check` run, to name the
     S-pairs that do not reduce to 0. The lattice's own generators pass by
@@ -878,21 +887,19 @@ def hilbert_check(
     pairs, as there.
 
     Raises:
-        TooLargeError: the degree-3 image count would form more than `limit`
-            sums.
+        TooLargeError: the |L|**2 state pairs that the standard count and
+            the multichain count each test exceed `limit`.
     """
     size = len(lattice)
-    sums = math.comb(size + 2, 3)
-    if sums > limit:
+    if size * size > limit:
         raise TooLargeError(
-            f"the degree-3 count needs C({size} + 2, 3) = {sums} monomials"
+            f"the Hilbert counts need {size}**2 = {size * size} state pairs"
             f" but the guard is {limit}"
         )
-    mmap = monomial_map(lattice)
-    vanishing = verify_vanishing(generators, mmap)
+    vanishing = verify_vanishing(generators, monomial_map(lattice))
     leads = {lead for lead, _ in _lead_split(generators, lattice.states)}
     standard = _standard_counts(size, leads)
-    images = _image_counts([mmap.image(q_var(g)) for g in lattice])
+    images = _multichain_counts(unary_masks(lattice))
     failures = [
         f"degree {d}: {s} standard monomials, {i} image monomials"
         for d, s, i in zip((1, 2, 3), standard, images)
@@ -934,17 +941,13 @@ def _standard_counts(size: int, leads: set[tuple[int, int]]) -> tuple[int, int, 
     return size, size * (size + 1) // 2 - len(leads), triangles
 
 
-def _image_counts(images: Sequence[Monomial]) -> tuple[int, int, int]:
-    """Distinct images of the degree-1, 2 and 3 monomials in variables with
-    the given squarefree images.
+def _multichain_counts(masks: Sequence[int]) -> tuple[int, int, int]:
+    """Multichains h1 <= ... <= hd of length d = 1, 2, 3 among states given
+    by their `unary_masks`, where h <= g iff h's bits lie in g's.
 
-    With the images packed by `_pack_images`, the image of a product is the
-    sum of the ints. The degree-3 images whose largest variable is c are the
-    degree-2 images in the variables up to c, plus c's image."""
-    packed = _pack_images(images)
-    pairs: set[int] = set()
-    triples: set[int] = set()
-    for c, z in enumerate(packed):
-        pairs.update([y + z for y in packed[: c + 1]])
-        triples.update([y + z for y in pairs])
-    return len(set(packed)), len(pairs), len(triples)
+    With down(m) and up(m) the states below and above m, there are
+    sum down(m) of length 2, and sum down(m)*up(m) of length 3, counted by
+    their middle member m."""
+    down = [sum(not h & ~m for h in masks) for m in masks]
+    up = [sum(not m & ~h for h in masks) for m in masks]
+    return len(masks), sum(down), sum(d * u for d, u in zip(down, up))

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadVertexError, CyclicGraphError, DagSyntaxError
-from .poset import Poset, bit_positions
+from .poset import Poset
 
 # An integer of the file format: ASCII digits with an optional minus sign.
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -50,10 +50,6 @@ class Dag:
     def parents(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return self._parents[v - 1]
-
-    def children(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._children[v - 1]
 
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -101,32 +97,21 @@ def parse_dag(text: str) -> Dag:
 
 def topological_order(dag: Dag) -> list[int]:
     """Kahn-style peeling with a smallest-label-first tie-break."""
-    indegree = {v: 0 for v in range(1, dag.n + 1)}
-    children: dict[int, list[int]] = {v: [] for v in range(1, dag.n + 1)}
-    for u, v in dag.edges:
-        indegree[v] += 1
-        children[u].append(v)
-    heap = [v for v, d in indegree.items() if d == 0]
+    indegree = [len(parents) for parents in dag._parents]
+    heap = [v for v in range(1, dag.n + 1) if indegree[v - 1] == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for w in children[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
+        for w in dag._children[v - 1]:
+            indegree[w - 1] -= 1
+            if indegree[w - 1] == 0:
                 heapq.heappush(heap, w)
     if len(order) != dag.n:
-        stuck = sorted(v for v, d in indegree.items() if d > 0)
+        stuck = [v for v in range(1, dag.n + 1) if indegree[v - 1] > 0]
         raise CyclicGraphError(f"no topological order: cycle through vertices {stuck}")
     return order
-
-
-def ancestors(dag: Dag, v: int) -> frozenset[int]:
-    """All u with a directed path u -> ... -> v, excluding v itself."""
-    dag._check_vertex(v)
-    below = transitive_closure(dag).down[v - 1] ^ (1 << (v - 1))
-    return frozenset(j + 1 for j in bit_positions(below))
 
 
 def transitive_closure(dag: Dag) -> Poset:

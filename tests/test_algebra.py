@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -56,6 +57,7 @@ from maxlin.poset import (
     lattice_meet_join,
     order_preserving_maps,
     state_leq,
+    unary_masks,
 )
 from maxlin.report import Report
 
@@ -851,6 +853,15 @@ SILENT_DROPS = [
 ]
 
 
+def image_counts(mmap, variables):
+    """The distinct images of the degree-1, 2 and 3 monomials in the
+    variables, each monomial multiplied out with `mono_mul`."""
+    return [
+        len({reduce(mono_mul, map(mmap.image, m)) for m in combinations_with_replacement(variables, d)})
+        for d in (1, 2, 3)
+    ]
+
+
 class CountOracle:
     """Standard and image monomials of degrees 1-3 of a lattice's q-ring, by
     enumeration: every monomial is listed with its quadratic divisors, which
@@ -858,25 +869,17 @@ class CountOracle:
     as a monomial."""
 
     def __init__(self, lattice):
-        mmap = monomial_map(lattice)
         variables = [q_var(g) for g in lattice]
-        self.divisors = []  # per degree, the quadratic divisors of each monomial
-        self.images = []  # per degree, the number of distinct images
-        for d in (1, 2, 3):
-            monomials = list(combinations_with_replacement(variables, d))
-            self.divisors.append(
-                [
-                    {mono_mul(((a, 1),), ((b, 1),)) for a, b in combinations(m, 2)}
-                    for m in monomials
-                ]
-            )
-            images = set()
-            for m in monomials:
-                image = EMPTY_MONOMIAL
-                for v in m:
-                    image = mono_mul(image, mmap.image(v))
-                images.add(image)
-            self.images.append(len(images))
+        self.monomials = [list(combinations_with_replacement(variables, d)) for d in (1, 2, 3)]
+        self.images = image_counts(monomial_map(lattice), variables)  # per degree
+
+    @cached_property
+    def divisors(self):
+        """Per degree, the quadratic divisors of each monomial."""
+        return [
+            [{mono_mul(((a, 1),), ((b, 1),)) for a, b in combinations(m, 2)} for m in monomials]
+            for monomials in self.monomials
+        ]
 
     def counts(self, generators):
         """(standard, image) for d = 1, 2, 3."""
@@ -1003,6 +1006,50 @@ class TestHilbertCertificate:
     def test_guard(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
         generators = hibi_generators(lattice)
-        assert hilbert_check(lattice, generators, limit=11480).passed  # C(42, 3)
-        with pytest.raises(TooLargeError, match=r"C\(40 \+ 2, 3\) = 11480 .* guard is 11479"):
-            hilbert_check(lattice, generators, limit=11479)
+        assert hilbert_check(lattice, generators, limit=1600).passed  # 40**2
+        with pytest.raises(TooLargeError, match=r"40\*\*2 = 1600 state pairs .* guard is 1599"):
+            hilbert_check(lattice, generators, limit=1599)
+
+
+def detail_images(report):
+    """The image counts of a certificate's detail line, degrees 1-3."""
+    counts = report.detail.split("degrees 1-3: ")[1].split(";")[0]
+    return [int(pair.split("/")[1]) for pair in counts.split(", ")]
+
+
+class TestMultichainImages:
+    """The certificate counts images as the lattice's multichains; the
+    counts are checked against `CountOracle`'s multiplied-out images."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_figures(self, figure, k, fig2_dag, fig3_dag):
+        dag = {"fig2": fig2_dag, "fig3": fig3_dag}[figure]
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        report = hilbert_check(lattice, hibi_generators(lattice))
+        assert report.passed
+        assert detail_images(report) == CountOracle(lattice).images
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.sampled_from((2, 3)))
+    def test_random_dags(self, dag, k):
+        dag = dataclasses.replace(dag, k=k)
+        lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+        assume(len(lattice) <= 40)
+        report = hilbert_check(lattice, hibi_generators(lattice))
+        assert report.passed
+        assert detail_images(report) == CountOracle(lattice).images
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=4), st.sampled_from((2, 3)), st.data())
+    def test_any_states_have_as_many_images_as_multichains_or_more(self, dag, k, data):
+        """The bound that makes the certificate sound without a closure
+        check: on any set of states, closed under meet and join or not, the
+        images are at least the multichains."""
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        assume(len(lattice) <= 40)
+        masks = dict(zip(lattice.states, unary_masks(lattice)))
+        states = data.draw(st.lists(st.sampled_from(lattice.states), unique=True))
+        chains = algebra._multichain_counts([masks[g] for g in states])
+        images = image_counts(monomial_map(lattice), [q_var(g) for g in states])
+        assert all(c <= i for c, i in zip(chains, images))

@@ -333,6 +333,17 @@ class TestVerify:
             "125/125, 4395/4395, 75664/75664"
         )
 
+    def test_groebner_fig2_k6(self, capsys, fig_files):
+        """686 states and 132,498 generators pass under the default guard."""
+        code, out, _ = run_main(
+            capsys, ["verify", "groebner", "--dag", fig_files["fig2.dag"], "--k", "6"]
+        )
+        assert code == 0
+        assert json.loads(out)["detail"] == (
+            "132498 generators map to 0; standard/image monomials in degrees 1-3: "
+            "686/686, 103143/103143, 6306184/6306184"
+        )
+
     @pytest.mark.parametrize(
         "suite, variable, limit, message",
         [
@@ -345,8 +356,8 @@ class TestVerify:
             (
                 "groebner",
                 "MAXLIN_HILBERT_LIMIT",
-                "164",
-                "the degree-3 count needs C(9 + 2, 3) = 165 monomials but the guard is 164",
+                "80",
+                "the Hilbert counts need 9**2 = 81 state pairs but the guard is 80",
             ),
         ],
     )
