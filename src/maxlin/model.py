@@ -14,7 +14,7 @@ from itertools import accumulate, product
 from typing import Union
 
 from .algebra import Polynomial, parse_fraction, state_digits, theta_var
-from .dag import Dag, transitive_closure
+from .dag import Dag, topological_order, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
 from .poset import (
     Poset,
@@ -143,10 +143,6 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     """
     _check_table(dag, theta)
     _check_vector(g, dag.n, dag.k)
-    return _conditional(dag, theta, i, g)
-
-
-def _conditional(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     m = max((g[j - 1] for j in dag.parents(i)), default=0)
     if g[i - 1] < m:
         return Fraction(0)
@@ -155,27 +151,55 @@ def _conditional(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     return theta.weight(i, g[i - 1])
 
 
-def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:
-    """Product of the conditional probabilities over all vertices; 0 exactly
-    when g is not order-preserving for the reachability poset."""
-    _check_table(dag, theta)
-    _check_vector(g, dag.n, dag.k)
-    result: Value = Fraction(1)
-    for i in range(1, dag.n + 1):
-        factor = _conditional(dag, theta, i, g)
-        if factor == 0:
-            return Fraction(0)
-        result = result * factor
-    return result
+def _factored_walk(dag: Dag, theta: ParamTable) -> dict[State, Value]:
+    """The product of the conditionals over vertices at every vector where no
+    vertex sits below its parents' maximum: the lattice states, each once.
+
+    An odometer over the topological order: the vertex at each position
+    starts at its parents' maximum m (factor alpha_{v,m}) and rises to each
+    j > m (factor theta_{v,j}). products[t] is the product of the factors of
+    the first t positions, and only the products from the position that
+    turned on are formed again, so each node of the walk costs one product,
+    at most n per state. A vector with a zero conditional is never visited;
+    vectors the walk leaves out have probability 0.
+    """
+    order = [v - 1 for v in topological_order(dag)]
+    parents = [[u - 1 for u in dag.parents(v + 1)] for v in order]
+    n, top = dag.n, dag.k - 1
+    rows, cumulative = theta.rows, theta.cumulative
+    g = [0] * n
+    products: list[Value] = [Fraction(1)] * (n + 1)
+    out: dict[State, Value] = {}
+    turned = 0
+    while True:
+        for t in range(turned, n):
+            v = order[t]
+            m = max([g[u] for u in parents[t]], default=0)
+            g[v] = m
+            products[t + 1] = products[t] * cumulative[v][m]
+        out[tuple(g)] = products[n]
+        turned = n - 1
+        while turned >= 0 and g[order[turned]] == top:
+            turned -= 1
+        if turned < 0:
+            return out
+        v = order[turned]
+        g[v] += 1
+        products[turned + 1] = products[turned] * rows[v][g[v]]
+        turned += 1
 
 
 def full_distribution(
     dag: Dag, theta: ParamTable, lattice: StateLattice | None = None
 ) -> dict[State, Value]:
-    """The factored joint over every lattice state; values sum to 1."""
+    """The factored joint over every lattice state, in the lattice's order;
+    values sum to 1. `lattice`, when given, is the DAG's state lattice; a
+    vector of it that the walk does not reach gets 0."""
+    _check_table(dag, theta)
     if lattice is None:
         lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return {g: joint_factored(dag, theta, g) for g in lattice}
+    walk = _factored_walk(dag, theta)
+    return {g: walk.get(g, Fraction(0)) for g in lattice}
 
 
 def _ancestor_positions(dag: Dag) -> list[list[int]]:
@@ -195,13 +219,17 @@ def oracle_distribution(
     return out
 
 
-def _innovation_outcomes(dag: Dag, theta: ParamTable, limit: int):
+def _check_box(dag: Dag, limit: int) -> None:
     count = dag.k**dag.n
     if count > limit:
         raise TooLargeError(
             f"enumeration needs {dag.k}**{dag.n} = {count} innovation vectors"
             f" but the guard is {limit}"
         )
+
+
+def _innovation_outcomes(dag: Dag, theta: ParamTable, limit: int):
+    _check_box(dag, limit)
     anc = _ancestor_positions(dag)
     n, k, rows = dag.n, dag.k, theta.rows
     # The box in product order, as an odometer: weights[p + 1] is the product
@@ -312,7 +340,9 @@ def oracle_equivalence_check(
 ) -> Report:
     """Check the factored joint against the brute-force innovation oracle on
     the whole k**n box, and that the factored joint vanishes exactly off the
-    state lattice, for seeded random strictly positive tables."""
+    state lattice, for seeded random strictly positive tables. The box's
+    size is checked against `limit` before anything is enumerated."""
+    _check_box(dag, limit)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     rng = random.Random(seed)
     failures: list[str] = []
@@ -320,9 +350,10 @@ def oracle_equivalence_check(
     for trial in range(trials):
         theta = ParamTable.random(dag.n, dag.k, rng)
         by_oracle = oracle_distribution(dag, theta, limit=limit)
+        walk = _factored_walk(dag, theta)
         for g in product(range(dag.k), repeat=dag.n):
             checks += 1
-            factored = joint_factored(dag, theta, g)
+            factored = walk.get(g, Fraction(0))
             if factored != by_oracle.get(g, Fraction(0)):
                 failures.append(f"trial {trial}: state {state_digits(g)}")
             elif (factored == 0) != (g not in lattice):

@@ -4,6 +4,7 @@ and random generators for property-style tests."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from maxlin import data
 from maxlin.algebra import Polynomial, Variable, mono_degree, mono_from_dict
 from maxlin.dag import Dag, parse_dag, transitive_closure
-from maxlin.model import ParamTable
+from maxlin.model import ParamTable, Value, conditional_probability
 from maxlin.poset import Label, Poset, State
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
@@ -141,6 +142,16 @@ def x_ratios(theta: ParamTable) -> list[list[Fraction]]:
     return [
         [row[j - 1] / row[j] for j in range(len(row) - 1, 0, -1)] for row in theta.cumulative
     ]
+
+
+def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:
+    """The joint at one vector, as the product of the checked per-vertex
+    conditionals; 0 exactly when g is not order-preserving for the
+    reachability poset or a weight it uses is 0."""
+    return math.prod(
+        (conditional_probability(dag, theta, i, g) for i in range(1, dag.n + 1)),
+        start=Fraction(1),
+    )
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

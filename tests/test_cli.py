@@ -75,6 +75,16 @@ class TestEmissions:
         assert len(lines) == 1201
         assert lines[0] == "0" * 1200 and lines[-1] == "1" * 1200
 
+    def test_distribution_of_long_chain(self, capsys, tmp_path):
+        """The factored joint is one iterative walk: a 2,000-vertex chain
+        with k=1 prints its single state."""
+        dag = tmp_path / "chain2000.dag"
+        dag.write_text("2000 1\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 2000)))
+        theta = tmp_path / "theta2000.json"
+        theta.write_text(json.dumps({"theta": [["1"]] * 2000}), encoding="utf-8")
+        argv = ["distribution", "--dag", str(dag), "--theta", str(theta), "--format", "text"]
+        assert run_main(capsys, argv) == (0, "p" + "0" * 2000 + " = 1\n", "")
+
     def test_ideals(self, capsys, fig_files):
         code, out, _ = run_main(capsys, ["ideals", "--dag", fig_files["fig2.dag"]])
         assert code == 0
@@ -252,6 +262,135 @@ class TestPinnedOutput:
         assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_STDOUT[case]
 
 
+# The factored joint's commands on fig2 with k=3 and on a random DAG with
+# n=6, k=3 whose labels are not a topological order; each theta has a zero
+# weight and a point mass.
+JOINT_INPUTS = {
+    "fig2": (
+        None,
+        [["1/6", "1/3", "1/2"], ["2/5", "0", "3/5"], ["1/7", "2/7", "4/7"],
+         ["0", "0", "1"], ["3/10", "1/2", "1/5"]],
+        "q[01122] - p[00000] - p[01122]\n"
+        "p[12222]*q[22222] + p[10000]\n"
+        "2*q[01122]*p[01122] - 3*q[00000]\n",
+    ),
+    "random6": (
+        "6 3\n1 3\n1 6\n2 6\n4 5\n5 2\n5 3\n5 6\n",
+        [["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"], ["5/9", "1/9", "1/3"],
+         ["0", "1", "0"], ["2/7", "3/7", "2/7"], ["1/8", "3/8", "1/2"]],
+        "q[012112] - p[000000] - p[011111]\n"
+        "p[122122]*q[011111] + p[100000]\n"
+        "2*q[222222]*p[012112] - 3*q[012112]\n",
+    ),
+}
+
+
+def joint_argv(fig_files, directory, source: str, command: str) -> list[str]:
+    dag_text, rows, poly_text = JOINT_INPUTS[source]
+    if dag_text is None:
+        dag_args = ["--dag", fig_files["fig2.dag"], "--k", "3"]
+    else:
+        (directory / f"{source}.dag").write_text(dag_text, encoding="utf-8")
+        dag_args = ["--dag", str(directory / f"{source}.dag")]
+    theta = directory / f"{source}.json"
+    theta.write_text(json.dumps({"theta": rows}), encoding="utf-8")
+    poly = directory / f"{source}.poly"
+    poly.write_text(poly_text, encoding="utf-8")
+    if command.startswith("verify "):
+        return ["verify", command[7:], *dag_args, "--trials", "5", "--seed", "11"]
+    argv = [command, *dag_args, "--theta", str(theta)]
+    return argv + ["--poly", str(poly)] if command == "eval" else argv
+
+
+# (input, command, format) -> (bytes, sha-256) of stdout, taken from the
+# per-state products of the conditionals before the joint became one walk.
+PINNED_JOINT_STDOUT = {
+    ("fig2", "distribution", "json"): (
+        682, "5f24143438b4dc2624510604e30cfd9176b1f18272139728cf9f2f4ccff13d7f"
+    ),
+    ("fig2", "distribution", "text"): (
+        479, "52577bda73f955d6f1eba97228a317530a69f3f619ae232599f789978a7f1502"
+    ),
+    ("fig2", "zeta", "json"): (
+        690, "acfe6a8ea0c7d60a198f4160caf61a31e0a85fe6b60fb2c5d9c38bbbb6b7f48b"
+    ),
+    ("fig2", "zeta", "text"): (
+        487, "1838a4c7dc8340af228294a0916a7f91377ebd326a1ca5e98cad472b1f210055"
+    ),
+    ("fig2", "eval", "json"): (
+        243, "976d250d2fe29b6a387dfc9fd9e98ccda2f332f2aa3c4987c6ce98c3670e8920"
+    ),
+    ("fig2", "eval", "text"): (
+        111, "8a9f6c86a9f46b29ce0bcdfe8d6f1f0f45c6a70fc7fdf3f690751bbbbdcdd8c8"
+    ),
+    ("fig2", "verify oracle", "json"): (
+        132, "6940229688d67b47d897daa6935595c0abc71ea307ef4b1e47c3160ab637cf3f"
+    ),
+    ("fig2", "verify oracle", "text"): (
+        69, "9e6f509d62807134e4acdf9bc4215bbe407c268ae603939c6f59e9e0323fe90b"
+    ),
+    ("fig2", "verify eq5", "json"): (
+        131, "163228ba249eb8afcfaec02e4210d2278dd3885865e5f2124a49f613fd4b1fed"
+    ),
+    ("fig2", "verify eq5", "text"): (
+        68, "56c90868b98cb86513fadc694646373c589f7fadedf0c73aa728603aaddd9ca0"
+    ),
+    ("fig2", "verify theorem31", "json"): (
+        144, "af15e319ef7ef00d7baa2b6b3bf3ca59446cbf80a9aad66fa13600bb6238a3d6"
+    ),
+    ("fig2", "verify theorem31", "text"): (
+        81, "20d9894b060527f72b6504afebcb16b7700d36d35cde7feeb74e0d85ff7d4614"
+    ),
+    ("random6", "distribution", "json"): (
+        1218, "1e75eded184db0340cedc4911e150866ca20503de4191203cf86f7d7ead9e2da"
+    ),
+    ("random6", "distribution", "text"): (
+        875, "f7e790bbdae53a45c9b1745a5926592cff775e74cec136021b43d7ecf422cb13"
+    ),
+    ("random6", "zeta", "json"): (
+        1212, "a31f650b01fc176ed9270e6b9095e25a4843a91ec5b8fa548799984a7fc1675c"
+    ),
+    ("random6", "zeta", "text"): (
+        869, "560ac452991db01ef527b21fb0581bb22946a4c66a839071ffdff609e11d9b0c"
+    ),
+    ("random6", "eval", "json"): (
+        258, "b6dc0d6fbeeed7e50f80eb68c31d481d07579cdd3b3d43d9e78e5bdd3dfdfb23"
+    ),
+    ("random6", "eval", "text"): (
+        126, "8b55f585b5c4c360a9b5f212afbe85ca65f8a0aa74cb0d2100e792ca6e39114b"
+    ),
+    ("random6", "verify oracle", "json"): (
+        132, "024fb3672abfe9a9baee877d5dbe2f40392641c9af2fbf431dfd2263e32ff757"
+    ),
+    ("random6", "verify oracle", "text"): (
+        69, "0bf6d9dd431d941dfaa2e744715f1c46b85b096cf57602b06441c2a7ac7eaee2"
+    ),
+    ("random6", "verify eq5", "json"): (
+        131, "90d1098661256d5b98fc7d23a68ddbcba684460c984948d0efc011c401ff8eb9"
+    ),
+    ("random6", "verify eq5", "text"): (
+        68, "196f2c99ac113d43f09b9f568495d4d87548652a2db1efdb7b749edc027a24eb"
+    ),
+    ("random6", "verify theorem31", "json"): (
+        145, "aa262fa94c4f476c3e1e1031a137aed95df3ea3e970dbbfe81e473b752032c1b"
+    ),
+    ("random6", "verify theorem31", "text"): (
+        82, "08be2df2b938fda07fbad25c7dd5bdef42863cb20fca7bc72b2bcf3be62c5db1"
+    ),
+}
+
+
+class TestPinnedJointOutput:
+    @pytest.mark.parametrize("case", list(PINNED_JOINT_STDOUT), ids="-".join)
+    def test_stdout_digest(self, capsys, fig_files, tmp_path, case):
+        source, command, fmt = case
+        argv = joint_argv(fig_files, tmp_path, source, command)
+        code, out, err = run_main(capsys, [*argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_JOINT_STDOUT[case]
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "suite", ["vanishing", "theorem31", "oracle", "moebius", "eq5", "groebner"]
@@ -319,6 +458,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: MAXLIN_ORACLE_LIMIT must be an integer, got 'abc'\n"
 
+    def test_oracle_guard_trips_before_any_enumeration(self, capsys, tmp_path, monkeypatch):
+        # 2**30 innovation vectors: no lattice is built before the guard trips
+        import maxlin.model as model
+
+        def no_lattice(*args):
+            raise AssertionError("the state lattice was enumerated")
+
+        monkeypatch.setattr(model, "order_preserving_maps", no_lattice)
+        dag = tmp_path / "antichain30.dag"
+        dag.write_text("30 2\n", encoding="utf-8")
+        assert run_main(capsys, ["verify", "oracle", "--dag", str(dag)]) == (
+            2,
+            "",
+            "error: enumeration needs 2**30 = 1073741824 innovation vectors but the"
+            " guard is 10000000; MAXLIN_ORACLE_LIMIT sets the guard\n",
+        )
 
     def test_groebner_certificate_at_scale(self, capsys, fig_files):
         # 125 states and 3,480 generators: S-pair reduction took seconds here
@@ -379,6 +534,64 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert err == "error: MAXLIN_HILBERT_LIMIT must be an integer, got '1e7'\n"
+
+
+class TestBrokenWalk:
+    """A deliberately broken factored joint, or a broken right-hand side of
+    eq5, makes the suites that read it fail with failure lines."""
+
+    @staticmethod
+    def verify(capsys, fig_files, suite):
+        argv = ["verify", suite, "--dag", fig_files["fig2.dag"], "--k", "3", "--trials", "3"]
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["passed"] is False and report["failures"]
+        return report
+
+    def test_theta_at_the_parents_maximum(self, capsys, fig_files, monkeypatch):
+        import maxlin.model as model
+
+        walk = model._factored_walk
+
+        def theta_for_alpha(dag, theta):
+            broken = model.ParamTable(theta.rows)
+            object.__setattr__(broken, "cumulative", theta.rows)
+            return walk(dag, broken)
+
+        monkeypatch.setattr(model, "_factored_walk", theta_for_alpha)
+        for suite in ("oracle", "eq5"):
+            self.verify(capsys, fig_files, suite)
+
+    @pytest.mark.parametrize("suite", ["oracle", "eq5"])
+    def test_dropped_state(self, capsys, fig_files, monkeypatch, suite):
+        import maxlin.model as model
+
+        walk = model._factored_walk
+
+        def drop_one(dag, theta):
+            out = walk(dag, theta)
+            del out[(0, 1, 1, 2, 2)]
+            return out
+
+        monkeypatch.setattr(model, "_factored_walk", drop_one)
+        report = self.verify(capsys, fig_files, suite)
+        assert any("01122" in line for line in report["failures"])
+
+    def test_one_alpha_on_the_right_side_of_eq5(self, capsys, fig_files, monkeypatch):
+        import maxlin.transforms as transforms
+
+        products = transforms._level_products
+
+        def corrupt(rows, states):
+            rows = [list(row) for row in rows]
+            rows[3][1] += 1
+            return products(rows, states)
+
+        monkeypatch.setattr(transforms, "_level_products", corrupt)
+        report = self.verify(capsys, fig_files, "eq5")
+        # exactly the states at level 1 of vertex 4 fail
+        assert all(line.split()[-1][3] == "1" for line in report["failures"])
 
 
 class TestEval:

@@ -20,6 +20,7 @@ from maxlin.errors import (
 )
 from maxlin.model import (
     ParamTable,
+    _factored_walk,
     cbn_conditional,
     cbn_correspondence_check,
     cbn_distribution,
@@ -27,13 +28,12 @@ from maxlin.model import (
     conditional_probability,
     eliminate_simplex,
     full_distribution,
-    joint_factored,
     oracle_distribution,
     oracle_equivalence_check,
 )
 from maxlin.poset import ideal_lattice, order_preserving_maps
 
-from conftest import catalog_dags, dags
+from conftest import catalog_dags, dags, joint_factored
 
 
 def tv(i, j):
@@ -107,17 +107,6 @@ class TestConditionalProbability:
         with pytest.raises(ValueError):
             conditional_probability(fig2_dag, ParamTable.uniform(5, 3), 1, (0,) * 5)
 
-    def test_joint_checks_once_with_the_same_errors(self, fig2_dag):
-        # joint_factored validates the table and the vector itself, then
-        # applies the rule per vertex without checks
-        theta = ParamTable.uniform(5, 2)
-        with pytest.raises(BadStateError, match=r"\(0, 0, 0, 0, 2\)"):
-            joint_factored(fig2_dag, theta, (0, 0, 0, 0, 2))
-        with pytest.raises(BadStateError):
-            joint_factored(fig2_dag, theta, (0, 0, 0, 0))
-        with pytest.raises(ValueError, match="parameter table is 5x3"):
-            joint_factored(fig2_dag, ParamTable.uniform(5, 3), (0,) * 5)
-
 
 class TestFactoredJoint:
     def test_symbolic_fig2_matches_published_monomials(self, fig2_dag):
@@ -167,6 +156,77 @@ class TestFactoredJoint:
         theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
         dist = full_distribution(dag, theta)
         assert dist == {(0,): Fraction(1, 6), (1,): Fraction(1, 3), (2,): Fraction(1, 2)}
+
+
+def sparse_table(n: int, k: int, rng: random.Random) -> ParamTable:
+    """Rational rows with zero weights: each row is a point mass on a random
+    level or has random zeros among its weights."""
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.4:
+            row = [0] * k
+            row[rng.randrange(k)] = 1
+        else:
+            nums = [rng.choice((0, rng.randint(1, 9))) for _ in range(k)]
+            nums[rng.randrange(k)] += 1
+            row = [Fraction(a, sum(nums)) for a in nums]
+        rows.append(row)
+    return ParamTable.from_rows(rows)
+
+
+def tables(n: int, k: int, rng: random.Random) -> list[ParamTable]:
+    return [ParamTable.random(n, k, rng), sparse_table(n, k, rng), ParamTable.symbolic(n, k)]
+
+
+def assert_walk_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
+    """The walk's keys are the lattice states, its values the per-state
+    products of the checked conditionals, and every vector of the box that
+    it leaves out has product 0."""
+    walk = _factored_walk(dag, theta)
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    assert sorted(walk) == list(lattice.states)
+    for g in product(range(dag.k), repeat=dag.n):
+        expected = joint_factored(dag, theta, g)
+        if g in walk:
+            assert walk[g] == expected, g
+        else:
+            assert expected == 0, g
+
+
+class TestFactoredWalk:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_catalog(self, k):
+        rng = random.Random(100 + k)
+        for _, dag in catalog_dags(k):
+            for theta in tables(dag.n, k, rng):
+                assert_walk_is_the_factored_joint(dag, theta)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32))
+    def test_random_dags(self, dag, k, kind, seed):
+        dag = dataclasses.replace(dag, k=k)
+        theta = tables(dag.n, k, random.Random(seed))[kind]
+        assert_walk_is_the_factored_joint(dag, theta)
+
+    def test_products_per_walk_node(self, fig2_dag, monkeypatch):
+        # one product per node of the walk: at most n per state, and on fig2,
+        # whose labels are a topological order, one per distinct prefix
+        calls = []
+
+        class Counted(Fraction):
+            def __mul__(self, other):
+                calls.append(1)
+                return Counted(Fraction.__mul__(self, other))
+
+        theta = ParamTable.uniform(5, 2)
+        monkeypatch.setattr("maxlin.model.Fraction", Counted)
+        walk = _factored_walk(fig2_dag, theta)
+        prefixes = {g[:t] for g in walk for t in range(1, 6)}
+        assert len(calls) == len(prefixes) <= 5 * len(walk)
+
+    def test_long_chain_is_iterative(self):
+        dag = Dag(n=2000, k=1, edges=frozenset((i, i + 1) for i in range(1, 2000)))
+        assert _factored_walk(dag, ParamTable.uniform(2000, 1)) == {(0,) * 2000: 1}
 
 
 def reference_oracle(dag: Dag, theta: ParamTable) -> dict:

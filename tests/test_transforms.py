@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin.algebra import Polynomial, p_var, theta_var
 from maxlin.dag import Dag, transitive_closure
@@ -14,6 +15,7 @@ from maxlin.errors import SupportMismatchError
 from maxlin.model import ParamTable, eliminate_simplex, full_distribution
 from maxlin.poset import ideal_lattice, order_preserving_maps, state_leq
 from maxlin.transforms import (
+    _level_products,
     moebius_inverse,
     roundtrip_check,
     zeta_factorization_check,
@@ -141,6 +143,35 @@ class TestWalkAgainstQuadratic:
         rng = random.Random(repr(dag))
         for lattice in lattices_of(dag, ks=(1, 2, 3) if dag.n <= 5 else (1, 2)):
             check_walk_against_quadratic(lattice, rng)
+
+
+class TestLevelProducts:
+    """eq5's right-hand side, formed as prefix products along the states,
+    against one product per state."""
+
+    @staticmethod
+    def per_state(rows, states):
+        return [math.prod((row[v] for row, v in zip(rows, g)), start=Fraction(1)) for g in states]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_catalog(self, k):
+        rng = random.Random(200 + k)
+        for _, dag in catalog_dags(k):
+            states = order_preserving_maps(transitive_closure(dag), k).states
+            for theta in (ParamTable.random(dag.n, k, rng), ParamTable.symbolic(dag.n, k)):
+                rows = theta.cumulative
+                assert _level_products(rows, states) == self.per_state(rows, states)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2**32))
+    def test_any_order_of_any_vectors(self, dag, k, seed):
+        # correct on vectors in any order, repeats included; the order only
+        # decides how many products are shared
+        rng = random.Random(seed)
+        rows = ParamTable.random(dag.n, k, rng).rows
+        states = [tuple(rng.randrange(k) for _ in range(dag.n)) for _ in range(20)]
+        states += states[:3]
+        assert _level_products(rows, states) == self.per_state(rows, states)
 
 
 class TestMoebiusInverse:
