@@ -764,8 +764,10 @@ def _lead_split(
     index = {s: i for i, s in enumerate(states)}
     split = []
     for gen in generators:
-        left = tuple(sorted((index[gen.g], index[gen.h])))
-        right = tuple(sorted((index[gen.meet], index[gen.join])))
+        g, h = index[gen.g], index[gen.h]
+        left = (g, h) if g < h else (h, g)
+        # meet < join coordinate-wise, so also in lexicographic order
+        right = (index[gen.meet], index[gen.join])
         split.append((left, right) if left > right else (right, left))
     return split
 

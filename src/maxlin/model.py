@@ -13,14 +13,13 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Union
 
-from .algebra import Polynomial, parse_fraction, state_digits, theta_var
+from .algebra import EMPTY_MONOMIAL, Polynomial, parse_fraction, state_digits, theta_var
 from .dag import Dag, topological_order, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
 from .poset import (
     Poset,
     State,
     StateLattice,
-    bit_positions,
     ideal_lattice,
     is_order_ideal,
     order_preserving_maps,
@@ -151,9 +150,11 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     return theta.weight(i, g[i - 1])
 
 
-def _factored_walk(dag: Dag, theta: ParamTable) -> dict[State, Value]:
+def _factored_walk(dag: Dag, theta: ParamTable, unit=Fraction(1)) -> dict[State, Value]:
     """The product of the conditionals over vertices at every vector where no
     vertex sits below its parents' maximum: the lattice states, each once.
+    `unit` is the empty product, and the factors are multiplied onto it in
+    topological order.
 
     An odometer over the topological order: the vertex at each position
     starts at its parents' maximum m (factor alpha_{v,m}) and rises to each
@@ -168,7 +169,7 @@ def _factored_walk(dag: Dag, theta: ParamTable) -> dict[State, Value]:
     n, top = dag.n, dag.k - 1
     rows, cumulative = theta.rows, theta.cumulative
     g = [0] * n
-    products: list[Value] = [Fraction(1)] * (n + 1)
+    products: list[Value] = [unit] * (n + 1)
     out: dict[State, Value] = {}
     turned = 0
     while True:
@@ -190,21 +191,17 @@ def _factored_walk(dag: Dag, theta: ParamTable) -> dict[State, Value]:
 
 
 def full_distribution(
-    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None
+    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=Fraction(1)
 ) -> dict[State, Value]:
     """The factored joint over every lattice state, in the lattice's order;
     values sum to 1. `lattice`, when given, is the DAG's state lattice; a
-    vector of it that the walk does not reach gets 0."""
+    vector of it that the walk does not reach gets 0. `unit` is the empty
+    product the walk multiplies the conditionals onto, in topological order."""
     _check_table(dag, theta)
     if lattice is None:
         lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    walk = _factored_walk(dag, theta)
+    walk = _factored_walk(dag, theta, unit)
     return {g: walk.get(g, Fraction(0)) for g in lattice}
-
-
-def _ancestor_positions(dag: Dag) -> list[list[int]]:
-    """0-indexed positions of ancestors-with-self for each vertex."""
-    return [bit_positions(mask) for mask in transitive_closure(dag).down]
 
 
 def oracle_distribution(
@@ -229,21 +226,30 @@ def _check_box(dag: Dag, limit: int) -> None:
 
 
 def _innovation_outcomes(dag: Dag, theta: ParamTable, limit: int):
+    """Each innovation vector z of the box with its weight, as the outcome it
+    yields under the structural equations X_v = max(Z_v, max of X_u over the
+    parents u of v)."""
     _check_box(dag, limit)
-    anc = _ancestor_positions(dag)
-    n, k, rows = dag.n, dag.k, theta.rows
-    # The box in product order, as an odometer: weights[p + 1] is the product
-    # of the weights of z[0..p], and only the products from the position the
-    # odometer turned on are formed again, about k/(k-1) per vector.
+    order = [v - 1 for v in topological_order(dag)]
+    parents = [[u - 1 for u in dag.parents(v + 1)] for v in order]
+    n, top, rows = dag.n, dag.k - 1, theta.rows
+    # The box as an odometer over the topological order: z[t] is the
+    # innovation of the vertex at position t, weights[t + 1] the product of
+    # the weights of z[0..t]. The outcome x and the weights are solved again
+    # only from the position the odometer turned on, about k/(k-1) positions
+    # per vector, since each X_v reads parents at earlier positions only.
     z = [0] * n
+    x = [0] * n
     weights: list[Value] = [Fraction(1)] * (n + 1)
     turned = 0
     while True:
-        for p in range(turned, n):
-            weights[p + 1] = weights[p] * rows[p][z[p]]
-        yield tuple(max(z[p] for p in positions) for positions in anc), weights[n]
+        for t in range(turned, n):
+            v = order[t]
+            weights[t + 1] = weights[t] * rows[v][z[t]]
+            x[v] = max([z[t], *[x[u] for u in parents[t]]])
+        yield tuple(x), weights[n]
         turned = n - 1
-        while turned >= 0 and z[turned] == k - 1:
+        while turned >= 0 and z[turned] == top:
             z[turned] = 0
             turned -= 1
         if turned < 0:
@@ -369,13 +375,26 @@ def oracle_equivalence_check(
 def eliminate_simplex(value: Value, n: int, k: int) -> Value:
     """Canonical form modulo the row relations: substitute the top weight of
     every vertex by one minus the rest of its row. Identities that hold on
-    the simplex become exact polynomial identities after this."""
+    the simplex become exact polynomial identities after this.
+
+    A value of degree at most one, such as every entry of a symbolic table,
+    is reduced without products: each term c * theta[i,k-1] is cancelled by
+    adding c times the row relation 1 - sum_j theta[i,j], which is 0 on the
+    simplex."""
     if not isinstance(value, Polynomial):
         return value
+    tops = {theta_var(i, k - 1): i for i in range(1, n + 1)}
+    if value.total_degree() <= 1:
+        for mono, c in list(value.terms.items()):
+            i = tops.get(mono[0][0]) if mono else None
+            if i is not None:
+                relation = {((theta_var(i, j), 1),): -c for j in range(k)}
+                value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
+        return value
     mapping = {}
-    for i in range(1, n + 1):
+    for top, i in tops.items():
         rest = Polynomial.one()
         for j in range(k - 1):
             rest = rest - Polynomial.from_variable(theta_var(i, j))
-        mapping[theta_var(i, k - 1)] = rest
+        mapping[top] = rest
     return value.substitute(mapping)

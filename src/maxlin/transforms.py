@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import state_digits
-from .dag import Dag, transitive_closure
+from .algebra import Polynomial, state_digits
+from .dag import Dag, topological_order, transitive_closure
 from .errors import SupportMismatchError
 from .model import ParamTable, Value, eliminate_simplex, full_distribution
 from .poset import State, StateLattice, order_preserving_maps
@@ -67,15 +67,30 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
     lattice's lexicographic states (`_level_products`), so the two sides
     share no products.
 
-    Exact for rational tables; symbolic tables are compared modulo the row
-    relations (rows sum to 1). Reducing modulo them is a ring homomorphism,
+    Exact for rational tables. Symbolic tables are compared modulo the row
+    relations (rows sum to 1): reducing modulo them is a ring homomorphism,
     so reducing the table's entries once puts both sides in reduced form.
+    Their values are never multiplied out: each is held as its tuple of n
+    factors (`_Factors`), and the two sides are compared factor by factor.
     """
     reduced = [[eliminate_simplex(v, theta.n, theta.k) for v in row] for row in theta.rows]
     theta = ParamTable.from_rows(reduced)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    cumulative = zeta_transform(full_distribution(dag, theta, lattice), lattice)
-    products = _level_products(theta.cumulative, lattice.states)
+    if any(isinstance(v, Polynomial) for row in reduced for v in row):
+        unit: Value | _Factors = _Factors()
+        # the walk appends the factors in topological order; put them in
+        # vertex order, the order of the right side's factors
+        slot = {v: t for t, v in enumerate(topological_order(dag))}
+        slots = [slot[v] for v in range(1, dag.n + 1)]
+        joint = {
+            g: _Factors([f[t] for t in slots]) if isinstance(f, _Factors) else f
+            for g, f in full_distribution(dag, theta, lattice, unit).items()
+        }
+    else:
+        unit = Fraction(1)
+        joint = full_distribution(dag, theta, lattice)
+    cumulative = zeta_transform(joint, lattice)
+    products = _level_products(theta.cumulative, lattice.states, unit)
     failures = [
         f"state {state_digits(g)}"
         for g, expected in zip(lattice.states, products)
@@ -85,14 +100,55 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
     return Report("eq5", total=len(lattice), failures=failures, detail=detail)
 
 
-def _level_products(rows, states) -> list[Value]:
+class _Factors(tuple):
+    """A product held as the tuple of its factors and never multiplied out:
+    multiplying appends a factor.
+
+    Two products that differ in exactly one factor add exactly by adding
+    that factor, A*x + A*y = A*(x + y). That is every sum of the zeta walk
+    on the factored joint: it takes coordinates in decreasing column sum, a
+    reverse topological order, so when coordinate i is summed every child
+    of i already carries its cumulative weight, and the two summands differ
+    only in the factor of i. Any other sum, or one with a value that is not
+    a product of this shape (such as the 0 of a state the walk missed), is
+    `_UNFACTORED`, which compares unequal to every product."""
+
+    __slots__ = ()
+
+    def __mul__(self, factor: Value) -> "_Factors":
+        return _Factors((*self, factor))
+
+    def __add__(self, other):
+        if isinstance(other, _Factors) and len(other) == len(self):
+            differ = [t for t, (a, b) in enumerate(zip(self, other)) if a is not b and a != b]
+            if len(differ) == 1:
+                t = differ[0]
+                return _Factors((*self[:t], self[t] + other[t], *self[t + 1 :]))
+        return _UNFACTORED
+
+    __radd__ = __add__
+
+
+class _Unfactored:
+    """A sum that is not one product of factors; every sum with it is one."""
+
+    def __add__(self, other) -> "_Unfactored":
+        return self
+
+    __radd__ = __add__
+
+
+_UNFACTORED = _Unfactored()
+
+
+def _level_products(rows, states, unit: Value | _Factors = Fraction(1)) -> list:
     """The product over coordinates i of rows[i][g[i]] for each state g, in
-    order. A state shares its longest common prefix with the state before
-    it, and only the products past that prefix are formed again; on states
-    in lexicographic order that is one product per distinct prefix, at most
-    n per state."""
+    order, multiplied onto `unit`. A state shares its longest common prefix
+    with the state before it, and only the products past that prefix are
+    formed again; on states in lexicographic order that is one product per
+    distinct prefix, at most n per state."""
     n = len(rows)
-    products: list[Value] = [Fraction(1)] * (n + 1)
+    products: list = [unit] * (n + 1)
     previous: State = ()
     out = []
     for g in states:

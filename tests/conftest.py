@@ -1,6 +1,6 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
-brute-force enumerators, the general division algorithm, reference helpers,
-and random generators for property-style tests."""
+brute-force enumerators, the general division algorithm, the expanded eq5
+check, reference helpers, and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -13,10 +13,17 @@ import pytest
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.algebra import Polynomial, Variable, mono_degree, mono_from_dict
+from maxlin.algebra import Polynomial, Variable, mono_degree, mono_from_dict, state_digits
 from maxlin.dag import Dag, parse_dag, transitive_closure
-from maxlin.model import ParamTable, Value, conditional_probability
-from maxlin.poset import Label, Poset, State
+from maxlin.model import (
+    ParamTable,
+    Value,
+    conditional_probability,
+    eliminate_simplex,
+    full_distribution,
+)
+from maxlin.poset import Label, Poset, State, order_preserving_maps
+from maxlin.transforms import zeta_transform
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
 # including the two bundled figure graphs, chains, antichains, forks,
@@ -152,6 +159,24 @@ def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:
         (conditional_probability(dag, theta, i, g) for i in range(1, dag.n + 1)),
         start=Fraction(1),
     )
+
+
+def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
+    """eq5 with every value multiplied out: the zeta transform of the
+    expanded joint against one product of cumulative weights per state, on
+    the table reduced modulo the row relations. Exponential in n; the oracle
+    of the factor-tuple path on small DAGs."""
+    n, k = theta.n, theta.k
+    rows = [[eliminate_simplex(v, n, k) for v in row] for row in theta.rows]
+    reduced = ParamTable.from_rows(rows)
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    cumulative = zeta_transform(full_distribution(dag, reduced, lattice), lattice)
+    return [
+        f"state {state_digits(g)}"
+        for g in lattice
+        if cumulative[g]
+        != math.prod((row[v] for row, v in zip(reduced.cumulative, g)), start=Fraction(1))
+    ]
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

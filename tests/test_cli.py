@@ -554,10 +554,10 @@ class TestBrokenWalk:
 
         walk = model._factored_walk
 
-        def theta_for_alpha(dag, theta):
+        def theta_for_alpha(dag, theta, *unit):
             broken = model.ParamTable(theta.rows)
             object.__setattr__(broken, "cumulative", theta.rows)
-            return walk(dag, broken)
+            return walk(dag, broken, *unit)
 
         monkeypatch.setattr(model, "_factored_walk", theta_for_alpha)
         for suite in ("oracle", "eq5"):
@@ -569,8 +569,8 @@ class TestBrokenWalk:
 
         walk = model._factored_walk
 
-        def drop_one(dag, theta):
-            out = walk(dag, theta)
+        def drop_one(dag, theta, *unit):
+            out = walk(dag, theta, *unit)
             del out[(0, 1, 1, 2, 2)]
             return out
 
@@ -583,10 +583,10 @@ class TestBrokenWalk:
 
         products = transforms._level_products
 
-        def corrupt(rows, states):
+        def corrupt(rows, states, *unit):
             rows = [list(row) for row in rows]
             rows[3][1] += 1
-            return products(rows, states)
+            return products(rows, states, *unit)
 
         monkeypatch.setattr(transforms, "_level_products", corrupt)
         report = self.verify(capsys, fig_files, "eq5")

@@ -2,6 +2,7 @@
 and the two-state correspondence between them."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxlin import data
 from maxlin.algebra import Polynomial, theta_var
+from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
     BadStateError,
@@ -208,7 +211,7 @@ class TestFactoredWalk:
         theta = tables(dag.n, k, random.Random(seed))[kind]
         assert_walk_is_the_factored_joint(dag, theta)
 
-    def test_products_per_walk_node(self, fig2_dag, monkeypatch):
+    def test_products_per_walk_node(self, fig2_dag):
         # one product per node of the walk: at most n per state, and on fig2,
         # whose labels are a topological order, one per distinct prefix
         calls = []
@@ -219,8 +222,7 @@ class TestFactoredWalk:
                 return Counted(Fraction.__mul__(self, other))
 
         theta = ParamTable.uniform(5, 2)
-        monkeypatch.setattr("maxlin.model.Fraction", Counted)
-        walk = _factored_walk(fig2_dag, theta)
+        walk = _factored_walk(fig2_dag, theta, Counted(1))
         prefixes = {g[:t] for g in walk for t in range(1, 6)}
         assert len(calls) == len(prefixes) <= 5 * len(walk)
 
@@ -300,6 +302,28 @@ class TestOracle:
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)
         assert report.passed
         assert "5/5 trials, 9 states each, exact match" == report.detail
+
+    def test_oracle_dropping_a_parent_fails_through_the_cli(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # vertex 4 of fig2 has parents 1 and 2; an oracle that leaves 2 out
+        # of the maximum disagrees with the factored joint
+        import maxlin.model as model
+
+        outcomes = model._innovation_outcomes
+
+        def drop_parent(dag, theta, limit):
+            edges = dag.edges - {(2, 4)}
+            return outcomes(dataclasses.replace(dag, edges=edges), theta, limit)
+
+        monkeypatch.setattr(model, "_innovation_outcomes", drop_parent)
+        path = tmp_path / "fig2.dag"
+        path.write_text(data.read("fig2.dag"), encoding="utf-8")
+        code = main(["verify", "oracle", "--dag", str(path), "--k", "3", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        report = json.loads(captured.out)
+        assert report["passed"] is False and report["failures"]
 
 
 class TestAccumulationModel:

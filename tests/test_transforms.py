@@ -1,28 +1,39 @@
 """Cumulative coordinates, Moebius inversion, the cumulative weight rows,
 and the factorization that links them."""
 
+import dataclasses
+import inspect
+import json
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maxlin.algebra import Polynomial, p_var, theta_var
+import maxlin.model as model
+import maxlin.transforms as transforms
+from maxlin import data
+from maxlin.algebra import Polynomial, Variable, p_var, state_digits, theta_var
+from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import SupportMismatchError
 from maxlin.model import ParamTable, eliminate_simplex, full_distribution
 from maxlin.poset import ideal_lattice, order_preserving_maps, state_leq
 from maxlin.transforms import (
+    _UNFACTORED,
+    _Factors,
     _level_products,
+    eq5_check,
     moebius_inverse,
     roundtrip_check,
     zeta_factorization_check,
     zeta_transform,
 )
 
-from conftest import CATALOG, catalog_dags, dags, x_ratios
+from conftest import CATALOG, catalog_dags, dags, expanded_eq5_failures, x_ratios
 
 
 def tv(i, j):
@@ -314,3 +325,170 @@ class TestZetaFactorization:
                 for g in lattice:
                     image = Polynomial.from_term(mapping.image(q_var(g)), 1)
                     assert image.evaluate(assignment) == cumulative[g]
+
+
+class TestFactors:
+    """The factor tuples of symbolic eq5: products kept as their factors."""
+
+    def test_multiplying_appends(self):
+        assert _Factors() * tv(1, 0) * Fraction(1) == (tv(1, 0), Fraction(1))
+
+    def test_sum_adds_the_one_differing_factor(self):
+        left = _Factors((tv(1, 0), tv(2, 0)))
+        right = _Factors((tv(1, 0), tv(2, 1)))
+        assert left + right == (tv(1, 0), tv(2, 0) + tv(2, 1))
+
+    def test_other_sums_are_unfactored(self):
+        one = _Factors((tv(1, 0), tv(2, 0)))
+        for other in (
+            one,
+            _Factors((tv(1, 1), tv(2, 1))),
+            _Factors((tv(1, 0),)),
+            Fraction(0),
+            _UNFACTORED,
+        ):
+            assert one + other is _UNFACTORED
+            assert other + one is _UNFACTORED
+        assert _UNFACTORED + Fraction(0) is _UNFACTORED
+        assert _UNFACTORED != one and Fraction(0) != one
+
+
+def edited_symbolic_table(n: int, k: int, edit: str, v: int, j: int) -> ParamTable:
+    """The symbolic table with one entry edited: two entries of a row swapped
+    (still a table on the simplex), an entry replaced by a variable foreign
+    to the table, or an entry doubled (neither sums to 1 any more)."""
+    rows = [list(row) for row in ParamTable.symbolic(n, k).rows]
+    row = rows[v % n]
+    j %= k
+    if edit == "swap":
+        row[j], row[(j + 1) % k] = row[(j + 1) % k], row[j]
+    elif edit == "foreign":
+        row[j] = Polynomial.from_variable(Variable("alpha", (v % n + 1, j)))
+    elif edit == "double":
+        row[j] = row[j] + row[j]
+    return ParamTable.from_rows(rows)
+
+
+def verify_eq5(capsys, argv) -> dict:
+    code = main(["verify", "eq5", *argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert code == (0 if report["passed"] else 1)
+    return report
+
+
+class TestFactorPath:
+    """Symbolic eq5 on factor tuples against the expanded check, and walks
+    broken on purpose, which must fail in the symbolic branch itself."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_catalog_passes(self, k):
+        for _, dag in catalog_dags(k):
+            report = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, k))
+            assert report.passed and report.total == len(
+                order_preserving_maps(transitive_closure(dag), k)
+            )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dags(max_n=6),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from(["none", "swap", "foreign", "double"]),
+        st.integers(0, 5),
+        st.integers(0, 3),
+    )
+    def test_passes_exactly_when_the_expanded_check_does(self, dag, k, edit, v, j):
+        # the expanded check is exponential in n: 4**6 states is too many
+        assume(k**dag.n <= 1024)
+        dag = dataclasses.replace(dag, k=k)
+        theta = edited_symbolic_table(dag.n, k, edit, v, j)
+        report = zeta_factorization_check(dag, theta)
+        assert report.passed == (not expanded_eq5_failures(dag, theta))
+        assert report.passed == (edit in ("none", "swap"))
+
+    @pytest.fixture()
+    def fig2_path(self, tmp_path):
+        path = tmp_path / "fig2.dag"
+        path.write_text(data.read("fig2.dag"), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def symbolic_failures(capsys, fig2_path) -> list[str]:
+        # no random trials: every failure line comes from the symbolic branch
+        report = verify_eq5(capsys, ["--dag", fig2_path, "--k", "3", "--trials", "0"])
+        assert not report["passed"] and report["failures"]
+        assert all(line.startswith("symbolic: state ") for line in report["failures"])
+        return report["failures"]
+
+    def test_walk_in_increasing_column_sum(self, capsys, fig2_path, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(transforms._fibre_walk))
+        assert "key=lambda i: -sum(" in source
+        namespace = dict(vars(transforms))
+        exec(source.replace("key=lambda i: -sum(", "key=lambda i: sum("), namespace)
+        monkeypatch.setattr(transforms, "_fibre_walk", namespace["_fibre_walk"])
+        self.symbolic_failures(capsys, fig2_path)
+
+    def test_theta_at_the_parents_maximum(self, capsys, fig2_path, monkeypatch):
+        walk = model._factored_walk
+
+        def theta_for_alpha(dag, theta, *unit):
+            broken = ParamTable(theta.rows)
+            object.__setattr__(broken, "cumulative", theta.rows)
+            return walk(dag, broken, *unit)
+
+        monkeypatch.setattr(model, "_factored_walk", theta_for_alpha)
+        self.symbolic_failures(capsys, fig2_path)
+
+    def test_dropped_state(self, capsys, fig2_path, monkeypatch):
+        walk = model._factored_walk
+
+        def drop_one(dag, theta, *unit):
+            out = walk(dag, theta, *unit)
+            del out[(0, 1, 1, 2, 2)]
+            return out
+
+        monkeypatch.setattr(model, "_factored_walk", drop_one)
+        assert "symbolic: state 01122" in self.symbolic_failures(capsys, fig2_path)
+
+    def test_one_alpha_on_the_right_side(self, capsys, fig2_dag, fig2_path, monkeypatch):
+        products = transforms._level_products
+
+        def corrupt(rows, states, *unit):
+            rows = [list(row) for row in rows]
+            rows[3][1] += 1
+            return products(rows, states, *unit)
+
+        monkeypatch.setattr(transforms, "_level_products", corrupt)
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        # exactly the states at level 1 of vertex 4 fail
+        assert self.symbolic_failures(capsys, fig2_path) == [
+            f"symbolic: state {state_digits(g)}" for g in lattice if g[3] == 1
+        ]
+
+
+class TestNoExpansion:
+    """Symbolic eq5 multiplies no polynomials, so it runs in time
+    polynomial in n."""
+
+    def test_no_polynomial_products(self, fig2_dag, monkeypatch):
+        calls = []
+        multiply = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+        report = eq5_check(dataclasses.replace(fig2_dag, k=4), trials=0, seed=0)
+        assert report.passed and report.total == 125
+        assert calls == []
+
+    def test_forty_chain_through_the_cli(self, capsys, tmp_path):
+        path = tmp_path / "chain40.dag"
+        path.write_text("40 3\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 40)))
+        report = verify_eq5(capsys, ["--dag", str(path), "--trials", "1"])
+        # the 3-level maps of a 40-chain: C(42, 2) = 861 states
+        assert report["passed"] and report["total"] == 2 * 861
+        assert report["detail"] == "symbolic + 1 random tables, 861 states each"
