@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .errors import ParseError, TooLargeError, UnboundVariableError, UnmappedVariableError
+from .errors import ParseError, UnboundVariableError, UnmappedVariableError, check_size
 from .poset import (
     State,
     StateLattice,
@@ -538,15 +538,12 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 class MonomialOrder:
-    """The degree-reverse-lexicographic order over a fixed variable universe.
+    """The degree-reverse-lexicographic order.
 
     Variables rank by the package-wide variable order (family, then index),
     so q-variables rank by the lexicographic order of their states, which is
     a linear extension of the lattice order.
     """
-
-    def __init__(self, variables: Iterable[Variable]):
-        self.variables = tuple(sorted(set(variables)))
 
     @staticmethod
     def key(mono: Monomial) -> tuple:
@@ -672,17 +669,6 @@ def monomial_map(lattice: StateLattice) -> MonomialMap:
     return MonomialMap(images)
 
 
-def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
-    """Apply a monomial map to a polynomial in q-variables; non-q variables
-    pass through untouched.
-
-    Raises:
-        UnmappedVariableError: a q-variable is missing from the map.
-    """
-    q_vars = [v for v in poly.variables() if v.family == "q"]
-    return poly.substitute({v: Polynomial.from_term(mmap.image(v), 1) for v in q_vars})
-
-
 def verify_vanishing(generators: Sequence[BinomialGenerator], mmap: MonomialMap) -> Report:
     """Check that every generator maps to the zero polynomial: q_g*q_h and
     q_meet*q_join have the same monomial image.
@@ -747,7 +733,8 @@ IndexMonomial = tuple[int, ...]
 
 
 def default_lattice_order(generators: Sequence[BinomialGenerator]) -> MonomialOrder:
-    return MonomialOrder(map(q_var, _states_of(generators)))
+    """The order both Groebner checks use; it is the same for every set."""
+    return MonomialOrder()
 
 
 def _lead_split(
@@ -848,14 +835,8 @@ def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
 # ---------------------------------------------------------------------------
 # Hilbert-function certificate
 
-DEFAULT_HILBERT_LIMIT = 10**7
 
-
-def hilbert_check(
-    lattice: StateLattice,
-    generators: Sequence[BinomialGenerator],
-    limit: int = DEFAULT_HILBERT_LIMIT,
-) -> Report:
+def hilbert_check(lattice: StateLattice, generators: Sequence[BinomialGenerator]) -> Report:
     """Certify that the generators are a Groebner basis of the toric ideal
     I = ker(phi) of the lattice's monomial map phi, under the
     degree-reverse-lexicographic order over the lattice's linear extension,
@@ -890,14 +871,11 @@ def hilbert_check(
 
     Raises:
         TooLargeError: the |L|**2 state pairs that the standard count and
-            the multichain count each test exceed `limit`.
+            the multichain count each test exceed MAXLIN_HILBERT_LIMIT.
     """
     size = len(lattice)
-    if size * size > limit:
-        raise TooLargeError(
-            f"the Hilbert counts need {size}**2 = {size * size} state pairs"
-            f" but the guard is {limit}"
-        )
+    what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
+    check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
     vanishing = verify_vanishing(generators, monomial_map(lattice))
     leads = {lead for lead, _ in _lead_split(generators, lattice.states)}
     standard = _standard_counts(size, leads)

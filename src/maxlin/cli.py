@@ -10,15 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from .algebra import (
-    DEFAULT_HILBERT_LIMIT,
     Polynomial,
     evaluate_at_distribution,
     fraction_text,
@@ -30,9 +27,8 @@ from .algebra import (
     verify_vanishing,
 )
 from .dag import Dag, parse_dag, transitive_closure
-from .errors import MaxlinError, TooLargeError
+from .errors import MaxlinError
 from .model import (
-    DEFAULT_ORACLE_LIMIT,
     ParamTable,
     full_distribution,
     cbn_correspondence_check,
@@ -43,32 +39,17 @@ from .report import Report
 from .transforms import eq5_check, roundtrip_check, zeta_transform
 
 
-@dataclass
-class CommandConfig:
-    command: str
-    dag_path: str
-    theta_path: str | None = None
-    k: int | None = None
-    seed: int = 0
-    trials: int = 100
-    fmt: str = "json"
-    suite: str | None = None
-    poly_path: str | None = None
-    generators_of: str = "states"
-
-
-def _load_dag(config: CommandConfig) -> Dag:
-    text = Path(config.dag_path).read_text(encoding="utf-8")
-    dag = parse_dag(text)
-    if config.k is not None:
-        dag = dataclasses.replace(dag, k=config.k)
+def _load_dag(args: argparse.Namespace) -> Dag:
+    dag = parse_dag(Path(args.dag).read_text(encoding="utf-8"))
+    if args.k is not None:
+        dag = dataclasses.replace(dag, k=args.k)
     return dag
 
 
-def _load_theta(config: CommandConfig) -> ParamTable:
-    if config.theta_path is None:
-        raise MaxlinError(f"the {config.command} command needs --theta")
-    data = json.loads(Path(config.theta_path).read_text(encoding="utf-8"))
+def _load_theta(args: argparse.Namespace) -> ParamTable:
+    if args.theta is None:
+        raise MaxlinError(f"the {args.command} command needs --theta")
+    data = json.loads(Path(args.theta).read_text(encoding="utf-8"))
     return ParamTable.from_json_dict(data)
 
 
@@ -107,101 +88,72 @@ def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
     return {**dist, **zeros}
 
 
-# Size guards: environment variable -> default. A check takes its limit as
-# an argument and raises TooLargeError when the guard trips.
-_LIMITS = {
-    "MAXLIN_ORACLE_LIMIT": DEFAULT_ORACLE_LIMIT,
-    "MAXLIN_HILBERT_LIMIT": DEFAULT_HILBERT_LIMIT,
-}
-
-
-def _guarded(variable: str, check, *args, **kwargs) -> Report:
-    """Run a check under the limit that `variable` sets (its default when
-    unset), naming the variable if the guard trips."""
-    raw = os.environ.get(variable)
-    limit = _LIMITS[variable]
-    if raw:
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise MaxlinError(f"{variable} must be an integer, got {raw!r}") from None
-    try:
-        return check(*args, limit=limit, **kwargs)
-    except TooLargeError as exc:
-        raise TooLargeError(f"{exc}; {variable} sets the guard") from None
-
-
-def _vanishing_suite(dag: Dag, config: CommandConfig) -> Report:
+def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
     lattice = _state_lattice(dag)
     return verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
 
 
-def _groebner_suite(dag: Dag, config: CommandConfig) -> Report:
+def _groebner_suite(dag: Dag, args: argparse.Namespace) -> Report:
     lattice = _state_lattice(dag)
-    return _guarded("MAXLIN_HILBERT_LIMIT", hilbert_check, lattice, hibi_generators(lattice))
+    return hilbert_check(lattice, hibi_generators(lattice))
 
 
 # Suite name -> runner. The lambdas look the checks up when they run, so a
 # check replaced in this module's namespace is the one that runs.
 _SUITES = {
     "vanishing": _vanishing_suite,
-    "theorem31": lambda dag, c: cbn_correspondence_check(
-        dag, trials=c.trials, seed=c.seed
+    "theorem31": lambda dag, a: cbn_correspondence_check(dag, trials=a.trials, seed=a.seed),
+    "oracle": lambda dag, a: oracle_equivalence_check(dag, trials=a.trials, seed=a.seed),
+    "moebius": lambda dag, a: roundtrip_check(
+        _state_lattice(dag), trials=a.trials, seed=a.seed
     ),
-    "oracle": lambda dag, c: _guarded(
-        "MAXLIN_ORACLE_LIMIT", oracle_equivalence_check, dag, trials=c.trials, seed=c.seed
-    ),
-    "moebius": lambda dag, c: roundtrip_check(
-        _state_lattice(dag), trials=c.trials, seed=c.seed
-    ),
-    "eq5": lambda dag, c: eq5_check(dag, trials=c.trials, seed=c.seed),
+    "eq5": lambda dag, a: eq5_check(dag, trials=a.trials, seed=a.seed),
     "groebner": _groebner_suite,
 }
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def run(config: CommandConfig) -> int:
-    """Execute one command; prints the result and returns the exit status."""
-    dag = _load_dag(config)
-    if config.command == "lattice":
-        _emit_states(_state_lattice(dag).states, config.fmt)
+def run(args: argparse.Namespace) -> int:
+    """Execute one command, given the namespace the parser returns; prints
+    the result and returns the exit status."""
+    dag = _load_dag(args)
+    if args.command == "lattice":
+        _emit_states(_state_lattice(dag).states, args.format)
         return 0
-    if config.command == "ideals":
+    if args.command == "ideals":
         lattice = ideal_lattice(transitive_closure(dag))
-        _emit_states(lattice.states, config.fmt)
+        _emit_states(lattice.states, args.format)
         return 0
-    if config.command == "distribution":
-        theta = _load_theta(config)
+    if args.command == "distribution":
+        theta = _load_theta(args)
         dist = full_distribution(dag, theta)
-        _emit_value_map(dist, "p", config.fmt)
+        _emit_value_map(dist, "p", args.format)
         return 0
-    if config.command == "zeta":
-        theta = _load_theta(config)
+    if args.command == "zeta":
+        theta = _load_theta(args)
         lattice = _state_lattice(dag)
         dist = full_distribution(dag, theta, lattice)
-        _emit_value_map(zeta_transform(dist, lattice), "q", config.fmt)
+        _emit_value_map(zeta_transform(dist, lattice), "q", args.format)
         return 0
-    if config.command == "generators":
-        if config.generators_of == "ideals":
+    if args.command == "generators":
+        if args.of == "ideals":
             lattice = ideal_lattice(transitive_closure(dag))
         else:
             lattice = _state_lattice(dag)
         data = [g.to_json_dict() for g in hibi_generators(lattice)]
-        _emit(config.fmt, data, (g["polynomial"] for g in data))
+        _emit(args.format, data, (g["polynomial"] for g in data))
         return 0
-    if config.command == "verify":
-        report = _SUITES[config.suite](dag, config)
-        _emit(config.fmt, report.to_json_dict(), [report.to_text()])
+    if args.command == "verify":
+        report = _SUITES[args.suite](dag, args)
+        _emit(args.format, report.to_json_dict(), [report.to_text()])
         return 0 if report.passed else 1
-    if config.command == "eval":
-        theta = _load_theta(config)
+    if args.command == "eval":
+        theta = _load_theta(args)
         lattice = _state_lattice(dag)
         dist = full_distribution(dag, theta, lattice)
         cumulative = None  # the zeta coordinates, formed for the first q-variable
-        if config.poly_path is None:
-            raise MaxlinError("the eval command needs --poly")
         data = []
-        for raw in Path(config.poly_path).read_text(encoding="utf-8").splitlines():
+        for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -212,9 +164,9 @@ def run(config: CommandConfig) -> int:
                 poly, _with_off_lattice_zeros(poly, dist, dag), cumulative
             )
             data.append({"polynomial": line, "value": fraction_text(value)})
-        _emit(config.fmt, data, (f"{d['polynomial']} = {d['value']}" for d in data))
+        _emit(args.format, data, (f"{d['polynomial']} = {d['value']}" for d in data))
         return 0
-    raise MaxlinError(f"unknown command {config.command!r}")
+    raise MaxlinError(f"unknown command {args.command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,25 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    return CommandConfig(
-        command=args.command,
-        dag_path=args.dag,
-        theta_path=getattr(args, "theta", None),
-        k=args.k,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 100),
-        fmt=args.format,
-        suite=getattr(args, "suite", None),
-        poly_path=getattr(args, "poly", None),
-        generators_of=getattr(args, "of", "states"),
-    )
+# Built once: building the parser costs far more than a parse.
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(args)
     except (MaxlinError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

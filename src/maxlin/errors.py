@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size guards."""
+
+import os
 
 
 class MaxlinError(Exception):
@@ -47,3 +49,31 @@ class UnboundVariableError(MaxlinError):
 
 class TooLargeError(MaxlinError):
     """Exhaustive enumeration would exceed the configured guard."""
+
+
+# Size guards: environment variable -> default limit.
+_DEFAULT_LIMITS = {
+    "MAXLIN_ORACLE_LIMIT": 10**7,
+    "MAXLIN_HILBERT_LIMIT": 10**7,
+}
+
+
+def check_size(variable: str, needed: int, what: str) -> None:
+    """Check `needed` against the guard that the environment variable
+    `variable` sets, or its default when the variable is unset or empty.
+    `what` says what is needed, as in "... needs N things".
+
+    Raises:
+        MaxlinError: the variable is set to something other than an integer.
+        TooLargeError: `needed` exceeds the guard; the message names the
+            variable.
+    """
+    raw = os.environ.get(variable)
+    limit = _DEFAULT_LIMITS[variable]
+    if raw:
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise MaxlinError(f"{variable} must be an integer, got {raw!r}") from None
+    if needed > limit:
+        raise TooLargeError(f"{what} but the guard is {limit}; {variable} sets the guard")

@@ -15,7 +15,7 @@ from typing import Union
 
 from .algebra import EMPTY_MONOMIAL, Polynomial, parse_fraction, state_digits, theta_var
 from .dag import Dag, topological_order, transitive_closure
-from .errors import BadStateError, NotAnIdealError, ParseError, TooLargeError
+from .errors import BadStateError, NotAnIdealError, ParseError, check_size
 from .poset import (
     Poset,
     State,
@@ -27,8 +27,6 @@ from .poset import (
 from .report import Report
 
 Value = Union[Fraction, Polynomial]
-
-DEFAULT_ORACLE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,12 @@ class ParamTable:
         return cls(tuple(tuple(Fraction(1, k) for _ in range(k)) for _ in range(n)))
 
     @classmethod
-    def random(cls, n: int, k: int, rng: random.Random, max_numerator: int = 200) -> "ParamTable":
-        """Strictly positive rows: k uniform numerators normalized by their
-        sum, so reduced denominators stay at or below k * max_numerator."""
+    def random(cls, n: int, k: int, rng: random.Random) -> "ParamTable":
+        """Strictly positive rows: k uniform numerators in 1..200 normalized
+        by their sum, so reduced denominators stay at or below 200 * k."""
         rows = []
         for _ in range(n):
-            nums = [rng.randint(1, max_numerator) for _ in range(k)]
+            nums = [rng.randint(1, 200) for _ in range(k)]
             total = sum(nums)
             rows.append(tuple(Fraction(a, total) for a in nums))
         return cls(tuple(rows))
@@ -204,32 +202,27 @@ def full_distribution(
     return {g: walk.get(g, Fraction(0)) for g in lattice}
 
 
-def oracle_distribution(
-    dag: Dag, theta: ParamTable, limit: int = DEFAULT_ORACLE_LIMIT
-) -> dict[State, Value]:
+def oracle_distribution(dag: Dag, theta: ParamTable) -> dict[State, Value]:
     """All oracle probabilities from a single enumeration pass; states the
     model cannot reach are absent."""
     _check_table(dag, theta)
     out: dict[State, Value] = {}
-    for outcome, value in _innovation_outcomes(dag, theta, limit):
+    for outcome, value in _innovation_outcomes(dag, theta):
         out[outcome] = out.get(outcome, Fraction(0)) + value
     return out
 
 
-def _check_box(dag: Dag, limit: int) -> None:
+def _check_box(dag: Dag) -> None:
     count = dag.k**dag.n
-    if count > limit:
-        raise TooLargeError(
-            f"enumeration needs {dag.k}**{dag.n} = {count} innovation vectors"
-            f" but the guard is {limit}"
-        )
+    what = f"enumeration needs {dag.k}**{dag.n} = {count} innovation vectors"
+    check_size("MAXLIN_ORACLE_LIMIT", count, what)
 
 
-def _innovation_outcomes(dag: Dag, theta: ParamTable, limit: int):
+def _innovation_outcomes(dag: Dag, theta: ParamTable):
     """Each innovation vector z of the box with its weight, as the outcome it
     yields under the structural equations X_v = max(Z_v, max of X_u over the
     parents u of v)."""
-    _check_box(dag, limit)
+    _check_box(dag)
     order = [v - 1 for v in topological_order(dag)]
     parents = [[u - 1 for u in dag.parents(v + 1)] for v in order]
     n, top, rows = dag.n, dag.k - 1, theta.rows
@@ -304,7 +297,7 @@ def cbn_to_dmlbn_state(poset: Poset, g) -> State:
     return tuple(1 - v for v in g)
 
 
-def cbn_correspondence_check(dag: Dag, trials: int = 100, seed: int = 0) -> Report:
+def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     """Check that the accumulation model on the reachability poset equals the
     two-state max model after complementing states and swapping the two
     weights per vertex: symbolically, and on seeded random rational tables.
@@ -338,24 +331,20 @@ def cbn_correspondence_check(dag: Dag, trials: int = 100, seed: int = 0) -> Repo
     return Report("theorem31", total=total, failures=failures, detail=detail)
 
 
-def oracle_equivalence_check(
-    dag: Dag,
-    trials: int = 50,
-    seed: int = 0,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> Report:
+def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     """Check the factored joint against the brute-force innovation oracle on
     the whole k**n box, and that the factored joint vanishes exactly off the
     state lattice, for seeded random strictly positive tables. The box's
-    size is checked against `limit` before anything is enumerated."""
-    _check_box(dag, limit)
+    size is checked against MAXLIN_ORACLE_LIMIT before anything is
+    enumerated."""
+    _check_box(dag)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     rng = random.Random(seed)
     failures: list[str] = []
     checks = 0
     for trial in range(trials):
         theta = ParamTable.random(dag.n, dag.k, rng)
-        by_oracle = oracle_distribution(dag, theta, limit=limit)
+        by_oracle = oracle_distribution(dag, theta)
         walk = _factored_walk(dag, theta)
         for g in product(range(dag.k), repeat=dag.n):
             checks += 1

@@ -183,7 +183,7 @@ def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
     return Report("eq5", total=total, failures=failures, detail=detail)
 
 
-def roundtrip_check(lattice: StateLattice, trials: int = 100, seed: int = 0) -> Report:
+def roundtrip_check(lattice: StateLattice, trials: int, seed: int) -> Report:
     """Check zeta then Moebius and Moebius then zeta are identities on seeded
     random rational lattice functions (not restricted to probabilities)."""
     rng = random.Random(seed)

@@ -1,6 +1,6 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
 brute-force enumerators, the general division algorithm, the expanded eq5
-check, reference helpers, and random generators for property-style tests."""
+check, generic substitution through a monomial map, reference helpers, and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -13,7 +13,14 @@ import pytest
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.algebra import Polynomial, Variable, mono_degree, mono_from_dict, state_digits
+from maxlin.algebra import (
+    MonomialMap,
+    Polynomial,
+    Variable,
+    mono_degree,
+    mono_from_dict,
+    state_digits,
+)
 from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.model import (
     ParamTable,
@@ -177,6 +184,18 @@ def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
         if cumulative[g]
         != math.prod((row[v] for row, v in zip(reduced.cumulative, g)), start=Fraction(1))
     ]
+
+
+def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
+    """Apply a monomial map to a polynomial in q-variables by generic
+    polynomial substitution; non-q variables pass through untouched. The
+    reference for the packed-image comparison of `verify_vanishing`.
+
+    Raises:
+        UnmappedVariableError: a q-variable is missing from the map.
+    """
+    q_vars = [v for v in poly.variables() if v.family == "q"]
+    return poly.substitute({v: Polynomial.from_term(mmap.image(v), 1) for v in q_vars})
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

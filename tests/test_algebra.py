@@ -37,7 +37,6 @@ from maxlin.algebra import (
     parse_polynomial,
     q_var,
     state_digits,
-    substitute,
     t_var,
     theta_var,
     verify_vanishing,
@@ -45,6 +44,7 @@ from maxlin.algebra import (
 )
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
+    MaxlinError,
     ParseError,
     TooLargeError,
     UnboundVariableError,
@@ -74,6 +74,7 @@ from conftest import (
     random_dag,
     reduce_modulo,
     s_polynomial,
+    substitute,
 )
 
 
@@ -332,7 +333,7 @@ class TestMonomialOrder:
 
     def test_leading_term(self):
         a, b = q_var((0,)), q_var((1,))
-        order = MonomialOrder([a, b])
+        order = MonomialOrder()
         # equal degree: a*b carries less weight on the small variable than a^2
         poly = 3 * poly_of(a) * poly_of(b) - poly_of(a) ** 2
         mono, coeff = order.leading_term(poly)
@@ -1003,12 +1004,24 @@ class TestHilbertCertificate:
             assert report.detail == f"{count_detail(counts)}; {buchberger.detail}"
             assert report.total == buchberger.total
 
-    def test_guard(self, fig2_dag):
+    def test_guard(self, fig2_dag, monkeypatch):
+        """Called from the library, the check reads MAXLIN_HILBERT_LIMIT and
+        names it when the guard trips."""
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
         generators = hibi_generators(lattice)
-        assert hilbert_check(lattice, generators, limit=1600).passed  # 40**2
-        with pytest.raises(TooLargeError, match=r"40\*\*2 = 1600 state pairs .* guard is 1599"):
-            hilbert_check(lattice, generators, limit=1599)
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1600")  # 40**2
+        assert hilbert_check(lattice, generators).passed
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1599")
+        with pytest.raises(TooLargeError) as caught:
+            hilbert_check(lattice, generators)
+        assert str(caught.value) == (
+            "the Hilbert counts need 40**2 = 1600 state pairs but the guard is 1599;"
+            " MAXLIN_HILBERT_LIMIT sets the guard"
+        )
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "16e2")
+        with pytest.raises(MaxlinError) as caught:
+            hilbert_check(lattice, generators)
+        assert str(caught.value) == "MAXLIN_HILBERT_LIMIT must be an integer, got '16e2'"
 
 
 def detail_images(report):

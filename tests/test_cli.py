@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.cli import CommandConfig, main, run
+from maxlin.cli import build_parser, main, run
 from maxlin.report import Report
 
 
@@ -746,9 +746,24 @@ class TestErrorsAndDeterminism:
         assert (code1, out1) == (code2, out2)
 
     def test_run_with_config_object(self, fig_files, capsys):
-        config = CommandConfig(command="lattice", dag_path=fig_files["fig2.dag"], fmt="text")
-        assert run(config) == 0
+        """The namespace the parser returns is the configuration `run` takes."""
+        args = build_parser().parse_args(
+            ["lattice", "--dag", fig_files["fig2.dag"], "--format", "text"]
+        )
+        assert run(args) == 0
         assert capsys.readouterr().out.splitlines() == FIG2_STATES
+
+    def test_main_parses_with_the_parser_built_at_import(self, fig_files, capsys, monkeypatch):
+        import maxlin.cli as cli
+
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        argv = ["lattice", "--dag", fig_files["fig2.dag"], "--format", "text"]
+        for _ in range(2):
+            code, out, err = run_main(capsys, argv)
+            assert (code, out.splitlines(), err) == (0, FIG2_STATES, "")
 
 
 # The theta grammar: an integer, a/b or a plain decimal, in ASCII digits.

@@ -18,6 +18,7 @@ from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
     BadStateError,
     BadVertexError,
+    MaxlinError,
     NotAnIdealError,
     TooLargeError,
 )
@@ -274,10 +275,25 @@ class TestOracle:
         theta = ParamTable.uniform(5, 2)
         assert oracle_distribution(fig2_dag, theta).get((1, 0, 0, 0, 0), Fraction(0)) == 0
 
-    def test_enumeration_guard(self, fig2_dag):
+    def test_enumeration_guard(self, fig2_dag, monkeypatch):
+        """Called from the library, the oracle reads MAXLIN_ORACLE_LIMIT and
+        names it when the guard trips."""
         theta = ParamTable.uniform(5, 2)
-        with pytest.raises(TooLargeError):
-            oracle_distribution(fig2_dag, theta, limit=31)
+        monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "32")
+        assert sum(oracle_distribution(fig2_dag, theta).values()) == 1
+        monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "31")
+        with pytest.raises(TooLargeError) as caught:
+            oracle_distribution(fig2_dag, theta)
+        assert str(caught.value) == (
+            "enumeration needs 2**5 = 32 innovation vectors but the guard is 31;"
+            " MAXLIN_ORACLE_LIMIT sets the guard"
+        )
+        with pytest.raises(TooLargeError, match="MAXLIN_ORACLE_LIMIT"):
+            oracle_equivalence_check(fig2_dag, trials=1, seed=0)
+        monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "many")
+        with pytest.raises(MaxlinError) as caught:
+            oracle_distribution(fig2_dag, theta)
+        assert str(caught.value) == "MAXLIN_ORACLE_LIMIT must be an integer, got 'many'"
 
     def test_corrupted_cumulative_row_is_caught(self, fig2_dag):
         # the factored joint reads the table's cumulative rows and the oracle
@@ -312,9 +328,9 @@ class TestOracle:
 
         outcomes = model._innovation_outcomes
 
-        def drop_parent(dag, theta, limit):
+        def drop_parent(dag, theta):
             edges = dag.edges - {(2, 4)}
-            return outcomes(dataclasses.replace(dag, edges=edges), theta, limit)
+            return outcomes(dataclasses.replace(dag, edges=edges), theta)
 
         monkeypatch.setattr(model, "_innovation_outcomes", drop_parent)
         path = tmp_path / "fig2.dag"
