@@ -169,6 +169,17 @@ def run(args: argparse.Namespace) -> int:
     raise MaxlinError(f"unknown command {args.command!r}")
 
 
+def _trial_count(text: str) -> int:
+    """The --trials value: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxlin",
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=VERIFY_SUITES)
     common(verify)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--trials", type=_trial_count, default=100)
     ev = sub.add_parser("eval", help="evaluate polynomials in p-variables at the joint")
     common(ev, theta=True)
     ev.add_argument("--poly", required=True, help="file with one polynomial per line")

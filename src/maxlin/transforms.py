@@ -58,7 +58,9 @@ def _fibre_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Val
     return out
 
 
-def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
+def zeta_factorization_check(
+    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None
+) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
 
@@ -67,16 +69,20 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable) -> Report:
     lattice's lexicographic states (`_level_products`), so the two sides
     share no products.
 
+    `lattice`, when given, is the DAG's state lattice.
+
     Exact for rational tables. Symbolic tables are compared modulo the row
     relations (rows sum to 1): reducing modulo them is a ring homomorphism,
     so reducing the table's entries once puts both sides in reduced form.
     Their values are never multiplied out: each is held as its tuple of n
     factors (`_Factors`), and the two sides are compared factor by factor.
     """
-    reduced = [[eliminate_simplex(v, theta.n, theta.k) for v in row] for row in theta.rows]
-    theta = ParamTable.from_rows(reduced)
-    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    if any(isinstance(v, Polynomial) for row in reduced for v in row):
+    if lattice is None:
+        lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    if any(isinstance(v, Polynomial) for row in theta.rows for v in row):
+        theta = ParamTable.from_rows(
+            [[eliminate_simplex(v, theta.n, theta.k) for v in row] for row in theta.rows]
+        )
         unit: Value | _Factors = _Factors()
         # the walk appends the factors in topological order; put them in
         # vertex order, the order of the right side's factors
@@ -166,13 +172,14 @@ def _level_products(rows, states, unit: Value | _Factors = Fraction(1)) -> list:
 
 def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
     """The eq5 suite: zeta_factorization_check on the symbolic table and on
-    seeded random rational tables."""
-    symbolic = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, dag.k))
+    seeded random rational tables, all on one state lattice."""
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    symbolic = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, dag.k), lattice)
     failures = [f"symbolic: {f}" for f in symbolic.failures]
     total = symbolic.total
     rng = random.Random(seed)
     for trial in range(trials):
-        report = zeta_factorization_check(dag, ParamTable.random(dag.n, dag.k, rng))
+        report = zeta_factorization_check(dag, ParamTable.random(dag.n, dag.k, rng), lattice)
         total += report.total
         failures.extend(f"trial {trial}: {f}" for f in report.failures)
     detail = (

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.cli import build_parser, main, run
+from maxlin.cli import VERIFY_SUITES, build_parser, main, run
 from maxlin.report import Report
 
 
@@ -201,7 +201,11 @@ def relabelled_chain_text(n: int) -> str:
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
 # coordinate-wise min/max meets and joins, the per-entry str() rendering of
 # states and the prefix-by-prefix lattice enumeration; fig2 and chain30 run
-# with --k 3.
+# with --k 3. `verify oracle` runs 5 trials with seed 11 on fig2 and fig3 with
+# the given --k, taken from the oracle that summed Fraction weights vector by
+# vector and compared the two distributions on every vector of the box; a
+# "-limit" source sets MAXLIN_ORACLE_LIMIT to that value, just below and at
+# k**n, and the guard's exit leaves stdout empty.
 PINNED_STDOUT = {
     ("chain30", "ideals", "json"): (
         1119, "aaffa4f03b9b68d94740cbc099b0ac7daad3cc1cd0abd91d29145d8817b52204"
@@ -239,15 +243,65 @@ PINNED_STDOUT = {
     ("ladder20", "lattice", "text"): (
         1596, "8c2d051726635e4c65a2453a34af8201aa74dac1e7807f2df32a1ba6c1426b92"
     ),
+    ("fig2-k2", "verify oracle", "json"): (
+        130, "db7b102a4c9dd40787e17ebaf634aa435c3956a55c9dc1bcb4e0cdfd29e59c9e"
+    ),
+    ("fig2-k2", "verify oracle", "text"): (
+        67, "a8c14d926c1602ef873d94e40a91cb185a2f1c0a49b50ce601f8339bbefc12e9"
+    ),
+    ("fig2", "verify oracle", "json"): (
+        132, "6940229688d67b47d897daa6935595c0abc71ea307ef4b1e47c3160ab637cf3f"
+    ),
+    ("fig2", "verify oracle", "text"): (
+        69, "9e6f509d62807134e4acdf9bc4215bbe407c268ae603939c6f59e9e0323fe90b"
+    ),
+    ("fig2-k4", "verify oracle", "json"): (
+        133, "332c016c286d6bed8848cc8f859696ec2cae86ceed8ccf7e9b0abf1c117b52a8"
+    ),
+    ("fig2-k4", "verify oracle", "text"): (
+        70, "4e9d2e847002b30f0cc0835b716d9413ffce7b33520bc8ec17faf40c433fee6c"
+    ),
+    ("fig3-k2", "verify oracle", "json"): (
+        129, "b0891f364bad44c136a8bc6e9a7827a3d72173e3c5f84f26014a5418c674cb59"
+    ),
+    ("fig3-k2", "verify oracle", "text"): (
+        66, "662a8be36a91c9c4c4203418abf7990dd10f38a64444aceb1bf7aa34d64fda17"
+    ),
+    ("fig3-k3", "verify oracle", "json"): (
+        131, "6c22addba940361fa9bcdf407edbae55ec544076726f73e4274674e92a5df4fb"
+    ),
+    ("fig3-k3", "verify oracle", "text"): (
+        68, "7db2dffe28a6f742a3679a53ae36d854ab69995e2c06198a9ed715ab8d2cbe6c"
+    ),
+    ("fig2-limit242", "verify oracle", "json"): (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    ("fig2-limit242", "verify oracle", "text"): (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    ("fig2-limit243", "verify oracle", "json"): (
+        132, "6940229688d67b47d897daa6935595c0abc71ea307ef4b1e47c3160ab637cf3f"
+    ),
+    ("fig2-limit243", "verify oracle", "text"): (
+        69, "9e6f509d62807134e4acdf9bc4215bbe407c268ae603939c6f59e9e0323fe90b"
+    ),
 }
 
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("case", list(PINNED_STDOUT), ids="-".join)
-    def test_stdout_digest(self, capsys, fig_files, tmp_path, case):
+    def test_stdout_digest(self, capsys, fig_files, tmp_path, monkeypatch, case):
         source, command, fmt = case
-        if source == "fig2":
-            argv = ["--dag", fig_files["fig2.dag"], "--k", "3"]
+        source, _, option = source.partition("-")
+        status, k = 0, 3
+        if option.startswith("k"):
+            k = int(option[1:])
+        elif option.startswith("limit"):
+            # fig2 with k=3: 3**5 innovation vectors
+            monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", option[5:])
+            status = 0 if int(option[5:]) >= 3**5 else 2
+        if source in ("fig2", "fig3"):
+            argv = ["--dag", fig_files[f"{source}.dag"], "--k", str(k)]
         elif source == "chain30":
             dag = tmp_path / "chain30.dag"
             dag.write_text(relabelled_chain_text(30), encoding="utf-8")
@@ -256,8 +310,10 @@ class TestPinnedOutput:
             dag = tmp_path / "ladder20.dag"
             dag.write_text(ladder_dag_text(20), encoding="utf-8")
             argv = ["--dag", str(dag)]
-        code, out, err = run_main(capsys, [command, *argv, "--format", fmt])
-        assert (code, err) == (0, "")
+        if command.startswith("verify "):
+            argv += ["--trials", "5", "--seed", "11"]
+        code, out, err = run_main(capsys, [*command.split(), *argv, "--format", fmt])
+        assert (code, err.startswith("error: enumeration needs")) == (status, status == 2)
         data = out.encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_STDOUT[case]
 
@@ -526,6 +582,25 @@ class TestVerify:
         assert err == f"error: {message}; {variable} sets the guard\n"
         monkeypatch.setenv(variable, str(int(limit) + 1))
         assert run_main(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize("suite", VERIFY_SUITES)
+    def test_trials_below_zero_are_refused(self, capsys, fig_files, suite):
+        argv = ["verify", suite, "--dag", fig_files["fig2.dag"], "--trials"]
+        with pytest.raises(SystemExit) as caught:
+            main([*argv, "-1"])
+        captured = capsys.readouterr()
+        assert (caught.value.code, captured.out) == (2, "")
+        assert "argument --trials: must be at least 0, got -1" in captured.err
+        code, out, err = run_main(capsys, [*argv, "0"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+    def test_trials_not_an_integer_is_refused(self, capsys, fig_files):
+        with pytest.raises(SystemExit) as caught:
+            main(["verify", "oracle", "--dag", fig_files["fig2.dag"], "--trials", "2.5"])
+        captured = capsys.readouterr()
+        assert (caught.value.code, captured.out) == (2, "")
+        assert "argument --trials: invalid int value: '2.5'" in captured.err
 
     def test_hilbert_limit_env_not_an_integer(self, capsys, fig_files, monkeypatch):
         monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1e7")

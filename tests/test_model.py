@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxlin.model as model
 from maxlin import data
-from maxlin.algebra import Polynomial, theta_var
+from maxlin.algebra import Polynomial, state_digits, theta_var
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
@@ -35,7 +36,7 @@ from maxlin.model import (
     oracle_distribution,
     oracle_equivalence_check,
 )
-from maxlin.poset import ideal_lattice, order_preserving_maps
+from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
 from conftest import catalog_dags, dags, joint_factored
 
@@ -255,6 +256,39 @@ def reference_oracle(dag: Dag, theta: ParamTable) -> dict:
     return out
 
 
+def mixed_denominator_table(n: int, k: int, rng: random.Random) -> ParamTable:
+    """Rational rows whose entries have unlike denominators: k-1 weights
+    a/(q*k) with q in 1..12 and a in 0..q, and the rest of the row last."""
+    rows = []
+    for _ in range(n):
+        head = []
+        for _ in range(k - 1):
+            q = rng.randint(1, 12)
+            head.append(Fraction(rng.randint(0, q), q * k))
+        rows.append([*head, 1 - sum(head)])
+    return ParamTable.from_rows(rows)
+
+
+def box_failures(dag: Dag, trials: int, seed: int) -> list[str]:
+    """The oracle check's failure lines, found by walking the whole box in
+    every trial against `reference_oracle`; the factored walk and the state
+    lattice are looked up in the model module, so a patched one is used."""
+    lattice = model.order_preserving_maps(transitive_closure(dag), dag.k)
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        theta = ParamTable.random(dag.n, dag.k, rng)
+        by_oracle = reference_oracle(dag, theta)
+        walk = model._factored_walk(dag, theta)
+        for g in product(range(dag.k), repeat=dag.n):
+            factored = walk.get(g, Fraction(0))
+            if factored != by_oracle.get(g, Fraction(0)):
+                failures.append(f"trial {trial}: state {state_digits(g)}")
+            elif (factored == 0) != (g not in lattice):
+                failures.append(f"trial {trial}: support at {state_digits(g)}")
+    return failures
+
+
 class TestOracle:
     def test_single_vertex(self):
         dag = Dag(n=1, k=3)
@@ -313,6 +347,90 @@ class TestOracle:
         dag = dataclasses.replace(dag, k=k)
         theta = ParamTable.random(dag.n, k, random.Random(seed))
         assert oracle_distribution(dag, theta) == reference_oracle(dag, theta)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_kernel_on_zero_weights_and_unlike_denominators(self, k):
+        rng = random.Random(200 + k)
+        for name, dag in catalog_dags(k):
+            for make in (sparse_table, mixed_denominator_table):
+                theta = make(dag.n, k, rng)
+                by_oracle = oracle_distribution(dag, theta)
+                assert by_oracle == reference_oracle(dag, theta), name
+                assert all(type(v) is Fraction for v in by_oracle.values())
+
+    def test_symbolic_table_is_refused(self, fig2_dag):
+        with pytest.raises(ValueError) as caught:
+            oracle_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+        assert str(caught.value) == "the innovation oracle needs a rational parameter table"
+
+    def test_one_fraction_per_outcome(self, fig2_dag, monkeypatch):
+        # the box is summed on integer numerators: only the per-outcome sums
+        # become Fractions, never a vector's weight
+        dag = dataclasses.replace(fig2_dag, k=4)
+        theta = ParamTable.random(5, 4, random.Random(23))
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(
+                Fraction,
+                "_from_coprime_ints",
+                classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
+            )
+        by_oracle = oracle_distribution(dag, theta)
+        assert len(by_oracle) == 125
+        assert len(built) <= len(by_oracle) + dag.n * dag.k
+
+    @pytest.mark.parametrize("mutant", ["dropped", "perturbed", "zero_off_lattice"])
+    def test_mutant_walk_fails_with_the_box_loops_lines(self, fig2_dag, monkeypatch, mutant):
+        dag = dataclasses.replace(fig2_dag, k=3)
+        walk = model._factored_walk
+
+        def mutated(dag, theta, *unit):
+            out = walk(dag, theta, *unit)
+            if mutant == "dropped":
+                del out[(0, 1, 1, 2, 2)]
+            elif mutant == "perturbed":
+                out[(0, 0, 1, 1, 2)] += Fraction(1, 10**9)
+            else:
+                out[(2, 0, 0, 0, 0)] = Fraction(0)
+            return out
+
+        monkeypatch.setattr(model, "_factored_walk", mutated)
+        report = oracle_equivalence_check(dag, trials=3, seed=5)
+        expected = box_failures(dag, trials=3, seed=5)
+        assert report.failures == expected
+        assert report.total == 3 * 3**5
+        if mutant == "zero_off_lattice":
+            # the box's own zero off the lattice: the dicts differ, but the
+            # box loop finds nothing to name, as it did on every vector
+            assert expected == [] and report.detail == "3/3 trials, 40 states each, exact match"
+        else:
+            assert len(expected) == 3 and report.detail == ""
+
+    def test_lattice_missing_a_state_fails_with_support_lines(self, fig2_dag, monkeypatch):
+        # the walk and the oracle agree on a vector the lattice lacks
+        lattice_of = model.order_preserving_maps
+        missing = (0, 0, 1, 1, 1)
+
+        def without_one(poset, k):
+            lattice = lattice_of(poset, k)
+            return StateLattice(lattice.n, k, tuple(g for g in lattice if g != missing))
+
+        monkeypatch.setattr(model, "order_preserving_maps", without_one)
+        report = oracle_equivalence_check(fig2_dag, trials=2, seed=9)
+        expected = box_failures(fig2_dag, trials=2, seed=9)
+        assert report.failures == expected == [
+            "trial 0: support at 00111",
+            "trial 1: support at 00111",
+        ]
+        assert report.total == 2 * 2**5
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)

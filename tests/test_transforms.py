@@ -287,6 +287,33 @@ class TestZetaFactorization:
         report = zeta_factorization_check(fig2_dag, ParamTable.symbolic(5, 2))
         assert report.passed and report.total == 9
 
+    def test_eq5_builds_one_lattice_and_reduces_only_the_symbolic_table(
+        self, fig2_dag, monkeypatch
+    ):
+        lattices, reduced = [], []
+        build, eliminate = transforms.order_preserving_maps, transforms.eliminate_simplex
+
+        def counted_build(*args):
+            lattices.append(1)
+            return build(*args)
+
+        def counted_eliminate(*args):
+            reduced.append(1)
+            return eliminate(*args)
+
+        monkeypatch.setattr(transforms, "order_preserving_maps", counted_build)
+        monkeypatch.setattr(transforms, "eliminate_simplex", counted_eliminate)
+        report = eq5_check(dataclasses.replace(fig2_dag, k=3), trials=4, seed=2)
+        assert report.passed and report.total == 5 * 40
+        assert (len(lattices), len(reduced)) == (1, 5 * 3)
+
+    def test_given_lattice_is_the_one_checked(self, fig3_dag):
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        theta = ParamTable.random(3, 3, random.Random(4))
+        assert zeta_factorization_check(fig3_dag, theta, lattice) == (
+            zeta_factorization_check(fig3_dag, theta)
+        )
+
     def test_specific_identity_q012(self, fig3_dag):
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         dist = full_distribution(fig3_dag, ParamTable.symbolic(3, 3), lattice)
