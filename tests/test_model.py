@@ -269,16 +269,16 @@ def mixed_denominator_table(n: int, k: int, rng: random.Random) -> ParamTable:
     return ParamTable.from_rows(rows)
 
 
-def box_failures(dag: Dag, trials: int, seed: int) -> list[str]:
+def box_failures(dag: Dag, trials: int, seed: int, oracle=reference_oracle) -> list[str]:
     """The oracle check's failure lines, found by walking the whole box in
-    every trial against `reference_oracle`; the factored walk and the state
-    lattice are looked up in the model module, so a patched one is used."""
+    every trial against `oracle`; the factored walk and the state lattice
+    are looked up in the model module, so a patched one is used."""
     lattice = model.order_preserving_maps(transitive_closure(dag), dag.k)
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
         theta = ParamTable.random(dag.n, dag.k, rng)
-        by_oracle = reference_oracle(dag, theta)
+        by_oracle = oracle(dag, theta)
         walk = model._factored_walk(dag, theta)
         for g in product(range(dag.k), repeat=dag.n):
             factored = walk.get(g, Fraction(0))
@@ -408,8 +408,8 @@ class TestOracle:
         assert report.failures == expected
         assert report.total == 3 * 3**5
         if mutant == "zero_off_lattice":
-            # the box's own zero off the lattice: the dicts differ, but the
-            # box loop finds nothing to name, as it did on every vector
+            # the box's own zero off the lattice: the dicts differ, but no
+            # vector differs in value or support, as at the parent
             assert expected == [] and report.detail == "3/3 trials, 40 states each, exact match"
         else:
             assert len(expected) == 3 and report.detail == ""
@@ -431,6 +431,43 @@ class TestOracle:
             "trial 1: support at 00111",
         ]
         assert report.total == 2 * 2**5
+
+    def test_lattice_with_an_extra_state_fails_with_support_lines(self, fig2_dag, monkeypatch):
+        # a vector the lattice has but neither the walk nor the oracle reaches
+        lattice_of = model.order_preserving_maps
+        extra = (2, 0, 0, 0, 0)
+
+        def with_one_more(poset, k):
+            lattice = lattice_of(poset, k)
+            return StateLattice(lattice.n, k, (*lattice, extra))
+
+        dag = dataclasses.replace(fig2_dag, k=3)
+        monkeypatch.setattr(model, "order_preserving_maps", with_one_more)
+        report = oracle_equivalence_check(dag, trials=2, seed=9)
+        assert report.failures == box_failures(dag, trials=2, seed=9) == [
+            "trial 0: support at 20000",
+            "trial 1: support at 20000",
+        ]
+
+    def test_mutant_oracle_fails_with_the_box_loops_lines(self, fig2_dag, monkeypatch):
+        # leaving parent 2 out of vertex 4's maximum puts mass on vectors
+        # with g_4 < g_2, which neither the walk nor the lattice has
+        dag = dataclasses.replace(fig2_dag, k=3)
+        outcomes = model._innovation_outcomes
+
+        def without_edge(dag):
+            return dataclasses.replace(dag, edges=dag.edges - {(2, 4)})
+
+        monkeypatch.setattr(
+            model, "_innovation_outcomes", lambda dag, rows: outcomes(without_edge(dag), rows)
+        )
+        report = oracle_equivalence_check(dag, trials=2, seed=9)
+        expected = box_failures(
+            dag, trials=2, seed=9, oracle=lambda dag, theta: reference_oracle(without_edge(dag), theta)
+        )
+        assert report.failures == expected
+        assert "trial 0: state 01000" in expected
+        assert sum(line.startswith("trial 0:") for line in expected) > 1
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)
