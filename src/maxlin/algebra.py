@@ -147,7 +147,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def fraction_text(value: Scalar) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +836,7 @@ def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
 # Hilbert-function certificate
 
 
-def hilbert_check(lattice: StateLattice, generators: Sequence[BinomialGenerator]) -> Report:
+def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> Report:
     """Certify that the generators are a Groebner basis of the toric ideal
     I = ker(phi) of the lattice's monomial map phi, under the
     degree-reverse-lexicographic order over the lattice's linear extension,
@@ -871,11 +871,13 @@ def hilbert_check(lattice: StateLattice, generators: Sequence[BinomialGenerator]
 
     Raises:
         TooLargeError: the |L|**2 state pairs that the standard count and
-            the multichain count each test exceed MAXLIN_HILBERT_LIMIT.
+            the multichain count each test exceed MAXLIN_HILBERT_LIMIT; with
+            no `generators`, checked before the lattice's own are built.
     """
     size = len(lattice)
     what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
     check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
+    generators = hibi_generators(lattice) if generators is None else generators
     vanishing = verify_vanishing(generators, monomial_map(lattice))
     leads = {lead for lead, _ in _lead_split(generators, lattice.states)}
     standard = _standard_counts(size, leads)

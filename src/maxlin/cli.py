@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -32,6 +33,7 @@ from .model import (
     ParamTable,
     full_distribution,
     cbn_correspondence_check,
+    integer_view,
     oracle_equivalence_check,
 )
 from .poset import StateLattice, ideal_lattice, order_preserving_maps
@@ -55,6 +57,10 @@ def _load_theta(args: argparse.Namespace) -> ParamTable:
 
 def _state_lattice(dag: Dag) -> StateLattice:
     return order_preserving_maps(transitive_closure(dag), dag.k)
+
+
+def _over(numerators: dict, denominator: int) -> dict:
+    return {g: Fraction(v, denominator) for g, v in numerators.items()}
 
 
 def _emit(fmt: str, data, lines: Iterable[str]) -> None:
@@ -94,8 +100,7 @@ def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
 
 
 def _groebner_suite(dag: Dag, args: argparse.Namespace) -> Report:
-    lattice = _state_lattice(dag)
-    return hilbert_check(lattice, hibi_generators(lattice))
+    return hilbert_check(_state_lattice(dag))
 
 
 # Suite name -> runner. The lambdas look the checks up when they run, so a
@@ -125,15 +130,14 @@ def run(args: argparse.Namespace) -> int:
         _emit_states(lattice.states, args.format)
         return 0
     if args.command == "distribution":
-        theta = _load_theta(args)
-        dist = full_distribution(dag, theta)
-        _emit_value_map(dist, "p", args.format)
+        view, denominator = integer_view(_load_theta(args))
+        _emit_value_map(_over(full_distribution(dag, view, None, 1), denominator), "p", args.format)
         return 0
     if args.command == "zeta":
-        theta = _load_theta(args)
         lattice = _state_lattice(dag)
-        dist = full_distribution(dag, theta, lattice)
-        _emit_value_map(zeta_transform(dist, lattice), "q", args.format)
+        view, denominator = integer_view(_load_theta(args))
+        cumulative = zeta_transform(full_distribution(dag, view, lattice, 1), lattice)
+        _emit_value_map(_over(cumulative, denominator), "q", args.format)
         return 0
     if args.command == "generators":
         if args.of == "ideals":
@@ -148,9 +152,10 @@ def run(args: argparse.Namespace) -> int:
         _emit(args.format, report.to_json_dict(), [report.to_text()])
         return 0 if report.passed else 1
     if args.command == "eval":
-        theta = _load_theta(args)
         lattice = _state_lattice(dag)
-        dist = full_distribution(dag, theta, lattice)
+        view, denominator = integer_view(_load_theta(args))
+        numerators = full_distribution(dag, view, lattice, 1)
+        dist = _over(numerators, denominator)
         cumulative = None  # the zeta coordinates, formed for the first q-variable
         data = []
         for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
@@ -159,7 +164,7 @@ def run(args: argparse.Namespace) -> int:
                 continue
             poly = parse_polynomial(line)
             if cumulative is None and any(v.family == "q" for v in poly.variables()):
-                cumulative = zeta_transform(dist, lattice)
+                cumulative = _over(zeta_transform(numerators, lattice), denominator)
             value = evaluate_at_distribution(
                 poly, _with_off_lattice_zeros(poly, dist, dag), cumulative
             )

@@ -202,18 +202,34 @@ def full_distribution(
     if lattice is None:
         lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     walk = _factored_walk(dag, theta, unit)
-    return {g: walk.get(g, Fraction(0)) for g in lattice}
+    zero = Fraction(0)
+    return {g: walk.get(g, zero) for g in lattice}
+
+
+def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
+    """A rational table with row v and its cumulative row (as held) scaled by
+    d_v, the lcm of both rows' denominators, and D = prod(d_v): a product of
+    one entry per vertex is then an integer numerator over D."""
+    tables = (theta.rows, theta.cumulative)
+    scales = [lcm(*(v.denominator for v in (*r, *a))) for r, a in zip(*tables)]
+    rows, cumulative = (
+        tuple(tuple(v.numerator * (d // v.denominator) for v in r) for r, d in zip(t, scales))
+        for t in tables
+    )
+    view = ParamTable(rows)
+    object.__setattr__(view, "cumulative", cumulative)
+    return view, prod(scales)
 
 
 def oracle_distribution(dag: Dag, theta: ParamTable) -> dict[State, Fraction]:
     """All oracle probabilities from a single enumeration pass; states the
     model cannot reach are absent.
 
-    The arithmetic is on integers: row v of the table, scaled by the lcm d_v
-    of its denominators, becomes integer numerators, each innovation vector
-    weighs the product of its n numerators, and the weights are summed per
-    outcome. Each sum then becomes one Fraction over D = prod(d_v), exactly
-    the sum of the vectors' products of weights.
+    The arithmetic is on integers: on the table's `integer_view` each
+    innovation vector weighs the product of its n numerators, and the
+    weights are summed per outcome. Each sum then becomes one Fraction over
+    D, exactly the sum of the vectors' products of weights; D is 1 on an
+    integer table.
 
     Raises:
         ValueError: the table does not fit the DAG, or is not rational.
@@ -221,15 +237,10 @@ def oracle_distribution(dag: Dag, theta: ParamTable) -> dict[State, Fraction]:
     _check_table(dag, theta)
     if not all(isinstance(v, Rational) for row in theta.rows for v in row):
         raise ValueError("the innovation oracle needs a rational parameter table")
-    scales = [lcm(*(v.denominator for v in row)) for row in theta.rows]
-    rows = [
-        [v.numerator * (d // v.denominator) for v in row]
-        for row, d in zip(theta.rows, scales)
-    ]
+    view, denominator = integer_view(theta)
     sums: dict[State, int] = {}
-    for outcome, weight in _innovation_outcomes(dag, rows):
+    for outcome, weight in _innovation_outcomes(dag, view.rows):
         sums[outcome] = sums.get(outcome, 0) + weight
-    denominator = prod(scales)
     return {g: Fraction(total, denominator) for g, total in sums.items()}
 
 
@@ -362,10 +373,10 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     size is checked against MAXLIN_ORACLE_LIMIT before anything is
     enumerated.
 
-    Each trial compares the two dicts on the union of their keys and the
-    lattice's states, in the box's lexicographic order; every other vector
-    of the box is 0 on both sides and off the lattice, so it could name no
-    failure. Every trial counts k**n checks."""
+    Each trial compares two dicts of integer numerators over the `integer_view`'s D on
+    the union of their keys and the lattice's states, in lex order; every
+    other vector of the box is 0 on both sides and off the lattice, so it
+    could name no failure. Every trial counts k**n checks."""
     _check_box(dag)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     rng = random.Random(seed)
@@ -373,9 +384,9 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     checks = 0
     for trial in range(trials):
         checks += dag.k**dag.n
-        theta = ParamTable.random(dag.n, dag.k, rng)
-        by_oracle = oracle_distribution(dag, theta)
-        walk = _factored_walk(dag, theta)
+        view, _ = integer_view(ParamTable.random(dag.n, dag.k, rng))
+        by_oracle = oracle_distribution(dag, view)
+        walk = _factored_walk(dag, view, 1)
         for g in sorted(walk.keys() | by_oracle.keys() | set(lattice)):
             factored = walk.get(g, 0)
             if factored != by_oracle.get(g, 0):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterator
 
@@ -142,8 +143,8 @@ class StateLattice:
     it by one walk along a linear extension of the poset (`_monotone_vectors`),
     one OR per state on unary vectors, and one sort at the end.
 
-    The zeta and Moebius walks need the states to be all the monotone maps of
-    a poset, as `order_preserving_maps` and `ideal_lattice` build them: then
+    The walks on `covers` need the states to be all the monotone maps of a
+    poset, as `order_preserving_maps` and `ideal_lattice` build them: then
     every line g + t*e_i meets the states in an interval, and lowering g to a
     state h <= g in increasing order of column sums passes through states only.
     """
@@ -164,6 +165,17 @@ class StateLattice:
 
     def __contains__(self, g: object) -> bool:
         return g in self._members
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every index pair (g, g - e_i) of states, coordinates in decreasing
+        order of column sums, g in lex order; built once, on unary masks."""
+        states, masks, width = self.states, unary_masks(self), self.k - 1
+        coords = sorted(range(self.n), key=lambda i: -sum(g[i] for g in states))
+        index = {m: t for t, m in enumerate(masks)}.get
+        pairs = [(t, index(m ^ (1 << i * width + g[i] - 1))) for i in coords
+                 for t, (g, m) in enumerate(zip(states, masks)) if g[i]]
+        return tuple(pair for pair in pairs if pair[1] is not None)
 
     @property
     def bottom(self) -> State:

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .algebra import Polynomial, state_digits
 from .dag import Dag, topological_order, transitive_closure
 from .errors import SupportMismatchError
-from .model import ParamTable, Value, eliminate_simplex, full_distribution
+from .model import ParamTable, Value, eliminate_simplex, full_distribution, integer_view
 from .poset import State, StateLattice, order_preserving_maps
 from .report import Report
 
@@ -25,37 +26,34 @@ def zeta_transform(
     Raises:
         SupportMismatchError: the input mentions states outside the lattice.
     """
-    return _fibre_walk(values, lattice, inverse=False)
+    return _cover_walk(values, lattice, inverse=False)
 
 
 def moebius_inverse(
     values: Mapping[State, Value], lattice: StateLattice
 ) -> dict[State, Value]:
     """The unique inverse of zeta_transform: the same walk undone."""
-    return _fibre_walk(values, lattice, inverse=True)
+    return _cover_walk(values, lattice, inverse=True)
 
 
-def _fibre_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Value]:
-    """Prefix sums along the lattice's fibres, one coordinate i at a time:
-    out[g] += out[g - e_i] whenever g - e_i is a state, states in lex order,
-    coordinates in decreasing order of their column sums, so each h <= g is
-    summed into g along one path of states (see StateLattice). The inverse
-    takes differences, coordinates and states reversed. O(n * |L|)."""
+def _cover_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Value]:
+    """Prefix sums along the lattice's fibres: out[g] += out[g - e_i] for
+    each pair of `StateLattice.covers`, coordinates in decreasing order of
+    their column sums and states in lex order, so each h <= g is summed into
+    g along one path of states (see StateLattice). The inverse takes
+    differences over the table reversed. O(|covers|)."""
     for g in values:
         if g not in lattice:
             raise SupportMismatchError(f"state {g!r} is not in the lattice")
-    states = lattice.states
-    out = {g: values.get(g, Fraction(0)) for g in states}
-    coords = sorted(range(lattice.n), key=lambda i: -sum(g[i] for g in states))
+    zero = Fraction(0)
+    out = [values.get(g, zero) for g in lattice.states]
     if inverse:
-        coords.reverse()
-        states = states[::-1]
-    for i in coords:
-        for g in states:
-            below = g[:i] + (g[i] - 1,) + g[i + 1 :]
-            if below in out:
-                out[g] = out[g] - out[below] if inverse else out[g] + out[below]
-    return out
+        for g, below in reversed(lattice.covers):
+            out[g] = out[g] - out[below]
+    else:
+        for g, below in lattice.covers:
+            out[g] = out[g] + out[below]
+    return dict(zip(lattice.states, out))
 
 
 def zeta_factorization_check(
@@ -71,7 +69,8 @@ def zeta_factorization_check(
 
     `lattice`, when given, is the DAG's state lattice.
 
-    Exact for rational tables. Symbolic tables are compared modulo the row
+    Exact for rational tables, as integer numerators over the one D of the
+    table's `integer_view`. Symbolic tables are compared modulo the row
     relations (rows sum to 1): reducing modulo them is a ring homomorphism,
     so reducing the table's entries once puts both sides in reduced form.
     Their values are never multiplied out: each is held as its tuple of n
@@ -93,8 +92,9 @@ def zeta_factorization_check(
             for g, f in full_distribution(dag, theta, lattice, unit).items()
         }
     else:
-        unit = Fraction(1)
-        joint = full_distribution(dag, theta, lattice)
+        theta, _ = integer_view(theta)
+        unit = 1
+        joint = full_distribution(dag, theta, lattice, unit)
     cumulative = zeta_transform(joint, lattice)
     products = _level_products(theta.cumulative, lattice.states, unit)
     failures = [
@@ -192,13 +192,13 @@ def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
 
 def roundtrip_check(lattice: StateLattice, trials: int, seed: int) -> Report:
     """Check zeta then Moebius and Moebius then zeta are identities on seeded
-    random rational lattice functions (not restricted to probabilities)."""
+    random rational lattice functions, walked on integers over their lcm."""
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
-        values = {
-            g: Fraction(rng.randint(-1000, 1000), rng.randint(1, 60)) for g in lattice
-        }
+        draws = [(rng.randint(-1000, 1000), rng.randint(1, 60)) for _ in lattice]
+        scale = lcm(*(b for _, b in draws))
+        values = {g: a * (scale // b) for g, (a, b) in zip(lattice, draws)}
         if moebius_inverse(zeta_transform(values, lattice), lattice) != values:
             failures.append(f"trial {trial}: zeta then inverse")
         if zeta_transform(moebius_inverse(values, lattice), lattice) != values:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -324,7 +325,8 @@ class TestPinnedOutput:
 
 # The factored joint's commands on fig2 with k=3 and on a random DAG with
 # n=6, k=3 whose labels are not a topological order; each theta has a zero
-# weight and a point mass.
+# weight and a point mass. The 60-chain with k=3 (1,891 states) runs only
+# the verify suites.
 JOINT_INPUTS = {
     "fig2": (
         None,
@@ -341,6 +343,11 @@ JOINT_INPUTS = {
         "q[012112] - p[000000] - p[011111]\n"
         "p[122122]*q[011111] + p[100000]\n"
         "2*q[222222]*p[012112] - 3*q[012112]\n",
+    ),
+    "chain60": (
+        "60 3\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 60)),
+        [["1/3", "1/3", "1/3"]] * 60,
+        "",
     ),
 }
 
@@ -363,7 +370,10 @@ def joint_argv(fig_files, directory, source: str, command: str) -> list[str]:
 
 
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
-# per-state products of the conditionals before the joint became one walk.
+# per-state products of the conditionals before the joint became one walk;
+# the `verify moebius` pins and the 60-chain's were taken from the walks
+# that probed g - e_i at every state, before the cover table, and on
+# Fraction values throughout.
 PINNED_JOINT_STDOUT = {
     ("fig2", "distribution", "json"): (
         682, "5f24143438b4dc2624510604e30cfd9176b1f18272139728cf9f2f4ccff13d7f"
@@ -437,6 +447,30 @@ PINNED_JOINT_STDOUT = {
     ("random6", "verify theorem31", "text"): (
         82, "08be2df2b938fda07fbad25c7dd5bdef42863cb20fca7bc72b2bcf3be62c5db1"
     ),
+    ("fig2", "verify moebius", "json"): (
+        121, "766b9129bcdc073197a39d14c2dc013cb9becbb2fe04c6428bb4ec6ef549808e"
+    ),
+    ("fig2", "verify moebius", "text"): (
+        58, "23c383ced03353f8f7a94af8bc0234e62069a6e3959f4d8896e64aa4b3b3645d"
+    ),
+    ("random6", "verify moebius", "json"): (
+        121, "766b9129bcdc073197a39d14c2dc013cb9becbb2fe04c6428bb4ec6ef549808e"
+    ),
+    ("random6", "verify moebius", "text"): (
+        58, "23c383ced03353f8f7a94af8bc0234e62069a6e3959f4d8896e64aa4b3b3645d"
+    ),
+    ("chain60", "verify moebius", "json"): (
+        121, "766b9129bcdc073197a39d14c2dc013cb9becbb2fe04c6428bb4ec6ef549808e"
+    ),
+    ("chain60", "verify moebius", "text"): (
+        58, "23c383ced03353f8f7a94af8bc0234e62069a6e3959f4d8896e64aa4b3b3645d"
+    ),
+    ("chain60", "verify eq5", "json"): (
+        135, "2e477bbeb16bae510a1c55b7ae4f004b52d59f5bbc6910cb8a89343d3163584e"
+    ),
+    ("chain60", "verify eq5", "text"): (
+        72, "177531d3a2d26f7fe9bb166b53691916d2e47e7b6d6ff22dd46b96d7d2d72f8b"
+    ),
 }
 
 
@@ -449,6 +483,40 @@ class TestPinnedJointOutput:
         assert (code, err) == (0, "")
         data = out.encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_JOINT_STDOUT[case]
+
+
+class TestFractionsPerState:
+    """`distribution` and `zeta` walk the joint on integer numerators over
+    one denominator: they build one Fraction per printed state, besides the
+    O(n*k) ones of reading the table."""
+
+    @pytest.mark.parametrize("source", ["fig2", "random6", "chain60"])
+    @pytest.mark.parametrize("command", ["distribution", "zeta"])
+    def test_one_fraction_per_printed_state(
+        self, capsys, fig_files, tmp_path, monkeypatch, source, command
+    ):
+        argv = joint_argv(fig_files, tmp_path, source, command)
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(
+                Fraction,
+                "_from_coprime_ints",
+                classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
+            )
+        code = main([*argv, "--format", "text"])
+        monkeypatch.undo()
+        states = capsys.readouterr().out.splitlines()
+        n, k = (len(row) for row in (JOINT_INPUTS[source][1], JOINT_INPUTS[source][1][0]))
+        assert code == 0 and len(states) > n * k
+        assert len(built) <= len(states) + 4 * n * k, len(built)
 
 
 class TestVerify:
@@ -605,6 +673,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (caught.value.code, captured.out) == (2, "")
         assert "argument --trials: invalid int value: '2.5'" in captured.err
+
+    def test_hilbert_guard_trips_before_any_generator(self, capsys, fig_files, monkeypatch):
+        import maxlin.algebra as algebra
+        import maxlin.cli as cli
+
+        def no_generators(lattice):
+            raise AssertionError("generators built before the guard")
+
+        monkeypatch.setattr(cli, "hibi_generators", no_generators)
+        monkeypatch.setattr(algebra, "hibi_generators", no_generators)
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1")
+        code, out, err = run_main(capsys, ["verify", "groebner", "--dag", fig_files["fig2.dag"]])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the Hilbert counts need 9**2 = 81 state pairs but the guard is 1;"
+            " MAXLIN_HILBERT_LIMIT sets the guard\n"
+        )
 
     def test_hilbert_limit_env_not_an_integer(self, capsys, fig_files, monkeypatch):
         monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1e7")

@@ -33,6 +33,7 @@ from maxlin.model import (
     conditional_probability,
     eliminate_simplex,
     full_distribution,
+    integer_view,
     oracle_distribution,
     oracle_equivalence_check,
 )
@@ -267,6 +268,47 @@ def mixed_denominator_table(n: int, k: int, rng: random.Random) -> ParamTable:
             head.append(Fraction(rng.randint(0, q), q * k))
         rows.append([*head, 1 - sum(head)])
     return ParamTable.from_rows(rows)
+
+
+def assert_integer_joint_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
+    """The walk on the table's integer view, with unit 1, gives integer
+    numerators over the view's D: on every vector of the box they are the
+    product of the checked conditionals of the table itself."""
+    view, denominator = integer_view(theta)
+    numerators = full_distribution(dag, view, None, 1)
+    assert all(type(v) is int for v in numerators.values())
+    for g in product(range(dag.k), repeat=dag.n):
+        assert Fraction(numerators.get(g, 0), denominator) == joint_factored(dag, theta, g), g
+
+
+class TestIntegerView:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_catalog(self, k):
+        rng = random.Random(300 + k)
+        for name, dag in catalog_dags(k):
+            for make in (ParamTable.random, sparse_table, mixed_denominator_table):
+                assert_integer_joint_is_the_factored_joint(dag, make(dag.n, k, rng))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32))
+    def test_random_dags(self, dag, k, kind, seed):
+        dag = dataclasses.replace(dag, k=k)
+        make = (ParamTable.random, sparse_table, mixed_denominator_table)[kind]
+        assert_integer_joint_is_the_factored_joint(dag, make(dag.n, k, random.Random(seed)))
+
+    def test_scales_each_row_by_the_lcm_of_both_rows(self):
+        theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], [1, 0, 0]])
+        view, denominator = integer_view(theta)
+        assert view.rows == ((1, 2, 3), (1, 0, 0))
+        assert view.cumulative == ((1, 3, 6), (1, 1, 1))
+        assert denominator == 6
+        # a cumulative entry whose denominator the weights lack still scales
+        # to an integer: the view keeps the row as the table holds it
+        object.__setattr__(theta, "cumulative", ((Fraction(1, 7), Fraction(1, 2), 1), (1, 1, 1)))
+        view, denominator = integer_view(theta)
+        assert view.rows == ((7, 14, 21), (1, 0, 0))
+        assert view.cumulative == ((6, 21, 42), (1, 1, 1))
+        assert denominator == 42
 
 
 def box_failures(dag: Dag, trials: int, seed: int, oracle=reference_oracle) -> list[str]:

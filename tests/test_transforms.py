@@ -2,6 +2,7 @@
 and the factorization that links them."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maxlin.model as model
+import maxlin.poset as poset
 import maxlin.transforms as transforms
 from maxlin import data
 from maxlin.algebra import Polynomial, Variable, p_var, state_digits, theta_var
@@ -21,7 +23,7 @@ from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import SupportMismatchError
 from maxlin.model import ParamTable, eliminate_simplex, full_distribution
-from maxlin.poset import ideal_lattice, order_preserving_maps, state_leq
+from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps, state_leq
 from maxlin.transforms import (
     _UNFACTORED,
     _Factors,
@@ -154,6 +156,74 @@ class TestWalkAgainstQuadratic:
         rng = random.Random(repr(dag))
         for lattice in lattices_of(dag, ks=(1, 2, 3) if dag.n <= 5 else (1, 2)):
             check_walk_against_quadratic(lattice, rng)
+
+
+class TestCoverTable:
+    """The lattice's cover table, and the walks on it against the quadratic
+    references on random DAGs with k = 1..4, for integer, Fraction and
+    factor-tuple values."""
+
+    @staticmethod
+    def cover_pairs(lattice):
+        """Every pair of state indices (g, h) with h = g - e_i for some i,
+        found by comparing every pair of states."""
+        index = {g: t for t, g in enumerate(lattice.states)}
+        return {
+            (index[g], index[h])
+            for g in lattice
+            for h in lattice
+            if sum(g) == sum(h) + 1 and state_leq(h, g)
+        }
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2**32))
+    def test_walks_match_the_quadratic_references(self, dag, k, seed):
+        dag = dataclasses.replace(dag, k=k)
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        # the quadratic references are O(|L|**2) per call
+        assume(len(lattice) <= 150)
+        covers = lattice.covers
+        assert len(covers) == len(set(covers))
+        assert set(covers) == self.cover_pairs(lattice)
+        rng = random.Random(seed)
+        integers = {g: rng.randint(-50, 50) for g in lattice if rng.random() < 0.8}
+        fractions = {
+            g: Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            for g in lattice
+            if rng.random() < 0.8
+        }
+        for values in (integers, fractions):
+            assert zeta_transform(values, lattice) == quadratic_zeta(values, lattice)
+            assert moebius_inverse(values, lattice) == back_substitution_moebius(values, lattice)
+        # the factored joint held as factor tuples: every sum of the zeta walk
+        # adds two products that differ in one factor, so each state's value
+        # stays one product, and multiplied out it is the quadratic zeta.
+        # Level j weighs 2**j / (2**k - 1), so no weight equals the partial
+        # sum below it and the differing factor is never equal by chance.
+        theta = ParamTable.from_rows([[Fraction(2**j, 2**k - 1) for j in range(k)]] * dag.n)
+        factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors()), lattice)
+        assert all(isinstance(f, _Factors) for f in factored.values())
+        expected = quadratic_zeta(full_distribution(dag, theta, lattice), lattice)
+        assert {g: math.prod(f) for g, f in factored.items()} == expected
+
+    def test_built_once_and_only_by_the_walks(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        assert "covers" not in vars(lattice)
+        zeta_transform({}, lattice)
+        table = vars(lattice)["covers"]
+        moebius_inverse({}, lattice)
+        assert lattice.covers is table
+
+    @pytest.mark.parametrize("command", ["lattice", "ideals", "generators"])
+    def test_not_built_by_the_enumerating_commands(self, capsys, monkeypatch, tmp_path, command):
+        def no_table(lattice):
+            raise AssertionError("cover table built")
+
+        TestFactorPath.replace_cover_table(monkeypatch, no_table)
+        path = tmp_path / "fig2.dag"
+        path.write_text(data.read("fig2.dag"), encoding="utf-8")
+        assert main([command, "--dag", str(path), "--k", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestLevelProducts:
@@ -448,12 +518,30 @@ class TestFactorPath:
         assert all(line.startswith("symbolic: state ") for line in report["failures"])
         return report["failures"]
 
+    @staticmethod
+    def replace_cover_table(monkeypatch, table):
+        covers = functools.cached_property(table)
+        covers.__set_name__(StateLattice, "covers")
+        monkeypatch.setattr(StateLattice, "covers", covers)
+
     def test_walk_in_increasing_column_sum(self, capsys, fig2_path, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(transforms._fibre_walk))
+        source = textwrap.dedent(inspect.getsource(StateLattice.covers.func))
         assert "key=lambda i: -sum(" in source
-        namespace = dict(vars(transforms))
+        namespace = dict(vars(poset))
         exec(source.replace("key=lambda i: -sum(", "key=lambda i: sum("), namespace)
-        monkeypatch.setattr(transforms, "_fibre_walk", namespace["_fibre_walk"])
+        self.replace_cover_table(monkeypatch, namespace["covers"].func)
+        self.symbolic_failures(capsys, fig2_path)
+
+    @pytest.mark.parametrize("drop", [0, 7, -1])
+    def test_dropped_cover_pair(self, capsys, fig2_path, monkeypatch, drop):
+        table = StateLattice.covers.func
+
+        def drop_one(lattice):
+            pairs = list(table(lattice))
+            del pairs[drop]
+            return tuple(pairs)
+
+        self.replace_cover_table(monkeypatch, drop_one)
         self.symbolic_failures(capsys, fig2_path)
 
     def test_theta_at_the_parents_maximum(self, capsys, fig2_path, monkeypatch):
