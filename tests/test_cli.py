@@ -514,7 +514,8 @@ class TestFractionsPerState:
         code = main([*argv, "--format", "text"])
         monkeypatch.undo()
         states = capsys.readouterr().out.splitlines()
-        n, k = (len(row) for row in (JOINT_INPUTS[source][1], JOINT_INPUTS[source][1][0]))
+        rows = JOINT_INPUTS[source][1]
+        n, k = len(rows), len(rows[0])
         assert code == 0 and len(states) > n * k
         assert len(built) <= len(states) + 4 * n * k, len(built)
 

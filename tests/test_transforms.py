@@ -72,6 +72,13 @@ def back_substitution_moebius(values, lattice):
     return out
 
 
+def replace_cover_table(monkeypatch, table):
+    """Make `table(lattice)` the cover table of every StateLattice."""
+    covers = functools.cached_property(table)
+    covers.__set_name__(StateLattice, "covers")
+    monkeypatch.setattr(StateLattice, "covers", covers)
+
+
 def lattices_of(dag, ks):
     """The state lattices of the reachability poset and of its dual for each
     k in ks, and the ideal lattices of both."""
@@ -219,7 +226,7 @@ class TestCoverTable:
         def no_table(lattice):
             raise AssertionError("cover table built")
 
-        TestFactorPath.replace_cover_table(monkeypatch, no_table)
+        replace_cover_table(monkeypatch, no_table)
         path = tmp_path / "fig2.dag"
         path.write_text(data.read("fig2.dag"), encoding="utf-8")
         assert main([command, "--dag", str(path), "--k", "3"]) == 0
@@ -518,18 +525,12 @@ class TestFactorPath:
         assert all(line.startswith("symbolic: state ") for line in report["failures"])
         return report["failures"]
 
-    @staticmethod
-    def replace_cover_table(monkeypatch, table):
-        covers = functools.cached_property(table)
-        covers.__set_name__(StateLattice, "covers")
-        monkeypatch.setattr(StateLattice, "covers", covers)
-
     def test_walk_in_increasing_column_sum(self, capsys, fig2_path, monkeypatch):
         source = textwrap.dedent(inspect.getsource(StateLattice.covers.func))
         assert "key=lambda i: -sum(" in source
         namespace = dict(vars(poset))
         exec(source.replace("key=lambda i: -sum(", "key=lambda i: sum("), namespace)
-        self.replace_cover_table(monkeypatch, namespace["covers"].func)
+        replace_cover_table(monkeypatch, namespace["covers"].func)
         self.symbolic_failures(capsys, fig2_path)
 
     @pytest.mark.parametrize("drop", [0, 7, -1])
@@ -541,7 +542,7 @@ class TestFactorPath:
             del pairs[drop]
             return tuple(pairs)
 
-        self.replace_cover_table(monkeypatch, drop_one)
+        replace_cover_table(monkeypatch, drop_one)
         self.symbolic_failures(capsys, fig2_path)
 
     def test_theta_at_the_parents_maximum(self, capsys, fig2_path, monkeypatch):
