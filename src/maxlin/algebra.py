@@ -11,21 +11,15 @@ on variables is (family name, index tuple), compared lexicographically.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import attrgetter
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ParseError, UnboundVariableError, UnmappedVariableError, check_size
-from .poset import (
-    State,
-    StateLattice,
-    incomparable_pairs,
-    lattice_meet_join,
-    state_leq,
-    unary_masks,
-)
+from .poset import State, StateLattice, lattice_meet_join, state_leq, unary_masks
 from .report import Report
 
 Scalar = Union[int, Fraction]
@@ -588,28 +582,26 @@ class BinomialGenerator:
         meet, join = lattice_meet_join(g, h)
         return cls(g=g, h=h, meet=meet, join=join)
 
-    def monomials(self) -> tuple[Monomial, Monomial]:
-        """q_g*q_h and q_meet*q_join."""
-        return (
-            _quadratic(q_var(self.g), q_var(self.h)),
-            _quadratic(q_var(self.meet), q_var(self.join)),
-        )
-
     def polynomial(self) -> Polynomial:
-        left, right = self.monomials()
+        left = _quadratic(q_var(self.g), q_var(self.h))
+        right = _quadratic(q_var(self.meet), q_var(self.join))
         return Polynomial({left: 1, right: -1})
 
     def to_text(self) -> str:
-        return self.to_json_dict()["polynomial"]
+        return binomial_text(*map(state_digits, _STATES(self)))
 
     def to_json_dict(self) -> dict:
-        g, h, meet, join = map(state_digits, (self.g, self.h, self.meet, self.join))
-        return {
-            "pair": [g, h],
-            "meet": meet,
-            "join": join,
-            "polynomial": f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]",
-        }
+        g, h, meet, join = map(state_digits, _STATES(self))
+        polynomial = binomial_text(g, h, meet, join)
+        return {"pair": [g, h], "meet": meet, "join": join, "polynomial": polynomial}
+
+
+_STATES = attrgetter("g", "h", "meet", "join")
+
+
+def binomial_text(g: str, h: str, meet: str, join: str) -> str:
+    """q_g*q_h - q_meet*q_join, its four states given as digit strings."""
+    return f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]"
 
 
 def _quadratic(a: Variable, b: Variable) -> Monomial:
@@ -618,21 +610,49 @@ def _quadratic(a: Variable, b: Variable) -> Monomial:
     return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
-def hibi_generators(lattice: StateLattice) -> list[BinomialGenerator]:
-    """One binomial per incomparable pair, in the deterministic pair order;
-    empty for chains.
+class GeneratorArrays(namedtuple("GeneratorArrays", "states g h meet join")):
+    """A generator set as four parallel lists of indices into `states`:
+    generator t is q_g*q_h - q_meet*q_join with g = states[g[t]], and so on."""
 
-    Meet and join are read off the lattice's `unary_masks`: the state whose
-    mask is the AND, and the state whose mask is the OR, of the pair's
-    masks. So they are the lattice's own state tuples."""
+    @classmethod
+    def of(cls, generators, states: Sequence[State] = (), order=tuple) -> "GeneratorArrays":
+        """Arrays as they are; a list of `BinomialGenerator`s converted once, into
+        `states` and then each other state it names by first use, in `order`."""
+        if isinstance(generators, cls):
+            return generators
+        quads = list(map(_STATES, generators))
+        states = order(dict.fromkeys(chain(states, chain.from_iterable(quads))))
+        index = {s: i for i, s in enumerate(states)}
+        return cls(states, *([index[q[c]] for q in quads] for c in range(4)))
+
+    def text(self, t: int) -> str:
+        """Generator t as `BinomialGenerator.to_text` spells it."""
+        return binomial_text(*(state_digits(self.states[c[t]]) for c in self[1:]))
+
+
+def generator_arrays(lattice: StateLattice) -> GeneratorArrays:
+    """One binomial per incomparable pair (g, h), g before h in the
+    lattice's lexicographic state order, a linear extension: so (g, h) is
+    incomparable iff g's `unary_masks` mask has a bit outside h's. The meet
+    and join are the states with the AND and the OR of the pair's masks."""
     masks = unary_masks(lattice)
-    mask_of = dict(zip(lattice.states, masks))
-    state_of = dict(zip(masks, lattice.states))
-    generators = []
-    for g, h in incomparable_pairs(lattice):
-        a, b = mask_of[g], mask_of[h]
-        generators.append(BinomialGenerator(g, h, state_of[a & b], state_of[a | b]))
-    return generators
+    index = {m: i for i, m in enumerate(masks)}
+    g, h, meet, join = [], [], [], []
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks[i + 1 :], i + 1):
+            if a & ~b:
+                g.append(i)
+                h.append(j)
+                meet.append(index[a & b])
+                join.append(index[a | b])
+    return GeneratorArrays(lattice.states, g, h, meet, join)
+
+
+def hibi_generators(lattice: StateLattice) -> list[BinomialGenerator]:
+    """The `generator_arrays` of the lattice as objects, in the same order;
+    empty for chains."""
+    s, *columns = generator_arrays(lattice)
+    return [BinomialGenerator(s[g], s[h], s[m], s[j]) for g, h, m, j in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,33 +689,25 @@ def monomial_map(lattice: StateLattice) -> MonomialMap:
     return MonomialMap(images)
 
 
-def verify_vanishing(generators: Sequence[BinomialGenerator], mmap: MonomialMap) -> Report:
+def verify_vanishing(generators: Sequence, mmap: MonomialMap) -> Report:
     """Check that every generator maps to the zero polynomial: q_g*q_h and
     q_meet*q_join have the same monomial image.
 
-    Each distinct state's image is packed into an int once (`_pack_images`),
-    so a generator maps to 0 iff the two sums of packed images agree. Only a
+    Each state's image is packed into an int once (`_pack_images`), so a
+    generator maps to 0 iff the two sums of packed images agree. Only a
     failing generator has its images multiplied out, to print its image."""
-    states = _states_of(generators)
-    images = {s: mmap.image(q_var(s)) for s in states}
-    packed = dict(zip(states, _pack_images(list(images.values()))))
+    arrays = GeneratorArrays.of(generators)
+    images = [mmap.image(q_var(s)) for s in arrays.states]
+    packed = _pack_images(images)
     failures = []
-    for gen in generators:
-        if packed[gen.g] + packed[gen.h] != packed[gen.meet] + packed[gen.join]:
-            left = mono_mul(images[gen.g], images[gen.h])
-            right = mono_mul(images[gen.meet], images[gen.join])
+    for t, (g, h, meet, join) in enumerate(zip(*arrays[1:])):
+        if packed[g] + packed[h] != packed[meet] + packed[join]:
+            left = mono_mul(images[g], images[h])
+            right = mono_mul(images[meet], images[join])
             image = Polynomial({left: 1, right: -1})
-            failures.append(f"{gen.to_text()} maps to {image.to_text()}")
-    detail = f"{len(generators)} generators map to 0" if not failures else ""
-    return Report("vanishing", total=len(generators), failures=failures, detail=detail)
-
-
-_STATES = attrgetter("g", "h", "meet", "join")
-
-
-def _states_of(generators: Sequence[BinomialGenerator]) -> list[State]:
-    """The states the generators name, each once, in order of first use."""
-    return list(dict.fromkeys(chain.from_iterable(map(_STATES, generators))))
+            failures.append(f"{arrays.text(t)} maps to {image.to_text()}")
+    detail = f"{len(arrays.g)} generators map to 0" if not failures else ""
+    return Report("vanishing", total=len(arrays.g), failures=failures, detail=detail)
 
 
 def _pack_images(images: Sequence[Monomial]) -> list[int]:
@@ -719,11 +731,11 @@ def evaluate_at_distribution(
     cumulative: Mapping[State, Scalar] | None = None,
 ) -> Fraction:
     """Evaluate a polynomial in p-variables at a distribution, exactly; its
-    q-variables take the values of `cumulative`, when given."""
-    assignment = {p_var(g): Fraction(v) for g, v in probs.items()}
-    if cumulative is not None:
-        assignment.update((q_var(g), Fraction(v)) for g, v in cumulative.items())
-    return poly.evaluate(assignment)
+    q-variables take the values of `cumulative`, when given. Only the
+    variables the polynomial names are bound."""
+    values = {"p": probs, "q": cumulative or {}}
+    named = [v for v in poly.variables() if v.index in values.get(v.family, ())]
+    return poly.evaluate({v: values[v.family][v.index] for v in named})
 
 
 # ---------------------------------------------------------------------------
@@ -737,26 +749,20 @@ def default_lattice_order(generators: Sequence[BinomialGenerator]) -> MonomialOr
     return MonomialOrder()
 
 
-def _lead_split(
-    generators: Sequence[BinomialGenerator], states: Sequence[State]
-) -> list[tuple[IndexMonomial, IndexMonomial]]:
+def _lead_split(arrays: GeneratorArrays) -> Iterator[tuple[IndexMonomial, IndexMonomial]]:
     """Each generator as (lead, tail), two sorted pairs of indices into
-    `states`, which must be in lexicographic order; both Groebner checks
-    read their leads from here.
+    `arrays.states`, which must be in lexicographic order; both Groebner
+    checks read their leads from here.
 
     q-variables rank as their states do, so a product of them is the sorted
     tuple of its variables' indices, each repeated by its exponent, and
     degrevlex compares such tuples as `MonomialOrder.key` does: by length,
     then lexicographically. A quadratic binomial's lead is its larger pair."""
-    index = {s: i for i, s in enumerate(states)}
-    split = []
-    for gen in generators:
-        g, h = index[gen.g], index[gen.h]
+    for g, h, meet, join in zip(*arrays[1:]):
         left = (g, h) if g < h else (h, g)
         # meet < join coordinate-wise, so also in lexicographic order
-        right = (index[gen.meet], index[gen.join])
-        split.append((left, right) if left > right else (right, left))
-    return split
+        right = (meet, join)
+        yield (left, right) if left > right else (right, left)
 
 
 def _rewrite(mono: IndexMonomial, lead: IndexMonomial, tail: IndexMonomial) -> IndexMonomial:
@@ -769,7 +775,7 @@ def _rewrite(mono: IndexMonomial, lead: IndexMonomial, tail: IndexMonomial) -> I
     return tuple(sorted(rest + list(tail)))
 
 
-def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
+def buchberger_check(generators: Sequence) -> Report:
     """Check the Buchberger criterion: the S-polynomial of every generator
     pair reduces to 0 modulo the generator set, so the set is a Groebner
     basis under the degree-reverse-lexicographic order over the lattice's
@@ -788,8 +794,8 @@ def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
     checked and passing."""
-    states = sorted(_states_of(generators))
-    split = _lead_split(generators, states)
+    arrays = GeneratorArrays.of(generators, order=sorted)
+    split = list(_lead_split(arrays))
     by_lead: dict[IndexMonomial, int] = {}
     by_var: dict[int, list[int]] = {}
     for i, (lead, _) in enumerate(split):
@@ -806,7 +812,7 @@ def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
             mono = _rewrite(mono, lead, tail)
 
     def q_monomial(mono: IndexMonomial) -> Monomial:
-        return tuple((q_var(states[i]), mono.count(i)) for i in dict.fromkeys(mono))
+        return tuple((q_var(arrays.states[i]), mono.count(i)) for i in dict.fromkeys(mono))
 
     failures = []
     reduced = 0
@@ -820,8 +826,8 @@ def buchberger_check(generators: Sequence[BinomialGenerator]) -> Report:
             if nf_i != nf_j:
                 text = Polynomial({q_monomial(nf_j): 1, q_monomial(nf_i): -1}).to_text()
                 failures.append(
-                    f"S-polynomial of {generators[i].to_text()} and "
-                    f"{generators[j].to_text()} leaves {text}"
+                    f"S-polynomial of {arrays.text(i)} and "
+                    f"{arrays.text(j)} leaves {text}"
                 )
     pairs = len(split) * (len(split) - 1) // 2
     counts = f"({reduced} reduced, {pairs - reduced} skipped: coprime leading monomials)"
@@ -877,9 +883,11 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     size = len(lattice)
     what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
     check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
-    generators = hibi_generators(lattice) if generators is None else generators
-    vanishing = verify_vanishing(generators, monomial_map(lattice))
-    leads = {lead for lead, _ in _lead_split(generators, lattice.states)}
+    if generators is None:
+        generators = generator_arrays(lattice)
+    arrays = GeneratorArrays.of(generators, lattice.states)
+    vanishing = verify_vanishing(arrays, monomial_map(lattice))
+    leads = {lead for lead, _ in _lead_split(arrays)}
     standard = _standard_counts(size, leads)
     images = _multichain_counts(unary_masks(lattice))
     failures = [
@@ -888,14 +896,14 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
         if s != i
     ]
     failures += vanishing.failures
-    pairs = len(generators) * (len(generators) - 1) // 2
+    pairs = len(arrays.g) * (len(arrays.g) - 1) // 2
     counts = "standard/image monomials in degrees 1-3: " + ", ".join(
         f"{s}/{i}" for s, i in zip(standard, images)
     )
     if not failures:
-        detail = f"{len(generators)} generators map to 0; {counts}"
+        detail = f"{len(arrays.g)} generators map to 0; {counts}"
         return Report("groebner", total=pairs, detail=detail)
-    buchberger = buchberger_check(generators)
+    buchberger = buchberger_check(arrays)
     failures += buchberger.failures
     detail = f"{counts}; {buchberger.detail}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)

@@ -18,9 +18,10 @@ from typing import Iterable
 from . import __version__
 from .algebra import (
     Polynomial,
+    binomial_text,
     evaluate_at_distribution,
     fraction_text,
-    hibi_generators,
+    generator_arrays,
     hilbert_check,
     monomial_map,
     parse_polynomial,
@@ -79,6 +80,25 @@ def _emit_value_map(values, prefix: str, fmt: str) -> None:
     _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
+# One generator of a list as json.dumps(..., indent=2) lays out its
+# `BinomialGenerator.to_json_dict`; digit strings need no escaping.
+_GENERATOR_JSON = "  " + json.dumps(
+    {"pair": ["%s", "%s"], "meet": "%s", "join": "%s", "polynomial": "%s"}, indent=2
+).replace("\n", "\n  ")
+
+
+def _emit_generators(arrays, fmt: str) -> None:
+    """The generators, each state rendered by `state_digits` once."""
+    digits = [state_digits(g) for g in arrays.states]
+    columns = [[digits[i] for i in column] for column in arrays[1:]]
+    texts = list(map(binomial_text, *columns))
+    if fmt == "text":
+        print("\n".join(texts))
+    else:
+        body = ",\n".join(map(_GENERATOR_JSON.__mod__, zip(*columns, texts)))
+        print(f"[\n{body}\n]" if texts else "[]")
+
+
 def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
     """The joint, with 0 bound to every p-variable of the polynomial whose
     index has length n and entries below k but is not a lattice state: the
@@ -96,7 +116,7 @@ def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
 
 def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
     lattice = _state_lattice(dag)
-    return verify_vanishing(hibi_generators(lattice), monomial_map(lattice))
+    return verify_vanishing(generator_arrays(lattice), monomial_map(lattice))
 
 
 def _groebner_suite(dag: Dag, args: argparse.Namespace) -> Report:
@@ -144,8 +164,7 @@ def run(args: argparse.Namespace) -> int:
             lattice = ideal_lattice(transitive_closure(dag))
         else:
             lattice = _state_lattice(dag)
-        data = [g.to_json_dict() for g in hibi_generators(lattice)]
-        _emit(args.format, data, (g["polynomial"] for g in data))
+        _emit_generators(generator_arrays(lattice), args.format)
         return 0
     if args.command == "verify":
         report = _SUITES[args.suite](dag, args)

@@ -340,21 +340,3 @@ def unary_masks(lattice: StateLattice) -> list[int]:
     return [
         sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in lattice.states
     ]
-
-
-def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
-    """All unordered incomparable pairs, listed as (g, h) with g before h in
-    the lattice's lexicographic state order.
-
-    Lexicographic order is a linear extension of the lattice order, so a
-    later state is never below an earlier one, and (g, h) is incomparable
-    iff g is not below h: iff g's `unary_masks` mask has a bit outside h's.
-    """
-    states = lattice.states
-    masks = unary_masks(lattice)
-    out = []
-    for i, (g, m) in enumerate(zip(states, masks)):
-        out.extend(
-            (g, states[j]) for j in range(i + 1, len(states)) if m & ~masks[j]
-        )
-    return out

@@ -42,9 +42,9 @@ def _cover_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Val
     their column sums and states in lex order, so each h <= g is summed into
     g along one path of states (see StateLattice). The inverse takes
     differences over the table reversed. O(|covers|)."""
-    for g in values:
-        if g not in lattice:
-            raise SupportMismatchError(f"state {g!r} is not in the lattice")
+    if not lattice._members.issuperset(values):
+        g = next(g for g in values if g not in lattice)
+        raise SupportMismatchError(f"state {g!r} is not in the lattice")
     zero = Fraction(0)
     out = [values.get(g, zero) for g in lattice.states]
     if inverse:

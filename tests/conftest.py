@@ -29,7 +29,14 @@ from maxlin.model import (
     eliminate_simplex,
     full_distribution,
 )
-from maxlin.poset import Label, Poset, State, order_preserving_maps
+from maxlin.poset import (
+    Label,
+    Poset,
+    State,
+    StateLattice,
+    order_preserving_maps,
+    unary_masks,
+)
 from maxlin.transforms import zeta_transform
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
@@ -135,6 +142,24 @@ def brute_force_ideals(poset: Poset) -> list[tuple[int, ...]]:
                 break
         if ok:
             out.append(ind)
+    return out
+
+
+def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
+    """All unordered incomparable pairs, listed as (g, h) with g before h in
+    the lattice's lexicographic state order.
+
+    Lexicographic order is a linear extension of the lattice order, so a
+    later state is never below an earlier one, and (g, h) is incomparable
+    iff g is not below h: iff g's `unary_masks` mask has a bit outside h's.
+    """
+    states = lattice.states
+    masks = unary_masks(lattice)
+    out = []
+    for i, (g, m) in enumerate(zip(states, masks)):
+        out.extend(
+            (g, states[j]) for j in range(i + 1, len(states)) if m & ~masks[j]
+        )
     return out
 
 

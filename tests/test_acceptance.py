@@ -37,7 +37,6 @@ from maxlin.model import (
 )
 from maxlin.poset import (
     chain_product,
-    incomparable_pairs,
     order_ideals,
     order_preserving_maps,
     state_leq,
@@ -49,7 +48,7 @@ from maxlin.transforms import (
     zeta_transform,
 )
 
-from conftest import catalog_dags, random_dag, substitute, x_ratios
+from conftest import catalog_dags, incomparable_pairs, random_dag, substitute, x_ratios
 
 FIG2_STATES = [
     "00000", "00001", "00011", "00101", "00111",

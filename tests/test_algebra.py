@@ -19,6 +19,7 @@ from maxlin.algebra import (
     MAX_EXPONENT,
     EMPTY_MONOMIAL,
     BinomialGenerator,
+    GeneratorArrays,
     MonomialMap,
     MonomialOrder,
     Polynomial,
@@ -27,6 +28,7 @@ from maxlin.algebra import (
     default_lattice_order,
     evaluate_at_distribution,
     fraction_text,
+    generator_arrays,
     hibi_generators,
     hilbert_check,
     mono_from_dict,
@@ -53,7 +55,6 @@ from maxlin.errors import (
 from maxlin.model import ParamTable, full_distribution
 from maxlin.poset import (
     ideal_lattice,
-    incomparable_pairs,
     lattice_meet_join,
     order_preserving_maps,
     state_leq,
@@ -67,6 +68,7 @@ from conftest import (
     chain,
     dags,
     degrevlex_compare,
+    incomparable_pairs,
     leading_term,
     mono_div,
     mono_divides,
@@ -407,6 +409,45 @@ class TestHibiGenerators:
         ]
         own = {id(s) for s in lattice.states}
         assert all(id(gen.meet) in own and id(gen.join) in own for gen in generators)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.integers(1, 4), st.sampled_from(("states", "ideals")))
+    def test_arrays_against_pairs(self, dag, k, of):
+        """The index arrays against `incomparable_pairs` and the coordinate-wise
+        min/max of `lattice_meet_join`, on the state and the ideal lattice."""
+        poset = transitive_closure(dag)
+        lattice = ideal_lattice(poset) if of == "ideals" else order_preserving_maps(poset, k)
+        if k > 3:
+            assume(len(lattice) <= 400)
+        arrays = generator_arrays(lattice)
+        states = lattice.states
+        assert arrays.states == states
+        pairs = incomparable_pairs(lattice)
+        position = {s: i for i, s in enumerate(states)}
+        assert list(zip(arrays.g, arrays.h)) == [(position[g], position[h]) for g, h in pairs]
+        expected = [lattice_meet_join(g, h) for g, h in pairs]
+        assert [(states[m], states[j]) for m, j in zip(arrays.meet, arrays.join)] == expected
+        assert hibi_generators(lattice) == [
+            BinomialGenerator(g, h, meet, join) for (g, h), (meet, join) in zip(pairs, expected)
+        ]
+
+    def test_arrays_of_a_list(self, fig3_dag):
+        """An edited list becomes arrays over the states it names, in order of
+        first use after the given states, or sorted; arrays pass through."""
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        generators = hibi_generators(lattice)[::-1]
+        generators[0] = dataclasses.replace(generators[0], join=lattice.top)
+        arrays = GeneratorArrays.of(generators)
+        assert [arrays.text(t) for t in range(len(generators))] == [
+            gen.to_text() for gen in generators
+        ]
+        named = [s for gen in generators for s in (gen.g, gen.h, gen.meet, gen.join)]
+        assert arrays.states == tuple(dict.fromkeys(named))
+        assert GeneratorArrays.of(generators, order=sorted).states == sorted(set(named))
+        full = GeneratorArrays.of(generators, lattice.states)
+        assert full.states == lattice.states
+        assert [full.states[i] for i in full.join] == [gen.join for gen in generators]
+        assert GeneratorArrays.of(full) is full
 
     def test_json_dict_golden(self, fig2_dag):
         gen = hibi_generators(order_preserving_maps(transitive_closure(fig2_dag), 2))[0]
@@ -781,7 +822,8 @@ class TestIndexRewriting:
             generators[mid] = dataclasses.replace(gen, h=gen.g)
 
         states = lattice.states
-        for gen, (lead, _) in zip(generators, algebra._lead_split(generators, states)):
+        split = algebra._lead_split(algebra.GeneratorArrays.of(generators, states))
+        for gen, (lead, _) in zip(generators, split):
             assert q_monomial(lead, states) == leading_term(gen.polynomial())[0]
 
         coprime = coprime_pairs(generators)

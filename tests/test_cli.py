@@ -2,9 +2,11 @@
 determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -13,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
+from maxlin.algebra import hibi_generators, state_digits
 from maxlin.cli import VERIFY_SUITES, build_parser, main, run
+from maxlin.dag import parse_dag, transitive_closure
+from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
 
@@ -199,6 +204,78 @@ def relabelled_chain_text(n: int) -> str:
     return f"{n} 2\n" + "".join(f"{u} {v}\n" for u, v in zip(labels, labels[1:]))
 
 
+class TestGeneratorsFromArrays:
+    """`generators` renders the index arrays, one digit string per state,
+    against the generator objects dumped as before: the JSON of
+    `to_json_dict` through json.dumps(..., indent=2), and `to_text` lines."""
+
+    SOURCES = {
+        "fig2": data.read("fig2.dag"),
+        "fig3": data.read("fig3.dag"),
+        "random6": "6 3\n1 3\n1 6\n2 6\n4 5\n5 2\n5 3\n5 6\n",
+        "ladder20": ladder_dag_text(20),
+        "chain30": relabelled_chain_text(30),
+    }
+    # every source with k = 1..4 on both lattices, but the state lattices of
+    # ladder20 with k >= 3 (2,211 states or more) and chain30 with k = 4
+    CASES = [
+        (source, k, of)
+        for source in SOURCES
+        for k in (1, 2, 3, 4)
+        for of in ("states", "ideals")
+        if of == "ideals" or (source, k) not in {("ladder20", 3), ("ladder20", 4), ("chain30", 4)}
+    ]
+
+    @staticmethod
+    def lattice(text: str, k: int, of: str):
+        dag = dataclasses.replace(parse_dag(text), k=k)
+        if of == "ideals":
+            return ideal_lattice(transitive_closure(dag))
+        return order_preserving_maps(transitive_closure(dag), k)
+
+    @pytest.mark.parametrize("source, k, of", CASES)
+    def test_same_as_objects(self, capsys, tmp_path, source, k, of):
+        text = self.SOURCES[source]
+        path = tmp_path / f"{source}.dag"
+        path.write_text(text, encoding="utf-8")
+        generators = hibi_generators(self.lattice(text, k, of))
+        argv = ["generators", "--dag", str(path), "--k", str(k), "--of", of]
+        code, out, err = run_main(capsys, [*argv, "--format", "json"])
+        expected = json.dumps([g.to_json_dict() for g in generators], indent=2)
+        assert (code, out, err) == (0, expected + "\n", "")
+        code, out, err = run_main(capsys, [*argv, "--format", "text"])
+        expected = "\n".join(g.to_text() for g in generators)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("of", ["states", "ideals"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_no_objects_and_one_rendering_per_state(self, capsys, tmp_path, monkeypatch, of, fmt):
+        import maxlin.algebra as algebra
+        import maxlin.cli as cli
+
+        path = tmp_path / "ladder20.dag"
+        path.write_text(ladder_dag_text(20), encoding="utf-8")
+        states = len(self.lattice(ladder_dag_text(20), 2, of))
+        built, rendered = [], []
+
+        def post_init(gen):
+            built.append(gen)
+
+        def counted(state):
+            rendered.append(state)
+            return state_digits(state)
+
+        monkeypatch.setattr(algebra.BinomialGenerator, "__post_init__", post_init)
+        monkeypatch.setattr(algebra, "state_digits", counted)
+        monkeypatch.setattr(cli, "state_digits", counted)
+        code, out, _ = run_main(
+            capsys, ["generators", "--dag", str(path), "--of", of, "--format", fmt]
+        )
+        assert code == 0 and out.count(" - ") > states  # more generators than states
+        assert built == []
+        assert len(rendered) <= states, len(rendered)
+
+
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
 # coordinate-wise min/max meets and joins, the per-entry str() rendering of
 # states and the prefix-by-prefix lattice enumeration; fig2 and chain30 run
@@ -206,7 +283,9 @@ def relabelled_chain_text(n: int) -> str:
 # the given --k, taken from the oracle that summed Fraction weights vector by
 # vector and compared the two distributions on every vector of the box; a
 # "-limit" source sets MAXLIN_ORACLE_LIMIT to that value, just below and at
-# k**n, and the guard's exit leaves stdout empty.
+# k**n, and the guard's exit leaves stdout empty. The `generators --of ideals`
+# rows were taken from generator objects dumped by json.dumps(..., indent=2);
+# the ideals of chain30 form a chain, so its generator set is empty.
 PINNED_STDOUT = {
     ("chain30", "ideals", "json"): (
         1119, "aaffa4f03b9b68d94740cbc099b0ac7daad3cc1cd0abd91d29145d8817b52204"
@@ -219,6 +298,24 @@ PINNED_STDOUT = {
     ),
     ("chain30", "lattice", "text"): (
         15376, "7e34a1c02af2c8dabd64bcd959e5b7fc438fac66c8af248df59054e69fb761f8"
+    ),
+    ("fig1", "generators --of ideals", "json"): (
+        321, "47bde0ff6d875aacb170d8f95fd11e36ae00cff891223ab0ab9a1140b3ec805d"
+    ),
+    ("fig1", "generators --of ideals", "text"): (
+        76, "6556f90b2033884189ea20f89ebb23d855bd0c04374a1da356ebadafc96e4180"
+    ),
+    ("fig2", "generators --of ideals", "json"): (
+        798, "814d6db32fcd9b0cb1cf71de49e0269c1e365a61a249864f1904287c19307a6b"
+    ),
+    ("fig2", "generators --of ideals", "text"): (
+        190, "1a2cbfc4ad7a46617d5dfe34ced0e5b3b2d12ab03b1772b968e03b6b24c7fcf7"
+    ),
+    ("chain30", "generators --of ideals", "json"): (
+        3, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+    ),
+    ("chain30", "generators --of ideals", "text"): (
+        1, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"
     ),
     ("fig2", "generators", "json"): (
         41820, "2abd745a587ac294c6663901bd6c1206dd0f7a57a7c2a1f2a19181f1c069b199"
@@ -301,7 +398,9 @@ class TestPinnedOutput:
             # fig2 with k=3: 3**5 innovation vectors
             monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", option[5:])
             status = 0 if int(option[5:]) >= 3**5 else 2
-        if source in ("fig2", "fig3"):
+        if source == "fig1":
+            argv = ["--dag", fig_files["fig1.poset"], "--k", str(k)]
+        elif source in ("fig2", "fig3"):
             argv = ["--dag", fig_files[f"{source}.dag"], "--k", str(k)]
         elif source == "chain30":
             dag = tmp_path / "chain30.dag"
@@ -485,6 +584,29 @@ class TestPinnedJointOutput:
         assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_JOINT_STDOUT[case]
 
 
+def count_fractions(monkeypatch, argv: list[str]) -> tuple[int, int]:
+    """The exit status of `main(argv)` and the number of Fractions it built,
+    counted through `Fraction.__new__` and `Fraction._from_coprime_ints`."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
+        )
+    code = main(argv)
+    monkeypatch.undo()
+    return code, len(built)
+
+
 class TestFractionsPerState:
     """`distribution` and `zeta` walk the joint on integer numerators over
     one denominator: they build one Fraction per printed state, besides the
@@ -496,28 +618,28 @@ class TestFractionsPerState:
         self, capsys, fig_files, tmp_path, monkeypatch, source, command
     ):
         argv = joint_argv(fig_files, tmp_path, source, command)
-        built = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(1)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        if hasattr(Fraction, "_from_coprime_ints"):
-            coprime = Fraction._from_coprime_ints
-            monkeypatch.setattr(
-                Fraction,
-                "_from_coprime_ints",
-                classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
-            )
-        code = main([*argv, "--format", "text"])
-        monkeypatch.undo()
+        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
         states = capsys.readouterr().out.splitlines()
         rows = JOINT_INPUTS[source][1]
         n, k = len(rows), len(rows[0])
         assert code == 0 and len(states) > n * k
-        assert len(built) <= len(states) + 4 * n * k, len(built)
+        assert built <= len(states) + 4 * n * k, built
+
+    def test_eval_binds_only_named_variables(self, capsys, fig_files, tmp_path, monkeypatch):
+        """`eval` on the 60-chain with k=3 (1,891 states) builds one Fraction
+        per state for the joint and one for its zeta coordinates, besides
+        reading the table: it binds only the two variables the polynomial
+        names and wraps no value again."""
+        argv = joint_argv(fig_files, tmp_path, "chain60", "eval")
+        with open(argv[-1], "w", encoding="utf-8") as poly:
+            poly.write(f"q[{'2' * 60}] - p[{'0' * 60}]\n")
+        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
+        value = 1 - Fraction(1, 3**60)  # q at the top is 1, p at the bottom 3**-60
+        assert (code, capsys.readouterr().out) == (
+            0, f"q[{'2' * 60}] - p[{'0' * 60}] = {value}\n"
+        )
+        states, n, k = math.comb(62, 2), 60, 3
+        assert built <= 2 * states + 4 * n * k, built
 
 
 class TestVerify:
@@ -682,8 +804,9 @@ class TestVerify:
         def no_generators(lattice):
             raise AssertionError("generators built before the guard")
 
-        monkeypatch.setattr(cli, "hibi_generators", no_generators)
         monkeypatch.setattr(algebra, "hibi_generators", no_generators)
+        monkeypatch.setattr(algebra, "generator_arrays", no_generators)
+        monkeypatch.setattr(cli, "generator_arrays", no_generators)
         monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", "1")
         code, out, err = run_main(capsys, ["verify", "groebner", "--dag", fig_files["fig2.dag"]])
         assert (code, out) == (2, "")

@@ -13,7 +13,6 @@ from maxlin.poset import (
     Poset,
     chain_product,
     ideal_lattice,
-    incomparable_pairs,
     is_order_ideal,
     is_order_preserving,
     lattice_meet_join,
@@ -32,6 +31,7 @@ from conftest import (
     chain,
     dags,
     ideal_members,
+    incomparable_pairs,
     random_dag,
     strict_pairs,
 )

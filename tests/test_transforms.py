@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import random
+import re
 import textwrap
 from fractions import Fraction
 
@@ -146,6 +147,17 @@ class TestZeta:
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         with pytest.raises(SupportMismatchError):
             zeta_transform({(1, 0, 0, 0, 0): Fraction(1)}, lattice)
+
+    @pytest.mark.parametrize("walk", [zeta_transform, moebius_inverse])
+    def test_support_mismatch_names_the_first_stray_state(self, fig2_dag, walk):
+        """Every stray state is found, and the first in the input's order is
+        the one named, wherever the lattice's states sit among them."""
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        strays = [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
+        for order in (strays, strays[::-1]):
+            values = {lattice.top: 1, **dict.fromkeys(order, 2), lattice.states[0]: 3}
+            with pytest.raises(SupportMismatchError, match=re.escape(f"state {order[0]!r} is")):
+                walk(values, lattice)
 
 
 class TestWalkAgainstQuadratic:
