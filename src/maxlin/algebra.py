@@ -11,7 +11,6 @@ on variables is (family name, index tuple), compared lexicographically.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -86,10 +85,6 @@ class Variable:
         if self.family in ("p", "q"):
             return f"{self.family}[{state_digits(self.index)}]"
         return f"{self.family}[{','.join(str(i) for i in self.index)}]"
-
-
-def p_var(state: State) -> Variable:
-    return Variable("p", tuple(state))
 
 
 def q_var(state: State) -> Variable:
@@ -588,20 +583,20 @@ class BinomialGenerator:
         return Polynomial({left: 1, right: -1})
 
     def to_text(self) -> str:
-        return binomial_text(*map(state_digits, _STATES(self)))
+        return self.to_json_dict()["polynomial"]
 
     def to_json_dict(self) -> dict:
-        g, h, meet, join = map(state_digits, _STATES(self))
-        polynomial = binomial_text(g, h, meet, join)
-        return {"pair": [g, h], "meet": meet, "join": join, "polynomial": polynomial}
+        return generator_json(*map(state_digits, _STATES(self)))
 
 
 _STATES = attrgetter("g", "h", "meet", "join")
 
 
-def binomial_text(g: str, h: str, meet: str, join: str) -> str:
-    """q_g*q_h - q_meet*q_join, its four states given as digit strings."""
-    return f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]"
+def generator_json(g: str, h: str, meet: str, join: str) -> dict:
+    """A generator's JSON object, its four states given as digit strings; its
+    "polynomial" is the one spelling of the text q_g*q_h - q_meet*q_join."""
+    polynomial = f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]"
+    return {"pair": [g, h], "meet": meet, "join": join, "polynomial": polynomial}
 
 
 def _quadratic(a: Variable, b: Variable) -> Monomial:
@@ -610,9 +605,16 @@ def _quadratic(a: Variable, b: Variable) -> Monomial:
     return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
-class GeneratorArrays(namedtuple("GeneratorArrays", "states g h meet join")):
-    """A generator set as four parallel lists of indices into `states`:
-    generator t is q_g*q_h - q_meet*q_join with g = states[g[t]], and so on."""
+@dataclass(frozen=True)
+class GeneratorArrays:
+    """A generator set as four parallel lists of indices into `states`, read
+    as a sequence: item t is the `BinomialGenerator` (states[g[t]], ...)."""
+
+    states: Sequence[State]
+    g: list[int]
+    h: list[int]
+    meet: list[int]
+    join: list[int]
 
     @classmethod
     def of(cls, generators, states: Sequence[State] = (), order=tuple) -> "GeneratorArrays":
@@ -625,9 +627,14 @@ class GeneratorArrays(namedtuple("GeneratorArrays", "states g h meet join")):
         index = {s: i for i, s in enumerate(states)}
         return cls(states, *([index[q[c]] for q in quads] for c in range(4)))
 
-    def text(self, t: int) -> str:
-        """Generator t as `BinomialGenerator.to_text` spells it."""
-        return binomial_text(*(state_digits(self.states[c[t]]) for c in self[1:]))
+    def columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        return self.g, self.h, self.meet, self.join
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, t: int) -> BinomialGenerator:
+        return BinomialGenerator(*(self.states[c[t]] for c in self.columns()))
 
 
 def generator_arrays(lattice: StateLattice) -> GeneratorArrays:
@@ -649,10 +656,8 @@ def generator_arrays(lattice: StateLattice) -> GeneratorArrays:
 
 
 def hibi_generators(lattice: StateLattice) -> list[BinomialGenerator]:
-    """The `generator_arrays` of the lattice as objects, in the same order;
-    empty for chains."""
-    s, *columns = generator_arrays(lattice)
-    return [BinomialGenerator(s[g], s[h], s[m], s[j]) for g, h, m, j in zip(*columns)]
+    """The `generator_arrays` of the lattice as a list; empty for chains."""
+    return list(generator_arrays(lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -700,14 +705,14 @@ def verify_vanishing(generators: Sequence, mmap: MonomialMap) -> Report:
     images = [mmap.image(q_var(s)) for s in arrays.states]
     packed = _pack_images(images)
     failures = []
-    for t, (g, h, meet, join) in enumerate(zip(*arrays[1:])):
+    for t, (g, h, meet, join) in enumerate(zip(*arrays.columns())):
         if packed[g] + packed[h] != packed[meet] + packed[join]:
             left = mono_mul(images[g], images[h])
             right = mono_mul(images[meet], images[join])
             image = Polynomial({left: 1, right: -1})
-            failures.append(f"{arrays.text(t)} maps to {image.to_text()}")
-    detail = f"{len(arrays.g)} generators map to 0" if not failures else ""
-    return Report("vanishing", total=len(arrays.g), failures=failures, detail=detail)
+            failures.append(f"{arrays[t].to_text()} maps to {image.to_text()}")
+    detail = f"{len(arrays)} generators map to 0" if not failures else ""
+    return Report("vanishing", total=len(arrays), failures=failures, detail=detail)
 
 
 def _pack_images(images: Sequence[Monomial]) -> list[int]:
@@ -730,9 +735,8 @@ def evaluate_at_distribution(
     probs: Mapping[State, Scalar],
     cumulative: Mapping[State, Scalar] | None = None,
 ) -> Fraction:
-    """Evaluate a polynomial in p-variables at a distribution, exactly; its
-    q-variables take the values of `cumulative`, when given. Only the
-    variables the polynomial names are bound."""
+    """Evaluate a polynomial in p-variables at a distribution, exactly, binding
+    only the variables it names; its q-variables take `cumulative`, if given."""
     values = {"p": probs, "q": cumulative or {}}
     named = [v for v in poly.variables() if v.index in values.get(v.family, ())]
     return poly.evaluate({v: values[v.family][v.index] for v in named})
@@ -758,10 +762,9 @@ def _lead_split(arrays: GeneratorArrays) -> Iterator[tuple[IndexMonomial, IndexM
     tuple of its variables' indices, each repeated by its exponent, and
     degrevlex compares such tuples as `MonomialOrder.key` does: by length,
     then lexicographically. A quadratic binomial's lead is its larger pair."""
-    for g, h, meet, join in zip(*arrays[1:]):
+    for g, h, meet, join in zip(*arrays.columns()):
         left = (g, h) if g < h else (h, g)
-        # meet < join coordinate-wise, so also in lexicographic order
-        right = (meet, join)
+        right = (meet, join)  # meet < join coordinate-wise, so lexicographically too
         yield (left, right) if left > right else (right, left)
 
 
@@ -826,8 +829,8 @@ def buchberger_check(generators: Sequence) -> Report:
             if nf_i != nf_j:
                 text = Polynomial({q_monomial(nf_j): 1, q_monomial(nf_i): -1}).to_text()
                 failures.append(
-                    f"S-polynomial of {arrays.text(i)} and "
-                    f"{arrays.text(j)} leaves {text}"
+                    f"S-polynomial of {arrays[i].to_text()} and "
+                    f"{arrays[j].to_text()} leaves {text}"
                 )
     pairs = len(split) * (len(split) - 1) // 2
     counts = f"({reduced} reduced, {pairs - reduced} skipped: coprime leading monomials)"
@@ -883,8 +886,7 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     size = len(lattice)
     what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
     check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
-    if generators is None:
-        generators = generator_arrays(lattice)
+    generators = generator_arrays(lattice) if generators is None else generators
     arrays = GeneratorArrays.of(generators, lattice.states)
     vanishing = verify_vanishing(arrays, monomial_map(lattice))
     leads = {lead for lead, _ in _lead_split(arrays)}
@@ -896,14 +898,14 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
         if s != i
     ]
     failures += vanishing.failures
-    pairs = len(arrays.g) * (len(arrays.g) - 1) // 2
+    pairs = len(arrays) * (len(arrays) - 1) // 2
     counts = "standard/image monomials in degrees 1-3: " + ", ".join(
         f"{s}/{i}" for s, i in zip(standard, images)
     )
     if not failures:
-        detail = f"{len(arrays.g)} generators map to 0; {counts}"
+        detail = f"{len(arrays)} generators map to 0; {counts}"
         return Report("groebner", total=pairs, detail=detail)
-    buchberger = buchberger_check(arrays)
+    buchberger = buchberger_check(generators)
     failures += buchberger.failures
     detail = f"{counts}; {buchberger.detail}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)

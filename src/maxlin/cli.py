@@ -18,10 +18,10 @@ from typing import Iterable
 from . import __version__
 from .algebra import (
     Polynomial,
-    binomial_text,
     evaluate_at_distribution,
     fraction_text,
     generator_arrays,
+    generator_json,
     hilbert_check,
     monomial_map,
     parse_polynomial,
@@ -80,23 +80,22 @@ def _emit_value_map(values, prefix: str, fmt: str) -> None:
     _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
-# One generator of a list as json.dumps(..., indent=2) lays out its
-# `BinomialGenerator.to_json_dict`; digit strings need no escaping.
-_GENERATOR_JSON = "  " + json.dumps(
-    {"pair": ["%s", "%s"], "meet": "%s", "join": "%s", "polynomial": "%s"}, indent=2
-).replace("\n", "\n  ")
+# Templates over a generator's four digit strings, from `generator_json`: its
+# text, and its JSON as json.dumps(..., indent=2) lays out one item of a list,
+# which takes the four twice, as fields and in the polynomial (no escaping).
+_GENERATOR_TEXT = generator_json(*["%s"] * 4)["polynomial"]
+_GENERATOR_JSON = "  " + json.dumps(generator_json(*["%s"] * 4), indent=2).replace("\n", "\n  ")
 
 
 def _emit_generators(arrays, fmt: str) -> None:
     """The generators, each state rendered by `state_digits` once."""
     digits = [state_digits(g) for g in arrays.states]
-    columns = [[digits[i] for i in column] for column in arrays[1:]]
-    texts = list(map(binomial_text, *columns))
+    columns = [[digits[i] for i in column] for column in arrays.columns()]
     if fmt == "text":
-        print("\n".join(texts))
+        print("\n".join(_GENERATOR_TEXT % q for q in zip(*columns)))
     else:
-        body = ",\n".join(map(_GENERATOR_JSON.__mod__, zip(*columns, texts)))
-        print(f"[\n{body}\n]" if texts else "[]")
+        body = ",\n".join(_GENERATOR_JSON % (q + q) for q in zip(*columns))
+        print(f"[\n{body}\n]" if body else "[]")
 
 
 def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:

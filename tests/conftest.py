@@ -169,6 +169,11 @@ def strict_pairs(poset: Poset) -> list:
     return [(a, b) for a in e for b in e if a != b and poset.leq(a, b)]
 
 
+def p_var(state: State) -> Variable:
+    """The variable p[g] of a state; the polynomial grammar keeps the family."""
+    return Variable("p", tuple(state))
+
+
 def alpha_var(i: int, j: int) -> Variable:
     """The variable alpha[i,j]; the polynomial grammar keeps the family."""
     return Variable("alpha", (i, j))

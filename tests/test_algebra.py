@@ -34,7 +34,6 @@ from maxlin.algebra import (
     mono_from_dict,
     mono_mul,
     monomial_map,
-    p_var,
     parse_fraction,
     parse_polynomial,
     q_var,
@@ -73,6 +72,7 @@ from conftest import (
     mono_div,
     mono_divides,
     mono_lcm,
+    p_var,
     random_dag,
     reduce_modulo,
     s_polynomial,
@@ -438,9 +438,8 @@ class TestHibiGenerators:
         generators = hibi_generators(lattice)[::-1]
         generators[0] = dataclasses.replace(generators[0], join=lattice.top)
         arrays = GeneratorArrays.of(generators)
-        assert [arrays.text(t) for t in range(len(generators))] == [
-            gen.to_text() for gen in generators
-        ]
+        assert len(arrays) == len(generators)
+        assert list(arrays) == generators  # read as a sequence of generators
         named = [s for gen in generators for s in (gen.g, gen.h, gen.meet, gen.join)]
         assert arrays.states == tuple(dict.fromkeys(named))
         assert GeneratorArrays.of(generators, order=sorted).states == sorted(set(named))
@@ -1045,6 +1044,29 @@ class TestHilbertCertificate:
             assert report.failures == expected
             assert report.detail == f"{count_detail(counts)}; {buchberger.detail}"
             assert report.total == buchberger.total
+
+    def test_fallback_reads_generators(self, fig3_dag, monkeypatch):
+        """The Buchberger fallback gets the caller's own list, or with none the
+        lattice's arrays, which read as a sequence of generators as a wrapper
+        of `buchberger_check` (the benchmark's S-pair counter) reads them."""
+        import maxlin.algebra as algebra
+
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        generators = hibi_generators(lattice)
+        seen = []
+
+        def wrapped(gens):
+            seen.append((gens, [gen.polynomial() for gen in gens], len(gens)))
+            return buchberger_check(gens)
+
+        monkeypatch.setattr(algebra, "buchberger_check", wrapped)
+        monkeypatch.setattr(algebra, "_standard_counts", lambda size, leads: [0, 0, 0])
+        assert not hilbert_check(lattice, generators).passed
+        assert not hilbert_check(lattice).passed
+        (mine, polys, count), (own, own_polys, own_count) = seen
+        assert mine is generators and count == len(generators)
+        assert isinstance(own, GeneratorArrays) and own_count == len(generators)
+        assert own_polys == polys == [gen.polynomial() for gen in generators]
 
     def test_guard(self, fig2_dag, monkeypatch):
         """Called from the library, the check reads MAXLIN_HILBERT_LIMIT and

@@ -17,7 +17,6 @@ KEPT = (
     ("chain_product", "acceptance criterion 11: states as ideals of P x chain"),
     ("state_to_ideal", "acceptance criterion 11: the order-reversing bijection"),
     ("conditional_probability", "the checked per-vertex factor of the max-of-parents rule"),
-    ("p_var", "the p-variable of a state, twin of q_var; eval binds p-variables by index"),
 )
 
 

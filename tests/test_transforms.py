@@ -19,7 +19,7 @@ import maxlin.model as model
 import maxlin.poset as poset
 import maxlin.transforms as transforms
 from maxlin import data
-from maxlin.algebra import Polynomial, Variable, p_var, state_digits, theta_var
+from maxlin.algebra import Polynomial, Variable, state_digits, theta_var
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import SupportMismatchError
@@ -36,7 +36,7 @@ from maxlin.transforms import (
     zeta_transform,
 )
 
-from conftest import CATALOG, catalog_dags, dags, expanded_eq5_failures, x_ratios
+from conftest import CATALOG, catalog_dags, dags, expanded_eq5_failures, p_var, x_ratios
 
 
 def tv(i, j):
