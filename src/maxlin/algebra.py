@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import ParseError, UnboundVariableError, UnmappedVariableError, check_size
-from .poset import State, StateLattice, lattice_meet_join, state_leq, unary_masks
+from .poset import State, StateLattice, unary_masks
 from .report import Report
 
 Scalar = Union[int, Fraction]
@@ -212,10 +212,6 @@ class Polynomial:
     # construction helpers
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Polynomial":
         return cls({EMPTY_MONOMIAL: 1})
 
@@ -325,7 +321,7 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)
 
-    # evaluation and substitution
+    # evaluation
 
     def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
         """Exact evaluation; every variable must be assigned a rational."""
@@ -338,23 +334,6 @@ class Polynomial:
                 value = value * Fraction(assignment[v]) ** e
             total += value
         return total
-
-    def substitute(self, mapping: Mapping[Variable, "Polynomial | Scalar"]) -> "Polynomial":
-        """Replace mapped variables by polynomials; others pass through."""
-        out = Polynomial.zero()
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(coeff)
-            for v, e in mono:
-                image = mapping.get(v)
-                if image is None:
-                    term = term * Polynomial.from_term(((v, e),), 1)
-                else:
-                    image_poly = self._coerce(image)
-                    if image_poly is None:
-                        raise TypeError(f"bad substitution image for {v.key_text()}")
-                    term = term * image_poly**e
-            out = out + term
-        return out
 
     # emission
 
@@ -569,13 +548,6 @@ class BinomialGenerator:
                 f"binomial of g={self.g}, h={self.h}, meet={self.meet},"
                 f" join={self.join} is zero: its two monomials coincide"
             )
-
-    @classmethod
-    def from_pair(cls, g: State, h: State) -> "BinomialGenerator":
-        if state_leq(g, h) or state_leq(h, g):
-            raise ValueError(f"states {g} and {h} are comparable")
-        meet, join = lattice_meet_join(g, h)
-        return cls(g=g, h=h, meet=meet, join=join)
 
     def polynomial(self) -> Polynomial:
         left = _quadratic(q_var(self.g), q_var(self.h))

@@ -29,7 +29,7 @@ from .algebra import (
     verify_vanishing,
 )
 from .dag import Dag, parse_dag, transitive_closure
-from .errors import MaxlinError
+from .errors import MaxlinError, ParseError
 from .model import (
     ParamTable,
     full_distribution,
@@ -52,7 +52,10 @@ def _load_dag(args: argparse.Namespace) -> Dag:
 def _load_theta(args: argparse.Namespace) -> ParamTable:
     if args.theta is None:
         raise MaxlinError(f"the {args.command} command needs --theta")
-    data = json.loads(Path(args.theta).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.theta).read_text(encoding="utf-8"))
+    except RecursionError:  # nested deeper than the decoder's recursion allows
+        raise ParseError(f"parameter file {args.theta} nests too deeply") from None
     return ParamTable.from_json_dict(data)
 
 

@@ -70,10 +70,6 @@ class ParamTable:
     def k(self) -> int:
         return len(self.rows[0])
 
-    def weight(self, i: int, j: int) -> Value:
-        """Weight of state j at vertex i (1-indexed vertex)."""
-        return self.rows[i - 1][j]
-
     def swapped(self) -> "ParamTable":
         """Rows reversed; for k=2 this swaps the two state weights."""
         return ParamTable(tuple(tuple(reversed(row)) for row in self.rows))
@@ -95,10 +91,6 @@ class ParamTable:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError('"theta" must be a list of rows of rational strings')
         return cls(tuple(tuple(parse_fraction(str(v)) for v in row) for row in rows))
-
-    @classmethod
-    def uniform(cls, n: int, k: int) -> "ParamTable":
-        return cls(tuple(tuple(Fraction(1, k) for _ in range(k)) for _ in range(n)))
 
     @classmethod
     def random(cls, n: int, k: int, rng: random.Random) -> "ParamTable":
@@ -148,7 +140,7 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
         return Fraction(0)
     if g[i - 1] == m:
         return theta.cumulative[i - 1][m]
-    return theta.weight(i, g[i - 1])
+    return theta.rows[i - 1][g[i - 1]]
 
 
 def _factored_walk(dag: Dag, theta: ParamTable, unit=Fraction(1)) -> dict[State, Value]:
@@ -402,28 +394,25 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
 
 
 def eliminate_simplex(value: Value, n: int, k: int) -> Value:
-    """Canonical form modulo the row relations: substitute the top weight of
-    every vertex by one minus the rest of its row. Identities that hold on
-    the simplex become exact polynomial identities after this.
+    """Canonical form modulo the row relations of a value of degree at most
+    one, such as every entry of a symbolic table: each term
+    c * theta[i,k-1] is cancelled by adding c times the row relation
+    1 - sum_j theta[i,j], which is 0 on the simplex. Reducing is a ring
+    homomorphism, so an identity that holds on the simplex becomes an exact
+    polynomial identity when it is computed from the table's reduced entries.
 
-    A value of degree at most one, such as every entry of a symbolic table,
-    is reduced without products: each term c * theta[i,k-1] is cancelled by
-    adding c times the row relation 1 - sum_j theta[i,j], which is 0 on the
-    simplex."""
+    Raises:
+        ValueError: the value has degree above one.
+    """
     if not isinstance(value, Polynomial):
         return value
+    degree = value.total_degree()
+    if degree > 1:
+        raise ValueError(f"eliminate_simplex reduces values of degree at most 1, not {degree}")
     tops = {theta_var(i, k - 1): i for i in range(1, n + 1)}
-    if value.total_degree() <= 1:
-        for mono, c in list(value.terms.items()):
-            i = tops.get(mono[0][0]) if mono else None
-            if i is not None:
-                relation = {((theta_var(i, j), 1),): -c for j in range(k)}
-                value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
-        return value
-    mapping = {}
-    for top, i in tops.items():
-        rest = Polynomial.one()
-        for j in range(k - 1):
-            rest = rest - Polynomial.from_variable(theta_var(i, j))
-        mapping[top] = rest
-    return value.substitute(mapping)
+    for mono, c in list(value.terms.items()):
+        i = tops.get(mono[0][0]) if mono else None
+        if i is not None:
+            relation = {((theta_var(i, j), 1),): -c for j in range(k)}
+            value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
+    return value

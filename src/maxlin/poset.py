@@ -18,16 +18,6 @@ def bit_positions(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _transpose(down: tuple[int, ...]) -> list[int]:
-    """Up-set masks from down-set masks: bit i of up[j] iff bit j of down[i]."""
-    up = [0] * len(down)
-    for i, mask in enumerate(down):
-        bit = 1 << i
-        for j in bit_positions(mask):
-            up[j] |= bit
-    return up
-
-
 @dataclass(frozen=True)
 class Poset:
     """A finite partial order stored as one down-set mask per element.
@@ -102,9 +92,6 @@ class Poset:
         except KeyError:
             raise ValueError(f"{element!r} is not a poset element") from None
 
-    def leq(self, a: Label, b: Label) -> bool:
-        return bool(self.down[self.index(b)] >> self.index(a) & 1)
-
     @property
     def relation(self) -> frozenset[tuple[Label, Label]]:
         """Every pair (a, b) with a <= b, reflexive pairs included."""
@@ -113,24 +100,11 @@ class Poset:
             (e[j], e[i]) for i, mask in enumerate(self.down) for j in bit_positions(mask)
         )
 
-    def covers(self) -> list[tuple[Label, Label]]:
-        """All cover pairs (a, b): a < b with nothing strictly between,
-        sorted by element position."""
-        e = self.elements
-        return [
-            (e[i], e[j])
-            for i, mask in enumerate(_transpose(self._lower_covers))
-            for j in bit_positions(mask)
-        ]
-
     def covers_below(self, b: Label) -> tuple[Label, ...]:
         """The elements b covers: the maximal elements strictly below b."""
         return tuple(
             self.elements[j] for j in bit_positions(self._lower_covers[self.index(b)])
         )
-
-    def dual(self) -> "Poset":
-        return Poset(self.elements, tuple(_transpose(self.down)))
 
 
 @dataclass(frozen=True)
@@ -178,23 +152,8 @@ class StateLattice:
         return tuple(pair for pair in pairs if pair[1] is not None)
 
     @property
-    def bottom(self) -> State:
-        return self.states[0]
-
-    @property
     def top(self) -> State:
         return self.states[-1]
-
-
-def state_leq(g: State, h: State) -> bool:
-    return all(a <= b for a, b in zip(g, h))
-
-
-def lattice_meet_join(g: State, h: State) -> tuple[State, State]:
-    """Coordinate-wise (min, max); both lie in any lattice containing g and h."""
-    meet = tuple(min(a, b) for a, b in zip(g, h))
-    join = tuple(max(a, b) for a, b in zip(g, h))
-    return meet, join
 
 
 # A byte of r low one-bits -> r: decodes the bytes of a unary slot.

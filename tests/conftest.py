@@ -1,6 +1,8 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
 brute-force enumerators, the general division algorithm, the expanded eq5
-check, generic substitution through a monomial map, reference helpers, and random generators for property-style tests."""
+check, generic substitution, reference helpers (the order, meet and join of
+states, the generator of a pair, the dual of a poset, the uniform table),
+and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.algebra import (
+    BinomialGenerator,
     MonomialMap,
     Polynomial,
     Variable,
@@ -110,12 +113,13 @@ def brute_force_states(poset: Poset, k: int) -> list[tuple[int, ...]]:
     """Independent enumeration: filter the whole k**n box by checking every
     related pair directly against the poset relation."""
     n = len(poset.elements)
+    relation = poset.relation
     out = []
     for g in product(range(k), repeat=n):
         ok = True
         for i, a in enumerate(poset.elements):
             for j, b in enumerate(poset.elements):
-                if poset.leq(a, b) and g[i] > g[j]:
+                if (a, b) in relation and g[i] > g[j]:
                     ok = False
                     break
             if not ok:
@@ -128,6 +132,7 @@ def brute_force_states(poset: Poset, k: int) -> list[tuple[int, ...]]:
 def brute_force_ideals(poset: Poset) -> list[tuple[int, ...]]:
     """Independent enumeration of downward-closed indicator vectors."""
     n = len(poset.elements)
+    relation = poset.relation
     out = []
     for ind in product((0, 1), repeat=n):
         ok = True
@@ -135,7 +140,7 @@ def brute_force_ideals(poset: Poset) -> list[tuple[int, ...]]:
             if not ind[i]:
                 continue
             for j, b in enumerate(poset.elements):
-                if poset.leq(b, a) and not ind[j]:
+                if (b, a) in relation and not ind[j]:
                     ok = False
                     break
             if not ok:
@@ -165,8 +170,36 @@ def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
 
 def strict_pairs(poset: Poset) -> list:
     """All (a, b) with a < b, sorted by element position."""
-    e = poset.elements
-    return [(a, b) for a in e for b in e if a != b and poset.leq(a, b)]
+    e, relation = poset.elements, poset.relation
+    return [(a, b) for a in e for b in e if a != b and (a, b) in relation]
+
+
+def dual(poset: Poset) -> Poset:
+    """The same elements with the order reversed."""
+    return Poset.from_relation(poset.elements, ((b, a) for a, b in poset.relation))
+
+
+def state_leq(g: State, h: State) -> bool:
+    return all(a <= b for a, b in zip(g, h))
+
+
+def lattice_meet_join(g: State, h: State) -> tuple[State, State]:
+    """Coordinate-wise (min, max); both lie in any lattice containing g and h."""
+    meet = tuple(min(a, b) for a, b in zip(g, h))
+    join = tuple(max(a, b) for a, b in zip(g, h))
+    return meet, join
+
+
+def binomial_of_pair(g: State, h: State) -> BinomialGenerator:
+    """The generator of an incomparable pair, meet and join by `lattice_meet_join`."""
+    if state_leq(g, h) or state_leq(h, g):
+        raise ValueError(f"states {g} and {h} are comparable")
+    return BinomialGenerator(g, h, *lattice_meet_join(g, h))
+
+
+def uniform_table(n: int, k: int) -> ParamTable:
+    """n rows of k equal weights."""
+    return ParamTable.from_rows([[Fraction(1, k)] * k] * n)
 
 
 def p_var(state: State) -> Variable:
@@ -216,6 +249,18 @@ def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
     ]
 
 
+def substitute_variables(poly: Polynomial, mapping) -> Polynomial:
+    """Generic substitution: each mapped variable replaced by its image, a
+    polynomial or a rational; the others pass through."""
+    out = Polynomial()
+    for mono, coeff in poly.terms.items():
+        term = Polynomial.constant(coeff)
+        for v, e in mono:
+            term = term * (mapping[v] if v in mapping else Polynomial.from_variable(v)) ** e
+        out = out + term
+    return out
+
+
 def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
     """Apply a monomial map to a polynomial in q-variables by generic
     polynomial substitution; non-q variables pass through untouched. The
@@ -225,7 +270,9 @@ def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
         UnmappedVariableError: a q-variable is missing from the map.
     """
     q_vars = [v for v in poly.variables() if v.family == "q"]
-    return poly.substitute({v: Polynomial.from_term(mmap.image(v), 1) for v in q_vars})
+    return substitute_variables(
+        poly, {v: Polynomial.from_term(mmap.image(v), 1) for v in q_vars}
+    )
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:
@@ -327,7 +374,7 @@ def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
     leading term is cancelled against the first basis element whose leading
     monomial divides it, or else moved to the remainder."""
     leads = [leading_term(b) for b in basis]
-    remainder = Polynomial.zero()
+    remainder = Polynomial()
     while not poly.is_zero:
         mono, coeff = leading_term(poly)
         for b, (lead, lead_coeff) in zip(basis, leads):

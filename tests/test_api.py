@@ -1,18 +1,22 @@
 """The public surface of the package: every public top-level function and
 class in src/maxlin is reached by other package code or by the benchmark,
-so API that only the tests reach does not build up in src/; and only the
-size guard reads the environment."""
+and so is every public method, property and classmethod of its classes, so
+API that only the tests reach does not build up in src/; only the size
+guard reads the environment; and every module of the package and of the
+tests uses each name it imports."""
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "maxlin").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = {path.stem for path in PACKAGE}
 
-# Public names that neither the package nor the benchmark calls, and why
-# they stay.
+# Public names, and public methods as Class.method, that neither the package
+# nor the benchmark reaches, and why they stay.
 KEPT = (
     ("chain_product", "acceptance criterion 11: states as ideals of P x chain"),
     ("state_to_ideal", "acceptance criterion 11: the order-reversing bijection"),
@@ -35,7 +39,7 @@ def module_names(tree: ast.Module) -> set[str]:
 
 def statement_names(stmt: ast.stmt, modules: set[str]) -> set[str]:
     """Every name a statement loads or imports, and every attribute it reads
-    off a package module (`algebra.buchberger_check`, not `poly.substitute`)."""
+    off a package module (`algebra.buchberger_check`, not `poly.evaluate`)."""
     names = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name):
@@ -45,6 +49,15 @@ def statement_names(stmt: ast.stmt, modules: set[str]) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names
+
+
+def attribute_reads(tree: ast.AST) -> collections.Counter:
+    """How often each attribute name is read (`x.name` loaded) in a tree."""
+    return collections.Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
 
 
 def test_every_public_name_is_reached_outside_the_tests():
@@ -68,7 +81,51 @@ def test_every_public_name_is_reached_outside_the_tests():
         for name, where in definitions.items()
         if not any(name in names for place, names in references if place != where)
     }
-    assert unreached == {name for name, _ in KEPT}
+    assert unreached == {name for name, _ in KEPT if "." not in name}
+
+
+def test_every_public_method_is_read_outside_its_definition():
+    """A public method, property or classmethod of a package class is read
+    by name as an attribute (`poset.relation`, `ParamTable.random`) in the
+    package or the benchmark, outside its own body. The scan goes by name
+    only, so a method is reached when any attribute of its name is read;
+    dunders are exempt."""
+    reads = collections.Counter()  # attribute name -> reads in src/ and bench/
+    methods = []  # (Class.method, node)
+    for path in PACKAGE + BENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(attribute_reads(tree))
+        if path not in PACKAGE:
+            continue
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    methods.append((f"{cls.name}.{node.name}", node))
+    assert len(methods) > 30  # the scan sees the classes
+    unreached = {
+        name
+        for name, node in methods
+        if reads[node.name] == attribute_reads(node)[node.name]
+    }
+    assert unreached == {name for name, _ in KEPT if "." in name}
+
+
+def test_every_imported_name_is_used():
+    """A module of the package or of the tests imports no name it does not
+    use; `from __future__` imports are exempt."""
+    unused = set()
+    for path in PACKAGE + TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            else:
+                continue
+            unused.update((path.name, name) for name in bound if name not in used)
+    assert unused == set()
 
 
 def test_only_check_size_reads_the_environment():

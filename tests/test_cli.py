@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1114,6 +1115,14 @@ class TestThetaInput:
         code, out, err = distribution_on_a_two_chain(tmp_path, theta)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"00": "0", "01": "1/4", "11": "3/4"}
+
+    def test_deeper_than_the_recursion_limit_exits_two(self, tmp_path):
+        depth = 3000
+        assert depth > sys.getrecursionlimit()
+        theta = '{"theta": [' + "[" * depth + "]" * depth + "]}"
+        code, out, err = distribution_on_a_two_chain(tmp_path, theta)
+        assert (code, out) == (2, "")
+        assert err == f"error: parameter file {tmp_path / 'theta.json'} nests too deeply\n"
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(

@@ -39,7 +39,7 @@ from maxlin.model import (
 )
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
-from conftest import catalog_dags, dags, joint_factored
+from conftest import catalog_dags, dags, joint_factored, uniform_table
 
 
 def tv(i, j):
@@ -61,7 +61,7 @@ class TestParamTable:
 
     def test_json_roundtrip(self):
         table = ParamTable.from_json_dict({"theta": [["1/2", "1/2"], ["1/4", "3/4"]]})
-        assert table.weight(2, 0) == Fraction(1, 4)
+        assert table.rows[1][0] == Fraction(1, 4)
         data = {"theta": [[str(v) for v in row] for row in table.rows]}
         assert ParamTable.from_json_dict(data) == table
 
@@ -76,7 +76,7 @@ class TestParamTable:
 
     def test_symbolic_rows(self):
         table = ParamTable.symbolic(2, 3)
-        assert table.weight(2, 1) == tv(2, 1)
+        assert table.rows[1][1] == tv(2, 1)
 
     def test_swapped(self):
         table = ParamTable.from_rows([[Fraction(1, 4), Fraction(3, 4)]])
@@ -95,7 +95,7 @@ class TestConditionalProbability:
         assert value == Fraction(1)
 
     def test_below_parent_maximum_is_zero(self, fig2_dag):
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         assert conditional_probability(fig2_dag, theta, 5, (0, 0, 0, 1, 0)) == 0
 
     def test_partial_sum_at_parent_maximum(self):
@@ -105,13 +105,13 @@ class TestConditionalProbability:
         assert value == tv(2, 0) + tv(2, 1)
 
     def test_errors(self, fig2_dag):
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         with pytest.raises(BadVertexError):
             conditional_probability(fig2_dag, theta, 6, (0, 0, 0, 0, 0))
         with pytest.raises(BadStateError):
             conditional_probability(fig2_dag, theta, 1, (0, 0, 0, 0, 2))
         with pytest.raises(ValueError):
-            conditional_probability(fig2_dag, ParamTable.uniform(5, 3), 1, (0,) * 5)
+            conditional_probability(fig2_dag, uniform_table(5, 3), 1, (0,) * 5)
 
 
 class TestFactoredJoint:
@@ -131,7 +131,7 @@ class TestFactoredJoint:
         assert dist == expected
 
     def test_non_state_has_probability_zero(self, fig2_dag):
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         assert joint_factored(fig2_dag, theta, (1, 0, 0, 0, 0)) == 0
 
     def test_distribution_sums_to_one(self):
@@ -224,14 +224,14 @@ class TestFactoredWalk:
                 calls.append(1)
                 return Counted(Fraction.__mul__(self, other))
 
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         walk = _factored_walk(fig2_dag, theta, Counted(1))
         prefixes = {g[:t] for g in walk for t in range(1, 6)}
         assert len(calls) == len(prefixes) <= 5 * len(walk)
 
     def test_long_chain_is_iterative(self):
         dag = Dag(n=2000, k=1, edges=frozenset((i, i + 1) for i in range(1, 2000)))
-        assert _factored_walk(dag, ParamTable.uniform(2000, 1)) == {(0,) * 2000: 1}
+        assert _factored_walk(dag, uniform_table(2000, 1)) == {(0,) * 2000: 1}
 
 
 def reference_oracle(dag: Dag, theta: ParamTable) -> dict:
@@ -252,7 +252,7 @@ def reference_oracle(dag: Dag, theta: ParamTable) -> dict:
         outcome = tuple(max(z[u - 1] for u in ancestry[v]) for v in range(1, dag.n + 1))
         weight = Fraction(1)
         for i, level in enumerate(z):
-            weight *= theta.weight(i + 1, level)
+            weight *= theta.rows[i][level]
         out[outcome] = out.get(outcome, Fraction(0)) + weight
     return out
 
@@ -337,7 +337,7 @@ class TestOracle:
         theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
         by_oracle = oracle_distribution(dag, theta)
         for j in range(3):
-            assert by_oracle.get((j,), Fraction(0)) == theta.weight(1, j)
+            assert by_oracle.get((j,), Fraction(0)) == theta.rows[0][j]
 
     def test_matches_factored_on_fig2(self, fig2_dag):
         rng = random.Random(13)
@@ -348,13 +348,13 @@ class TestOracle:
                 assert joint_factored(fig2_dag, theta, g) == by_oracle.get(g, Fraction(0))
 
     def test_non_state_unreachable(self, fig2_dag):
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         assert oracle_distribution(fig2_dag, theta).get((1, 0, 0, 0, 0), Fraction(0)) == 0
 
     def test_enumeration_guard(self, fig2_dag, monkeypatch):
         """Called from the library, the oracle reads MAXLIN_ORACLE_LIMIT and
         names it when the guard trips."""
-        theta = ParamTable.uniform(5, 2)
+        theta = uniform_table(5, 2)
         monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "32")
         assert sum(oracle_distribution(fig2_dag, theta).values()) == 1
         monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "31")
@@ -548,9 +548,9 @@ class TestAccumulationModel:
 
     def test_conditional_requires_two_states(self, fig1_poset):
         with pytest.raises(ValueError):
-            cbn_conditional(fig1_poset, ParamTable.uniform(5, 3), 1, (0,) * 5)
+            cbn_conditional(fig1_poset, uniform_table(5, 3), 1, (0,) * 5)
         with pytest.raises(BadStateError):
-            cbn_conditional(fig1_poset, ParamTable.uniform(5, 2), 1, (0, 0, 0, 0, 2))
+            cbn_conditional(fig1_poset, uniform_table(5, 2), 1, (0, 0, 0, 0, 2))
 
     def test_symbolic_fig1_matches_published_monomials(self, fig1_poset):
         dist = cbn_distribution(fig1_poset, ParamTable.symbolic(5, 2))
@@ -622,6 +622,14 @@ class TestEliminateSimplex:
 
     def test_rational_passthrough(self):
         assert eliminate_simplex(Fraction(1, 2), 3, 2) == Fraction(1, 2)
+
+    def test_rejects_degree_above_one(self):
+        """Only table entries are reduced; a product of them would be
+        mis-reduced term by term, so it is refused with its degree."""
+        with pytest.raises(ValueError, match="degree at most 1, not 2"):
+            eliminate_simplex(tv(1, 0) * tv(1, 2), 1, 3)
+        with pytest.raises(ValueError, match="not 3"):
+            eliminate_simplex(tv(1, 2) ** 3 + tv(1, 0), 1, 3)
 
 
 class TestMonotoneCoupling:
