@@ -17,8 +17,10 @@ from itertools import chain, combinations
 from operator import attrgetter
 from typing import Iterator, Mapping, Sequence, Union
 
-from .errors import ParseError, UnboundVariableError, UnmappedVariableError, check_size
-from .poset import State, StateLattice, unary_masks
+from .errors import (
+    QUOTE_CAP, ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote
+)
+from .poset import State, StateLattice
 from .report import Report
 
 Scalar = Union[int, Fraction]
@@ -128,11 +130,11 @@ def parse_fraction(text: str) -> Fraction:
     "3", "-1/2", "0.25"; exponents, signs other than a leading "-", "_",
     whitespace and non-ASCII digits are refused before `Fraction` sees them."""
     if not _RATIONAL.fullmatch(text):
-        raise ParseError(f"bad rational {text!r}: expected an integer, a/b or a decimal")
+        raise ParseError(f"bad rational {quote(text)}: expected an integer, a/b or a decimal")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int()'s digit limit
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+        raise ParseError(f"bad rational {quote(text)}: {exc}") from None
 
 
 def fraction_text(value: Scalar) -> str:
@@ -222,10 +224,6 @@ class Polynomial:
     @classmethod
     def from_variable(cls, v: Variable) -> "Polynomial":
         return cls({((v, 1),): 1})
-
-    @classmethod
-    def from_term(cls, mono: Monomial, coeff: Scalar) -> "Polynomial":
-        return cls({mono: coeff})
 
     # ring structure
 
@@ -379,24 +377,11 @@ def _is_number(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        tok = m.group(1)
-        if tok.strip():
-            tokens.append(tok)
-        pos = m.end()
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        # `\s*` backtracks, so `.` also matches trailing whitespace: drop it
+        self.tokens = [tok for tok in _TOKEN.findall(text) if tok.strip()]
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -405,87 +390,87 @@ class _Parser:
     def take(self, expected: str | None = None) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError(f"unexpected end of polynomial in {self.text!r}")
+            raise ParseError(f"unexpected end of polynomial in {quote(self.text)}")
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} but found {tok!r} in {self.text!r}")
+            raise ParseError(f"expected {expected!r} but found {quote(tok)} in {quote(self.text)}")
         self.pos += 1
         return tok
 
     def parse(self) -> Polynomial:
-        poly = self.parse_term(self.parse_sign())
-        while self.peek() in ("+", "-"):
-            poly = poly + self.parse_term(self.parse_sign())
-        if self.peek() is not None:
-            raise ParseError(f"trailing junk {self.peek()!r} in {self.text!r}")
-        return poly
+        """The terms summed as `Polynomial.__add__` orders them (a new monomial
+        last, a cancelled one deleted): `evaluate` meets variables in that order."""
+        terms: dict[Monomial, Fraction] = {}
+        tok = "+"  # the first term needs no sign
+        while tok in ("+", "-"):
+            coeff, mono = self.parse_term()
+            terms[mono] = terms.get(mono, 0) + coeff
+            if not terms[mono]:
+                del terms[mono]
+            tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing junk {quote(tok)} in {quote(self.text)}")
+        return Polynomial._raw(terms)
 
-    def parse_sign(self) -> int:
-        sign = 1
+    def parse_term(self) -> tuple[Fraction, Monomial]:
+        """The signs before a term and its factors, as (coefficient, monomial)."""
+        coeff, exps = Fraction(1), {}
         while self.peek() in ("+", "-"):
             if self.take() == "-":
-                sign = -sign
-        return sign
-
-    def parse_term(self, sign: int) -> Polynomial:
-        poly = Polynomial.constant(sign)
-        poly = poly * self.parse_factor()
-        while self.peek() == "*":
-            self.take("*")
-            poly = poly * self.parse_factor()
-        return poly
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of polynomial in {self.text!r}")
-        if _is_number(tok):
-            return Polynomial.constant(self.parse_rational())
-        return self.parse_power()
+                coeff = -coeff
+        while True:
+            if _is_number(self.peek() or ""):
+                coeff *= self.parse_rational()
+            else:
+                var, exp = self.parse_power()
+                exps[var] = exps.get(var, 0) + exp
+            if self.peek() != "*":
+                return coeff, mono_from_dict(exps)
+            self.take()
 
     def parse_rational(self) -> Fraction:
         num = int(self.take())
         if self.peek() == "/":
-            self.take("/")
+            self.take()
             den = self.take()
             if not _is_number(den) or int(den) == 0:
-                raise ParseError(f"bad denominator {den!r} in {self.text!r}")
+                raise ParseError(f"bad denominator {quote(den)} in {quote(self.text)}")
             return Fraction(num, int(den))
         return Fraction(num)
 
-    def parse_power(self) -> Polynomial:
+    def parse_power(self) -> tuple[Variable, int]:
         var = self.parse_variable()
-        exp = 1
-        if self.peek() == "^":
-            self.take("^")
-            digits = self.take()
-            if not _is_number(digits):
-                raise ParseError(f"bad exponent {digits!r} in {self.text!r}")
-            digits = digits.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {digits} exceeds the cap of {MAX_EXPONENT} in {self.text!r}"
-                )
-            exp = int(digits)
-        return Polynomial.from_term(((var, exp),) if exp else EMPTY_MONOMIAL, 1)
+        if self.peek() != "^":
+            return var, 1
+        self.take()
+        digits = self.take()
+        if not _is_number(digits):
+            raise ParseError(f"bad exponent {quote(digits)} in {quote(self.text)}")
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            shown = digits if len(digits) <= QUOTE_CAP else quote(digits)
+            raise ParseError(
+                f"exponent {shown} exceeds the cap of {MAX_EXPONENT} in {quote(self.text)}"
+            )
+        return var, int(digits)
 
     def parse_variable(self) -> Variable:
         name = self.take()
         if name == "t":
             return t_var()
         if name not in FAMILIES:
-            raise ParseError(f"unknown variable family {name!r} in {self.text!r}")
+            raise ParseError(f"unknown variable family {quote(name)} in {quote(self.text)}")
         self.take("[")
         first = self.take()
         if not _is_number(first):
-            raise ParseError(f"bad index {first!r} in {self.text!r}")
+            raise ParseError(f"bad index {quote(first)} in {quote(self.text)}")
         if name in ("p", "q"):
             self.take("]")
             return Variable(name, tuple(int(c) for c in first))
         if self.peek() == ",":
-            self.take(",")
+            self.take()
             second = self.take()
             if not _is_number(second):
-                raise ParseError(f"bad index {second!r} in {self.text!r}")
+                raise ParseError(f"bad index {quote(second)} in {quote(self.text)}")
             self.take("]")
             return Variable(name, (int(first), int(second)))
         self.take("]")
@@ -589,13 +574,13 @@ class GeneratorArrays:
     join: list[int]
 
     @classmethod
-    def of(cls, generators, states: Sequence[State] = (), order=tuple) -> "GeneratorArrays":
+    def of(cls, generators, states: Sequence[State] = ()) -> "GeneratorArrays":
         """Arrays as they are; a list of `BinomialGenerator`s converted once, into
-        `states` and then each other state it names by first use, in `order`."""
+        `states` and the states it names in lexicographic order, as `_lead_split` needs."""
         if isinstance(generators, cls):
             return generators
         quads = list(map(_STATES, generators))
-        states = order(dict.fromkeys(chain(states, chain.from_iterable(quads))))
+        states = tuple(sorted(set(chain(states, chain.from_iterable(quads)))))
         index = {s: i for i, s in enumerate(states)}
         return cls(states, *([index[q[c]] for q in quads] for c in range(4)))
 
@@ -612,10 +597,10 @@ class GeneratorArrays:
 def generator_arrays(lattice: StateLattice) -> GeneratorArrays:
     """One binomial per incomparable pair (g, h), g before h in the
     lattice's lexicographic state order, a linear extension: so (g, h) is
-    incomparable iff g's `unary_masks` mask has a bit outside h's. The meet
-    and join are the states with the AND and the OR of the pair's masks."""
-    masks = unary_masks(lattice)
-    index = {m: i for i, m in enumerate(masks)}
+    incomparable iff g's mask in `lattice.masks` has a bit outside h's. The
+    meet and join are the states with the AND and the OR of the pair's masks."""
+    index = lattice.masks
+    masks = list(index)
     g, h, meet, join = [], [], [], []
     for i, a in enumerate(masks):
         for j, b in enumerate(masks[i + 1 :], i + 1):
@@ -769,7 +754,7 @@ def buchberger_check(generators: Sequence) -> Report:
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
     checked and passing."""
-    arrays = GeneratorArrays.of(generators, order=sorted)
+    arrays = GeneratorArrays.of(generators)
     split = list(_lead_split(arrays))
     by_lead: dict[IndexMonomial, int] = {}
     by_var: dict[int, list[int]] = {}
@@ -863,7 +848,7 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     vanishing = verify_vanishing(arrays, monomial_map(lattice))
     leads = {lead for lead, _ in _lead_split(arrays)}
     standard = _standard_counts(size, leads)
-    images = _multichain_counts(unary_masks(lattice))
+    images = _multichain_counts(lattice.masks)
     failures = [
         f"degree {d}: {s} standard monomials, {i} image monomials"
         for d, s, i in zip((1, 2, 3), standard, images)
@@ -907,7 +892,7 @@ def _standard_counts(size: int, leads: set[tuple[int, int]]) -> tuple[int, int, 
 
 def _multichain_counts(masks: Sequence[int]) -> tuple[int, int, int]:
     """Multichains h1 <= ... <= hd of length d = 1, 2, 3 among states given
-    by their `unary_masks`, where h <= g iff h's bits lie in g's.
+    by their `StateLattice.masks`, where h <= g iff h's bits lie in g's.
 
     With down(m) and up(m) the states below and above m, there are
     sum down(m) of length 2, and sum down(m)*up(m) of length 3, counted by

@@ -6,7 +6,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 
-from .errors import BadVertexError, CyclicGraphError, DagSyntaxError
+from .errors import BadVertexError, CyclicGraphError, DagSyntaxError, quote
 from .poset import Poset
 
 # An integer of the file format: ASCII digits with an optional minus sign.
@@ -80,7 +80,8 @@ def parse_dag(text: str) -> Dag:
                 raise ValueError(line)
             a, b = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
         except ValueError:
-            raise DagSyntaxError(f"line {lineno}: expected two integers, got {line!r}") from None
+            got = quote(line)
+            raise DagSyntaxError(f"line {lineno}: expected two integers, got {got}") from None
         if header is None:
             header = (a, b)
             continue

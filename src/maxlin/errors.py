@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the size guards."""
+"""Exception types shared across the package, input quoting, and the size guards."""
 
 import os
 
@@ -49,6 +49,17 @@ class UnboundVariableError(MaxlinError):
 
 class TooLargeError(MaxlinError):
     """Exhaustive enumeration would exceed the configured guard."""
+
+
+QUOTE_CAP = 80
+
+
+def quote(text: str) -> str:
+    """`text` as repr writes it; past QUOTE_CAP characters, the repr of its
+    first QUOTE_CAP and its length, so that an error line stays short."""
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
 
 
 # Size guards: environment variable -> default limit.

@@ -40,8 +40,9 @@ class ParamTable:
 
     `cumulative` holds the model's change of coordinates, built once: entry j
     of row i-1 is alpha_{i,j}, the weight of the levels 0..j at vertex i. The
-    last entry is the constant 1 (the whole row), also for symbolic rows, so
-    symbolic output keeps the reduced form the weights satisfy on the simplex.
+    last entry is the row's sum (1 on a checked row) for rational or integer
+    rows, and the constant 1 for symbolic rows, so symbolic output keeps the
+    reduced form the weights satisfy on the simplex.
     """
 
     rows: tuple[tuple[Value, ...], ...]
@@ -51,6 +52,7 @@ class ParamTable:
         if not self.rows:
             raise ValueError("parameter table needs at least one row")
         k = len(self.rows[0])
+        cumulative = []
         for idx, row in enumerate(self.rows):
             if len(row) != k:
                 raise ValueError(f"row {idx + 1} has {len(row)} entries, expected {k}")
@@ -59,8 +61,9 @@ class ParamTable:
                     raise ValueError(f"row {idx + 1} has a negative weight")
                 if sum(row) != 1:
                     raise ValueError(f"row {idx + 1} sums to {sum(row)}, not 1")
-        cumulative = tuple((*accumulate(row[:-1]), Fraction(1)) for row in self.rows)
-        object.__setattr__(self, "cumulative", cumulative)
+            last = sum(row) if all(isinstance(v, Rational) for v in row) else Fraction(1)
+            cumulative.append((*accumulate(row[:-1]), last))
+        object.__setattr__(self, "cumulative", tuple(cumulative))
 
     @property
     def n(self) -> int:
@@ -199,18 +202,13 @@ def full_distribution(
 
 
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
-    """A rational table with row v and its cumulative row (as held) scaled by
-    d_v, the lcm of both rows' denominators, and D = prod(d_v): a product of
-    one entry per vertex is then an integer numerator over D."""
-    tables = (theta.rows, theta.cumulative)
-    scales = [lcm(*(v.denominator for v in (*r, *a))) for r, a in zip(*tables)]
-    rows, cumulative = (
-        tuple(tuple(v.numerator * (d // v.denominator) for v in r) for r, d in zip(t, scales))
-        for t in tables
-    )
-    view = ParamTable(rows)
-    object.__setattr__(view, "cumulative", cumulative)
-    return view, prod(scales)
+    """A rational table with row v scaled by d_v, the lcm of its denominators,
+    and D = prod(d_v): integer rows are a scaled table, whose cumulative rows
+    end in d_v, and a product of one entry per vertex is a numerator over D."""
+    rows = theta.rows
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    scaled = (tuple(v.numerator * d // v.denominator for v in r) for r, d in zip(rows, scales))
+    return ParamTable(tuple(scaled)), prod(scales)
 
 
 def oracle_distribution(dag: Dag, theta: ParamTable) -> dict[State, Fraction]:

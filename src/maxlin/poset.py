@@ -141,12 +141,22 @@ class StateLattice:
         return g in self._members
 
     @cached_property
+    def masks(self) -> dict[int, int]:
+        """Each state in unary, coordinate i holding g_i ones among k-1 bits,
+        mapped to its index in `states`, in that order. g <= h iff g's bits lie
+        in h's, and the meet and join (coordinate-wise min and max) of two
+        states have the AND and the OR of their masks."""
+        width = self.k - 1
+        masks = (sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in self.states)
+        return {m: t for t, m in enumerate(masks)}
+
+    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Every index pair (g, g - e_i) of states, coordinates in decreasing
-        order of column sums, g in lex order; built once, on unary masks."""
-        states, masks, width = self.states, unary_masks(self), self.k - 1
+        order of column sums, g in lex order; built once, on the masks."""
+        states, masks, width = self.states, self.masks, self.k - 1
         coords = sorted(range(self.n), key=lambda i: -sum(g[i] for g in states))
-        index = {m: t for t, m in enumerate(masks)}.get
+        index = masks.get
         pairs = [(t, index(m ^ (1 << i * width + g[i] - 1))) for i in coords
                  for t, (g, m) in enumerate(zip(states, masks)) if g[i]]
         return tuple(pair for pair in pairs if pair[1] is not None)
@@ -287,15 +297,3 @@ def state_to_ideal(poset: Poset, g: State, k: int) -> frozenset[tuple[Label, int
     return frozenset(
         (e, r) for e, v in zip(poset.elements, g) for r in range(k - v - 1)
     )
-
-
-def unary_masks(lattice: StateLattice) -> list[int]:
-    """Each state in unary, coordinate i holding g_i ones among k-1 bits.
-
-    g <= h iff g's bits lie in h's, and the coordinate-wise min and max of
-    two states, their meet and join, have the AND and the OR of their masks.
-    Distinct states have distinct masks."""
-    width = lattice.k - 1
-    return [
-        sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in lattice.states
-    ]

@@ -38,7 +38,6 @@ from maxlin.poset import (
     State,
     StateLattice,
     order_preserving_maps,
-    unary_masks,
 )
 from maxlin.transforms import zeta_transform
 
@@ -156,10 +155,10 @@ def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
 
     Lexicographic order is a linear extension of the lattice order, so a
     later state is never below an earlier one, and (g, h) is incomparable
-    iff g is not below h: iff g's `unary_masks` mask has a bit outside h's.
+    iff g is not below h: iff g's mask in `lattice.masks` has a bit outside h's.
     """
     states = lattice.states
-    masks = unary_masks(lattice)
+    masks = list(lattice.masks)
     out = []
     for i, (g, m) in enumerate(zip(states, masks)):
         out.extend(
@@ -271,7 +270,7 @@ def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
     """
     q_vars = [v for v in poly.variables() if v.family == "q"]
     return substitute_variables(
-        poly, {v: Polynomial.from_term(mmap.image(v), 1) for v in q_vars}
+        poly, {v: Polynomial({mmap.image(v): 1}) for v in q_vars}
     )
 
 
@@ -364,9 +363,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mf, cf = leading_term(f)
     mg, cg = leading_term(g)
     lcm = mono_lcm(mf, mg)
-    return Polynomial.from_term(mono_div(lcm, mf), 1 / cf) * f - Polynomial.from_term(
-        mono_div(lcm, mg), 1 / cg
-    ) * g
+    left = Polynomial({mono_div(lcm, mf): 1 / cf}) * f
+    return left - Polynomial({mono_div(lcm, mg): 1 / cg}) * g
 
 
 def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -379,10 +377,10 @@ def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
         mono, coeff = leading_term(poly)
         for b, (lead, lead_coeff) in zip(basis, leads):
             if mono_divides(lead, mono):
-                poly = poly - Polynomial.from_term(mono_div(mono, lead), coeff / lead_coeff) * b
+                poly = poly - Polynomial({mono_div(mono, lead): coeff / lead_coeff}) * b
                 break
         else:
-            term = Polynomial.from_term(mono, coeff)
+            term = Polynomial({mono: coeff})
             remainder = remainder + term
             poly = poly - term
     return remainder

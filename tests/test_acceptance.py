@@ -225,9 +225,7 @@ def test_criterion_06_generators(tmp_path):
 def test_criterion_07_vanishing(fig3_dag):
     lattice3 = order_preserving_maps(transitive_closure(fig3_dag), 3)
     image = substitute(parse_polynomial("q[012]"), monomial_map(lattice3))
-    expected = Polynomial.from_term(
-        ((t_var(), 1), (x_var(1, 0), 1), (x_var(1, 1), 1), (x_var(2, 0), 1)), 1
-    )
+    expected = Polynomial({((t_var(), 1), (x_var(1, 0), 1), (x_var(1, 1), 1), (x_var(2, 0), 1)): 1})
     assert image == expected
 
     for k in (2, 3, 4):

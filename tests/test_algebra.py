@@ -50,9 +50,10 @@ from maxlin.errors import (
     TooLargeError,
     UnboundVariableError,
     UnmappedVariableError,
+    quote,
 )
 from maxlin.model import ParamTable, full_distribution
-from maxlin.poset import ideal_lattice, order_preserving_maps, unary_masks
+from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
 from conftest import (
@@ -101,7 +102,7 @@ def random_polynomial(rng, variables, terms=4, max_exp=3):
         for v in rng.sample(variables, rng.randint(0, min(3, len(variables)))):
             mono[v] = rng.randint(1, max_exp)
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        poly = poly + Polynomial.from_term(tuple(sorted(mono.items())), coeff)
+        poly = poly + Polynomial({tuple(sorted(mono.items())): coeff})
     return poly
 
 
@@ -230,6 +231,36 @@ class TestPolynomialRing:
         assert (poly_of(t_var()) ** 3 + 1).total_degree() == 3
 
 
+# A term of the grammar: its signs and its factors, each a coefficient or a
+# (variable, exponent) pair; variables repeat, and exponents and
+# coefficients may be 0.
+GRAMMAR_TERMS = st.tuples(
+    st.sampled_from(["+", "-", "--", "+-", "- +"]),
+    st.lists(
+        st.one_of(
+            st.builds(Fraction, st.integers(0, 4), st.integers(1, 3)),
+            st.tuples(
+                st.sampled_from([t_var(), p_var((0, 0)), p_var((0, 1)), theta_var(2, 1)]),
+                st.integers(0, 3),
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+# Every character that `\s` matches, \n and the Unicode spaces included.
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+def grammar_term_text(factors) -> str:
+    return "*".join(
+        fraction_text(f) if isinstance(f, Fraction) else f"{f[0].key_text()}^{f[1]}"
+        for f in factors
+    )
+
+
 class TestGrammar:
     def test_parse_binomial(self):
         poly = parse_polynomial("q[01011]*q[10111] - q[00011]*q[11111]")
@@ -277,6 +308,13 @@ class TestGrammar:
             parse_polynomial("p[00]^" + "1" * 5000)
         assert parse_polynomial(f"t^000{MAX_EXPONENT}") == poly_of(t_var()) ** MAX_EXPONENT
 
+    def test_long_exponent_is_cut(self):
+        text = "p[00]^" + "1" * 5000
+        with pytest.raises(ParseError) as caught:
+            parse_polynomial(text)
+        message = f"exponent {quote(text[6:])} exceeds the cap of {MAX_EXPONENT} in {quote(text)}"
+        assert str(caught.value) == message and len(message) < 300
+
     def test_numbers_past_the_int_digit_limit(self):
         for text in ("1" * 5000, "1/" + "1" * 5000, "p[00]*" + "1" * 5000):
             with pytest.raises(ParseError):
@@ -296,6 +334,43 @@ class TestGrammar:
         for _ in range(40):
             poly = random_polynomial(rng, variables)
             assert parse_polynomial(poly.to_text()) == poly
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(GRAMMAR_TERMS, min_size=1, max_size=6), st.data())
+    def test_terms_sum_as_the_ring_adds_them(self, terms, data):
+        """A line parses to the sum, in order, of its terms' products built
+        with the ring operators: the same monomials in the same insertion
+        order, with the same coefficients."""
+        # repeated terms, with their signs flipped or not, cancel and reappear
+        repeats = st.lists(st.tuples(st.sampled_from(terms), st.booleans()), max_size=4)
+        terms += [("-" + sign if flip else sign, f) for (sign, f), flip in data.draw(repeats)]
+        expected = Polynomial()
+        for sign, factors in terms:
+            product = Polynomial.constant(-1 if sign.count("-") % 2 else 1)
+            for factor in factors:
+                if isinstance(factor, Fraction):
+                    product = product * factor
+                else:
+                    product = product * poly_of(factor[0]) ** factor[1]
+            expected = expected + product
+        text = " ".join(sign + " " + grammar_term_text(factors) for sign, factors in terms)
+        if data.draw(st.booleans()) and terms[0][0] == "+":
+            text = text[2:]  # the first term without its sign
+        space = st.text(WHITESPACE, max_size=3)
+        text = data.draw(space) + text + data.draw(space)
+        parsed = parse_polynomial(text)
+        assert list(parsed.terms.items()) == list(expected.terms.items())
+        assert all(type(c) is Fraction for c in parsed.terms.values())
+
+    def test_cancelled_monomial_reappears_last(self):
+        # p[01] cancels, then comes back after p[00]: evaluation names p[00]
+        poly = parse_polynomial("p[01] + p[00] - p[01] + 2*p[01]")
+        assert list(poly.terms.items()) == [
+            (((p_var((0, 0)), 1),), 1),
+            (((p_var((0, 1)), 1),), 2),
+        ]
+        with pytest.raises(UnboundVariableError, match=re.escape("no value for variable p[00]")):
+            poly.evaluate({})
 
     def test_fraction_text(self):
         assert fraction_text(Fraction(1, 2)) == "1/2"
@@ -432,8 +507,8 @@ class TestHibiGenerators:
         ]
 
     def test_arrays_of_a_list(self, fig3_dag):
-        """An edited list becomes arrays over the states it names, in order of
-        first use after the given states, or sorted; arrays pass through."""
+        """An edited list becomes arrays over the given states and the states
+        it names, in lexicographic order; arrays pass through."""
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         generators = hibi_generators(lattice)[::-1]
         generators[0] = dataclasses.replace(generators[0], join=lattice.top)
@@ -441,10 +516,10 @@ class TestHibiGenerators:
         assert len(arrays) == len(generators)
         assert list(arrays) == generators  # read as a sequence of generators
         named = [s for gen in generators for s in (gen.g, gen.h, gen.meet, gen.join)]
-        assert arrays.states == tuple(dict.fromkeys(named))
-        assert GeneratorArrays.of(generators, order=sorted).states == sorted(set(named))
+        assert arrays.states == tuple(sorted(set(named)))
         full = GeneratorArrays.of(generators, lattice.states)
         assert full.states == lattice.states
+        assert GeneratorArrays.of(generators, lattice.states[::-1]).states == lattice.states
         assert [full.states[i] for i in full.join] == [gen.join for gen in generators]
         assert GeneratorArrays.of(full) is full
 
@@ -1125,7 +1200,7 @@ class TestMultichainImages:
         images are at least the multichains."""
         lattice = order_preserving_maps(transitive_closure(dag), k)
         assume(len(lattice) <= 40)
-        masks = dict(zip(lattice.states, unary_masks(lattice)))
+        masks = dict(zip(lattice.states, lattice.masks))
         states = data.draw(st.lists(st.sampled_from(lattice.states), unique=True))
         chains = algebra._multichain_counts([masks[g] for g in states])
         images = image_counts(monomial_map(lattice), [q_var(g) for g in states])

@@ -19,6 +19,7 @@ from maxlin import data
 from maxlin.algebra import hibi_generators, state_digits
 from maxlin.cli import VERIFY_SUITES, build_parser, main, run
 from maxlin.dag import parse_dag, transitive_closure
+from maxlin.errors import QUOTE_CAP, quote
 from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
@@ -956,6 +957,14 @@ class TestEval:
         assert err == f"error: no value for variable {variable}\n"
 
 
+    def test_names_the_first_unbound_variable_in_term_order(self, capsys, fig_files, tmp_path):
+        # p[1000] cancels and comes back after p[20000], so it is named second
+        poly = tmp_path / "bad.poly"
+        poly.write_text("p[1000] + p[20000] - p[1000] + p[1000]\n", encoding="utf-8")
+        argv = ["eval", "--dag", fig_files["fig2.dag"], "--theta", fig_files["theta2"]]
+        code, out, err = run_main(capsys, argv + ["--poly", str(poly)])
+        assert (code, out, err) == (2, "", "error: no value for variable p[20000]\n")
+
     def test_q_variables_take_the_zeta_coordinates(self, capsys, tmp_path):
         # on the 2-chain 1 -> 2 the states are 00, 01, 11, and q_g sums p
         # over the states below g
@@ -986,6 +995,48 @@ class TestEval:
         poly.write_text("q[10]\n", encoding="utf-8")
         argv = ["eval", "--dag", str(dag), "--theta", str(theta), "--poly", str(poly)]
         assert run_main(capsys, argv) == (2, "", "error: no value for variable q[10]\n")
+
+
+class TestLongInputInErrors:
+    """An error line quotes at most QUOTE_CAP characters of the input, and
+    the length of what it cut."""
+
+    LONG = 5_000_000
+
+    def cut(self, text: str) -> str:
+        return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
+
+    def test_quote_keeps_text_up_to_the_cap(self):
+        text = "x\u00e9\n" * QUOTE_CAP
+        assert quote(text[:QUOTE_CAP]) == repr(text[:QUOTE_CAP])
+        assert quote(text[: QUOTE_CAP + 1]) == self.cut(text[: QUOTE_CAP + 1])
+
+    def test_theta_entry(self, tmp_path):
+        entry = "x" * self.LONG
+        theta = json.dumps({"theta": [[entry, "1"], ["1/2", "1/2"]]})
+        code, out, err = distribution_on_a_two_chain(tmp_path, theta)
+        message = f"bad rational {self.cut(entry)}: expected an integer, a/b or a decimal"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) <= 300
+
+    def test_dag_line(self, capsys, tmp_path):
+        line = "1 2 " + "3" * self.LONG
+        dag = tmp_path / "long.dag"
+        dag.write_text(f"2 2\n{line}\n", encoding="utf-8")
+        code, out, err = run_main(capsys, ["lattice", "--dag", str(dag)])
+        expected = f"error: line 2: expected two integers, got {self.cut(line)}\n"
+        assert (code, out, err) == (2, "", expected)
+        assert len(err.encode()) <= 300
+
+    def test_polynomial_identifier(self, capsys, fig_files, tmp_path):
+        name = "a" * self.LONG
+        poly = tmp_path / "long.poly"
+        poly.write_text(name + "\n", encoding="utf-8")
+        argv = ["eval", "--dag", fig_files["fig2.dag"], "--theta", fig_files["theta2"]]
+        code, out, err = run_main(capsys, argv + ["--poly", str(poly)])
+        cut = self.cut(name)
+        assert (code, out, err) == (2, "", f"error: unknown variable family {cut} in {cut}\n")
+        assert len(err.encode()) <= 300
 
 
 class TestErrorsAndDeterminism:

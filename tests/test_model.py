@@ -302,13 +302,14 @@ class TestIntegerView:
         assert view.rows == ((1, 2, 3), (1, 0, 0))
         assert view.cumulative == ((1, 3, 6), (1, 1, 1))
         assert denominator == 6
-        # a cumulative entry whose denominator the weights lack still scales
-        # to an integer: the view keeps the row as the table holds it
+        # partial sums of a row have denominators that divide its lcm, so the
+        # lcm of both rows is the weights' lcm; the view is a scaled table,
+        # its cumulative rows its own partial sums, whatever the table holds
         object.__setattr__(theta, "cumulative", ((Fraction(1, 7), Fraction(1, 2), 1), (1, 1, 1)))
         view, denominator = integer_view(theta)
-        assert view.rows == ((7, 14, 21), (1, 0, 0))
-        assert view.cumulative == ((6, 21, 42), (1, 1, 1))
-        assert denominator == 42
+        assert view.rows == ((1, 2, 3), (1, 0, 0))
+        assert view.cumulative == ((1, 3, 6), (1, 1, 1))
+        assert denominator == 6
 
 
 def box_failures(dag: Dag, trials: int, seed: int, oracle=reference_oracle) -> list[str]:

@@ -327,6 +327,10 @@ class TestAlphaTable:
         theta = ParamTable.from_rows([[1, 0, 0]])
         assert theta.cumulative == ((Fraction(1), Fraction(1), Fraction(1)),)
 
+    def test_integer_rows_end_in_their_sum(self):
+        # integer rows are a scaled table, such as an integer view
+        assert ParamTable(((1, 2, 3), (4, 0, 0))).cumulative == ((1, 3, 6), (4, 4, 4))
+
     def test_rejects_decreasing_row(self):
         # the partial sums 1/2, 1/4, 1 would decrease: a negative weight
         with pytest.raises(ValueError, match="negative"):
@@ -450,7 +454,7 @@ class TestZetaFactorization:
                     for r in range(k - 1):
                         assignment[x_var(i, r)] = x[i - 1][r]
                 for g in lattice:
-                    image = Polynomial.from_term(mapping.image(q_var(g)), 1)
+                    image = Polynomial({mapping.image(q_var(g)): 1})
                     assert image.evaluate(assignment) == cumulative[g]
 
 
