@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
-    QUOTE_CAP, ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote
+    ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
 )
 from .poset import State, StateLattice
 from .report import Report
@@ -328,7 +328,7 @@ class Polynomial:
             value = coeff
             for v, e in mono:
                 if v not in assignment:
-                    raise UnboundVariableError(f"no value for variable {v.key_text()}")
+                    raise UnboundVariableError(f"no value for variable {shorten(v.key_text())}")
                 value = value * Fraction(assignment[v]) ** e
             total += value
         return total
@@ -447,9 +447,9 @@ class _Parser:
             raise ParseError(f"bad exponent {quote(digits)} in {quote(self.text)}")
         digits = digits.lstrip("0") or "0"
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            shown = digits if len(digits) <= QUOTE_CAP else quote(digits)
             raise ParseError(
-                f"exponent {shown} exceeds the cap of {MAX_EXPONENT} in {quote(self.text)}"
+                f"exponent {shorten(digits)} exceeds the cap of {MAX_EXPONENT} "
+                f"in {quote(self.text)}"
             )
         return var, int(digits)
 
@@ -630,7 +630,7 @@ class MonomialMap:
 
     def image(self, var: Variable) -> Monomial:
         if var not in self.images:
-            raise UnmappedVariableError(f"variable {var.key_text()} is not in the map")
+            raise UnmappedVariableError(f"variable {shorten(var.key_text())} is not in the map")
         return self.images[var]
 
 

@@ -145,11 +145,10 @@ def run(args: argparse.Namespace) -> int:
     the result and returns the exit status."""
     dag = _load_dag(args)
     if args.command == "lattice":
-        _emit_states(_state_lattice(dag).states, args.format)
+        _emit_states(_state_lattice(dag).vectors, args.format)
         return 0
     if args.command == "ideals":
-        lattice = ideal_lattice(transitive_closure(dag))
-        _emit_states(lattice.states, args.format)
+        _emit_states(ideal_lattice(transitive_closure(dag)).vectors, args.format)
         return 0
     if args.command == "distribution":
         view, denominator = integer_view(_load_theta(args))

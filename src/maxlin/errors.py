@@ -62,6 +62,11 @@ def quote(text: str) -> str:
     return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
 
 
+def shorten(text: str) -> str:
+    """`text` up to QUOTE_CAP characters, else `quote(text)`: for unquoted text."""
+    return text if len(text) <= QUOTE_CAP else quote(text)
+
+
 # Size guards: environment variable -> default limit.
 _DEFAULT_LIMITS = {
     "MAXLIN_ORACLE_LIMIT": 10**7,

@@ -23,6 +23,7 @@ from .poset import (
     Poset,
     State,
     StateLattice,
+    bit_positions,
     ideal_lattice,
     is_order_ideal,
     order_preserving_maps,
@@ -275,33 +276,31 @@ def _innovation_outcomes(dag: Dag, rows: list[list[int]]):
         z[turned] += 1
 
 
-def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:
-    """Conditional probability of the event-accumulation model on a poset:
-    an element can only occur once everything it covers has occurred; given
-    that, it occurs with its own two-state weight."""
-    if theta.k != 2:
-        raise ValueError(f"the accumulation model is two-state, table has k={theta.k}")
-    if len(g) != len(poset.elements) or any(v not in (0, 1) for v in g):
-        raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
-    pos = poset.index(i)
-    if all(g[poset.index(j)] == 1 for j in poset.covers_below(i)):
-        return theta.rows[pos][g[pos]]
-    return Fraction(1) if g[pos] == 0 else Fraction(0)
-
-
 def cbn_distribution(
     poset: Poset, theta: ParamTable, lattice: StateLattice | None = None
 ) -> dict[State, Value]:
     """The accumulation model's joint over the order ideals of the poset,
     ideals written as 0-1 indicator vectors; `lattice`, when given, is
-    `ideal_lattice(poset)`."""
+    `ideal_lattice(poset)`. An element can only occur once everything it
+    covers has occurred; given that, it occurs with its own two-state weight."""
+    n = len(poset.elements)
+    if theta.n != n or theta.k != 2:
+        raise ValueError(f"the accumulation model needs a {n}x2 table, got {theta.n}x{theta.k}")
     if lattice is None:
         lattice = ideal_lattice(poset)
+    covers = [bit_positions(mask) for mask in poset._lower_covers]
     out: dict[State, Value] = {}
     for g in lattice:
+        if len(g) != n or not {0, 1}.issuperset(g):
+            raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
         value: Value = Fraction(1)
-        for e in poset.elements:
-            factor = cbn_conditional(poset, theta, e, g)
+        for row, v, below in zip(theta.rows, g, covers):
+            if all(g[j] for j in below):
+                factor = row[v]
+            elif v:
+                factor = Fraction(0)
+            else:
+                continue  # the element cannot occur yet, and has not: factor 1
             if factor == 0:
                 value = Fraction(0)
                 break

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
-from typing import Hashable, Iterator
+from typing import Hashable, Iterator, Sequence
 
 from .errors import BadStateError, NotAStateError
 
@@ -100,22 +99,20 @@ class Poset:
             (e[j], e[i]) for i, mask in enumerate(self.down) for j in bit_positions(mask)
         )
 
-    def covers_below(self, b: Label) -> tuple[Label, ...]:
-        """The elements b covers: the maximal elements strictly below b."""
-        return tuple(
-            self.elements[j] for j in bit_positions(self._lower_covers[self.index(b)])
-        )
-
 
 @dataclass(frozen=True)
 class StateLattice:
     """The distributive lattice of length-n vectors over {0..k-1}, ordered
     coordinate-wise, closed under coordinate-wise min and max.
 
-    `states` is sorted lexicographically and that order is a linear extension
-    of the lattice order. `order_preserving_maps` and `ideal_lattice` build
-    it by one walk along a linear extension of the poset (`_monotone_vectors`),
-    one OR per state on unary vectors, and one sort at the end.
+    `vectors` holds the states in lexicographic order, and that order is a
+    linear extension of the lattice order. `order_preserving_maps` and
+    `ideal_lattice` build them by one walk along a linear extension of the
+    poset (`_monotone_vectors`), one OR per state on unary vectors and one
+    sort of bytes at the end, and keep them as the walk gives them: `bytes`
+    of the entries when k <= 9, int tuples otherwise. `states`, the same
+    vectors as int tuples, is built on first use, so printing a lattice
+    from `vectors` never makes a tuple per state.
 
     The walks on `covers` need the states to be all the monotone maps of a
     poset, as `order_preserving_maps` and `ideal_lattice` build them: then
@@ -125,20 +122,24 @@ class StateLattice:
 
     n: int
     k: int
-    states: tuple[State, ...]
-    _members: frozenset[State] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_members", frozenset(self.states))
+    vectors: Sequence[Sequence[int]]
 
     def __iter__(self) -> Iterator[State]:
         return iter(self.states)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.vectors)
 
     def __contains__(self, g: object) -> bool:
         return g in self._members
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        return tuple(map(tuple, self.vectors))
+
+    @cached_property
+    def _members(self) -> frozenset[State]:
+        return frozenset(self.states)
 
     @cached_property
     def masks(self) -> dict[int, int]:
@@ -163,42 +164,48 @@ class StateLattice:
 
     @property
     def top(self) -> State:
-        return self.states[-1]
+        return tuple(self.vectors[-1])
 
 
 # A byte of r low one-bits -> r: decodes the bytes of a unary slot.
 _UNARY_BYTES = bytes.maketrans(bytes((1 << r) - 1 for r in range(9)), bytes(range(9)))
 
 
-def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list[State]:
+def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list:
     """All vectors over {0..k-1} monotone along the poset relation, in
-    lexicographic order; with reverse=True the vectors must be
-    order-reversing instead (used for order-ideal indicators).
+    lexicographic order, as `bytes` of the entries when k <= 9 and as int
+    tuples otherwise; with reverse=True the vectors must be order-reversing
+    instead (used for order-ideal indicators).
 
     The walk visits the positions along a linear extension (the dual's for
     reverse=True), so no position is bounded from above by an earlier one.
     The next vector raises the last position below k-1 and resets every later
     position to the least value the prefix allows; it never meets a dead end.
     A vector is one int with a slot of ceil((k-1)/8) bytes per position, the
-    value v as v one-bits, so elementwise max is OR: the reset is the OR of
-    the prefix's vector and the raised value copied into the slots of every
-    element above the raised one. The walk's order is lexicographic in the
-    extension's positions; one sort at the end restores coordinate order,
-    and it is linear when the extension is the identity.
+    value v as v low one-bits, so elementwise max is OR: the reset is the OR
+    of the prefix's vector and the raised value copied into the slots of
+    every element above the raised one. The int holds the vector twice: in
+    coordinate order in its low half, and in the walk's order in its high
+    half, whose trailing full slots end at the position to raise. The low
+    half's bytes are kept. A little-endian unary slot compares as bytes like
+    its value, so one sort of those bytes puts the vectors in lexicographic
+    order (linear when the extension is the identity), and one translate per
+    vector decodes it.
     """
     if k < 1:
         raise ValueError(f"chain size must be >= 1, got {k}")
     n = len(poset.elements)
     order = sorted(range(n), key=lambda i: poset.down[i].bit_count(), reverse=reverse)
     width = (k + 6) // 8 or 1  # bytes per slot; k = 1 keeps one empty byte
+    size = n * width
     full = ((1 << (k - 1)) - 1).to_bytes(width, "little")
-    # ones[i]: the lowest bit of the slot of every element above element i
-    # in the walk's order, i itself included, built along the covers from
-    # the last position back.
+    # ones[i]: the lowest bit of the slot of every element above element i,
+    # i itself included, in both halves, built along the covers from the
+    # walk's last position back.
     ones = [0] * n
     for t in range(n - 1, -1, -1):
         i = order[t]
-        ones[i] |= 1 << 8 * width * t
+        ones[i] |= 1 << 8 * width * i | 1 << 8 * (size + width * t)
         covers = poset._lower_covers[i]
         while covers:
             j = (covers & -covers).bit_length() - 1
@@ -208,50 +215,40 @@ def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list[St
             else:
                 ones[j] |= ones[i]
     ones = [ones[i] for i in order]
-    pos = [0] * n
-    for t, i in enumerate(order):
-        pos[i] = t
-    permute = tuple if order == list(range(n)) else itemgetter(*pos)
     # prefix[t]: the least vector that agrees with the current one before t.
     prefix = [0] * n
     vec = 0
-    out: list[State] = []
+    out: list[bytes] = []
     while True:
-        raw = vec.to_bytes(n * width, "little")
-        values = raw.translate(_UNARY_BYTES)
-        if width > 1:
-            values = tuple(map(sum, zip(*[iter(values)] * width)))
-        out.append(permute(values))
+        raw = vec.to_bytes(2 * size, "little")
+        out.append(raw[:size])
         # Strips whole slots only: a slot's top byte is one of full's bytes
-        # only when the slot is full.
+        # only when the slot is full; it strips the low half when all are.
         raw = raw.rstrip(full)
         if not raw:
-            out.sort()
-            return out
-        t = len(raw) // width - 1
+            break
+        t = len(raw) // width - n - 1
         raised = int.from_bytes(raw[-width:], "little") << 1 | 1
         vec = prefix[t] | ones[t] * raised
         prefix[t + 1 :] = [vec] * (n - t - 1)
+    out.sort()
+    if width == 1:
+        return [v.translate(_UNARY_BYTES) for v in out]
+    return [tuple(map(sum, zip(*[iter(v.translate(_UNARY_BYTES))] * width))) for v in out]
 
 
 def order_preserving_maps(poset: Poset, k: int) -> StateLattice:
     """The lattice of all vectors g over {0..k-1} with a <= b implying
     g_a <= g_b, coordinates taken in `poset.elements` order."""
-    states = _monotone_vectors(poset, k)
-    return StateLattice(n=len(poset.elements), k=k, states=tuple(states))
-
-
-def order_ideals(poset: Poset) -> list[State]:
-    """All order ideals as 0-1 indicator vectors over `poset.elements`,
-    lexicographically ordered. An indicator is an ideal iff it never drops
-    from 0 back to 1 going down the order."""
-    return _monotone_vectors(poset, 2, reverse=True)
+    return StateLattice(len(poset.elements), k, tuple(_monotone_vectors(poset, k)))
 
 
 def ideal_lattice(poset: Poset) -> StateLattice:
-    """Order ideals as a 2-state lattice: inclusion is the coordinate-wise
-    order on indicators, intersection/union are min/max."""
-    return StateLattice(n=len(poset.elements), k=2, states=tuple(order_ideals(poset)))
+    """Order ideals as a 2-state lattice of 0-1 indicator vectors over
+    `poset.elements`: inclusion is the coordinate-wise order on indicators,
+    intersection/union are min/max. An indicator is an ideal iff it never
+    falls from 1 to 0 going down the order."""
+    return StateLattice(len(poset.elements), 2, tuple(_monotone_vectors(poset, 2, reverse=True)))
 
 
 def is_order_ideal(poset: Poset, indicator: State) -> bool:

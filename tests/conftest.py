@@ -1,7 +1,8 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
 brute-force enumerators, the general division algorithm, the expanded eq5
 check, generic substitution, reference helpers (the order, meet and join of
-states, the generator of a pair, the dual of a poset, the uniform table),
+states, the generator of a pair, the dual of a poset, its covers and order
+ideals, the uniform table, the accumulation model one element at a time),
 and random generators for property-style tests."""
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from maxlin.algebra import (
     state_digits,
 )
 from maxlin.dag import Dag, parse_dag, transitive_closure
+from maxlin.errors import BadStateError
 from maxlin.model import (
     ParamTable,
     Value,
@@ -37,6 +39,8 @@ from maxlin.poset import (
     Poset,
     State,
     StateLattice,
+    bit_positions,
+    ideal_lattice,
     order_preserving_maps,
 )
 from maxlin.transforms import zeta_transform
@@ -65,6 +69,18 @@ CATALOG: list[tuple[str, int, tuple[tuple[int, int], ...]]] = [
     ("scrambled", 4, ((4, 2), (1, 2), (4, 3))),
     ("reversed_fork", 3, ((3, 1), (3, 2))),
     ("bipartite22", 4, ((1, 3), (1, 4), (2, 3), (2, 4))),
+]
+
+
+# Small posets whose labels are not a topological order, so the walk's
+# linear extension permutes the coordinates: the chain 1 < 0, the chain
+# 2 < 0 < 1, 2 below both 0 and 1, 0 and 2 below 1, and 1 below 0 beside 2.
+RELABELLED = [
+    Poset((0, 1), (0b11, 0b10)),
+    Poset((0, 1, 2), (0b101, 0b111, 0b100)),
+    Poset((0, 1, 2), (0b101, 0b110, 0b100)),
+    Poset((0, 1, 2), (0b001, 0b111, 0b100)),
+    Poset((0, 1, 2), (0b011, 0b010, 0b100)),
 ]
 
 
@@ -102,6 +118,17 @@ def chain(length: int) -> Poset:
     """The chain 0 < 1 < ... < length-1."""
     elems = tuple(range(length))
     return Poset.from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
+
+
+def order_ideals(poset: Poset) -> list[State]:
+    """All order ideals as 0-1 indicator tuples over `poset.elements`,
+    lexicographically ordered: the states of `ideal_lattice`."""
+    return list(ideal_lattice(poset).states)
+
+
+def covers_below(poset: Poset, b: Label) -> tuple[Label, ...]:
+    """The elements b covers: the maximal elements strictly below b."""
+    return tuple(poset.elements[j] for j in bit_positions(poset._lower_covers[poset.index(b)]))
 
 
 def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:
@@ -228,6 +255,21 @@ def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:
         (conditional_probability(dag, theta, i, g) for i in range(1, dag.n + 1)),
         start=Fraction(1),
     )
+
+
+def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:
+    """Conditional probability of the event-accumulation model on a poset,
+    checked one element at a time: an element can only occur once
+    everything it covers has occurred; given that, it occurs with its own
+    two-state weight. The per-element reference of `cbn_distribution`."""
+    if theta.k != 2:
+        raise ValueError(f"the accumulation model is two-state, table has k={theta.k}")
+    if len(g) != len(poset.elements) or any(v not in (0, 1) for v in g):
+        raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
+    pos = poset.index(i)
+    if all(g[poset.index(j)] == 1 for j in covers_below(poset, i)):
+        return theta.rows[pos][g[pos]]
+    return Fraction(1) if g[pos] == 0 else Fraction(0)
 
 
 def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:

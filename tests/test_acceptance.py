@@ -36,7 +36,6 @@ from maxlin.model import (
 )
 from maxlin.poset import (
     chain_product,
-    order_ideals,
     order_preserving_maps,
     state_to_ideal,
 )
@@ -49,6 +48,7 @@ from maxlin.transforms import (
 from conftest import (
     catalog_dags,
     incomparable_pairs,
+    order_ideals,
     random_dag,
     state_leq,
     substitute,

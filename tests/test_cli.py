@@ -23,6 +23,8 @@ from maxlin.errors import QUOTE_CAP, quote
 from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
+from conftest import RELABELLED, brute_force_ideals, brute_force_states, strict_pairs
+
 
 @pytest.fixture()
 def fig_files(tmp_path):
@@ -276,6 +278,58 @@ class TestGeneratorsFromArrays:
         assert code == 0 and out.count(" - ") > states  # more generators than states
         assert built == []
         assert len(rendered) <= states, len(rendered)
+
+
+class TestStateRendering:
+    """`lattice` and `ideals` print the walk's vectors as they come out, at
+    every slot width, and never build a tuple per state."""
+
+    def dag_file(self, tmp_path, poset, k) -> str:
+        path = tmp_path / "poset.dag"
+        edges = "".join(f"{a + 1} {b + 1}\n" for a, b in strict_pairs(poset))
+        path.write_text(f"{len(poset)} {k}\n{edges}", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 9, 10])
+    @pytest.mark.parametrize("poset", RELABELLED)
+    def test_output_is_the_brute_force_states(self, capsys, tmp_path, poset, k):
+        dag = self.dag_file(tmp_path, poset, k)
+        expected = {
+            "lattice": [state_digits(g) for g in brute_force_states(poset, k)],
+            "ideals": [state_digits(g) for g in brute_force_ideals(poset)],
+        }
+        for command, digits in expected.items():
+            code, out, err = run_main(capsys, [command, "--dag", dag, "--format", "text"])
+            assert (code, out, err) == (0, "\n".join(digits) + "\n", "")
+            code, out, err = run_main(capsys, [command, "--dag", dag, "--format", "json"])
+            assert (code, out, err) == (0, json.dumps(digits, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("poset", RELABELLED)
+    def test_two_digit_entries_name_the_first_such_state(self, capsys, tmp_path, poset):
+        dag = self.dag_file(tmp_path, poset, 2)
+        first = next(g for g in brute_force_states(poset, 11) if max(g) > 9)
+        code, out, err = run_main(capsys, ["lattice", "--dag", dag, "--k", "11"])
+        assert (code, out, err) == (2, "", f"error: state {first} has entries outside 0..9\n")
+
+    def test_lattice_and_ideals_build_no_state_tuples(self, capsys, tmp_path, monkeypatch):
+        import maxlin.cli as cli
+
+        built = []
+
+        def keep(build):
+            def wrapped(*args):
+                built.append(build(*args))
+                return built[-1]
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "_state_lattice", keep(cli._state_lattice))
+        monkeypatch.setattr(cli, "ideal_lattice", keep(cli.ideal_lattice))
+        dag = self.dag_file(tmp_path, RELABELLED[2], 3)
+        for command in ("lattice", "ideals"):
+            assert run_main(capsys, [command, "--dag", dag])[0] == 0
+        assert len(built) == 2
+        assert all("states" not in lattice.__dict__ for lattice in built)
 
 
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
@@ -1037,6 +1091,20 @@ class TestLongInputInErrors:
         cut = self.cut(name)
         assert (code, out, err) == (2, "", f"error: unknown variable family {cut} in {cut}\n")
         assert len(err.encode()) <= 300
+
+    def test_variable_index(self, capsys, tmp_path):
+        # a p-variable whose index is no state of the 2-chain is unbound
+        variable = "p[" + "0" * 100_000 + "]"
+        (tmp_path / "chain2.dag").write_text("2 2\n1 2\n", encoding="utf-8")
+        theta = json.dumps({"theta": [["1/2", "1/2"]] * 2})
+        (tmp_path / "theta.json").write_text(theta, encoding="utf-8")
+        (tmp_path / "long.poly").write_text(variable + "\n", encoding="utf-8")
+        argv = ["eval", "--dag", str(tmp_path / "chain2.dag")]
+        argv += ["--theta", str(tmp_path / "theta.json"), "--poly", str(tmp_path / "long.poly")]
+        code, out, err = run_main(capsys, argv)
+        expected = f"error: no value for variable {self.cut(variable)}\n"
+        assert (code, out, err) == (2, "", expected)
+        assert len(err.encode()) < 300
 
 
 class TestErrorsAndDeterminism:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
 from maxlin.errors import BadVertexError, CyclicGraphError, DagSyntaxError
 
-from conftest import catalog_dags, dags, random_dag, strict_pairs
+from conftest import catalog_dags, covers_below, dags, random_dag, strict_pairs
 
 FIG2_TEXT = "5 2\n1 3\n1 4\n2 4\n3 5\n4 5"
 
@@ -141,7 +141,7 @@ class TestTransitiveClosure:
     def test_transitive_edge_collapses(self):
         closure = transitive_closure(parse_dag("3 2\n1 2\n2 3\n1 3"))
         assert set(strict_pairs(closure)) == {(1, 2), (1, 3), (2, 3)}
-        covers = [(a, b) for b in closure.elements for a in closure.covers_below(b)]
+        covers = [(a, b) for b in closure.elements for a in covers_below(closure, b)]
         assert covers == [(1, 2), (2, 3)]
 
     def test_poset_axioms_exhaustively(self):

@@ -3,6 +3,7 @@ and the two-state correspondence between them."""
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -26,7 +27,6 @@ from maxlin.errors import (
 from maxlin.model import (
     ParamTable,
     _factored_walk,
-    cbn_conditional,
     cbn_correspondence_check,
     cbn_distribution,
     cbn_to_dmlbn_state,
@@ -39,7 +39,7 @@ from maxlin.model import (
 )
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
-from conftest import catalog_dags, dags, joint_factored, uniform_table
+from conftest import cbn_conditional, catalog_dags, dags, joint_factored, uniform_table
 
 
 def tv(i, j):
@@ -552,6 +552,37 @@ class TestAccumulationModel:
             cbn_conditional(fig1_poset, uniform_table(5, 3), 1, (0,) * 5)
         with pytest.raises(BadStateError):
             cbn_conditional(fig1_poset, uniform_table(5, 2), 1, (0, 0, 0, 0, 2))
+
+    def test_distribution_requires_two_states_over_the_poset(self, fig1_poset):
+        for theta in (uniform_table(5, 3), uniform_table(4, 2)):
+            with pytest.raises(ValueError):
+                cbn_distribution(fig1_poset, theta)
+        bad = StateLattice(5, 3, ((0, 0, 0, 0, 0), (0, 0, 0, 0, 2)))
+        with pytest.raises(BadStateError):
+            cbn_distribution(fig1_poset, uniform_table(5, 2), bad)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(), st.integers(0, 2**32))
+    def test_matches_the_per_element_reference(self, dag, seed):
+        """The joint checks the table once and each state once; the product
+        of the checked per-element conditionals is the reference, on a
+        symbolic table, a random one and one with zero weights."""
+        poset = transitive_closure(dag)
+        rng = random.Random(seed)
+        zeros = [rng.choice([(1, 0), (0, 1), (Fraction(1, 3), Fraction(2, 3))]) for _ in range(dag.n)]
+        for theta in (
+            ParamTable.symbolic(dag.n, 2),
+            ParamTable.random(dag.n, 2, rng),
+            ParamTable.from_rows(zeros),
+        ):
+            expected = {
+                g: math.prod(
+                    (cbn_conditional(poset, theta, e, g) for e in poset.elements),
+                    start=Fraction(1),
+                )
+                for g in ideal_lattice(poset)
+            }
+            assert cbn_distribution(poset, theta) == expected
 
     def test_symbolic_fig1_matches_published_monomials(self, fig1_poset):
         dist = cbn_distribution(fig1_poset, ParamTable.symbolic(5, 2))

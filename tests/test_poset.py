@@ -15,23 +15,25 @@ from maxlin.poset import (
     ideal_lattice,
     is_order_ideal,
     is_order_preserving,
-    order_ideals,
     order_preserving_maps,
     state_to_ideal,
 )
 
 from conftest import (
     CATALOG,
+    RELABELLED,
     antichain,
     brute_force_ideals,
     brute_force_states,
     catalog_dags,
     chain,
+    covers_below,
     dags,
     dual,
     ideal_members,
     incomparable_pairs,
     lattice_meet_join,
+    order_ideals,
     random_dag,
     state_leq,
     strict_pairs,
@@ -79,12 +81,12 @@ class TestPosetType:
         assert p.index(3) == 2
         with pytest.raises(ValueError):
             p.index(4)
-        assert p.covers_below(3) == (1, 2)
-        assert p.covers_below(1) == ()
+        assert covers_below(p, 3) == (1, 2)
+        assert covers_below(p, 1) == ()
 
     def test_covers_of_chain(self):
         p = chain(4)
-        assert [(a, b) for b in p.elements for a in p.covers_below(b)] == [(0, 1), (1, 2), (2, 3)]
+        assert [(a, b) for b in p.elements for a in covers_below(p, b)] == [(0, 1), (1, 2), (2, 3)]
 
     def test_dual(self):
         relation = dual(chain(3)).relation
@@ -211,7 +213,7 @@ class TestChainProduct:
         closure = transitive_closure(fig3_dag)
         prod = chain_product(closure, 2)
         assert prod.elements == ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))
-        assert {(a, b) for b in prod.elements for a in prod.covers_below(b)} == {
+        assert {(a, b) for b in prod.elements for a in covers_below(prod, b)} == {
             ((1, 0), (1, 1)),
             ((1, 0), (2, 0)),
             ((1, 0), (3, 0)),
@@ -350,7 +352,7 @@ def check_against_slow_paths(dag: Dag, ks=(1, 2, 3)) -> None:
     assert poset.relation == reachable
     covers = cubic_covers(poset)
     for b in poset.elements:
-        assert poset.covers_below(b) == tuple(a for a, c in covers if c == b)
+        assert covers_below(poset, b) == tuple(a for a, c in covers if c == b)
     assert dual(poset).relation == {(b, a) for a, b in reachable}
     for k in ks:
         lattice = order_preserving_maps(poset, k)
@@ -378,18 +380,6 @@ class TestFastPathsAgainstSlowPaths:
         check_against_slow_paths(dag, ks=(1, 2, 3) if dag.n <= 6 else (1, 2))
 
 
-# Small posets whose labels are not a topological order, so the walk's
-# linear extension permutes the coordinates: the chain 1 < 0, the chain
-# 2 < 0 < 1, 2 below both 0 and 1, 0 and 2 below 1, and 1 below 0 beside 2.
-RELABELLED = [
-    Poset((0, 1), (0b11, 0b10)),
-    Poset((0, 1, 2), (0b101, 0b111, 0b100)),
-    Poset((0, 1, 2), (0b101, 0b110, 0b100)),
-    Poset((0, 1, 2), (0b001, 0b111, 0b100)),
-    Poset((0, 1, 2), (0b011, 0b010, 0b100)),
-]
-
-
 class TestWalk:
     """The linear-extension walk against the brute-force box filters, at
     slot widths of one, two and three bytes (k - 1 = 7, 8 | 9, 10, 16 | 17)."""
@@ -399,6 +389,25 @@ class TestWalk:
         for poset in RELABELLED:
             assert list(order_preserving_maps(poset, k)) == brute_force_states(poset, k)
             assert order_ideals(poset) == brute_force_ideals(poset)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 10, 11])
+    def test_states_are_int_tuples(self, k):
+        """The walk keeps bytes or tuples; `states` is int tuples, so a
+        dict keyed by states is looked up by tuples."""
+        for poset in RELABELLED:
+            for lattice, expected in (
+                (order_preserving_maps(poset, k), brute_force_states(poset, k)),
+                (ideal_lattice(poset), brute_force_ideals(poset)),
+            ):
+                assert all(type(g) is tuple for g in lattice.states)
+                index = {g: t for t, g in enumerate(lattice)}
+                assert [index[g] for g in expected] == list(range(len(lattice)))
+                assert lattice.top == expected[-1] and expected[0] in lattice
+
+    def test_entries_past_one_byte(self):
+        # k = 258: entries up to 257 span 33-byte slots, past what a byte holds
+        poset = RELABELLED[0]
+        assert list(order_preserving_maps(poset, 258)) == brute_force_states(poset, 258)
 
     @pytest.mark.parametrize("k", [1, 2, 9, 10, 18])
     def test_empty_and_single_posets(self, k):
