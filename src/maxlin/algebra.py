@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -639,16 +639,20 @@ def monomial_map(lattice: StateLattice) -> MonomialMap:
     in the product of the underlying poset with a (k-1)-chain, k = lattice.k:
     the pairs (i, r) with r < k - g_i - 1, coordinate i of a state taken to
     belong to vertex i+1. On an ideal lattice (k = 2) the x[i, 0] of g are
-    the elements outside the ideal g."""
+    the elements outside the ideal g.
+
+    The piece of coordinate i at value v is built once. Variables sort by
+    (family, index), so t and then the pieces in coordinate order are
+    already the sorted monomial."""
     k = lattice.k
-    images: dict[Variable, Monomial] = {}
-    for g in lattice:
-        exps: dict[Variable, int] = {t_var(): 1}
-        for idx, v in enumerate(g):
-            for r in range(k - v - 1):
-                exps[x_var(idx + 1, r)] = 1
-        images[q_var(g)] = mono_from_dict(exps)
-    return MonomialMap(images)
+    pieces = [
+        [tuple((x_var(i + 1, r), 1) for r in range(k - v - 1)) for v in range(k)]
+        for i in range(lattice.n)
+    ]
+    t = ((t_var(), 1),)
+    return MonomialMap(
+        {q_var(g): t + tuple(chain.from_iterable(map(getitem, pieces, g))) for g in lattice}
+    )
 
 
 def verify_vanishing(generators: Sequence, mmap: MonomialMap) -> Report:
@@ -805,40 +809,34 @@ def buchberger_check(generators: Sequence) -> Report:
 def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> Report:
     """Certify that the generators are a Groebner basis of the toric ideal
     I = ker(phi) of the lattice's monomial map phi, under the
-    degree-reverse-lexicographic order over the lattice's linear extension,
-    and that they generate I through degree 3.
+    degree-reverse-lexicographic order over the lattice's linear extension.
 
-    Two conditions: every generator maps to 0 (G in I), and for d = 1, 2, 3
-    the degree-d monomials that no leading monomial of G divides (the
-    standard monomials) are as many as the multichains h1 <= ... <= hd of L.
+    Two conditions: every generator maps to 0 (G in I), and every
+    incomparable pair's q_g*q_h is some generator's leading monomial (the
+    lead test). Then in every degree a standard monomial of G (no leading
+    monomial of G divides it) is a multichain h1 <= ... <= hd of L; distinct
+    multichains have distinct images phi(m), since phi(q_h1*...*q_hd) fixes
+    the multiset of values in each coordinate and a multichain is sorted in
+    every coordinate; and as in(G) lies in in(I), the standard monomials are
+    at least the images. So the three counts agree, in(G) = in(I), and G is
+    a Groebner basis of I. The lattice's own generators pass: meet and join
+    come before g and h in the linear extension, so q_g*q_h leads.
 
-    The certificate needs no precondition on the states. Since in(G)_d is
-    contained in in(I)_d, the standard monomials, dim S_d - dim in(G)_d, are
-    at least dim (S/I)_d = dim S_d - dim in(I)_d, the number of distinct
-    images phi(m) of the degree-d monomials m. The image of q_h1*...*q_hd
-    fixes the multiset of values in each coordinate, and a multichain is
-    sorted in every coordinate, so distinct multichains have distinct
-    images: on any set of states the images are at least the multichains.
-    Equal counts thus force in(G)_d = in(I)_d through degree 3. The
-    lattice's own generators pass because L is closed under meet and join:
-    sorting each coordinate of h1, ..., hd gives a multichain of L with the
-    same image, so the images are exactly as many as the multichains.
+    The multichains of length 1, 2, 3 number |L|, sum down(m) and
+    sum down(m)*up(m) (`_down_up`), and the comparable pairs sum down(m) - |L|;
+    the detail line gives the three as the standard/image counts, which they
+    equal on a pass. The states must be all the monotone maps of a poset, as
+    `StateLattice.covers` needs, and a `GeneratorArrays` must index them.
 
-    Every S-pair whose leads share a variable has degree at most 3, so it
-    reduces to 0; the others reduce to 0 by Buchberger's first criterion.
-    So G is a Groebner basis, and <G> = I through degree 3 (in every degree
-    by Hibi's theorem for the lattice's own generators).
-
-    Only when the certificate fails does `buchberger_check` run, to name the
-    S-pairs that do not reduce to 0. The lattice's own generators pass by
-    Hibi's theorem, so from `verify groebner` that path runs only on a defect;
-    library callers reach it with edited sets. `total` counts the generator
-    pairs, as there.
+    On a failure, one line names how many incomparable pairs lead no
+    generator and the first of them; then come the generators that do not
+    map to 0, and the S-pairs that `buchberger_check`, run only then, finds
+    not reducing to 0. `total` counts the generator pairs, as there.
 
     Raises:
-        TooLargeError: the |L|**2 state pairs that the standard count and
-            the multichain count each test exceed MAXLIN_HILBERT_LIMIT; with
-            no `generators`, checked before the lattice's own are built.
+        TooLargeError: |L|**2 exceeds MAXLIN_HILBERT_LIMIT, which bounds the
+            |L|**2/2 pair scan of `generator_arrays`; with no `generators`,
+            checked before the lattice's own are built.
     """
     size = len(lattice)
     what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
@@ -846,57 +844,47 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     generators = generator_arrays(lattice) if generators is None else generators
     arrays = GeneratorArrays.of(generators, lattice.states)
     vanishing = verify_vanishing(arrays, monomial_map(lattice))
+    down, up = _down_up(lattice)
+    chains = (size, sum(down), sum(d * u for d, u in zip(down, up)))
+    incomparable = size * (size - 1) // 2 - (chains[1] - size)
+    masks = list(lattice.masks)
     leads = {lead for lead, _ in _lead_split(arrays)}
-    standard = _standard_counts(size, leads)
-    images = _multichain_counts(lattice.masks)
-    failures = [
-        f"degree {d}: {s} standard monomials, {i} image monomials"
-        for d, s, i in zip((1, 2, 3), standard, images)
-        if s != i
-    ]
+    unled = incomparable - sum(
+        1 for a, b in leads if masks[a] & ~masks[b] and masks[b] & ~masks[a]
+    )
+    failures = []
+    if unled:
+        # a before b in the linear extension, so b is not below a
+        a, b = next(p for p in combinations(range(size), 2)
+                    if masks[p[0]] & ~masks[p[1]] and p not in leads)
+        first = "*".join(q_var(lattice.states[i]).key_text() for i in (a, b))
+        failures.append(
+            f"{unled} of {incomparable} incomparable pairs lead no generator, the first {first}"
+        )
     failures += vanishing.failures
     pairs = len(arrays) * (len(arrays) - 1) // 2
-    counts = "standard/image monomials in degrees 1-3: " + ", ".join(
-        f"{s}/{i}" for s, i in zip(standard, images)
-    )
     if not failures:
-        detail = f"{len(arrays)} generators map to 0; {counts}"
+        counts = ", ".join(f"{c}/{c}" for c in chains)
+        detail = (
+            f"{len(arrays)} generators map to 0; "
+            f"standard/image monomials in degrees 1-3: {counts}"
+        )
         return Report("groebner", total=pairs, detail=detail)
     buchberger = buchberger_check(generators)
     failures += buchberger.failures
-    detail = f"{counts}; {buchberger.detail}"
+    images = ", ".join(map(str, chains))
+    detail = f"image monomials in degrees 1-3: {images}; {buchberger.detail}"
     return Report("groebner", total=pairs, failures=failures, detail=detail)
 
 
-def _standard_counts(size: int, leads: set[tuple[int, int]]) -> tuple[int, int, int]:
-    """Degree-1, 2 and 3 monomials in `size` variables that no quadratic
-    lead x_a*x_b (a <= b, given as index pairs) divides.
-
-    A degree-3 monomial x_a*x_b*x_c (a <= b <= c) is standard when none of
-    x_a*x_b, x_a*x_c, x_b*x_c is a lead: a triangle, loops included, of the
-    graph joining a and b when x_a*x_b is not a lead. Row a of the graph is
-    a bitset over b."""
-    full = (1 << size) - 1
-    rows = [full] * size
-    for a, b in leads:
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-    triangles = 0
-    for a in range(size):
-        row_a = rows[a] >> a << a  # c >= a
-        for b in range(a, size):
-            if row_a >> b & 1:
-                triangles += (row_a & rows[b] >> b << b).bit_count()
-    return size, size * (size + 1) // 2 - len(leads), triangles
-
-
-def _multichain_counts(masks: Sequence[int]) -> tuple[int, int, int]:
-    """Multichains h1 <= ... <= hd of length d = 1, 2, 3 among states given
-    by their `StateLattice.masks`, where h <= g iff h's bits lie in g's.
-
-    With down(m) and up(m) the states below and above m, there are
-    sum down(m) of length 2, and sum down(m)*up(m) of length 3, counted by
-    their middle member m."""
-    down = [sum(not h & ~m for h in masks) for m in masks]
-    up = [sum(not m & ~h for h in masks) for m in masks]
-    return len(masks), sum(down), sum(d * u for d, u in zip(down, up))
+def _down_up(lattice: StateLattice) -> tuple[list[int], list[int]]:
+    """The states below and above each state, itself included: zeta of the
+    all-ones function by one walk over `StateLattice.covers`, and the same
+    walk over the table reversed, summing downwards. O(|covers|)."""
+    down, up = [1] * len(lattice), [1] * len(lattice)
+    covers = lattice.covers
+    for g, below in covers:
+        down[g] += down[below]
+    for g, below in reversed(covers):
+        up[below] += up[g]
+    return down, up

@@ -133,6 +133,15 @@ class StateLattice:
     def __contains__(self, g: object) -> bool:
         return g in self._members
 
+    def __eq__(self, other: object) -> bool:
+        """Equal n, k and `states`, whether `vectors` holds bytes or tuples."""
+        if not isinstance(other, StateLattice):
+            return NotImplemented
+        return (self.n, self.k, self.states) == (other.n, other.k, other.states)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.states))
+
     @cached_property
     def states(self) -> tuple[State, ...]:
         return tuple(map(tuple, self.vectors))

@@ -1,9 +1,10 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
 brute-force enumerators, the general division algorithm, the expanded eq5
-check, generic substitution, reference helpers (the order, meet and join of
-states, the generator of a pair, the dual of a poset, its covers and order
-ideals, the uniform table, the accumulation model one element at a time),
-and random generators for property-style tests."""
+check, generic substitution, the monomial map one variable at a time, the
+Hilbert certificate's old degree 1-3 counts, reference helpers (the order,
+meet and join of states, the generator of a pair, the dual of a poset, its
+covers and order ideals, the uniform table, the accumulation model one
+element at a time), and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -23,7 +24,10 @@ from maxlin.algebra import (
     Variable,
     mono_degree,
     mono_from_dict,
+    q_var,
     state_digits,
+    t_var,
+    x_var,
 )
 from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.errors import BadStateError
@@ -314,6 +318,59 @@ def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
     return substitute_variables(
         poly, {v: Polynomial({mmap.image(v): 1}) for v in q_vars}
     )
+
+
+def monomial_map_by_variable(lattice: StateLattice) -> MonomialMap:
+    """`monomial_map` one variable at a time: each image collected as a dict
+    of exponents and sorted by `mono_from_dict`."""
+    k = lattice.k
+    images = {}
+    for g in lattice:
+        exps = {t_var(): 1}
+        for idx, v in enumerate(g):
+            for r in range(k - v - 1):
+                exps[x_var(idx + 1, r)] = 1
+        images[q_var(g)] = mono_from_dict(exps)
+    return MonomialMap(images)
+
+
+# ---------------------------------------------------------------------------
+# The degree 1-3 counts of the Hilbert certificate before its lead test: the
+# slow references for the lead test and the cover-table counts.
+
+
+def standard_counts(size: int, leads: set[tuple[int, int]]) -> tuple[int, int, int]:
+    """Degree-1, 2 and 3 monomials in `size` variables that no quadratic
+    lead x_a*x_b (a <= b, given as index pairs) divides.
+
+    A degree-3 monomial x_a*x_b*x_c (a <= b <= c) is standard when none of
+    x_a*x_b, x_a*x_c, x_b*x_c is a lead: a triangle, loops included, of the
+    graph joining a and b when x_a*x_b is not a lead. Row a of the graph is
+    a bitset over b."""
+    full = (1 << size) - 1
+    rows = [full] * size
+    for a, b in leads:
+        rows[a] &= ~(1 << b)
+        rows[b] &= ~(1 << a)
+    triangles = 0
+    for a in range(size):
+        row_a = rows[a] >> a << a  # c >= a
+        for b in range(a, size):
+            if row_a >> b & 1:
+                triangles += (row_a & rows[b] >> b << b).bit_count()
+    return size, size * (size + 1) // 2 - len(leads), triangles
+
+
+def multichain_counts(masks) -> tuple[int, int, int]:
+    """Multichains h1 <= ... <= hd of length d = 1, 2, 3 among states given
+    by their `StateLattice.masks`, where h <= g iff h's bits lie in g's.
+
+    With down(m) and up(m) the states below and above m, there are
+    sum down(m) of length 2, and sum down(m)*up(m) of length 3, counted by
+    their middle member m."""
+    down = [sum(not h & ~m for h in masks) for m in masks]
+    up = [sum(not m & ~h for h in masks) for m in masks]
+    return len(masks), sum(down), sum(d * u for d, u in zip(down, up))
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

@@ -69,10 +69,13 @@ from conftest import (
     mono_div,
     mono_divides,
     mono_lcm,
+    monomial_map_by_variable,
+    multichain_counts,
     p_var,
     random_dag,
     reduce_modulo,
     s_polynomial,
+    standard_counts,
     state_leq,
     substitute,
     substitute_variables,
@@ -1086,48 +1089,52 @@ class TestHilbertCertificate:
             assert buchberger_check(dropped).passed, pair
             report = hilbert_check(lattice, dropped)
             assert not report.passed, pair
-            # one lead fewer: one more standard monomial in degree 2
-            assert report.failures[0] == "degree 2: 558 standard monomials, 557 image monomials"
-            assert all(line.startswith("degree ") for line in report.failures)
+            # the dropped pair is the one incomparable pair that leads nothing
+            assert report.failures == [
+                "1 of 263 incomparable pairs lead no generator, "
+                f"the first q[{pair[0]}]*q[{pair[1]}]"
+            ]
             assert report.total == 34191
         report = hilbert_check(lattice, drop_pair(generators, SILENT_DROPS[0]))
-        assert report.failures == [
-            "degree 2: 558 standard monomials, 557 image monomials",
-            "degree 3: 4407 standard monomials, 4395 image monomials",
-        ]
         assert report.detail == (
-            "standard/image monomials in degrees 1-3: 40/40, 558/557, 4407/4395; "
+            "image monomials in degrees 1-3: 40, 557, 4395; "
             "34191 S-polynomials reduce to 0 (3987 reduced, 30204 skipped: "
             "coprime leading monomials)"
         )
 
     def test_failure_lines(self, fig3_dag):
-        # counts, then the generators that do not vanish, then the S-pairs
+        # the incomparable pairs that lead no generator, then the generators
+        # that do not vanish, then the S-pairs
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        oracle = CountOracle(lattice)
+        images = ", ".join(map(str, CountOracle(lattice).images))
         mmap = monomial_map(lattice)
+        pairs = incomparable_pairs(lattice)
         for gens in single_edits(lattice):
             report = hilbert_check(lattice, gens)
             buchberger = buchberger_check(gens)
-            counts = oracle.counts(gens)
+            leads = {leading_term(gen.polynomial())[0] for gen in gens}
+            unled = [(g, h) for g, h in pairs if ((q_var(g), 1), (q_var(h), 1)) not in leads]
             expected = [
-                f"degree {d}: {s} standard monomials, {i} image monomials"
-                for d, (s, i) in enumerate(counts, 1)
-                if s != i
+                f"{len(unled)} of {len(pairs)} incomparable pairs lead no generator, the first "
+                f"q[{state_digits(g)}]*q[{state_digits(h)}]"
+                for g, h in unled[:1]
             ]
             expected += verify_vanishing(gens, mmap).failures + buchberger.failures
             assert report.failures == expected
-            assert report.detail == f"{count_detail(counts)}; {buchberger.detail}"
+            assert report.detail == f"image monomials in degrees 1-3: {images}; {buchberger.detail}"
             assert report.total == buchberger.total
 
     def test_fallback_reads_generators(self, fig3_dag, monkeypatch):
         """The Buchberger fallback gets the caller's own list, or with none the
         lattice's arrays, which read as a sequence of generators as a wrapper
-        of `buchberger_check` (the benchmark's S-pair counter) reads them."""
+        of `buchberger_check` (the benchmark's S-pair counter) reads them.
+        Both sets lack the lattice's last generator, so both fail."""
         import maxlin.algebra as algebra
 
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        generators = hibi_generators(lattice)
+        generators = hibi_generators(lattice)[:-1]
+        arrays = generator_arrays(lattice)
+        shortened = GeneratorArrays(arrays.states, *(column[:-1] for column in arrays.columns()))
         seen = []
 
         def wrapped(gens):
@@ -1135,12 +1142,12 @@ class TestHilbertCertificate:
             return buchberger_check(gens)
 
         monkeypatch.setattr(algebra, "buchberger_check", wrapped)
-        monkeypatch.setattr(algebra, "_standard_counts", lambda size, leads: [0, 0, 0])
+        monkeypatch.setattr(algebra, "generator_arrays", lambda lattice: shortened)
         assert not hilbert_check(lattice, generators).passed
         assert not hilbert_check(lattice).passed
         (mine, polys, count), (own, own_polys, own_count) = seen
         assert mine is generators and count == len(generators)
-        assert isinstance(own, GeneratorArrays) and own_count == len(generators)
+        assert own is shortened and own_count == len(generators)
         assert own_polys == polys == [gen.polynomial() for gen in generators]
 
     def test_guard(self, fig2_dag, monkeypatch):
@@ -1202,6 +1209,69 @@ class TestMultichainImages:
         assume(len(lattice) <= 40)
         masks = dict(zip(lattice.states, lattice.masks))
         states = data.draw(st.lists(st.sampled_from(lattice.states), unique=True))
-        chains = algebra._multichain_counts([masks[g] for g in states])
+        chains = multichain_counts([masks[g] for g in states])
         images = image_counts(monomial_map(lattice), [q_var(g) for g in states])
         assert all(c <= i for c, i in zip(chains, images))
+
+
+@st.composite
+def small_lattices(draw, max_n: int = 4):
+    """The state lattice, k = 1-4, or the ideal lattice of a random DAG whose
+    labels need not be a topological order."""
+    poset = transitive_closure(draw(dags(max_n=max_n)))
+    k = draw(st.integers(0, 4))
+    return ideal_lattice(poset) if k == 0 else order_preserving_maps(poset, k)
+
+
+def lead_indices(lattice, generators):
+    """The generators' leading monomials, by the division algorithm's
+    `leading_term`, as sorted tuples of indices into the lattice's states."""
+    index = {q_var(g): i for i, g in enumerate(lattice.states)}
+    return {
+        tuple(index[v] for v, e in leading_term(gen.polynomial())[0] for _ in range(e))
+        for gen in generators
+    }
+
+
+class TestCoverCounts:
+    """The certificate's cover-table walks and monomial map against slow
+    references: brute-force comparison of states, the per-variable map, and
+    the degree 1-3 counts the certificate compared before its lead test."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_lattices())
+    def test_down_up_count_states_below_and_above(self, lattice):
+        states = lattice.states
+        down, up = algebra._down_up(lattice)
+        assert down == [sum(state_leq(h, g) for h in states) for g in states]
+        assert up == [sum(state_leq(g, h) for h in states) for g in states]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(small_lattices())
+    def test_monomial_map_matches_per_variable_build(self, lattice):
+        assert monomial_map(lattice) == monomial_map_by_variable(lattice)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.sampled_from((2, 3)), st.data())
+    def test_same_verdict_as_degree_counts(self, dag, k, data):
+        """A set passes iff it vanishes and its standard monomials of degrees
+        1-3 are as many as the multichains; on a pass the detail line gives
+        those counts. The sets: the lattice's own, one generator dropped, and
+        one join replaced by the lattice top."""
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        assume(len(lattice) <= 60)
+        generators = hibi_generators(lattice)
+        mid = data.draw(st.integers(0, len(generators)))
+        edits = [generators, generators[:mid] + generators[mid + 1 :]]
+        if mid < len(generators) and generators[mid].join != lattice.top:
+            top = dataclasses.replace(generators[mid], join=lattice.top)
+            edits.append(generators[:mid] + [top] + generators[mid + 1 :])
+        chains = multichain_counts(list(lattice.masks))
+        mmap = monomial_map(lattice)
+        for gens in edits:
+            standard = standard_counts(len(lattice), lead_indices(lattice, gens))
+            report = hilbert_check(lattice, gens)
+            vanishes = verify_vanishing(gens, mmap).passed
+            assert report.passed == (vanishes and standard == chains)
+            if report.passed:
+                assert report.detail.endswith(count_detail(zip(standard, chains)))

@@ -640,6 +640,59 @@ class TestPinnedJointOutput:
         assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_JOINT_STDOUT[case]
 
 
+# `verify groebner` on passing inputs: (total, detail) per (input, k), as
+# the counting certificate printed them before the lead test replaced it.
+# The detail's counts are |L|, sum down(m) and sum down(m)*up(m).
+PINNED_GROEBNER = {
+    ("fig2", 2): (10, "5 generators map to 0; standard/image monomials in degrees 1-3: "
+                  "9/9, 40/40, 125/125"),
+    ("fig2", 3): (34453, "263 generators map to 0; standard/image monomials in degrees 1-3: "
+                  "40/40, 557/557, 4395/4395"),
+    ("fig2", 4): (6053460, "3480 generators map to 0; standard/image monomials in degrees 1-3: "
+                  "125/125, 4395/4395, 75664/75664"),
+    ("fig2", 5): (328128153, "25618 generators map to 0; standard/image monomials in degrees "
+                  "1-3: 315/315, 24152/24152, 815820/815820"),
+    ("fig2", 6): (8777793753, "132498 generators map to 0; standard/image monomials in degrees "
+                  "1-3: 686/686, 103143/103143, 6306184/6306184"),
+    ("fig3", 3): (210, "21 generators map to 0; standard/image monomials in degrees 1-3: "
+                  "14/14, 84/84, 330/330"),
+    ("antichain5", 2): (40470, "285 generators map to 0; standard/image monomials in degrees "
+                        "1-3: 32/32, 243/243, 1024/1024"),
+    ("fig1-ideals", 2): (1, "2 generators map to 0; standard/image monomials in degrees 1-3: "
+                         "8/8, 34/34, 104/104"),
+}
+
+GROEBNER_TEXT = "groebner: PASS (%d checks)\n  %s\n"
+GROEBNER_JSON = """{
+  "suite": "groebner",
+  "passed": true,
+  "total": %d,
+  "failures": [],
+  "detail": "%s"
+}
+"""
+
+
+class TestPinnedGroebnerOutput:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", list(PINNED_GROEBNER), ids=lambda case: f"{case[0]}-k{case[1]}")
+    def test_stdout(self, capsys, fig_files, tmp_path, fig1_poset, case, fmt):
+        source, k = case
+        dag = tmp_path / "input.dag"
+        if source == "antichain5":
+            dag.write_text("5 2\n", encoding="utf-8")
+        elif source == "fig1-ideals":
+            # the ideals of fig1 are the order-preserving 0-1 maps of its dual
+            dag.write_text("5 2\n3 1\n3 2\n4 3\n5 3\n", encoding="utf-8")
+            lattice = order_preserving_maps(transitive_closure(parse_dag(dag.read_text())), 2)
+            assert lattice == ideal_lattice(fig1_poset)
+        else:
+            dag = fig_files[f"{source}.dag"]
+        argv = ["verify", "groebner", "--dag", str(dag), "--k", str(k), "--format", fmt]
+        template = GROEBNER_TEXT if fmt == "text" else GROEBNER_JSON
+        assert run_main(capsys, argv) == (0, template % PINNED_GROEBNER[case], "")
+
+
 def count_fractions(monkeypatch, argv: list[str]) -> tuple[int, int]:
     """The exit status of `main(argv)` and the number of Fractions it built,
     counted through `Fraction.__new__` and `Fraction._from_coprime_ints`."""

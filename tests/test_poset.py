@@ -11,6 +11,7 @@ from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import BadStateError, NotAStateError
 from maxlin.poset import (
     Poset,
+    StateLattice,
     chain_product,
     ideal_lattice,
     is_order_ideal,
@@ -159,6 +160,19 @@ class TestOrderPreservingMaps:
                 for h in lattice:
                     meet, join = lattice_meet_join(g, h)
                     assert meet in lattice and join in lattice
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_equal_to_lattice_of_int_tuples(self, k):
+        """The walk keeps bytes for k <= 9; a lattice of the same states as
+        int tuples is equal and hashes alike, and n, k and states all count."""
+        lattice = order_preserving_maps(chain(2), k)
+        rebuilt = StateLattice(2, k, lattice.states)
+        assert lattice == rebuilt and hash(lattice) == hash(rebuilt)
+        assert len({lattice, rebuilt}) == 1
+        assert lattice != StateLattice(2, k + 1, lattice.states)
+        assert lattice != StateLattice(2, k, lattice.states[:-1])
+        assert lattice != order_preserving_maps(antichain((0, 1)), k)
+        assert lattice != lattice.states
 
 
 class TestMeetJoin:
