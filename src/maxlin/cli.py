@@ -152,12 +152,12 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "distribution":
         view, denominator = integer_view(_load_theta(args))
-        _emit_value_map(_over(full_distribution(dag, view, None, 1), denominator), "p", args.format)
+        _emit_value_map(_over(full_distribution(dag, view), denominator), "p", args.format)
         return 0
     if args.command == "zeta":
         lattice = _state_lattice(dag)
         view, denominator = integer_view(_load_theta(args))
-        cumulative = zeta_transform(full_distribution(dag, view, lattice, 1), lattice)
+        cumulative = zeta_transform(full_distribution(dag, view, lattice), lattice)
         _emit_value_map(_over(cumulative, denominator), "q", args.format)
         return 0
     if args.command == "generators":
@@ -174,7 +174,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "eval":
         lattice = _state_lattice(dag)
         view, denominator = integer_view(_load_theta(args))
-        numerators = full_distribution(dag, view, lattice, 1)
+        numerators = full_distribution(dag, view, lattice)
         dist = _over(numerators, denominator)
         cumulative = None  # the zeta coordinates, formed for the first q-variable
         data = []

@@ -27,10 +27,6 @@ class BadStateError(MaxlinError):
     """State vector entry outside 0..k-1 or wrong length."""
 
 
-class NotAStateError(MaxlinError):
-    """Vector is not order-preserving for the given poset."""
-
-
 class NotAnIdealError(MaxlinError):
     """Indicator vector is not downward closed."""
 

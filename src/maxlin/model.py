@@ -147,7 +147,7 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     return theta.rows[i - 1][g[i - 1]]
 
 
-def _factored_walk(dag: Dag, theta: ParamTable, unit=Fraction(1)) -> dict[State, Value]:
+def _factored_walk(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
     """The product of the conditionals over vertices at every vector where no
     vertex sits below its parents' maximum: the lattice states, each once.
     `unit` is the empty product, and the factors are multiplied onto it in
@@ -188,7 +188,7 @@ def _factored_walk(dag: Dag, theta: ParamTable, unit=Fraction(1)) -> dict[State,
 
 
 def full_distribution(
-    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=Fraction(1)
+    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=1
 ) -> dict[State, Value]:
     """The factored joint over every lattice state, in the lattice's order;
     values sum to 1. `lattice`, when given, is the DAG's state lattice; a
@@ -282,7 +282,10 @@ def cbn_distribution(
     """The accumulation model's joint over the order ideals of the poset,
     ideals written as 0-1 indicator vectors; `lattice`, when given, is
     `ideal_lattice(poset)`. An element can only occur once everything it
-    covers has occurred; given that, it occurs with its own two-state weight."""
+    covers has occurred; given that, it occurs with its own two-state weight.
+    An element that cannot occur yet, and has not, has the factor its
+    cumulative row ends in: 1 on rational and symbolic tables, and d_v on an
+    `integer_view`, whose values are then numerators over D."""
     n = len(poset.elements)
     if theta.n != n or theta.k != 2:
         raise ValueError(f"the accumulation model needs a {n}x2 table, got {theta.n}x{theta.k}")
@@ -293,14 +296,16 @@ def cbn_distribution(
     for g in lattice:
         if len(g) != n or not {0, 1}.issuperset(g):
             raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
-        value: Value = Fraction(1)
-        for row, v, below in zip(theta.rows, g, covers):
+        value: Value = 1
+        for row, cumulative, v, below in zip(theta.rows, theta.cumulative, g, covers):
             if all(g[j] for j in below):
                 factor = row[v]
             elif v:
                 factor = Fraction(0)
-            else:
+            elif cumulative[-1] == 1:
                 continue  # the element cannot occur yet, and has not: factor 1
+            else:
+                factor = cumulative[-1]  # d_v on an integer view
             if factor == 0:
                 value = Fraction(0)
                 break
@@ -324,7 +329,8 @@ def cbn_to_dmlbn_state(poset: Poset, g) -> State:
 def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     """Check that the accumulation model on the reachability poset equals the
     two-state max model after complementing states and swapping the two
-    weights per vertex: symbolically, and on seeded random rational tables.
+    weights per vertex: symbolically, and on seeded random rational tables,
+    both sides on the table's `integer_view`, as numerators over its D.
     """
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
@@ -345,7 +351,8 @@ def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     compare(ParamTable.symbolic(dag.n, 2), "symbolic")
     rng = random.Random(seed)
     for trial in range(trials):
-        compare(ParamTable.random(dag.n, 2, rng), f"trial {trial}")
+        view, _ = integer_view(ParamTable.random(dag.n, 2, rng))
+        compare(view, f"trial {trial}")
     total = (trials + 1) * len(ideals)
     detail = (
         f"{len(ideals)} states match symbolically and on {trials} random tables"
@@ -375,7 +382,7 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
         checks += dag.k**dag.n
         view, _ = integer_view(ParamTable.random(dag.n, dag.k, rng))
         by_oracle = oracle_distribution(dag, view)
-        walk = _factored_walk(dag, view, 1)
+        walk = _factored_walk(dag, view)
         for g in sorted(walk.keys() | by_oracle.keys() | set(lattice)):
             factored = walk.get(g, 0)
             if factored != by_oracle.get(g, 0):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterator, Sequence
 
-from .errors import BadStateError, NotAStateError
+from .errors import BadStateError
 
 Label = Hashable
 State = tuple[int, ...]
@@ -29,13 +29,11 @@ class Poset:
 
     elements: tuple[Label, ...]
     down: tuple[int, ...]
-    _index: dict[Label, int] = field(init=False, repr=False, compare=False)
     _lower_covers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        if len(index) != n:
+        if len(set(self.elements)) != n:
             raise ValueError("duplicate poset elements")
         if len(self.down) != n:
             raise ValueError(f"{len(self.down)} down-set masks for {n} elements")
@@ -66,7 +64,6 @@ class Poset:
                     f"({self.elements[c]!r}, {self.elements[j]!r}, {self.elements[i]!r})"
                 )
             covers.append(below & ~below_below)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_lower_covers", tuple(covers))
 
     @classmethod
@@ -85,12 +82,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index(self, element: Label) -> int:
-        try:
-            return self._index[element]
-        except KeyError:
-            raise ValueError(f"{element!r} is not a poset element") from None
-
     @property
     def relation(self) -> frozenset[tuple[Label, Label]]:
         """Every pair (a, b) with a <= b, reflexive pairs included."""
@@ -106,13 +97,14 @@ class StateLattice:
     coordinate-wise, closed under coordinate-wise min and max.
 
     `vectors` holds the states in lexicographic order, and that order is a
-    linear extension of the lattice order. `order_preserving_maps` and
-    `ideal_lattice` build them by one walk along a linear extension of the
-    poset (`_monotone_vectors`), one OR per state on unary vectors and one
-    sort of bytes at the end, and keep them as the walk gives them: `bytes`
-    of the entries when k <= 9, int tuples otherwise. `states`, the same
-    vectors as int tuples, is built on first use, so printing a lattice
-    from `vectors` never makes a tuple per state.
+    linear extension of the lattice order. `order_preserving_maps` builds
+    them by one walk along a linear extension of the poset
+    (`_monotone_vectors`), one OR per state on unary vectors and one sort of
+    bytes at the end, and keeps them as the walk gives them: `bytes` of the
+    entries when k <= 9, int tuples otherwise; `ideal_lattice` complements
+    the two-state walk's bytes. `states`, the same vectors as int tuples, is
+    built on first use, so printing a lattice from `vectors` never makes a
+    tuple per state.
 
     The walks on `covers` need the states to be all the monotone maps of a
     poset, as `order_preserving_maps` and `ideal_lattice` build them: then
@@ -180,31 +172,29 @@ class StateLattice:
 _UNARY_BYTES = bytes.maketrans(bytes((1 << r) - 1 for r in range(9)), bytes(range(9)))
 
 
-def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list:
+def _monotone_vectors(poset: Poset, k: int) -> list:
     """All vectors over {0..k-1} monotone along the poset relation, in
     lexicographic order, as `bytes` of the entries when k <= 9 and as int
-    tuples otherwise; with reverse=True the vectors must be order-reversing
-    instead (used for order-ideal indicators).
+    tuples otherwise.
 
-    The walk visits the positions along a linear extension (the dual's for
-    reverse=True), so no position is bounded from above by an earlier one.
-    The next vector raises the last position below k-1 and resets every later
-    position to the least value the prefix allows; it never meets a dead end.
-    A vector is one int with a slot of ceil((k-1)/8) bytes per position, the
-    value v as v low one-bits, so elementwise max is OR: the reset is the OR
-    of the prefix's vector and the raised value copied into the slots of
-    every element above the raised one. The int holds the vector twice: in
-    coordinate order in its low half, and in the walk's order in its high
-    half, whose trailing full slots end at the position to raise. The low
-    half's bytes are kept. A little-endian unary slot compares as bytes like
-    its value, so one sort of those bytes puts the vectors in lexicographic
-    order (linear when the extension is the identity), and one translate per
-    vector decodes it.
+    The walk visits the positions along a linear extension, so no position
+    is bounded from above by an earlier one. The next vector raises the last
+    position below k-1 and resets every later position to the least value
+    the prefix allows; it never meets a dead end. A vector is one int with a
+    slot of ceil((k-1)/8) bytes per position, the value v as v low one-bits,
+    so elementwise max is OR: the reset is the OR of the prefix's vector and
+    the raised value copied into the slots of every element above the raised
+    one. The int holds the vector twice: in coordinate order in its low
+    half, and in the walk's order in its high half, whose trailing full
+    slots end at the position to raise. The low half's bytes are kept. A
+    little-endian unary slot compares as bytes like its value, so one sort of
+    those bytes puts the vectors in lexicographic order (linear when the
+    extension is the identity), and one translate per vector decodes it.
     """
     if k < 1:
         raise ValueError(f"chain size must be >= 1, got {k}")
     n = len(poset.elements)
-    order = sorted(range(n), key=lambda i: poset.down[i].bit_count(), reverse=reverse)
+    order = sorted(range(n), key=lambda i: poset.down[i].bit_count())
     width = (k + 6) // 8 or 1  # bytes per slot; k = 1 keeps one empty byte
     size = n * width
     full = ((1 << (k - 1)) - 1).to_bytes(width, "little")
@@ -219,10 +209,7 @@ def _monotone_vectors(poset: Poset, k: int, *, reverse: bool = False) -> list:
         while covers:
             j = (covers & -covers).bit_length() - 1
             covers &= covers - 1
-            if reverse:
-                ones[i] |= ones[j]
-            else:
-                ones[j] |= ones[i]
+            ones[j] |= ones[i]
     ones = [ones[i] for i in order]
     # prefix[t]: the least vector that agrees with the current one before t.
     prefix = [0] * n
@@ -252,12 +239,19 @@ def order_preserving_maps(poset: Poset, k: int) -> StateLattice:
     return StateLattice(len(poset.elements), k, tuple(_monotone_vectors(poset, k)))
 
 
+# Swaps the bytes 0 and 1: complements a decoded 0-1 vector.
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def ideal_lattice(poset: Poset) -> StateLattice:
     """Order ideals as a 2-state lattice of 0-1 indicator vectors over
     `poset.elements`: inclusion is the coordinate-wise order on indicators,
-    intersection/union are min/max. An indicator is an ideal iff it never
-    falls from 1 to 0 going down the order."""
-    return StateLattice(len(poset.elements), 2, tuple(_monotone_vectors(poset, 2, reverse=True)))
+    intersection/union are min/max. An indicator is an ideal iff its
+    complement is a two-state monotone map, so the ideals are the two-state
+    walk's vectors complemented, one translate each; complementing reverses
+    lexicographic order, so they are taken in reverse."""
+    ideals = (v.translate(_COMPLEMENT) for v in reversed(_monotone_vectors(poset, 2)))
+    return StateLattice(len(poset.elements), 2, tuple(ideals))
 
 
 def is_order_ideal(poset: Poset, indicator: State) -> bool:
@@ -265,16 +259,6 @@ def is_order_ideal(poset: Poset, indicator: State) -> bool:
         raise BadStateError(f"indicator {indicator!r} is not a 0-1 vector over the poset")
     members = sum(1 << i for i, b in enumerate(indicator) if b)
     return all(not poset.down[i] & ~members for i in bit_positions(members))
-
-
-def is_order_preserving(poset: Poset, g: State, k: int) -> bool:
-    if len(g) != len(poset.elements) or any(not 0 <= v < k for v in g):
-        raise BadStateError(f"vector {g!r} is not over {{0..{k - 1}}}^{len(poset.elements)}")
-    return all(
-        g[j] <= v
-        for v, covers in zip(g, poset._lower_covers)
-        for j in bit_positions(covers)
-    )
 
 
 def chain_product(poset: Poset, m: int) -> Poset:
@@ -287,19 +271,3 @@ def chain_product(poset: Poset, m: int) -> Poset:
         ((a, r), (b, s)) for a, b in poset.relation for r in range(m) for s in range(r, m)
     )
     return Poset.from_relation(elems, pairs)
-
-
-def state_to_ideal(poset: Poset, g: State, k: int) -> frozenset[tuple[Label, int]]:
-    """Send a lattice state to its order ideal in chain_product(poset, k-1):
-    all (e_i, r) with r <= k - g_i - 2.
-
-    The map is an order-reversing bijection onto the product's order ideals.
-
-    Raises:
-        NotAStateError: g is not order-preserving for the poset.
-    """
-    if not is_order_preserving(poset, g, k):
-        raise NotAStateError(f"{g!r} is not order-preserving for the poset")
-    return frozenset(
-        (e, r) for e, v in zip(poset.elements, g) for r in range(k - v - 1)
-    )

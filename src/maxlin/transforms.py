@@ -147,7 +147,7 @@ class _Unfactored:
 _UNFACTORED = _Unfactored()
 
 
-def _level_products(rows, states, unit: Value | _Factors = Fraction(1)) -> list:
+def _level_products(rows, states, unit: Value | _Factors) -> list:
     """The product over coordinates i of rows[i][g[i]] for each state g, in
     order, multiplied onto `unit`. A state shares its longest common prefix
     with the state before it, and only the products past that prefix are

@@ -132,11 +132,19 @@ def order_ideals(poset: Poset) -> list[State]:
 
 def covers_below(poset: Poset, b: Label) -> tuple[Label, ...]:
     """The elements b covers: the maximal elements strictly below b."""
-    return tuple(poset.elements[j] for j in bit_positions(poset._lower_covers[poset.index(b)]))
+    covers = poset._lower_covers[poset.elements.index(b)]
+    return tuple(poset.elements[j] for j in bit_positions(covers))
 
 
 def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:
     return frozenset(e for e, bit in zip(poset.elements, indicator) if bit)
+
+
+def image_ideal(mmap: MonomialMap, g: State) -> frozenset[tuple[int, int]]:
+    """The x-support of q_g's image under a monomial map, x[i, r] read as
+    the element (vertex i, r): under `monomial_map` of a DAG's state
+    lattice, the order ideal of chain_product(P, k-1) that g corresponds to."""
+    return frozenset(v.index for v, _ in mmap.image(q_var(g)) if v.family == "x")
 
 
 def brute_force_states(poset: Poset, k: int) -> list[tuple[int, ...]]:
@@ -270,8 +278,8 @@ def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:
         raise ValueError(f"the accumulation model is two-state, table has k={theta.k}")
     if len(g) != len(poset.elements) or any(v not in (0, 1) for v in g):
         raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
-    pos = poset.index(i)
-    if all(g[poset.index(j)] == 1 for j in covers_below(poset, i)):
+    pos = poset.elements.index(i)
+    if all(g[poset.elements.index(j)] == 1 for j in covers_below(poset, i)):
         return theta.rows[pos][g[pos]]
     return Fraction(1) if g[pos] == 0 else Fraction(0)
 

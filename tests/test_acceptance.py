@@ -19,6 +19,7 @@ from maxlin.algebra import (
     hilbert_check,
     monomial_map,
     parse_polynomial,
+    q_var,
     t_var,
     theta_var,
     verify_vanishing,
@@ -34,11 +35,7 @@ from maxlin.model import (
     full_distribution,
     oracle_equivalence_check,
 )
-from maxlin.poset import (
-    chain_product,
-    order_preserving_maps,
-    state_to_ideal,
-)
+from maxlin.poset import chain_product, order_preserving_maps
 from maxlin.transforms import (
     moebius_inverse,
     zeta_factorization_check,
@@ -47,6 +44,7 @@ from maxlin.transforms import (
 
 from conftest import (
     catalog_dags,
+    image_ideal,
     incomparable_pairs,
     order_ideals,
     random_dag,
@@ -280,6 +278,11 @@ def test_criterion_11_lattice_correspondence(fig3_dag):
     product_poset = chain_product(transitive_closure(fig3_dag), 2)
     assert len(lattice3) == 14
     assert len(order_ideals(product_poset)) == 14
+    mmap3 = monomial_map(lattice3)
+    image = mmap3.image(q_var((0, 1, 2)))
+    assert image == ((t_var(), 1), (x_var(1, 0), 1), (x_var(1, 1), 1), (x_var(2, 0), 1))
+    assert mmap3.image(q_var((2, 2, 2))) == ((t_var(), 1),)
+    assert image_ideal(mmap3, (0, 0, 0)) == set(product_poset.elements)
 
     for k in (2, 3):
         for name, dag in catalog_dags(k):
@@ -288,7 +291,8 @@ def test_criterion_11_lattice_correspondence(fig3_dag):
             prod = chain_product(poset, k - 1)
             ideals = order_ideals(prod)
             assert len(lattice) == len(ideals), (name, k)
-            images = {g: state_to_ideal(poset, g, k) for g in lattice}
+            mmap = monomial_map(lattice)
+            images = {g: image_ideal(mmap, g) for g in lattice}
             assert len(set(images.values())) == len(lattice)
             members = {
                 frozenset(e for e, bit in zip(prod.elements, ind) if bit)

@@ -3,6 +3,7 @@ monomial maps, the Hilbert-function certificate, and the Buchberger
 criterion."""
 
 import dataclasses
+import math
 import random
 import re
 from collections import Counter
@@ -54,7 +55,6 @@ from maxlin.errors import (
 )
 from maxlin.model import ParamTable, full_distribution
 from maxlin.poset import ideal_lattice, order_preserving_maps
-from maxlin.report import Report
 
 from conftest import (
     alpha_var,
@@ -1045,17 +1045,12 @@ def drop_pair(generators, pair):
 
 class TestHilbertCertificate:
     @pytest.mark.parametrize("figure", ["fig3", "fig2"])
-    def test_every_edit_same_verdict_as_parts(self, figure, fig2_dag, fig3_dag, monkeypatch):
+    def test_every_edit_same_verdict_as_parts(self, figure, fig2_dag, fig3_dag):
         dag = {"fig2": fig2_dag, "fig3": fig3_dag}[figure]
         lattice = order_preserving_maps(transitive_closure(dag), 3)
         oracle = CountOracle(lattice)
         edits = list(single_edits(lattice))
         expected = [certified(lattice, gens, oracle) for gens in edits]
-        # The verdict is settled before the Buchberger check runs to name the
-        # failing pairs; a stub keeps the 516 failing sets of fig2 fast, and
-        # test_failure_lines checks the named pairs.
-        stub = lambda gens: Report("groebner", 0)  # noqa: E731
-        monkeypatch.setattr(algebra, "buchberger_check", stub)
         assert [hilbert_check(lattice, gens).passed for gens in edits] == expected
         assert not any(expected)
 
@@ -1096,22 +1091,17 @@ class TestHilbertCertificate:
             ]
             assert report.total == 34191
         report = hilbert_check(lattice, drop_pair(generators, SILENT_DROPS[0]))
-        assert report.detail == (
-            "image monomials in degrees 1-3: 40, 557, 4395; "
-            "34191 S-polynomials reduce to 0 (3987 reduced, 30204 skipped: "
-            "coprime leading monomials)"
-        )
+        assert report.detail == "image monomials in degrees 1-3: 40, 557, 4395"
 
     def test_failure_lines(self, fig3_dag):
         # the incomparable pairs that lead no generator, then the generators
-        # that do not vanish, then the S-pairs
+        # that do not vanish; the detail line gives the image counts
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         images = ", ".join(map(str, CountOracle(lattice).images))
         mmap = monomial_map(lattice)
         pairs = incomparable_pairs(lattice)
         for gens in single_edits(lattice):
             report = hilbert_check(lattice, gens)
-            buchberger = buchberger_check(gens)
             leads = {leading_term(gen.polynomial())[0] for gen in gens}
             unled = [(g, h) for g, h in pairs if ((q_var(g), 1), (q_var(h), 1)) not in leads]
             expected = [
@@ -1119,36 +1109,28 @@ class TestHilbertCertificate:
                 f"q[{state_digits(g)}]*q[{state_digits(h)}]"
                 for g, h in unled[:1]
             ]
-            expected += verify_vanishing(gens, mmap).failures + buchberger.failures
+            expected += verify_vanishing(gens, mmap).failures
             assert report.failures == expected
-            assert report.detail == f"image monomials in degrees 1-3: {images}; {buchberger.detail}"
-            assert report.total == buchberger.total
+            assert report.detail == f"image monomials in degrees 1-3: {images}"
+            assert report.total == math.comb(len(gens), 2)
 
-    def test_fallback_reads_generators(self, fig3_dag, monkeypatch):
-        """The Buchberger fallback gets the caller's own list, or with none the
-        lattice's arrays, which read as a sequence of generators as a wrapper
-        of `buchberger_check` (the benchmark's S-pair counter) reads them.
-        Both sets lack the lattice's last generator, so both fail."""
-        import maxlin.algebra as algebra
-
+    def test_failure_never_runs_buchberger(self, fig3_dag, monkeypatch):
+        """A failing certificate names its failures without the Buchberger
+        check, for an edited list and for the lattice's own arrays, both
+        lacking the lattice's last generator."""
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         generators = hibi_generators(lattice)[:-1]
         arrays = generator_arrays(lattice)
         shortened = GeneratorArrays(arrays.states, *(column[:-1] for column in arrays.columns()))
-        seen = []
 
-        def wrapped(gens):
-            seen.append((gens, [gen.polynomial() for gen in gens], len(gens)))
-            return buchberger_check(gens)
+        def refuse(gens):
+            raise AssertionError("hilbert_check ran buchberger_check")
 
-        monkeypatch.setattr(algebra, "buchberger_check", wrapped)
+        monkeypatch.setattr(algebra, "buchberger_check", refuse)
         monkeypatch.setattr(algebra, "generator_arrays", lambda lattice: shortened)
-        assert not hilbert_check(lattice, generators).passed
-        assert not hilbert_check(lattice).passed
-        (mine, polys, count), (own, own_polys, own_count) = seen
-        assert mine is generators and count == len(generators)
-        assert own is shortened and own_count == len(generators)
-        assert own_polys == polys == [gen.polynomial() for gen in generators]
+        mine, own = hilbert_check(lattice, generators), hilbert_check(lattice)
+        assert not mine.passed and mine.failures == own.failures
+        assert mine.total == own.total == math.comb(len(generators), 2)
 
     def test_guard(self, fig2_dag, monkeypatch):
         """Called from the library, the check reads MAXLIN_HILBERT_LIMIT and

@@ -19,7 +19,6 @@ MODULES = {path.stem for path in PACKAGE}
 # nor the benchmark reaches, and why they stay.
 KEPT = (
     ("chain_product", "acceptance criterion 11: states as ideals of P x chain"),
-    ("state_to_ideal", "acceptance criterion 11: the order-reversing bijection"),
     ("conditional_probability", "the checked per-vertex factor of the max-of-parents rule"),
 )
 

@@ -584,6 +584,22 @@ class TestAccumulationModel:
             }
             assert cbn_distribution(poset, theta) == expected
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(), st.integers(0, 2**32))
+    def test_integer_view_gives_numerators_over_its_denominator(self, dag, seed):
+        """On a table's `integer_view` every value is the rational joint's
+        times D, an element that cannot occur yet contributing d_v."""
+        poset = transitive_closure(dag)
+        rng = random.Random(seed)
+        rows = []
+        for d in range(7, 7 + dag.n):  # unlike denominators, zero weights too
+            a = rng.randint(0, d)
+            rows.append([Fraction(a, d), Fraction(d - a, d)])
+        theta = ParamTable.from_rows(rows)
+        view, denominator = integer_view(theta)
+        expected = {g: v * denominator for g, v in cbn_distribution(poset, theta).items()}
+        assert cbn_distribution(poset, view) == expected
+
     def test_symbolic_fig1_matches_published_monomials(self, fig1_poset):
         dist = cbn_distribution(fig1_poset, ParamTable.symbolic(5, 2))
         expected = {

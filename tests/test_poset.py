@@ -7,17 +7,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
+from maxlin.algebra import monomial_map, q_var, t_var, x_var
 from maxlin.dag import Dag, transitive_closure
-from maxlin.errors import BadStateError, NotAStateError
+from maxlin.errors import BadStateError
 from maxlin.poset import (
     Poset,
     StateLattice,
     chain_product,
     ideal_lattice,
     is_order_ideal,
-    is_order_preserving,
     order_preserving_maps,
-    state_to_ideal,
 )
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     dags,
     dual,
     ideal_members,
+    image_ideal,
     incomparable_pairs,
     lattice_meet_join,
     order_ideals,
@@ -79,9 +79,6 @@ class TestPosetType:
         p = Poset.from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)})
         assert p.down == (0b001, 0b010, 0b111)
         assert p.relation == {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)}
-        assert p.index(3) == 2
-        with pytest.raises(ValueError):
-            p.index(4)
         assert covers_below(p, 3) == (1, 2)
         assert covers_below(p, 1) == ()
 
@@ -256,24 +253,23 @@ class TestChainProduct:
 
 
 class TestStateToIdeal:
+    """`monomial_map` as the state-to-ideal map: the x-support of q_g's
+    image, x[i, r] read as the element (vertex i, r), is the order ideal of
+    chain_product(P, k-1) that g corresponds to."""
+
     def test_golden_fig3(self, fig3_dag):
-        closure = transitive_closure(fig3_dag)
-        assert state_to_ideal(closure, (0, 1, 2), 3) == {(1, 0), (1, 1), (2, 0)}
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        image = monomial_map(lattice).image(q_var((0, 1, 2)))
+        assert image == ((t_var(), 1), (x_var(1, 0), 1), (x_var(1, 1), 1), (x_var(2, 0), 1))
 
     def test_top_state_empty(self, fig3_dag):
-        closure = transitive_closure(fig3_dag)
-        assert state_to_ideal(closure, (2, 2, 2), 3) == frozenset()
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        assert monomial_map(lattice).image(q_var((2, 2, 2))) == ((t_var(), 1),)
 
     def test_bottom_state_full(self, fig3_dag):
         closure = transitive_closure(fig3_dag)
-        assert state_to_ideal(closure, (0, 0, 0), 3) == set(chain_product(closure, 2).elements)
-
-    def test_rejects_non_state(self, fig3_dag):
-        closure = transitive_closure(fig3_dag)
-        with pytest.raises(NotAStateError):
-            state_to_ideal(closure, (1, 0, 0), 3)
-        with pytest.raises(BadStateError):
-            state_to_ideal(closure, (0, 0, 3), 3)
+        mmap = monomial_map(order_preserving_maps(closure, 3))
+        assert image_ideal(mmap, (0, 0, 0)) == set(chain_product(closure, 2).elements)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_bijection_onto_product_ideals(self, k):
@@ -281,7 +277,8 @@ class TestStateToIdeal:
             poset = transitive_closure(dag)
             lattice = order_preserving_maps(poset, k)
             prod = chain_product(poset, k - 1)
-            images = [state_to_ideal(poset, g, k) for g in lattice]
+            mmap = monomial_map(lattice)
+            images = [image_ideal(mmap, g) for g in lattice]
             assert len(set(images)) == len(images)
             expected = {
                 frozenset(ideal_members(prod, ind)) for ind in order_ideals(prod)
@@ -290,14 +287,13 @@ class TestStateToIdeal:
 
     def test_order_reversing(self):
         for _, dag in catalog_dags(3):
-            poset = transitive_closure(dag)
-            lattice = order_preserving_maps(poset, 3)
+            lattice = order_preserving_maps(transitive_closure(dag), 3)
+            mmap = monomial_map(lattice)
+            images = {g: image_ideal(mmap, g) for g in lattice}
             for g in lattice:
                 for h in lattice:
                     if state_leq(g, h):
-                        gi = state_to_ideal(poset, g, 3)
-                        hi = state_to_ideal(poset, h, 3)
-                        assert gi >= hi
+                        assert images[g] >= images[h]
 
 
 class TestLatticeCorrespondence:
@@ -371,8 +367,6 @@ def check_against_slow_paths(dag: Dag, ks=(1, 2, 3)) -> None:
     for k in ks:
         lattice = order_preserving_maps(poset, k)
         assert list(lattice) == brute_force_states(poset, k)
-        box = product(range(k), repeat=dag.n)
-        assert [g for g in box if is_order_preserving(poset, g, k)] == list(lattice)
         assert incomparable_pairs(lattice) == pairwise_incomparable(lattice.states)
     ideals = order_ideals(poset)
     assert ideals == brute_force_ideals(poset)

@@ -271,7 +271,7 @@ class TestLevelProducts:
             states = order_preserving_maps(transitive_closure(dag), k).states
             for theta in (ParamTable.random(dag.n, k, rng), ParamTable.symbolic(dag.n, k)):
                 rows = theta.cumulative
-                assert _level_products(rows, states) == self.per_state(rows, states)
+                assert _level_products(rows, states, 1) == self.per_state(rows, states)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2**32))
@@ -282,7 +282,7 @@ class TestLevelProducts:
         rows = ParamTable.random(dag.n, k, rng).rows
         states = [tuple(rng.randrange(k) for _ in range(dag.n)) for _ in range(20)]
         states += states[:3]
-        assert _level_products(rows, states) == self.per_state(rows, states)
+        assert _level_products(rows, states, 1) == self.per_state(rows, states)
 
 
 class TestMoebiusInverse:
