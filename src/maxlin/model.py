@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm, prod
 from numbers import Rational
+from operator import getitem, itemgetter
 from typing import Union
 
 from .algebra import EMPTY_MONOMIAL, Polynomial, parse_fraction, state_digits, theta_var
@@ -57,13 +58,17 @@ class ParamTable:
         for idx, row in enumerate(self.rows):
             if len(row) != k:
                 raise ValueError(f"row {idx + 1} has {len(row)} entries, expected {k}")
-            if all(isinstance(v, Fraction) for v in row):
-                if any(v < 0 for v in row):
-                    raise ValueError(f"row {idx + 1} has a negative weight")
-                if sum(row) != 1:
-                    raise ValueError(f"row {idx + 1} sums to {sum(row)}, not 1")
-            last = sum(row) if all(isinstance(v, Rational) for v in row) else Fraction(1)
-            cumulative.append((*accumulate(row[:-1]), last))
+            if all(isinstance(v, Rational) for v in row):
+                sums = tuple(accumulate(row))
+                if all(isinstance(v, Fraction) for v in row):
+                    if any(v < 0 for v in row):
+                        raise ValueError(f"row {idx + 1} has a negative weight")
+                    total = sums[-1] if sums else 0
+                    if total != 1:
+                        raise ValueError(f"row {idx + 1} sums to {total}, not 1")
+            else:
+                sums = (*accumulate(row[:-1]), Fraction(1))
+            cumulative.append(sums)
         object.__setattr__(self, "cumulative", tuple(cumulative))
 
     @property
@@ -212,27 +217,37 @@ def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
     return ParamTable(tuple(scaled)), prod(scales)
 
 
-def oracle_distribution(dag: Dag, theta: ParamTable) -> dict[State, Fraction]:
-    """All oracle probabilities from a single enumeration pass; states the
-    model cannot reach are absent.
+def oracle_distribution(dag: Dag, tables) -> list[dict[State, Fraction]]:
+    """The oracle probabilities of each of a sequence of rational tables,
+    one dict per table, from a single walk of the k**n box shared by all of
+    them; states the model cannot reach are absent. With no tables nothing
+    is walked.
 
-    The arithmetic is on integers: on the table's `integer_view` each
+    The arithmetic is on integers: on each table's `integer_view` an
     innovation vector weighs the product of its n numerators, and the
     weights are summed per outcome. Each sum then becomes one Fraction over
-    D, exactly the sum of the vectors' products of weights; D is 1 on an
-    integer table.
+    that table's D, exactly the sum of the vectors' products of weights; D
+    is 1 on an integer table. The box's size is checked against
+    MAXLIN_ORACLE_LIMIT before any vector is walked, and the walk holds one
+    block of outcomes at a time, whatever k**n is.
 
     Raises:
-        ValueError: the table does not fit the DAG, or is not rational.
+        ValueError: a table does not fit the DAG, or is not rational.
     """
-    _check_table(dag, theta)
-    if not all(isinstance(v, Rational) for row in theta.rows for v in row):
-        raise ValueError("the innovation oracle needs a rational parameter table")
-    view, denominator = integer_view(theta)
-    sums: dict[State, int] = {}
-    for outcome, weight in _innovation_outcomes(dag, view.rows):
-        sums[outcome] = sums.get(outcome, 0) + weight
-    return {g: Fraction(total, denominator) for g, total in sums.items()}
+    views = []
+    for theta in tables:
+        _check_table(dag, theta)
+        if not all(isinstance(v, Rational) for row in theta.rows for v in row):
+            raise ValueError("the innovation oracle needs a rational parameter table")
+        views.append(integer_view(theta))
+    _check_box(dag)
+    if not views:
+        return []
+    outcomes, sums = _innovation_walk(dag, [view.rows for view, _ in views])
+    return [
+        {g: Fraction(total, denominator) for g, total in zip(outcomes, totals)}
+        for (_, denominator), totals in zip(views, sums)
+    ]
 
 
 def _check_box(dag: Dag) -> None:
@@ -241,39 +256,70 @@ def _check_box(dag: Dag) -> None:
     check_size("MAXLIN_ORACLE_LIMIT", count, what)
 
 
-def _innovation_outcomes(dag: Dag, rows: list[list[int]]):
-    """Each innovation vector z of the box with its weight, as the outcome it
-    yields under the structural equations X_v = max(Z_v, max of X_u over the
-    parents u of v). rows[v][j] is the integer numerator of level j at vertex
-    v + 1 over the row's common denominator, so a weight is the integer
-    numerator of the vector's probability over the product of those
-    denominators."""
-    _check_box(dag)
+# The most innovation vectors the oracle solves together, so the walk's
+# memory holds one block of outcomes, whatever k**n is.
+_BLOCK = 4096
+
+
+def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int]]]:
+    """Every outcome of the box under the structural equations
+    X_v = max(Z_v, max of X_u over the parents u of v), each once in vertex
+    order, and per table the summed weight of the innovation vectors that
+    yield it, aligned with the outcomes. rows[v][j] of a table is the
+    integer numerator of level j at vertex v + 1 over the row's common
+    denominator, and a vector weighs the product of its n numerators.
+
+    Positions follow the topological order, so each X_v reads parents at
+    earlier positions only. The first positions are a `product` odometer;
+    for each of its vectors the last r positions, the most with
+    k**r <= _BLOCK, are solved together level by level, each prefix
+    reading its parents' maximum once. Outcomes are keyed in position order
+    by an integer id. A vector's weight is its head's product times its
+    entry in the outer product of the tail rows, built once per table."""
+    n, k = dag.n, dag.k
     order = [v - 1 for v in topological_order(dag)]
-    parents = [[u - 1 for u in dag.parents(v + 1)] for v in order]
-    n, top = dag.n, dag.k - 1
-    # The box as an odometer over the topological order: z[t] is the
-    # innovation of the vertex at position t, weights[t + 1] the product of
-    # the weights of z[0..t]. The outcome x and the weights are solved again
-    # only from the position the odometer turned on, about k/(k-1) positions
-    # per vector, since each X_v reads parents at earlier positions only.
-    z = [0] * n
-    x = [0] * n
-    weights = [1] * (n + 1)
-    turned = 0
-    while True:
-        for t in range(turned, n):
-            v = order[t]
-            weights[t + 1] = weights[t] * rows[v][z[t]]
-            x[v] = max([z[t], *[x[u] for u in parents[t]]])
-        yield tuple(x), weights[n]
-        turned = n - 1
-        while turned >= 0 and z[turned] == top:
-            z[turned] = 0
-            turned -= 1
-        if turned < 0:
-            return
-        z[turned] += 1
+    position = {v: t for t, v in enumerate(order)}
+    parents = [[position[u - 1] for u in dag.parents(v + 1)] for v in order]
+    r = 0
+    while r < n and k ** (r + 1) <= _BLOCK:
+        r += 1
+    split = n - r
+    levels = range(k)
+    # capped[m][z] is the outcome (max(z, m),) of innovation z under a
+    # parents' maximum m
+    capped = [[(max(z, m),) for z in levels] for m in levels]
+    heads, tails = [], []
+    for rows in tables:
+        heads.append([rows[v] for v in order[:split]])
+        weights = [1]
+        for v in order[split:]:
+            weights = [w * x for w in weights for x in rows[v]]
+        tails.append(weights)
+    ids: dict[State, int] = {}
+    sums: list[list[int]] = [[] for _ in tables]
+    for z in product(levels, repeat=split):
+        prefix: State = ()
+        for t, level in enumerate(z):
+            prefix += capped[max([prefix[p] for p in parents[t]], default=0)][level]
+        block = [prefix]
+        for t in range(split, n):
+            ps = parents[t]
+            if not ps:
+                block = [x + s for x in block for s in capped[0]]
+            elif len(ps) == 1:
+                p = ps[0]
+                block = [x + s for x in block for s in capped[x[p]]]
+            else:
+                get = itemgetter(*ps)
+                block = [x + s for x in block for s in capped[max(get(x))]]
+        block_ids = [ids.setdefault(g, len(ids)) for g in block]
+        for totals, head_rows, weights in zip(sums, heads, tails):
+            totals.extend([0] * (len(ids) - len(totals)))
+            head = prod(map(getitem, head_rows, z))
+            for i, w in zip(block_ids, weights):
+                totals[i] += head * w
+    vertex_order = [position[v] for v in range(n)]
+    return [tuple([g[t] for t in vertex_order]) for g in ids], sums
 
 
 def cbn_distribution(
@@ -367,21 +413,20 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     the whole k**n box, and that the factored joint vanishes exactly off the
     state lattice, for seeded random strictly positive tables. The box's
     size is checked against MAXLIN_ORACLE_LIMIT before anything is
-    enumerated.
+    enumerated. Every trial's table is drawn first, and one walk of the box
+    gives the oracle of all of them.
 
     Each trial compares two dicts of integer numerators over the `integer_view`'s D on
     the union of their keys and the lattice's states, in lex order; every
     other vector of the box is 0 on both sides and off the lattice, so it
     could name no failure. Every trial counts k**n checks."""
     _check_box(dag)
-    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     rng = random.Random(seed)
+    views = [integer_view(ParamTable.random(dag.n, dag.k, rng))[0] for _ in range(trials)]
+    oracles = oracle_distribution(dag, views)
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     failures: list[str] = []
-    checks = 0
-    for trial in range(trials):
-        checks += dag.k**dag.n
-        view, _ = integer_view(ParamTable.random(dag.n, dag.k, rng))
-        by_oracle = oracle_distribution(dag, view)
+    for trial, (view, by_oracle) in enumerate(zip(views, oracles)):
         walk = _factored_walk(dag, view)
         for g in sorted(walk.keys() | by_oracle.keys() | set(lattice)):
             factored = walk.get(g, 0)
@@ -394,7 +439,7 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
         if not failures
         else ""
     )
-    return Report("oracle", total=checks, failures=failures, detail=detail)
+    return Report("oracle", total=trials * dag.k**dag.n, failures=failures, detail=detail)
 
 
 def eliminate_simplex(value: Value, n: int, k: int) -> Value:

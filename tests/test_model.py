@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -48,16 +49,29 @@ def tv(i, j):
 
 class TestParamTable:
     def test_row_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             ParamTable(((Fraction(1, 2), Fraction(1, 3)),))
+        assert str(caught.value) == "row 1 sums to 5/6, not 1"
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((),))
+        assert str(caught.value) == "row 1 sums to 0, not 1"
 
     def test_row_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            ParamTable(((Fraction(3, 2), Fraction(-1, 2)),))
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(-1, 2))))
+        assert str(caught.value) == "row 2 has a negative weight"
 
     def test_rows_must_agree_on_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             ParamTable(((Fraction(1),), (Fraction(1, 2), Fraction(1, 2))))
+        assert str(caught.value) == "row 2 has 2 entries, expected 1"
+
+    def test_cumulative_rows_are_the_partial_sums(self):
+        # rational and integer rows end in their sum, symbolic rows in 1
+        table = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
+        assert table.cumulative == ((Fraction(1, 6), Fraction(1, 2), 1),)
+        assert ParamTable(((2, 0, 3),)).cumulative == ((2, 2, 5),)
+        assert ParamTable.symbolic(1, 2).cumulative == ((tv(1, 0), 1),)
 
     def test_json_roundtrip(self):
         table = ParamTable.from_json_dict({"theta": [["1/2", "1/2"], ["1/4", "3/4"]]})
@@ -336,7 +350,7 @@ class TestOracle:
     def test_single_vertex(self):
         dag = Dag(n=1, k=3)
         theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
-        by_oracle = oracle_distribution(dag, theta)
+        by_oracle = oracle_distribution(dag, [theta])[0]
         for j in range(3):
             assert by_oracle.get((j,), Fraction(0)) == theta.rows[0][j]
 
@@ -344,23 +358,23 @@ class TestOracle:
         rng = random.Random(13)
         for _ in range(5):
             theta = ParamTable.random(5, 2, rng)
-            by_oracle = oracle_distribution(fig2_dag, theta)
+            by_oracle = oracle_distribution(fig2_dag, [theta])[0]
             for g in product(range(2), repeat=5):
                 assert joint_factored(fig2_dag, theta, g) == by_oracle.get(g, Fraction(0))
 
     def test_non_state_unreachable(self, fig2_dag):
         theta = uniform_table(5, 2)
-        assert oracle_distribution(fig2_dag, theta).get((1, 0, 0, 0, 0), Fraction(0)) == 0
+        assert oracle_distribution(fig2_dag, [theta])[0].get((1, 0, 0, 0, 0), Fraction(0)) == 0
 
     def test_enumeration_guard(self, fig2_dag, monkeypatch):
         """Called from the library, the oracle reads MAXLIN_ORACLE_LIMIT and
         names it when the guard trips."""
         theta = uniform_table(5, 2)
         monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "32")
-        assert sum(oracle_distribution(fig2_dag, theta).values()) == 1
+        assert sum(oracle_distribution(fig2_dag, [theta])[0].values()) == 1
         monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "31")
         with pytest.raises(TooLargeError) as caught:
-            oracle_distribution(fig2_dag, theta)
+            oracle_distribution(fig2_dag, [theta])
         assert str(caught.value) == (
             "enumeration needs 2**5 = 32 innovation vectors but the guard is 31;"
             " MAXLIN_ORACLE_LIMIT sets the guard"
@@ -369,7 +383,7 @@ class TestOracle:
             oracle_equivalence_check(fig2_dag, trials=1, seed=0)
         monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "many")
         with pytest.raises(MaxlinError) as caught:
-            oracle_distribution(fig2_dag, theta)
+            oracle_distribution(fig2_dag, [theta])
         assert str(caught.value) == "MAXLIN_ORACLE_LIMIT must be an integer, got 'many'"
 
     def test_corrupted_cumulative_row_is_caught(self, fig2_dag):
@@ -378,18 +392,18 @@ class TestOracle:
         dag = dataclasses.replace(fig2_dag, k=3)
         for i, j in ((0, 0), (4, 1)):
             theta = ParamTable.random(5, 3, random.Random(17))
-            assert full_distribution(dag, theta) == oracle_distribution(dag, theta)
+            assert full_distribution(dag, theta) == oracle_distribution(dag, [theta])[0]
             rows = [list(row) for row in theta.cumulative]
             rows[i][j] += Fraction(1, 7)
             object.__setattr__(theta, "cumulative", tuple(map(tuple, rows)))
-            assert full_distribution(dag, theta) != oracle_distribution(dag, theta)
+            assert full_distribution(dag, theta) != oracle_distribution(dag, [theta])[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32))
     def test_matches_vector_by_vector_reference(self, dag, k, seed):
         dag = dataclasses.replace(dag, k=k)
         theta = ParamTable.random(dag.n, k, random.Random(seed))
-        assert oracle_distribution(dag, theta) == reference_oracle(dag, theta)
+        assert oracle_distribution(dag, [theta])[0] == reference_oracle(dag, theta)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_integer_kernel_on_zero_weights_and_unlike_denominators(self, k):
@@ -397,13 +411,13 @@ class TestOracle:
         for name, dag in catalog_dags(k):
             for make in (sparse_table, mixed_denominator_table):
                 theta = make(dag.n, k, rng)
-                by_oracle = oracle_distribution(dag, theta)
+                by_oracle = oracle_distribution(dag, [theta])[0]
                 assert by_oracle == reference_oracle(dag, theta), name
                 assert all(type(v) is Fraction for v in by_oracle.values())
 
     def test_symbolic_table_is_refused(self, fig2_dag):
         with pytest.raises(ValueError) as caught:
-            oracle_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+            oracle_distribution(fig2_dag, [ParamTable.symbolic(5, 2)])
         assert str(caught.value) == "the innovation oracle needs a rational parameter table"
 
     def test_one_fraction_per_outcome(self, fig2_dag, monkeypatch):
@@ -426,7 +440,7 @@ class TestOracle:
                 "_from_coprime_ints",
                 classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
             )
-        by_oracle = oracle_distribution(dag, theta)
+        by_oracle = oracle_distribution(dag, [theta])[0]
         assert len(by_oracle) == 125
         assert len(built) <= len(by_oracle) + dag.n * dag.k
 
@@ -496,13 +510,13 @@ class TestOracle:
         # leaving parent 2 out of vertex 4's maximum puts mass on vectors
         # with g_4 < g_2, which neither the walk nor the lattice has
         dag = dataclasses.replace(fig2_dag, k=3)
-        outcomes = model._innovation_outcomes
+        walk = model._innovation_walk
 
         def without_edge(dag):
             return dataclasses.replace(dag, edges=dag.edges - {(2, 4)})
 
         monkeypatch.setattr(
-            model, "_innovation_outcomes", lambda dag, rows: outcomes(without_edge(dag), rows)
+            model, "_innovation_walk", lambda dag, tables: walk(without_edge(dag), tables)
         )
         report = oracle_equivalence_check(dag, trials=2, seed=9)
         expected = box_failures(
@@ -511,6 +525,108 @@ class TestOracle:
         assert report.failures == expected
         assert "trial 0: state 01000" in expected
         assert sum(line.startswith("trial 0:") for line in expected) > 1
+
+    def test_one_walk_per_request(self, fig2_dag, tmp_path, monkeypatch, capsys):
+        # every trial's oracle comes from one walk of the box; with no trial
+        # nothing is walked, but the guard still trips before anything
+        walk = model._innovation_walk
+        calls = []
+
+        def counted(dag, tables):
+            calls.append(len(tables))
+            return walk(dag, tables)
+
+        monkeypatch.setattr(model, "_innovation_walk", counted)
+        path = tmp_path / "fig2.dag"
+        path.write_text(data.read("fig2.dag"), encoding="utf-8")
+        argv = ["verify", "oracle", "--dag", str(path), "--k", "3"]
+        assert main([*argv, "--trials", "5"]) == 0
+        assert calls == [5]
+        assert main([*argv, "--trials", "0"]) == 0
+        assert calls == [5]
+        assert oracle_distribution(fig2_dag, []) == [] and calls == [5]
+        capsys.readouterr()
+        monkeypatch.setenv("MAXLIN_ORACLE_LIMIT", "242")
+        assert main([*argv, "--trials", "0"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: enumeration needs 3**5 = 243 innovation vectors but the guard is 242;"
+            " MAXLIN_ORACLE_LIMIT sets the guard\n",
+        )
+        with pytest.raises(TooLargeError, match="MAXLIN_ORACLE_LIMIT"):
+            oracle_distribution(dataclasses.replace(fig2_dag, k=3), [])
+        assert calls == [5]
+
+    def test_box_of_several_blocks_matches_the_reference(self):
+        # 3**9 vectors are nine blocks of 3**7, and the odometer's second
+        # vertex, 2, reads its parent 4 at the first; the labels are not a
+        # topological order
+        edges = {(4, 2), (2, 9), (4, 7), (7, 9), (9, 1), (3, 1), (5, 3), (5, 6), (6, 8), (8, 1)}
+        dag = Dag(n=9, k=3, edges=frozenset(edges))
+        assert dag.k**dag.n > model._BLOCK
+        rng = random.Random(41)
+        thetas = [sparse_table(9, 3, rng), mixed_denominator_table(9, 3, rng)]
+        for theta, by_oracle in zip(thetas, oracle_distribution(dag, thetas)):
+            assert by_oracle == reference_oracle(dag, theta)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tables_are_independent(self, k):
+        # a table's dict is the same alone as beside other tables
+        rng = random.Random(60 + k)
+        for name, dag in catalog_dags(k):
+            thetas = [
+                make(dag.n, k, rng)
+                for make in (ParamTable.random, sparse_table, mixed_denominator_table)
+            ]
+            alone = [oracle_distribution(dag, [theta])[0] for theta in thetas]
+            assert oracle_distribution(dag, thetas) == alone, name
+            assert oracle_distribution(dag, thetas[::-1]) == alone[::-1], name
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dags(max_n=6),
+        st.integers(1, 3),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+        st.sampled_from(["intact", "dropped", "perturbed"]),
+    )
+    def test_report_is_the_box_loops_report(self, dag, k, trials, seed, mutant):
+        # the report the shared walk gives is the one that a reference
+        # oracle per trial and a loop over the whole box give
+        dag = dataclasses.replace(dag, k=k)
+        walk = model._factored_walk
+
+        def mutated(dag, theta, *unit):
+            out = walk(dag, theta, *unit)
+            if mutant == "dropped":
+                del out[max(out)]
+            elif mutant == "perturbed":
+                out[min(out)] += 1
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_factored_walk", mutated)
+            report = oracle_equivalence_check(dag, trials, seed)
+            expected = box_failures(dag, trials, seed)
+        states = len(order_preserving_maps(transitive_closure(dag), k))
+        assert report.failures == expected
+        assert report.total == trials * k**dag.n
+        assert bool(expected) == (mutant != "intact" and trials > 0)
+        passed = f"{trials}/{trials} trials, {states} states each, exact match"
+        assert report.detail == ("" if expected else passed)
+
+    def test_memory_holds_one_block(self):
+        # the whole box of the 10-chain with k=3 is 59,049 outcome tuples,
+        # more than 8 MB; one block of them is well under 4 MB
+        dag = Dag(n=10, k=3, edges=frozenset((i, i + 1) for i in range(1, 10)))
+        tracemalloc.start()
+        try:
+            report = oracle_equivalence_check(dag, trials=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 4_000_000
 
     def test_equivalence_suite(self, fig2_dag):
         report = oracle_equivalence_check(fig2_dag, trials=5, seed=3)
@@ -524,13 +640,13 @@ class TestOracle:
         # of the maximum disagrees with the factored joint
         import maxlin.model as model
 
-        outcomes = model._innovation_outcomes
+        walk = model._innovation_walk
 
-        def drop_parent(dag, theta):
+        def drop_parent(dag, tables):
             edges = dag.edges - {(2, 4)}
-            return outcomes(dataclasses.replace(dag, edges=edges), theta)
+            return walk(dataclasses.replace(dag, edges=edges), tables)
 
-        monkeypatch.setattr(model, "_innovation_outcomes", drop_parent)
+        monkeypatch.setattr(model, "_innovation_walk", drop_parent)
         path = tmp_path / "fig2.dag"
         path.write_text(data.read("fig2.dag"), encoding="utf-8")
         code = main(["verify", "oracle", "--dag", str(path), "--k", "3", "--trials", "2"])
