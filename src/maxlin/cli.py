@@ -74,8 +74,18 @@ def _emit(fmt: str, data, lines: Iterable[str]) -> None:
 
 
 def _emit_states(states, fmt: str) -> None:
-    digits = [state_digits(g) for g in states]
-    _emit(fmt, digits, digits)
+    """Print the states' digit strings as `_emit` lays them out, in one join
+    and one translate of bytes 0..9 to digits; no separator byte is below 10."""
+    sep = b"\n" if fmt == "text" else b'",\n  "'
+    try:
+        raw = sep.join(map(bytes, states))  # ValueError on an entry above 255
+        if len(raw.translate(None, bytes(range(10)))) > len(sep) * (len(states) - 1):
+            raise ValueError  # a byte besides the separators is an entry above 9
+    except ValueError:
+        list(map(state_digits, states))  # raises at the first state with such an entry
+        raise
+    text = raw.translate(bytes.maketrans(bytes(range(10)), b"0123456789")).decode()
+    print(text if fmt == "text" else f'[\n  "{text}"\n]')
 
 
 def _emit_value_map(values, prefix: str, fmt: str) -> None:

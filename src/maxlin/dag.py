@@ -18,15 +18,15 @@ class Dag:
     """A validated DAG on vertices 1..n with an innovation state count k.
 
     Vertex labels are 1-indexed throughout, matching the file format.
-    Acyclicity is checked once at construction, so downstream code never
-    re-checks it.
+    Acyclicity is checked once at construction, by the peeling that fixes the
+    topological order, so downstream code never re-checks it or peels again.
     """
 
     n: int
     k: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -44,8 +44,22 @@ class Dag:
             up[v - 1].append(u)
             down[u - 1].append(v)
         object.__setattr__(self, "_parents", tuple(tuple(sorted(l)) for l in up))
-        object.__setattr__(self, "_children", tuple(tuple(sorted(l)) for l in down))
-        topological_order(self)  # raises CyclicGraphError on a cycle
+        # The topological order: Kahn-style peeling, smallest label first.
+        indegree = [len(parents) for parents in up]
+        heap = [v for v in range(1, self.n + 1) if indegree[v - 1] == 0]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for w in down[v - 1]:
+                indegree[w - 1] -= 1
+                if indegree[w - 1] == 0:
+                    heapq.heappush(heap, w)
+        if len(order) != self.n:
+            stuck = [v for v in range(1, self.n + 1) if indegree[v - 1] > 0]
+            raise CyclicGraphError(f"no topological order: cycle through vertices {stuck}")
+        object.__setattr__(self, "_order", tuple(order))
 
     def parents(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -97,22 +111,8 @@ def parse_dag(text: str) -> Dag:
 
 
 def topological_order(dag: Dag) -> list[int]:
-    """Kahn-style peeling with a smallest-label-first tie-break."""
-    indegree = [len(parents) for parents in dag._parents]
-    heap = [v for v in range(1, dag.n + 1) if indegree[v - 1] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in dag._children[v - 1]:
-            indegree[w - 1] -= 1
-            if indegree[w - 1] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != dag.n:
-        stuck = [v for v in range(1, dag.n + 1) if indegree[v - 1] > 0]
-        raise CyclicGraphError(f"no topological order: cycle through vertices {stuck}")
-    return order
+    """The order `Dag` peeled when it was built (see there), as a new list."""
+    return list(dag._order)
 
 
 def transitive_closure(dag: Dag) -> Poset:
@@ -121,7 +121,7 @@ def transitive_closure(dag: Dag) -> Poset:
     Vertex v's down-set mask is its own bit OR the masks of its parents,
     taken in topological order."""
     down = [0] * dag.n
-    for v in topological_order(dag):
+    for v in dag._order:
         mask = 1 << (v - 1)
         for u in dag.parents(v):
             mask |= down[u - 1]

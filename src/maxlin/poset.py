@@ -23,8 +23,8 @@ class Poset:
 
     `elements` fixes the coordinate order used by indicator vectors and state
     vectors; bit j of `down[i]` is set iff elements[j] <= elements[i]. The
-    axioms are checked once at construction, in one OR per related pair,
-    and the same pass yields the Hasse diagram.
+    axioms are checked once at construction, in one OR per greedy pick, and
+    the same pass yields the Hasse diagram.
     """
 
     elements: tuple[Label, ...]
@@ -42,27 +42,26 @@ class Poset:
                 raise ValueError(f"down-set of {e!r} reaches outside the element set")
             if not mask >> i & 1:
                 raise ValueError(f"relation is not reflexive at {e!r}")
-        strict = [mask ^ (1 << i) for i, mask in enumerate(self.down)]
+        down, e = self.down, self.elements
+        strict = [mask ^ (1 << i) for i, mask in enumerate(down)]
+        counts = [mask.bit_count() for mask in down]
+        minimal = sum(1 << i for i, count in enumerate(counts) if count == 1)
         covers = []
         for i, below in enumerate(strict):
-            # below_below: everything strictly below something strictly below
-            # i; the rest of i's strict down-set are its lower covers.
-            below_below = 0
-            for j in bit_positions(below):
+            # Picks j, each the end bit of `rest` with the larger down-set, cover i's
+            # strict down-set (a minimal element has nothing below it to check or
+            # add); each holds its own inside, so by induction the axioms hold.
+            below_below, rest = 0, below & ~minimal
+            while rest:
+                j, low = rest.bit_length() - 1, (rest & -rest).bit_length() - 1
+                j = low if counts[low] > counts[j] else j
+                if outside := strict[j] & ~below:
+                    if outside >> i & 1:
+                        raise ValueError(f"relation is not antisymmetric on ({e[j]!r}, {e[i]!r})")
+                    c = e[(outside & -outside).bit_length() - 1]
+                    raise ValueError(f"relation is not transitive on ({c!r}, {e[j]!r}, {e[i]!r})")
                 below_below |= strict[j]
-            if below_below >> i & 1:
-                j = next(j for j in bit_positions(below) if strict[j] >> i & 1)
-                raise ValueError(
-                    "relation is not antisymmetric on "
-                    f"({self.elements[j]!r}, {self.elements[i]!r})"
-                )
-            if below_below & ~below:
-                j = next(j for j in bit_positions(below) if strict[j] & ~below)
-                c = bit_positions(strict[j] & ~below)[0]
-                raise ValueError(
-                    "relation is not transitive on "
-                    f"({self.elements[c]!r}, {self.elements[j]!r}, {self.elements[i]!r})"
-                )
+                rest &= ~down[j]
             covers.append(below & ~below_below)
         object.__setattr__(self, "_lower_covers", tuple(covers))
 
@@ -157,7 +156,8 @@ class StateLattice:
         """Every index pair (g, g - e_i) of states, coordinates in decreasing
         order of column sums, g in lex order; built once, on the masks."""
         states, masks, width = self.states, self.masks, self.k - 1
-        coords = sorted(range(self.n), key=lambda i: -sum(g[i] for g in states))
+        columns = list(zip(*states))
+        coords = sorted(range(self.n), key=lambda i: -sum(columns[i]))
         index = masks.get
         pairs = [(t, index(m ^ (1 << i * width + g[i] - 1))) for i in coords
                  for t, (g, m) in enumerate(zip(states, masks)) if g[i]]

@@ -3,7 +3,8 @@ brute-force enumerators, the general division algorithm, the expanded eq5
 check, generic substitution, the monomial map one variable at a time, the
 Hilbert certificate's old degree 1-3 counts, reference helpers (the order,
 meet and join of states, the generator of a pair, the dual of a poset, its
-covers and order ideals, the uniform table, the accumulation model one
+covers and order ideals, the axiom violations and maximal lower elements of a
+relation by all pairs, the uniform table, the accumulation model one
 element at a time), and random generators for property-style tests."""
 
 from __future__ import annotations
@@ -204,6 +205,29 @@ def incomparable_pairs(lattice: StateLattice) -> list[tuple[State, State]]:
             (g, states[j]) for j in range(i + 1, len(states)) if m & ~masks[j]
         )
     return out
+
+
+def axiom_violations(down) -> tuple[set, set]:
+    """Every violation of antisymmetry and transitivity among the masks of a
+    reflexive relation, by positions, checked on all pairs and triples: the
+    pairs (j, i) with j != i related both ways, and the triples (c, j, i)
+    with c <= j <= i but not c <= i."""
+    n = len(down)
+    leq = [[bool(down[b] >> a & 1) for b in range(n)] for a in range(n)]
+    pairs = {(j, i) for j in range(n) for i in range(n) if j != i and leq[j][i] and leq[i][j]}
+    triples = {
+        (c, j, i)
+        for c, j, i in product(range(n), repeat=3)
+        if leq[c][j] and leq[j][i] and not leq[c][i]
+    }
+    return pairs, triples
+
+
+def maximal_below(down, i: int) -> int:
+    """The lower covers of position i as a mask: the maximal elements
+    strictly below i, each compared with every other one."""
+    below = [j for j in range(len(down)) if j != i and down[i] >> j & 1]
+    return sum(1 << j for j in below if not any(m != j and down[m] >> j & 1 for m in below))
 
 
 def strict_pairs(poset: Poset) -> list:

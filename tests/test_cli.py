@@ -7,9 +7,11 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,13 @@ from maxlin.errors import QUOTE_CAP, quote
 from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
-from conftest import RELABELLED, brute_force_ideals, brute_force_states, strict_pairs
+from conftest import (
+    RELABELLED,
+    brute_force_ideals,
+    brute_force_states,
+    random_dag,
+    strict_pairs,
+)
 
 
 @pytest.fixture()
@@ -310,6 +318,70 @@ class TestStateRendering:
         first = next(g for g in brute_force_states(poset, 11) if max(g) > 9)
         code, out, err = run_main(capsys, ["lattice", "--dag", dag, "--k", "11"])
         assert (code, out, err) == (2, "", f"error: state {first} has entries outside 0..9\n")
+
+    @staticmethod
+    def per_state_rendering(states, fmt: str) -> str:
+        """The stdout of one `state_digits` call per state, laid out by
+        json.dumps(..., indent=2) or joined by newlines."""
+        digits = [state_digits(g) for g in states]
+        return (json.dumps(digits, indent=2) if fmt == "json" else "\n".join(digits)) + "\n"
+
+    @staticmethod
+    def dag_sources(fig_files, tmp_path) -> list[str]:
+        """fig1's poset, fig2, fig3 and three random DAGs with scrambled labels."""
+        rng = random.Random(83)
+        paths = [fig_files[name] for name in ("fig1.poset", "fig2.dag", "fig3.dag")]
+        for index in range(3):
+            dag = random_dag(rng, max_n=4)
+            path = tmp_path / f"random{index}.dag"
+            edges = "".join(f"{u} {v}\n" for u, v in sorted(dag.edges))
+            path.write_text(f"{dag.n} 2\n{edges}", encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_one_join_is_the_per_state_rendering(self, capsys, tmp_path, fig_files, k, fmt):
+        for path in self.dag_sources(fig_files, tmp_path):
+            poset = transitive_closure(parse_dag(Path(path).read_text(encoding="utf-8")))
+            expected = {
+                "lattice": order_preserving_maps(poset, k).states,
+                "ideals": ideal_lattice(poset).states,
+            }
+            for command, states in expected.items():
+                argv = [command, "--dag", path, "--k", str(k), "--format", fmt]
+                code, out, err = run_main(capsys, argv)
+                assert (code, out, err) == (0, self.per_state_rendering(states, fmt), ""), argv
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_entries_past_nine_name_the_first_such_state(self, capsys, tmp_path, fig_files, fmt):
+        """With k = 11 the first state with a two-digit entry is named; with
+        k = 300 too, though later states have entries bytes() refuses."""
+        one = tmp_path / "one.dag"
+        one.write_text("1 2\n", encoding="utf-8")
+        cases = [(path, 11) for path in self.dag_sources(fig_files, tmp_path)] + [(str(one), 300)]
+        for path, k in cases:
+            poset = transitive_closure(parse_dag(Path(path).read_text(encoding="utf-8")))
+            first = next(g for g in order_preserving_maps(poset, k).states if max(g) > 9)
+            argv = ["lattice", "--dag", path, "--k", str(k), "--format", fmt]
+            code, out, err = run_main(capsys, argv)
+            assert (code, out, err) == (2, "", f"error: state {first} has entries outside 0..9\n")
+
+    def test_no_state_is_rendered_alone(self, capsys, fig_files, monkeypatch):
+        import maxlin.algebra as algebra
+        import maxlin.cli as cli
+
+        def refuse(state):
+            raise AssertionError(f"state {state} rendered on its own")
+
+        monkeypatch.setattr(algebra, "state_digits", refuse)
+        monkeypatch.setattr(cli, "state_digits", refuse)
+        for k in (1, 2, 3, 9, 10):
+            for command in ("lattice", "ideals"):
+                for fmt in ("json", "text"):
+                    argv = [command, "--dag", fig_files["fig2.dag"], "--k", str(k), "--format", fmt]
+                    code, out, err = run_main(capsys, argv)
+                    assert code == 0 and out.count("0") >= 5 and err == ""
 
     def test_lattice_and_ideals_build_no_state_tuples(self, capsys, tmp_path, monkeypatch):
         import maxlin.cli as cli

@@ -2,6 +2,7 @@
 state-to-ideal correspondence."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     CATALOG,
     RELABELLED,
     antichain,
+    axiom_violations,
     brute_force_ideals,
     brute_force_states,
     catalog_dags,
@@ -34,6 +36,7 @@ from conftest import (
     image_ideal,
     incomparable_pairs,
     lattice_meet_join,
+    maximal_below,
     order_ideals,
     random_dag,
     state_leq,
@@ -89,6 +92,129 @@ class TestPosetType:
     def test_dual(self):
         relation = dual(chain(3)).relation
         assert (2, 0) in relation and (0, 2) not in relation
+
+
+def closed(down: list[int]) -> list[int]:
+    """The transitive closure of reflexive masks, by repeated ORs of the
+    masks below each element until nothing changes."""
+    down = list(down)
+    changed = True
+    while changed:
+        changed = False
+        for i, mask in enumerate(down):
+            grown = mask
+            for j in range(len(down)):
+                if mask >> j & 1:
+                    grown |= down[j]
+            changed |= grown != mask
+            down[i] = grown
+    return down
+
+
+def random_relation(rng: random.Random, kind: str) -> list[int]:
+    """Reflexive down-set masks on n <= 7 positions: a random poset, one with
+    a pair taken out below a chain of two (not transitive), one with a pair
+    added against the order (not antisymmetric), a relabelled DAG closure,
+    or any reflexive relation."""
+    n = rng.randint(1, 7)
+    if kind == "closure":
+        return list(transitive_closure(random_dag(rng, max_n=7)).down)
+    if kind == "any":
+        return [rng.getrandbits(n) | 1 << i for i in range(n)]
+    order = rng.sample(range(n), n)  # edges go up this order, so no cycle
+    down = [1 << i for i in range(n)]
+    for s, i in enumerate(order):
+        for j in order[:s]:
+            if rng.random() < 0.4:
+                down[i] |= 1 << j
+    down = closed(down)
+    strict = [(j, i) for i in range(n) for j in range(n) if j != i and down[i] >> j & 1]
+    if kind == "not transitive":
+        # (c, i) with some j strictly between: c < j < i
+        spanning = [(c, i) for c, i in strict if any(
+            down[j] >> c & 1 and down[i] >> j & 1 for j in range(n) if j not in (c, i))]
+        if spanning:
+            c, i = rng.choice(spanning)
+            down[i] &= ~(1 << c)
+    elif kind == "not antisymmetric" and strict:
+        j, i = rng.choice(strict)
+        down[j] |= 1 << i
+    return down
+
+
+# (label, label) or (label, label, label) in a `Poset` axiom error.
+_NAMED = re.compile(r"relation is not (antisymmetric|transitive) on \(([0-9, ]+)\)")
+
+
+class TestGreedyCovers:
+    """`Poset` checks the axioms and finds the lower covers by greedy picks;
+    the references check every pair and triple and compare every two
+    elements below each one."""
+
+    KINDS = ("valid", "not transitive", "not antisymmetric", "closure", "any")
+
+    def test_verdict_and_covers_match_the_all_pairs_check(self):
+        rng = random.Random(2417)
+        raised = {"antisymmetric": 0, "transitive": 0}
+        for case in range(1500):
+            kind = self.KINDS[case % len(self.KINDS)]
+            down = random_relation(rng, kind)
+            n = len(down)
+            labels = tuple(rng.sample(range(100, 200), n))
+            pairs, triples = axiom_violations(down)
+            try:
+                poset = Poset(labels, tuple(down))
+            except ValueError as exc:
+                assert pairs or triples, (kind, down, exc)
+                match = _NAMED.fullmatch(str(exc))
+                assert match, exc
+                named = tuple(labels.index(int(x)) for x in match[2].split(", "))
+                assert named in (pairs if match[1] == "antisymmetric" else triples), (down, exc)
+                raised[match[1]] += 1
+                continue
+            assert not pairs and not triples, (kind, down)
+            assert poset._lower_covers == tuple(maximal_below(down, i) for i in range(n)), down
+        assert min(raised.values()) > 100, raised
+
+    @pytest.mark.parametrize(
+        "down, message",
+        [
+            # 1 <= 0 <= 1, found at either end of 1's strict down-set
+            ((0b11, 0b11), r"antisymmetric on \((0, 1|1, 0)\)"),
+            ((0b011, 0b011, 0b111), r"antisymmetric on \((0, 1|1, 0)\)"),
+            # 0 <= 1 <= 2, 0 not below 2; the pick that exposes it is 1
+            ((0b001, 0b011, 0b110), r"transitive on \(0, 1, 2\)"),
+            # 1 <= 2 <= 0, 1 not below 0
+            ((0b101, 0b010, 0b110), r"transitive on \(1, 2, 0\)"),
+        ],
+    )
+    def test_errors_name_the_exposing_pick(self, down, message):
+        with pytest.raises(ValueError, match=message):
+            Poset(tuple(range(len(down))), down)
+
+    @staticmethod
+    def chain_down(labels) -> tuple[int, ...]:
+        """The chain labels[0] < labels[1] < ..., as down-set masks."""
+        down, mask = [0] * len(labels), 0
+        for label in labels:
+            mask |= 1 << label
+            down[label] = mask
+        return tuple(down)
+
+    @pytest.mark.parametrize("labelling", ["forward", "reverse", "random", "middle-out"])
+    def test_long_chains_get_the_chain_covers(self, labelling):
+        n = 300
+        labels = {
+            "forward": list(range(n)),
+            "reverse": list(range(n))[::-1],
+            "random": random.Random(300).sample(range(n), n),
+            "middle-out": sorted(range(n), key=lambda x: (abs(2 * x - n), x)),
+        }[labelling]
+        poset = Poset(tuple(range(n)), self.chain_down(labels))
+        expected = [0] * n
+        for below, above in zip(labels, labels[1:]):
+            expected[above] = 1 << below
+        assert poset._lower_covers == tuple(expected)
 
 
 class TestOrderIdeals:
