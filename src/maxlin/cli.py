@@ -74,9 +74,9 @@ def _emit(fmt: str, data, lines: Iterable[str]) -> None:
 
 
 def _emit_states(states, fmt: str) -> None:
-    """Print the states' digit strings as `_emit` lays them out, in one join
-    and one translate of bytes 0..9 to digits; no separator byte is below 10."""
-    sep = b"\n" if fmt == "text" else b'",\n  "'
+    """Print the states' digits as `_emit` lays them out: one join, one translate of
+    bytes 0..9 (no separator byte is below 10), the brackets printed apart, not copied in."""
+    sep, head, tail = (b"\n", "", "") if fmt == "text" else (b'",\n  "', '[\n  "', '"\n]')
     try:
         raw = sep.join(map(bytes, states))  # ValueError on an entry above 255
         if len(raw.translate(None, bytes(range(10)))) > len(sep) * (len(states) - 1):
@@ -84,8 +84,8 @@ def _emit_states(states, fmt: str) -> None:
     except ValueError:
         list(map(state_digits, states))  # raises at the first state with such an entry
         raise
-    text = raw.translate(bytes.maketrans(bytes(range(10)), b"0123456789")).decode()
-    print(text if fmt == "text" else f'[\n  "{text}"\n]')
+    raw = raw.translate(bytes.maketrans(bytes(range(10)), b"0123456789"))  # frees the join
+    print(head, raw.decode(), tail, sep="")
 
 
 def _emit_value_map(values, prefix: str, fmt: str) -> None:
