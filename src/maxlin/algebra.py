@@ -97,10 +97,6 @@ def t_var() -> Variable:
     return Variable("t")
 
 
-def theta_var(i: int, j: int) -> Variable:
-    return Variable("theta", (i, j))
-
-
 def x_var(i: int, r: int) -> Variable:
     return Variable("x", (i, r))
 
@@ -221,10 +217,6 @@ class Polynomial:
     def constant(cls, c: Scalar) -> "Polynomial":
         return cls({EMPTY_MONOMIAL: c})
 
-    @classmethod
-    def from_variable(cls, v: Variable) -> "Polynomial":
-        return cls({((v, 1),): 1})
-
     # ring structure
 
     @staticmethod
@@ -315,9 +307,6 @@ class Polynomial:
 
     def variables(self) -> set[Variable]:
         return {v for mono in self.terms for v, _ in mono}
-
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     # evaluation
 

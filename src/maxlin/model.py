@@ -1,9 +1,13 @@
 """Exact evaluation of the max-of-parents model and of the event-accumulation
 model on a poset, plus the two-state correspondence between them.
 
-All probabilities are Fractions; passing a symbolic ParamTable (rows of
-polynomial variables) yields the same formulas as polynomials, except to the
-innovation oracle, which needs rational rows.
+Tables hold rational rows (probabilities are Fractions) or integer rows, a
+scaled table whose values are integer numerators over the product of its row
+sums. The model's formulas are generic in the entries, so rows of other ring
+values, such as polynomials, give the same formulas over them; the
+innovation oracle alone needs rational rows. The symbolic checks use the
+integer level table (`ParamTable.levels`) with every value held as its
+tuple of per-vertex factors (`_Factors`), so no polynomial is formed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from numbers import Rational
 from operator import getitem, itemgetter
 from typing import Union
 
-from .algebra import EMPTY_MONOMIAL, Polynomial, parse_fraction, state_digits, theta_var
+from .algebra import Polynomial, parse_fraction, state_digits
 from .dag import Dag, topological_order, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, check_size
 from .poset import (
@@ -37,14 +41,16 @@ Value = Union[Fraction, Polynomial]
 @dataclass(frozen=True)
 class ParamTable:
     """Per-vertex innovation distributions: row i-1 holds the k state weights
-    of vertex i. Rational rows must be nonnegative and sum to exactly 1;
-    polynomial rows are accepted for symbolic work and not checked.
+    of vertex i. Rows of Fractions must be nonnegative and sum to exactly 1;
+    rows of ints are a scaled table, nonnegative with a positive sum d_v;
+    rows of other values, such as polynomials, are not checked.
 
     `cumulative` holds the model's change of coordinates, built once: entry j
     of row i-1 is alpha_{i,j}, the weight of the levels 0..j at vertex i. The
-    last entry is the row's sum (1 on a checked row) for rational or integer
-    rows, and the constant 1 for symbolic rows, so symbolic output keeps the
-    reduced form the weights satisfy on the simplex.
+    last entry is the row's sum (1 on a rational row, d_v on an integer row)
+    for rational or integer rows, and the constant 1 for other rows, so
+    polynomial output keeps the reduced form the weights satisfy on the
+    simplex.
     """
 
     rows: tuple[tuple[Value, ...], ...]
@@ -60,12 +66,11 @@ class ParamTable:
                 raise ValueError(f"row {idx + 1} has {len(row)} entries, expected {k}")
             if all(isinstance(v, Rational) for v in row):
                 sums = tuple(accumulate(row))
-                if all(isinstance(v, Fraction) for v in row):
-                    if any(v < 0 for v in row):
-                        raise ValueError(f"row {idx + 1} has a negative weight")
-                    total = sums[-1] if sums else 0
-                    if total != 1:
-                        raise ValueError(f"row {idx + 1} sums to {total}, not 1")
+                if any(v < 0 for v in row):
+                    raise ValueError(f"row {idx + 1} has a negative weight")
+                total = sums[-1] if sums else 0
+                if total != 1 and not (total and all(isinstance(v, int) for v in row)):
+                    raise ValueError(f"row {idx + 1} sums to {total}, not 1")
             else:
                 sums = (*accumulate(row[:-1]), Fraction(1))
             cumulative.append(sums)
@@ -84,15 +89,6 @@ class ParamTable:
         return ParamTable(tuple(tuple(reversed(row)) for row in self.rows))
 
     @classmethod
-    def from_rows(cls, rows) -> "ParamTable":
-        return cls(
-            tuple(
-                tuple(v if isinstance(v, Polynomial) else Fraction(v) for v in row)
-                for row in rows
-            )
-        )
-
-    @classmethod
     def from_json_dict(cls, data: dict) -> "ParamTable":
         if not isinstance(data, dict) or "theta" not in data:
             raise ParseError('parameter file must be a JSON object with a "theta" key')
@@ -103,24 +99,67 @@ class ParamTable:
 
     @classmethod
     def random(cls, n: int, k: int, rng: random.Random) -> "ParamTable":
-        """Strictly positive rows: k uniform numerators in 1..200 normalized
-        by their sum, so reduced denominators stay at or below 200 * k."""
-        rows = []
-        for _ in range(n):
-            nums = [rng.randint(1, 200) for _ in range(k)]
-            total = sum(nums)
-            rows.append(tuple(Fraction(a, total) for a in nums))
-        return cls(tuple(rows))
+        """Strictly positive integer rows of k uniform weights in 1..200: a
+        scaled table, row v standing for the rational row of its weights
+        over their sum d_v."""
+        return cls(tuple(tuple(rng.randint(1, 200) for _ in range(k)) for _ in range(n)))
 
     @classmethod
-    def symbolic(cls, n: int, k: int) -> "ParamTable":
-        """Rows of formal weight variables."""
-        return cls(
-            tuple(
-                tuple(Polynomial.from_variable(theta_var(i, j)) for j in range(k))
-                for i in range(1, n + 1)
-            )
-        )
+    def levels(cls, n: int, k: int) -> "ParamTable":
+        """The level table: the weight theta_{v,j} is the int 1 << j, so a sum
+        of distinct weights of a row is the bitmask of its levels, and
+        alpha_{v,m} is the mask of the levels 0..m. With values held as
+        `_Factors`, a mask stands for the formal sum of the weights at its
+        levels, and the joint is the symbolic one."""
+        return cls((tuple(1 << j for j in range(k)),) * n)
+
+
+class _Factors(tuple):
+    """A product of one factor per vertex, held as the tuple of its factors
+    and never multiplied out: multiplying appends a factor. On the level
+    table a factor is a nonzero level mask, standing for the sum of the
+    formal weights theta_{v,j} at its levels j. Each factor is then a linear
+    form in its own vertex's weights, with coefficients 0 and 1, so two
+    tuples are equal exactly when their products are equal as polynomials.
+
+    Two products that differ in exactly one factor add exactly by adding
+    that factor, A*x + A*y = A*(x + y), and x + y is a mask again when x
+    and y share no level: their union. That is every sum of the zeta walk on
+    the factored joint: it takes coordinates in decreasing column sum, a
+    reverse topological order, so when coordinate i is summed every child
+    of i already carries its cumulative weight, and the two summands differ
+    only in the factor of i, at disjoint levels. Any other sum, or one with
+    a value that is not a product of this shape (such as the 0 of a state
+    the walk missed), is `_UNFACTORED`, which compares unequal to every
+    product."""
+
+    __slots__ = ()
+
+    def __mul__(self, factor) -> "_Factors":
+        return _Factors((*self, factor))
+
+    def __add__(self, other):
+        if isinstance(other, _Factors) and len(other) == len(self):
+            for t, (a, b) in enumerate(zip(self, other)):
+                if a != b:
+                    if not a & b and self[t + 1 :] == other[t + 1 :]:
+                        return _Factors((*self[:t], a | b, *self[t + 1 :]))
+                    break
+        return _UNFACTORED
+
+    __radd__ = __add__
+
+
+class _Unfactored:
+    """A sum that is not one product of factors; every sum with it is one."""
+
+    def __add__(self, other) -> "_Unfactored":
+        return self
+
+    __radd__ = __add__
+
+
+_UNFACTORED = _Unfactored()
 
 
 def _check_vector(g, n: int, k: int) -> None:
@@ -198,11 +237,17 @@ def full_distribution(
     """The factored joint over every lattice state, in the lattice's order;
     values sum to 1. `lattice`, when given, is the DAG's state lattice; a
     vector of it that the walk does not reach gets 0. `unit` is the empty
-    product the walk multiplies the conditionals onto, in topological order."""
+    product the walk multiplies the conditionals onto, in topological order;
+    with `_Factors()` each value is its tuple of factors in vertex order."""
     _check_table(dag, theta)
     if lattice is None:
         lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     walk = _factored_walk(dag, theta, unit)
+    if isinstance(unit, _Factors):
+        # the walk appends the factors in topological order
+        slot = {v: t for t, v in enumerate(topological_order(dag))}
+        slots = [slot[v] for v in range(1, dag.n + 1)]
+        walk = {g: _Factors([f[t] for t in slots]) for g, f in walk.items()}
     zero = Fraction(0)
     return {g: walk.get(g, zero) for g in lattice}
 
@@ -210,8 +255,11 @@ def full_distribution(
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
     """A rational table with row v scaled by d_v, the lcm of its denominators,
     and D = prod(d_v): integer rows are a scaled table, whose cumulative rows
-    end in d_v, and a product of one entry per vertex is a numerator over D."""
+    end in d_v, and a product of one entry per vertex is a numerator over D.
+    An integer table is its own view, with D = 1."""
     rows = theta.rows
+    if all(type(v) is int for row in rows for v in row):
+        return theta, 1
     scales = [lcm(*(v.denominator for v in row)) for row in rows]
     scaled = (tuple(v.numerator * d // v.denominator for v in r) for r, d in zip(rows, scales))
     return ParamTable(tuple(scaled)), prod(scales)
@@ -323,35 +371,36 @@ def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int
 
 
 def cbn_distribution(
-    poset: Poset, theta: ParamTable, lattice: StateLattice | None = None
+    poset: Poset, theta: ParamTable, lattice: StateLattice | None = None, unit=1
 ) -> dict[State, Value]:
     """The accumulation model's joint over the order ideals of the poset,
     ideals written as 0-1 indicator vectors; `lattice`, when given, is
     `ideal_lattice(poset)`. An element can only occur once everything it
     covers has occurred; given that, it occurs with its own two-state weight.
     An element that cannot occur yet, and has not, has the factor its
-    cumulative row ends in: 1 on rational and symbolic tables, and d_v on an
-    `integer_view`, whose values are then numerators over D."""
+    cumulative row ends in: 1 on a rational table, and d_v on an integer
+    one, whose values are then numerators over the product of the d_v.
+    `unit` is the empty product the factors are multiplied onto, one per
+    vertex in vertex order; with `_Factors()` each value is that tuple."""
     n = len(poset.elements)
     if theta.n != n or theta.k != 2:
         raise ValueError(f"the accumulation model needs a {n}x2 table, got {theta.n}x{theta.k}")
     if lattice is None:
         lattice = ideal_lattice(poset)
     covers = [bit_positions(mask) for mask in poset._lower_covers]
+    tops = [row[-1] for row in theta.cumulative]
     out: dict[State, Value] = {}
     for g in lattice:
         if len(g) != n or not {0, 1}.issuperset(g):
             raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
-        value: Value = 1
-        for row, cumulative, v, below in zip(theta.rows, theta.cumulative, g, covers):
+        value = unit
+        for row, top, v, below in zip(theta.rows, tops, g, covers):
             if all(g[j] for j in below):
                 factor = row[v]
             elif v:
-                factor = Fraction(0)
-            elif cumulative[-1] == 1:
-                continue  # the element cannot occur yet, and has not: factor 1
+                factor = 0
             else:
-                factor = cumulative[-1]  # d_v on an integer view
+                factor = top  # the element cannot occur yet, and has not
             if factor == 0:
                 value = Fraction(0)
                 break
@@ -375,30 +424,31 @@ def cbn_to_dmlbn_state(poset: Poset, g) -> State:
 def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     """Check that the accumulation model on the reachability poset equals the
     two-state max model after complementing states and swapping the two
-    weights per vertex: symbolically, and on seeded random rational tables,
-    both sides on the table's `integer_view`, as numerators over its D.
+    weights per vertex: symbolically, on the level table with both sides
+    held as per-vertex factors, and on seeded random integer tables, both
+    sides as numerators over the product of the row sums. Each ideal's
+    image is formed once.
     """
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
     ideals = ideal_lattice(closure)
     states = order_preserving_maps(closure, 2)
+    images = [cbn_to_dmlbn_state(closure, g) for g in ideals]
     failures: list[str] = []
 
-    def compare(theta: ParamTable, label: str) -> None:
-        accum = cbn_distribution(closure, theta, ideals)
-        maxmodel = full_distribution(dag2, theta.swapped(), states)
-        for g in ideals:
-            image = cbn_to_dmlbn_state(closure, g)
+    def compare(theta: ParamTable, label: str, unit=1) -> None:
+        accum = cbn_distribution(closure, theta, ideals, unit)
+        maxmodel = full_distribution(dag2, theta.swapped(), states, unit)
+        for g, image in zip(ideals, images):
             if accum[g] != maxmodel[image]:
                 failures.append(
                     f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}"
                 )
 
-    compare(ParamTable.symbolic(dag.n, 2), "symbolic")
+    compare(ParamTable.levels(dag.n, 2), "symbolic", _Factors())
     rng = random.Random(seed)
     for trial in range(trials):
-        view, _ = integer_view(ParamTable.random(dag.n, 2, rng))
-        compare(view, f"trial {trial}")
+        compare(ParamTable.random(dag.n, 2, rng), f"trial {trial}")
     total = (trials + 1) * len(ideals)
     detail = (
         f"{len(ideals)} states match symbolically and on {trials} random tables"
@@ -416,18 +466,18 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     enumerated. Every trial's table is drawn first, and one walk of the box
     gives the oracle of all of them.
 
-    Each trial compares two dicts of integer numerators over the `integer_view`'s D on
-    the union of their keys and the lattice's states, in lex order; every
-    other vector of the box is 0 on both sides and off the lattice, so it
-    could name no failure. Every trial counts k**n checks."""
+    Each trial's table has integer rows, so it compares two dicts of
+    integers on the union of their keys and the lattice's states, in lex
+    order; every other vector of the box is 0 on both sides and off the
+    lattice, so it could name no failure. Every trial counts k**n checks."""
     _check_box(dag)
     rng = random.Random(seed)
-    views = [integer_view(ParamTable.random(dag.n, dag.k, rng))[0] for _ in range(trials)]
-    oracles = oracle_distribution(dag, views)
+    tables = [ParamTable.random(dag.n, dag.k, rng) for _ in range(trials)]
+    oracles = oracle_distribution(dag, tables)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     failures: list[str] = []
-    for trial, (view, by_oracle) in enumerate(zip(views, oracles)):
-        walk = _factored_walk(dag, view)
+    for trial, (theta, by_oracle) in enumerate(zip(tables, oracles)):
+        walk = _factored_walk(dag, theta)
         for g in sorted(walk.keys() | by_oracle.keys() | set(lattice)):
             factored = walk.get(g, 0)
             if factored != by_oracle.get(g, 0):
@@ -440,28 +490,3 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
         else ""
     )
     return Report("oracle", total=trials * dag.k**dag.n, failures=failures, detail=detail)
-
-
-def eliminate_simplex(value: Value, n: int, k: int) -> Value:
-    """Canonical form modulo the row relations of a value of degree at most
-    one, such as every entry of a symbolic table: each term
-    c * theta[i,k-1] is cancelled by adding c times the row relation
-    1 - sum_j theta[i,j], which is 0 on the simplex. Reducing is a ring
-    homomorphism, so an identity that holds on the simplex becomes an exact
-    polynomial identity when it is computed from the table's reduced entries.
-
-    Raises:
-        ValueError: the value has degree above one.
-    """
-    if not isinstance(value, Polynomial):
-        return value
-    degree = value.total_degree()
-    if degree > 1:
-        raise ValueError(f"eliminate_simplex reduces values of degree at most 1, not {degree}")
-    tops = {theta_var(i, k - 1): i for i in range(1, n + 1)}
-    for mono, c in list(value.terms.items()):
-        i = tops.get(mono[0][0]) if mono else None
-        if i is not None:
-            relation = {((theta_var(i, j), 1),): -c for j in range(k)}
-            value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
-    return value

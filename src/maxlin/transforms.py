@@ -9,10 +9,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .algebra import Polynomial, state_digits
-from .dag import Dag, topological_order, transitive_closure
+from .algebra import state_digits
+from .dag import Dag, transitive_closure
 from .errors import SupportMismatchError
-from .model import ParamTable, Value, eliminate_simplex, full_distribution, integer_view
+from .model import ParamTable, Value, _Factors, full_distribution, integer_view
 from .poset import State, StateLattice, order_preserving_maps
 from .report import Report
 
@@ -57,7 +57,7 @@ def _cover_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Val
 
 
 def zeta_factorization_check(
-    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None
+    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=1
 ) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
@@ -67,35 +67,22 @@ def zeta_factorization_check(
     lattice's lexicographic states (`_level_products`), so the two sides
     share no products.
 
-    `lattice`, when given, is the DAG's state lattice.
+    `lattice`, when given, is the DAG's state lattice. `unit` is the empty
+    product of both sides.
 
     Exact for rational tables, as integer numerators over the one D of the
-    table's `integer_view`. Symbolic tables are compared modulo the row
-    relations (rows sum to 1): reducing modulo them is a ring homomorphism,
-    so reducing the table's entries once puts both sides in reduced form.
-    Their values are never multiplied out: each is held as its tuple of n
-    factors (`_Factors`), and the two sides are compared factor by factor.
+    table's `integer_view`; an integer table is compared as it is. With
+    `unit=_Factors()` on the level table (`ParamTable.levels`) the check is
+    symbolic: each value is held as its tuple of per-vertex level masks,
+    each mask the formal sum of the weights at its levels, and equal tuples
+    are equal products. A zeta sum adds the one factor in which its
+    summands differ when their levels are disjoint, and is `_UNFACTORED`,
+    a failure, otherwise, so no polynomial is ever formed.
     """
     if lattice is None:
         lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    if any(isinstance(v, Polynomial) for row in theta.rows for v in row):
-        theta = ParamTable.from_rows(
-            [[eliminate_simplex(v, theta.n, theta.k) for v in row] for row in theta.rows]
-        )
-        unit: Value | _Factors = _Factors()
-        # the walk appends the factors in topological order; put them in
-        # vertex order, the order of the right side's factors
-        slot = {v: t for t, v in enumerate(topological_order(dag))}
-        slots = [slot[v] for v in range(1, dag.n + 1)]
-        joint = {
-            g: _Factors([f[t] for t in slots]) if isinstance(f, _Factors) else f
-            for g, f in full_distribution(dag, theta, lattice, unit).items()
-        }
-    else:
-        theta, _ = integer_view(theta)
-        unit = 1
-        joint = full_distribution(dag, theta, lattice, unit)
-    cumulative = zeta_transform(joint, lattice)
+    theta, _ = integer_view(theta)
+    cumulative = zeta_transform(full_distribution(dag, theta, lattice, unit), lattice)
     products = _level_products(theta.cumulative, lattice.states, unit)
     failures = [
         f"state {state_digits(g)}"
@@ -104,47 +91,6 @@ def zeta_factorization_check(
     ]
     detail = f"{len(lattice)} states factor exactly" if not failures else ""
     return Report("eq5", total=len(lattice), failures=failures, detail=detail)
-
-
-class _Factors(tuple):
-    """A product held as the tuple of its factors and never multiplied out:
-    multiplying appends a factor.
-
-    Two products that differ in exactly one factor add exactly by adding
-    that factor, A*x + A*y = A*(x + y). That is every sum of the zeta walk
-    on the factored joint: it takes coordinates in decreasing column sum, a
-    reverse topological order, so when coordinate i is summed every child
-    of i already carries its cumulative weight, and the two summands differ
-    only in the factor of i. Any other sum, or one with a value that is not
-    a product of this shape (such as the 0 of a state the walk missed), is
-    `_UNFACTORED`, which compares unequal to every product."""
-
-    __slots__ = ()
-
-    def __mul__(self, factor: Value) -> "_Factors":
-        return _Factors((*self, factor))
-
-    def __add__(self, other):
-        if isinstance(other, _Factors) and len(other) == len(self):
-            differ = [t for t, (a, b) in enumerate(zip(self, other)) if a is not b and a != b]
-            if len(differ) == 1:
-                t = differ[0]
-                return _Factors((*self[:t], self[t] + other[t], *self[t + 1 :]))
-        return _UNFACTORED
-
-    __radd__ = __add__
-
-
-class _Unfactored:
-    """A sum that is not one product of factors; every sum with it is one."""
-
-    def __add__(self, other) -> "_Unfactored":
-        return self
-
-    __radd__ = __add__
-
-
-_UNFACTORED = _Unfactored()
 
 
 def _level_products(rows, states, unit: Value | _Factors) -> list:
@@ -171,10 +117,12 @@ def _level_products(rows, states, unit: Value | _Factors) -> list:
 
 
 def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
-    """The eq5 suite: zeta_factorization_check on the symbolic table and on
-    seeded random rational tables, all on one state lattice."""
+    """The eq5 suite: zeta_factorization_check on the level table held as
+    per-vertex factors (the symbolic check) and on seeded random integer
+    tables, all on one state lattice."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    symbolic = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, dag.k), lattice)
+    levels = ParamTable.levels(dag.n, dag.k)
+    symbolic = zeta_factorization_check(dag, levels, lattice, _Factors())
     failures = [f"symbolic: {f}" for f in symbolic.failures]
     total = symbolic.total
     rng = random.Random(seed)

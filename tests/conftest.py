@@ -1,11 +1,13 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
-brute-force enumerators, the general division algorithm, the expanded eq5
-check, generic substitution, the monomial map one variable at a time, the
-Hilbert certificate's old degree 1-3 counts, reference helpers (the order,
-meet and join of states, the generator of a pair, the dual of a poset, its
-covers and order ideals, the axiom violations and maximal lower elements of a
-relation by all pairs, the uniform table, the accumulation model one
-element at a time), and random generators for property-style tests."""
+brute-force enumerators, the general division algorithm, the symbolic,
+rational and reduced tables, the expanded eq5 and theorem31 checks and
+mutants to run them under, generic substitution, the monomial map one
+variable at a time, the Hilbert certificate's old degree 1-3 counts,
+reference helpers (the order, meet and join of states, the generator of a
+pair, the dual of a poset, its covers and order ideals, the axiom violations
+and maximal lower elements of a relation by all pairs, the uniform table,
+the accumulation model one element at a time), and random generators for
+property-style tests."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.algebra import (
+    EMPTY_MONOMIAL,
     BinomialGenerator,
     MonomialMap,
     Polynomial,
@@ -30,13 +33,13 @@ from maxlin.algebra import (
     t_var,
     x_var,
 )
-from maxlin.dag import Dag, parse_dag, transitive_closure
+from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
 from maxlin.errors import BadStateError
 from maxlin.model import (
     ParamTable,
     Value,
+    cbn_distribution,
     conditional_probability,
-    eliminate_simplex,
     full_distribution,
 )
 from maxlin.poset import (
@@ -259,9 +262,72 @@ def binomial_of_pair(g: State, h: State) -> BinomialGenerator:
     return BinomialGenerator(g, h, *lattice_meet_join(g, h))
 
 
+def poly_of(var: Variable) -> Polynomial:
+    """The polynomial of one variable."""
+    return Polynomial({((var, 1),): 1})
+
+
+def total_degree(poly: Polynomial) -> int:
+    """The largest degree of a term; 0 for the zero polynomial."""
+    return max((mono_degree(m) for m in poly.terms), default=0)
+
+
+def theta_var(i: int, j: int) -> Variable:
+    """The formal weight theta[i,j]; the polynomial grammar keeps the family."""
+    return Variable("theta", (i, j))
+
+
+def table_from_rows(rows) -> ParamTable:
+    """A table from rows of polynomials or of numbers, each number made a
+    Fraction."""
+    return ParamTable(
+        tuple(tuple(v if isinstance(v, Polynomial) else Fraction(v) for v in row) for row in rows)
+    )
+
+
+def symbolic_table(n: int, k: int) -> ParamTable:
+    """Rows of the formal weight variables theta[i,j]: the multiplied-out
+    counterpart of `ParamTable.levels`."""
+    return ParamTable(
+        tuple(tuple(poly_of(theta_var(i, j)) for j in range(k)) for i in range(1, n + 1))
+    )
+
+
+def random_table(n: int, k: int, rng: random.Random) -> ParamTable:
+    """The rational table of `ParamTable.random`'s draw: each row of
+    integers over its sum, so reduced denominators stay at or below 200 * k."""
+    rows = ParamTable.random(n, k, rng).rows
+    return ParamTable(tuple(tuple(Fraction(a, sum(row)) for a in row) for row in rows))
+
+
 def uniform_table(n: int, k: int) -> ParamTable:
     """n rows of k equal weights."""
-    return ParamTable.from_rows([[Fraction(1, k)] * k] * n)
+    return table_from_rows([[Fraction(1, k)] * k] * n)
+
+
+def eliminate_simplex(value: Value, n: int, k: int) -> Value:
+    """Canonical form modulo the row relations of a value of degree at most
+    one, such as every entry of a symbolic table: each term
+    c * theta[i,k-1] is cancelled by adding c times the row relation
+    1 - sum_j theta[i,j], which is 0 on the simplex. Reducing is a ring
+    homomorphism, so an identity that holds on the simplex becomes an exact
+    polynomial identity when it is computed from the table's reduced entries.
+
+    Raises:
+        ValueError: the value has degree above one.
+    """
+    if not isinstance(value, Polynomial):
+        return value
+    degree = total_degree(value)
+    if degree > 1:
+        raise ValueError(f"eliminate_simplex reduces values of degree at most 1, not {degree}")
+    tops = {theta_var(i, k - 1): i for i in range(1, n + 1)}
+    for mono, c in list(value.terms.items()):
+        i = tops.get(mono[0][0]) if mono else None
+        if i is not None:
+            relation = {((theta_var(i, j), 1),): -c for j in range(k)}
+            value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
+    return value
 
 
 def p_var(state: State) -> Variable:
@@ -311,11 +377,11 @@ def cbn_conditional(poset: Poset, theta: ParamTable, i, g) -> Value:
 def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
     """eq5 with every value multiplied out: the zeta transform of the
     expanded joint against one product of cumulative weights per state, on
-    the table reduced modulo the row relations. Exponential in n; the oracle
-    of the factor-tuple path on small DAGs."""
+    the table reduced modulo the row relations. Exponential in n; on
+    `symbolic_table` the oracle of the level-table path on small DAGs."""
     n, k = theta.n, theta.k
     rows = [[eliminate_simplex(v, n, k) for v in row] for row in theta.rows]
-    reduced = ParamTable.from_rows(rows)
+    reduced = table_from_rows(rows)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     cumulative = zeta_transform(full_distribution(dag, reduced, lattice), lattice)
     return [
@@ -326,6 +392,66 @@ def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
     ]
 
 
+def expanded_theorem31_failures(dag: Dag) -> list[str]:
+    """theorem31's symbolic half with every value multiplied out: at each
+    ideal of the reachability poset, the accumulation model on
+    `symbolic_table` against the two-state max model on its swapped table at
+    the complemented state, as polynomials. The oracle of the level-table
+    path on small DAGs."""
+    dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
+    closure = transitive_closure(dag2)
+    theta = symbolic_table(dag.n, 2)
+    accum = cbn_distribution(closure, theta)
+    maxmodel = full_distribution(dag2, theta.swapped())
+    failures = []
+    for g, value in accum.items():
+        image = tuple(1 - v for v in g)
+        if value != maxmodel[image]:
+            failures.append(f"ideal {state_digits(g)} vs state {state_digits(image)}")
+    return failures
+
+
+def increasing_column_sum_covers(lattice: StateLattice) -> tuple[tuple[int, int], ...]:
+    """A wrong cover table: every index pair (g, g - e_i) of states, found
+    from the states, with coordinates in increasing order of their column
+    sums (ties by position) and states in lex order, where
+    `StateLattice.covers` takes them in decreasing column sum."""
+    states = lattice.states
+    index = {g: t for t, g in enumerate(states)}
+    columns = list(zip(*states))
+    coords = sorted(range(lattice.n), key=lambda i: sum(columns[i]))
+    pairs = (
+        (t, index.get((*g[:i], g[i] - 1, *g[i + 1 :])))
+        for i in coords
+        for t, g in enumerate(states)
+        if g[i]
+    )
+    return tuple(pair for pair in pairs if pair[1] is not None)
+
+
+def alpha_for_theta_walk(vertex: int):
+    """A broken `model._factored_walk`: the joint at each lattice state as
+    the product of its conditionals in topological order, except that at
+    `vertex`, above its parents' maximum m, the factor is alpha_{v,m} where
+    theta_{v,g_v} belongs."""
+
+    def walk(dag: Dag, theta: ParamTable, unit=1) -> dict:
+        order = topological_order(dag)
+        out = {}
+        for g in order_preserving_maps(transitive_closure(dag), dag.k):
+            value = unit
+            for v in order:
+                m = max((g[u - 1] for u in dag.parents(v)), default=0)
+                if g[v - 1] == m or v == vertex:
+                    value = value * theta.cumulative[v - 1][m]
+                else:
+                    value = value * theta.rows[v - 1][g[v - 1]]
+            out[g] = value
+        return out
+
+    return walk
+
+
 def substitute_variables(poly: Polynomial, mapping) -> Polynomial:
     """Generic substitution: each mapped variable replaced by its image, a
     polynomial or a rational; the others pass through."""
@@ -333,7 +459,7 @@ def substitute_variables(poly: Polynomial, mapping) -> Polynomial:
     for mono, coeff in poly.terms.items():
         term = Polynomial.constant(coeff)
         for v, e in mono:
-            term = term * (mapping[v] if v in mapping else Polynomial.from_variable(v)) ** e
+            term = term * (mapping[v] if v in mapping else poly_of(v)) ** e
         out = out + term
     return out
 

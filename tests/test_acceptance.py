@@ -21,7 +21,6 @@ from maxlin.algebra import (
     parse_polynomial,
     q_var,
     t_var,
-    theta_var,
     verify_vanishing,
     x_var,
 )
@@ -29,9 +28,9 @@ from maxlin.cli import main
 from maxlin.dag import transitive_closure
 from maxlin.model import (
     ParamTable,
+    _Factors,
     cbn_correspondence_check,
     cbn_distribution,
-    eliminate_simplex,
     full_distribution,
     oracle_equivalence_check,
 )
@@ -44,13 +43,19 @@ from maxlin.transforms import (
 
 from conftest import (
     catalog_dags,
+    eliminate_simplex,
     image_ideal,
     incomparable_pairs,
     order_ideals,
+    poly_of,
     random_dag,
+    random_table,
     state_leq,
     substitute,
     substitute_variables,
+    symbolic_table,
+    table_from_rows,
+    theta_var,
     x_ratios,
 )
 
@@ -123,7 +128,7 @@ def dag_file(tmp_path, name):
 
 
 def tv(i, j):
-    return Polynomial.from_variable(theta_var(i, j))
+    return poly_of(theta_var(i, j))
 
 
 @criterion(1, "lattice and ideals commands reproduce the 9+9 fig2 vectors")
@@ -135,7 +140,7 @@ def test_criterion_01_fig2_reproduction(tmp_path):
 
 @criterion(2, "the symbolic factored joint on fig2 equals the 9 published monomials")
 def test_criterion_02_symbolic_distribution(fig2_dag):
-    dist = full_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+    dist = full_distribution(fig2_dag, symbolic_table(5, 2))
     expected = {
         (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 0),
         (0, 0, 0, 0, 1): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 1),
@@ -152,7 +157,7 @@ def test_criterion_02_symbolic_distribution(fig2_dag):
 
 @criterion(3, "the symbolic accumulation model on the fig1 poset equals the 8 published monomials")
 def test_criterion_03_accumulation_model(fig1_poset):
-    dist = cbn_distribution(fig1_poset, ParamTable.symbolic(5, 2))
+    dist = cbn_distribution(fig1_poset, symbolic_table(5, 2))
     expected = {
         (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0),
         (1, 0, 0, 0, 0): tv(1, 1) * tv(2, 0),
@@ -171,11 +176,11 @@ def test_criterion_04_two_state_correspondence(fig2_dag):
     report = cbn_correspondence_check(fig2_dag, trials=0, seed=0)
     assert report.passed and report.total == 9
     closure = transitive_closure(fig2_dag)
-    accum = cbn_distribution(closure, ParamTable.symbolic(5, 2))
-    maxmodel = full_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+    accum = cbn_distribution(closure, symbolic_table(5, 2))
+    maxmodel = full_distribution(fig2_dag, symbolic_table(5, 2))
     assert accum[(1, 0, 1, 0, 0)] == tv(1, 1) * tv(2, 0) * tv(3, 1)
     assert maxmodel[(0, 1, 0, 1, 1)] == tv(1, 0) * tv(2, 1) * tv(3, 0)
-    swap = {theta_var(i, j): Polynomial.from_variable(theta_var(i, 1 - j))
+    swap = {theta_var(i, j): poly_of(theta_var(i, 1 - j))
             for i in range(1, 6) for j in (0, 1)}
     assert substitute_variables(accum[(1, 0, 1, 0, 0)], swap) == maxmodel[(0, 1, 0, 1, 1)]
 
@@ -187,16 +192,17 @@ def test_criterion_05_factorization_identity(fig2_dag, fig3_dag):
     # cumulative level-1 weight at vertex 2, exactly on the table reduced
     # entry by entry modulo the row relations
     lattice3 = order_preserving_maps(transitive_closure(fig3_dag), 3)
-    rows = [[eliminate_simplex(v, 3, 3) for v in row] for row in ParamTable.symbolic(3, 3).rows]
-    dist = full_distribution(fig3_dag, ParamTable.from_rows(rows), lattice3)
+    rows = [[eliminate_simplex(v, 3, 3) for v in row] for row in symbolic_table(3, 3).rows]
+    dist = full_distribution(fig3_dag, table_from_rows(rows), lattice3)
     cumulative = zeta_transform(dist, lattice3)
     assert cumulative[(0, 1, 2)] == tv(1, 0) * (tv(2, 0) + tv(2, 1))
 
     for dag, n, k in ((fig2_dag, 5, 2), (fig3_dag, 3, 3)):
-        assert zeta_factorization_check(dag, ParamTable.symbolic(n, k)).passed
+        levels = ParamTable.levels(n, k)
+        assert zeta_factorization_check(dag, levels, None, _Factors()).passed
         rng = random.Random(0)
         for _ in range(100):
-            theta = ParamTable.random(n, k, rng)
+            theta = random_table(n, k, rng)
             assert zeta_factorization_check(dag, theta).passed
 
 
@@ -239,7 +245,7 @@ def test_criterion_08_published_p_generators(fig2_dag):
     polynomials = [parse_polynomial(text) for text in FIG2_P_GENERATORS]
     rng = random.Random(0)
     for _ in range(100):
-        theta = ParamTable.random(5, 2, rng)
+        theta = random_table(5, 2, rng)
         dist = full_distribution(fig2_dag, theta, lattice)
         for text, poly in zip(FIG2_P_GENERATORS, polynomials):
             assert evaluate_at_distribution(poly, dist) == 0, text
@@ -266,7 +272,7 @@ def test_criterion_10_roundtrips(fig2_dag):
 
     for k in (2, 3, 4):
         for _ in range(25):
-            theta = ParamTable.random(4, k, rng)
+            theta = random_table(4, k, rng)
             for row, alpha, x in zip(theta.rows, theta.cumulative, x_ratios(theta)):
                 assert (alpha[0], *(b - a for a, b in zip(alpha, alpha[1:]))) == row
                 assert [math.prod(x[: k - j - 1]) for j in range(k)] == list(alpha)

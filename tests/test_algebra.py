@@ -40,7 +40,6 @@ from maxlin.algebra import (
     q_var,
     state_digits,
     t_var,
-    theta_var,
     verify_vanishing,
     x_var,
 )
@@ -53,7 +52,7 @@ from maxlin.errors import (
     UnmappedVariableError,
     quote,
 )
-from maxlin.model import ParamTable, full_distribution
+from maxlin.model import full_distribution
 from maxlin.poset import ideal_lattice, order_preserving_maps
 
 from conftest import (
@@ -72,19 +71,19 @@ from conftest import (
     monomial_map_by_variable,
     multichain_counts,
     p_var,
+    poly_of,
     random_dag,
+    random_table,
     reduce_modulo,
     s_polynomial,
     standard_counts,
     state_leq,
     substitute,
     substitute_variables,
+    theta_var,
+    total_degree,
     uniform_table,
 )
-
-
-def poly_of(var):
-    return Polynomial.from_variable(var)
 
 
 def pullback_to_p(poly, lattice):
@@ -230,8 +229,8 @@ class TestPolynomialRing:
         assert image == 2 * poly_of(t_var())
 
     def test_total_degree(self):
-        assert Polynomial().total_degree() == 0
-        assert (poly_of(t_var()) ** 3 + 1).total_degree() == 3
+        assert total_degree(Polynomial()) == 0
+        assert total_degree(poly_of(t_var()) ** 3 + 1) == 3
 
 
 # A term of the grammar: its signs and its factors, each a coefficient or a
@@ -747,7 +746,7 @@ class TestPullback:
         generators = hibi_generators(lattice)
         rng = random.Random(19)
         for _ in range(20):
-            theta = ParamTable.random(5, 2, rng)
+            theta = random_table(5, 2, rng)
             dist = full_distribution(fig2_dag, theta, lattice)
             for gen in generators:
                 pulled = pullback_to_p(gen.polynomial(), lattice)

@@ -2,11 +2,13 @@
 class in src/maxlin is reached by other package code or by the benchmark,
 and so is every public method, property and classmethod of its classes, so
 API that only the tests reach does not build up in src/; only the size
-guard reads the environment; and every module of the package and of the
-tests uses each name it imports."""
+guard reads the environment; every module of the package and of the
+tests uses each name it imports; and every function the benchmark's tracer
+wraps still exists."""
 
 import ast
 import collections
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,3 +141,32 @@ def test_only_check_size_reads_the_environment():
                 if name in environment:
                     readers.add((path.name, getattr(stmt, "name", None)))
     assert readers == {("errors.py", "check_size")}
+
+
+def test_every_tracer_target_is_defined_in_the_package():
+    """Each function the benchmark's tracer wraps (`TARGETS` in
+    bench/tracing.py) is still a maxlin function in one of the modules it
+    scans (`MODULES` there), so a refactor that renames or removes a target
+    cannot silently zero its per-layer timer. The one exception is
+    `incomparable_pairs`, which left src/ and reads 0 until the benchmark's
+    next change replaces it."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    constants = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    names = {ast.literal_eval(key) for key in constants["TARGETS"].keys}
+    modules = [importlib.import_module(f"maxlin.{m}") for m in ast.literal_eval(constants["MODULES"])]
+    assert len(names) > 10 and len(modules) > 5
+    missing = {
+        name
+        for name in names
+        if not any(
+            getattr(getattr(module, name, None), "__module__", "").startswith("maxlin.")
+            for module in modules
+        )
+    }
+    assert missing == {"incomparable_pairs"}

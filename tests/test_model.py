@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import maxlin.model as model
 from maxlin import data
-from maxlin.algebra import Polynomial, state_digits, theta_var
+from maxlin.algebra import state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
@@ -27,12 +27,12 @@ from maxlin.errors import (
 )
 from maxlin.model import (
     ParamTable,
+    _Factors,
     _factored_walk,
     cbn_correspondence_check,
     cbn_distribution,
     cbn_to_dmlbn_state,
     conditional_probability,
-    eliminate_simplex,
     full_distribution,
     integer_view,
     oracle_distribution,
@@ -40,11 +40,25 @@ from maxlin.model import (
 )
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
-from conftest import cbn_conditional, catalog_dags, dags, joint_factored, uniform_table
+from conftest import (
+    alpha_for_theta_walk,
+    cbn_conditional,
+    catalog_dags,
+    dags,
+    eliminate_simplex,
+    expanded_theorem31_failures,
+    joint_factored,
+    poly_of,
+    random_table,
+    symbolic_table,
+    table_from_rows,
+    theta_var,
+    uniform_table,
+)
 
 
 def tv(i, j):
-    return Polynomial.from_variable(theta_var(i, j))
+    return poly_of(theta_var(i, j))
 
 
 class TestParamTable:
@@ -68,10 +82,10 @@ class TestParamTable:
 
     def test_cumulative_rows_are_the_partial_sums(self):
         # rational and integer rows end in their sum, symbolic rows in 1
-        table = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
+        table = table_from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
         assert table.cumulative == ((Fraction(1, 6), Fraction(1, 2), 1),)
         assert ParamTable(((2, 0, 3),)).cumulative == ((2, 2, 5),)
-        assert ParamTable.symbolic(1, 2).cumulative == ((tv(1, 0), 1),)
+        assert symbolic_table(1, 2).cumulative == ((tv(1, 0), 1),)
 
     def test_json_roundtrip(self):
         table = ParamTable.from_json_dict({"theta": [["1/2", "1/2"], ["1/4", "3/4"]]})
@@ -80,31 +94,82 @@ class TestParamTable:
         assert ParamTable.from_json_dict(data) == table
 
     def test_random_tables_are_valid_and_bounded(self):
-        rng = random.Random(0)
-        for _ in range(50):
-            table = ParamTable.random(4, 3, rng)
-            for row in table.rows:
+        # the suites' draw is integer rows; the tests' rational table is the
+        # same draw, each row over its sum
+        for seed in range(50):
+            table = ParamTable.random(4, 3, random.Random(seed))
+            assert all(type(v) is int and 1 <= v <= 200 for row in table.rows for v in row)
+            assert [row[-1] for row in table.cumulative] == [sum(row) for row in table.rows]
+            rational = random_table(4, 3, random.Random(seed))
+            for row, ints in zip(rational.rows, table.rows):
                 assert sum(row) == 1
                 assert all(v > 0 for v in row)
                 assert all(v.denominator <= 1000 for v in row)
+                assert [v * sum(ints) for v in row] == list(ints)
+
+    def test_integer_rows_are_checked(self):
+        # integer rows are a scaled table: nonnegative, with a positive sum
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((-1, 3), (2, 2)))
+        assert str(caught.value) == "row 1 has a negative weight"
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((1, 2), (0, 0)))
+        assert str(caught.value) == "row 2 sums to 0, not 1"
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((3, 1), (2, -2)))
+        assert str(caught.value) == "row 2 has a negative weight"
+        # a row mixing ints and Fractions is a rational row
+        with pytest.raises(ValueError) as caught:
+            ParamTable(((1, Fraction(1, 2)),))
+        assert str(caught.value) == "row 1 sums to 3/2, not 1"
+        assert ParamTable(((0, 3), (2, 2))).cumulative == ((0, 3), (2, 4))
+
+    def test_level_table(self):
+        table = ParamTable.levels(2, 4)
+        assert table.rows == ((1, 2, 4, 8),) * 2
+        # alpha_{v,m} is the mask of the levels 0..m, ending in the row sum
+        assert table.cumulative == ((1, 3, 7, 15),) * 2
+        assert ParamTable.levels(3, 2).swapped().cumulative == ((2, 3),) * 3
 
     def test_symbolic_rows(self):
-        table = ParamTable.symbolic(2, 3)
+        table = symbolic_table(2, 3)
         assert table.rows[1][1] == tv(2, 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_level_joint_multiplied_out_is_the_symbolic_joint(self, k):
+        # a level mask stands for the sum of the weights at its levels, and
+        # the mask of every level for the symbolic table's constant 1
+        for _, dag in catalog_dags(k):
+            factored = full_distribution(dag, ParamTable.levels(dag.n, k), None, _Factors())
+            symbolic = full_distribution(dag, symbolic_table(dag.n, k))
+            assert {g: level_product(f, k) for g, f in factored.items()} == symbolic
+
     def test_swapped(self):
-        table = ParamTable.from_rows([[Fraction(1, 4), Fraction(3, 4)]])
+        table = table_from_rows([[Fraction(1, 4), Fraction(3, 4)]])
         assert table.swapped().rows == ((Fraction(3, 4), Fraction(1, 4)),)
+
+
+def level_product(factors, k: int):
+    """A tuple of per-vertex level masks multiplied out over the symbolic
+    table: the sum of the weights at its levels per vertex, the mask of all
+    k levels being the constant 1."""
+    return math.prod(
+        (
+            Fraction(1) if mask == (1 << k) - 1 else sum(tv(v, j) for j in range(k) if mask >> j & 1)
+            for v, mask in enumerate(factors, 1)
+        ),
+        start=Fraction(1),
+    )
 
 
 class TestConditionalProbability:
     def test_source_above_floor_takes_own_weight(self, fig2_dag):
-        theta = ParamTable.symbolic(5, 2)
+        theta = symbolic_table(5, 2)
         value = conditional_probability(fig2_dag, theta, 4, (0, 0, 0, 1, 1))
         assert value == tv(4, 1)
 
     def test_full_row_sum_is_one(self, fig2_dag):
-        theta = ParamTable.symbolic(5, 2)
+        theta = symbolic_table(5, 2)
         value = conditional_probability(fig2_dag, theta, 5, (0, 0, 0, 1, 1))
         assert value == Fraction(1)
 
@@ -114,7 +179,7 @@ class TestConditionalProbability:
 
     def test_partial_sum_at_parent_maximum(self):
         dag = Dag(n=2, k=3, edges=frozenset({(1, 2)}))
-        theta = ParamTable.symbolic(2, 3)
+        theta = symbolic_table(2, 3)
         value = conditional_probability(dag, theta, 2, (1, 1))
         assert value == tv(2, 0) + tv(2, 1)
 
@@ -130,7 +195,7 @@ class TestConditionalProbability:
 
 class TestFactoredJoint:
     def test_symbolic_fig2_matches_published_monomials(self, fig2_dag):
-        dist = full_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+        dist = full_distribution(fig2_dag, symbolic_table(5, 2))
         expected = {
             (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 0),
             (0, 0, 0, 0, 1): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 1),
@@ -152,7 +217,7 @@ class TestFactoredJoint:
         rng = random.Random(7)
         for k in (2, 3):
             for _, dag in catalog_dags(k):
-                theta = ParamTable.random(dag.n, k, rng)
+                theta = random_table(dag.n, k, rng)
                 dist = full_distribution(dag, theta)
                 assert sum(dist.values()) == 1
 
@@ -160,20 +225,20 @@ class TestFactoredJoint:
         rng = random.Random(8)
         for _, dag in catalog_dags(2):
             lattice = order_preserving_maps(transitive_closure(dag), 2)
-            theta = ParamTable.random(dag.n, 2, rng)
+            theta = random_table(dag.n, 2, rng)
             for g in product(range(2), repeat=dag.n):
                 value = joint_factored(dag, theta, g)
                 assert (value > 0) == (g in lattice)
 
     def test_point_mass_theta(self, fig2_dag):
-        theta = ParamTable.from_rows([[1, 0]] * 5)
+        theta = table_from_rows([[1, 0]] * 5)
         dist = full_distribution(fig2_dag, theta)
         assert dist[(0, 0, 0, 0, 0)] == 1
         assert sum(dist.values()) == 1
 
     def test_single_vertex_distribution_is_theta(self):
         dag = Dag(n=1, k=3)
-        theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
+        theta = table_from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
         dist = full_distribution(dag, theta)
         assert dist == {(0,): Fraction(1, 6), (1,): Fraction(1, 3), (2,): Fraction(1, 2)}
 
@@ -191,11 +256,11 @@ def sparse_table(n: int, k: int, rng: random.Random) -> ParamTable:
             nums[rng.randrange(k)] += 1
             row = [Fraction(a, sum(nums)) for a in nums]
         rows.append(row)
-    return ParamTable.from_rows(rows)
+    return table_from_rows(rows)
 
 
 def tables(n: int, k: int, rng: random.Random) -> list[ParamTable]:
-    return [ParamTable.random(n, k, rng), sparse_table(n, k, rng), ParamTable.symbolic(n, k)]
+    return [random_table(n, k, rng), sparse_table(n, k, rng), symbolic_table(n, k)]
 
 
 def assert_walk_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
@@ -281,7 +346,7 @@ def mixed_denominator_table(n: int, k: int, rng: random.Random) -> ParamTable:
             q = rng.randint(1, 12)
             head.append(Fraction(rng.randint(0, q), q * k))
         rows.append([*head, 1 - sum(head)])
-    return ParamTable.from_rows(rows)
+    return table_from_rows(rows)
 
 
 def assert_integer_joint_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
@@ -300,18 +365,18 @@ class TestIntegerView:
     def test_catalog(self, k):
         rng = random.Random(300 + k)
         for name, dag in catalog_dags(k):
-            for make in (ParamTable.random, sparse_table, mixed_denominator_table):
+            for make in (random_table, sparse_table, mixed_denominator_table):
                 assert_integer_joint_is_the_factored_joint(dag, make(dag.n, k, rng))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32))
     def test_random_dags(self, dag, k, kind, seed):
         dag = dataclasses.replace(dag, k=k)
-        make = (ParamTable.random, sparse_table, mixed_denominator_table)[kind]
+        make = (random_table, sparse_table, mixed_denominator_table)[kind]
         assert_integer_joint_is_the_factored_joint(dag, make(dag.n, k, random.Random(seed)))
 
     def test_scales_each_row_by_the_lcm_of_both_rows(self):
-        theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], [1, 0, 0]])
+        theta = table_from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)], [1, 0, 0]])
         view, denominator = integer_view(theta)
         assert view.rows == ((1, 2, 3), (1, 0, 0))
         assert view.cumulative == ((1, 3, 6), (1, 1, 1))
@@ -349,7 +414,7 @@ def box_failures(dag: Dag, trials: int, seed: int, oracle=reference_oracle) -> l
 class TestOracle:
     def test_single_vertex(self):
         dag = Dag(n=1, k=3)
-        theta = ParamTable.from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
+        theta = table_from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
         by_oracle = oracle_distribution(dag, [theta])[0]
         for j in range(3):
             assert by_oracle.get((j,), Fraction(0)) == theta.rows[0][j]
@@ -357,7 +422,7 @@ class TestOracle:
     def test_matches_factored_on_fig2(self, fig2_dag):
         rng = random.Random(13)
         for _ in range(5):
-            theta = ParamTable.random(5, 2, rng)
+            theta = random_table(5, 2, rng)
             by_oracle = oracle_distribution(fig2_dag, [theta])[0]
             for g in product(range(2), repeat=5):
                 assert joint_factored(fig2_dag, theta, g) == by_oracle.get(g, Fraction(0))
@@ -391,7 +456,7 @@ class TestOracle:
         # reads the weights only, so a wrong alpha entry shows as a mismatch
         dag = dataclasses.replace(fig2_dag, k=3)
         for i, j in ((0, 0), (4, 1)):
-            theta = ParamTable.random(5, 3, random.Random(17))
+            theta = random_table(5, 3, random.Random(17))
             assert full_distribution(dag, theta) == oracle_distribution(dag, [theta])[0]
             rows = [list(row) for row in theta.cumulative]
             rows[i][j] += Fraction(1, 7)
@@ -402,7 +467,7 @@ class TestOracle:
     @given(dags(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32))
     def test_matches_vector_by_vector_reference(self, dag, k, seed):
         dag = dataclasses.replace(dag, k=k)
-        theta = ParamTable.random(dag.n, k, random.Random(seed))
+        theta = random_table(dag.n, k, random.Random(seed))
         assert oracle_distribution(dag, [theta])[0] == reference_oracle(dag, theta)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -417,14 +482,14 @@ class TestOracle:
 
     def test_symbolic_table_is_refused(self, fig2_dag):
         with pytest.raises(ValueError) as caught:
-            oracle_distribution(fig2_dag, [ParamTable.symbolic(5, 2)])
+            oracle_distribution(fig2_dag, [symbolic_table(5, 2)])
         assert str(caught.value) == "the innovation oracle needs a rational parameter table"
 
     def test_one_fraction_per_outcome(self, fig2_dag, monkeypatch):
         # the box is summed on integer numerators: only the per-outcome sums
         # become Fractions, never a vector's weight
         dag = dataclasses.replace(fig2_dag, k=4)
-        theta = ParamTable.random(5, 4, random.Random(23))
+        theta = random_table(5, 4, random.Random(23))
         built = []
         new = Fraction.__new__
 
@@ -576,7 +641,7 @@ class TestOracle:
         for name, dag in catalog_dags(k):
             thetas = [
                 make(dag.n, k, rng)
-                for make in (ParamTable.random, sparse_table, mixed_denominator_table)
+                for make in (random_table, sparse_table, mixed_denominator_table)
             ]
             alone = [oracle_distribution(dag, [theta])[0] for theta in thetas]
             assert oracle_distribution(dag, thetas) == alone, name
@@ -658,7 +723,7 @@ class TestOracle:
 
 class TestAccumulationModel:
     def test_conditional_goldens(self, fig1_poset):
-        theta = ParamTable.symbolic(5, 2)
+        theta = symbolic_table(5, 2)
         assert cbn_conditional(fig1_poset, theta, 3, (1, 1, 0, 0, 0)) == tv(3, 0)
         assert cbn_conditional(fig1_poset, theta, 4, (1, 1, 0, 0, 0)) == Fraction(1)
         assert cbn_conditional(fig1_poset, theta, 4, (1, 1, 0, 1, 0)) == Fraction(0)
@@ -687,9 +752,9 @@ class TestAccumulationModel:
         rng = random.Random(seed)
         zeros = [rng.choice([(1, 0), (0, 1), (Fraction(1, 3), Fraction(2, 3))]) for _ in range(dag.n)]
         for theta in (
-            ParamTable.symbolic(dag.n, 2),
-            ParamTable.random(dag.n, 2, rng),
-            ParamTable.from_rows(zeros),
+            symbolic_table(dag.n, 2),
+            random_table(dag.n, 2, rng),
+            table_from_rows(zeros),
         ):
             expected = {
                 g: math.prod(
@@ -711,13 +776,24 @@ class TestAccumulationModel:
         for d in range(7, 7 + dag.n):  # unlike denominators, zero weights too
             a = rng.randint(0, d)
             rows.append([Fraction(a, d), Fraction(d - a, d)])
-        theta = ParamTable.from_rows(rows)
+        theta = table_from_rows(rows)
         view, denominator = integer_view(theta)
         expected = {g: v * denominator for g, v in cbn_distribution(poset, theta).items()}
         assert cbn_distribution(poset, view) == expected
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags())
+    def test_level_joint_multiplied_out_is_the_symbolic_joint(self, dag):
+        """With a `_Factors` unit every value is one level mask per vertex,
+        in vertex order, the element that cannot occur yet included."""
+        poset = transitive_closure(dag)
+        factored = cbn_distribution(poset, ParamTable.levels(dag.n, 2), None, _Factors())
+        assert all(isinstance(f, _Factors) and len(f) == dag.n for f in factored.values())
+        symbolic = cbn_distribution(poset, symbolic_table(dag.n, 2))
+        assert {g: level_product(f, 2) for g, f in factored.items()} == symbolic
+
     def test_symbolic_fig1_matches_published_monomials(self, fig1_poset):
-        dist = cbn_distribution(fig1_poset, ParamTable.symbolic(5, 2))
+        dist = cbn_distribution(fig1_poset, symbolic_table(5, 2))
         expected = {
             (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0),
             (1, 0, 0, 0, 0): tv(1, 1) * tv(2, 0),
@@ -732,7 +808,7 @@ class TestAccumulationModel:
 
     def test_distribution_sums_to_one_and_supported_on_ideals(self, fig1_poset):
         rng = random.Random(31)
-        theta = ParamTable.random(5, 2, rng)
+        theta = random_table(5, 2, rng)
         dist = cbn_distribution(fig1_poset, theta)
         assert sum(dist.values()) == 1
         assert set(dist) == set(ideal_lattice(fig1_poset))
@@ -740,7 +816,7 @@ class TestAccumulationModel:
 
     def test_single_element_chain(self):
         poset = transitive_closure(Dag(n=1, k=2))
-        theta = ParamTable.from_rows([[Fraction(1, 3), Fraction(2, 3)]])
+        theta = table_from_rows([[Fraction(1, 3), Fraction(2, 3)]])
         assert cbn_distribution(poset, theta) == {
             (0,): Fraction(1, 3),
             (1,): Fraction(2, 3),
@@ -760,8 +836,8 @@ class TestTwoStateCorrespondence:
 
     def test_example_pair_monomials(self, fig2_dag):
         closure = transitive_closure(fig2_dag)
-        accum = cbn_distribution(closure, ParamTable.symbolic(5, 2))
-        maxmodel = full_distribution(fig2_dag, ParamTable.symbolic(5, 2))
+        accum = cbn_distribution(closure, symbolic_table(5, 2))
+        maxmodel = full_distribution(fig2_dag, symbolic_table(5, 2))
         assert accum[(1, 0, 1, 0, 0)] == tv(1, 1) * tv(2, 0) * tv(3, 1)
         assert maxmodel[(0, 1, 0, 1, 1)] == tv(1, 0) * tv(2, 1) * tv(3, 0)
 
@@ -777,6 +853,61 @@ class TestTwoStateCorrespondence:
         for name, dag in catalog_dags(2):
             report = cbn_correspondence_check(dag, trials=5, seed=11)
             assert report.passed, name
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=7), st.sampled_from(["none", "unswapped", "alpha"]), st.integers(0, 6))
+    def test_passes_exactly_when_the_expanded_check_does(self, dag, mutant, v):
+        """The level-table check against the polynomials multiplied out, on
+        the code as it is and under two broken models: weights not swapped,
+        and a joint taking alpha_{v,m} where theta_{v,g_v} belongs. Every
+        state the expanded check fails fails the level check too."""
+        with pytest.MonkeyPatch.context() as patch:
+            if mutant == "unswapped":
+                patch.setattr(ParamTable, "swapped", lambda self: self)
+            elif mutant == "alpha":
+                patch.setattr(model, "_factored_walk", alpha_for_theta_walk(v % dag.n + 1))
+            report = cbn_correspondence_check(dag, trials=0, seed=0)
+            expanded = expanded_theorem31_failures(dag)
+        assert report.passed == (not expanded) == (mutant == "none")
+        assert set(report.failures) >= {f"symbolic: {line}" for line in expanded}
+
+    def test_unswapped_weights_fail_from_the_bottom_ideal(self, fig2_dag, monkeypatch):
+        monkeypatch.setattr(ParamTable, "swapped", lambda self: self)
+        report = cbn_correspondence_check(fig2_dag, trials=0, seed=0)
+        assert not report.passed and report.total == 9
+        assert report.failures[0] == "symbolic: ideal 00000 vs state 11111"
+
+    def test_symbolic_half_compares_factor_tuples(self, fig2_dag, monkeypatch):
+        """The level table's values are factor tuples on both sides; each
+        trial's values are integers."""
+        kinds = []
+        accumulation, joint = model.cbn_distribution, model.full_distribution
+
+        def recorded(function):
+            def call(*args):
+                values = function(*args)
+                kinds.append({type(v) for v in values.values()})
+                return values
+
+            return call
+
+        monkeypatch.setattr(model, "cbn_distribution", recorded(accumulation))
+        monkeypatch.setattr(model, "full_distribution", recorded(joint))
+        assert cbn_correspondence_check(fig2_dag, trials=2, seed=3).passed
+        assert kinds == [{_Factors}] * 2 + [{int}] * 4
+
+    def test_images_formed_once_per_request(self, fig2_dag, monkeypatch):
+        calls = []
+        image = model.cbn_to_dmlbn_state
+
+        def counted(poset, g):
+            calls.append(g)
+            return image(poset, g)
+
+        monkeypatch.setattr(model, "cbn_to_dmlbn_state", counted)
+        report = cbn_correspondence_check(fig2_dag, trials=4, seed=1)
+        assert report.passed and report.total == 5 * 9
+        assert sorted(calls) == sorted(ideal_lattice(transitive_closure(fig2_dag)))
 
 
 class TestEliminateSimplex:
@@ -803,7 +934,7 @@ class TestMonotoneCoupling:
 
         dag = catalog_dag(name, k)
         rng = random.Random(47)
-        theta = ParamTable.random(dag.n, k, rng)
+        theta = random_table(dag.n, k, rng)
         lattice = order_preserving_maps(transitive_closure(dag), k)
         base = full_distribution(dag, theta, lattice)
 
@@ -817,7 +948,7 @@ class TestMonotoneCoupling:
                 rows[shift_vertex - 1][level] -= moved
                 rows[shift_vertex - 1][level + 1] += moved
                 shifted = full_distribution(
-                    dag, ParamTable.from_rows(rows), lattice
+                    dag, table_from_rows(rows), lattice
                 )
                 for vertex in range(1, dag.n + 1):
                     for m in range(k):

@@ -3,12 +3,10 @@ and the factorization that links them."""
 
 import dataclasses
 import functools
-import inspect
 import json
 import math
 import random
 import re
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -16,18 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import maxlin.model as model
-import maxlin.poset as poset
 import maxlin.transforms as transforms
 from maxlin import data
-from maxlin.algebra import Polynomial, Variable, state_digits, theta_var
+from maxlin.algebra import Polynomial, state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import SupportMismatchError
-from maxlin.model import ParamTable, eliminate_simplex, full_distribution
+from maxlin.model import _UNFACTORED, ParamTable, _Factors, full_distribution
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 from maxlin.transforms import (
-    _UNFACTORED,
-    _Factors,
     _level_products,
     eq5_check,
     moebius_inverse,
@@ -38,19 +33,27 @@ from maxlin.transforms import (
 
 from conftest import (
     CATALOG,
+    alpha_for_theta_walk,
     catalog_dags,
     dags,
     dual,
+    eliminate_simplex,
     expanded_eq5_failures,
+    increasing_column_sum_covers,
     p_var,
+    poly_of,
+    random_table,
     state_leq,
+    symbolic_table,
+    table_from_rows,
+    theta_var,
     uniform_table,
     x_ratios,
 )
 
 
 def tv(i, j):
-    return Polynomial.from_variable(theta_var(i, j))
+    return poly_of(theta_var(i, j))
 
 
 def random_lattice_function(lattice, rng):
@@ -108,7 +111,7 @@ def check_walk_against_quadratic(lattice, rng):
         for g in lattice
         if rng.random() < 0.8
     }
-    symbolic = {g: Polynomial.from_variable(p_var(g)) for g in lattice}
+    symbolic = {g: poly_of(p_var(g)) for g in lattice}
     for values in (rational, symbolic):
         cumulative = zeta_transform(values, lattice)
         assert list(cumulative) == list(lattice)
@@ -119,7 +122,7 @@ def check_walk_against_quadratic(lattice, rng):
 class TestZeta:
     def test_fig3_symbolic_sum(self, fig3_dag):
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        dist = full_distribution(fig3_dag, ParamTable.symbolic(3, 3), lattice)
+        dist = full_distribution(fig3_dag, symbolic_table(3, 3), lattice)
         cumulative = zeta_transform(dist, lattice)
         below = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
         expected = Polynomial()
@@ -140,14 +143,14 @@ class TestZeta:
         for k in (2, 3):
             for _, dag in catalog_dags(k):
                 lattice = order_preserving_maps(transitive_closure(dag), k)
-                theta = ParamTable.random(dag.n, k, rng)
+                theta = random_table(dag.n, k, rng)
                 cumulative = zeta_transform(full_distribution(dag, theta, lattice), lattice)
                 assert cumulative[lattice.top] == 1
 
     def test_monotone_for_nonnegative_input(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         rng = random.Random(9)
-        theta = ParamTable.random(5, 2, rng)
+        theta = random_table(5, 2, rng)
         cumulative = zeta_transform(full_distribution(fig2_dag, theta, lattice), lattice)
         for g in lattice:
             for h in lattice:
@@ -191,7 +194,7 @@ class TestWalkAgainstQuadratic:
 class TestCoverTable:
     """The lattice's cover table, and the walks on it against the quadratic
     references on random DAGs with k = 1..4, for integer, Fraction and
-    factor-tuple values."""
+    level-table factor-tuple values."""
 
     @staticmethod
     def cover_pairs(lattice):
@@ -225,12 +228,13 @@ class TestCoverTable:
         for values in (integers, fractions):
             assert zeta_transform(values, lattice) == quadratic_zeta(values, lattice)
             assert moebius_inverse(values, lattice) == back_substitution_moebius(values, lattice)
-        # the factored joint held as factor tuples: every sum of the zeta walk
-        # adds two products that differ in one factor, so each state's value
-        # stays one product, and multiplied out it is the quadratic zeta.
-        # Level j weighs 2**j / (2**k - 1), so no weight equals the partial
-        # sum below it and the differing factor is never equal by chance.
-        theta = ParamTable.from_rows([[Fraction(2**j, 2**k - 1) for j in range(k)]] * dag.n)
+        # the level-table joint held as factor tuples: every sum of the zeta
+        # walk adds two products that differ in one factor, at disjoint
+        # levels, so each state's value stays one product of level masks.
+        # A mask is the sum of the weights 1 << j at its levels, so the
+        # product of the masks is the value on the level table as integers,
+        # and it is the quadratic zeta of the integer joint.
+        theta = ParamTable.levels(dag.n, k)
         factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors()), lattice)
         assert all(isinstance(f, _Factors) for f in factored.values())
         expected = quadratic_zeta(full_distribution(dag, theta, lattice), lattice)
@@ -269,7 +273,7 @@ class TestLevelProducts:
         rng = random.Random(200 + k)
         for _, dag in catalog_dags(k):
             states = order_preserving_maps(transitive_closure(dag), k).states
-            for theta in (ParamTable.random(dag.n, k, rng), ParamTable.symbolic(dag.n, k)):
+            for theta in (random_table(dag.n, k, rng), symbolic_table(dag.n, k)):
                 rows = theta.cumulative
                 assert _level_products(rows, states, 1) == self.per_state(rows, states)
 
@@ -279,7 +283,7 @@ class TestLevelProducts:
         # correct on vectors in any order, repeats included; the order only
         # decides how many products are shared
         rng = random.Random(seed)
-        rows = ParamTable.random(dag.n, k, rng).rows
+        rows = random_table(dag.n, k, rng).rows
         states = [tuple(rng.randrange(k) for _ in range(dag.n)) for _ in range(20)]
         states += states[:3]
         assert _level_products(rows, states, 1) == self.per_state(rows, states)
@@ -316,15 +320,15 @@ class TestAlphaTable:
     """The cumulative rows alpha that a ParamTable builds from its weights."""
 
     def test_partial_sums_golden(self):
-        theta = ParamTable.from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
+        theta = table_from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
         assert theta.cumulative == ((Fraction(1, 4), Fraction(1, 2), Fraction(1)),)
 
     def test_two_state_first_entry_is_theta0(self):
-        theta = ParamTable.from_rows([[Fraction(1, 3), Fraction(2, 3)]])
+        theta = table_from_rows([[Fraction(1, 3), Fraction(2, 3)]])
         assert theta.cumulative[0][0] == Fraction(1, 3)
 
     def test_point_mass_gives_all_ones(self):
-        theta = ParamTable.from_rows([[1, 0, 0]])
+        theta = table_from_rows([[1, 0, 0]])
         assert theta.cumulative == ((Fraction(1), Fraction(1), Fraction(1)),)
 
     def test_integer_rows_end_in_their_sum(self):
@@ -342,13 +346,13 @@ class TestAlphaTable:
             ParamTable(((Fraction(1, 4), Fraction(1, 4)),))
 
     def test_symbolic_rows_end_in_one(self):
-        theta = ParamTable.symbolic(2, 3)
+        theta = symbolic_table(2, 3)
         assert theta.cumulative[1] == (tv(2, 0), tv(2, 0) + tv(2, 1), Fraction(1))
 
     def test_roundtrips(self):
         rng = random.Random(21)
         for _ in range(40):
-            theta = ParamTable.random(3, 4, rng)
+            theta = random_table(3, 4, rng)
             for row, alpha in zip(theta.rows, theta.cumulative):
                 assert alpha[-1] == 1
                 assert (alpha[0], *(b - a for a, b in zip(alpha, alpha[1:]))) == row
@@ -358,7 +362,7 @@ class TestXTable:
     """The multiplicative parameters x of the tests' reference helper."""
 
     def test_three_state_relations(self):
-        theta = ParamTable.from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
+        theta = table_from_rows([[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]])
         alpha = theta.cumulative[0]
         x = x_ratios(theta)[0]
         assert x == [Fraction(1, 2), Fraction(1, 2)]
@@ -366,54 +370,62 @@ class TestXTable:
         assert x[0] == alpha[1]
 
     def test_two_state_x_equals_alpha(self):
-        theta = ParamTable.from_rows([[Fraction(1, 3), Fraction(2, 3)]])
+        theta = table_from_rows([[Fraction(1, 3), Fraction(2, 3)]])
         assert x_ratios(theta) == [[Fraction(1, 3)]]
 
     def test_zero_weight_divides(self):
-        theta = ParamTable.from_rows([[0, 0, 1]])
+        theta = table_from_rows([[0, 0, 1]])
         with pytest.raises(ZeroDivisionError):
             x_ratios(theta)
 
     def test_reconstruction_roundtrip(self):
         rng = random.Random(77)
         for _ in range(40):
-            theta = ParamTable.random(2, 4, rng)
+            theta = random_table(2, 4, rng)
             for x, alpha in zip(x_ratios(theta), theta.cumulative):
                 assert [math.prod(x[: 4 - j - 1]) for j in range(4)] == list(alpha)
 
 
+def check_levels(dag, lattice=None):
+    """The symbolic eq5 check: the level table held as factor tuples."""
+    return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice, _Factors())
+
+
 class TestZetaFactorization:
     def test_symbolic_fig3(self, fig3_dag):
-        report = zeta_factorization_check(fig3_dag, ParamTable.symbolic(3, 3))
+        report = check_levels(fig3_dag)
         assert report.passed and report.total == 14
 
     def test_symbolic_fig2(self, fig2_dag):
-        report = zeta_factorization_check(fig2_dag, ParamTable.symbolic(5, 2))
+        report = check_levels(fig2_dag)
         assert report.passed and report.total == 9
 
-    def test_eq5_builds_one_lattice_and_reduces_only_the_symbolic_table(
-        self, fig2_dag, monkeypatch
-    ):
-        lattices, reduced = [], []
-        build, eliminate = transforms.order_preserving_maps, transforms.eliminate_simplex
+    def test_eq5_builds_one_lattice_and_one_level_table(self, fig2_dag, monkeypatch):
+        """One lattice per request; the level table is checked once as factor
+        tuples, and each trial's table is drawn as integer rows and checked
+        on integers."""
+        lattices, checks = [], []
+        build, check = transforms.order_preserving_maps, transforms.zeta_factorization_check
 
         def counted_build(*args):
             lattices.append(1)
             return build(*args)
 
-        def counted_eliminate(*args):
-            reduced.append(1)
-            return eliminate(*args)
+        def counted_check(dag, theta, lattice, *unit):
+            ints = all(type(v) is int for row in theta.rows for v in row)
+            checks.append((ints, theta == ParamTable.levels(dag.n, dag.k), unit))
+            return check(dag, theta, lattice, *unit)
 
         monkeypatch.setattr(transforms, "order_preserving_maps", counted_build)
-        monkeypatch.setattr(transforms, "eliminate_simplex", counted_eliminate)
+        monkeypatch.setattr(transforms, "zeta_factorization_check", counted_check)
         report = eq5_check(dataclasses.replace(fig2_dag, k=3), trials=4, seed=2)
         assert report.passed and report.total == 5 * 40
-        assert (len(lattices), len(reduced)) == (1, 5 * 3)
+        assert len(lattices) == 1
+        assert checks == [(True, True, (_Factors(),))] + [(True, False, ())] * 4
 
     def test_given_lattice_is_the_one_checked(self, fig3_dag):
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        theta = ParamTable.random(3, 3, random.Random(4))
+        theta = random_table(3, 3, random.Random(4))
         assert zeta_factorization_check(fig3_dag, theta, lattice) == (
             zeta_factorization_check(fig3_dag, theta)
         )
@@ -421,17 +433,19 @@ class TestZetaFactorization:
     def test_specific_identity_q012(self, fig3_dag):
         """On the table reduced entry by entry, the identity is exact."""
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
-        rows = ParamTable.symbolic(3, 3).rows
-        reduced = ParamTable.from_rows([[eliminate_simplex(v, 3, 3) for v in row] for row in rows])
+        rows = symbolic_table(3, 3).rows
+        reduced = table_from_rows([[eliminate_simplex(v, 3, 3) for v in row] for row in rows])
         cumulative = zeta_transform(full_distribution(fig3_dag, reduced, lattice), lattice)
         assert cumulative[(0, 1, 2)] == tv(1, 0) * (tv(2, 0) + tv(2, 1))
 
     def test_random_tables_on_catalog(self):
+        # rational tables through their integer view, and integer tables as
+        # they are
         rng = random.Random(55)
         for k in (2, 3):
             for _, dag in catalog_dags(k):
-                theta = ParamTable.random(dag.n, k, rng)
-                assert zeta_factorization_check(dag, theta).passed
+                assert zeta_factorization_check(dag, random_table(dag.n, k, rng)).passed
+                assert zeta_factorization_check(dag, ParamTable.random(dag.n, k, rng)).passed
 
     def test_monomial_image_evaluates_to_cumulative_coordinate(self):
         # evaluating q_g's monomial image at the multiplicative parameters
@@ -442,7 +456,7 @@ class TestZetaFactorization:
         rng = random.Random(99)
         for k in (2, 3):
             for _, dag in catalog_dags(k):
-                theta = ParamTable.random(dag.n, k, rng)
+                theta = random_table(dag.n, k, rng)
                 x = x_ratios(theta)
                 lattice = order_preserving_maps(transitive_closure(dag), k)
                 cumulative = zeta_transform(
@@ -459,45 +473,43 @@ class TestZetaFactorization:
 
 
 class TestFactors:
-    """The factor tuples of symbolic eq5: products kept as their factors."""
+    """The factor tuples of the symbolic checks: products kept as their
+    factors, each a level mask on the level table."""
 
     def test_multiplying_appends(self):
         assert _Factors() * tv(1, 0) * Fraction(1) == (tv(1, 0), Fraction(1))
+        assert _Factors() * 3 * 4 == (3, 4)
 
     def test_sum_adds_the_one_differing_factor(self):
-        left = _Factors((tv(1, 0), tv(2, 0)))
-        right = _Factors((tv(1, 0), tv(2, 1)))
-        assert left + right == (tv(1, 0), tv(2, 0) + tv(2, 1))
+        # disjoint level sets in the one differing slot sum to their union
+        for t in range(3):
+            left = _Factors((0b11, 0b1, 0b101))
+            right = _Factors((*left[:t], 0b1000, *left[t + 1 :]))
+            union = _Factors((*left[:t], left[t] | 0b1000, *left[t + 1 :]))
+            assert left + right == union == right + left
+        assert _Factors((0b1,)) + _Factors((0b110,)) == (0b111,)
+
+    def test_overlapping_levels_are_unfactored(self):
+        # theta_0 + (theta_0 + theta_1) has a coefficient 2: no level set
+        for left, right in (((0b1,), (0b11,)), ((5, 0b110), (5, 0b10)), ((7, 3), (7, 3))):
+            assert _Factors(left) + _Factors(right) is _UNFACTORED
+            assert _Factors(right) + _Factors(left) is _UNFACTORED
 
     def test_other_sums_are_unfactored(self):
-        one = _Factors((tv(1, 0), tv(2, 0)))
+        one = _Factors((0b1, 0b1))
         for other in (
             one,
-            _Factors((tv(1, 1), tv(2, 1))),
-            _Factors((tv(1, 0),)),
+            _Factors((0b10, 0b10)),
+            _Factors((0b1,)),
+            _Factors((0b1, 0b1, 0b10)),
             Fraction(0),
+            0,
             _UNFACTORED,
         ):
             assert one + other is _UNFACTORED
             assert other + one is _UNFACTORED
         assert _UNFACTORED + Fraction(0) is _UNFACTORED
         assert _UNFACTORED != one and Fraction(0) != one
-
-
-def edited_symbolic_table(n: int, k: int, edit: str, v: int, j: int) -> ParamTable:
-    """The symbolic table with one entry edited: two entries of a row swapped
-    (still a table on the simplex), an entry replaced by a variable foreign
-    to the table, or an entry doubled (neither sums to 1 any more)."""
-    rows = [list(row) for row in ParamTable.symbolic(n, k).rows]
-    row = rows[v % n]
-    j %= k
-    if edit == "swap":
-        row[j], row[(j + 1) % k] = row[(j + 1) % k], row[j]
-    elif edit == "foreign":
-        row[j] = Polynomial.from_variable(Variable("alpha", (v % n + 1, j)))
-    elif edit == "double":
-        row[j] = row[j] + row[j]
-    return ParamTable.from_rows(rows)
 
 
 def verify_eq5(capsys, argv) -> dict:
@@ -510,33 +522,44 @@ def verify_eq5(capsys, argv) -> dict:
 
 
 class TestFactorPath:
-    """Symbolic eq5 on factor tuples against the expanded check, and walks
-    broken on purpose, which must fail in the symbolic branch itself."""
+    """Symbolic eq5 on the level table's factor tuples against the expanded
+    check, and walks broken on purpose, which must fail in the symbolic
+    branch itself."""
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_catalog_passes(self, k):
         for _, dag in catalog_dags(k):
-            report = zeta_factorization_check(dag, ParamTable.symbolic(dag.n, k))
+            report = check_levels(dag)
             assert report.passed and report.total == len(
                 order_preserving_maps(transitive_closure(dag), k)
             )
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
-        dags(max_n=6),
+        dags(),
         st.sampled_from([2, 3, 4]),
-        st.sampled_from(["none", "swap", "foreign", "double"]),
-        st.integers(0, 5),
-        st.integers(0, 3),
+        st.sampled_from(["none", "flipped", "alpha"]),
+        st.integers(0, 7),
     )
-    def test_passes_exactly_when_the_expanded_check_does(self, dag, k, edit, v, j):
-        # the expanded check is exponential in n: 4**6 states is too many
+    def test_passes_exactly_when_the_expanded_check_does(self, dag, k, mutant, v):
+        """The level-table verdict is the expanded one, on the code as it is,
+        with the cover table in increasing column sum, and with a joint
+        taking alpha_{v,m} where theta_{v,g_v} belongs; every state the
+        expanded check fails fails the level check too."""
+        # the expanded check is exponential in n
         assume(k**dag.n <= 1024)
         dag = dataclasses.replace(dag, k=k)
-        theta = edited_symbolic_table(dag.n, k, edit, v, j)
-        report = zeta_factorization_check(dag, theta)
-        assert report.passed == (not expanded_eq5_failures(dag, theta))
-        assert report.passed == (edit in ("none", "swap"))
+        with pytest.MonkeyPatch.context() as patch:
+            if mutant == "flipped":
+                replace_cover_table(patch, increasing_column_sum_covers)
+            elif mutant == "alpha":
+                patch.setattr(model, "_factored_walk", alpha_for_theta_walk(v % dag.n + 1))
+            report = eq5_check(dag, trials=0, seed=0)
+            expanded = expanded_eq5_failures(dag, symbolic_table(dag.n, k))
+        assert report.passed == (not expanded)
+        assert set(report.failures) >= {f"symbolic: {line}" for line in expanded}
+        if mutant == "alpha":
+            assert not report.passed
 
     @pytest.fixture()
     def fig2_path(self, tmp_path):
@@ -552,12 +575,13 @@ class TestFactorPath:
         assert all(line.startswith("symbolic: state ") for line in report["failures"])
         return report["failures"]
 
-    def test_walk_in_increasing_column_sum(self, capsys, fig2_path, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(StateLattice.covers.func))
-        assert "key=lambda i: -sum(" in source
-        namespace = dict(vars(poset))
-        exec(source.replace("key=lambda i: -sum(", "key=lambda i: sum("), namespace)
-        replace_cover_table(monkeypatch, namespace["covers"].func)
+    def test_walk_in_increasing_column_sum(self, capsys, fig2_dag, fig2_path, monkeypatch):
+        # the same pairs as the lattice's own table, in the reverse
+        # coordinate order
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        flipped = increasing_column_sum_covers(lattice)
+        assert sorted(flipped) == sorted(lattice.covers) and flipped != lattice.covers
+        replace_cover_table(monkeypatch, increasing_column_sum_covers)
         self.symbolic_failures(capsys, fig2_path)
 
     @pytest.mark.parametrize("drop", [0, 7, -1])
@@ -611,8 +635,20 @@ class TestFactorPath:
 
 
 class TestNoExpansion:
-    """Symbolic eq5 multiplies no polynomials, so it runs in time
+    """Symbolic eq5 and theorem31 form no polynomials, so they run in time
     polynomial in n."""
+
+    def test_no_polynomial_arithmetic(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        path = tmp_path / "fig2.dag"
+        path.write_text(data.read("fig2.dag"), encoding="utf-8")
+        for suite in ("eq5", "theorem31"):
+            assert main(["verify", suite, "--dag", str(path), "--k", "3"]) == 0
+            assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_no_polynomial_products(self, fig2_dag, monkeypatch):
         calls = []
