@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 from operator import attrgetter, getitem
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -308,20 +309,6 @@ class Polynomial:
     def variables(self) -> set[Variable]:
         return {v for mono in self.terms for v, _ in mono}
 
-    # evaluation
-
-    def evaluate(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
-        """Exact evaluation; every variable must be assigned a rational."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for v, e in mono:
-                if v not in assignment:
-                    raise UnboundVariableError(f"no value for variable {shorten(v.key_text())}")
-                value = value * Fraction(assignment[v]) ** e
-            total += value
-        return total
-
     # emission
 
     def to_text(self) -> str:
@@ -359,120 +346,125 @@ class Polynomial:
 
 MAX_EXPONENT = 1000
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_]+|.)")
-
-
-def _is_number(tok: str) -> bool:
-    return tok.isascii() and tok.isdigit()
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        # `\s*` backtracks, so `.` also matches trailing whitespace: drop it
-        self.tokens = [tok for tok in _TOKEN.findall(text) if tok.strip()]
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of polynomial in {quote(self.text)}")
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r} but found {quote(tok)} in {quote(self.text)}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        """The terms summed as `Polynomial.__add__` orders them (a new monomial
-        last, a cancelled one deleted): `evaluate` meets variables in that order."""
-        terms: dict[Monomial, Fraction] = {}
-        tok = "+"  # the first term needs no sign
-        while tok in ("+", "-"):
-            coeff, mono = self.parse_term()
-            terms[mono] = terms.get(mono, 0) + coeff
-            if not terms[mono]:
-                del terms[mono]
-            tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing junk {quote(tok)} in {quote(self.text)}")
-        return Polynomial._raw(terms)
-
-    def parse_term(self) -> tuple[Fraction, Monomial]:
-        """The signs before a term and its factors, as (coefficient, monomial)."""
-        coeff, exps = Fraction(1), {}
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                coeff = -coeff
-        while True:
-            if _is_number(self.peek() or ""):
-                coeff *= self.parse_rational()
-            else:
-                var, exp = self.parse_power()
-                exps[var] = exps.get(var, 0) + exp
-            if self.peek() != "*":
-                return coeff, mono_from_dict(exps)
-            self.take()
-
-    def parse_rational(self) -> Fraction:
-        num = int(self.take())
-        if self.peek() == "/":
-            self.take()
-            den = self.take()
-            if not _is_number(den) or int(den) == 0:
-                raise ParseError(f"bad denominator {quote(den)} in {quote(self.text)}")
-            return Fraction(num, int(den))
-        return Fraction(num)
-
-    def parse_power(self) -> tuple[Variable, int]:
-        var = self.parse_variable()
-        if self.peek() != "^":
-            return var, 1
-        self.take()
-        digits = self.take()
-        if not _is_number(digits):
-            raise ParseError(f"bad exponent {quote(digits)} in {quote(self.text)}")
-        digits = digits.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {shorten(digits)} exceeds the cap of {MAX_EXPONENT} "
-                f"in {quote(self.text)}"
-            )
-        return var, int(digits)
-
-    def parse_variable(self) -> Variable:
-        name = self.take()
-        if name == "t":
-            return t_var()
-        if name not in FAMILIES:
-            raise ParseError(f"unknown variable family {quote(name)} in {quote(self.text)}")
-        self.take("[")
-        first = self.take()
-        if not _is_number(first):
-            raise ParseError(f"bad index {quote(first)} in {quote(self.text)}")
-        if name in ("p", "q"):
-            self.take("]")
-            return Variable(name, tuple(int(c) for c in first))
-        if self.peek() == ",":
-            self.take()
-            second = self.take()
-            if not _is_number(second):
-                raise ParseError(f"bad index {quote(second)} in {quote(self.text)}")
-            self.take("]")
-            return Variable(name, (int(first), int(second)))
-        self.take("]")
-        return Variable(name, (int(first),))
+# A token after any whitespace: a whole p- or q-variable (family, index and
+# exponent digits in groups 1-3, whitespace allowed between its parts), else
+# in group 4 a run of ASCII digits, of letters and "_", or one other character.
+_TOKEN = re.compile(
+    r"\s*(?:([pq])\s*\[\s*([0-9]+)\s*\](?:\s*\^\s*([0-9]+))?|([0-9]+|[A-Za-z_]+|.))"
+)
+_INDEX = bytes.maketrans(b"0123456789", bytes(range(10)))  # ASCII digit -> its value
+_CAP = f"exceeds the cap of {MAX_EXPONENT}"
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse one polynomial in the text grammar, e.g.
-    "q[01011]*q[10111] - q[00011]*q[11111]" or "1/2*p[00]^2 - p[01]"."""
+    "q[01011]*q[10111] - q[00011]*q[11111]" or "1/2*p[00]^2 - p[01]".
+
+    One regex scan gives the tokens; one loop reads them, in `state` at a
+    term's start, after "*" or after a factor, and looks ahead for "/" and
+    "^". An error names the token where it is found, a whole p- or q-variable
+    by its family letter. The terms are summed as `Polynomial.__add__` orders
+    them, so `evaluate_at_distribution` meets the variables in that order. A
+    repeated variable's exponents add up, and the sum is capped as one is."""
+
+    def error(what: str) -> ParseError:
+        return ParseError(f"{what} in {quote(text)}")
+
+    terms: dict[Monomial, Scalar] = {}
+    tokens = [*_TOKEN.findall(text.rstrip()), ("", "", "", None)]  # tok None: the end
+    state, num, den, exps, i = "term", 1, 1, {}, 0
     try:
-        return _Parser(text).parse()
+        while True:
+            family, digits, exp, tok = tokens[i]
+            i += 1
+            if state == "after":
+                if tok == "*":
+                    state = "factor"
+                    continue
+                mono = mono_from_dict(exps)
+                for v, e in mono:
+                    if e > MAX_EXPONENT:
+                        raise error(f"exponent {e} of {shorten(v.key_text())} {_CAP}")
+                coeff = terms.get(mono, 0) + (num if den == 1 else Fraction(num, den))
+                terms[mono] = coeff
+                if not coeff:
+                    del terms[mono]
+                if tok is None:
+                    return Polynomial(terms)  # each int coefficient made a Fraction
+                if tok != "+" and tok != "-":
+                    raise error(f"trailing junk {quote(tok or family)}")
+                state, num, den, exps = "term", 1, 1, {}
+            if state == "term" and (tok == "+" or tok == "-"):
+                num = -num if tok == "-" else num
+                continue
+            if tok is None:
+                raise error("unexpected end of polynomial")
+            state = "after"
+            if tok.isascii() and tok.isdigit():  # a coefficient
+                num *= int(tok)
+                if tokens[i][3] == "/":
+                    family, _, _, tok = tokens[i + 1]
+                    i += 2
+                    if tok is None:
+                        raise error("unexpected end of polynomial")
+                    if not (tok.isascii() and tok.isdigit()) or int(tok) == 0:
+                        raise error(f"bad denominator {quote(tok or family)}")
+                    den *= int(tok)
+                continue
+            if family:
+                var = Variable(family, tuple(digits.encode().translate(_INDEX)))
+            elif tok == "t":
+                var = t_var()
+            else:
+                var, i = _indexed_variable(tok, tokens, i, error)
+            if not exp and tokens[i][3] == "^":
+                family, _, _, exp = tokens[i + 1]
+                i += 2
+                if exp is None:
+                    raise error("unexpected end of polynomial")
+                if not (exp.isascii() and exp.isdigit()):
+                    raise error(f"bad exponent {quote(exp or family)}")
+            if exp:
+                exp = exp.lstrip("0") or "0"
+                if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
+                    raise error(f"exponent {shorten(exp)} {_CAP}")
+            exps[var] = exps.get(var, 0) + (int(exp) if exp else 1)
     except ValueError as exc:  # a number with more digits than int() converts
         raise ParseError(str(exc)) from None
+
+
+def _indexed_variable(name: str, tokens: list, i: int, error) -> tuple[Variable, int]:
+    """The variable the family `name` starts, its bracketed indices read from
+    tokens[i:], and the index of the token after it; t is read apart."""
+
+    def take(expected: str | None = None) -> str:
+        nonlocal i
+        family, _, _, tok = tokens[i]
+        i += 1
+        if tok is None:
+            raise error("unexpected end of polynomial")
+        if expected is not None and (tok or family) != expected:
+            raise error(f"expected {expected!r} but found {quote(tok or family)}")
+        return tok or family
+
+    def index() -> str:
+        tok = take()
+        if not (tok.isascii() and tok.isdigit()):
+            raise error(f"bad index {quote(tok)}")
+        return tok
+
+    if name not in FAMILIES:
+        raise error(f"unknown variable family {quote(name)}")
+    take("[")
+    first = index()
+    after = take()
+    if after == "," and name not in ("p", "q"):
+        second = index()
+        take("]")
+        return Variable(name, (int(first), int(second))), i
+    if after != "]":
+        raise error(f"expected ']' but found {quote(after)}")
+    return Variable(name, (int(first),)), i  # not p or q: `_TOKEN` takes a whole one
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +674,36 @@ def _pack_images(images: Sequence[Monomial]) -> list[int]:
 
 def evaluate_at_distribution(
     poly: Polynomial,
-    probs: Mapping[State, Scalar],
-    cumulative: Mapping[State, Scalar] | None = None,
+    lattice: StateLattice,
+    numerators: Mapping[State, int],
+    denominator: int = 1,
+    cumulative: Mapping[State, int] | None = None,
 ) -> Fraction:
-    """Evaluate a polynomial in p-variables at a distribution, exactly, binding
-    only the variables it names; its q-variables take `cumulative`, if given."""
-    values = {"p": probs, "q": cumulative or {}}
-    named = [v for v in poly.variables() if v.index in values.get(v.family, ())]
-    return poly.evaluate({v: values[v.family][v.index] for v in named})
+    """The value at the joint given as integer numerators over one
+    denominator D, as `full_distribution` gives it on a table's
+    `integer_view`: p_g is numerators[g]/D and q_g is cumulative[g]/D. A p of
+    the n-by-k cube off the lattice is 0; any other variable with no value
+    raises, the first in term order, then in monomial order. With L the lcm
+    of the coefficients' denominators, a term c*N/D**d (N the product of its
+    integer factors) adds c*L*N to the sum S_d of its degree, and the value
+    is one Fraction, sum(S_d * D**(top - d)) / (L * D**top)."""
+    values = {"p": numerators, "q": cumulative or {}}
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    sums: dict[int, int] = {}
+    for mono, coeff in poly.terms.items():
+        product, degree = coeff.numerator * (scale // coeff.denominator), 0
+        for v, e in mono:
+            value = values[v.family].get(v.index) if v.family in values else None
+            if value is None:
+                if v.family != "p" or len(v.index) != lattice.n or max(v.index) >= lattice.k:
+                    raise UnboundVariableError(f"no value for variable {shorten(v.key_text())}")
+                value = 0
+            product *= value if e == 1 else value**e
+            degree += e
+        sums[degree] = sums.get(degree, 0) + product
+    top = max(sums, default=0)
+    total = sum(s * denominator ** (top - d) for d, s in sums.items())
+    return Fraction(total, scale * denominator**top)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Iterable
 
 from . import __version__
 from .algebra import (
-    Polynomial,
     evaluate_at_distribution,
     fraction_text,
     generator_arrays,
@@ -63,10 +62,6 @@ def _state_lattice(dag: Dag) -> StateLattice:
     return order_preserving_maps(transitive_closure(dag), dag.k)
 
 
-def _over(numerators: dict, denominator: int) -> dict:
-    return {g: Fraction(v, denominator) for g, v in numerators.items()}
-
-
 def _emit(fmt: str, data, lines: Iterable[str]) -> None:
     """Print `data` as indented JSON, or `lines` one per line for the text
     format; `lines` is usually a lazy generator over `data`."""
@@ -88,8 +83,8 @@ def _emit_states(states, fmt: str) -> None:
     print(head, raw.decode(), tail, sep="")
 
 
-def _emit_value_map(values, prefix: str, fmt: str) -> None:
-    data = {state_digits(g): fraction_text(v) for g, v in values.items()}
+def _emit_value_map(numerators, denominator: int, prefix: str, fmt: str) -> None:
+    data = {state_digits(g): str(Fraction(v, denominator)) for g, v in numerators.items()}
     _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
@@ -109,21 +104,6 @@ def _emit_generators(arrays, fmt: str) -> None:
     else:
         body = ",\n".join(_GENERATOR_JSON % (q + q) for q in zip(*columns))
         print(f"[\n{body}\n]" if body else "[]")
-
-
-def _with_off_lattice_zeros(poly: Polynomial, dist: dict, dag: Dag) -> dict:
-    """The joint, with 0 bound to every p-variable of the polynomial whose
-    index has length n and entries below k but is not a lattice state: the
-    model never reaches such a vector, so its probability is exactly 0."""
-    zeros = {
-        v.index: 0
-        for v in poly.variables()
-        if v.family == "p"
-        and len(v.index) == dag.n
-        and max(v.index, default=0) < dag.k
-        and v.index not in dist
-    }
-    return {**dist, **zeros}
 
 
 def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
@@ -162,13 +142,13 @@ def run(args: argparse.Namespace) -> int:
         return 0
     if args.command == "distribution":
         view, denominator = integer_view(_load_theta(args))
-        _emit_value_map(_over(full_distribution(dag, view), denominator), "p", args.format)
+        _emit_value_map(full_distribution(dag, view), denominator, "p", args.format)
         return 0
     if args.command == "zeta":
         lattice = _state_lattice(dag)
         view, denominator = integer_view(_load_theta(args))
         cumulative = zeta_transform(full_distribution(dag, view, lattice), lattice)
-        _emit_value_map(_over(cumulative, denominator), "q", args.format)
+        _emit_value_map(cumulative, denominator, "q", args.format)
         return 0
     if args.command == "generators":
         if args.of == "ideals":
@@ -185,8 +165,7 @@ def run(args: argparse.Namespace) -> int:
         lattice = _state_lattice(dag)
         view, denominator = integer_view(_load_theta(args))
         numerators = full_distribution(dag, view, lattice)
-        dist = _over(numerators, denominator)
-        cumulative = None  # the zeta coordinates, formed for the first q-variable
+        cumulative = None  # the zeta numerators, formed for the first q-variable
         data = []
         for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -194,10 +173,8 @@ def run(args: argparse.Namespace) -> int:
                 continue
             poly = parse_polynomial(line)
             if cumulative is None and any(v.family == "q" for v in poly.variables()):
-                cumulative = _over(zeta_transform(numerators, lattice), denominator)
-            value = evaluate_at_distribution(
-                poly, _with_off_lattice_zeros(poly, dist, dag), cumulative
-            )
+                cumulative = zeta_transform(numerators, lattice)
+            value = evaluate_at_distribution(poly, lattice, numerators, denominator, cumulative)
             data.append({"polynomial": line, "value": fraction_text(value)})
         _emit(args.format, data, (f"{d['polynomial']} = {d['value']}" for d in data))
         return 0

@@ -60,20 +60,7 @@ class ParamTable:
         if not self.rows:
             raise ValueError("parameter table needs at least one row")
         k = len(self.rows[0])
-        cumulative = []
-        for idx, row in enumerate(self.rows):
-            if len(row) != k:
-                raise ValueError(f"row {idx + 1} has {len(row)} entries, expected {k}")
-            if all(isinstance(v, Rational) for v in row):
-                sums = tuple(accumulate(row))
-                if any(v < 0 for v in row):
-                    raise ValueError(f"row {idx + 1} has a negative weight")
-                total = sums[-1] if sums else 0
-                if total != 1 and not (total and all(isinstance(v, int) for v in row)):
-                    raise ValueError(f"row {idx + 1} sums to {total}, not 1")
-            else:
-                sums = (*accumulate(row[:-1]), Fraction(1))
-            cumulative.append(sums)
+        cumulative = (_cumulative(row, i, k) for i, row in enumerate(self.rows, 1))
         object.__setattr__(self, "cumulative", tuple(cumulative))
 
     @property
@@ -85,8 +72,12 @@ class ParamTable:
         return len(self.rows[0])
 
     def swapped(self) -> "ParamTable":
-        """Rows reversed; for k=2 this swaps the two state weights."""
-        return ParamTable(tuple(tuple(reversed(row)) for row in self.rows))
+        """Rows reversed; for k=2 this swaps the two state weights. A valid
+        row reversed is valid, so only the cumulative rows are built."""
+        table = object.__new__(ParamTable)
+        object.__setattr__(table, "rows", tuple(tuple(reversed(row)) for row in self.rows))
+        object.__setattr__(table, "cumulative", tuple(map(_cumulative, table.rows)))
+        return table
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParamTable":
@@ -112,6 +103,24 @@ class ParamTable:
         `_Factors`, a mask stands for the formal sum of the weights at its
         levels, and the joint is the symbolic one."""
         return cls((tuple(1 << j for j in range(k)),) * n)
+
+
+def _cumulative(row: tuple, number: int = 0, k: int = 0) -> tuple:
+    """A row's `ParamTable.cumulative` row: the running sums of a rational or
+    integer row, of another those of all but its last entry, then 1. Given
+    its `number`, the row is checked as row `number` of a table of width k."""
+    if number and len(row) != k:
+        raise ValueError(f"row {number} has {len(row)} entries, expected {k}")
+    ints = all(type(v) is int for v in row)  # cheaper than the Rational test
+    if not ints and not all(isinstance(v, Rational) for v in row):
+        return (*accumulate(row[:-1]), Fraction(1))
+    sums = tuple(accumulate(row))
+    if number and any(v < 0 for v in row):
+        raise ValueError(f"row {number} has a negative weight")
+    total = sums[-1] if sums else 0
+    if number and total != 1 and not (total and (ints or all(isinstance(v, int) for v in row))):
+        raise ValueError(f"row {number} sums to {total}, not 1")
+    return sums
 
 
 class _Factors(tuple):

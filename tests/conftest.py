@@ -6,13 +6,15 @@ variable at a time, the Hilbert certificate's old degree 1-3 counts,
 reference helpers (the order, meet and join of states, the generator of a
 pair, the dual of a poset, its covers and order ideals, the axiom violations
 and maximal lower elements of a relation by all pairs, the uniform table,
-the accumulation model one element at a time), and random generators for
+the accumulation model one element at a time), the polynomial grammar one
+token at a time and Fraction evaluation, and random generators for
 property-style tests."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 from maxlin import data
 from maxlin.algebra import (
     EMPTY_MONOMIAL,
+    FAMILIES,
+    MAX_EXPONENT,
     BinomialGenerator,
     MonomialMap,
     Polynomial,
@@ -34,7 +38,7 @@ from maxlin.algebra import (
     x_var,
 )
 from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
-from maxlin.errors import BadStateError
+from maxlin.errors import BadStateError, ParseError, UnboundVariableError, quote, shorten
 from maxlin.model import (
     ParamTable,
     Value,
@@ -641,3 +645,172 @@ def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
             remainder = remainder + term
             poly = poly - term
     return remainder
+
+
+# ---------------------------------------------------------------------------
+# The polynomial grammar and evaluation as they were before `parse_polynomial`
+# read its tokens in one loop and `evaluate_at_distribution` summed integer
+# numerators: a token-at-a-time parser and Fraction evaluation, the slow
+# references for both.
+
+REFERENCE_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_]+|.)")
+
+
+def _is_number(tok: str) -> bool:
+    return tok.isascii() and tok.isdigit()
+
+
+class ReferenceParser:
+    """The grammar one token at a time, each factor's parts by `peek` and
+    `take`. Within a term, the exponents of a repeated variable add up with
+    no cap on their sum."""
+
+    def __init__(self, text: str):
+        self.text = text
+        # `\s*` backtracks, so `.` also matches trailing whitespace: drop it
+        self.tokens = [tok for tok in REFERENCE_TOKEN.findall(text) if tok.strip()]
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"unexpected end of polynomial in {quote(self.text)}")
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r} but found {quote(tok)} in {quote(self.text)}")
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        terms: dict = {}
+        tok = "+"  # the first term needs no sign
+        while tok in ("+", "-"):
+            coeff, mono = self.parse_term()
+            terms[mono] = terms.get(mono, 0) + coeff
+            if not terms[mono]:
+                del terms[mono]
+            tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing junk {quote(tok)} in {quote(self.text)}")
+        return Polynomial._raw(terms)
+
+    def parse_term(self) -> tuple[Fraction, tuple]:
+        """The signs before a term and its factors, as (coefficient, monomial)."""
+        coeff, exps = Fraction(1), {}
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
+                coeff = -coeff
+        while True:
+            if _is_number(self.peek() or ""):
+                coeff *= self.parse_rational()
+            else:
+                var, exp = self.parse_power()
+                exps[var] = exps.get(var, 0) + exp
+            if self.peek() != "*":
+                return coeff, mono_from_dict(exps)
+            self.take()
+
+    def parse_rational(self) -> Fraction:
+        num = int(self.take())
+        if self.peek() == "/":
+            self.take()
+            den = self.take()
+            if not _is_number(den) or int(den) == 0:
+                raise ParseError(f"bad denominator {quote(den)} in {quote(self.text)}")
+            return Fraction(num, int(den))
+        return Fraction(num)
+
+    def parse_power(self) -> tuple[Variable, int]:
+        var = self.parse_variable()
+        if self.peek() != "^":
+            return var, 1
+        self.take()
+        digits = self.take()
+        if not _is_number(digits):
+            raise ParseError(f"bad exponent {quote(digits)} in {quote(self.text)}")
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {shorten(digits)} exceeds the cap of {MAX_EXPONENT} "
+                f"in {quote(self.text)}"
+            )
+        return var, int(digits)
+
+    def parse_variable(self) -> Variable:
+        name = self.take()
+        if name == "t":
+            return t_var()
+        if name not in FAMILIES:
+            raise ParseError(f"unknown variable family {quote(name)} in {quote(self.text)}")
+        self.take("[")
+        first = self.take()
+        if not _is_number(first):
+            raise ParseError(f"bad index {quote(first)} in {quote(self.text)}")
+        if name in ("p", "q"):
+            self.take("]")
+            return Variable(name, tuple(int(c) for c in first))
+        if self.peek() == ",":
+            self.take()
+            second = self.take()
+            if not _is_number(second):
+                raise ParseError(f"bad index {quote(second)} in {quote(self.text)}")
+            self.take("]")
+            return Variable(name, (int(first), int(second)))
+        self.take("]")
+        return Variable(name, (int(first),))
+
+
+class CappedReferenceParser(ReferenceParser):
+    """`ReferenceParser` with MAX_EXPONENT held on each variable's summed
+    exponent in a term, checked when the term ends, the first such variable
+    in monomial order named."""
+
+    def parse_term(self) -> tuple[Fraction, tuple]:
+        coeff, mono = super().parse_term()
+        for v, e in mono:
+            if e > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {e} of {shorten(v.key_text())} exceeds the cap of "
+                    f"{MAX_EXPONENT} in {quote(self.text)}"
+                )
+        return coeff, mono
+
+
+def reference_parse(text: str, parser=ReferenceParser) -> Polynomial:
+    """The polynomial `parser` reads from the text; a number past int()'s
+    digit limit is a ParseError with int()'s message."""
+    try:
+        return parser(text).parse()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def evaluate(poly: Polynomial, assignment) -> Fraction:
+    """Exact evaluation term by term in Fractions; every variable must be
+    assigned a rational, the first unassigned one in term order, then in
+    monomial order, is named."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for v, e in mono:
+            if v not in assignment:
+                raise UnboundVariableError(f"no value for variable {shorten(v.key_text())}")
+            value = value * Fraction(assignment[v]) ** e
+        total += value
+    return total
+
+
+def evaluate_at_joint(poly: Polynomial, n: int, k: int, dist, cumulative=None) -> Fraction:
+    """`evaluate` at a Fraction joint `dist` over states, and at its zeta
+    coordinates `cumulative` for q-variables, if given; a p-variable of the
+    n-by-k cube missing from `dist` is 0, any other missing variable unbound."""
+    values = {"p": dist, "q": cumulative or {}}
+    assignment = {}
+    for v in poly.variables():
+        if v.index in values.get(v.family, ()):
+            assignment[v] = values[v.family][v.index]
+        elif v.family == "p" and len(v.index) == n and max(v.index, default=0) < k:
+            assignment[v] = 0
+    return evaluate(poly, assignment)

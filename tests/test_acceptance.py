@@ -32,6 +32,7 @@ from maxlin.model import (
     cbn_correspondence_check,
     cbn_distribution,
     full_distribution,
+    integer_view,
     oracle_equivalence_check,
 )
 from maxlin.poset import chain_product, order_preserving_maps
@@ -245,10 +246,10 @@ def test_criterion_08_published_p_generators(fig2_dag):
     polynomials = [parse_polynomial(text) for text in FIG2_P_GENERATORS]
     rng = random.Random(0)
     for _ in range(100):
-        theta = random_table(5, 2, rng)
-        dist = full_distribution(fig2_dag, theta, lattice)
+        view, denominator = integer_view(random_table(5, 2, rng))
+        numerators = full_distribution(fig2_dag, view, lattice)
         for text, poly in zip(FIG2_P_GENERATORS, polynomials):
-            assert evaluate_at_distribution(poly, dist) == 0, text
+            assert evaluate_at_distribution(poly, lattice, numerators, denominator) == 0, text
 
 
 @criterion(9, "the factored joint equals the innovation oracle on the whole box, catalog-wide")

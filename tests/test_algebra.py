@@ -8,8 +8,9 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations, combinations_with_replacement
+from itertools import product as itertools_product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -52,16 +53,20 @@ from maxlin.errors import (
     UnmappedVariableError,
     quote,
 )
-from maxlin.model import full_distribution
+from maxlin.model import ParamTable, full_distribution, integer_view
 from maxlin.poset import ideal_lattice, order_preserving_maps
+from maxlin.transforms import zeta_transform
 
 from conftest import (
+    CappedReferenceParser,
     alpha_var,
     binomial_of_pair,
     catalog_dags,
     chain,
     dags,
     degrevlex_compare,
+    evaluate,
+    evaluate_at_joint,
     incomparable_pairs,
     lattice_meet_join,
     leading_term,
@@ -75,6 +80,7 @@ from conftest import (
     random_dag,
     random_table,
     reduce_modulo,
+    reference_parse,
     s_polynomial,
     standard_counts,
     state_leq,
@@ -216,12 +222,12 @@ class TestPolynomialRing:
 
     def test_evaluate(self):
         poly = 2 * poly_of(t_var()) ** 2 - poly_of(q_var((0,)))
-        value = poly.evaluate({t_var(): Fraction(1, 2), q_var((0,)): Fraction(3)})
+        value = evaluate(poly, {t_var(): Fraction(1, 2), q_var((0,)): Fraction(3)})
         assert value == Fraction(-5, 2)
 
     def test_evaluate_unbound(self):
         with pytest.raises(UnboundVariableError):
-            poly_of(t_var()).evaluate({})
+            evaluate(poly_of(t_var()), {})
 
     def test_substitute_passthrough(self):
         poly = poly_of(t_var()) * poly_of(q_var((0,)))
@@ -254,6 +260,43 @@ GRAMMAR_TERMS = st.tuples(
 
 # Every character that `\s` matches, \n and the Unicode spaces included.
 WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+# Pieces of junk text: the characters of the junk alphabet, every whitespace
+# character, non-ASCII digits, and whole variables, powers and fractions,
+# spaced as the grammar allows, so that variables read as one token.
+JUNK_PIECES = st.one_of(
+    st.sampled_from("pqtx[],^*/+- 0129\u0660\u0663\u00b2"),
+    st.sampled_from(WHITESPACE),
+    st.sampled_from("\u0660\u0661\u06f4\u0966\uff11\u00b9\u00b2"),
+    st.sampled_from(
+        ["p[01]", "q[0]", "p[00]^2", "q [1 ]^ 03", "p[0]^0", "theta", "alpha", "x[1,2]",
+         "t^1000", "^999", "^0001", "1/0", "3/4", "p[1000]^1000", "q[\u0661]"]
+    ),
+)
+
+# The one message by which `parse_polynomial` differs from the grammar as it
+# was before the exponents of a repeated variable were held to the cap.
+MERGED_CAP = re.compile(rf"exponent [0-9]+ of .* exceeds the cap of {MAX_EXPONENT} in .*", re.S)
+
+
+def parse_outcome(parse, text: str):
+    """The terms a parser reads, with their coefficients' types, in order;
+    or its ParseError message."""
+    try:
+        poly = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(mono, coeff, type(coeff)) for mono, coeff in poly.terms.items()]
+
+
+def assert_parses_as_the_reference(text: str) -> None:
+    """The same terms or the same error as `CappedReferenceParser`, which
+    differs from `ReferenceParser` only by the merged exponent cap."""
+    outcome = parse_outcome(parse_polynomial, text)
+    assert outcome == parse_outcome(partial(reference_parse, parser=CappedReferenceParser), text)
+    if outcome != parse_outcome(reference_parse, text):
+        assert MERGED_CAP.fullmatch(outcome)
 
 
 def grammar_term_text(factors) -> str:
@@ -364,6 +407,39 @@ class TestGrammar:
         assert list(parsed.terms.items()) == list(expected.terms.items())
         assert all(type(c) is Fraction for c in parsed.terms.values())
 
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(JUNK_PIECES, max_size=12).map("".join))
+    @example("t^1000*t^1")
+    @example("p[00]^600 * 2 * p [00]^401 + x")
+    @example("q[1]^1000*q[1]*p[0]^1000*p[0]")
+    @example("t^500*t^500 - t^1000 + t^999*t")
+    @example("p[01]^2*p[01]^999 $")
+    def test_junk_parses_as_the_reference(self, text):
+        assert_parses_as_the_reference(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(GRAMMAR_TERMS, min_size=1, max_size=6),
+        st.lists(st.text(WHITESPACE, max_size=2)),
+    )
+    def test_grammar_lines_parse_as_the_reference(self, terms, spaces):
+        """Lines of random terms, with whitespace of every kind between
+        their tokens, read as the reference reads them."""
+        text = " ".join(sign + " " + grammar_term_text(factors) for sign, factors in terms)
+        pieces = re.split(r"([\[\]^*/])", text)
+        spaces = spaces or [""]
+        text = "".join(p + spaces[i % len(spaces)] for i, p in enumerate(pieces))
+        assert_parses_as_the_reference(text)
+
+    def test_merged_exponent_cap(self):
+        assert parse_polynomial("t^500*t^500") == poly_of(t_var()) ** MAX_EXPONENT
+        assert parse_polynomial("t^1000 + t^1000") == 2 * poly_of(t_var()) ** MAX_EXPONENT
+        text = "p[00]^600 * 2 * p [00]^401 + t^999*t^2"
+        with pytest.raises(ParseError) as caught:
+            parse_polynomial(text)
+        message = f"exponent 1001 of p[00] exceeds the cap of 1000 in {quote(text)}"
+        assert str(caught.value) == message
+
     def test_cancelled_monomial_reappears_last(self):
         # p[01] cancels, then comes back after p[00]: evaluation names p[00]
         poly = parse_polynomial("p[01] + p[00] - p[01] + 2*p[01]")
@@ -372,7 +448,7 @@ class TestGrammar:
             (((p_var((0, 1)), 1),), 2),
         ]
         with pytest.raises(UnboundVariableError, match=re.escape("no value for variable p[00]")):
-            poly.evaluate({})
+            evaluate(poly, {})
 
     def test_fraction_text(self):
         assert fraction_text(Fraction(1, 2)) == "1/2"
@@ -746,29 +822,82 @@ class TestPullback:
         generators = hibi_generators(lattice)
         rng = random.Random(19)
         for _ in range(20):
-            theta = random_table(5, 2, rng)
-            dist = full_distribution(fig2_dag, theta, lattice)
+            view, denominator = integer_view(random_table(5, 2, rng))
+            numerators = full_distribution(fig2_dag, view, lattice)
             for gen in generators:
                 pulled = pullback_to_p(gen.polynomial(), lattice)
-                assert evaluate_at_distribution(pulled, dist) == 0
+                assert evaluate_at_distribution(pulled, lattice, numerators, denominator) == 0
 
 
 class TestEvaluateAtDistribution:
-    def test_constant(self):
-        assert evaluate_at_distribution(Polynomial.constant(1), {}) == 1
+    def test_constant(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        assert evaluate_at_distribution(Polynomial.constant(1), lattice, {}, 7) == 1
 
     def test_normalization_relation(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        theta = uniform_table(5, 2)
-        dist = full_distribution(fig2_dag, theta, lattice)
+        view, denominator = integer_view(uniform_table(5, 2))
+        numerators = full_distribution(fig2_dag, view, lattice)
         poly = Polynomial.constant(-1)
         for g in lattice:
             poly = poly + poly_of(p_var(g))
-        assert evaluate_at_distribution(poly, dist) == 0
+        assert evaluate_at_distribution(poly, lattice, numerators, denominator) == 0
 
-    def test_unbound_variable(self):
+    def test_unbound_variable(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         with pytest.raises(UnboundVariableError):
-            evaluate_at_distribution(parse_polynomial("p[01]"), {})
+            evaluate_at_distribution(parse_polynomial("p[01]"), lattice, {})
+
+    # variables outside every lattice: their values are never bound
+    FOREIGN = (t_var(), x_var(1, 0), theta_var(2, 1), p_var((0,) * 7), q_var((0,) * 7))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(1, 3), st.sampled_from(["int", "ratio", "rational"]),
+           st.data())
+    def test_same_as_fraction_evaluation(self, dag, k, kind, data):
+        """On random DAGs and integer, ratio and unlike-denominator tables,
+        polynomials in p, q and foreign variables, with rational coefficients,
+        exponents up to 3, cancelling terms and p-variables of the cube off
+        the lattice, evaluate to the `Fraction` value of `evaluate_at_joint`
+        at the Fraction joint, or raise its unbound-variable message."""
+        dag = dataclasses.replace(dag, k=k)
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        weights = st.lists(st.integers(0, 9), min_size=k, max_size=k)
+        rows = [data.draw(weights) for _ in range(dag.n)]
+        rows = [row if any(row) else [1, *row[1:]] for row in rows]
+        if kind == "int":
+            theta = ParamTable(tuple(map(tuple, rows)))
+        elif kind == "ratio":
+            theta = ParamTable(tuple(tuple(Fraction(a, sum(r)) for a in r) for r in rows))
+        else:  # entries over unlike drawn denominators, each row scaled to sum 1
+            dens = [[data.draw(st.integers(1, 7)) for _ in range(k)] for _ in rows]
+            scaled = [[Fraction(a, d) for a, d in zip(r, ds)] for r, ds in zip(rows, dens)]
+            theta = ParamTable(tuple(tuple(a / sum(r) for a in r) for r in scaled))
+        on = [p_var(g) for g in lattice]
+        off = [p_var(g) for g in itertools_product(range(k), repeat=dag.n) if g not in lattice]
+        qs = [q_var(g) for g in lattice]
+        pools = [on, qs, on + qs + list(self.FOREIGN)] + ([off] if off else [])
+        variable = st.one_of(*map(st.sampled_from, pools))
+        factors = st.lists(st.tuples(variable, st.integers(1, 3)), max_size=3)
+        coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+        poly = Polynomial()
+        for _ in range(data.draw(st.integers(1, 6))):
+            term = Polynomial({mono_from_dict(dict(data.draw(factors))): data.draw(coeffs)})
+            poly = poly + term
+            if data.draw(st.booleans()):
+                poly = poly - term  # the monomial cancels
+        view, denominator = integer_view(theta)
+        numerators = full_distribution(dag, view, lattice)
+        cumulative = zeta_transform(numerators, lattice)
+        dist = full_distribution(dag, theta, lattice)
+        try:
+            expected = evaluate_at_joint(poly, dag.n, k, dist, zeta_transform(dist, lattice))
+        except UnboundVariableError as exc:
+            with pytest.raises(UnboundVariableError, match=f"^{re.escape(str(exc))}$"):
+                evaluate_at_distribution(poly, lattice, numerators, denominator, cumulative)
+            return
+        value = evaluate_at_distribution(poly, lattice, numerators, denominator, cumulative)
+        assert type(value) is Fraction and value == expected
 
 
 class TestBuchberger:

@@ -102,7 +102,7 @@ def test_every_public_method_is_read_outside_its_definition():
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                     methods.append((f"{cls.name}.{node.name}", node))
-    assert len(methods) > 30  # the scan sees the classes
+    assert len(methods) > 25  # the scan sees the classes
     unreached = {
         name
         for name, node in methods

@@ -6,10 +6,10 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -791,7 +791,8 @@ def count_fractions(monkeypatch, argv: list[str]) -> tuple[int, int]:
 class TestFractionsPerState:
     """`distribution` and `zeta` walk the joint on integer numerators over
     one denominator: they build one Fraction per printed state, besides the
-    O(n*k) ones of reading the table."""
+    O(n*k) ones of reading the table. `eval` sums integer numerators too: it
+    builds a few Fractions per line, one per term and one for its value."""
 
     @pytest.mark.parametrize("source", ["fig2", "random6", "chain60"])
     @pytest.mark.parametrize("command", ["distribution", "zeta"])
@@ -807,10 +808,9 @@ class TestFractionsPerState:
         assert built <= len(states) + 4 * n * k, built
 
     def test_eval_binds_only_named_variables(self, capsys, fig_files, tmp_path, monkeypatch):
-        """`eval` on the 60-chain with k=3 (1,891 states) builds one Fraction
-        per state for the joint and one for its zeta coordinates, besides
-        reading the table: it binds only the two variables the polynomial
-        names and wraps no value again."""
+        """`eval` on the 60-chain with k=3 (1,891 states) builds no Fraction
+        per state for the joint or its zeta coordinates, besides reading the
+        table: it looks up only the two variables the polynomial names."""
         argv = joint_argv(fig_files, tmp_path, "chain60", "eval")
         with open(argv[-1], "w", encoding="utf-8") as poly:
             poly.write(f"q[{'2' * 60}] - p[{'0' * 60}]\n")
@@ -819,8 +819,17 @@ class TestFractionsPerState:
         assert (code, capsys.readouterr().out) == (
             0, f"q[{'2' * 60}] - p[{'0' * 60}] = {value}\n"
         )
-        states, n, k = math.comb(62, 2), 60, 3
-        assert built <= 2 * states + 4 * n * k, built
+        lines, n, k = 1, 60, 3
+        assert built <= 4 * lines + 4 * n * k, built
+
+    def test_eval_of_the_pinned_fig2_lines(self, capsys, fig_files, tmp_path, monkeypatch):
+        argv = joint_argv(fig_files, tmp_path, "fig2", "eval")
+        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = JOINT_INPUTS["fig2"][1]
+        n, k = len(rows), len(rows[0])
+        assert code == 0 and len(lines) == 3
+        assert built <= 4 * len(lines) + 4 * n * k, built
 
 
 class TestVerify:
@@ -1174,6 +1183,50 @@ class TestEval:
         poly.write_text("q[10]\n", encoding="utf-8")
         argv = ["eval", "--dag", str(dag), "--theta", str(theta), "--poly", str(poly)]
         assert run_main(capsys, argv) == (2, "", "error: no value for variable q[10]\n")
+
+
+    def test_repeated_variable_past_the_cap_fails_as_it_is_parsed(self, capsys, tmp_path):
+        """10,000 copies of p[00]^1000 joined by "*" (110 KB) are one term
+        whose summed exponent is past the cap: refused before any
+        arithmetic, at once, rather than after seconds of multiplying."""
+        dag = tmp_path / "chain2.dag"
+        dag.write_text("2 2\n1 2\n", encoding="utf-8")
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": [["1/3", "2/3"], ["1/4", "3/4"]]}), encoding="utf-8")
+        line = "*".join(["p[00]^1000"] * 10_000)
+        poly = tmp_path / "long.poly"
+        poly.write_text(line + "\n", encoding="utf-8")
+        argv = ["eval", "--dag", str(dag), "--theta", str(theta), "--poly", str(poly)]
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, argv)
+        elapsed = time.perf_counter() - start
+        message = f"exponent 10000000 of p[00] exceeds the cap of 1000 in {quote(line)}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(line) > 100_000 and elapsed < 1.0, elapsed
+
+
+class TestBenchmarkAnswers:
+    """The benchmark's verify-mix requests for `eval`, `distribution` and
+    `zeta`, run through `main` on the files the workload writes and judged
+    by the benchmark's own answer key and checker (read from bench/)."""
+
+    def test_verify_mix_joint_requests(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import checks
+        import workloads
+
+        plan = workloads.build("verify-mix", 3)
+        for name, text in plan["files"].items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        requests = [
+            r for r in plan["requests"] if r["argv"][0] in ("eval", "distribution", "zeta")
+        ]
+        assert len(requests) == 15
+        for request in requests:
+            code, out, err = run_main(capsys, request["argv"])
+            assert checks.check(request["expect"], code, out) is None, request["id"]
+            assert err == ""
 
 
 class TestLongInputInErrors:

@@ -148,6 +148,31 @@ class TestParamTable:
         table = table_from_rows([[Fraction(1, 4), Fraction(3, 4)]])
         assert table.swapped().rows == ((Fraction(3, 4), Fraction(1, 4)),)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_swapped_is_the_validated_table_of_reversed_rows(self, k):
+        """`swapped` checks no row again and builds only the cumulative rows:
+        they, the rows and the types of both are those of a table validated
+        from the reversed rows, on integer, rational, mixed, level and
+        symbolic tables."""
+        rng = random.Random(k)
+        mixed = ParamTable(((0,) * (k - 1) + (Fraction(1),), (1,) + (0,) * (k - 1)))
+        tables = [
+            ParamTable.random(3, k, rng),
+            random_table(3, k, rng),
+            mixed,
+            ParamTable.levels(3, k),
+            symbolic_table(3, k),
+        ]
+        for table in tables:
+            swapped = table.swapped()
+            fresh = ParamTable(tuple(tuple(reversed(row)) for row in table.rows))
+            assert type(swapped) is ParamTable
+            for got, want in ((swapped.rows, fresh.rows), (swapped.cumulative, fresh.cumulative)):
+                assert got == want
+                assert [list(map(type, row)) for row in got] == [
+                    list(map(type, row)) for row in want
+                ]
+
 
 def level_product(factors, k: int):
     """A tuple of per-vertex level masks multiplied out over the symbolic

@@ -38,6 +38,7 @@ from conftest import (
     dags,
     dual,
     eliminate_simplex,
+    evaluate,
     expanded_eq5_failures,
     increasing_column_sum_covers,
     p_var,
@@ -469,7 +470,7 @@ class TestZetaFactorization:
                         assignment[x_var(i, r)] = x[i - 1][r]
                 for g in lattice:
                     image = Polynomial({mapping.image(q_var(g)): 1})
-                    assert image.evaluate(assignment) == cumulative[g]
+                    assert evaluate(image, assignment) == cumulative[g]
 
 
 class TestFactors:
