@@ -1,7 +1,8 @@
-"""Exact multivariate polynomials over the rationals, binomial generators of
-distributive lattices, their monomial parameterization, a Hilbert-function
-certificate that the generators are a Groebner basis of the toric ideal, and
-a Buchberger check.
+"""Multivariate polynomials with rational coefficients as data, read from
+the text grammar, evaluated at a joint distribution and printed, with no
+ring arithmetic; binomial generators of distributive lattices, their
+monomial parameterization, a Hilbert-function certificate that the
+generators are a Groebner basis of the toric ideal, and a Buchberger check.
 
 Rational coefficients are ``fractions.Fraction`` (always reduced, positive
 denominator). Variables are named by family and index; the fixed total order
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import attrgetter, getitem
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
@@ -29,57 +30,12 @@ Scalar = Union[int, Fraction]
 FAMILIES = ("alpha", "p", "q", "t", "theta", "x")
 
 
-class Variable:
-    """A named indexed variable, totally ordered by (family, index).
+class Variable(NamedTuple):
+    """A named indexed variable. Variables order as their (family, index)
+    tuples, the package-wide variable order."""
 
-    Instances are interned (one object per name) with a precomputed sort key
-    and hash: polynomial arithmetic, substitution and the grammar compare and
-    hash a variable for every factor they touch, and interning lets equality
-    short-circuit on identity.
-    """
-
-    __slots__ = ("family", "index", "_key", "_hash")
-
-    _interned: dict[tuple, "Variable"] = {}
-
-    def __new__(cls, family: str, index: tuple[int, ...] = ()):
-        key = (family, tuple(index))
-        cached = cls._interned.get(key)
-        if cached is not None:
-            return cached
-        if family not in FAMILIES:
-            raise ValueError(f"unknown variable family {family!r}")
-        obj = super().__new__(cls)
-        object.__setattr__(obj, "family", family)
-        object.__setattr__(obj, "index", key[1])
-        object.__setattr__(obj, "_key", key)
-        object.__setattr__(obj, "_hash", hash(key))
-        cls._interned[key] = obj
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Variable is immutable")
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Variable) and self._key == other._key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Variable") -> bool:
-        return self._key < other._key
-
-    def __le__(self, other: "Variable") -> bool:
-        return self._key <= other._key
-
-    def __gt__(self, other: "Variable") -> bool:
-        return self._key > other._key
-
-    def __ge__(self, other: "Variable") -> bool:
-        return self._key >= other._key
-
-    def __repr__(self) -> str:
-        return f"Variable({self.family!r}, {self.index!r})"
+    family: str
+    index: tuple[int, ...] = ()
 
     def key_text(self) -> str:
         """Machine form used by the polynomial grammar, e.g. q[01011], theta[3,1]."""
@@ -143,8 +99,6 @@ def fraction_text(value: Scalar) -> str:
 
 Monomial = tuple[tuple[Variable, int], ...]
 
-EMPTY_MONOMIAL: Monomial = ()
-
 
 def mono_from_dict(exps: Mapping[Variable, int]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exps.items() if e))
@@ -200,107 +154,10 @@ class Polynomial:
                     clean[mono] = c
         self.terms: dict[Monomial, Fraction] = clean
 
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """Trusting constructor for internal arithmetic: the dict must already
-        be canonical (Fraction coefficients, no zeros)."""
-        poly = cls.__new__(cls)
-        poly.terms = terms
-        return poly
-
-    # construction helpers
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls({EMPTY_MONOMIAL: 1})
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls({EMPTY_MONOMIAL: c})
-
-    # ring structure
-
-    @staticmethod
-    def _coerce(value) -> "Polynomial | None":
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Polynomial.constant(value)
-        return None
-
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            value = terms.get(mono)
-            if value is None:
-                terms[mono] = coeff
-            else:
-                value = value + coeff
-                if value:
-                    terms[mono] = value
-                else:
-                    del terms[mono]
-        return Polynomial._raw(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                value = terms.get(mono)
-                value = c1 * c2 if value is None else value + c1 * c2
-                if value:
-                    terms[mono] = value
-                else:
-                    del terms[mono]
-        return Polynomial._raw(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     @property
     def is_zero(self) -> bool:
@@ -363,8 +220,9 @@ def parse_polynomial(text: str) -> Polynomial:
     One regex scan gives the tokens; one loop reads them, in `state` at a
     term's start, after "*" or after a factor, and looks ahead for "/" and
     "^". An error names the token where it is found, a whole p- or q-variable
-    by its family letter. The terms are summed as `Polynomial.__add__` orders
-    them, so `evaluate_at_distribution` meets the variables in that order. A
+    by its family letter. Like terms are summed, each monomial kept where it
+    first appears and a cancelled one entering again at the end, and
+    `evaluate_at_distribution` meets the variables in that order. A
     repeated variable's exponents add up, and the sum is capped as one is."""
 
     def error(what: str) -> ParseError:
@@ -538,7 +396,7 @@ def generator_json(g: str, h: str, meet: str, join: str) -> dict:
 
 
 def _quadratic(a: Variable, b: Variable) -> Monomial:
-    if a is b:  # variables are interned
+    if a == b:
         return ((a, 2),)
     return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 

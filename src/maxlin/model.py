@@ -4,10 +4,11 @@ model on a poset, plus the two-state correspondence between them.
 Tables hold rational rows (probabilities are Fractions) or integer rows, a
 scaled table whose values are integer numerators over the product of its row
 sums. The model's formulas are generic in the entries, so rows of other ring
-values, such as polynomials, give the same formulas over them; the
-innovation oracle alone needs rational rows. The symbolic checks use the
-integer level table (`ParamTable.levels`) with every value held as its
-tuple of per-vertex factors (`_Factors`), so no polynomial is formed.
+values, such as the tests' reference polynomials, give the same formulas
+over them; the innovation oracle alone needs rational rows. The symbolic
+checks use the integer level table (`ParamTable.levels`) with every value
+held as its tuple of per-vertex factors (`_Factors`), so no polynomial is
+formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from numbers import Rational
 from operator import getitem, itemgetter
 from typing import Union
 
-from .algebra import Polynomial, parse_fraction, state_digits
+from .algebra import parse_fraction, state_digits
 from .dag import Dag, topological_order, transitive_closure
 from .errors import BadStateError, NotAnIdealError, ParseError, check_size
 from .poset import (
@@ -35,7 +36,7 @@ from .poset import (
 )
 from .report import Report
 
-Value = Union[Fraction, Polynomial]
+Value = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,8 @@ class ParamTable:
     """Per-vertex innovation distributions: row i-1 holds the k state weights
     of vertex i. Rows of Fractions must be nonnegative and sum to exactly 1;
     rows of ints are a scaled table, nonnegative with a positive sum d_v;
-    rows of other values, such as polynomials, are not checked.
+    rows of other ring values, such as the tests' reference polynomials,
+    are not checked.
 
     `cumulative` holds the model's change of coordinates, built once: entry j
     of row i-1 is alpha_{i,j}, the weight of the levels 0..j at vertex i. The

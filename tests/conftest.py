@@ -1,5 +1,6 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
-brute-force enumerators, the general division algorithm, the symbolic,
+brute-force enumerators, the reference polynomial ring (sums, products and
+powers of `Polynomial`), the general division algorithm, the symbolic,
 rational and reduced tables, the expanded eq5 and theorem31 checks and
 mutants to run them under, generic substitution, the monomial map one
 variable at a time, the Hilbert certificate's old degree 1-3 counts,
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 from maxlin import data
 from maxlin.algebra import (
-    EMPTY_MONOMIAL,
     FAMILIES,
     MAX_EXPONENT,
     BinomialGenerator,
@@ -32,6 +32,7 @@ from maxlin.algebra import (
     Variable,
     mono_degree,
     mono_from_dict,
+    mono_mul,
     q_var,
     state_digits,
     t_var,
@@ -266,9 +267,121 @@ def binomial_of_pair(g: State, h: State) -> BinomialGenerator:
     return BinomialGenerator(g, h, *lattice_meet_join(g, h))
 
 
-def poly_of(var: Variable) -> Polynomial:
+class RingPolynomial(Polynomial):
+    """The reference ring: a `Polynomial` with sums, differences, products
+    and nonnegative powers, a number standing for the constant polynomial.
+    Arithmetic with a plain `Polynomial` on either side gives a
+    `RingPolynomial`; `lift` turns a parsed one into a ring element."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "RingPolynomial":
+        """Trusting constructor for the arithmetic: the dict must already be
+        canonical (Fraction coefficients, no zeros)."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def one(cls) -> "RingPolynomial":
+        return cls({(): 1})
+
+    @classmethod
+    def constant(cls, c) -> "RingPolynomial":
+        return cls({(): c})
+
+    @staticmethod
+    def _coerce(value) -> Polynomial | None:
+        if isinstance(value, Polynomial):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return RingPolynomial.constant(value)
+        return None
+
+    def __add__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            value = terms.get(mono)
+            if value is None:
+                terms[mono] = coeff
+            else:
+                value = value + coeff
+                if value:
+                    terms[mono] = value
+                else:
+                    del terms[mono]
+        return RingPolynomial._raw(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RingPolynomial":
+        return RingPolynomial._raw({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-lift(other))
+
+    def __rsub__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return lift(other) + (-self)
+
+    def __mul__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = mono_mul(m1, m2)
+                value = terms.get(mono)
+                value = c1 * c2 if value is None else value + c1 * c2
+                if value:
+                    terms[mono] = value
+                else:
+                    del terms[mono]
+        return RingPolynomial._raw(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "RingPolynomial":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        result = RingPolynomial.one()
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+def lift(poly: Polynomial) -> RingPolynomial:
+    """A polynomial, such as `parse_polynomial`'s, as a ring element."""
+    return RingPolynomial._raw(dict(poly.terms))
+
+
+def poly_of(var: Variable) -> RingPolynomial:
     """The polynomial of one variable."""
-    return Polynomial({((var, 1),): 1})
+    return RingPolynomial({((var, 1),): 1})
 
 
 def total_degree(poly: Polynomial) -> int:
@@ -285,7 +398,7 @@ def table_from_rows(rows) -> ParamTable:
     """A table from rows of polynomials or of numbers, each number made a
     Fraction."""
     return ParamTable(
-        tuple(tuple(v if isinstance(v, Polynomial) else Fraction(v) for v in row) for row in rows)
+        tuple(tuple(v if isinstance(v, RingPolynomial) else Fraction(v) for v in row) for row in rows)
     )
 
 
@@ -320,7 +433,7 @@ def eliminate_simplex(value: Value, n: int, k: int) -> Value:
     Raises:
         ValueError: the value has degree above one.
     """
-    if not isinstance(value, Polynomial):
+    if not isinstance(value, RingPolynomial):
         return value
     degree = total_degree(value)
     if degree > 1:
@@ -330,7 +443,7 @@ def eliminate_simplex(value: Value, n: int, k: int) -> Value:
         i = tops.get(mono[0][0]) if mono else None
         if i is not None:
             relation = {((theta_var(i, j), 1),): -c for j in range(k)}
-            value = value + Polynomial({EMPTY_MONOMIAL: c, **relation})
+            value = value + RingPolynomial({(): c, **relation})
     return value
 
 
@@ -456,19 +569,19 @@ def alpha_for_theta_walk(vertex: int):
     return walk
 
 
-def substitute_variables(poly: Polynomial, mapping) -> Polynomial:
+def substitute_variables(poly: Polynomial, mapping) -> RingPolynomial:
     """Generic substitution: each mapped variable replaced by its image, a
     polynomial or a rational; the others pass through."""
-    out = Polynomial()
+    out = RingPolynomial()
     for mono, coeff in poly.terms.items():
-        term = Polynomial.constant(coeff)
+        term = RingPolynomial.constant(coeff)
         for v, e in mono:
             term = term * (mapping[v] if v in mapping else poly_of(v)) ** e
         out = out + term
     return out
 
 
-def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
+def substitute(poly: Polynomial, mmap: MonomialMap) -> RingPolynomial:
     """Apply a monomial map to a polynomial in q-variables by generic
     polynomial substitution; non-q variables pass through untouched. The
     reference for the packed-image comparison of `verify_vanishing`.
@@ -478,7 +591,7 @@ def substitute(poly: Polynomial, mmap: MonomialMap) -> Polynomial:
     """
     q_vars = [v for v in poly.variables() if v.family == "q"]
     return substitute_variables(
-        poly, {v: Polynomial({mmap.image(v): 1}) for v in q_vars}
+        poly, {v: RingPolynomial({mmap.image(v): 1}) for v in q_vars}
     )
 
 
@@ -620,28 +733,28 @@ def leading_term(poly: Polynomial):
     return best, poly.terms[best]
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> RingPolynomial:
     mf, cf = leading_term(f)
     mg, cg = leading_term(g)
     lcm = mono_lcm(mf, mg)
-    left = Polynomial({mono_div(lcm, mf): 1 / cf}) * f
-    return left - Polynomial({mono_div(lcm, mg): 1 / cg}) * g
+    left = RingPolynomial({mono_div(lcm, mf): 1 / cf}) * f
+    return left - RingPolynomial({mono_div(lcm, mg): 1 / cg}) * g
 
 
-def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> Polynomial:
+def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> RingPolynomial:
     """Remainder of the standard division algorithm modulo a basis list: the
     leading term is cancelled against the first basis element whose leading
     monomial divides it, or else moved to the remainder."""
     leads = [leading_term(b) for b in basis]
-    remainder = Polynomial()
+    remainder = RingPolynomial()
     while not poly.is_zero:
         mono, coeff = leading_term(poly)
         for b, (lead, lead_coeff) in zip(basis, leads):
             if mono_divides(lead, mono):
-                poly = poly - Polynomial({mono_div(mono, lead): coeff / lead_coeff}) * b
+                poly = poly - RingPolynomial({mono_div(mono, lead): coeff / lead_coeff}) * b
                 break
         else:
-            term = Polynomial({mono: coeff})
+            term = RingPolynomial({mono: coeff})
             remainder = remainder + term
             poly = poly - term
     return remainder
@@ -683,7 +796,7 @@ class ReferenceParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> RingPolynomial:
         terms: dict = {}
         tok = "+"  # the first term needs no sign
         while tok in ("+", "-"):
@@ -694,7 +807,7 @@ class ReferenceParser:
             tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing junk {quote(tok)} in {quote(self.text)}")
-        return Polynomial._raw(terms)
+        return RingPolynomial._raw(terms)
 
     def parse_term(self) -> tuple[Fraction, tuple]:
         """The signs before a term and its factors, as (coefficient, monomial)."""
@@ -778,7 +891,7 @@ class CappedReferenceParser(ReferenceParser):
         return coeff, mono
 
 
-def reference_parse(text: str, parser=ReferenceParser) -> Polynomial:
+def reference_parse(text: str, parser=ReferenceParser) -> RingPolynomial:
     """The polynomial `parser` reads from the text; a number past int()'s
     digit limit is a ParseError with int()'s message."""
     try:

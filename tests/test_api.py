@@ -111,6 +111,31 @@ def test_every_public_method_is_read_outside_its_definition():
     assert unreached == {name for name, _ in KEPT if "." in name}
 
 
+def test_only_the_factor_tuples_define_arithmetic():
+    """The public-method scan exempts dunders, so this one lists the package
+    classes that define an arithmetic operator. Only the symbolic checks'
+    factor tuples and their unfactored sum do; polynomials are data in
+    src/, and their ring is the tests' reference (`RingPolynomial`)."""
+    operators = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__pow__"}
+    defining = set()
+    for path in PACKAGE:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            names.update(
+                target.id
+                for node in cls.body
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+            if names & operators:
+                defining.add(cls.name)
+    assert defining == {"_Factors", "_Unfactored"}
+
+
 def test_every_imported_name_is_used():
     """A module of the package or of the tests imports no name it does not
     use; `from __future__` imports are exempt."""

@@ -1206,27 +1206,33 @@ class TestEval:
 
 
 class TestBenchmarkAnswers:
-    """The benchmark's verify-mix requests for `eval`, `distribution` and
-    `zeta`, run through `main` on the files the workload writes and judged
-    by the benchmark's own answer key and checker (read from bench/)."""
+    """Every request and negative control of the benchmark's workloads at
+    one seed, on the files the workload writes: the requests run through
+    `main` and the controls through the benchmark's `call_control`, each
+    judged by the benchmark's own answer key and checker (read from bench/)."""
 
-    def test_verify_mix_joint_requests(self, capsys, tmp_path, monkeypatch):
+    # requests and controls per workload
+    SIZES = {"groebner": (10, 3), "poset-scale": (15, 0), "verify-mix": (40, 0)}
+
+    @pytest.mark.parametrize("workload", SIZES)
+    def test_every_answer(self, workload, capsys, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         import checks
+        import worker
         import workloads
 
-        plan = workloads.build("verify-mix", 3)
+        plan = workloads.build(workload, 3)
         for name, text in plan["files"].items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        requests = [
-            r for r in plan["requests"] if r["argv"][0] in ("eval", "distribution", "zeta")
-        ]
-        assert len(requests) == 15
-        for request in requests:
+        assert (len(plan["requests"]), len(plan["controls"])) == self.SIZES[workload]
+        for request in plan["requests"]:
             code, out, err = run_main(capsys, request["argv"])
             assert checks.check(request["expect"], code, out) is None, request["id"]
             assert err == ""
+        for control in plan["controls"]:
+            code, out = worker.call_control(control["control"])
+            assert checks.check(control["expect"], code, out) is None, control["id"]
 
 
 class TestLongInputInErrors:
