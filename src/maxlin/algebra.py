@@ -538,13 +538,13 @@ def evaluate_at_distribution(
     cumulative: Mapping[State, int] | None = None,
 ) -> Fraction:
     """The value at the joint given as integer numerators over one
-    denominator D, as `full_distribution` gives it on a table's
-    `integer_view`: p_g is numerators[g]/D and q_g is cumulative[g]/D. A p of
-    the n-by-k cube off the lattice is 0; any other variable with no value
-    raises, the first in term order, then in monomial order. With L the lcm
-    of the coefficients' denominators, a term c*N/D**d (N the product of its
-    integer factors) adds c*L*N to the sum S_d of its degree, and the value
-    is one Fraction, sum(S_d * D**(top - d)) / (L * D**top)."""
+    denominator D, as `full_distribution` gives them on a table's
+    `integer_view`, keyed by state: p_g is numerators[g]/D and q_g is
+    cumulative[g]/D. A p of the n-by-k cube off the lattice is 0; any other
+    variable with no value raises, the first in term order, then in monomial
+    order. With L the lcm of the coefficients' denominators, a term c*N/D**d
+    (N the product of its integer factors) adds c*L*N to the sum S_d of its
+    degree, and the value is one Fraction, sum(S_d * D**(top - d)) / (L * D**top)."""
     values = {"p": numerators, "q": cumulative or {}}
     scale = lcm(*(c.denominator for c in poly.terms.values()))
     sums: dict[int, int] = {}

@@ -83,8 +83,10 @@ def _emit_states(states, fmt: str) -> None:
     print(head, raw.decode(), tail, sep="")
 
 
-def _emit_value_map(numerators, denominator: int, prefix: str, fmt: str) -> None:
-    data = {state_digits(g): str(Fraction(v, denominator)) for g, v in numerators.items()}
+def _emit_value_map(lattice, values, denominator: int, prefix: str, fmt: str) -> None:
+    """Print `values`, numerators over `denominator` aligned with `lattice.states`."""
+    pairs = zip(lattice.states, values)
+    data = {state_digits(g): str(Fraction(v, denominator)) for g, v in pairs}
     _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
@@ -140,15 +142,14 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "ideals":
         _emit_states(ideal_lattice(transitive_closure(dag)).vectors, args.format)
         return 0
-    if args.command == "distribution":
+    if args.command in ("distribution", "zeta"):
         view, denominator = integer_view(_load_theta(args))
-        _emit_value_map(full_distribution(dag, view), denominator, "p", args.format)
-        return 0
-    if args.command == "zeta":
         lattice = _state_lattice(dag)
-        view, denominator = integer_view(_load_theta(args))
-        cumulative = zeta_transform(full_distribution(dag, view, lattice), lattice)
-        _emit_value_map(cumulative, denominator, "q", args.format)
+        values = full_distribution(dag, view, lattice)
+        if args.command == "zeta":
+            values = zeta_transform(values, lattice)
+        prefix = "p" if args.command == "distribution" else "q"
+        _emit_value_map(lattice, values, denominator, prefix, args.format)
         return 0
     if args.command == "generators":
         if args.of == "ideals":
@@ -165,16 +166,17 @@ def run(args: argparse.Namespace) -> int:
         lattice = _state_lattice(dag)
         view, denominator = integer_view(_load_theta(args))
         numerators = full_distribution(dag, view, lattice)
-        cumulative = None  # the zeta numerators, formed for the first q-variable
+        p = dict(zip(lattice.states, numerators))
+        q = None  # the zeta numerators by state, formed for the first q-variable
         data = []
         for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             poly = parse_polynomial(line)
-            if cumulative is None and any(v.family == "q" for v in poly.variables()):
-                cumulative = zeta_transform(numerators, lattice)
-            value = evaluate_at_distribution(poly, lattice, numerators, denominator, cumulative)
+            if q is None and any(v.family == "q" for v in poly.variables()):
+                q = dict(zip(lattice.states, zeta_transform(numerators, lattice)))
+            value = evaluate_at_distribution(poly, lattice, p, denominator, q)
             data.append({"polynomial": line, "value": fraction_text(value)})
         _emit(args.format, data, (f"{d['polynomial']} = {d['value']}" for d in data))
         return 0

@@ -31,10 +31,6 @@ class NotAnIdealError(MaxlinError):
     """Indicator vector is not downward closed."""
 
 
-class SupportMismatchError(MaxlinError):
-    """Coordinate map mentions states outside the lattice."""
-
-
 class UnmappedVariableError(MaxlinError):
     """Substitution hit a variable the map does not cover."""
 

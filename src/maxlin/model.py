@@ -242,25 +242,21 @@ def _factored_walk(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
         turned += 1
 
 
-def full_distribution(
-    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=1
-) -> dict[State, Value]:
-    """The factored joint over every lattice state, in the lattice's order;
-    values sum to 1. `lattice`, when given, is the DAG's state lattice; a
-    vector of it that the walk does not reach gets 0. `unit` is the empty
-    product the walk multiplies the conditionals onto, in topological order;
-    with `_Factors()` each value is its tuple of factors in vertex order."""
+def full_distribution(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> list[Value]:
+    """The factored joint as a list aligned with `lattice.states`, the DAG's
+    state lattice; values sum to 1. A state the walk does not reach gets 0.
+    `unit` is the empty product the walk multiplies the conditionals onto,
+    in topological order; with `_Factors()` each value is its tuple of
+    factors in vertex order."""
     _check_table(dag, theta)
-    if lattice is None:
-        lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    walk = _factored_walk(dag, theta, unit)
-    if isinstance(unit, _Factors):
-        # the walk appends the factors in topological order
-        slot = {v: t for t, v in enumerate(topological_order(dag))}
-        slots = [slot[v] for v in range(1, dag.n + 1)]
-        walk = {g: _Factors([f[t] for t in slots]) for g, f in walk.items()}
+    get = _factored_walk(dag, theta, unit).get
     zero = Fraction(0)
-    return {g: walk.get(g, zero) for g in lattice}
+    if not isinstance(unit, _Factors):
+        return [get(g, zero) for g in lattice.states]
+    # the walk appends the factors in topological order
+    slot = {v: t for t, v in enumerate(topological_order(dag))}
+    slots = [slot[v] for v in range(1, dag.n + 1)]
+    return [_Factors([f[t] for t in slots]) if (f := get(g)) else zero for g in lattice.states]
 
 
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
@@ -382,26 +378,25 @@ def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int
 
 
 def cbn_distribution(
-    poset: Poset, theta: ParamTable, lattice: StateLattice | None = None, unit=1
-) -> dict[State, Value]:
-    """The accumulation model's joint over the order ideals of the poset,
-    ideals written as 0-1 indicator vectors; `lattice`, when given, is
-    `ideal_lattice(poset)`. An element can only occur once everything it
-    covers has occurred; given that, it occurs with its own two-state weight.
-    An element that cannot occur yet, and has not, has the factor its
-    cumulative row ends in: 1 on a rational table, and d_v on an integer
-    one, whose values are then numerators over the product of the d_v.
+    poset: Poset, theta: ParamTable, lattice: StateLattice, unit=1
+) -> list[Value]:
+    """The accumulation model's joint over the order ideals of the poset, as
+    a list aligned with `lattice.states`, the ideals written as 0-1
+    indicator vectors, as `ideal_lattice(poset)` gives them. An element can
+    only occur once everything it covers has occurred; given that, it
+    occurs with its own two-state weight. An element that cannot occur yet,
+    and has not, has the factor its cumulative row ends in: 1 on a rational
+    table, and d_v on an integer one, whose values are then numerators over
+    the product of the d_v.
     `unit` is the empty product the factors are multiplied onto, one per
     vertex in vertex order; with `_Factors()` each value is that tuple."""
     n = len(poset.elements)
     if theta.n != n or theta.k != 2:
         raise ValueError(f"the accumulation model needs a {n}x2 table, got {theta.n}x{theta.k}")
-    if lattice is None:
-        lattice = ideal_lattice(poset)
     covers = [bit_positions(mask) for mask in poset._lower_covers]
     tops = [row[-1] for row in theta.cumulative]
-    out: dict[State, Value] = {}
-    for g in lattice:
+    out: list[Value] = []
+    for g in lattice.states:
         if len(g) != n or not {0, 1}.issuperset(g):
             raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
         value = unit
@@ -416,7 +411,7 @@ def cbn_distribution(
                 value = Fraction(0)
                 break
             value = value * factor
-        out[g] = value
+        out.append(value)
     return out
 
 
@@ -438,20 +433,22 @@ def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     weights per vertex: symbolically, on the level table with both sides
     held as per-vertex factors, and on seeded random integer tables, both
     sides as numerators over the product of the row sums. Each ideal's
-    image is formed once.
+    image, and its index among the states, is found once.
     """
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
     ideals = ideal_lattice(closure)
     states = order_preserving_maps(closure, 2)
     images = [cbn_to_dmlbn_state(closure, g) for g in ideals]
+    index = {g: t for t, g in enumerate(states.states)}
+    positions = [index[image] for image in images]
     failures: list[str] = []
 
     def compare(theta: ParamTable, label: str, unit=1) -> None:
         accum = cbn_distribution(closure, theta, ideals, unit)
         maxmodel = full_distribution(dag2, theta.swapped(), states, unit)
-        for g, image in zip(ideals, images):
-            if accum[g] != maxmodel[image]:
+        for g, image, value, t in zip(ideals, images, accum, positions):
+            if value != maxmodel[t]:
                 failures.append(
                     f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}"
                 )
@@ -489,7 +486,7 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     failures: list[str] = []
     for trial, (theta, by_oracle) in enumerate(zip(tables, oracles)):
         walk = _factored_walk(dag, theta)
-        for g in sorted(walk.keys() | by_oracle.keys() | set(lattice)):
+        for g in sorted(walk.keys() | by_oracle.keys() | lattice._members):
             factored = walk.get(g, 0)
             if factored != by_oracle.get(g, 0):
                 failures.append(f"trial {trial}: state {state_digits(g)}")

@@ -5,55 +5,48 @@ factor into the cumulative weight rows of the parameter table."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Sequence
 
 from .algebra import state_digits
 from .dag import Dag, transitive_closure
-from .errors import SupportMismatchError
 from .model import ParamTable, Value, _Factors, full_distribution, integer_view
 from .poset import State, StateLattice, order_preserving_maps
 from .report import Report
 
 
-def zeta_transform(
-    values: Mapping[State, Value], lattice: StateLattice
-) -> dict[State, Value]:
-    """Cumulative coordinates: the value at g is the sum over lattice states
-    h <= g (coordinate-wise). Missing input states count as 0.
+def zeta_transform(values: Sequence[Value], lattice: StateLattice) -> list[Value]:
+    """Cumulative coordinates of a function given as a list aligned with
+    `lattice.states`: the entry of state g is the sum of the entries of the
+    states h <= g (coordinate-wise).
 
     Raises:
-        SupportMismatchError: the input mentions states outside the lattice.
+        ValueError: the list does not hold one value per state.
     """
     return _cover_walk(values, lattice, inverse=False)
 
 
-def moebius_inverse(
-    values: Mapping[State, Value], lattice: StateLattice
-) -> dict[State, Value]:
+def moebius_inverse(values: Sequence[Value], lattice: StateLattice) -> list[Value]:
     """The unique inverse of zeta_transform: the same walk undone."""
     return _cover_walk(values, lattice, inverse=True)
 
 
-def _cover_walk(values, lattice: StateLattice, inverse: bool) -> dict[State, Value]:
+def _cover_walk(values, lattice: StateLattice, inverse: bool) -> list[Value]:
     """Prefix sums along the lattice's fibres: out[g] += out[g - e_i] for
     each pair of `StateLattice.covers`, coordinates in decreasing order of
     their column sums and states in lex order, so each h <= g is summed into
     g along one path of states (see StateLattice). The inverse takes
     differences over the table reversed. O(|covers|)."""
-    if not lattice._members.issuperset(values):
-        g = next(g for g in values if g not in lattice)
-        raise SupportMismatchError(f"state {g!r} is not in the lattice")
-    zero = Fraction(0)
-    out = [values.get(g, zero) for g in lattice.states]
+    if len(values) != len(lattice):
+        raise ValueError(f"{len(values)} values for a lattice of {len(lattice)} states")
+    out = list(values)
     if inverse:
         for g, below in reversed(lattice.covers):
             out[g] = out[g] - out[below]
     else:
         for g, below in lattice.covers:
             out[g] = out[g] + out[below]
-    return dict(zip(lattice.states, out))
+    return out
 
 
 def zeta_factorization_check(
@@ -86,8 +79,8 @@ def zeta_factorization_check(
     products = _level_products(theta.cumulative, lattice.states, unit)
     failures = [
         f"state {state_digits(g)}"
-        for g, expected in zip(lattice.states, products)
-        if cumulative[g] != expected
+        for g, value, expected in zip(lattice.states, cumulative, products)
+        if value != expected
     ]
     detail = f"{len(lattice)} states factor exactly" if not failures else ""
     return Report("eq5", total=len(lattice), failures=failures, detail=detail)
@@ -146,7 +139,7 @@ def roundtrip_check(lattice: StateLattice, trials: int, seed: int) -> Report:
     for trial in range(trials):
         draws = [(rng.randint(-1000, 1000), rng.randint(1, 60)) for _ in lattice]
         scale = lcm(*(b for _, b in draws))
-        values = {g: a * (scale // b) for g, (a, b) in zip(lattice, draws)}
+        values = [a * (scale // b) for a, b in draws]
         if moebius_inverse(zeta_transform(values, lattice), lattice) != values:
             failures.append(f"trial {trial}: zeta then inverse")
         if zeta_transform(moebius_inverse(values, lattice), lattice) != values:

@@ -1,6 +1,7 @@
 """Shared fixtures: the figure inputs, the fixed DAG catalog, independent
 brute-force enumerators, the reference polynomial ring (sums, products and
-powers of `Polynomial`), the general division algorithm, the symbolic,
+powers of `Polynomial`), the general division algorithm (which refuses
+non-canonical monomials), lattice functions keyed by state, the symbolic,
 rational and reduced tables, the expanded eq5 and theorem31 checks and
 mutants to run them under, generic substitution, the monomial map one
 variable at a time, the Hilbert certificate's old degree 1-3 counts,
@@ -503,9 +504,8 @@ def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
     cumulative = zeta_transform(full_distribution(dag, reduced, lattice), lattice)
     return [
         f"state {state_digits(g)}"
-        for g in lattice
-        if cumulative[g]
-        != math.prod((row[v] for row, v in zip(reduced.cumulative, g)), start=Fraction(1))
+        for g, value in zip(lattice, cumulative)
+        if value != math.prod((row[v] for row, v in zip(reduced.cumulative, g)), start=Fraction(1))
     ]
 
 
@@ -518,14 +518,34 @@ def expanded_theorem31_failures(dag: Dag) -> list[str]:
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
     theta = symbolic_table(dag.n, 2)
-    accum = cbn_distribution(closure, theta)
-    maxmodel = full_distribution(dag2, theta.swapped())
+    ideals = ideal_lattice(closure)
+    states = order_preserving_maps(closure, 2)
+    maxmodel = as_map(states, full_distribution(dag2, theta.swapped(), states))
     failures = []
-    for g, value in accum.items():
+    for g, value in zip(ideals, cbn_distribution(closure, theta, ideals)):
         image = tuple(1 - v for v in g)
         if value != maxmodel[image]:
             failures.append(f"ideal {state_digits(g)} vs state {state_digits(image)}")
     return failures
+
+
+def as_map(lattice: StateLattice, values) -> dict[State, Value]:
+    """A lattice function given as a list aligned with `lattice.states`,
+    keyed by state, for comparing against the state-keyed references."""
+    assert len(values) == len(lattice), f"{len(values)} values, {len(lattice)} states"
+    return dict(zip(lattice.states, values))
+
+
+def joint_by_state(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
+    """`full_distribution` on the DAG's state lattice, keyed by state."""
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    return as_map(lattice, full_distribution(dag, theta, lattice, unit))
+
+
+def accumulation_by_state(poset: Poset, theta: ParamTable, unit=1) -> dict[State, Value]:
+    """`cbn_distribution` on the poset's ideal lattice, keyed by state."""
+    lattice = ideal_lattice(poset)
+    return as_map(lattice, cbn_distribution(poset, theta, lattice, unit))
 
 
 def increasing_column_sum_covers(lattice: StateLattice) -> tuple[tuple[int, int], ...]:
@@ -741,10 +761,23 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> RingPolynomial:
     return left - RingPolynomial({mono_div(lcm, mg): 1 / cg}) * g
 
 
+def is_canonical(mono) -> bool:
+    """A sorted tuple of (Variable, positive exponent), each variable once."""
+    return all(e > 0 for _, e in mono) and all(a < b for (a, _), (b, _) in zip(mono, mono[1:]))
+
+
 def reduce_modulo(poly: Polynomial, basis: list[Polynomial]) -> RingPolynomial:
     """Remainder of the standard division algorithm modulo a basis list: the
     leading term is cancelled against the first basis element whose leading
-    monomial divides it, or else moved to the remainder."""
+    monomial divides it, or else moved to the remainder.
+
+    A non-canonical monomial, such as a variable written twice, is refused
+    before dividing: the products the division forms are canonical, so such
+    a term would never cancel and the division would never end."""
+    for p in (poly, *basis):
+        for mono in p.terms:
+            if not is_canonical(mono):
+                raise AssertionError(f"non-canonical monomial {mono!r}")
     leads = [leading_term(b) for b in basis]
     remainder = RingPolynomial()
     while not poly.is_zero:

@@ -30,7 +30,6 @@ from maxlin.model import (
     ParamTable,
     _Factors,
     cbn_correspondence_check,
-    cbn_distribution,
     full_distribution,
     integer_view,
     oracle_equivalence_check,
@@ -43,10 +42,13 @@ from maxlin.transforms import (
 )
 
 from conftest import (
+    accumulation_by_state,
+    as_map,
     catalog_dags,
     eliminate_simplex,
     image_ideal,
     incomparable_pairs,
+    joint_by_state,
     order_ideals,
     poly_of,
     random_dag,
@@ -141,7 +143,7 @@ def test_criterion_01_fig2_reproduction(tmp_path):
 
 @criterion(2, "the symbolic factored joint on fig2 equals the 9 published monomials")
 def test_criterion_02_symbolic_distribution(fig2_dag):
-    dist = full_distribution(fig2_dag, symbolic_table(5, 2))
+    dist = joint_by_state(fig2_dag, symbolic_table(5, 2))
     expected = {
         (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 0),
         (0, 0, 0, 0, 1): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 1),
@@ -158,7 +160,7 @@ def test_criterion_02_symbolic_distribution(fig2_dag):
 
 @criterion(3, "the symbolic accumulation model on the fig1 poset equals the 8 published monomials")
 def test_criterion_03_accumulation_model(fig1_poset):
-    dist = cbn_distribution(fig1_poset, symbolic_table(5, 2))
+    dist = accumulation_by_state(fig1_poset, symbolic_table(5, 2))
     expected = {
         (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0),
         (1, 0, 0, 0, 0): tv(1, 1) * tv(2, 0),
@@ -177,8 +179,8 @@ def test_criterion_04_two_state_correspondence(fig2_dag):
     report = cbn_correspondence_check(fig2_dag, trials=0, seed=0)
     assert report.passed and report.total == 9
     closure = transitive_closure(fig2_dag)
-    accum = cbn_distribution(closure, symbolic_table(5, 2))
-    maxmodel = full_distribution(fig2_dag, symbolic_table(5, 2))
+    accum = accumulation_by_state(closure, symbolic_table(5, 2))
+    maxmodel = joint_by_state(fig2_dag, symbolic_table(5, 2))
     assert accum[(1, 0, 1, 0, 0)] == tv(1, 1) * tv(2, 0) * tv(3, 1)
     assert maxmodel[(0, 1, 0, 1, 1)] == tv(1, 0) * tv(2, 1) * tv(3, 0)
     swap = {theta_var(i, j): poly_of(theta_var(i, 1 - j))
@@ -195,7 +197,7 @@ def test_criterion_05_factorization_identity(fig2_dag, fig3_dag):
     lattice3 = order_preserving_maps(transitive_closure(fig3_dag), 3)
     rows = [[eliminate_simplex(v, 3, 3) for v in row] for row in symbolic_table(3, 3).rows]
     dist = full_distribution(fig3_dag, table_from_rows(rows), lattice3)
-    cumulative = zeta_transform(dist, lattice3)
+    cumulative = as_map(lattice3, zeta_transform(dist, lattice3))
     assert cumulative[(0, 1, 2)] == tv(1, 0) * (tv(2, 0) + tv(2, 1))
 
     for dag, n, k in ((fig2_dag, 5, 2), (fig3_dag, 3, 3)):
@@ -247,7 +249,7 @@ def test_criterion_08_published_p_generators(fig2_dag):
     rng = random.Random(0)
     for _ in range(100):
         view, denominator = integer_view(random_table(5, 2, rng))
-        numerators = full_distribution(fig2_dag, view, lattice)
+        numerators = as_map(lattice, full_distribution(fig2_dag, view, lattice))
         for text, poly in zip(FIG2_P_GENERATORS, polynomials):
             assert evaluate_at_distribution(poly, lattice, numerators, denominator) == 0, text
 
@@ -265,9 +267,7 @@ def test_criterion_10_roundtrips(fig2_dag):
     lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
     rng = random.Random(10)
     for _ in range(100):
-        values = {
-            g: Fraction(rng.randint(-1000, 1000), rng.randint(1, 60)) for g in lattice
-        }
+        values = [Fraction(rng.randint(-1000, 1000), rng.randint(1, 60)) for _ in lattice]
         assert moebius_inverse(zeta_transform(values, lattice), lattice) == values
         assert zeta_transform(moebius_inverse(values, lattice), lattice) == values
 

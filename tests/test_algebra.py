@@ -60,6 +60,7 @@ from conftest import (
     CappedReferenceParser,
     RingPolynomial,
     alpha_var,
+    as_map,
     binomial_of_pair,
     catalog_dags,
     chain,
@@ -823,7 +824,7 @@ class TestPullback:
         rng = random.Random(19)
         for _ in range(20):
             view, denominator = integer_view(random_table(5, 2, rng))
-            numerators = full_distribution(fig2_dag, view, lattice)
+            numerators = as_map(lattice, full_distribution(fig2_dag, view, lattice))
             for gen in generators:
                 pulled = pullback_to_p(gen.polynomial(), lattice)
                 assert evaluate_at_distribution(pulled, lattice, numerators, denominator) == 0
@@ -837,7 +838,7 @@ class TestEvaluateAtDistribution:
     def test_normalization_relation(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         view, denominator = integer_view(uniform_table(5, 2))
-        numerators = full_distribution(fig2_dag, view, lattice)
+        numerators = as_map(lattice, full_distribution(fig2_dag, view, lattice))
         poly = RingPolynomial.constant(-1)
         for g in lattice:
             poly = poly + poly_of(p_var(g))
@@ -888,10 +889,12 @@ class TestEvaluateAtDistribution:
                 poly = poly - term  # the monomial cancels
         view, denominator = integer_view(theta)
         numerators = full_distribution(dag, view, lattice)
-        cumulative = zeta_transform(numerators, lattice)
+        cumulative = as_map(lattice, zeta_transform(numerators, lattice))
+        numerators = as_map(lattice, numerators)
         dist = full_distribution(dag, theta, lattice)
+        cumulative_dist = as_map(lattice, zeta_transform(dist, lattice))
         try:
-            expected = evaluate_at_joint(poly, dag.n, k, dist, zeta_transform(dist, lattice))
+            expected = evaluate_at_joint(poly, dag.n, k, as_map(lattice, dist), cumulative_dist)
         except UnboundVariableError as exc:
             with pytest.raises(UnboundVariableError, match=f"^{re.escape(str(exc))}$"):
                 evaluate_at_distribution(poly, lattice, numerators, denominator, cumulative)
@@ -935,6 +938,25 @@ class TestBuchberger:
     def test_empty_set(self):
         report = buchberger_check([])
         assert report.passed and report.total == 0
+
+    def test_reference_division_refuses_non_canonical_monomials(self, fig2_dag):
+        """The division's products are canonical, so a term written otherwise
+        never cancels. On fig2, the generator with h = g written q_g*q_g, as
+        a broken `_quadratic` would, made the division of the S-polynomial of
+        two other generators loop; the reference refuses such a term, in the
+        basis or in the dividend, before dividing."""
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        generators = hibi_generators(lattice)
+        polys = [gen.polynomial() for gen in generators]
+        g = q_var(generators[2].g)
+        meet_join = next(m for m in polys[2].terms if g not in dict(m))
+        polys[2] = Polynomial({((g, 1), (g, 1)): 1, meet_join: -1})
+        with pytest.raises(AssertionError, match="^non-canonical monomial"):
+            reduce_modulo(s_polynomial(polys[0], polys[1]), polys)
+        a, b = sorted(v for v, _ in meet_join)
+        for mono in (((b, 1), (a, 1)), ((a, 0),)):
+            with pytest.raises(AssertionError, match="^non-canonical monomial"):
+                reduce_modulo(Polynomial({mono: 1}), polys[:2])
 
 
 def division_failures(generators, skip=frozenset()):

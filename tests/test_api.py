@@ -9,6 +9,7 @@ wraps still exists."""
 import ast
 import collections
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,7 +175,9 @@ def test_every_tracer_target_is_defined_in_the_package():
     scans (`MODULES` there), so a refactor that renames or removes a target
     cannot silently zero its per-layer timer. The one exception is
     `incomparable_pairs`, which left src/ and reads 0 until the benchmark's
-    next change replaces it."""
+    next change replaces it. The tracer counts the zeta and Moebius walks'
+    pairs from their `lattice` argument, read as args[1], so both walks
+    still take it second."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     constants = {
         target.id: node.value
@@ -195,3 +198,6 @@ def test_every_tracer_target_is_defined_in_the_package():
         )
     }
     assert missing == {"incomparable_pairs"}
+    transforms = importlib.import_module("maxlin.transforms")
+    for walk in (transforms.zeta_transform, transforms.moebius_inverse):
+        assert list(inspect.signature(walk).parameters)[1] == "lattice", walk.__name__

@@ -41,12 +41,14 @@ from maxlin.model import (
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
 from conftest import (
+    accumulation_by_state,
     alpha_for_theta_walk,
     cbn_conditional,
     catalog_dags,
     dags,
     eliminate_simplex,
     expanded_theorem31_failures,
+    joint_by_state,
     joint_factored,
     poly_of,
     random_table,
@@ -140,8 +142,8 @@ class TestParamTable:
         # a level mask stands for the sum of the weights at its levels, and
         # the mask of every level for the symbolic table's constant 1
         for _, dag in catalog_dags(k):
-            factored = full_distribution(dag, ParamTable.levels(dag.n, k), None, _Factors())
-            symbolic = full_distribution(dag, symbolic_table(dag.n, k))
+            factored = joint_by_state(dag, ParamTable.levels(dag.n, k), _Factors())
+            symbolic = joint_by_state(dag, symbolic_table(dag.n, k))
             assert {g: level_product(f, k) for g, f in factored.items()} == symbolic
 
     def test_swapped(self):
@@ -220,7 +222,7 @@ class TestConditionalProbability:
 
 class TestFactoredJoint:
     def test_symbolic_fig2_matches_published_monomials(self, fig2_dag):
-        dist = full_distribution(fig2_dag, symbolic_table(5, 2))
+        dist = joint_by_state(fig2_dag, symbolic_table(5, 2))
         expected = {
             (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 0),
             (0, 0, 0, 0, 1): tv(1, 0) * tv(2, 0) * tv(3, 0) * tv(4, 0) * tv(5, 1),
@@ -243,7 +245,7 @@ class TestFactoredJoint:
         for k in (2, 3):
             for _, dag in catalog_dags(k):
                 theta = random_table(dag.n, k, rng)
-                dist = full_distribution(dag, theta)
+                dist = joint_by_state(dag, theta)
                 assert sum(dist.values()) == 1
 
     def test_support_is_exactly_the_lattice(self):
@@ -257,14 +259,14 @@ class TestFactoredJoint:
 
     def test_point_mass_theta(self, fig2_dag):
         theta = table_from_rows([[1, 0]] * 5)
-        dist = full_distribution(fig2_dag, theta)
+        dist = joint_by_state(fig2_dag, theta)
         assert dist[(0, 0, 0, 0, 0)] == 1
         assert sum(dist.values()) == 1
 
     def test_single_vertex_distribution_is_theta(self):
         dag = Dag(n=1, k=3)
         theta = table_from_rows([[Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]])
-        dist = full_distribution(dag, theta)
+        dist = joint_by_state(dag, theta)
         assert dist == {(0,): Fraction(1, 6), (1,): Fraction(1, 3), (2,): Fraction(1, 2)}
 
 
@@ -379,7 +381,7 @@ def assert_integer_joint_is_the_factored_joint(dag: Dag, theta: ParamTable) -> N
     numerators over the view's D: on every vector of the box they are the
     product of the checked conditionals of the table itself."""
     view, denominator = integer_view(theta)
-    numerators = full_distribution(dag, view, None, 1)
+    numerators = joint_by_state(dag, view, 1)
     assert all(type(v) is int for v in numerators.values())
     for g in product(range(dag.k), repeat=dag.n):
         assert Fraction(numerators.get(g, 0), denominator) == joint_factored(dag, theta, g), g
@@ -482,11 +484,11 @@ class TestOracle:
         dag = dataclasses.replace(fig2_dag, k=3)
         for i, j in ((0, 0), (4, 1)):
             theta = random_table(5, 3, random.Random(17))
-            assert full_distribution(dag, theta) == oracle_distribution(dag, [theta])[0]
+            assert joint_by_state(dag, theta) == oracle_distribution(dag, [theta])[0]
             rows = [list(row) for row in theta.cumulative]
             rows[i][j] += Fraction(1, 7)
             object.__setattr__(theta, "cumulative", tuple(map(tuple, rows)))
-            assert full_distribution(dag, theta) != oracle_distribution(dag, [theta])[0]
+            assert joint_by_state(dag, theta) != oracle_distribution(dag, [theta])[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32))
@@ -762,7 +764,7 @@ class TestAccumulationModel:
     def test_distribution_requires_two_states_over_the_poset(self, fig1_poset):
         for theta in (uniform_table(5, 3), uniform_table(4, 2)):
             with pytest.raises(ValueError):
-                cbn_distribution(fig1_poset, theta)
+                cbn_distribution(fig1_poset, theta, ideal_lattice(fig1_poset))
         bad = StateLattice(5, 3, ((0, 0, 0, 0, 0), (0, 0, 0, 0, 2)))
         with pytest.raises(BadStateError):
             cbn_distribution(fig1_poset, uniform_table(5, 2), bad)
@@ -788,7 +790,7 @@ class TestAccumulationModel:
                 )
                 for g in ideal_lattice(poset)
             }
-            assert cbn_distribution(poset, theta) == expected
+            assert accumulation_by_state(poset, theta) == expected
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(), st.integers(0, 2**32))
@@ -803,8 +805,8 @@ class TestAccumulationModel:
             rows.append([Fraction(a, d), Fraction(d - a, d)])
         theta = table_from_rows(rows)
         view, denominator = integer_view(theta)
-        expected = {g: v * denominator for g, v in cbn_distribution(poset, theta).items()}
-        assert cbn_distribution(poset, view) == expected
+        expected = {g: v * denominator for g, v in accumulation_by_state(poset, theta).items()}
+        assert accumulation_by_state(poset, view) == expected
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags())
@@ -812,13 +814,13 @@ class TestAccumulationModel:
         """With a `_Factors` unit every value is one level mask per vertex,
         in vertex order, the element that cannot occur yet included."""
         poset = transitive_closure(dag)
-        factored = cbn_distribution(poset, ParamTable.levels(dag.n, 2), None, _Factors())
+        factored = accumulation_by_state(poset, ParamTable.levels(dag.n, 2), _Factors())
         assert all(isinstance(f, _Factors) and len(f) == dag.n for f in factored.values())
-        symbolic = cbn_distribution(poset, symbolic_table(dag.n, 2))
+        symbolic = accumulation_by_state(poset, symbolic_table(dag.n, 2))
         assert {g: level_product(f, 2) for g, f in factored.items()} == symbolic
 
     def test_symbolic_fig1_matches_published_monomials(self, fig1_poset):
-        dist = cbn_distribution(fig1_poset, symbolic_table(5, 2))
+        dist = accumulation_by_state(fig1_poset, symbolic_table(5, 2))
         expected = {
             (0, 0, 0, 0, 0): tv(1, 0) * tv(2, 0),
             (1, 0, 0, 0, 0): tv(1, 1) * tv(2, 0),
@@ -834,7 +836,7 @@ class TestAccumulationModel:
     def test_distribution_sums_to_one_and_supported_on_ideals(self, fig1_poset):
         rng = random.Random(31)
         theta = random_table(5, 2, rng)
-        dist = cbn_distribution(fig1_poset, theta)
+        dist = accumulation_by_state(fig1_poset, theta)
         assert sum(dist.values()) == 1
         assert set(dist) == set(ideal_lattice(fig1_poset))
         assert all(v > 0 for v in dist.values())
@@ -842,7 +844,7 @@ class TestAccumulationModel:
     def test_single_element_chain(self):
         poset = transitive_closure(Dag(n=1, k=2))
         theta = table_from_rows([[Fraction(1, 3), Fraction(2, 3)]])
-        assert cbn_distribution(poset, theta) == {
+        assert accumulation_by_state(poset, theta) == {
             (0,): Fraction(1, 3),
             (1,): Fraction(2, 3),
         }
@@ -861,8 +863,8 @@ class TestTwoStateCorrespondence:
 
     def test_example_pair_monomials(self, fig2_dag):
         closure = transitive_closure(fig2_dag)
-        accum = cbn_distribution(closure, symbolic_table(5, 2))
-        maxmodel = full_distribution(fig2_dag, symbolic_table(5, 2))
+        accum = accumulation_by_state(closure, symbolic_table(5, 2))
+        maxmodel = joint_by_state(fig2_dag, symbolic_table(5, 2))
         assert accum[(1, 0, 1, 0, 0)] == tv(1, 1) * tv(2, 0) * tv(3, 1)
         assert maxmodel[(0, 1, 0, 1, 1)] == tv(1, 0) * tv(2, 1) * tv(3, 0)
 
@@ -911,7 +913,7 @@ class TestTwoStateCorrespondence:
         def recorded(function):
             def call(*args):
                 values = function(*args)
-                kinds.append({type(v) for v in values.values()})
+                kinds.append(set(map(type, values)))
                 return values
 
             return call
@@ -964,7 +966,7 @@ class TestMonotoneCoupling:
         base = full_distribution(dag, theta, lattice)
 
         def tail(dist, vertex, m):
-            return sum(v for g, v in dist.items() if g[vertex - 1] >= m)
+            return sum(v for g, v in zip(lattice, dist) if g[vertex - 1] >= m)
 
         for shift_vertex in range(1, dag.n + 1):
             for level in range(k - 1):

@@ -6,7 +6,6 @@ import functools
 import json
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -19,8 +18,13 @@ from maxlin import data
 from maxlin.algebra import state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
-from maxlin.errors import SupportMismatchError
-from maxlin.model import _UNFACTORED, ParamTable, _Factors, full_distribution
+from maxlin.model import (
+    _UNFACTORED,
+    ParamTable,
+    _Factors,
+    cbn_distribution,
+    full_distribution,
+)
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 from maxlin.transforms import (
     _level_products,
@@ -35,13 +39,17 @@ from conftest import (
     CATALOG,
     RingPolynomial,
     alpha_for_theta_walk,
+    as_map,
+    catalog_dag,
     catalog_dags,
+    cbn_conditional,
     dags,
     dual,
     eliminate_simplex,
     evaluate,
     expanded_eq5_failures,
     increasing_column_sum_covers,
+    joint_factored,
     p_var,
     poly_of,
     random_table,
@@ -59,12 +67,12 @@ def tv(i, j):
 
 
 def random_lattice_function(lattice, rng):
-    return {g: Fraction(rng.randint(-500, 500), rng.randint(1, 40)) for g in lattice}
+    return [Fraction(rng.randint(-500, 500), rng.randint(1, 40)) for _ in lattice]
 
 
 def quadratic_zeta(values, lattice):
-    """Reference zeta: for every state, sum the values at all states below it,
-    found by comparing every pair of states."""
+    """Reference zeta of a state-keyed function: for every state, sum the
+    values at all states below it, found by comparing every pair of states."""
     out = {}
     for g in lattice:
         total = Fraction(0)
@@ -105,27 +113,33 @@ def lattices_of(dag, ks):
         yield ideal_lattice(order)
 
 
+def check_walks_against_quadratic(values, lattice):
+    """Both walks of a list aligned with the states against the quadratic
+    references on the state-keyed function."""
+    by_state = as_map(lattice, values)
+    assert as_map(lattice, zeta_transform(values, lattice)) == quadratic_zeta(by_state, lattice)
+    expected = back_substitution_moebius(by_state, lattice)
+    assert as_map(lattice, moebius_inverse(values, lattice)) == expected
+
+
 def check_walk_against_quadratic(lattice, rng):
-    # Rational values with some states left out (they count as 0), and one
-    # variable per state, so each h <= g must be summed into g exactly once.
-    rational = {
-        g: Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        for g in lattice
-        if rng.random() < 0.8
-    }
-    symbolic = {g: poly_of(p_var(g)) for g in lattice}
+    # Rational values with some states at 0, and one variable per state, so
+    # each h <= g must be summed into g exactly once.
+    rational = [
+        Fraction(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.8 else 0
+        for _ in lattice
+    ]
+    symbolic = [poly_of(p_var(g)) for g in lattice]
     for values in (rational, symbolic):
-        cumulative = zeta_transform(values, lattice)
-        assert list(cumulative) == list(lattice)
-        assert cumulative == quadratic_zeta(values, lattice)
-        assert moebius_inverse(values, lattice) == back_substitution_moebius(values, lattice)
+        check_walks_against_quadratic(values, lattice)
 
 
 class TestZeta:
     def test_fig3_symbolic_sum(self, fig3_dag):
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         dist = full_distribution(fig3_dag, symbolic_table(3, 3), lattice)
-        cumulative = zeta_transform(dist, lattice)
+        cumulative = as_map(lattice, zeta_transform(dist, lattice))
+        dist = as_map(lattice, dist)
         below = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
         expected = RingPolynomial()
         for h in below:
@@ -137,8 +151,8 @@ class TestZeta:
         theta = uniform_table(5, 2)
         dist = full_distribution(fig2_dag, theta, lattice)
         cumulative = zeta_transform(dist, lattice)
-        bottom = lattice.states[0]
-        assert cumulative[bottom] == dist[bottom]
+        assert lattice.states[0] == (0,) * 5
+        assert cumulative[0] == dist[0]
 
     def test_top_state_is_total_mass(self):
         rng = random.Random(3)
@@ -147,33 +161,69 @@ class TestZeta:
                 lattice = order_preserving_maps(transitive_closure(dag), k)
                 theta = random_table(dag.n, k, rng)
                 cumulative = zeta_transform(full_distribution(dag, theta, lattice), lattice)
-                assert cumulative[lattice.top] == 1
+                assert lattice.states[-1] == lattice.top and cumulative[-1] == 1
 
     def test_monotone_for_nonnegative_input(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         rng = random.Random(9)
         theta = random_table(5, 2, rng)
         cumulative = zeta_transform(full_distribution(fig2_dag, theta, lattice), lattice)
+        cumulative = as_map(lattice, cumulative)
         for g in lattice:
             for h in lattice:
                 if state_leq(g, h):
                     assert cumulative[g] <= cumulative[h]
 
-    def test_support_mismatch(self, fig2_dag):
-        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        with pytest.raises(SupportMismatchError):
-            zeta_transform({(1, 0, 0, 0, 0): Fraction(1)}, lattice)
-
     @pytest.mark.parametrize("walk", [zeta_transform, moebius_inverse])
-    def test_support_mismatch_names_the_first_stray_state(self, fig2_dag, walk):
-        """Every stray state is found, and the first in the input's order is
-        the one named, wherever the lattice's states sit among them."""
+    def test_wrong_length_is_refused(self, fig2_dag, walk):
+        """A list must hold one value per state: one short or one over is
+        refused, with both lengths named."""
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        strays = [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
-        for order in (strays, strays[::-1]):
-            values = {lattice.top: 1, **dict.fromkeys(order, 2), lattice.states[0]: 3}
-            with pytest.raises(SupportMismatchError, match=re.escape(f"state {order[0]!r} is")):
-                walk(values, lattice)
+        assert len(lattice) == 9
+        for size in (0, 8, 10):
+            with pytest.raises(ValueError, match=f"^{size} values for a lattice of 9 states$"):
+                walk([Fraction(1)] * size, lattice)
+
+
+def aligned_and_reference(function: str, dag: Dag, rng: random.Random):
+    """The lattice, the list that `function` returns on it, and the
+    state-keyed brute-force reference: the per-vertex and per-element
+    conditionals multiplied out, or the quadratic zeta and Moebius."""
+    poset = transitive_closure(dag)
+    if function == "cbn_distribution":
+        lattice, theta = ideal_lattice(poset), random_table(dag.n, 2, rng)
+        reference = {
+            g: math.prod((cbn_conditional(poset, theta, e, g) for e in poset.elements))
+            for g in lattice
+        }
+        return lattice, cbn_distribution(poset, theta, lattice), reference
+    lattice = order_preserving_maps(poset, dag.k)
+    if function == "full_distribution":
+        theta = random_table(dag.n, dag.k, rng)
+        reference = {g: joint_factored(dag, theta, g) for g in lattice}
+        return lattice, full_distribution(dag, theta, lattice), reference
+    values = random_lattice_function(lattice, rng)
+    walk, quadratic = {
+        "zeta_transform": (zeta_transform, quadratic_zeta),
+        "moebius_inverse": (moebius_inverse, back_substitution_moebius),
+    }[function]
+    return lattice, walk(values, lattice), quadratic(as_map(lattice, values), lattice)
+
+
+class TestAlignedWithStates:
+    """The joint, the accumulation model's joint, zeta and Moebius each
+    return a list of one value per state of the lattice they are given, in
+    the order of `lattice.states`."""
+
+    @pytest.mark.parametrize(
+        "function", ["full_distribution", "cbn_distribution", "zeta_transform", "moebius_inverse"]
+    )
+    @pytest.mark.parametrize("name,k", [("fig2", 3), ("fig3", 3), ("diamond", 2), ("single", 4)])
+    def test_one_value_per_state_as_the_reference_gives_it(self, function, name, k):
+        dag = catalog_dag(name, k)
+        lattice, values, reference = aligned_and_reference(function, dag, random.Random(name))
+        assert type(values) is list and len(values) == len(lattice)
+        assert as_map(lattice, values) == reference
 
 
 class TestWalkAgainstQuadratic:
@@ -221,15 +271,13 @@ class TestCoverTable:
         assert len(covers) == len(set(covers))
         assert set(covers) == self.cover_pairs(lattice)
         rng = random.Random(seed)
-        integers = {g: rng.randint(-50, 50) for g in lattice if rng.random() < 0.8}
-        fractions = {
-            g: Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-            for g in lattice
-            if rng.random() < 0.8
-        }
+        integers = [rng.randint(-50, 50) if rng.random() < 0.8 else 0 for _ in lattice]
+        fractions = [
+            Fraction(rng.randint(-50, 50), rng.randint(1, 9)) if rng.random() < 0.8 else 0
+            for _ in lattice
+        ]
         for values in (integers, fractions):
-            assert zeta_transform(values, lattice) == quadratic_zeta(values, lattice)
-            assert moebius_inverse(values, lattice) == back_substitution_moebius(values, lattice)
+            check_walks_against_quadratic(values, lattice)
         # the level-table joint held as factor tuples: every sum of the zeta
         # walk adds two products that differ in one factor, at disjoint
         # levels, so each state's value stays one product of level masks.
@@ -238,16 +286,16 @@ class TestCoverTable:
         # and it is the quadratic zeta of the integer joint.
         theta = ParamTable.levels(dag.n, k)
         factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors()), lattice)
-        assert all(isinstance(f, _Factors) for f in factored.values())
-        expected = quadratic_zeta(full_distribution(dag, theta, lattice), lattice)
-        assert {g: math.prod(f) for g, f in factored.items()} == expected
+        assert all(isinstance(f, _Factors) for f in factored)
+        expected = quadratic_zeta(as_map(lattice, full_distribution(dag, theta, lattice)), lattice)
+        assert as_map(lattice, [math.prod(f) for f in factored]) == expected
 
     def test_built_once_and_only_by_the_walks(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
         assert "covers" not in vars(lattice)
-        zeta_transform({}, lattice)
+        zeta_transform([0] * len(lattice), lattice)
         table = vars(lattice)["covers"]
-        moebius_inverse({}, lattice)
+        moebius_inverse([0] * len(lattice), lattice)
         assert lattice.covers is table
 
     @pytest.mark.parametrize("command", ["lattice", "ideals", "generators"])
@@ -302,14 +350,14 @@ class TestMoebiusInverse:
 
     def test_point_mass_recovery(self, fig2_dag):
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        cumulative = {g: Fraction(1) for g in lattice if g == lattice.top}
-        recovered = moebius_inverse(cumulative, lattice)
+        cumulative = [Fraction(int(g == lattice.top)) for g in lattice]
+        recovered = as_map(lattice, moebius_inverse(cumulative, lattice))
         assert recovered[lattice.top] == 1
         assert all(v == 0 for g, v in recovered.items() if g != lattice.top)
 
     def test_single_state_lattice(self):
         lattice = order_preserving_maps(transitive_closure(Dag(n=1, k=1)), 1)
-        values = {(0,): Fraction(5, 7)}
+        values = [Fraction(5, 7)]
         assert moebius_inverse(values, lattice) == values
 
     def test_suite(self, fig3_dag):
@@ -438,7 +486,7 @@ class TestZetaFactorization:
         rows = symbolic_table(3, 3).rows
         reduced = table_from_rows([[eliminate_simplex(v, 3, 3) for v in row] for row in rows])
         cumulative = zeta_transform(full_distribution(fig3_dag, reduced, lattice), lattice)
-        assert cumulative[(0, 1, 2)] == tv(1, 0) * (tv(2, 0) + tv(2, 1))
+        assert as_map(lattice, cumulative)[(0, 1, 2)] == tv(1, 0) * (tv(2, 0) + tv(2, 1))
 
     def test_random_tables_on_catalog(self):
         # rational tables through their integer view, and integer tables as
@@ -469,9 +517,9 @@ class TestZetaFactorization:
                 for i in range(1, dag.n + 1):
                     for r in range(k - 1):
                         assignment[x_var(i, r)] = x[i - 1][r]
-                for g in lattice:
+                for g, value in zip(lattice, cumulative):
                     image = Polynomial({mapping.image(q_var(g)): 1})
-                    assert evaluate(image, assignment) == cumulative[g]
+                    assert evaluate(image, assignment) == value
 
 
 class TestFactors:
