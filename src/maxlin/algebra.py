@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import attrgetter, getitem
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
@@ -469,8 +469,12 @@ class MonomialMap:
 
     def image(self, var: Variable) -> Monomial:
         if var not in self.images:
-            raise UnmappedVariableError(f"variable {shorten(var.key_text())} is not in the map")
+            raise _unmapped(var)
         return self.images[var]
+
+
+def _unmapped(var: Variable) -> UnmappedVariableError:
+    return UnmappedVariableError(f"variable {shorten(var.key_text())} is not in the map")
 
 
 def monomial_map(lattice: StateLattice) -> MonomialMap:
@@ -480,39 +484,73 @@ def monomial_map(lattice: StateLattice) -> MonomialMap:
     belong to vertex i+1. On an ideal lattice (k = 2) the x[i, 0] of g are
     the elements outside the ideal g.
 
-    The piece of coordinate i at value v is built once. Variables sort by
-    (family, index), so t and then the pieces in coordinate order are
-    already the sorted monomial."""
-    k = lattice.k
-    pieces = [
-        [tuple((x_var(i + 1, r), 1) for r in range(k - v - 1)) for v in range(k)]
-        for i in range(lattice.n)
-    ]
-    t = ((t_var(), 1),)
-    return MonomialMap(
-        {q_var(g): t + tuple(chain.from_iterable(map(getitem, pieces, g))) for g in lattice}
-    )
+    A state's image is t followed by its n pieces (`_pieces`)."""
+    pieces = _pieces(lattice.k)
+    return MonomialMap({q_var(g): _image(g, pieces) for g in lattice})
 
 
-def verify_vanishing(generators: Sequence, mmap: MonomialMap) -> Report:
+def _pieces(k: int) -> list[range]:
+    """pieces[v]: the r of the x[i+1, r] that coordinate i of a state
+    contributes to its image at value v, whatever i is: r < k - v - 1."""
+    return [range(k - v - 1) for v in range(k)]
+
+
+_T = ((t_var(), 1),)  # the factor t of every image
+
+
+def _image(g: State, pieces: list[range]) -> Monomial:
+    """The image monomial of the state g; variables sort by (family, index),
+    so t and then the pieces in coordinate order are already sorted."""
+    return _T + tuple((x_var(i + 1, r), 1) for i, v in enumerate(g) for r in pieces[v])
+
+
+def verify_vanishing(generators: Sequence, mmap: MonomialMap | StateLattice) -> Report:
     """Check that every generator maps to the zero polynomial: q_g*q_h and
     q_meet*q_join have the same monomial image.
 
-    Each state's image is packed into an int once (`_pack_images`), so a
-    generator maps to 0 iff the two sums of packed images agree. Only a
-    failing generator has its images multiplied out, to print its image."""
+    Each state's image is packed into an int once, so a generator maps to 0
+    iff the two sums of packed images agree; only a failing generator has
+    its images multiplied out, to print its image. The map is a
+    `MonomialMap`, whose images `_pack_images` packs, or a lattice standing
+    for its own `monomial_map`, whose images are packed from its n*k pieces
+    (`_packed_lattice_images`), so that no monomial is built on a pass."""
     arrays = GeneratorArrays.of(generators)
-    images = [mmap.image(q_var(s)) for s in arrays.states]
-    packed = _pack_images(images)
+    if isinstance(mmap, StateLattice):
+        packed, image = _packed_lattice_images(mmap, arrays.states)
+    else:
+        images = [mmap.image(q_var(s)) for s in arrays.states]
+        packed, image = _pack_images(images), images.__getitem__
     failures = []
     for t, (g, h, meet, join) in enumerate(zip(*arrays.columns())):
         if packed[g] + packed[h] != packed[meet] + packed[join]:
-            left = mono_mul(images[g], images[h])
-            right = mono_mul(images[meet], images[join])
-            image = Polynomial({left: 1, right: -1})
-            failures.append(f"{arrays[t].to_text()} maps to {image.to_text()}")
+            left = mono_mul(image(g), image(h))
+            right = mono_mul(image(meet), image(join))
+            image_text = Polynomial({left: 1, right: -1}).to_text()
+            failures.append(f"{arrays[t].to_text()} maps to {image_text}")
     detail = f"{len(arrays)} generators map to 0" if not failures else ""
     return Report("vanishing", total=len(arrays), failures=failures, detail=detail)
+
+
+def _packed_lattice_images(
+    lattice: StateLattice, states: Sequence[State]
+) -> tuple[list[int], Callable[[int], Monomial]]:
+    """The packed `monomial_map` images of `states`, and a function from an
+    index into `states` to its image monomial; a state off the lattice is
+    unmapped, as in the map itself.
+
+    t has slot 0 and x[i+1, r] slot 1 + i*(k-1) + r, two bits each, enough
+    for the exponent 2 of a product of two images; the n*k pieces are packed
+    once, and a state's packed image is t plus the sum of its n pieces."""
+    if states != lattice.states:
+        for s in states:
+            if s not in lattice:
+                raise _unmapped(q_var(s))
+    k = lattice.k
+    pieces = _pieces(k)
+    by_value = [sum(4 ** (1 + r) for r in rs) for rs in pieces]
+    packed_pieces = [[p << 2 * i * (k - 1) for p in by_value] for i in range(lattice.n)]
+    packed = [1 + sum(map(getitem, packed_pieces, g)) for g in states]
+    return packed, lambda i: _image(states[i], pieces)
 
 
 def _pack_images(images: Sequence[Monomial]) -> list[int]:
@@ -577,16 +615,18 @@ def default_lattice_order(generators: Sequence[BinomialGenerator]) -> MonomialOr
 
 def _lead_split(arrays: GeneratorArrays) -> Iterator[tuple[IndexMonomial, IndexMonomial]]:
     """Each generator as (lead, tail), two sorted pairs of indices into
-    `arrays.states`, which must be in lexicographic order; both Groebner
-    checks read their leads from here.
+    `arrays.states`, which must be in lexicographic order; `buchberger_check`
+    reads its leads from here, and `hilbert_check` picks the same lead.
 
     q-variables rank as their states do, so a product of them is the sorted
     tuple of its variables' indices, each repeated by its exponent, and
     degrevlex compares such tuples as `MonomialOrder.key` does: by length,
-    then lexicographically. A quadratic binomial's lead is its larger pair."""
+    then lexicographically. A quadratic binomial's lead is its larger pair;
+    both pairs are sorted, as a hand-built generator may name its states in
+    either order."""
     for g, h, meet, join in zip(*arrays.columns()):
         left = (g, h) if g < h else (h, g)
-        right = (meet, join)  # meet < join coordinate-wise, so lexicographically too
+        right = (meet, join) if meet < join else (join, meet)
         yield (left, right) if left > right else (right, left)
 
 
@@ -672,16 +712,18 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     I = ker(phi) of the lattice's monomial map phi, under the
     degree-reverse-lexicographic order over the lattice's linear extension.
 
-    Two conditions: every generator maps to 0 (G in I), and every
-    incomparable pair's q_g*q_h is some generator's leading monomial (the
-    lead test). Then in every degree a standard monomial of G (no leading
-    monomial of G divides it) is a multichain h1 <= ... <= hd of L; distinct
-    multichains have distinct images phi(m), since phi(q_h1*...*q_hd) fixes
-    the multiset of values in each coordinate and a multichain is sorted in
-    every coordinate; and as in(G) lies in in(I), the standard monomials are
-    at least the images. So the three counts agree, in(G) = in(I), and G is
-    a Groebner basis of I. The lattice's own generators pass: meet and join
-    come before g and h in the linear extension, so q_g*q_h leads.
+    Two conditions: every generator maps to 0 (G in I, `verify_vanishing`
+    on the lattice's packed pieces), and every incomparable pair's q_g*q_h
+    is some generator's leading monomial (the lead test, which marks each
+    incomparable lead once in a table of |L|**2 flags). Then in every degree a
+    standard monomial of G (no leading monomial of G divides it) is a
+    multichain h1 <= ... <= hd of L; distinct multichains have distinct
+    images phi(m), since phi(q_h1*...*q_hd) fixes the multiset of values in
+    each coordinate and a multichain is sorted in every coordinate; and as
+    in(G) lies in in(I), the standard monomials are at least the images. So
+    the three counts agree, in(G) = in(I), and G is a Groebner basis of I.
+    The lattice's own generators pass: meet and join come before g and h in
+    the linear extension, so q_g*q_h leads.
 
     The multichains of length 1, 2, 3 number |L|, sum down(m) and
     sum down(m)*up(m) (`_down_up`), and the comparable pairs sum down(m) - |L|;
@@ -695,29 +737,40 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     generator pairs, as in `buchberger_check`.
 
     Raises:
-        TooLargeError: |L|**2 exceeds MAXLIN_HILBERT_LIMIT, which bounds the
-            |L|**2/2 pair scan of `generator_arrays`; with no `generators`,
-            checked before the lattice's own are built.
+        TooLargeError: |L|**2 exceeds MAXLIN_HILBERT_LIMIT (`check_pair_scan`);
+            with no `generators`, checked before the lattice's own are built.
     """
+    check_pair_scan(lattice, "the Hilbert counts need")
     size = len(lattice)
-    what = f"the Hilbert counts need {size}**2 = {size * size} state pairs"
-    check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
     generators = generator_arrays(lattice) if generators is None else generators
     arrays = GeneratorArrays.of(generators, lattice.states)
-    vanishing = verify_vanishing(arrays, monomial_map(lattice))
+    vanishing = verify_vanishing(arrays, lattice)
     down, up = _down_up(lattice)
     chains = (size, sum(down), sum(d * u for d, u in zip(down, up)))
     incomparable = size * (size - 1) // 2 - (chains[1] - size)
     masks = list(lattice.masks)
-    leads = {lead for lead, _ in _lead_split(arrays)}
-    unled = incomparable - sum(
-        1 for a, b in leads if masks[a] & ~masks[b] and masks[b] & ~masks[a]
-    )
+    # led[a * size + b] marks each incomparable lead q_a*q_b, a < b, once. A
+    # lead is `_lead_split`'s, the larger of the sorted (g, h) and (meet,
+    # join); as indices are below size, sorted pairs compare as their flag
+    # positions do. Only an edited generator's (meet, join) can lead. With
+    # a < b, a comes before b in the linear extension, so b is not below a,
+    # and the pair is incomparable iff a is not below b.
+    led = bytearray(size * size)
+    for g, h, meet, join in zip(*arrays.columns()):
+        if g > h:
+            g, h = h, g
+        lead = g * size + h
+        if meet * size + join > lead:
+            a, b = (meet, join) if meet < join else (join, meet)
+            if a * size + b > lead:
+                g, h, lead = a, b, a * size + b
+        if not led[lead] and masks[g] & ~masks[h]:
+            led[lead] = 1
+    unled = incomparable - led.count(1)
     failures = []
     if unled:
-        # a before b in the linear extension, so b is not below a
         a, b = next(p for p in combinations(range(size), 2)
-                    if masks[p[0]] & ~masks[p[1]] and p not in leads)
+                    if masks[p[0]] & ~masks[p[1]] and not led[p[0] * size + p[1]])
         first = "*".join(q_var(lattice.states[i]).key_text() for i in (a, b))
         failures.append(
             f"{unled} of {incomparable} incomparable pairs lead no generator, the first {first}"
@@ -733,6 +786,15 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
         return Report("groebner", total=pairs, detail=detail)
     detail = "image monomials in degrees 1-3: " + ", ".join(map(str, chains))
     return Report("groebner", total=pairs, failures=failures, detail=detail)
+
+
+def check_pair_scan(lattice: StateLattice, need: str) -> None:
+    """Check |L|**2 against MAXLIN_HILBERT_LIMIT, which bounds the |L|**2/2
+    state pairs that `generator_arrays` scans; `need` names what needs them,
+    as in "the Hilbert counts need"."""
+    size = len(lattice)
+    what = f"{need} {size}**2 = {size * size} state pairs"
+    check_size("MAXLIN_HILBERT_LIMIT", size * size, what)
 
 
 def _down_up(lattice: StateLattice) -> tuple[list[int], list[int]]:

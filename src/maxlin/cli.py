@@ -17,12 +17,12 @@ from typing import Iterable
 
 from . import __version__
 from .algebra import (
+    check_pair_scan,
     evaluate_at_distribution,
     fraction_text,
     generator_arrays,
     generator_json,
     hilbert_check,
-    monomial_map,
     parse_polynomial,
     state_digits,
     verify_vanishing,
@@ -110,7 +110,8 @@ def _emit_generators(arrays, fmt: str) -> None:
 
 def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
     lattice = _state_lattice(dag)
-    return verify_vanishing(generator_arrays(lattice), monomial_map(lattice))
+    check_pair_scan(lattice, "the vanishing check needs")
+    return verify_vanishing(generator_arrays(lattice), lattice)
 
 
 def _groebner_suite(dag: Dag, args: argparse.Namespace) -> Report:
@@ -156,6 +157,7 @@ def run(args: argparse.Namespace) -> int:
             lattice = ideal_lattice(transitive_closure(dag))
         else:
             lattice = _state_lattice(dag)
+        check_pair_scan(lattice, "the generators need")
         _emit_generators(generator_arrays(lattice), args.format)
         return 0
     if args.command == "verify":

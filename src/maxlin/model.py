@@ -272,7 +272,7 @@ def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
     return ParamTable(tuple(scaled)), prod(scales)
 
 
-def oracle_distribution(dag: Dag, tables) -> list[dict[State, Fraction]]:
+def oracle_distribution(dag: Dag, tables) -> list[dict[State, Value]]:
     """The oracle probabilities of each of a sequence of rational tables,
     one dict per table, from a single walk of the k**n box shared by all of
     them; states the model cannot reach are absent. With no tables nothing
@@ -282,9 +282,9 @@ def oracle_distribution(dag: Dag, tables) -> list[dict[State, Fraction]]:
     innovation vector weighs the product of its n numerators, and the
     weights are summed per outcome. Each sum then becomes one Fraction over
     that table's D, exactly the sum of the vectors' products of weights; D
-    is 1 on an integer table. The box's size is checked against
-    MAXLIN_ORACLE_LIMIT before any vector is walked, and the walk holds one
-    block of outcomes at a time, whatever k**n is.
+    is 1 on an integer table, whose sums stay ints. The box's size is
+    checked against MAXLIN_ORACLE_LIMIT before any vector is walked, and the
+    walk holds one block of outcomes at a time, whatever k**n is.
 
     Raises:
         ValueError: a table does not fit the DAG, or is not rational.
@@ -300,7 +300,9 @@ def oracle_distribution(dag: Dag, tables) -> list[dict[State, Fraction]]:
         return []
     outcomes, sums = _innovation_walk(dag, [view.rows for view, _ in views])
     return [
-        {g: Fraction(total, denominator) for g, total in zip(outcomes, totals)}
+        dict(zip(outcomes, totals))
+        if denominator == 1
+        else {g: Fraction(total, denominator) for g, total in zip(outcomes, totals)}
         for (_, denominator), totals in zip(views, sums)
     ]
 

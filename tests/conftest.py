@@ -4,7 +4,8 @@ powers of `Polynomial`), the general division algorithm (which refuses
 non-canonical monomials), lattice functions keyed by state, the symbolic,
 rational and reduced tables, the expanded eq5 and theorem31 checks and
 mutants to run them under, generic substitution, the monomial map one
-variable at a time, the Hilbert certificate's old degree 1-3 counts,
+variable at a time, the Hilbert certificate's old degree 1-3 counts, the
+vanishing check and the certificate on multiplied-out images and a lead set,
 reference helpers (the order, meet and join of states, the generator of a
 pair, the dual of a poset, its covers and order ideals, the axiom violations
 and maximal lower elements of a relation by all pairs, the uniform table,
@@ -18,7 +19,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -28,9 +29,12 @@ from maxlin.algebra import (
     FAMILIES,
     MAX_EXPONENT,
     BinomialGenerator,
+    GeneratorArrays,
     MonomialMap,
     Polynomial,
     Variable,
+    _lead_split,
+    generator_arrays,
     mono_degree,
     mono_from_dict,
     mono_mul,
@@ -57,6 +61,7 @@ from maxlin.poset import (
     ideal_lattice,
     order_preserving_maps,
 )
+from maxlin.report import Report
 from maxlin.transforms import zeta_transform
 
 # The fixed catalog used by the acceptance suite: 20 DAGs with n <= 5,
@@ -666,6 +671,87 @@ def multichain_counts(masks) -> tuple[int, int, int]:
     down = [sum(not h & ~m for h in masks) for m in masks]
     up = [sum(not m & ~h for h in masks) for m in masks]
     return len(masks), sum(down), sum(d * u for d, u in zip(down, up))
+
+
+def fractions_built(monkeypatch, fn):
+    """fn's result and the number of Fractions it built, counted through
+    `Fraction.__new__` and `Fraction._from_coprime_ints`."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
+        )
+    result = fn()
+    monkeypatch.undo()
+    return result, len(built)
+
+
+# ---------------------------------------------------------------------------
+# `verify_vanishing` and `hilbert_check` along their earlier path, the slow
+# references for the packed per-coordinate images and the lead flag table:
+# every state's image a monomial, each generator's two products multiplied
+# out, and the leads collected in a set.
+
+
+def reference_vanishing(generators, mmap: MonomialMap) -> Report:
+    """`verify_vanishing` with the images of all the states looked up first
+    and each generator's two image products multiplied out by `mono_mul`."""
+    arrays = GeneratorArrays.of(generators)
+    images = [mmap.image(q_var(s)) for s in arrays.states]
+    failures = []
+    for t, (g, h, meet, join) in enumerate(zip(*arrays.columns())):
+        left, right = mono_mul(images[g], images[h]), mono_mul(images[meet], images[join])
+        if left != right:
+            image = Polynomial({left: 1, right: -1})
+            failures.append(f"{arrays[t].to_text()} maps to {image.to_text()}")
+    detail = f"{len(arrays)} generators map to 0" if not failures else ""
+    return Report("vanishing", total=len(arrays), failures=failures, detail=detail)
+
+
+def reference_hilbert_check(lattice: StateLattice, generators=None) -> Report:
+    """`hilbert_check` on the map built one variable at a time, the
+    multichains counted over all pairs of masks, and the set of the
+    `_lead_split` leads: the count of the distinct incomparable leads, and
+    the first incomparable pair that is not in the set."""
+    generators = generator_arrays(lattice) if generators is None else generators
+    arrays = GeneratorArrays.of(generators, lattice.states)
+    vanishing = reference_vanishing(arrays, monomial_map_by_variable(lattice))
+    masks = list(lattice.masks)
+    size = len(masks)
+    chains = multichain_counts(masks)
+    incomparable = size * (size - 1) // 2 - (chains[1] - size)
+    leads = {lead for lead, _ in _lead_split(arrays)}
+    unled = incomparable - sum(
+        1 for a, b in leads if masks[a] & ~masks[b] and masks[b] & ~masks[a]
+    )
+    failures = []
+    if unled:
+        a, b = next(p for p in combinations(range(size), 2)
+                    if masks[p[0]] & ~masks[p[1]] and p not in leads)
+        first = "*".join(q_var(lattice.states[i]).key_text() for i in (a, b))
+        failures.append(
+            f"{unled} of {incomparable} incomparable pairs lead no generator, the first {first}"
+        )
+    failures += vanishing.failures
+    pairs = len(arrays) * (len(arrays) - 1) // 2
+    if failures:
+        detail = "image monomials in degrees 1-3: " + ", ".join(map(str, chains))
+        return Report("groebner", total=pairs, failures=failures, detail=detail)
+    counts = ", ".join(f"{c}/{c}" for c in chains)
+    detail = (
+        f"{len(arrays)} generators map to 0; standard/image monomials in degrees 1-3: {counts}"
+    )
+    return Report("groebner", total=pairs, detail=detail)
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

@@ -81,7 +81,9 @@ from conftest import (
     random_dag,
     random_table,
     reduce_modulo,
+    reference_hilbert_check,
     reference_parse,
+    reference_vanishing,
     s_polynomial,
     standard_counts,
     state_leq,
@@ -733,19 +735,6 @@ class TestVerifyVanishing:
             verify_vanishing([gen], MonomialMap(images))
 
 
-def vanishing_failures(generators, mmap):
-    """The failure lines of `verify_vanishing`, from each generator's two
-    image monomials multiplied out with `mono_mul`."""
-    lines = []
-    for gen in generators:
-        g, h, meet, join = (mmap.image(q_var(s)) for s in (gen.g, gen.h, gen.meet, gen.join))
-        left, right = mono_mul(g, h), mono_mul(meet, join)
-        if left != right:
-            image = Polynomial({left: 1, right: -1})
-            lines.append(f"{gen.to_text()} maps to {image.to_text()}")
-    return lines
-
-
 class TestPackedVanishing:
     # variables outside every lattice image
     FOREIGN = (x_var(9, 9), theta_var(9, 9), p_var((9,)))
@@ -772,7 +761,7 @@ class TestPackedVanishing:
                     if to_top
                     else dataclasses.replace(gen, meet=gen.g)
                 )
-        expected = vanishing_failures(generators, mmap)
+        expected = reference_vanishing(generators, mmap).failures
         report = verify_vanishing(generators, mmap)
         assert report.failures == expected
         assert report.passed == (not expected)
@@ -799,7 +788,7 @@ class TestPackedVanishing:
                 q_var((1, 1)): (),
             }
         )
-        expected = vanishing_failures([gen], mmap)
+        expected = reference_vanishing([gen], mmap).failures
         assert len(expected) == 1
         assert verify_vanishing([gen], mmap).failures == expected
 
@@ -1407,3 +1396,140 @@ class TestCoverCounts:
             assert report.passed == (vanishes and standard == chains)
             if report.passed:
                 assert report.detail.endswith(count_detail(zip(standard, chains)))
+
+
+EDITS = ("drop", "join_top", "duplicate_lead", "h_is_g", "swap_meet_join")
+
+
+def edited(lattice, kind, mid):
+    """The lattice's generators as a list with generator `mid` edited:
+    dropped, its join replaced by the top, appended again with its join
+    replaced by the top (a repeated lead), its h replaced by g, or its meet
+    and join swapped (a lead (join, meet) that is comparable)."""
+    generators = hibi_generators(lattice)
+    gen = generators[mid]
+    if kind == "drop":
+        del generators[mid]
+    elif kind == "join_top":
+        generators[mid] = dataclasses.replace(gen, join=lattice.top)
+    elif kind == "duplicate_lead":
+        generators.append(dataclasses.replace(gen, join=lattice.top))
+    elif kind == "h_is_g":
+        generators[mid] = dataclasses.replace(gen, h=gen.g)
+    else:
+        generators[mid] = dataclasses.replace(gen, meet=gen.join, join=gen.meet)
+    return generators
+
+
+def broken_map(lattice, state):
+    """The lattice's map with the image of `state` times a foreign variable."""
+    images = dict(monomial_map(lattice).images)
+    images[q_var(state)] = mono_mul(images[q_var(state)], ((x_var(9, 9), 1),))
+    return MonomialMap(images)
+
+
+class TestAgainstMultipliedOutImages:
+    """`verify_vanishing` on the lattice's packed pieces and on a
+    `MonomialMap`, and `hilbert_check` with its lead flag table, give the
+    same `Report`s as the references that multiply every image out and
+    collect the leads in a set (`tests/conftest.py`)."""
+
+    def assert_same_reports(self, lattice, generators):
+        mmap = monomial_map(lattice)
+        expected = reference_vanishing(generators, mmap)
+        assert verify_vanishing(generators, mmap) == expected
+        assert verify_vanishing(generators, lattice) == expected
+        assert hilbert_check(lattice, generators) == reference_hilbert_check(lattice, generators)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_catalog(self, k):
+        for name, dag in catalog_dags(k):
+            lattice = order_preserving_maps(transitive_closure(dag), k)
+            arrays = generator_arrays(lattice)
+            assert hilbert_check(lattice) == reference_hilbert_check(lattice), name
+            self.assert_same_reports(lattice, arrays)
+            if not arrays:
+                continue
+            mid = len(arrays) // 2
+            for kind in EDITS:
+                if kind in ("join_top", "duplicate_lead") and arrays[mid].join == lattice.top:
+                    continue
+                self.assert_same_reports(lattice, edited(lattice, kind, mid))
+            mmap = broken_map(lattice, lattice.states[len(lattice) // 2])
+            assert verify_vanishing(arrays, mmap) == reference_vanishing(arrays, mmap)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.sampled_from((2, 3, 4)), st.data())
+    def test_random_dags(self, dag, k, data):
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        assume(len(lattice) <= 80)
+        generators = hibi_generators(lattice)
+        self.assert_same_reports(lattice, generators)
+        if generators:
+            mid = data.draw(st.integers(0, len(generators) - 1))
+            kind = data.draw(st.sampled_from(EDITS))
+            tops = kind in ("join_top", "duplicate_lead")
+            assume(not tops or generators[mid].join != lattice.top)
+            self.assert_same_reports(lattice, edited(lattice, kind, mid))
+        state = data.draw(st.sampled_from(lattice.states))
+        mmap = broken_map(lattice, state)
+        assert verify_vanishing(generators, mmap) == reference_vanishing(generators, mmap)
+
+    def test_a_repeated_lead_is_counted_once(self, fig2_dag):
+        """Every generator listed twice: each lead is flagged once, so the
+        set still passes, with the pairs of the longer list as its total."""
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        generators = hibi_generators(lattice) * 2
+        report = hilbert_check(lattice, generators)
+        assert report.passed and report == reference_hilbert_check(lattice, generators)
+        assert report.total == math.comb(2 * 263, 2)
+
+    def test_off_lattice_state_is_unmapped(self, fig2_dag):
+        """A generator naming a state off the lattice stops both paths with
+        the map's own error, naming that state."""
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        gen = dataclasses.replace(hibi_generators(lattice)[0], join=(1, 1, 1, 1, 0))
+        for mmap in (lattice, monomial_map(lattice)):
+            message = r"^variable q\[11110\] is not in the map$"
+            with pytest.raises(UnmappedVariableError, match=message):
+                verify_vanishing([gen], mmap)
+        with pytest.raises(UnmappedVariableError, match=r"q\[11110\]"):
+            hilbert_check(lattice, [gen])
+
+
+class TestLeadInEitherOrder:
+    """A hand-built generator may name the states of a monomial in either
+    order; its lead is still its larger monomial, as the division
+    algorithm's `leading_term` takes it."""
+
+    def test_swapped_meet_and_join_still_lead_by_g_and_h(self, fig2_dag):
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
+        swapped = [
+            dataclasses.replace(gen, meet=gen.join, join=gen.meet)
+            for gen in hibi_generators(lattice)
+        ]
+        states = lattice.states
+        split = algebra._lead_split(GeneratorArrays.of(swapped, states))
+        for gen, (lead, _) in zip(swapped, split):
+            assert q_monomial(lead, states) == leading_term(gen.polynomial())[0]
+        report = hilbert_check(lattice, swapped)
+        assert report == hilbert_check(lattice)
+        assert report == reference_hilbert_check(lattice, swapped)
+        assert buchberger_check(swapped).passed
+
+    def test_a_lead_in_reverse_order_hides_no_unled_pair(self, fig2_dag):
+        """The lattice's last generator dropped, and its first one written
+        again as q_meet*q_join - q_h*q_g: the lead q_g*q_h counts once,
+        not once per order, so the dropped pair is named."""
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        generators = hibi_generators(lattice)
+        first, last = generators[0], generators[-1]
+        again = BinomialGenerator(first.meet, first.join, meet=first.h, join=first.g)
+        edited = generators[:-1] + [again]
+        report = hilbert_check(lattice, edited)
+        assert report.failures == [
+            "1 of 5 incomparable pairs lead no generator, the first "
+            f"q[{state_digits(last.g)}]*q[{state_digits(last.h)}]"
+        ]
+        assert report == reference_hilbert_check(lattice, edited)
+        assert certified(lattice, edited, CountOracle(lattice)) is False

@@ -29,6 +29,7 @@ from conftest import (
     RELABELLED,
     brute_force_ideals,
     brute_force_states,
+    fractions_built,
     random_dag,
     strict_pairs,
 )
@@ -765,29 +766,6 @@ class TestPinnedGroebnerOutput:
         assert run_main(capsys, argv) == (0, template % PINNED_GROEBNER[case], "")
 
 
-def count_fractions(monkeypatch, argv: list[str]) -> tuple[int, int]:
-    """The exit status of `main(argv)` and the number of Fractions it built,
-    counted through `Fraction.__new__` and `Fraction._from_coprime_ints`."""
-    built = []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(1)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(
-            Fraction,
-            "_from_coprime_ints",
-            classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
-        )
-    code = main(argv)
-    monkeypatch.undo()
-    return code, len(built)
-
-
 class TestFractionsPerState:
     """`distribution` and `zeta` walk the joint on integer numerators over
     one denominator: they build one Fraction per printed state, besides the
@@ -800,7 +778,7 @@ class TestFractionsPerState:
         self, capsys, fig_files, tmp_path, monkeypatch, source, command
     ):
         argv = joint_argv(fig_files, tmp_path, source, command)
-        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
+        code, built = fractions_built(monkeypatch, lambda: main([*argv, "--format", "text"]))
         states = capsys.readouterr().out.splitlines()
         rows = JOINT_INPUTS[source][1]
         n, k = len(rows), len(rows[0])
@@ -814,7 +792,7 @@ class TestFractionsPerState:
         argv = joint_argv(fig_files, tmp_path, "chain60", "eval")
         with open(argv[-1], "w", encoding="utf-8") as poly:
             poly.write(f"q[{'2' * 60}] - p[{'0' * 60}]\n")
-        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
+        code, built = fractions_built(monkeypatch, lambda: main([*argv, "--format", "text"]))
         value = 1 - Fraction(1, 3**60)  # q at the top is 1, p at the bottom 3**-60
         assert (code, capsys.readouterr().out) == (
             0, f"q[{'2' * 60}] - p[{'0' * 60}] = {value}\n"
@@ -824,12 +802,41 @@ class TestFractionsPerState:
 
     def test_eval_of_the_pinned_fig2_lines(self, capsys, fig_files, tmp_path, monkeypatch):
         argv = joint_argv(fig_files, tmp_path, "fig2", "eval")
-        code, built = count_fractions(monkeypatch, [*argv, "--format", "text"])
+        code, built = fractions_built(monkeypatch, lambda: main([*argv, "--format", "text"]))
         lines = capsys.readouterr().out.splitlines()
         rows = JOINT_INPUTS["fig2"][1]
         n, k = len(rows), len(rows[0])
         assert code == 0 and len(lines) == 3
         assert built <= 4 * len(lines) + 4 * n * k, built
+
+
+class TestVariablesPerState:
+    """`verify groebner` and `verify vanishing` test each generator on the
+    packed per-coordinate pieces of the monomial map, not on a monomial per
+    state: on a pass they build no q-variable, and at most one x-variable
+    per piece, n*k."""
+
+    @pytest.mark.parametrize("suite", ["groebner", "vanishing"])
+    def test_fig2_k4(self, capsys, fig_files, monkeypatch, suite):
+        import maxlin.algebra as algebra
+
+        built = {"q": 0, "x": 0}
+
+        def counting(family, make):
+            def counted(*args):
+                built[family] += 1
+                return make(*args)
+
+            return counted
+
+        monkeypatch.setattr(algebra, "q_var", counting("q", algebra.q_var))
+        monkeypatch.setattr(algebra, "x_var", counting("x", algebra.x_var))
+        argv = ["verify", suite, "--dag", fig_files["fig2.dag"], "--k", "4"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0 and json.loads(out)["passed"]
+        n, k = 5, 4
+        assert built["q"] == 0
+        assert built["x"] <= n * k, built
 
 
 class TestVerify:
@@ -1003,6 +1010,37 @@ class TestVerify:
         assert err == (
             "error: the Hilbert counts need 9**2 = 81 state pairs but the guard is 1;"
             " MAXLIN_HILBERT_LIMIT sets the guard\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, need",
+        [
+            (["generators"], "the generators need"),
+            (["generators", "--of", "ideals"], "the generators need"),
+            (["verify", "vanishing"], "the vanishing check needs"),
+        ],
+    )
+    def test_pair_scan_guard_names_the_command(self, capsys, fig_files, monkeypatch, argv, need):
+        """`generators` and `verify vanishing` scan the same |L|**2/2 state
+        pairs as `verify groebner`, under the same guard, checked before any
+        generator is built; the line names the command's own need."""
+        import maxlin.cli as cli
+
+        def no_generators(lattice):
+            raise AssertionError("generators built before the guard")
+
+        states = 9  # fig2's states with k=2, and its order ideals
+        argv = [*argv, "--dag", fig_files["fig2.dag"]]
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", str(states**2))
+        code, out, err = run_main(capsys, argv)
+        assert (code, err) == (0, "") and out
+        monkeypatch.setattr(cli, "generator_arrays", no_generators)
+        monkeypatch.setenv("MAXLIN_HILBERT_LIMIT", str(states**2 - 1))
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {need} {states}**2 = {states**2} state pairs but the guard is"
+            f" {states**2 - 1}; MAXLIN_HILBERT_LIMIT sets the guard\n"
         )
 
     def test_hilbert_limit_env_not_an_integer(self, capsys, fig_files, monkeypatch):

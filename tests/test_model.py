@@ -48,6 +48,7 @@ from conftest import (
     dags,
     eliminate_simplex,
     expanded_theorem31_failures,
+    fractions_built,
     joint_by_state,
     joint_factored,
     poly_of,
@@ -505,7 +506,9 @@ class TestOracle:
                 theta = make(dag.n, k, rng)
                 by_oracle = oracle_distribution(dag, [theta])[0]
                 assert by_oracle == reference_oracle(dag, theta), name
-                assert all(type(v) is Fraction for v in by_oracle.values())
+                # a sum over D = 1 stays an int, any other becomes a Fraction
+                kind = int if integer_view(theta)[1] == 1 else Fraction
+                assert all(type(v) is kind for v in by_oracle.values())
 
     def test_symbolic_table_is_refused(self, fig2_dag):
         with pytest.raises(ValueError) as caught:
@@ -517,24 +520,24 @@ class TestOracle:
         # become Fractions, never a vector's weight
         dag = dataclasses.replace(fig2_dag, k=4)
         theta = random_table(5, 4, random.Random(23))
-        built = []
-        new = Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(1)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", counted)
-        if hasattr(Fraction, "_from_coprime_ints"):
-            coprime = Fraction._from_coprime_ints
-            monkeypatch.setattr(
-                Fraction,
-                "_from_coprime_ints",
-                classmethod(lambda cls, *a: built.append(1) or coprime(*a)),
-            )
-        by_oracle = oracle_distribution(dag, [theta])[0]
+        by_oracle, built = fractions_built(
+            monkeypatch, lambda: oracle_distribution(dag, [theta])[0]
+        )
         assert len(by_oracle) == 125
-        assert len(built) <= len(by_oracle) + dag.n * dag.k
+        assert built <= len(by_oracle) + dag.n * dag.k
+
+    def test_integer_tables_build_no_fraction(self, fig2_dag, monkeypatch):
+        """Over D = 1 the per-outcome sums stay ints, equal to the reference's
+        Fractions, so `verify oracle`'s integer tables build no Fraction."""
+        dag = dataclasses.replace(fig2_dag, k=3)
+        tables = [ParamTable.random(5, 3, random.Random(seed)) for seed in (1, 2)]
+        oracles, built = fractions_built(
+            monkeypatch, lambda: oracle_distribution(dag, tables)
+        )
+        assert built == 0
+        for theta, by_oracle in zip(tables, oracles):
+            assert all(type(v) is int for v in by_oracle.values())
+            assert by_oracle == reference_oracle(dag, theta)
 
     @pytest.mark.parametrize("mutant", ["dropped", "perturbed", "zero_off_lattice"])
     def test_mutant_walk_fails_with_the_box_loops_lines(self, fig2_dag, monkeypatch, mutant):
