@@ -90,10 +90,6 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {quote(text)}: {exc}") from None
 
 
-def fraction_text(value: Scalar) -> str:
-    return str(value if type(value) is Fraction else Fraction(value))
-
-
 # ---------------------------------------------------------------------------
 # monomials: sorted tuples of (Variable, positive exponent)
 
@@ -177,7 +173,7 @@ class Polynomial:
             factors = [v.key_text() + (f"^{e}" if e > 1 else "") for v, e in mono]
             mag = abs(coeff)
             if mag != 1 or not factors:
-                factors.insert(0, fraction_text(mag))
+                factors.insert(0, str(mag))
             body = "*".join(factors)
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
@@ -374,9 +370,8 @@ class BinomialGenerator:
             )
 
     def polynomial(self) -> Polynomial:
-        left = _quadratic(q_var(self.g), q_var(self.h))
-        right = _quadratic(q_var(self.meet), q_var(self.join))
-        return Polynomial({left: 1, right: -1})
+        g, h, meet, join = (((q_var(s), 1),) for s in _STATES(self))
+        return Polynomial({mono_mul(g, h): 1, mono_mul(meet, join): -1})
 
     def to_text(self) -> str:
         return self.to_json_dict()["polynomial"]
@@ -393,12 +388,6 @@ def generator_json(g: str, h: str, meet: str, join: str) -> dict:
     "polynomial" is the one spelling of the text q_g*q_h - q_meet*q_join."""
     polynomial = f"q[{g}]*q[{h}] - q[{meet}]*q[{join}]"
     return {"pair": [g, h], "meet": meet, "join": join, "polynomial": polynomial}
-
-
-def _quadratic(a: Variable, b: Variable) -> Monomial:
-    if a == b:
-        return ((a, 2),)
-    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from . import __version__
 from .algebra import (
     check_pair_scan,
     evaluate_at_distribution,
-    fraction_text,
     generator_arrays,
     generator_json,
     hilbert_check,
@@ -114,10 +113,6 @@ def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:
     return verify_vanishing(generator_arrays(lattice), lattice)
 
 
-def _groebner_suite(dag: Dag, args: argparse.Namespace) -> Report:
-    return hilbert_check(_state_lattice(dag))
-
-
 # Suite name -> runner. The lambdas look the checks up when they run, so a
 # check replaced in this module's namespace is the one that runs.
 _SUITES = {
@@ -128,7 +123,7 @@ _SUITES = {
         _state_lattice(dag), trials=a.trials, seed=a.seed
     ),
     "eq5": lambda dag, a: eq5_check(dag, trials=a.trials, seed=a.seed),
-    "groebner": _groebner_suite,
+    "groebner": lambda dag, a: hilbert_check(_state_lattice(dag)),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
@@ -143,14 +138,29 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "ideals":
         _emit_states(ideal_lattice(transitive_closure(dag)).vectors, args.format)
         return 0
-    if args.command in ("distribution", "zeta"):
+    if args.command in ("distribution", "zeta", "eval"):
         view, denominator = integer_view(_load_theta(args))
         lattice = _state_lattice(dag)
         values = full_distribution(dag, view, lattice)
         if args.command == "zeta":
             values = zeta_transform(values, lattice)
-        prefix = "p" if args.command == "distribution" else "q"
-        _emit_value_map(lattice, values, denominator, prefix, args.format)
+        if args.command != "eval":
+            prefix = "p" if args.command == "distribution" else "q"
+            _emit_value_map(lattice, values, denominator, prefix, args.format)
+            return 0
+        p = dict(zip(lattice.states, values))
+        q = None  # the zeta numerators by state, formed for the first q-variable
+        data = []
+        for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            poly = parse_polynomial(line)
+            if q is None and any(v.family == "q" for v in poly.variables()):
+                q = dict(zip(lattice.states, zeta_transform(values, lattice)))
+            value = evaluate_at_distribution(poly, lattice, p, denominator, q)
+            data.append({"polynomial": line, "value": str(value)})
+        _emit(args.format, data, (f"{d['polynomial']} = {d['value']}" for d in data))
         return 0
     if args.command == "generators":
         if args.of == "ideals":
@@ -164,24 +174,6 @@ def run(args: argparse.Namespace) -> int:
         report = _SUITES[args.suite](dag, args)
         _emit(args.format, report.to_json_dict(), [report.to_text()])
         return 0 if report.passed else 1
-    if args.command == "eval":
-        lattice = _state_lattice(dag)
-        view, denominator = integer_view(_load_theta(args))
-        numerators = full_distribution(dag, view, lattice)
-        p = dict(zip(lattice.states, numerators))
-        q = None  # the zeta numerators by state, formed for the first q-variable
-        data = []
-        for raw in Path(args.poly).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            poly = parse_polynomial(line)
-            if q is None and any(v.family == "q" for v in poly.variables()):
-                q = dict(zip(lattice.states, zeta_transform(numerators, lattice)))
-            value = evaluate_at_distribution(poly, lattice, p, denominator, q)
-            data.append({"polynomial": line, "value": fraction_text(value)})
-        _emit(args.format, data, (f"{d['polynomial']} = {d['value']}" for d in data))
-        return 0
     raise MaxlinError(f"unknown command {args.command!r}")
 
 

@@ -123,7 +123,7 @@ def transitive_closure(dag: Dag) -> Poset:
     down = [0] * dag.n
     for v in dag._order:
         mask = 1 << (v - 1)
-        for u in dag.parents(v):
+        for u in dag._parents[v - 1]:
             mask |= down[u - 1]
         down[v - 1] = mask
     return Poset(tuple(range(1, dag.n + 1)), tuple(down))

@@ -29,7 +29,6 @@ from .poset import (
     Poset,
     State,
     StateLattice,
-    bit_positions,
     ideal_lattice,
     is_order_ideal,
     order_preserving_maps,
@@ -173,11 +172,6 @@ class _Unfactored:
 _UNFACTORED = _Unfactored()
 
 
-def _check_vector(g, n: int, k: int) -> None:
-    if len(g) != n or any(not isinstance(v, int) or not 0 <= v < k for v in g):
-        raise BadStateError(f"vector {tuple(g)!r} is not over {{0..{k - 1}}}^{n}")
-
-
 def _check_table(dag: Dag, theta: ParamTable) -> None:
     if theta.n != dag.n or theta.k != dag.k:
         raise ValueError(
@@ -193,7 +187,8 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     when M = k-1); the single weight of g_i when g_i > M.
     """
     _check_table(dag, theta)
-    _check_vector(g, dag.n, dag.k)
+    if len(g) != dag.n or any(not isinstance(v, int) or not 0 <= v < dag.k for v in g):
+        raise BadStateError(f"vector {tuple(g)!r} is not over {{0..{dag.k - 1}}}^{dag.n}")
     m = max((g[j - 1] for j in dag.parents(i)), default=0)
     if g[i - 1] < m:
         return Fraction(0)
@@ -393,17 +388,15 @@ def cbn_distribution(
     `unit` is the empty product the factors are multiplied onto, one per
     vertex in vertex order; with `_Factors()` each value is that tuple."""
     n = len(poset.elements)
-    if theta.n != n or theta.k != 2:
-        raise ValueError(f"the accumulation model needs a {n}x2 table, got {theta.n}x{theta.k}")
-    covers = [bit_positions(mask) for mask in poset._lower_covers]
+    if (theta.n, theta.k, lattice.n, lattice.k) != (n, 2, n, 2):
+        got = f"{theta.n}x{theta.k} and {lattice.n}x{lattice.k}"
+        raise ValueError(f"the accumulation model needs a {n}x2 table and lattice, got {got}")
     tops = [row[-1] for row in theta.cumulative]
     out: list[Value] = []
-    for g in lattice.states:
-        if len(g) != n or not {0, 1}.issuperset(g):
-            raise BadStateError(f"vector {tuple(g)!r} is not a 0-1 vector over the poset")
+    for g, mask in zip(lattice.states, lattice.masks):
         value = unit
-        for row, top, v, below in zip(theta.rows, tops, g, covers):
-            if all(g[j] for j in below):
+        for row, top, v, below in zip(theta.rows, tops, g, poset._lower_covers):
+            if not below & ~mask:
                 factor = row[v]
             elif v:
                 factor = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
 from typing import Hashable, Iterator, Sequence
 
 from .errors import BadStateError
@@ -78,9 +79,6 @@ class Poset:
             down[index[b]] |= 1 << index[a]
         return cls(elements, tuple(down))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @property
     def relation(self) -> frozenset[tuple[Label, Label]]:
         """Every pair (a, b) with a <= b, reflexive pairs included."""
@@ -124,15 +122,6 @@ class StateLattice:
     def __contains__(self, g: object) -> bool:
         return g in self._members
 
-    def __eq__(self, other: object) -> bool:
-        """Equal n, k and `states`, whether `vectors` holds bytes or tuples."""
-        if not isinstance(other, StateLattice):
-            return NotImplemented
-        return (self.n, self.k, self.states) == (other.n, other.k, other.states)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.states))
-
     @cached_property
     def states(self) -> tuple[State, ...]:
         return tuple(map(tuple, self.vectors))
@@ -147,8 +136,8 @@ class StateLattice:
         mapped to its index in `states`, in that order. g <= h iff g's bits lie
         in h's, and the meet and join (coordinate-wise min and max) of two
         states have the AND and the OR of their masks."""
-        width = self.k - 1
-        masks = (sum(((1 << v) - 1) << (i * width) for i, v in enumerate(g)) for g in self.states)
+        table = [[((1 << v) - 1) << i * (self.k - 1) for v in range(self.k)] for i in range(self.n)]
+        masks = (sum(map(getitem, table, g)) for g in self.vectors)
         return {m: t for t, m in enumerate(masks)}
 
     @cached_property

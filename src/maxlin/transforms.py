@@ -49,9 +49,7 @@ def _cover_walk(values, lattice: StateLattice, inverse: bool) -> list[Value]:
     return out
 
 
-def zeta_factorization_check(
-    dag: Dag, theta: ParamTable, lattice: StateLattice | None = None, unit=1
-) -> Report:
+def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
 
@@ -60,8 +58,8 @@ def zeta_factorization_check(
     lattice's lexicographic states (`_level_products`), so the two sides
     share no products.
 
-    `lattice`, when given, is the DAG's state lattice. `unit` is the empty
-    product of both sides.
+    `lattice` is the DAG's state lattice. `unit` is the empty product of
+    both sides.
 
     Exact for rational tables, as integer numerators over the one D of the
     table's `integer_view`; an integer table is compared as it is. With
@@ -72,8 +70,6 @@ def zeta_factorization_check(
     summands differ when their levels are disjoint, and is `_UNFACTORED`,
     a failure, otherwise, so no polynomial is ever formed.
     """
-    if lattice is None:
-        lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     theta, _ = integer_view(theta)
     cumulative = zeta_transform(full_distribution(dag, theta, lattice, unit), lattice)
     products = _level_products(theta.cumulative, lattice.states, unit)

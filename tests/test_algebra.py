@@ -28,7 +28,6 @@ from maxlin.algebra import (
     buchberger_check,
     default_lattice_order,
     evaluate_at_distribution,
-    fraction_text,
     generator_arrays,
     hibi_generators,
     hilbert_check,
@@ -304,7 +303,7 @@ def assert_parses_as_the_reference(text: str) -> None:
 
 def grammar_term_text(factors) -> str:
     return "*".join(
-        fraction_text(f) if isinstance(f, Fraction) else f"{f[0].key_text()}^{f[1]}"
+        str(f) if isinstance(f, Fraction) else f"{f[0].key_text()}^{f[1]}"
         for f in factors
     )
 
@@ -454,8 +453,8 @@ class TestGrammar:
             evaluate(poly, {})
 
     def test_fraction_text(self):
-        assert fraction_text(Fraction(1, 2)) == "1/2"
-        assert fraction_text(Fraction(3)) == "3"
+        assert str(parse_fraction("2/4")) == "1/2"
+        assert str(parse_fraction("6/2")) == "3"
         assert parse_fraction("2/6") == Fraction(1, 3)
         with pytest.raises(ParseError):
             parse_fraction("one half")

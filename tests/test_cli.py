@@ -296,7 +296,7 @@ class TestStateRendering:
     def dag_file(self, tmp_path, poset, k) -> str:
         path = tmp_path / "poset.dag"
         edges = "".join(f"{a + 1} {b + 1}\n" for a, b in strict_pairs(poset))
-        path.write_text(f"{len(poset)} {k}\n{edges}", encoding="utf-8")
+        path.write_text(f"{len(poset.elements)} {k}\n{edges}", encoding="utf-8")
         return str(path)
 
     @pytest.mark.parametrize("k", [1, 2, 8, 9, 10])
@@ -1350,6 +1350,24 @@ class TestErrorsAndDeterminism:
         )
         assert code == 2
         assert "--theta" in err
+
+    @pytest.mark.parametrize("command", ["distribution", "zeta", "eval"])
+    def test_missing_theta_exits_two_before_the_lattice(
+        self, capsys, monkeypatch, fig_files, tmp_path, command
+    ):
+        """The three commands on the joint check --theta first, in one branch."""
+        import maxlin.cli as cli
+
+        def no_lattice(dag):
+            raise AssertionError("the lattice was built before --theta was checked")
+
+        monkeypatch.setattr(cli, "_state_lattice", no_lattice)
+        argv = [command, "--dag", fig_files["fig2.dag"]]
+        if command == "eval":
+            argv += ["--poly", str(tmp_path / "unread.poly")]
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the {command} command needs --theta\n"
 
     @pytest.mark.parametrize("command", ["lattice", "distribution", "zeta"])
     def test_eleven_states_exits_two(self, capsys, fig_files, tmp_path, command):

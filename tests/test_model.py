@@ -766,11 +766,13 @@ class TestAccumulationModel:
 
     def test_distribution_requires_two_states_over_the_poset(self, fig1_poset):
         for theta in (uniform_table(5, 3), uniform_table(4, 2)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="needs a 5x2 table and lattice"):
                 cbn_distribution(fig1_poset, theta, ideal_lattice(fig1_poset))
-        bad = StateLattice(5, 3, ((0, 0, 0, 0, 0), (0, 0, 0, 0, 2)))
-        with pytest.raises(BadStateError):
-            cbn_distribution(fig1_poset, uniform_table(5, 2), bad)
+        three = StateLattice(5, 3, ((0, 0, 0, 0, 0), (0, 0, 0, 0, 2)))
+        four = StateLattice(4, 2, ((0, 0, 0, 0), (1, 0, 0, 0)))
+        for bad in (three, four):
+            with pytest.raises(ValueError, match="needs a 5x2 table and lattice"):
+                cbn_distribution(fig1_poset, uniform_table(5, 2), bad)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(), st.integers(0, 2**32))

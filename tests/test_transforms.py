@@ -436,8 +436,10 @@ class TestXTable:
                 assert [math.prod(x[: 4 - j - 1]) for j in range(4)] == list(alpha)
 
 
-def check_levels(dag, lattice=None):
-    """The symbolic eq5 check: the level table held as factor tuples."""
+def check_levels(dag):
+    """The symbolic eq5 check on the DAG's state lattice: the level table
+    held as factor tuples."""
+    lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice, _Factors())
 
 
@@ -474,11 +476,14 @@ class TestZetaFactorization:
         assert checks == [(True, True, (_Factors(),))] + [(True, False, ())] * 4
 
     def test_given_lattice_is_the_one_checked(self, fig3_dag):
+        """The check reads the lattice's states, whether its vectors are
+        the walk's bytes or int tuples."""
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         theta = random_table(3, 3, random.Random(4))
-        assert zeta_factorization_check(fig3_dag, theta, lattice) == (
-            zeta_factorization_check(fig3_dag, theta)
-        )
+        report = zeta_factorization_check(fig3_dag, theta, lattice)
+        assert report.passed and report.total == len(lattice) == 14
+        rebuilt = StateLattice(3, 3, lattice.states)
+        assert zeta_factorization_check(fig3_dag, theta, rebuilt) == report
 
     def test_specific_identity_q012(self, fig3_dag):
         """On the table reduced entry by entry, the identity is exact."""
@@ -494,8 +499,9 @@ class TestZetaFactorization:
         rng = random.Random(55)
         for k in (2, 3):
             for _, dag in catalog_dags(k):
-                assert zeta_factorization_check(dag, random_table(dag.n, k, rng)).passed
-                assert zeta_factorization_check(dag, ParamTable.random(dag.n, k, rng)).passed
+                lattice = order_preserving_maps(transitive_closure(dag), k)
+                for theta in (random_table(dag.n, k, rng), ParamTable.random(dag.n, k, rng)):
+                    assert zeta_factorization_check(dag, theta, lattice).passed
 
     def test_monomial_image_evaluates_to_cumulative_coordinate(self):
         # evaluating q_g's monomial image at the multiplicative parameters
