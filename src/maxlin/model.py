@@ -16,10 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import lcm, prod
 from numbers import Rational
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter, mul
 from typing import Union
 
 from .algebra import parse_fraction, state_digits
@@ -139,9 +139,8 @@ class _Factors(tuple):
     reverse topological order, so when coordinate i is summed every child
     of i already carries its cumulative weight, and the two summands differ
     only in the factor of i, at disjoint levels. Any other sum, or one with
-    a value that is not a product of this shape (such as the 0 of a state
-    the walk missed), is `_UNFACTORED`, which compares unequal to every
-    product."""
+    a value that is not a product of this shape (such as a plain 0), is
+    `_UNFACTORED`, which compares unequal to every product."""
 
     __slots__ = ()
 
@@ -197,61 +196,55 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     return theta.rows[i - 1][g[i - 1]]
 
 
-def _factored_walk(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
-    """The product of the conditionals over vertices at every vector where no
-    vertex sits below its parents' maximum: the lattice states, each once.
-    `unit` is the empty product, and the factors are multiplied onto it in
-    topological order.
-
-    An odometer over the topological order: the vertex at each position
-    starts at its parents' maximum m (factor alpha_{v,m}) and rises to each
-    j > m (factor theta_{v,j}). products[t] is the product of the factors of
-    the first t positions, and only the products from the position that
-    turned on are formed again, so each node of the walk costs one product,
-    at most n per state. A vector with a zero conditional is never visited;
-    vectors the walk leaves out have probability 0.
-    """
-    order = [v - 1 for v in topological_order(dag)]
-    parents = [[u - 1 for u in dag.parents(v + 1)] for v in order]
-    n, top = dag.n, dag.k - 1
-    rows, cumulative = theta.rows, theta.cumulative
-    g = [0] * n
-    products: list[Value] = [unit] * (n + 1)
-    out: dict[State, Value] = {}
-    turned = 0
-    while True:
-        for t in range(turned, n):
-            v = order[t]
-            m = max([g[u] for u in parents[t]], default=0)
-            g[v] = m
-            products[t + 1] = products[t] * cumulative[v][m]
-        out[tuple(g)] = products[n]
-        turned = n - 1
-        while turned >= 0 and g[order[turned]] == top:
-            turned -= 1
-        if turned < 0:
-            return out
-        v = order[turned]
-        g[v] += 1
-        products[turned + 1] = products[turned] * rows[v][g[v]]
-        turned += 1
+def _level_products(rows, states, unit: Value | _Factors) -> list:
+    """The product over coordinates i of rows[i][g[i]] for each state g, in
+    order, multiplied onto `unit`. A state shares its longest common prefix
+    with the state before it, and only the products past that prefix are
+    formed again; on states in lexicographic order that is one product per
+    distinct prefix, at most n per state."""
+    n = len(rows)
+    products: list = [unit] * (n + 1)
+    previous: State = ()
+    out = []
+    for g in states:
+        start = 0
+        for a, b in zip(g, previous):
+            if a != b:
+                break
+            start += 1
+        for i in range(start, n):
+            products[i + 1] = products[i] * rows[i][g[i]]
+        out.append(products[n])
+        previous = g
+    return out
 
 
 def full_distribution(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> list[Value]:
-    """The factored joint as a list aligned with `lattice.states`, the DAG's
-    state lattice; values sum to 1. A state the walk does not reach gets 0.
-    `unit` is the empty product the walk multiplies the conditionals onto,
-    in topological order; with `_Factors()` each value is its tuple of
-    factors in vertex order."""
+    """The factored joint as a list aligned with `lattice.states`: at each
+    vector the product over vertices v of the conditional of g_v given its
+    DAG parents' maximum m (0 for a source): theta_{v,g_v} above m,
+    alpha_{v,m} at m and 0 below, so a vector off the DAG's lattice gets 0.
+    On the lattice the values sum to 1 on a rational table, and to
+    D = prod(d_v) on an integer one. The codes g_v*k + m, formed in C-level
+    passes over the columns, index rows of the k*k conditionals, which
+    `_level_products` multiplies onto `unit`; with `_Factors()` each value
+    is its tuple of factors in vertex order."""
     _check_table(dag, theta)
-    get = _factored_walk(dag, theta, unit).get
-    zero = Fraction(0)
-    if not isinstance(unit, _Factors):
-        return [get(g, zero) for g in lattice.states]
-    # the walk appends the factors in topological order
-    slot = {v: t for t, v in enumerate(topological_order(dag))}
-    slots = [slot[v] for v in range(1, dag.n + 1)]
-    return [_Factors([f[t] for t in slots]) if (f := get(g)) else zero for g in lattice.states]
+    n, k = dag.n, dag.k
+    if (lattice.n, lattice.k) != (n, k):
+        raise ValueError(f"state lattice is {lattice.n}x{lattice.k}, graph needs {n}x{k}")
+    rows = [[row[g] if g > m else alpha[g] if g == m else 0 for g in range(k) for m in range(k)]
+            for row, alpha in zip(theta.rows, theta.cumulative)]
+    columns = list(zip(*lattice.states))
+    codes = []
+    for column, parents in zip(columns, dag._parents):
+        code = map(mul, column, repeat(k))
+        if len(parents) == 1:
+            code = map(add, code, columns[parents[0] - 1])
+        elif parents:
+            code = map(add, code, map(max, *[columns[u - 1] for u in parents]))
+        codes.append(code)
+    return _level_products(rows, zip(*codes), unit)
 
 
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
@@ -469,20 +462,19 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     enumerated. Every trial's table is drawn first, and one walk of the box
     gives the oracle of all of them.
 
-    Each trial's table has integer rows, so it compares two dicts of
-    integers on the union of their keys and the lattice's states, in lex
-    order; every other vector of the box is 0 on both sides and off the
-    lattice, so it could name no failure. Every trial counts k**n checks."""
+    Each trial's table has integer rows, so it compares the oracle's
+    integers with the joint's at each vector the oracle or the lattice
+    names, in lex order; elsewhere only a state both miss could fail. Every
+    trial counts k**n checks."""
     _check_box(dag)
     rng = random.Random(seed)
     tables = [ParamTable.random(dag.n, dag.k, rng) for _ in range(trials)]
     oracles = oracle_distribution(dag, tables)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
+    named = StateLattice(dag.n, dag.k, sorted(lattice._members.union(*oracles)))
     failures: list[str] = []
     for trial, (theta, by_oracle) in enumerate(zip(tables, oracles)):
-        walk = _factored_walk(dag, theta)
-        for g in sorted(walk.keys() | by_oracle.keys() | lattice._members):
-            factored = walk.get(g, 0)
+        for g, factored in zip(named.states, full_distribution(dag, theta, named)):
             if factored != by_oracle.get(g, 0):
                 failures.append(f"trial {trial}: state {state_digits(g)}")
             elif (factored == 0) != (g not in lattice):

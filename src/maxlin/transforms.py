@@ -10,8 +10,8 @@ from typing import Sequence
 
 from .algebra import state_digits
 from .dag import Dag, transitive_closure
-from .model import ParamTable, Value, _Factors, full_distribution, integer_view
-from .poset import State, StateLattice, order_preserving_maps
+from .model import ParamTable, Value, _Factors, _level_products, full_distribution, integer_view
+from .poset import StateLattice, order_preserving_maps
 from .report import Report
 
 
@@ -53,10 +53,10 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice,
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
 
-    The left side reads the factored joint, walked in topological order;
-    the right side multiplies the table's cumulative rows along the
-    lattice's lexicographic states (`_level_products`), so the two sides
-    share no products.
+    The left side is zeta of the factored joint; the right side multiplies
+    the table's cumulative rows along the lattice's states. Both form their
+    products with `_level_products`, on other rows and codes, so the two
+    sides share no products.
 
     `lattice` is the DAG's state lattice. `unit` is the empty product of
     both sides.
@@ -80,29 +80,6 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice,
     ]
     detail = f"{len(lattice)} states factor exactly" if not failures else ""
     return Report("eq5", total=len(lattice), failures=failures, detail=detail)
-
-
-def _level_products(rows, states, unit: Value | _Factors) -> list:
-    """The product over coordinates i of rows[i][g[i]] for each state g, in
-    order, multiplied onto `unit`. A state shares its longest common prefix
-    with the state before it, and only the products past that prefix are
-    formed again; on states in lexicographic order that is one product per
-    distinct prefix, at most n per state."""
-    n = len(rows)
-    products: list = [unit] * (n + 1)
-    previous: State = ()
-    out = []
-    for g in states:
-        start = 0
-        for a, b in zip(g, previous):
-            if a != b:
-                break
-            start += 1
-        for i in range(start, n):
-            products[i + 1] = products[i] * rows[i][g[i]]
-        out.append(products[n])
-        previous = g
-    return out
 
 
 def eq5_check(dag: Dag, trials: int, seed: int) -> Report:

@@ -2,16 +2,16 @@
 brute-force enumerators, the reference polynomial ring (sums, products and
 powers of `Polynomial`), the general division algorithm (which refuses
 non-canonical monomials), lattice functions keyed by state, the symbolic,
-rational and reduced tables, the expanded eq5 and theorem31 checks and
-mutants to run them under, generic substitution, the monomial map one
-variable at a time, the Hilbert certificate's old degree 1-3 counts, the
-vanishing check and the certificate on multiplied-out images and a lead set,
-reference helpers (the order, meet and join of states, the generator of a
-pair, the dual of a poset, its covers and order ideals, the axiom violations
-and maximal lower elements of a relation by all pairs, the uniform table,
-the accumulation model one element at a time), the polynomial grammar one
-token at a time and Fraction evaluation, and random generators for
-property-style tests."""
+rational and reduced tables, the expanded eq5 and theorem31 checks, broken
+joints to run them under and the helper that installs one, generic
+substitution, the monomial map one variable at a time, the Hilbert
+certificate's old degree 1-3 counts, the vanishing check and the
+certificate on multiplied-out images and a lead set, reference helpers
+(the order, meet and join of states, the generator of a pair, the dual of a
+poset, its covers and order ideals, the axiom violations and maximal lower
+elements of a relation by all pairs, the uniform table, the accumulation
+model one element at a time), the polynomial grammar one token at a time
+and Fraction evaluation, and random generators for property-style tests."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import strategies as st
 
-from maxlin import data
+from maxlin import cli, data, model, transforms
 from maxlin.algebra import (
     FAMILIES,
     MAX_EXPONENT,
@@ -43,15 +43,9 @@ from maxlin.algebra import (
     t_var,
     x_var,
 )
-from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
+from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.errors import BadStateError, ParseError, UnboundVariableError, quote, shorten
-from maxlin.model import (
-    ParamTable,
-    Value,
-    cbn_distribution,
-    conditional_probability,
-    full_distribution,
-)
+from maxlin.model import ParamTable, Value, cbn_distribution, conditional_probability
 from maxlin.poset import (
     Label,
     Poset,
@@ -506,7 +500,7 @@ def expanded_eq5_failures(dag: Dag, theta: ParamTable) -> list[str]:
     rows = [[eliminate_simplex(v, n, k) for v in row] for row in theta.rows]
     reduced = table_from_rows(rows)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    cumulative = zeta_transform(full_distribution(dag, reduced, lattice), lattice)
+    cumulative = zeta_transform(model.full_distribution(dag, reduced, lattice), lattice)
     return [
         f"state {state_digits(g)}"
         for g, value in zip(lattice, cumulative)
@@ -525,7 +519,7 @@ def expanded_theorem31_failures(dag: Dag) -> list[str]:
     theta = symbolic_table(dag.n, 2)
     ideals = ideal_lattice(closure)
     states = order_preserving_maps(closure, 2)
-    maxmodel = as_map(states, full_distribution(dag2, theta.swapped(), states))
+    maxmodel = as_map(states, model.full_distribution(dag2, theta.swapped(), states))
     failures = []
     for g, value in zip(ideals, cbn_distribution(closure, theta, ideals)):
         image = tuple(1 - v for v in g)
@@ -544,7 +538,7 @@ def as_map(lattice: StateLattice, values) -> dict[State, Value]:
 def joint_by_state(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
     """`full_distribution` on the DAG's state lattice, keyed by state."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return as_map(lattice, full_distribution(dag, theta, lattice, unit))
+    return as_map(lattice, model.full_distribution(dag, theta, lattice, unit))
 
 
 def accumulation_by_state(poset: Poset, theta: ParamTable, unit=1) -> dict[State, Value]:
@@ -571,27 +565,49 @@ def increasing_column_sum_covers(lattice: StateLattice) -> tuple[tuple[int, int]
     return tuple(pair for pair in pairs if pair[1] is not None)
 
 
+def replace_joint(monkeypatch, joint) -> None:
+    """Make `joint` the `full_distribution` of every module that reads the
+    name: the model's checks, eq5's left side and the CLI's commands. The
+    references here look it up in the model module, so they read it too."""
+    for module in (model, transforms, cli):
+        monkeypatch.setattr(module, "full_distribution", joint)
+
+
+def joint_edited_at(state: State, edit):
+    """A broken `model.full_distribution`: the joint with the value at
+    `state`, wherever a lattice has it, replaced by `edit(value)`."""
+    joint = model.full_distribution
+
+    def edited(dag: Dag, theta: ParamTable, lattice: StateLattice, *unit) -> list:
+        out = joint(dag, theta, lattice, *unit)
+        if state in lattice:
+            t = lattice.states.index(state)
+            out[t] = edit(out[t])
+        return out
+
+    return edited
+
+
 def alpha_for_theta_walk(vertex: int):
-    """A broken `model._factored_walk`: the joint at each lattice state as
-    the product of its conditionals in topological order, except that at
+    """A broken `model.full_distribution`: the joint at each lattice state as
+    the product of its conditionals in vertex order, except that at
     `vertex`, above its parents' maximum m, the factor is alpha_{v,m} where
     theta_{v,g_v} belongs."""
 
-    def walk(dag: Dag, theta: ParamTable, unit=1) -> dict:
-        order = topological_order(dag)
-        out = {}
-        for g in order_preserving_maps(transitive_closure(dag), dag.k):
+    def joint(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> list:
+        out = []
+        for g in lattice.states:
             value = unit
-            for v in order:
+            for v in range(1, dag.n + 1):
                 m = max((g[u - 1] for u in dag.parents(v)), default=0)
                 if g[v - 1] == m or v == vertex:
                     value = value * theta.cumulative[v - 1][m]
                 else:
                     value = value * theta.rows[v - 1][g[v - 1]]
-            out[g] = value
+            out.append(value)
         return out
 
-    return walk
+    return joint
 
 
 def substitute_variables(poly: Polynomial, mapping) -> RingPolynomial:

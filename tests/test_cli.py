@@ -30,7 +30,9 @@ from conftest import (
     brute_force_ideals,
     brute_force_states,
     fractions_built,
+    joint_edited_at,
     random_dag,
+    replace_joint,
     strict_pairs,
 )
 
@@ -1068,31 +1070,54 @@ class TestBrokenWalk:
     def test_theta_at_the_parents_maximum(self, capsys, fig_files, monkeypatch):
         import maxlin.model as model
 
-        walk = model._factored_walk
+        joint = model.full_distribution
 
-        def theta_for_alpha(dag, theta, *unit):
+        def theta_for_alpha(dag, theta, *args):
             broken = model.ParamTable(theta.rows)
             object.__setattr__(broken, "cumulative", theta.rows)
-            return walk(dag, broken, *unit)
+            return joint(dag, broken, *args)
 
-        monkeypatch.setattr(model, "_factored_walk", theta_for_alpha)
+        replace_joint(monkeypatch, theta_for_alpha)
         for suite in ("oracle", "eq5"):
             self.verify(capsys, fig_files, suite)
 
     @pytest.mark.parametrize("suite", ["oracle", "eq5"])
     def test_dropped_state(self, capsys, fig_files, monkeypatch, suite):
-        import maxlin.model as model
-
-        walk = model._factored_walk
-
-        def drop_one(dag, theta, *unit):
-            out = walk(dag, theta, *unit)
-            del out[(0, 1, 1, 2, 2)]
-            return out
-
-        monkeypatch.setattr(model, "_factored_walk", drop_one)
+        replace_joint(monkeypatch, joint_edited_at((0, 1, 1, 2, 2), lambda value: Fraction(0)))
         report = self.verify(capsys, fig_files, suite)
         assert any("01122" in line for line in report["failures"])
+
+    @pytest.mark.parametrize("suite", ["oracle", "eq5"])
+    def test_one_prefix_product_too_many(self, capsys, fig_files, monkeypatch, suite):
+        """The joint and eq5's right side share `model._level_products`.
+        Broken in the model module alone, it breaks the joint only, and both
+        the innovation oracle and eq5's right side, which the transforms
+        module binds to the intact routine, catch it."""
+        import maxlin.model as model
+        import maxlin.transforms as transforms
+
+        def one_prefix_too_many(rows, states, unit):
+            # each state past the first reuses the product of one more
+            # coordinate than it shares with the state before
+            n = len(rows)
+            products = [unit] * (n + 1)
+            previous = None
+            out = []
+            for g in states:
+                start = 0
+                if previous is not None:
+                    while start < n and g[start] == previous[start]:
+                        start += 1
+                    start = min(start + 1, n)
+                for i in range(start, n):
+                    products[i + 1] = products[i] * rows[i][g[i]]
+                out.append(products[n])
+                previous = g
+            return out
+
+        assert transforms._level_products is model._level_products
+        monkeypatch.setattr(model, "_level_products", one_prefix_too_many)
+        self.verify(capsys, fig_files, suite)
 
     def test_one_alpha_on_the_right_side_of_eq5(self, capsys, fig_files, monkeypatch):
         import maxlin.transforms as transforms

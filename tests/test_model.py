@@ -28,7 +28,6 @@ from maxlin.errors import (
 from maxlin.model import (
     ParamTable,
     _Factors,
-    _factored_walk,
     cbn_correspondence_check,
     cbn_distribution,
     cbn_to_dmlbn_state,
@@ -50,9 +49,11 @@ from conftest import (
     expanded_theorem31_failures,
     fractions_built,
     joint_by_state,
+    joint_edited_at,
     joint_factored,
     poly_of,
     random_table,
+    replace_joint,
     symbolic_table,
     table_from_rows,
     theta_var,
@@ -291,39 +292,38 @@ def tables(n: int, k: int, rng: random.Random) -> list[ParamTable]:
     return [random_table(n, k, rng), sparse_table(n, k, rng), symbolic_table(n, k)]
 
 
-def assert_walk_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
-    """The walk's keys are the lattice states, its values the per-state
-    products of the checked conditionals, and every vector of the box that
-    it leaves out has product 0."""
-    walk = _factored_walk(dag, theta)
+def assert_joint_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
+    """The joint on the state lattice is the per-state product of the
+    checked conditionals, and so is the joint at every vector of the box,
+    0 off the lattice."""
+    expected = {g: joint_factored(dag, theta, g) for g in product(range(dag.k), repeat=dag.n)}
+    box = StateLattice(dag.n, dag.k, tuple(expected))
+    assert full_distribution(dag, theta, box) == list(expected.values())
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    assert sorted(walk) == list(lattice.states)
-    for g in product(range(dag.k), repeat=dag.n):
-        expected = joint_factored(dag, theta, g)
-        if g in walk:
-            assert walk[g] == expected, g
-        else:
-            assert expected == 0, g
+    assert full_distribution(dag, theta, lattice) == [expected[g] for g in lattice]
 
 
 class TestFactoredWalk:
+    """`full_distribution` against `joint_factored`."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_catalog(self, k):
         rng = random.Random(100 + k)
         for _, dag in catalog_dags(k):
             for theta in tables(dag.n, k, rng):
-                assert_walk_is_the_factored_joint(dag, theta)
+                assert_joint_is_the_factored_joint(dag, theta)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2**32))
     def test_random_dags(self, dag, k, kind, seed):
         dag = dataclasses.replace(dag, k=k)
         theta = tables(dag.n, k, random.Random(seed))[kind]
-        assert_walk_is_the_factored_joint(dag, theta)
+        assert_joint_is_the_factored_joint(dag, theta)
 
     def test_products_per_walk_node(self, fig2_dag):
-        # one product per node of the walk: at most n per state, and on fig2,
-        # whose labels are a topological order, one per distinct prefix
+        # one product per distinct prefix of the states' codes, each vertex's
+        # level and its parents' maximum in vertex order: at most n per
+        # state
         calls = []
 
         class Counted(Fraction):
@@ -331,14 +331,27 @@ class TestFactoredWalk:
                 calls.append(1)
                 return Counted(Fraction.__mul__(self, other))
 
-        theta = uniform_table(5, 2)
-        walk = _factored_walk(fig2_dag, theta, Counted(1))
-        prefixes = {g[:t] for g in walk for t in range(1, 6)}
-        assert len(calls) == len(prefixes) <= 5 * len(walk)
+        lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
+        full_distribution(fig2_dag, uniform_table(5, 2), lattice, Counted(1))
+        parents = [fig2_dag.parents(v) for v in range(1, 6)]
+        codes = [
+            [(x, max([g[u - 1] for u in ps], default=0)) for x, ps in zip(g, parents)]
+            for g in lattice
+        ]
+        prefixes = {tuple(code[:t]) for code in codes for t in range(1, 6)}
+        assert len(calls) == len(prefixes) <= 5 * len(lattice)
 
     def test_long_chain_is_iterative(self):
         dag = Dag(n=2000, k=1, edges=frozenset((i, i + 1) for i in range(1, 2000)))
-        assert _factored_walk(dag, uniform_table(2000, 1)) == {(0,) * 2000: 1}
+        lattice = StateLattice(2000, 1, ((0,) * 2000,))
+        assert full_distribution(dag, uniform_table(2000, 1), lattice) == [1]
+
+    def test_lattice_of_another_shape_is_refused(self, fig2_dag):
+        theta = uniform_table(5, 2)
+        for n, k in ((4, 2), (6, 2), (5, 3), (5, 1)):
+            lattice = StateLattice(n, k, ((0,) * n,))
+            with pytest.raises(ValueError, match=f"state lattice is {n}x{k}, graph needs 5x2"):
+                full_distribution(fig2_dag, theta, lattice)
 
 
 def reference_oracle(dag: Dag, theta: ParamTable) -> dict:
@@ -420,18 +433,18 @@ class TestIntegerView:
 
 
 def box_failures(dag: Dag, trials: int, seed: int, oracle=reference_oracle) -> list[str]:
-    """The oracle check's failure lines, found by walking the whole box in
-    every trial against `oracle`; the factored walk and the state lattice
-    are looked up in the model module, so a patched one is used."""
+    """The oracle check's failure lines, found by evaluating the joint at
+    every vector of the box in every trial against `oracle`; the joint and
+    the state lattice are looked up in the model module, so a patched one
+    is used."""
     lattice = model.order_preserving_maps(transitive_closure(dag), dag.k)
+    box = StateLattice(dag.n, dag.k, tuple(product(range(dag.k), repeat=dag.n)))
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
         theta = ParamTable.random(dag.n, dag.k, rng)
         by_oracle = oracle(dag, theta)
-        walk = model._factored_walk(dag, theta)
-        for g in product(range(dag.k), repeat=dag.n):
-            factored = walk.get(g, Fraction(0))
+        for g, factored in zip(box.states, model.full_distribution(dag, theta, box)):
             if factored != by_oracle.get(g, Fraction(0)):
                 failures.append(f"trial {trial}: state {state_digits(g)}")
             elif (factored == 0) != (g not in lattice):
@@ -542,26 +555,19 @@ class TestOracle:
     @pytest.mark.parametrize("mutant", ["dropped", "perturbed", "zero_off_lattice"])
     def test_mutant_walk_fails_with_the_box_loops_lines(self, fig2_dag, monkeypatch, mutant):
         dag = dataclasses.replace(fig2_dag, k=3)
-        walk = model._factored_walk
-
-        def mutated(dag, theta, *unit):
-            out = walk(dag, theta, *unit)
-            if mutant == "dropped":
-                del out[(0, 1, 1, 2, 2)]
-            elif mutant == "perturbed":
-                out[(0, 0, 1, 1, 2)] += Fraction(1, 10**9)
-            else:
-                out[(2, 0, 0, 0, 0)] = Fraction(0)
-            return out
-
-        monkeypatch.setattr(model, "_factored_walk", mutated)
+        mutants = {
+            "dropped": ((0, 1, 1, 2, 2), lambda value: Fraction(0)),
+            "perturbed": ((0, 0, 1, 1, 2), lambda value: value + Fraction(1, 10**9)),
+            "zero_off_lattice": ((2, 0, 0, 0, 0), lambda value: Fraction(0)),
+        }
+        replace_joint(monkeypatch, joint_edited_at(*mutants[mutant]))
         report = oracle_equivalence_check(dag, trials=3, seed=5)
         expected = box_failures(dag, trials=3, seed=5)
         assert report.failures == expected
         assert report.total == 3 * 3**5
         if mutant == "zero_off_lattice":
-            # the box's own zero off the lattice: the dicts differ, but no
-            # vector differs in value or support, as at the parent
+            # the box's own zero off the lattice: no vector differs in value
+            # or support
             assert expected == [] and report.detail == "3/3 trials, 40 states each, exact match"
         else:
             assert len(expected) == 3 and report.detail == ""
@@ -689,18 +695,13 @@ class TestOracle:
         # the report the shared walk gives is the one that a reference
         # oracle per trial and a loop over the whole box give
         dag = dataclasses.replace(dag, k=k)
-        walk = model._factored_walk
-
-        def mutated(dag, theta, *unit):
-            out = walk(dag, theta, *unit)
-            if mutant == "dropped":
-                del out[max(out)]
-            elif mutant == "perturbed":
-                out[min(out)] += 1
-            return out
-
+        mutants = {
+            "dropped": ((k - 1,) * dag.n, lambda value: 0),
+            "perturbed": ((0,) * dag.n, lambda value: value + 1),
+        }
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_factored_walk", mutated)
+            if mutant != "intact":
+                replace_joint(patch, joint_edited_at(*mutants[mutant]))
             report = oracle_equivalence_check(dag, trials, seed)
             expected = box_failures(dag, trials, seed)
         states = len(order_preserving_maps(transitive_closure(dag), k))
@@ -897,7 +898,7 @@ class TestTwoStateCorrespondence:
             if mutant == "unswapped":
                 patch.setattr(ParamTable, "swapped", lambda self: self)
             elif mutant == "alpha":
-                patch.setattr(model, "_factored_walk", alpha_for_theta_walk(v % dag.n + 1))
+                replace_joint(patch, alpha_for_theta_walk(v % dag.n + 1))
             report = cbn_correspondence_check(dag, trials=0, seed=0)
             expanded = expanded_theorem31_failures(dag)
         assert report.passed == (not expanded) == (mutant == "none")

@@ -49,10 +49,12 @@ from conftest import (
     evaluate,
     expanded_eq5_failures,
     increasing_column_sum_covers,
+    joint_edited_at,
     joint_factored,
     p_var,
     poly_of,
     random_table,
+    replace_joint,
     state_leq,
     symbolic_table,
     table_from_rows,
@@ -609,7 +611,7 @@ class TestFactorPath:
             if mutant == "flipped":
                 replace_cover_table(patch, increasing_column_sum_covers)
             elif mutant == "alpha":
-                patch.setattr(model, "_factored_walk", alpha_for_theta_walk(v % dag.n + 1))
+                replace_joint(patch, alpha_for_theta_walk(v % dag.n + 1))
             report = eq5_check(dag, trials=0, seed=0)
             expanded = expanded_eq5_failures(dag, symbolic_table(dag.n, k))
         assert report.passed == (not expanded)
@@ -653,25 +655,18 @@ class TestFactorPath:
         self.symbolic_failures(capsys, fig2_path)
 
     def test_theta_at_the_parents_maximum(self, capsys, fig2_path, monkeypatch):
-        walk = model._factored_walk
+        joint = model.full_distribution
 
-        def theta_for_alpha(dag, theta, *unit):
+        def theta_for_alpha(dag, theta, *args):
             broken = ParamTable(theta.rows)
             object.__setattr__(broken, "cumulative", theta.rows)
-            return walk(dag, broken, *unit)
+            return joint(dag, broken, *args)
 
-        monkeypatch.setattr(model, "_factored_walk", theta_for_alpha)
+        replace_joint(monkeypatch, theta_for_alpha)
         self.symbolic_failures(capsys, fig2_path)
 
     def test_dropped_state(self, capsys, fig2_path, monkeypatch):
-        walk = model._factored_walk
-
-        def drop_one(dag, theta, *unit):
-            out = walk(dag, theta, *unit)
-            del out[(0, 1, 1, 2, 2)]
-            return out
-
-        monkeypatch.setattr(model, "_factored_walk", drop_one)
+        replace_joint(monkeypatch, joint_edited_at((0, 1, 1, 2, 2), lambda value: Fraction(0)))
         assert "symbolic: state 01122" in self.symbolic_failures(capsys, fig2_path)
 
     def test_one_alpha_on_the_right_side(self, capsys, fig2_dag, fig2_path, monkeypatch):
