@@ -5,10 +5,10 @@ Tables hold rational rows (probabilities are Fractions) or integer rows, a
 scaled table whose values are integer numerators over the product of its row
 sums. The model's formulas are generic in the entries, so rows of other ring
 values, such as the tests' reference polynomials, give the same formulas
-over them; the innovation oracle alone needs rational rows. The symbolic
-checks use the integer level table (`ParamTable.levels`) with every value
-held as its tuple of per-vertex factors (`_Factors`), so no polynomial is
-formed.
+over them; the innovation oracle alone needs rational rows. A joint forms
+each value by one `product` call on its n per-vertex factors, `math.prod`
+by default; the symbolic checks use the integer level table
+(`ParamTable.levels`) with `_Factors`, so no polynomial is formed.
 """
 
 from __future__ import annotations
@@ -73,12 +73,8 @@ class ParamTable:
         return len(self.rows[0])
 
     def swapped(self) -> "ParamTable":
-        """Rows reversed; for k=2 this swaps the two state weights. A valid
-        row reversed is valid, so only the cumulative rows are built."""
-        table = object.__new__(ParamTable)
-        object.__setattr__(table, "rows", tuple(tuple(reversed(row)) for row in self.rows))
-        object.__setattr__(table, "cumulative", tuple(map(_cumulative, table.rows)))
-        return table
+        """Rows reversed; for k=2 this swaps the two state weights."""
+        return ParamTable(tuple(tuple(reversed(row)) for row in self.rows))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParamTable":
@@ -106,28 +102,28 @@ class ParamTable:
         return cls((tuple(1 << j for j in range(k)),) * n)
 
 
-def _cumulative(row: tuple, number: int = 0, k: int = 0) -> tuple:
+def _cumulative(row: tuple, number: int, k: int) -> tuple:
     """A row's `ParamTable.cumulative` row: the running sums of a rational or
-    integer row, of another those of all but its last entry, then 1. Given
-    its `number`, the row is checked as row `number` of a table of width k."""
-    if number and len(row) != k:
+    integer row, of another those of all but its last entry, then 1. The
+    row is checked as row `number` of a table of width k."""
+    if len(row) != k:
         raise ValueError(f"row {number} has {len(row)} entries, expected {k}")
     ints = all(type(v) is int for v in row)  # cheaper than the Rational test
     if not ints and not all(isinstance(v, Rational) for v in row):
         return (*accumulate(row[:-1]), Fraction(1))
     sums = tuple(accumulate(row))
-    if number and any(v < 0 for v in row):
+    if any(v < 0 for v in row):
         raise ValueError(f"row {number} has a negative weight")
     total = sums[-1] if sums else 0
-    if number and total != 1 and not (total and (ints or all(isinstance(v, int) for v in row))):
+    if total != 1 and not (total and (ints or all(isinstance(v, int) for v in row))):
         raise ValueError(f"row {number} sums to {total}, not 1")
     return sums
 
 
 class _Factors(tuple):
-    """A product of one factor per vertex, held as the tuple of its factors
-    and never multiplied out: multiplying appends a factor. On the level
-    table a factor is a nonzero level mask, standing for the sum of the
+    """A product of one factor per vertex, held as the tuple of its factors and
+    never multiplied out, so the class is itself a joint's `product`. On the
+    level table a factor is a nonzero level mask, standing for the sum of the
     formal weights theta_{v,j} at its levels j. Each factor is then a linear
     form in its own vertex's weights, with coefficients 0 and 1, so two
     tuples are equal exactly when their products are equal as polynomials.
@@ -143,9 +139,6 @@ class _Factors(tuple):
     `_UNFACTORED`, which compares unequal to every product."""
 
     __slots__ = ()
-
-    def __mul__(self, factor) -> "_Factors":
-        return _Factors((*self, factor))
 
     def __add__(self, other):
         if isinstance(other, _Factors) and len(other) == len(self):
@@ -196,39 +189,23 @@ def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
     return theta.rows[i - 1][g[i - 1]]
 
 
-def _level_products(rows, states, unit: Value | _Factors) -> list:
-    """The product over coordinates i of rows[i][g[i]] for each state g, in
-    order, multiplied onto `unit`. A state shares its longest common prefix
-    with the state before it, and only the products past that prefix are
-    formed again; on states in lexicographic order that is one product per
-    distinct prefix, at most n per state."""
-    n = len(rows)
-    products: list = [unit] * (n + 1)
-    previous: State = ()
-    out = []
-    for g in states:
-        start = 0
-        for a, b in zip(g, previous):
-            if a != b:
-                break
-            start += 1
-        for i in range(start, n):
-            products[i + 1] = products[i] * rows[i][g[i]]
-        out.append(products[n])
-        previous = g
-    return out
+def _level_products(rows, states, product=prod) -> list:
+    """For each state g, in order, one `product` call on the n factors
+    rows[i][g[i]], coordinates i in order."""
+    return [product(map(getitem, rows, g)) for g in states]
 
 
-def full_distribution(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> list[Value]:
+def full_distribution(
+    dag: Dag, theta: ParamTable, lattice: StateLattice, product=prod
+) -> list[Value]:
     """The factored joint as a list aligned with `lattice.states`: at each
     vector the product over vertices v of the conditional of g_v given its
     DAG parents' maximum m (0 for a source): theta_{v,g_v} above m,
     alpha_{v,m} at m and 0 below, so a vector off the DAG's lattice gets 0.
     On the lattice the values sum to 1 on a rational table, and to
     D = prod(d_v) on an integer one. The codes g_v*k + m, formed in C-level
-    passes over the columns, index rows of the k*k conditionals, which
-    `_level_products` multiplies onto `unit`; with `_Factors()` each value
-    is its tuple of factors in vertex order."""
+    passes over the columns, pick each state's conditionals from rows of
+    k*k, and one `product` call forms its value from them in vertex order."""
     _check_table(dag, theta)
     n, k = dag.n, dag.k
     if (lattice.n, lattice.k) != (n, k):
@@ -244,7 +221,7 @@ def full_distribution(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1
         elif parents:
             code = map(add, code, map(max, *[columns[u - 1] for u in parents]))
         codes.append(code)
-    return _level_products(rows, zip(*codes), unit)
+    return _level_products(rows, zip(*codes), product)
 
 
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
@@ -368,7 +345,7 @@ def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int
 
 
 def cbn_distribution(
-    poset: Poset, theta: ParamTable, lattice: StateLattice, unit=1
+    poset: Poset, theta: ParamTable, lattice: StateLattice, product=prod
 ) -> list[Value]:
     """The accumulation model's joint over the order ideals of the poset, as
     a list aligned with `lattice.states`, the ideals written as 0-1
@@ -377,30 +354,20 @@ def cbn_distribution(
     occurs with its own two-state weight. An element that cannot occur yet,
     and has not, has the factor its cumulative row ends in: 1 on a rational
     table, and d_v on an integer one, whose values are then numerators over
-    the product of the d_v.
-    `unit` is the empty product the factors are multiplied onto, one per
-    vertex in vertex order; with `_Factors()` each value is that tuple."""
+    the product of the d_v. A 0-1 vector that is not an ideal has a factor
+    0. Each value is one `product` call on its n factors in vertex order;
+    with `_Factors` it is that tuple."""
     n = len(poset.elements)
     if (theta.n, theta.k, lattice.n, lattice.k) != (n, 2, n, 2):
         got = f"{theta.n}x{theta.k} and {lattice.n}x{lattice.k}"
         raise ValueError(f"the accumulation model needs a {n}x2 table and lattice, got {got}")
     tops = [row[-1] for row in theta.cumulative]
-    out: list[Value] = []
-    for g, mask in zip(lattice.states, lattice.masks):
-        value = unit
-        for row, top, v, below in zip(theta.rows, tops, g, poset._lower_covers):
-            if not below & ~mask:
-                factor = row[v]
-            elif v:
-                factor = 0
-            else:
-                factor = top  # the element cannot occur yet, and has not
-            if factor == 0:
-                value = Fraction(0)
-                break
-            value = value * factor
-        out.append(value)
-    return out
+    elements = list(zip(theta.rows, tops, poset._lower_covers))
+    return [
+        product([row[v] if not below & ~mask else 0 if v else top
+                 for (row, top, below), v in zip(elements, g)])
+        for g, mask in zip(lattice.states, lattice.masks)
+    ]
 
 
 def cbn_to_dmlbn_state(poset: Poset, g) -> State:
@@ -432,16 +399,14 @@ def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     positions = [index[image] for image in images]
     failures: list[str] = []
 
-    def compare(theta: ParamTable, label: str, unit=1) -> None:
-        accum = cbn_distribution(closure, theta, ideals, unit)
-        maxmodel = full_distribution(dag2, theta.swapped(), states, unit)
+    def compare(theta: ParamTable, label: str, product=prod) -> None:
+        accum = cbn_distribution(closure, theta, ideals, product)
+        maxmodel = full_distribution(dag2, theta.swapped(), states, product)
         for g, image, value, t in zip(ideals, images, accum, positions):
             if value != maxmodel[t]:
-                failures.append(
-                    f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}"
-                )
+                failures.append(f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}")
 
-    compare(ParamTable.levels(dag.n, 2), "symbolic", _Factors())
+    compare(ParamTable.levels(dag.n, 2), "symbolic", _Factors)
     rng = random.Random(seed)
     for trial in range(trials):
         compare(ParamTable.random(dag.n, 2, rng), f"trial {trial}")

@@ -5,7 +5,7 @@ factor into the cumulative weight rows of the parameter table."""
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .algebra import state_digits
@@ -49,21 +49,20 @@ def _cover_walk(values, lattice: StateLattice, inverse: bool) -> list[Value]:
     return out
 
 
-def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> Report:
+def zeta_factorization_check(
+    dag: Dag, theta: ParamTable, lattice: StateLattice, product=prod
+) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
 
-    The left side is zeta of the factored joint; the right side multiplies
-    the table's cumulative rows along the lattice's states. Both form their
-    products with `_level_products`, on other rows and codes, so the two
-    sides share no products.
-
-    `lattice` is the DAG's state lattice. `unit` is the empty product of
-    both sides.
+    The left side is zeta of the factored joint; the right side is one
+    `product` call per state on the cumulative weights at its levels,
+    through `_level_products` as the joint's are, on other rows and codes.
+    `lattice` is the DAG's state lattice.
 
     Exact for rational tables, as integer numerators over the one D of the
     table's `integer_view`; an integer table is compared as it is. With
-    `unit=_Factors()` on the level table (`ParamTable.levels`) the check is
+    `product=_Factors` on the level table (`ParamTable.levels`) the check is
     symbolic: each value is held as its tuple of per-vertex level masks,
     each mask the formal sum of the weights at its levels, and equal tuples
     are equal products. A zeta sum adds the one factor in which its
@@ -71,8 +70,8 @@ def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice,
     a failure, otherwise, so no polynomial is ever formed.
     """
     theta, _ = integer_view(theta)
-    cumulative = zeta_transform(full_distribution(dag, theta, lattice, unit), lattice)
-    products = _level_products(theta.cumulative, lattice.states, unit)
+    cumulative = zeta_transform(full_distribution(dag, theta, lattice, product), lattice)
+    products = _level_products(theta.cumulative, lattice.states, product)
     failures = [
         f"state {state_digits(g)}"
         for g, value, expected in zip(lattice.states, cumulative, products)
@@ -88,7 +87,7 @@ def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
     tables, all on one state lattice."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
     levels = ParamTable.levels(dag.n, dag.k)
-    symbolic = zeta_factorization_check(dag, levels, lattice, _Factors())
+    symbolic = zeta_factorization_check(dag, levels, lattice, _Factors)
     failures = [f"symbolic: {f}" for f in symbolic.failures]
     total = symbolic.total
     rng = random.Random(seed)

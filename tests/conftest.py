@@ -535,16 +535,18 @@ def as_map(lattice: StateLattice, values) -> dict[State, Value]:
     return dict(zip(lattice.states, values))
 
 
-def joint_by_state(dag: Dag, theta: ParamTable, unit=1) -> dict[State, Value]:
+def joint_by_state(dag: Dag, theta: ParamTable, product=math.prod) -> dict[State, Value]:
     """`full_distribution` on the DAG's state lattice, keyed by state."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return as_map(lattice, model.full_distribution(dag, theta, lattice, unit))
+    return as_map(lattice, model.full_distribution(dag, theta, lattice, product))
 
 
-def accumulation_by_state(poset: Poset, theta: ParamTable, unit=1) -> dict[State, Value]:
+def accumulation_by_state(
+    poset: Poset, theta: ParamTable, product=math.prod
+) -> dict[State, Value]:
     """`cbn_distribution` on the poset's ideal lattice, keyed by state."""
     lattice = ideal_lattice(poset)
-    return as_map(lattice, cbn_distribution(poset, theta, lattice, unit))
+    return as_map(lattice, cbn_distribution(poset, theta, lattice, product))
 
 
 def increasing_column_sum_covers(lattice: StateLattice) -> tuple[tuple[int, int], ...]:
@@ -578,8 +580,8 @@ def joint_edited_at(state: State, edit):
     `state`, wherever a lattice has it, replaced by `edit(value)`."""
     joint = model.full_distribution
 
-    def edited(dag: Dag, theta: ParamTable, lattice: StateLattice, *unit) -> list:
-        out = joint(dag, theta, lattice, *unit)
+    def edited(dag: Dag, theta: ParamTable, lattice: StateLattice, *product) -> list:
+        out = joint(dag, theta, lattice, *product)
         if state in lattice:
             t = lattice.states.index(state)
             out[t] = edit(out[t])
@@ -594,17 +596,17 @@ def alpha_for_theta_walk(vertex: int):
     `vertex`, above its parents' maximum m, the factor is alpha_{v,m} where
     theta_{v,g_v} belongs."""
 
-    def joint(dag: Dag, theta: ParamTable, lattice: StateLattice, unit=1) -> list:
+    def joint(dag: Dag, theta: ParamTable, lattice: StateLattice, product=math.prod) -> list:
         out = []
         for g in lattice.states:
-            value = unit
+            factors = []
             for v in range(1, dag.n + 1):
                 m = max((g[u - 1] for u in dag.parents(v)), default=0)
                 if g[v - 1] == m or v == vertex:
-                    value = value * theta.cumulative[v - 1][m]
+                    factors.append(theta.cumulative[v - 1][m])
                 else:
-                    value = value * theta.rows[v - 1][g[v - 1]]
-            out.append(value)
+                    factors.append(theta.rows[v - 1][g[v - 1]])
+            out.append(product(factors))
         return out
 
     return joint

@@ -1096,27 +1096,17 @@ class TestBrokenWalk:
         import maxlin.model as model
         import maxlin.transforms as transforms
 
-        def one_prefix_too_many(rows, states, unit):
-            # each state past the first reuses the product of one more
-            # coordinate than it shares with the state before
-            n = len(rows)
-            products = [unit] * (n + 1)
-            previous = None
-            out = []
-            for g in states:
-                start = 0
-                if previous is not None:
-                    while start < n and g[start] == previous[start]:
-                        start += 1
-                    start = min(start + 1, n)
-                for i in range(start, n):
-                    products[i + 1] = products[i] * rows[i][g[i]]
-                out.append(products[n])
-                previous = g
-            return out
+        level_products = model._level_products
+
+        def last_factor_from_the_state_before(rows, states, *product):
+            # each state past the first takes its last factor from the state
+            # before it
+            states = list(states)
+            shifted = [(*g[:-1], h[-1]) for h, g in zip(states, states[1:])]
+            return level_products(rows, states[:1] + shifted, *product)
 
         assert transforms._level_products is model._level_products
-        monkeypatch.setattr(model, "_level_products", one_prefix_too_many)
+        monkeypatch.setattr(model, "_level_products", last_factor_from_the_state_before)
         self.verify(capsys, fig_files, suite)
 
     def test_one_alpha_on_the_right_side_of_eq5(self, capsys, fig_files, monkeypatch):
@@ -1124,10 +1114,10 @@ class TestBrokenWalk:
 
         products = transforms._level_products
 
-        def corrupt(rows, states, *unit):
+        def corrupt(rows, states, *product):
             rows = [list(row) for row in rows]
             rows[3][1] += 1
-            return products(rows, states, *unit)
+            return products(rows, states, *product)
 
         monkeypatch.setattr(transforms, "_level_products", corrupt)
         report = self.verify(capsys, fig_files, "eq5")

@@ -144,7 +144,7 @@ class TestParamTable:
         # a level mask stands for the sum of the weights at its levels, and
         # the mask of every level for the symbolic table's constant 1
         for _, dag in catalog_dags(k):
-            factored = joint_by_state(dag, ParamTable.levels(dag.n, k), _Factors())
+            factored = joint_by_state(dag, ParamTable.levels(dag.n, k), _Factors)
             symbolic = joint_by_state(dag, symbolic_table(dag.n, k))
             assert {g: level_product(f, k) for g, f in factored.items()} == symbolic
 
@@ -154,10 +154,9 @@ class TestParamTable:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_swapped_is_the_validated_table_of_reversed_rows(self, k):
-        """`swapped` checks no row again and builds only the cumulative rows:
-        they, the rows and the types of both are those of a table validated
-        from the reversed rows, on integer, rational, mixed, level and
-        symbolic tables."""
+        """`swapped`'s rows, cumulative rows and the types of both are those
+        of a table validated from the reversed rows, on integer, rational,
+        mixed, level and symbolic tables."""
         rng = random.Random(k)
         mixed = ParamTable(((0,) * (k - 1) + (Fraction(1),), (1,) + (0,) * (k - 1)))
         tables = [
@@ -321,25 +320,20 @@ class TestFactoredWalk:
         assert_joint_is_the_factored_joint(dag, theta)
 
     def test_products_per_walk_node(self, fig2_dag):
-        # one product per distinct prefix of the states' codes, each vertex's
-        # level and its parents' maximum in vertex order: at most n per
-        # state
+        # one product call per state, on its n conditionals in vertex order
         calls = []
 
-        class Counted(Fraction):
-            def __mul__(self, other):
-                calls.append(1)
-                return Counted(Fraction.__mul__(self, other))
+        def counted(factors):
+            calls.append(list(factors))
+            return math.prod(calls[-1])
 
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
-        full_distribution(fig2_dag, uniform_table(5, 2), lattice, Counted(1))
-        parents = [fig2_dag.parents(v) for v in range(1, 6)]
-        codes = [
-            [(x, max([g[u - 1] for u in ps], default=0)) for x, ps in zip(g, parents)]
-            for g in lattice
+        theta = random_table(5, 2, random.Random(7))
+        joint = full_distribution(fig2_dag, theta, lattice, counted)
+        assert joint == full_distribution(fig2_dag, theta, lattice)
+        assert calls == [
+            [conditional_probability(fig2_dag, theta, v, g) for v in range(1, 6)] for g in lattice
         ]
-        prefixes = {tuple(code[:t]) for code in codes for t in range(1, 6)}
-        assert len(calls) == len(prefixes) <= 5 * len(lattice)
 
     def test_long_chain_is_iterative(self):
         dag = Dag(n=2000, k=1, edges=frozenset((i, i + 1) for i in range(1, 2000)))
@@ -391,11 +385,11 @@ def mixed_denominator_table(n: int, k: int, rng: random.Random) -> ParamTable:
 
 
 def assert_integer_joint_is_the_factored_joint(dag: Dag, theta: ParamTable) -> None:
-    """The walk on the table's integer view, with unit 1, gives integer
-    numerators over the view's D: on every vector of the box they are the
-    product of the checked conditionals of the table itself."""
+    """The joint on the table's integer view gives integer numerators over
+    the view's D: on every vector of the box they are the product of the
+    checked conditionals of the table itself."""
     view, denominator = integer_view(theta)
-    numerators = joint_by_state(dag, view, 1)
+    numerators = joint_by_state(dag, view)
     assert all(type(v) is int for v in numerators.values())
     for g in product(range(dag.k), repeat=dag.n):
         assert Fraction(numerators.get(g, 0), denominator) == joint_factored(dag, theta, g), g
@@ -799,6 +793,37 @@ class TestAccumulationModel:
             assert accumulation_by_state(poset, theta) == expected
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=6), st.integers(0, 2**32))
+    def test_off_the_ideals_a_factor_is_zero(self, dag, seed):
+        """On every 0-1 vector, ideal or not, the joint is the product of the
+        per-element conditionals, on a random table, one with zero weights
+        and an integer view; on a positive table it is 0 exactly off the
+        ideals. On the level table with `_Factors` every value has n
+        factors, a 0 among them exactly off the ideals."""
+        poset = transitive_closure(dag)
+        rng = random.Random(seed)
+        box = StateLattice(dag.n, 2, tuple(product((0, 1), repeat=dag.n)))
+        off = [g not in ideal_lattice(poset) for g in box]
+        zeros = [rng.choice([(1, 0), (0, 1), (Fraction(1, 3), Fraction(2, 3))]) for _ in range(dag.n)]
+        rational = random_table(dag.n, 2, rng)
+        view, denominator = integer_view(rational)
+
+        def reference(theta):
+            return [
+                math.prod(cbn_conditional(poset, theta, e, g) for e in poset.elements)
+                for g in box
+            ]
+
+        for theta in (rational, table_from_rows(zeros)):
+            assert cbn_distribution(poset, theta, box) == reference(theta)
+        numerators = cbn_distribution(poset, view, box)
+        assert numerators == [value * denominator for value in reference(rational)]
+        assert [value == 0 for value in numerators] == off
+        factored = cbn_distribution(poset, ParamTable.levels(dag.n, 2), box, _Factors)
+        assert all(type(f) is _Factors and len(f) == dag.n for f in factored)
+        assert [0 in f for f in factored] == off
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags(), st.integers(0, 2**32))
     def test_integer_view_gives_numerators_over_its_denominator(self, dag, seed):
         """On a table's `integer_view` every value is the rational joint's
@@ -817,10 +842,11 @@ class TestAccumulationModel:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags())
     def test_level_joint_multiplied_out_is_the_symbolic_joint(self, dag):
-        """With a `_Factors` unit every value is one level mask per vertex,
-        in vertex order, the element that cannot occur yet included."""
+        """With `_Factors` as the product every value is one level mask per
+        vertex, in vertex order, the element that cannot occur yet
+        included."""
         poset = transitive_closure(dag)
-        factored = accumulation_by_state(poset, ParamTable.levels(dag.n, 2), _Factors())
+        factored = accumulation_by_state(poset, ParamTable.levels(dag.n, 2), _Factors)
         assert all(isinstance(f, _Factors) and len(f) == dag.n for f in factored.values())
         symbolic = accumulation_by_state(poset, symbolic_table(dag.n, 2))
         assert {g: level_product(f, 2) for g, f in factored.items()} == symbolic

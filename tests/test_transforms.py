@@ -287,7 +287,7 @@ class TestCoverTable:
         # product of the masks is the value on the level table as integers,
         # and it is the quadratic zeta of the integer joint.
         theta = ParamTable.levels(dag.n, k)
-        factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors()), lattice)
+        factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors), lattice)
         assert all(isinstance(f, _Factors) for f in factored)
         expected = quadratic_zeta(as_map(lattice, full_distribution(dag, theta, lattice)), lattice)
         assert as_map(lattice, [math.prod(f) for f in factored]) == expected
@@ -313,8 +313,8 @@ class TestCoverTable:
 
 
 class TestLevelProducts:
-    """eq5's right-hand side, formed as prefix products along the states,
-    against one product per state."""
+    """eq5's right-hand side, one `product` call per state, against a
+    product of the state's entries formed here."""
 
     @staticmethod
     def per_state(rows, states):
@@ -327,18 +327,17 @@ class TestLevelProducts:
             states = order_preserving_maps(transitive_closure(dag), k).states
             for theta in (random_table(dag.n, k, rng), symbolic_table(dag.n, k)):
                 rows = theta.cumulative
-                assert _level_products(rows, states, 1) == self.per_state(rows, states)
+                assert _level_products(rows, states) == self.per_state(rows, states)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2**32))
     def test_any_order_of_any_vectors(self, dag, k, seed):
-        # correct on vectors in any order, repeats included; the order only
-        # decides how many products are shared
+        # correct on vectors in any order, repeats included
         rng = random.Random(seed)
         rows = random_table(dag.n, k, rng).rows
         states = [tuple(rng.randrange(k) for _ in range(dag.n)) for _ in range(20)]
         states += states[:3]
-        assert _level_products(rows, states, 1) == self.per_state(rows, states)
+        assert _level_products(rows, states) == self.per_state(rows, states)
 
 
 class TestMoebiusInverse:
@@ -442,7 +441,7 @@ def check_levels(dag):
     """The symbolic eq5 check on the DAG's state lattice: the level table
     held as factor tuples."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice, _Factors())
+    return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice, _Factors)
 
 
 class TestZetaFactorization:
@@ -465,17 +464,17 @@ class TestZetaFactorization:
             lattices.append(1)
             return build(*args)
 
-        def counted_check(dag, theta, lattice, *unit):
+        def counted_check(dag, theta, lattice, *product):
             ints = all(type(v) is int for row in theta.rows for v in row)
-            checks.append((ints, theta == ParamTable.levels(dag.n, dag.k), unit))
-            return check(dag, theta, lattice, *unit)
+            checks.append((ints, theta == ParamTable.levels(dag.n, dag.k), product))
+            return check(dag, theta, lattice, *product)
 
         monkeypatch.setattr(transforms, "order_preserving_maps", counted_build)
         monkeypatch.setattr(transforms, "zeta_factorization_check", counted_check)
         report = eq5_check(dataclasses.replace(fig2_dag, k=3), trials=4, seed=2)
         assert report.passed and report.total == 5 * 40
         assert len(lattices) == 1
-        assert checks == [(True, True, (_Factors(),))] + [(True, False, ())] * 4
+        assert checks == [(True, True, (_Factors,))] + [(True, False, ())] * 4
 
     def test_given_lattice_is_the_one_checked(self, fig3_dag):
         """The check reads the lattice's states, whether its vectors are
@@ -533,10 +532,6 @@ class TestZetaFactorization:
 class TestFactors:
     """The factor tuples of the symbolic checks: products kept as their
     factors, each a level mask on the level table."""
-
-    def test_multiplying_appends(self):
-        assert _Factors() * tv(1, 0) * Fraction(1) == (tv(1, 0), Fraction(1))
-        assert _Factors() * 3 * 4 == (3, 4)
 
     def test_sum_adds_the_one_differing_factor(self):
         # disjoint level sets in the one differing slot sum to their union
@@ -672,10 +667,10 @@ class TestFactorPath:
     def test_one_alpha_on_the_right_side(self, capsys, fig2_dag, fig2_path, monkeypatch):
         products = transforms._level_products
 
-        def corrupt(rows, states, *unit):
+        def corrupt(rows, states, *product):
             rows = [list(row) for row in rows]
             rows[3][1] += 1
-            return products(rows, states, *unit)
+            return products(rows, states, *product)
 
         monkeypatch.setattr(transforms, "_level_products", corrupt)
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
