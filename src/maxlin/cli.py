@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -89,22 +90,35 @@ def _emit_value_map(lattice, values, denominator: int, prefix: str, fmt: str) ->
     _emit(fmt, data, (f"{prefix}{g} = {v}" for g, v in data.items()))
 
 
-# Templates over a generator's four digit strings, from `generator_json`: its
-# text, and its JSON as json.dumps(..., indent=2) lays out one item of a list,
-# which takes the four twice, as fields and in the polynomial (no escaping).
-_GENERATOR_TEXT = generator_json(*["%s"] * 4)["polynomial"]
+# Format -> the template over a generator's four digit strings, from
+# `generator_json`, split at its fields; the separator between generators;
+# and how often the template reads the four. The text is the polynomial, and
+# the JSON is one item of a list as json.dumps(..., indent=2) lays it out,
+# which takes the four as fields and in the polynomial (no escaping).
 _GENERATOR_JSON = "  " + json.dumps(generator_json(*["%s"] * 4), indent=2).replace("\n", "\n  ")
+_GENERATOR_LAYOUT = {
+    "text": (generator_json(*["%s"] * 4)["polynomial"].split("%s"), "\n", 1),
+    "json": (_GENERATOR_JSON.split("%s"), ",\n", 2),
+}
 
 
 def _emit_generators(arrays, fmt: str) -> None:
-    """The generators, each state rendered by `state_digits` once."""
+    """The generators, each state rendered by `state_digits` once, as one join
+    of the template pieces and the digit columns; the JSON brackets are
+    printed apart, not copied in."""
     digits = [state_digits(g) for g in arrays.states]
-    columns = [[digits[i] for i in column] for column in arrays.columns()]
+    (first, *pieces), sep, reads = _GENERATOR_LAYOUT[fmt]
+    # every generator after the first opens with the separator
+    fields = [chain((first,), repeat(sep + first))]
+    for column, piece in zip(arrays.columns() * reads, pieces):
+        fields += map(digits.__getitem__, column), repeat(piece)
+    body = "".join(chain.from_iterable(zip(*fields)))
     if fmt == "text":
-        print("\n".join(_GENERATOR_TEXT % q for q in zip(*columns)))
+        print(body)
+    elif body:
+        print("[\n", body, "\n]", sep="")
     else:
-        body = ",\n".join(_GENERATOR_JSON % (q + q) for q in zip(*columns))
-        print(f"[\n{body}\n]" if body else "[]")
+        print("[]")
 
 
 def _vanishing_suite(dag: Dag, args: argparse.Namespace) -> Report:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import getitem
+from functools import cached_property, reduce
+from itertools import chain, compress, repeat
+from operator import add, getitem, or_
 from typing import Hashable, Iterator, Sequence
 
 from .errors import BadStateError
@@ -95,13 +96,13 @@ class StateLattice:
 
     `vectors` holds the states in lexicographic order, and that order is a
     linear extension of the lattice order. `order_preserving_maps` builds
-    them by one walk along a linear extension of the poset
-    (`_monotone_vectors`), one OR per state on unary vectors and one sort of
-    bytes at the end, and keeps them as the walk gives them: `bytes` of the
-    entries when k <= 9, int tuples otherwise; `ideal_lattice` complements
-    the two-state walk's bytes. `states`, the same vectors as int tuples, is
-    built on first use, so printing a lattice from `vectors` never makes a
-    tuple per state.
+    them from the two-state walk along a linear extension of the poset
+    (`_monotone_vectors`), whose 0-1 vectors are the poset's filters: for
+    k >= 3 each state is the sum of a multichain of k-1 filters
+    (`_multichains`). They are `bytes` of the entries when k <= 9, int
+    tuples otherwise; `ideal_lattice` complements the two-state walk's
+    bytes. `states`, the same vectors as int tuples, is built on first use,
+    so printing a lattice from `vectors` never makes a tuple per state.
 
     The walks on `covers` need the states to be all the monotone maps of a
     poset, as `order_preserving_maps` and `ideal_lattice` build them: then
@@ -157,43 +158,29 @@ class StateLattice:
         return tuple(self.vectors[-1])
 
 
-# A byte of r low one-bits -> r: decodes the bytes of a unary slot.
-_UNARY_BYTES = bytes.maketrans(bytes((1 << r) - 1 for r in range(9)), bytes(range(9)))
-
-
-def _monotone_vectors(poset: Poset, k: int) -> list:
-    """All vectors over {0..k-1} monotone along the poset relation, in
-    lexicographic order, as `bytes` of the entries when k <= 9 and as int
-    tuples otherwise.
+def _monotone_vectors(poset: Poset) -> list[bytes]:
+    """All 0-1 vectors monotone along the poset relation, the indicators of
+    its filters (up-sets), as `bytes` of the entries in lexicographic order.
 
     The walk visits the positions along a linear extension, so no position
     is bounded from above by an earlier one. The next vector raises the last
-    position below k-1 and resets every later position to the least value
-    the prefix allows; it never meets a dead end. A vector is one int with a
-    slot of ceil((k-1)/8) bytes per position, the value v as v low one-bits,
-    so elementwise max is OR: the reset is the OR of the prefix's vector and
-    the raised value copied into the slots of every element above the raised
-    one. The int holds the vector twice: in coordinate order in its low
-    half, and in the walk's order in its high half, whose trailing full
-    slots end at the position to raise. The low half's bytes are kept. A
-    little-endian unary slot compares as bytes like its value, so one sort of
-    those bytes puts the vectors in lexicographic order (linear when the
-    extension is the identity), and one translate per vector decodes it.
+    0 position to 1 and resets every later position to the least value the
+    prefix allows; it never meets a dead end. A vector is one int with a
+    byte per position, so elementwise max is OR: the reset is the OR of the
+    prefix's vector and the 1s of every element above the raised one. The
+    int holds the vector twice: in coordinate order in its low half, and in
+    the walk's order in its high half, whose trailing 1s end at the position
+    to raise. The low half's bytes are kept, and one sort of them puts the
+    vectors in lexicographic order (linear when the extension is the identity).
     """
-    if k < 1:
-        raise ValueError(f"chain size must be >= 1, got {k}")
     n = len(poset.elements)
     order = sorted(range(n), key=lambda i: poset.down[i].bit_count())
-    width = (k + 6) // 8 or 1  # bytes per slot; k = 1 keeps one empty byte
-    size = n * width
-    full = ((1 << (k - 1)) - 1).to_bytes(width, "little")
-    # ones[i]: the lowest bit of the slot of every element above element i,
-    # i itself included, in both halves, built along the covers from the
-    # walk's last position back.
+    # ones[i]: the byte of every element above element i, i itself included,
+    # in both halves, built along the covers from the walk's last position back.
     ones = [0] * n
     for t in range(n - 1, -1, -1):
         i = order[t]
-        ones[i] |= 1 << 8 * width * i | 1 << 8 * (size + width * t)
+        ones[i] |= 1 << 8 * i | 1 << 8 * (n + t)
         covers = poset._lower_covers[i]
         while covers:
             j = (covers & -covers).bit_length() - 1
@@ -205,31 +192,80 @@ def _monotone_vectors(poset: Poset, k: int) -> list:
     vec = 0
     out: list[bytes] = []
     while True:
-        raw = vec.to_bytes(2 * size, "little")
-        out.append(raw[:size])
-        # Strips whole slots only: a slot's top byte is one of full's bytes
-        # only when the slot is full; it strips the low half when all are.
-        raw = raw.rstrip(full)
+        raw = vec.to_bytes(2 * n, "little")
+        out.append(raw[:n])
+        raw = raw.rstrip(b"\1")  # both halves once every entry is 1
         if not raw:
             break
-        t = len(raw) // width - n - 1
-        raised = int.from_bytes(raw[-width:], "little") << 1 | 1
-        vec = prefix[t] | ones[t] * raised
+        t = len(raw) - n - 1
+        vec = prefix[t] | ones[t]
         prefix[t + 1 :] = [vec] * (n - t - 1)
     out.sort()
-    if width == 1:
-        return [v.translate(_UNARY_BYTES) for v in out]
-    return [tuple(map(sum, zip(*[iter(v.translate(_UNARY_BYTES))] * width))) for v in out]
+    return out
+
+
+# Swaps the bytes 0 and 1: complements a 0-1 vector.
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _multichains(filters: list[bytes], k: int) -> list:
+    """The vectors 1_{F_1} + ... + 1_{F_{k-1}} of the multichains
+    F_1 >= ... >= F_{k-1} of `filters`, the two-state walk's vectors: every
+    monotone map g over {0..k-1}, whose F_v = {x : g_x >= v} is a filter.
+    Lexicographic order; `bytes` of the entries when k <= 9, int tuples
+    otherwise.
+
+    A filter is one int with a slot of w bytes per position, coordinate 0
+    highest, so adding ints adds vectors, and ints compare as vectors do
+    lexicographically. The filters inside filter b are all lex-<= b: those
+    holding no element outside b, one OR of the per-element "filters holding
+    x" bytes over b's complement, read as `compress` selectors. The chains
+    grow one filter at a time from the smallest, grouped by their largest
+    filter: the chains topped by b are b added to every chain topped by a
+    filter inside b, one C-level map per filter and level. The sums are
+    sorted as ints and converted by one `to_bytes` each.
+    """
+    n, count = len(filters[0]), len(filters)
+    w = ((k - 1).bit_length() + 7) // 8  # bytes per slot
+    wide = bytearray(n * w)
+    ints = []
+    for v in filters:
+        wide[w - 1 :: w] = v
+        ints.append(int.from_bytes(wide, "big"))
+    # holding[x]: byte a is 1 iff filters[a] holds element x.
+    columns = b"".join(filters)
+    holding = [int.from_bytes(columns[x::n], "little") for x in range(n)]
+    every = int.from_bytes(b"\1" * count, "little")
+    # filters[a] lies in filters[b] iff it holds no element outside it, and then
+    # a <= b: inside[b] has b + 1 selector bytes, byte a 1 iff it does.
+    outside = (reduce(or_, compress(holding, v.translate(_COMPLEMENT)), 0) for v in filters)
+    inside = [(every ^ out).to_bytes(b + 1, "little") for b, out in enumerate(outside)]
+    groups = [[a] for a in ints]
+    for _ in range(k - 2):
+        groups = [
+            list(map(add, chain.from_iterable(compress(groups, below)), repeat(b)))
+            for b, below in zip(ints, inside)
+        ]
+    states = sorted(chain.from_iterable(groups))
+    vectors = list(map(int.to_bytes, states, repeat(n * w), repeat("big")))
+    if k <= 9:
+        return vectors
+    if w == 1:
+        return list(map(tuple, vectors))
+    entries = map(int.from_bytes, zip(*[iter(b"".join(vectors))] * w), repeat("big"))
+    return list(zip(*[entries] * n)) if n else [()]
 
 
 def order_preserving_maps(poset: Poset, k: int) -> StateLattice:
     """The lattice of all vectors g over {0..k-1} with a <= b implying
-    g_a <= g_b, coordinates taken in `poset.elements` order."""
-    return StateLattice(len(poset.elements), k, tuple(_monotone_vectors(poset, k)))
-
-
-# Swaps the bytes 0 and 1: complements a decoded 0-1 vector.
-_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+    g_a <= g_b, coordinates taken in `poset.elements` order: the zero vector
+    for k = 1, the two-state walk's filters for k = 2, and the sums of their
+    multichains for k >= 3."""
+    if k < 1:
+        raise ValueError(f"chain size must be >= 1, got {k}")
+    filters = _monotone_vectors(poset) if k > 1 else [bytes(len(poset.elements))]
+    vectors = _multichains(filters, k) if k > 2 else filters
+    return StateLattice(len(poset.elements), k, tuple(vectors))
 
 
 def ideal_lattice(poset: Poset) -> StateLattice:
@@ -239,7 +275,7 @@ def ideal_lattice(poset: Poset) -> StateLattice:
     complement is a two-state monotone map, so the ideals are the two-state
     walk's vectors complemented, one translate each; complementing reverses
     lexicographic order, so they are taken in reverse."""
-    ideals = (v.translate(_COMPLEMENT) for v in reversed(_monotone_vectors(poset, 2)))
+    ideals = (v.translate(_COMPLEMENT) for v in reversed(_monotone_vectors(poset)))
     return StateLattice(len(poset.elements), 2, tuple(ideals))
 
 

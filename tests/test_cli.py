@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.algebra import hibi_generators, state_digits
+from maxlin.algebra import generator_json, hibi_generators, state_digits
 from maxlin.cli import VERIFY_SUITES, build_parser, main, run
 from maxlin.dag import parse_dag, transitive_closure
 from maxlin.errors import QUOTE_CAP, quote
@@ -31,6 +31,7 @@ from conftest import (
     brute_force_states,
     fractions_built,
     joint_edited_at,
+    lattice_meet_join,
     random_dag,
     replace_joint,
     strict_pairs,
@@ -289,6 +290,48 @@ class TestGeneratorsFromArrays:
         assert code == 0 and out.count(" - ") > states  # more generators than states
         assert built == []
         assert len(rendered) <= states, len(rendered)
+
+
+class TestGeneratorsPrinter:
+    """`generators` prints what json.dumps(..., indent=2) and a newline join
+    print for generators formed apart from the package's lattice: every pair
+    (g, h) of brute-force states, g first, with neither below the other, its
+    meet and join the coordinate-wise min and max, digits by `str`. The
+    two-state lattice of a chain has none."""
+
+    SOURCES = {
+        "fig1": data.read("fig1.poset"),
+        "fig2": data.read("fig2.dag"),
+        "fig3": data.read("fig3.dag"),
+        "chain4": "4 2\n1 2\n2 3\n3 4\n",
+    }
+
+    @staticmethod
+    def expected(states):
+        digits = ["".join(map(str, g)) for g in states]
+        out = []
+        for i, g in enumerate(states):
+            for j in range(i + 1, len(states)):
+                h = states[j]
+                if not all(map(int.__le__, g, h)):
+                    meet, join = lattice_meet_join(g, h)
+                    out.append(generator_json(digits[i], digits[j], "".join(map(str, meet)), "".join(map(str, join))))
+        return json.dumps(out, indent=2) + "\n", "".join(d["polynomial"] + "\n" for d in out) or "\n"
+
+    @pytest.mark.parametrize("of", ["states", "ideals"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("source", list(SOURCES))
+    def test_independent_rendering(self, capsys, tmp_path, source, k, of):
+        path = tmp_path / f"{source}.dag"
+        path.write_text(self.SOURCES[source], encoding="utf-8")
+        poset = transitive_closure(parse_dag(self.SOURCES[source]))
+        states = brute_force_ideals(poset) if of == "ideals" else brute_force_states(poset, k)
+        json_out, text_out = self.expected(states)
+        argv = ["generators", "--dag", str(path), "--k", str(k), "--of", of]
+        assert run_main(capsys, [*argv, "--format", "json"]) == (0, json_out, "")
+        assert run_main(capsys, [*argv, "--format", "text"]) == (0, text_out, "")
+        if source == "chain4" and (k == 2 or of == "ideals"):
+            assert (json_out, text_out) == ("[]\n", "\n")
 
 
 class TestStateRendering:

@@ -7,9 +7,11 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxlin import data
 from maxlin.algebra import monomial_map, q_var, t_var, x_var
-from maxlin.dag import Dag, transitive_closure
+from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.errors import BadStateError
 from maxlin.poset import (
     Poset,
@@ -512,8 +514,9 @@ class TestFastPathsAgainstSlowPaths:
 
 
 class TestWalk:
-    """The linear-extension walk against the brute-force box filters, at
-    slot widths of one, two and three bytes (k - 1 = 7, 8 | 9, 10, 16 | 17)."""
+    """The two-state walk and the multichains of its filters against the
+    brute-force box filters, on relabelled posets, at k around the bytes and
+    tuples boundary (9 | 10) and past it."""
 
     @pytest.mark.parametrize("k", [8, 9, 10, 11, 17, 18])
     def test_relabelled_posets(self, k):
@@ -536,7 +539,7 @@ class TestWalk:
                 assert lattice.top == expected[-1] and expected[0] in lattice
 
     def test_entries_past_one_byte(self):
-        # k = 258: entries up to 257 span 33-byte slots, past what a byte holds
+        # k = 258: entries up to 257 take two-byte slots, past what a byte holds
         poset = RELABELLED[0]
         assert list(order_preserving_maps(poset, 258)) == brute_force_states(poset, 258)
 
@@ -546,3 +549,53 @@ class TestWalk:
         assert list(order_preserving_maps(Poset(("a",), (1,)), k)) == [(v,) for v in range(k)]
         assert order_ideals(Poset((), ())) == [()]
         assert order_ideals(Poset(("a",), (1,))) == [(0,), (1,)]
+
+
+class TestMultichains:
+    """k >= 3 is built as the sums of the multichains F_1 >= ... >= F_{k-1}
+    of the two-state walk's filters, against the brute-force box filter at
+    the representation edges: k = 9 and 10 (the last `bytes` and the first
+    tuple lattice), k = 256 and 257 (one- and two-byte slots). fig2 stops at
+    k = 10: its box at k = 256 has 256**5 vectors."""
+
+    POSETS = {
+        "chain1": chain(1),
+        "chain2": chain(2),
+        "chain4": chain(4),
+        "antichain2": antichain((0, 1)),
+        "antichain4": antichain((0, 1, 2, 3)),
+        "fig2": transitive_closure(parse_dag(data.read("fig2.dag"))),
+    }
+
+    @staticmethod
+    def check(poset, k):
+        lattice = order_preserving_maps(poset, k)
+        assert list(lattice) == brute_force_states(poset, k)
+        assert all(type(v) is (bytes if k <= 9 else tuple) for v in lattice.vectors)
+        assert (lattice.n, lattice.k) == (len(poset.elements), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 10])
+    @pytest.mark.parametrize("name", list(POSETS))
+    def test_small_k(self, name, k):
+        self.check(self.POSETS[name], k)
+
+    @pytest.mark.parametrize("k", [256, 257])
+    @pytest.mark.parametrize("name", ["chain1", "chain2", "antichain2"])
+    def test_one_and_two_byte_slots(self, name, k):
+        self.check(self.POSETS[name], k)
+
+    @pytest.mark.parametrize("name", list(POSETS))
+    def test_ideals(self, name):
+        poset = self.POSETS[name]
+        assert list(ideal_lattice(poset)) == brute_force_ideals(poset)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.integers(1, 6))
+    def test_random_dags(self, dag, k):
+        poset = transitive_closure(dag)
+        self.check(poset, k)
+        assert list(ideal_lattice(poset)) == brute_force_ideals(poset)
+
+    def test_k_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="chain size must be >= 1, got 0"):
+            order_preserving_maps(chain(2), 0)
