@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 from .errors import BadVertexError, CyclicGraphError, DagSyntaxError, quote
 from .poset import Poset
 
-# An integer of the file format: ASCII digits with an optional minus sign.
-_INTEGER = re.compile(r"-?[0-9]+")
+# A line of the file format written plainly: two integers, ASCII digits with an
+# optional minus sign, spaces and tabs around them, no comment.
+_PLAIN_LINE = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*")
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,18 @@ def parse_dag(text: str) -> Dag:
     header: tuple[int, int] | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+        match = _PLAIN_LINE.fullmatch(raw)
+        if match is None:  # a comment, a blank line, other whitespace, or malformed
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            match = _PLAIN_LINE.fullmatch(" ".join(line.split()))
         try:
-            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
-                raise ValueError(line)
-            a, b = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
+            if match is None:
+                raise ValueError
+            a, b = int(match[1]), int(match[2])  # ValueError past int()'s digit limit
         except ValueError:
-            got = quote(line)
+            got = quote(raw.split("#", 1)[0].strip())
             raise DagSyntaxError(f"line {lineno}: expected two integers, got {got}") from None
         if header is None:
             header = (a, b)
@@ -118,12 +121,18 @@ def topological_order(dag: Dag) -> list[int]:
 def transitive_closure(dag: Dag) -> Poset:
     """The reachability poset: j <= i iff j = i or there is a path j -> i.
 
-    Vertex v's down-set mask is its own bit OR the masks of its parents,
-    taken in topological order."""
-    down = [0] * dag.n
+    Vertex v's strict down-set is its parents OR their strict down-sets,
+    taken in topological order; a parent is a lower cover of v iff it lies
+    in no parent's strict down-set. The masks are a partial order by
+    construction, so the poset is built without re-checking its axioms."""
+    strict = [0] * (dag.n + 1)  # by label
+    down, covers = [0] * dag.n, [0] * dag.n
     for v in dag._order:
-        mask = 1 << (v - 1)
+        below = parents = 0
         for u in dag._parents[v - 1]:
-            mask |= down[u - 1]
-        down[v - 1] = mask
-    return Poset(tuple(range(1, dag.n + 1)), tuple(down))
+            below |= strict[u]
+            parents |= 1 << u - 1
+        covers[v - 1] = parents & ~below
+        strict[v] = parents | below
+        down[v - 1] = strict[v] | 1 << v - 1
+    return Poset._closure(tuple(range(1, dag.n + 1)), tuple(down), tuple(covers))

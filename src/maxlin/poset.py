@@ -24,9 +24,11 @@ class Poset:
     """A finite partial order stored as one down-set mask per element.
 
     `elements` fixes the coordinate order used by indicator vectors and state
-    vectors; bit j of `down[i]` is set iff elements[j] <= elements[i]. The
-    axioms are checked once at construction, in one OR per greedy pick, and
-    the same pass yields the Hasse diagram.
+    vectors; bit j of `down[i]` is set iff elements[j] <= elements[i]. Masks
+    given to the constructor or to `from_relation` come from outside: their
+    axioms are checked once, in one OR per greedy pick, and the same pass
+    yields the Hasse diagram. `dag.transitive_closure` builds its masks as a
+    partial order, finds the covers as it goes and skips the check.
     """
 
     elements: tuple[Label, ...]
@@ -66,6 +68,15 @@ class Poset:
                 rest &= ~down[j]
             covers.append(below & ~below_below)
         object.__setattr__(self, "_lower_covers", tuple(covers))
+
+    @classmethod
+    def _closure(cls, elements, down, covers) -> "Poset":
+        """The poset of masks that are a partial order by construction, with
+        their lower covers, as `transitive_closure` builds them: no check."""
+        poset = object.__new__(cls)
+        for name, value in zip(("elements", "down", "_lower_covers"), (elements, down, covers)):
+            object.__setattr__(poset, name, value)
+        return poset
 
     @classmethod
     def from_relation(cls, elements, pairs) -> "Poset":

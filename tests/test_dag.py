@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxlin import data
 from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
 from maxlin.errors import BadVertexError, CyclicGraphError, DagSyntaxError
+from maxlin.poset import Poset
 
 from conftest import catalog_dags, covers_below, dags, random_dag, strict_pairs
 
@@ -100,6 +102,75 @@ class TestParse:
             assert parse_dag(write_dag(dag)) == dag
 
 
+def syntax_error(lineno: int, got: str) -> tuple:
+    return DagSyntaxError, f"line {lineno}: expected two integers, got {got}"
+
+
+def fig2_with(*edges) -> Dag:
+    return Dag(n=5, k=2, edges=frozenset(edges))
+
+
+# Each input's `Dag`, or its error class and message, as the parser before the
+# one-regex line read gave them. int() refuses a string of more than 4,300
+# digits, leading zeros included; str.splitlines() also ends a line at \v, \f,
+# \r, \x1c-\x1e, \x85, \u2028 and \u2029, while str.split() splits at them
+# and at \xa0, \u3000 and \x1f too.
+PARSE_GOLDENS = [
+    ("5\u30002\n1\u30003\n", fig2_with((1, 3))),
+    ("5\xa02\n1 3\xa0\n", fig2_with((1, 3))),
+    ("5 2\x0b1 3\n", fig2_with((1, 3))),
+    ("5 2\n1\x0b3\n", syntax_error(2, "'1'")),
+    ("5 2\x0c1 3\x0c", fig2_with((1, 3))),
+    ("5 2\n1\x0c3\n", syntax_error(2, "'1'")),
+    ("\t5\t2\t\n1\t\t3\n \t2 4\t \n", fig2_with((1, 3), (2, 4))),
+    ("5 2\r\n1 3\r\n2 4\r\n", fig2_with((1, 3), (2, 4))),
+    ("5 2\r1 3\r", fig2_with((1, 3))),
+    ("5 2 # header\n1 3# edge\n#\n2 4 #\n", fig2_with((1, 3), (2, 4))),
+    ("5 2\n1 # 3\n", syntax_error(2, "'1'")),
+    ("5 2\n1#3\n", syntax_error(2, "'1'")),
+    ("\n\n5 2\n\n   \n\t\n1 3\n\n", fig2_with((1, 3))),
+    ("  \n", (DagSyntaxError, "empty input: missing 'n k' header line")),
+    ("# only a comment\n", (DagSyntaxError, "empty input: missing 'n k' header line")),
+    ("5 2\n1 " + "1" * 5000 + "\n", syntax_error(2, f"'1 {'1' * 78}'... (5002 characters)")),
+    ("1" * 5000 + " 2\n", syntax_error(1, f"'{'1' * 80}'... (5002 characters)")),
+    ("5 2\n1 " + "0" * 4299 + "3\n", fig2_with((1, 3))),
+    ("5 2\n1 " + "0" * 4300 + "3\n", syntax_error(2, f"'1 {'0' * 78}'... (4303 characters)")),
+    ("5 2\n-" + "0" * 4299 + "1 3\n", (BadVertexError, "edge endpoint -1 outside 1..5")),
+    ("+1 2\n", syntax_error(1, "'+1 2'")),
+    ("5 2\n+1 3\n", syntax_error(2, "'+1 3'")),
+    ("1_0 2\n", syntax_error(1, "'1_0 2'")),
+    ("5 2\n1_0 3\n", syntax_error(2, "'1_0 3'")),
+    ("\u0662 \u0662\n", syntax_error(1, "'\u0662 \u0662'")),
+    ("5 2\n1 \u0663\n", syntax_error(2, "'1 \u0663'")),
+    ("5 2\n1 \u00b2\n", syntax_error(2, "'1 \u00b2'")),
+    ("5 2\n\uff11 3\n", syntax_error(2, "'\uff11 3'")),
+    ("5 2\n1\x1f3\n", fig2_with((1, 3))),
+    ("5 2\n1\x853\n", syntax_error(2, "'1'")),
+    ("5 2\n1 3\n1\t3\n", (DagSyntaxError, "line 3: duplicate edge 1 -> 3")),
+    ("5 2\n1 3 4\n", syntax_error(2, "'1 3 4'")),
+    ("5 2\n- 3\n", syntax_error(2, "'- 3'")),
+    ("5 2\n1 -3\n", (BadVertexError, "edge endpoint -3 outside 1..5")),
+    ("-1 2\n", (BadVertexError, "vertex count must be positive, got -1")),
+    ("5 0\n", (DagSyntaxError, "state count must be >= 1, got 0")),
+    ("5 2\n3 1\n1 3\n", (CyclicGraphError, "no topological order: cycle through vertices [1, 3]")),
+    ("5 2\n0x1 3\n", syntax_error(2, "'0x1 3'")),
+    ("5 2\n1 3 \x00\n", syntax_error(2, "'1 3 \\x00'")),
+    ("5 2\n\x001 3\n", syntax_error(2, "'\\x001 3'")),
+]
+
+
+class TestParseGoldens:
+    @pytest.mark.parametrize("text, expected", PARSE_GOLDENS)
+    def test_same_dag_or_message(self, text, expected):
+        if isinstance(expected, Dag):
+            assert parse_dag(text) == expected
+            return
+        error, message = expected
+        with pytest.raises(error) as info:
+            parse_dag(text)
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestTopologicalOrder:
     def test_fig2(self):
         assert topological_order(parse_dag(FIG2_TEXT)) == [1, 2, 3, 4, 5]
@@ -173,3 +244,55 @@ class TestTransitiveClosure:
                             stack.append(u)
                 below = {u for u in range(1, dag.n + 1) if u != v and (u, v) in relation}
                 assert below == ancestors
+
+
+def reference_down(dag: Dag) -> tuple[int, ...]:
+    """The closure's down-set masks formed apart: each vertex's bit OR its
+    parents' masks, in topological order."""
+    down = [0] * dag.n
+    for v in topological_order(dag):
+        down[v - 1] = 1 << v - 1
+        for u in dag.parents(v):
+            down[v - 1] |= down[u - 1]
+    return tuple(down)
+
+
+class TestClosurePoset:
+    """`transitive_closure` builds its poset without the axiom check; the
+    validating constructor accepts the same masks, formed apart, and its
+    greedy picks find the same lower covers."""
+
+    @staticmethod
+    def assert_matches_validating(dag: Dag) -> None:
+        closure = transitive_closure(dag)
+        checked = Poset(tuple(range(1, dag.n + 1)), reference_down(dag))
+        assert closure == checked
+        assert closure.down == checked.down
+        assert closure._lower_covers == checked._lower_covers
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dags())
+    def test_random_dags(self, dag):
+        self.assert_matches_validating(dag)
+
+    def test_catalog_and_figures(self):
+        for _, dag in catalog_dags(2):
+            self.assert_matches_validating(dag)
+        for name in ("fig1.poset", "fig2.dag", "fig3.dag"):
+            self.assert_matches_validating(parse_dag(data.read(name)))
+
+    @pytest.mark.parametrize("labelling", ["forward", "reverse", "random", "middle-out"])
+    def test_relabelled_300_chains(self, labelling):
+        n = 300
+        labels = {
+            "forward": list(range(1, n + 1)),
+            "reverse": list(range(n, 0, -1)),
+            "random": random.Random(300).sample(range(1, n + 1), n),
+            "middle-out": sorted(range(1, n + 1), key=lambda x: (abs(2 * x - n), x)),
+        }[labelling]
+        self.assert_matches_validating(Dag(n=n, k=2, edges=frozenset(zip(labels, labels[1:]))))
+
+    def test_three_complete_layers_of_160(self):
+        layers = [range(1 + 160 * t, 161 + 160 * t) for t in range(3)]
+        edges = {(u, v) for below, above in zip(layers, layers[1:]) for u in below for v in above}
+        self.assert_matches_validating(Dag(n=480, k=2, edges=frozenset(edges)))
