@@ -403,10 +403,14 @@ class GeneratorArrays:
 
     @classmethod
     def of(cls, generators, states: Sequence[State] = ()) -> "GeneratorArrays":
-        """Arrays as they are; a list of `BinomialGenerator`s converted once, into
-        `states` and the states it names in lexicographic order, as `_lead_split` needs."""
+        """Arrays as they are when no `states` are given or they index these
+        very states; a list of `BinomialGenerator`s, or arrays over other
+        states, converted once, into `states` and the states it names in
+        lexicographic order, as `_lead_split` needs."""
         if isinstance(generators, cls):
-            return generators
+            if not states or generators.states is states:
+                return generators
+            generators = list(generators)
         quads = list(map(_STATES, generators))
         states = tuple(sorted(set(chain(states, chain.from_iterable(quads)))))
         index = {s: i for i, s in enumerate(states)}

@@ -27,10 +27,6 @@ class BadStateError(MaxlinError):
     """State vector entry outside 0..k-1 or wrong length."""
 
 
-class NotAnIdealError(MaxlinError):
-    """Indicator vector is not downward closed."""
-
-
 class UnmappedVariableError(MaxlinError):
     """Substitution hit a variable the map does not cover."""
 

@@ -24,13 +24,12 @@ from typing import Union
 
 from .algebra import parse_fraction, state_digits
 from .dag import Dag, topological_order, transitive_closure
-from .errors import BadStateError, NotAnIdealError, ParseError, check_size
+from .errors import BadStateError, ParseError, check_size
 from .poset import (
     Poset,
     State,
     StateLattice,
     ideal_lattice,
-    is_order_ideal,
     order_preserving_maps,
 )
 from .report import Report
@@ -370,40 +369,27 @@ def cbn_distribution(
     ]
 
 
-def cbn_to_dmlbn_state(poset: Poset, g) -> State:
-    """The state-space bijection for two states: complement the ideal
-    indicator, so members sit at level 0 and non-members at level 1.
-
-    Raises:
-        NotAnIdealError: the indicator is not downward closed.
-    """
-    if not is_order_ideal(poset, tuple(g)):
-        raise NotAnIdealError(f"{tuple(g)!r} is not an order ideal indicator")
-    return tuple(1 - v for v in g)
-
-
 def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     """Check that the accumulation model on the reachability poset equals the
     two-state max model after complementing states and swapping the two
     weights per vertex: symbolically, on the level table with both sides
     held as per-vertex factors, and on seeded random integer tables, both
-    sides as numerators over the product of the row sums. Each ideal's
-    image, and its index among the states, is found once.
+    sides as numerators over the product of the row sums. `ideal_lattice`
+    lists the ideals as the two-state walk's states complemented, in reverse,
+    so ideal t pairs with state |L| - 1 - t.
     """
     dag2 = Dag(n=dag.n, k=2, edges=dag.edges)
     closure = transitive_closure(dag2)
     ideals = ideal_lattice(closure)
     states = order_preserving_maps(closure, 2)
-    images = [cbn_to_dmlbn_state(closure, g) for g in ideals]
-    index = {g: t for t, g in enumerate(states.states)}
-    positions = [index[image] for image in images]
     failures: list[str] = []
 
     def compare(theta: ParamTable, label: str, product=prod) -> None:
         accum = cbn_distribution(closure, theta, ideals, product)
         maxmodel = full_distribution(dag2, theta.swapped(), states, product)
-        for g, image, value, t in zip(ideals, images, accum, positions):
-            if value != maxmodel[t]:
+        pairs = zip(ideals, reversed(states.states), accum, reversed(maxmodel))
+        for g, image, value, other in pairs:
+            if value != other:
                 failures.append(f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}")
 
     compare(ParamTable.levels(dag.n, 2), "symbolic", _Factors)

@@ -8,8 +8,6 @@ from itertools import chain, compress, repeat
 from operator import add, getitem, or_
 from typing import Hashable, Iterator, Sequence
 
-from .errors import BadStateError
-
 Label = Hashable
 State = tuple[int, ...]
 
@@ -25,10 +23,10 @@ class Poset:
 
     `elements` fixes the coordinate order used by indicator vectors and state
     vectors; bit j of `down[i]` is set iff elements[j] <= elements[i]. Masks
-    given to the constructor or to `from_relation` come from outside: their
-    axioms are checked once, in one OR per greedy pick, and the same pass
-    yields the Hasse diagram. `dag.transitive_closure` builds its masks as a
-    partial order, finds the covers as it goes and skips the check.
+    given to the constructor or to `from_relation` come from outside: one
+    scan of each element's strict down-set checks the axioms and yields the
+    Hasse diagram. `dag.transitive_closure` builds its masks as a partial
+    order, finds the covers as it goes and skips the check.
     """
 
     elements: tuple[Label, ...]
@@ -46,26 +44,20 @@ class Poset:
                 raise ValueError(f"down-set of {e!r} reaches outside the element set")
             if not mask >> i & 1:
                 raise ValueError(f"relation is not reflexive at {e!r}")
-        down, e = self.down, self.elements
-        strict = [mask ^ (1 << i) for i, mask in enumerate(down)]
-        counts = [mask.bit_count() for mask in down]
-        minimal = sum(1 << i for i, count in enumerate(counts) if count == 1)
+        e = self.elements
+        strict = [mask ^ (1 << i) for i, mask in enumerate(self.down)]
         covers = []
         for i, below in enumerate(strict):
-            # Picks j, each the end bit of `rest` with the larger down-set, cover i's
-            # strict down-set (a minimal element has nothing below it to check or
-            # add); each holds its own inside, so by induction the axioms hold.
-            below_below, rest = 0, below & ~minimal
-            while rest:
-                j, low = rest.bit_length() - 1, (rest & -rest).bit_length() - 1
-                j = low if counts[low] > counts[j] else j
+            # Each j below i holds its own strict down-set inside i's, so the
+            # axioms hold; i's covers are what lies below no such j.
+            below_below = 0
+            for j in bit_positions(below):
                 if outside := strict[j] & ~below:
                     if outside >> i & 1:
                         raise ValueError(f"relation is not antisymmetric on ({e[j]!r}, {e[i]!r})")
                     c = e[(outside & -outside).bit_length() - 1]
                     raise ValueError(f"relation is not transitive on ({c!r}, {e[j]!r}, {e[i]!r})")
                 below_below |= strict[j]
-                rest &= ~down[j]
             covers.append(below & ~below_below)
         object.__setattr__(self, "_lower_covers", tuple(covers))
 
@@ -288,13 +280,6 @@ def ideal_lattice(poset: Poset) -> StateLattice:
     lexicographic order, so they are taken in reverse."""
     ideals = (v.translate(_COMPLEMENT) for v in reversed(_monotone_vectors(poset)))
     return StateLattice(len(poset.elements), 2, tuple(ideals))
-
-
-def is_order_ideal(poset: Poset, indicator: State) -> bool:
-    if len(indicator) != len(poset.elements) or any(b not in (0, 1) for b in indicator):
-        raise BadStateError(f"indicator {indicator!r} is not a 0-1 vector over the poset")
-    members = sum(1 << i for i, b in enumerate(indicator) if b)
-    return all(not poset.down[i] & ~members for i in bit_positions(members))
 
 
 def chain_product(poset: Poset, m: int) -> Poset:

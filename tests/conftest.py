@@ -8,9 +8,9 @@ substitution, the monomial map one variable at a time, the Hilbert
 certificate's old degree 1-3 counts, the vanishing check and the
 certificate on multiplied-out images and a lead set, reference helpers
 (the order, meet and join of states, the generator of a pair, the dual of a
-poset, its covers and order ideals, the axiom violations and maximal lower
-elements of a relation by all pairs, the uniform table, the accumulation
-model one element at a time), the polynomial grammar one token at a time
+poset, its covers and order ideals, the order-ideal test, the axiom
+violations and maximal lower elements of a relation by all pairs, the
+uniform table, the accumulation model one element at a time), the polynomial grammar one token at a time
 and Fraction evaluation, and random generators for property-style tests."""
 
 from __future__ import annotations
@@ -143,6 +143,15 @@ def covers_below(poset: Poset, b: Label) -> tuple[Label, ...]:
     """The elements b covers: the maximal elements strictly below b."""
     covers = poset._lower_covers[poset.elements.index(b)]
     return tuple(poset.elements[j] for j in bit_positions(covers))
+
+
+def is_order_ideal(poset: Poset, indicator: State) -> bool:
+    """Whether a 0-1 vector over `poset.elements` is downward closed: the
+    box filter that the ideal enumerations are compared against."""
+    if len(indicator) != len(poset.elements) or any(b not in (0, 1) for b in indicator):
+        raise BadStateError(f"indicator {indicator!r} is not a 0-1 vector over the poset")
+    members = sum(1 << i for i, b in enumerate(indicator) if b)
+    return all(not poset.down[i] & ~members for i in bit_positions(members))
 
 
 def ideal_members(poset: Poset, indicator: State) -> frozenset[Label]:

@@ -588,7 +588,9 @@ class TestHibiGenerators:
 
     def test_arrays_of_a_list(self, fig3_dag):
         """An edited list becomes arrays over the given states and the states
-        it names, in lexicographic order; arrays pass through."""
+        it names, in lexicographic order; arrays pass through when no states
+        are given or they index these very states, and are re-indexed
+        otherwise."""
         lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
         generators = hibi_generators(lattice)[::-1]
         generators[0] = dataclasses.replace(generators[0], join=lattice.top)
@@ -602,6 +604,10 @@ class TestHibiGenerators:
         assert GeneratorArrays.of(generators, lattice.states[::-1]).states == lattice.states
         assert [full.states[i] for i in full.join] == [gen.join for gen in generators]
         assert GeneratorArrays.of(full) is full
+        own = generator_arrays(lattice)
+        assert GeneratorArrays.of(own, lattice.states) is own
+        reindexed = GeneratorArrays.of(arrays, lattice.states)
+        assert reindexed.states == lattice.states and list(reindexed) == generators
 
     def test_json_dict_golden(self, fig2_dag):
         gen = hibi_generators(order_preserving_maps(transitive_closure(fig2_dag), 2))[0]
@@ -1494,6 +1500,25 @@ class TestAgainstMultipliedOutImages:
                 verify_vanishing([gen], mmap)
         with pytest.raises(UnmappedVariableError, match=r"q\[11110\]"):
             hilbert_check(lattice, [gen])
+
+
+class TestEitherForm:
+    """The checks take a generator set as a list or as `GeneratorArrays`,
+    and arrays indexed over other states than the lattice's are re-indexed
+    over them: both forms give one report."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_list_and_arrays_give_one_report(self, figure, k, fig2_dag, fig3_dag):
+        dag = {"fig2": fig2_dag, "fig3": fig3_dag}[figure]
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        generators = hibi_generators(lattice)
+        topped = [dataclasses.replace(generators[0], join=lattice.top), *generators[1:]]
+        for gens in (generators, generators[1:], topped):
+            arrays = GeneratorArrays.of(gens)  # indexed over the states it names
+            assert hilbert_check(lattice, arrays) == hilbert_check(lattice, gens)
+            assert verify_vanishing(arrays, lattice) == verify_vanishing(gens, lattice)
+        assert hilbert_check(lattice, GeneratorArrays.of(generators)).passed
 
 
 class TestLeadInEitherOrder:

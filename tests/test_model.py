@@ -2,6 +2,7 @@
 and the two-state correspondence between them."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -22,7 +23,6 @@ from maxlin.errors import (
     BadStateError,
     BadVertexError,
     MaxlinError,
-    NotAnIdealError,
     TooLargeError,
 )
 from maxlin.model import (
@@ -30,7 +30,6 @@ from maxlin.model import (
     _Factors,
     cbn_correspondence_check,
     cbn_distribution,
-    cbn_to_dmlbn_state,
     conditional_probability,
     full_distribution,
     integer_view,
@@ -884,14 +883,13 @@ class TestAccumulationModel:
 
 class TestTwoStateCorrespondence:
     def test_state_bijection_golden(self, fig2_dag):
+        """Ideal t pairs with state |L| - 1 - t, its complement."""
         closure = transitive_closure(fig2_dag)
-        assert cbn_to_dmlbn_state(closure, (1, 0, 1, 0, 0)) == (0, 1, 0, 1, 1)
-        assert cbn_to_dmlbn_state(closure, (1, 1, 1, 1, 1)) == (0, 0, 0, 0, 0)
-        assert cbn_to_dmlbn_state(closure, (0, 0, 0, 0, 0)) == (1, 1, 1, 1, 1)
-
-    def test_rejects_non_ideal(self, fig2_dag):
-        with pytest.raises(NotAnIdealError):
-            cbn_to_dmlbn_state(transitive_closure(fig2_dag), (0, 0, 1, 0, 0))
+        states = order_preserving_maps(closure, 2).states
+        image = dict(zip(ideal_lattice(closure).states, reversed(states)))
+        assert image[(1, 0, 1, 0, 0)] == (0, 1, 0, 1, 1)
+        assert image[(1, 1, 1, 1, 1)] == (0, 0, 0, 0, 0)
+        assert image[(0, 0, 0, 0, 0)] == (1, 1, 1, 1, 1)
 
     def test_example_pair_monomials(self, fig2_dag):
         closure = transitive_closure(fig2_dag)
@@ -955,18 +953,40 @@ class TestTwoStateCorrespondence:
         assert cbn_correspondence_check(fig2_dag, trials=2, seed=3).passed
         assert kinds == [{_Factors}] * 2 + [{int}] * 4
 
-    def test_images_formed_once_per_request(self, fig2_dag, monkeypatch):
-        calls = []
-        image = model.cbn_to_dmlbn_state
+    def test_unreversed_ideals_fail(self, fig2_dag, monkeypatch):
+        """The check pairs by position, so ideals complemented from the
+        two-state walk's states but left in the walk's order fail it."""
 
-        def counted(poset, g):
-            calls.append(g)
-            return image(poset, g)
+        def unreversed(poset):
+            states = order_preserving_maps(poset, 2).states
+            return StateLattice(len(states[0]), 2, [tuple(1 - v for v in g) for g in states])
 
-        monkeypatch.setattr(model, "cbn_to_dmlbn_state", counted)
-        report = cbn_correspondence_check(fig2_dag, trials=4, seed=1)
-        assert report.passed and report.total == 5 * 9
-        assert sorted(calls) == sorted(ideal_lattice(transitive_closure(fig2_dag)))
+        monkeypatch.setattr(model, "ideal_lattice", unreversed)
+        assert not cbn_correspondence_check(fig2_dag, trials=2, seed=1).passed
+
+    @pytest.mark.parametrize(
+        "name, fmt, size, digest",
+        [
+            ("fig2.dag", "json", 2428, "28437247c336fe26abdea326658cdab1d60aef490e5eb362d8760a12e0750e5c"),
+            ("fig2.dag", "text", 2575, "c3fa47d61741dcb1e6d57449ea071a6444f7ad16a76cee788840ba71efa2498b"),
+            ("fig3.dag", "json", 1272, "dae30407291c270c3b06d27789c8c306dcdc690ea8a2903d212652075cac5b77"),
+            ("fig3.dag", "text", 1323, "65590f9d80e4ac509ef7607d9a2435f4a0876120db7e750172bfe3c98c33ad1c"),
+        ],
+    )
+    def test_unswapped_weights_full_output(
+        self, capsys, monkeypatch, tmp_path, name, fmt, size, digest
+    ):
+        """Every failure line, in order, with the total and the empty
+        detail: `verify theorem31 --trials 5 --seed 11` with the weights
+        left unswapped, pinned by length and SHA-256."""
+        monkeypatch.setattr(ParamTable, "swapped", lambda self: self)
+        path = tmp_path / name
+        path.write_text(data.read(name), encoding="utf-8")
+        argv = ["verify", "theorem31", "--dag", str(path), "--trials", "5", "--seed", "11"]
+        assert main([*argv, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
 
 
 class TestEliminateSimplex:

@@ -18,7 +18,6 @@ from maxlin.poset import (
     StateLattice,
     chain_product,
     ideal_lattice,
-    is_order_ideal,
     order_preserving_maps,
 )
 
@@ -37,6 +36,7 @@ from conftest import (
     ideal_members,
     image_ideal,
     incomparable_pairs,
+    is_order_ideal,
     lattice_meet_join,
     maximal_below,
     order_ideals,
@@ -149,9 +149,9 @@ _NAMED = re.compile(r"relation is not (antisymmetric|transitive) on \(([0-9, ]+)
 
 
 class TestGreedyCovers:
-    """`Poset` checks the axioms and finds the lower covers by greedy picks;
-    the references check every pair and triple and compare every two
-    elements below each one."""
+    """`Poset` checks the axioms and finds the lower covers in one scan of
+    each element's strict down-set; the references check every pair and
+    triple and compare every two elements below each one."""
 
     KINDS = ("valid", "not transitive", "not antisymmetric", "closure", "any")
 
@@ -181,10 +181,10 @@ class TestGreedyCovers:
     @pytest.mark.parametrize(
         "down, message",
         [
-            # 1 <= 0 <= 1, found at either end of 1's strict down-set
+            # 1 <= 0 <= 1, found at 0's scan of its strict down-set
             ((0b11, 0b11), r"antisymmetric on \((0, 1|1, 0)\)"),
             ((0b011, 0b011, 0b111), r"antisymmetric on \((0, 1|1, 0)\)"),
-            # 0 <= 1 <= 2, 0 not below 2; the pick that exposes it is 1
+            # 0 <= 1 <= 2, 0 not below 2; the element that exposes it is 1
             ((0b001, 0b011, 0b110), r"transitive on \(0, 1, 2\)"),
             # 1 <= 2 <= 0, 1 not below 0
             ((0b101, 0b010, 0b110), r"transitive on \(1, 2, 0\)"),
@@ -245,6 +245,28 @@ class TestOrderIdeals:
         assert not is_order_ideal(fig1_poset, (0, 0, 1, 0, 0))
         with pytest.raises(BadStateError):
             is_order_ideal(fig1_poset, (0, 2, 0, 0, 0))
+
+
+class TestIdealStateBijection:
+    """Ideal t of `ideal_lattice` is the complement of state |L| - 1 - t of
+    the two-state lattice, the pairing theorem31 reads by position."""
+
+    @staticmethod
+    def assert_paired(poset: Poset) -> None:
+        ideals = ideal_lattice(poset).vectors
+        states = order_preserving_maps(poset, 2).vectors
+        assert len(ideals) == len(states)
+        for t, ideal in enumerate(ideals):
+            assert list(ideal) == [1 - v for v in states[-1 - t]], t
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dags())
+    def test_random_dags(self, dag):
+        self.assert_paired(transitive_closure(dag))
+
+    def test_catalog(self):
+        for _, dag in catalog_dags(2):
+            self.assert_paired(transitive_closure(dag))
 
 
 class TestOrderPreservingMaps:
