@@ -124,7 +124,7 @@ def transitive_closure(dag: Dag) -> Poset:
     Vertex v's strict down-set is its parents OR their strict down-sets,
     taken in topological order; a parent is a lower cover of v iff it lies
     in no parent's strict down-set. The masks are a partial order by
-    construction, so the poset is built without re-checking its axioms."""
+    construction; this is the only code that builds a `Poset`."""
     strict = [0] * (dag.n + 1)  # by label
     down, covers = [0] * dag.n, [0] * dag.n
     for v in dag._order:
@@ -135,4 +135,4 @@ def transitive_closure(dag: Dag) -> Poset:
         covers[v - 1] = parents & ~below
         strict[v] = parents | below
         down[v - 1] = strict[v] | 1 << v - 1
-    return Poset._closure(tuple(range(1, dag.n + 1)), tuple(down), tuple(covers))
+    return Poset(tuple(range(1, dag.n + 1)), tuple(down), tuple(covers))

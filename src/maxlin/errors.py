@@ -23,10 +23,6 @@ class BadVertexError(MaxlinError):
     """Vertex label outside 1..n."""
 
 
-class BadStateError(MaxlinError):
-    """State vector entry outside 0..k-1 or wrong length."""
-
-
 class UnmappedVariableError(MaxlinError):
     """Substitution hit a variable the map does not cover."""
 

@@ -24,7 +24,7 @@ from typing import Union
 
 from .algebra import parse_fraction, state_digits
 from .dag import Dag, topological_order, transitive_closure
-from .errors import BadStateError, ParseError, check_size
+from .errors import ParseError, check_size
 from .poset import (
     Poset,
     State,
@@ -168,24 +168,6 @@ def _check_table(dag: Dag, theta: ParamTable) -> None:
         raise ValueError(
             f"parameter table is {theta.n}x{theta.k}, graph needs {dag.n}x{dag.k}"
         )
-
-
-def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
-    """P(X_i = g_i | parents at their g values) for the max-of-parents model.
-
-    With M the maximum of the parent values (0 for a source vertex): 0 when
-    g_i < M; the cumulative weight alpha_{i,M} when g_i = M (the constant 1
-    when M = k-1); the single weight of g_i when g_i > M.
-    """
-    _check_table(dag, theta)
-    if len(g) != dag.n or any(not isinstance(v, int) or not 0 <= v < dag.k for v in g):
-        raise BadStateError(f"vector {tuple(g)!r} is not over {{0..{dag.k - 1}}}^{dag.n}")
-    m = max((g[j - 1] for j in dag.parents(i)), default=0)
-    if g[i - 1] < m:
-        return Fraction(0)
-    if g[i - 1] == m:
-        return theta.cumulative[i - 1][m]
-    return theta.rows[i - 1][g[i - 1]]
 
 
 def _level_products(rows, states, product=prod) -> list:
@@ -361,7 +343,7 @@ def cbn_distribution(
         got = f"{theta.n}x{theta.k} and {lattice.n}x{lattice.k}"
         raise ValueError(f"the accumulation model needs a {n}x2 table and lattice, got {got}")
     tops = [row[-1] for row in theta.cumulative]
-    elements = list(zip(theta.rows, tops, poset._lower_covers))
+    elements = list(zip(theta.rows, tops, poset.lower_covers))
     return [
         product([row[v] if not below & ~mask else 0 if v else top
                  for (row, top, below), v in zip(elements, g)])

@@ -7,10 +7,12 @@ joints to run them under and the helper that installs one, generic
 substitution, the monomial map one variable at a time, the Hilbert
 certificate's old degree 1-3 counts, the vanishing check and the
 certificate on multiplied-out images and a lead set, reference helpers
-(the order, meet and join of states, the generator of a pair, the dual of a
+(the order, meet and join of states, the generator of a pair, the checking
+poset constructor, the poset of a relation, the chain product, the dual of a
 poset, its covers and order ideals, the order-ideal test, the axiom
 violations and maximal lower elements of a relation by all pairs, the
-uniform table, the accumulation model one element at a time), the polynomial grammar one token at a time
+uniform table, the max-of-parents model one vertex at a time, the
+accumulation model one element at a time), the polynomial grammar one token at a time
 and Fraction evaluation, and random generators for property-style tests."""
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from maxlin.algebra import (
     x_var,
 )
 from maxlin.dag import Dag, parse_dag, transitive_closure
-from maxlin.errors import BadStateError, ParseError, UnboundVariableError, quote, shorten
-from maxlin.model import ParamTable, Value, cbn_distribution, conditional_probability
+from maxlin.errors import MaxlinError, ParseError, UnboundVariableError, quote, shorten
+from maxlin.model import ParamTable, Value, _check_table, cbn_distribution
 from maxlin.poset import (
     Label,
     Poset,
@@ -85,18 +87,6 @@ CATALOG: list[tuple[str, int, tuple[tuple[int, int], ...]]] = [
 ]
 
 
-# Small posets whose labels are not a topological order, so the walk's
-# linear extension permutes the coordinates: the chain 1 < 0, the chain
-# 2 < 0 < 1, 2 below both 0 and 1, 0 and 2 below 1, and 1 below 0 beside 2.
-RELABELLED = [
-    Poset((0, 1), (0b11, 0b10)),
-    Poset((0, 1, 2), (0b101, 0b111, 0b100)),
-    Poset((0, 1, 2), (0b101, 0b110, 0b100)),
-    Poset((0, 1, 2), (0b001, 0b111, 0b100)),
-    Poset((0, 1, 2), (0b011, 0b010, 0b100)),
-]
-
-
 def catalog_dag(name: str, k: int) -> Dag:
     for entry, n, edges in CATALOG:
         if entry == name:
@@ -123,14 +113,90 @@ def fig1_poset() -> Poset:
     return transitive_closure(parse_dag(data.read("fig1.poset")))
 
 
+class BadStateError(MaxlinError):
+    """A vector given to a per-element reference is not over its states."""
+
+
+def checked_poset(elements, down) -> Poset:
+    """The poset on `elements` whose down-set masks, from outside, are
+    `down`: one scan of each element's strict down-set checks the axioms and
+    yields the Hasse diagram. The checking reference of the closure's
+    record, which `transitive_closure` builds without a check."""
+    elements, down = tuple(elements), tuple(down)
+    n = len(elements)
+    if len(set(elements)) != n:
+        raise ValueError("duplicate poset elements")
+    if len(down) != n:
+        raise ValueError(f"{len(down)} down-set masks for {n} elements")
+    for i, (e, mask) in enumerate(zip(elements, down)):
+        if mask < 0 or mask >> n:
+            raise ValueError(f"down-set of {e!r} reaches outside the element set")
+        if not mask >> i & 1:
+            raise ValueError(f"relation is not reflexive at {e!r}")
+    e = elements
+    strict = [mask ^ (1 << i) for i, mask in enumerate(down)]
+    covers = []
+    for i, below in enumerate(strict):
+        # Each j below i holds its own strict down-set inside i's, so the
+        # axioms hold; i's covers are what lies below no such j.
+        below_below = 0
+        for j in bit_positions(below):
+            if outside := strict[j] & ~below:
+                if outside >> i & 1:
+                    raise ValueError(f"relation is not antisymmetric on ({e[j]!r}, {e[i]!r})")
+                c = e[(outside & -outside).bit_length() - 1]
+                raise ValueError(f"relation is not transitive on ({c!r}, {e[j]!r}, {e[i]!r})")
+            below_below |= strict[j]
+        covers.append(below & ~below_below)
+    return Poset(elements, down, tuple(covers))
+
+
+def from_relation(elements, pairs) -> Poset:
+    """The poset on `elements` whose relation is `pairs`, every (a, b) with
+    a <= b, reflexive pairs included, checked by `checked_poset`."""
+    elements = tuple(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    down = [0] * len(elements)
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise ValueError(f"relation pair ({a!r}, {b!r}) outside the element set")
+        down[index[b]] |= 1 << index[a]
+    return checked_poset(elements, down)
+
+
+def chain_product(poset: Poset, m: int) -> Poset:
+    """The product poset with elements (e, r) for r in 0..m-1 and
+    (a, r) <= (b, s) iff a <= b and r <= s: the poset whose order ideals
+    are the k-state lattice's states for m = k-1."""
+    if m < 0:
+        raise ValueError(f"chain size must be >= 0, got {m}")
+    elems = tuple((e, r) for e in poset.elements for r in range(m))
+    pairs = (
+        ((a, r), (b, s)) for a, b in poset.relation for r in range(m) for s in range(r, m)
+    )
+    return from_relation(elems, pairs)
+
+
 def antichain(labels: tuple[Label, ...]) -> Poset:
-    return Poset.from_relation(labels, ((a, a) for a in labels))
+    return from_relation(labels, ((a, a) for a in labels))
 
 
 def chain(length: int) -> Poset:
     """The chain 0 < 1 < ... < length-1."""
     elems = tuple(range(length))
-    return Poset.from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
+    return from_relation(elems, ((a, b) for a in elems for b in elems[a:]))
+
+
+# Small posets whose labels are not a topological order, so the walk's
+# linear extension permutes the coordinates: the chain 1 < 0, the chain
+# 2 < 0 < 1, 2 below both 0 and 1, 0 and 2 below 1, and 1 below 0 beside 2.
+RELABELLED = [
+    checked_poset((0, 1), (0b11, 0b10)),
+    checked_poset((0, 1, 2), (0b101, 0b111, 0b100)),
+    checked_poset((0, 1, 2), (0b101, 0b110, 0b100)),
+    checked_poset((0, 1, 2), (0b001, 0b111, 0b100)),
+    checked_poset((0, 1, 2), (0b011, 0b010, 0b100)),
+]
 
 
 def order_ideals(poset: Poset) -> list[State]:
@@ -141,7 +207,7 @@ def order_ideals(poset: Poset) -> list[State]:
 
 def covers_below(poset: Poset, b: Label) -> tuple[Label, ...]:
     """The elements b covers: the maximal elements strictly below b."""
-    covers = poset._lower_covers[poset.elements.index(b)]
+    covers = poset.lower_covers[poset.elements.index(b)]
     return tuple(poset.elements[j] for j in bit_positions(covers))
 
 
@@ -255,7 +321,7 @@ def strict_pairs(poset: Poset) -> list:
 
 def dual(poset: Poset) -> Poset:
     """The same elements with the order reversed."""
-    return Poset.from_relation(poset.elements, ((b, a) for a, b in poset.relation))
+    return from_relation(poset.elements, ((b, a) for a, b in poset.relation))
 
 
 def state_leq(g: State, h: State) -> bool:
@@ -473,6 +539,25 @@ def x_ratios(theta: ParamTable) -> list[list[Fraction]]:
     return [
         [row[j - 1] / row[j] for j in range(len(row) - 1, 0, -1)] for row in theta.cumulative
     ]
+
+
+def conditional_probability(dag: Dag, theta: ParamTable, i: int, g) -> Value:
+    """P(X_i = g_i | parents at their g values) for the max-of-parents model,
+    checked one vertex at a time: the per-vertex reference of the joint.
+
+    With M the maximum of the parent values (0 for a source vertex): 0 when
+    g_i < M; the cumulative weight alpha_{i,M} when g_i = M (the constant 1
+    when M = k-1); the single weight of g_i when g_i > M.
+    """
+    _check_table(dag, theta)
+    if len(g) != dag.n or any(not isinstance(v, int) or not 0 <= v < dag.k for v in g):
+        raise BadStateError(f"vector {tuple(g)!r} is not over {{0..{dag.k - 1}}}^{dag.n}")
+    m = max((g[j - 1] for j in dag.parents(i)), default=0)
+    if g[i - 1] < m:
+        return Fraction(0)
+    if g[i - 1] == m:
+        return theta.cumulative[i - 1][m]
+    return theta.rows[i - 1][g[i - 1]]
 
 
 def joint_factored(dag: Dag, theta: ParamTable, g) -> Value:

@@ -34,7 +34,7 @@ from maxlin.model import (
     integer_view,
     oracle_equivalence_check,
 )
-from maxlin.poset import chain_product, order_preserving_maps
+from maxlin.poset import order_preserving_maps
 from maxlin.transforms import (
     moebius_inverse,
     zeta_factorization_check,
@@ -45,6 +45,7 @@ from conftest import (
     accumulation_by_state,
     as_map,
     catalog_dags,
+    chain_product,
     eliminate_simplex,
     image_ideal,
     incomparable_pairs,

@@ -1,8 +1,8 @@
 """The public surface of the package: every public top-level function and
 class in src/maxlin is reached by other package code or by the benchmark,
 and so is every public method, property and classmethod of its classes, so
-API that only the tests reach does not build up in src/; only the size
-guard reads the environment; every module of the package and of the
+API that only the tests reach does not build up in src/; only the closure
+builds a `Poset`; only the size guard reads the environment; every module of the package and of the
 tests uses each name it imports; and every function the benchmark's tracer
 wraps still exists."""
 
@@ -17,13 +17,6 @@ PACKAGE = sorted((ROOT / "src" / "maxlin").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = {path.stem for path in PACKAGE}
-
-# Public names, and public methods as Class.method, that neither the package
-# nor the benchmark reaches, and why they stay.
-KEPT = (
-    ("chain_product", "acceptance criterion 11: states as ideals of P x chain"),
-    ("conditional_probability", "the checked per-vertex factor of the max-of-parents rule"),
-)
 
 
 def module_names(tree: ast.Module) -> set[str]:
@@ -83,7 +76,7 @@ def test_every_public_name_is_reached_outside_the_tests():
         for name, where in definitions.items()
         if not any(name in names for place, names in references if place != where)
     }
-    assert unreached == {name for name, _ in KEPT if "." not in name}
+    assert unreached == set()
 
 
 def test_every_public_method_is_read_outside_its_definition():
@@ -109,7 +102,7 @@ def test_every_public_method_is_read_outside_its_definition():
         for name, node in methods
         if reads[node.name] == attribute_reads(node)[node.name]
     }
-    assert unreached == {name for name, _ in KEPT if "." in name}
+    assert unreached == set()
 
 
 def test_only_the_factor_tuples_define_arithmetic():
@@ -153,6 +146,19 @@ def test_every_imported_name_is_used():
                 continue
             unused.update((path.name, name) for name in bound if name not in used)
     assert unused == set()
+
+
+def test_only_the_closure_builds_a_poset():
+    """`dag.transitive_closure` is the package's one producer of a `Poset`:
+    no other code calls the class. The checking constructor is the tests'
+    reference (`checked_poset`)."""
+    callers = set()
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Poset"):
+                    callers.add((path.name, getattr(stmt, "name", None)))
+    assert callers == {("dag.py", "transitive_closure")}
 
 
 def test_only_check_size_reads_the_environment():

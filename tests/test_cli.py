@@ -22,7 +22,7 @@ from maxlin.algebra import generator_json, hibi_generators, state_digits
 from maxlin.cli import VERIFY_SUITES, build_parser, main, run
 from maxlin.dag import parse_dag, transitive_closure
 from maxlin.errors import QUOTE_CAP, quote
-from maxlin.poset import Poset, ideal_lattice, order_preserving_maps
+from maxlin.poset import ideal_lattice, order_preserving_maps
 from maxlin.report import Report
 
 from conftest import (
@@ -567,38 +567,6 @@ PINNED_STDOUT = {
         69, "9e6f509d62807134e4acdf9bc4215bbe407c268ae603939c6f59e9e0323fe90b"
     ),
 }
-
-
-class TestClosureSkipsTheAxiomCheck:
-    """A DAG's closure is a partial order by construction: building it, and
-    the commands that close a DAG, never reach `Poset`'s axiom check, which
-    still rejects masks that come from outside."""
-
-    INVALID = [
-        ((0, 1), (0b11, 0b11), "relation is not antisymmetric on (1, 0)"),
-        ((0, 1, 2), (0b001, 0b011, 0b110), "relation is not transitive on (0, 1, 2)"),
-        ((1, 2), (0b101, 0b10), "down-set of 1 reaches outside the element set"),
-        (("a", "b"), (0b01, 0b00), "relation is not reflexive at 'b'"),
-    ]
-
-    def test_closure_paths_never_reach_the_check(self, capsys, monkeypatch, fig_files):
-        def check(poset):
-            raise AssertionError("the axiom check ran")
-
-        monkeypatch.setattr(Poset, "__post_init__", check)
-        for name in ("fig1.poset", "fig2.dag", "fig3.dag"):
-            transitive_closure(parse_dag(data.read(name)))
-            for argv in (["lattice"], ["ideals"], ["verify", "theorem31", "--trials", "3"]):
-                code, out, err = run_main(capsys, [*argv, "--dag", fig_files[name]])
-                assert (code, err) == (0, "") and out
-        for elements, down, _ in self.INVALID:
-            with pytest.raises(AssertionError, match="the axiom check ran"):
-                Poset(elements, down)
-        monkeypatch.undo()
-        for elements, down, message in self.INVALID:
-            with pytest.raises(ValueError) as info:
-                Poset(elements, down)
-            assert str(info.value) == message
 
 
 class TestPinnedOutput:

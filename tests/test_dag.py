@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from maxlin import data
 from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
 from maxlin.errors import BadVertexError, CyclicGraphError, DagSyntaxError
-from maxlin.poset import Poset
 
-from conftest import catalog_dags, covers_below, dags, random_dag, strict_pairs
+from conftest import catalog_dags, checked_poset, covers_below, dags, random_dag, strict_pairs
 
 FIG2_TEXT = "5 2\n1 3\n1 4\n2 4\n3 5\n4 5"
 
@@ -258,17 +257,17 @@ def reference_down(dag: Dag) -> tuple[int, ...]:
 
 
 class TestClosurePoset:
-    """`transitive_closure` builds its poset without the axiom check; the
-    validating constructor accepts the same masks, formed apart, and its
-    greedy picks find the same lower covers."""
+    """`transitive_closure` builds its poset without an axiom check; the
+    checking reference `checked_poset` accepts the same masks, formed apart,
+    and its greedy picks find the same lower covers."""
 
     @staticmethod
     def assert_matches_validating(dag: Dag) -> None:
         closure = transitive_closure(dag)
-        checked = Poset(tuple(range(1, dag.n + 1)), reference_down(dag))
+        checked = checked_poset(tuple(range(1, dag.n + 1)), reference_down(dag))
         assert closure == checked
         assert closure.down == checked.down
-        assert closure._lower_covers == checked._lower_covers
+        assert closure.lower_covers == checked.lower_covers
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(dags())

@@ -20,7 +20,6 @@ from maxlin.algebra import state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
-    BadStateError,
     BadVertexError,
     MaxlinError,
     TooLargeError,
@@ -30,7 +29,6 @@ from maxlin.model import (
     _Factors,
     cbn_correspondence_check,
     cbn_distribution,
-    conditional_probability,
     full_distribution,
     integer_view,
     oracle_distribution,
@@ -39,10 +37,12 @@ from maxlin.model import (
 from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
 
 from conftest import (
+    BadStateError,
     accumulation_by_state,
     alpha_for_theta_walk,
     cbn_conditional,
     catalog_dags,
+    conditional_probability,
     dags,
     eliminate_simplex,
     expanded_theorem31_failures,

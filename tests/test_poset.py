@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from maxlin import data
 from maxlin.algebra import monomial_map, q_var, t_var, x_var
 from maxlin.dag import Dag, parse_dag, transitive_closure
-from maxlin.errors import BadStateError
 from maxlin.poset import (
     Poset,
     StateLattice,
-    chain_product,
     ideal_lattice,
     order_preserving_maps,
 )
@@ -24,15 +22,19 @@ from maxlin.poset import (
 from conftest import (
     CATALOG,
     RELABELLED,
+    BadStateError,
     antichain,
     axiom_violations,
     brute_force_ideals,
     brute_force_states,
     catalog_dags,
     chain,
+    chain_product,
+    checked_poset,
     covers_below,
     dags,
     dual,
+    from_relation,
     ideal_members,
     image_ideal,
     incomparable_pairs,
@@ -53,15 +55,15 @@ def digits(states):
 class TestPosetType:
     def test_rejects_missing_reflexivity(self):
         with pytest.raises(ValueError, match=r"not reflexive at 2"):
-            Poset.from_relation((1, 2), {(1, 1)})
+            from_relation((1, 2), {(1, 1)})
 
     def test_rejects_antisymmetry_violation(self):
         with pytest.raises(ValueError, match=r"not antisymmetric on \([12], [12]\)"):
-            Poset.from_relation((1, 2), {(1, 1), (2, 2), (1, 2), (2, 1)})
+            from_relation((1, 2), {(1, 1), (2, 2), (1, 2), (2, 1)})
 
     def test_rejects_intransitivity(self):
         with pytest.raises(ValueError, match=r"not transitive on \(1, 2, 3\)"):
-            Poset.from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)})
+            from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)})
 
     @pytest.mark.parametrize(
         "elements, down",
@@ -74,14 +76,30 @@ class TestPosetType:
     )
     def test_rejects_malformed_masks(self, elements, down):
         with pytest.raises(ValueError):
-            Poset(elements, down)
+            checked_poset(elements, down)
+
+    @pytest.mark.parametrize(
+        "elements, down, message",
+        [
+            ((0, 1), (0b11, 0b11), "relation is not antisymmetric on (1, 0)"),
+            ((0, 1, 2), (0b001, 0b011, 0b110), "relation is not transitive on (0, 1, 2)"),
+            ((1, 2), (0b101, 0b10), "down-set of 1 reaches outside the element set"),
+            (("a", "b"), (0b01, 0b00), "relation is not reflexive at 'b'"),
+            ((1, 1), (0b01, 0b10), "duplicate poset elements"),
+            ((1, 2), (0b01,), "1 down-set masks for 2 elements"),
+        ],
+    )
+    def test_exact_messages(self, elements, down, message):
+        with pytest.raises(ValueError) as info:
+            checked_poset(elements, down)
+        assert str(info.value) == message
 
     def test_rejects_pair_outside_elements(self):
         with pytest.raises(ValueError, match="outside the element set"):
-            Poset.from_relation((1, 2), {(1, 1), (2, 2), (1, 3)})
+            from_relation((1, 2), {(1, 1), (2, 2), (1, 3)})
 
     def test_masks_and_relation(self):
-        p = Poset.from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)})
+        p = from_relation((1, 2, 3), {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)})
         assert p.down == (0b001, 0b010, 0b111)
         assert p.relation == {(1, 1), (2, 2), (3, 3), (1, 3), (2, 3)}
         assert covers_below(p, 3) == (1, 2)
@@ -144,14 +162,14 @@ def random_relation(rng: random.Random, kind: str) -> list[int]:
     return down
 
 
-# (label, label) or (label, label, label) in a `Poset` axiom error.
+# (label, label) or (label, label, label) in a `checked_poset` axiom error.
 _NAMED = re.compile(r"relation is not (antisymmetric|transitive) on \(([0-9, ]+)\)")
 
 
 class TestGreedyCovers:
-    """`Poset` checks the axioms and finds the lower covers in one scan of
-    each element's strict down-set; the references check every pair and
-    triple and compare every two elements below each one."""
+    """`checked_poset` checks the axioms and finds the lower covers in one
+    scan of each element's strict down-set; the references check every pair
+    and triple and compare every two elements below each one."""
 
     KINDS = ("valid", "not transitive", "not antisymmetric", "closure", "any")
 
@@ -165,7 +183,7 @@ class TestGreedyCovers:
             labels = tuple(rng.sample(range(100, 200), n))
             pairs, triples = axiom_violations(down)
             try:
-                poset = Poset(labels, tuple(down))
+                poset = checked_poset(labels, tuple(down))
             except ValueError as exc:
                 assert pairs or triples, (kind, down, exc)
                 match = _NAMED.fullmatch(str(exc))
@@ -175,7 +193,7 @@ class TestGreedyCovers:
                 raised[match[1]] += 1
                 continue
             assert not pairs and not triples, (kind, down)
-            assert poset._lower_covers == tuple(maximal_below(down, i) for i in range(n)), down
+            assert poset.lower_covers == tuple(maximal_below(down, i) for i in range(n)), down
         assert min(raised.values()) > 100, raised
 
     @pytest.mark.parametrize(
@@ -192,7 +210,7 @@ class TestGreedyCovers:
     )
     def test_errors_name_the_exposing_pick(self, down, message):
         with pytest.raises(ValueError, match=message):
-            Poset(tuple(range(len(down))), down)
+            checked_poset(tuple(range(len(down))), down)
 
     @staticmethod
     def chain_down(labels) -> tuple[int, ...]:
@@ -212,11 +230,11 @@ class TestGreedyCovers:
             "random": random.Random(300).sample(range(n), n),
             "middle-out": sorted(range(n), key=lambda x: (abs(2 * x - n), x)),
         }[labelling]
-        poset = Poset(tuple(range(n)), self.chain_down(labels))
+        poset = checked_poset(tuple(range(n)), self.chain_down(labels))
         expected = [0] * n
         for below, above in zip(labels, labels[1:]):
             expected[above] = 1 << below
-        assert poset._lower_covers == tuple(expected)
+        assert poset.lower_covers == tuple(expected)
 
 
 class TestOrderIdeals:
@@ -567,10 +585,10 @@ class TestWalk:
 
     @pytest.mark.parametrize("k", [1, 2, 9, 10, 18])
     def test_empty_and_single_posets(self, k):
-        assert list(order_preserving_maps(Poset((), ()), k)) == [()]
-        assert list(order_preserving_maps(Poset(("a",), (1,)), k)) == [(v,) for v in range(k)]
-        assert order_ideals(Poset((), ())) == [()]
-        assert order_ideals(Poset(("a",), (1,))) == [(0,), (1,)]
+        assert list(order_preserving_maps(checked_poset((), ()), k)) == [()]
+        assert list(order_preserving_maps(checked_poset(("a",), (1,)), k)) == [(v,) for v in range(k)]
+        assert order_ideals(checked_poset((), ())) == [()]
+        assert order_ideals(checked_poset(("a",), (1,))) == [(0,), (1,)]
 
 
 class TestMultichains:
