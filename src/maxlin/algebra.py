@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import attrgetter, getitem
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
@@ -406,7 +406,7 @@ class GeneratorArrays:
         """Arrays as they are when no `states` are given or they index these
         very states; a list of `BinomialGenerator`s, or arrays over other
         states, converted once, into `states` and the states it names in
-        lexicographic order, as `_lead_split` needs."""
+        lexicographic order, as `buchberger_check` needs."""
         if isinstance(generators, cls):
             if not states or generators.states is states:
                 return generators
@@ -606,23 +606,6 @@ def default_lattice_order(generators: Sequence[BinomialGenerator]) -> MonomialOr
     return MonomialOrder()
 
 
-def _lead_split(arrays: GeneratorArrays) -> Iterator[tuple[IndexMonomial, IndexMonomial]]:
-    """Each generator as (lead, tail), two sorted pairs of indices into
-    `arrays.states`, which must be in lexicographic order; `buchberger_check`
-    reads its leads from here, and `hilbert_check` picks the same lead.
-
-    q-variables rank as their states do, so a product of them is the sorted
-    tuple of its variables' indices, each repeated by its exponent, and
-    degrevlex compares such tuples as `MonomialOrder.key` does: by length,
-    then lexicographically. A quadratic binomial's lead is its larger pair;
-    both pairs are sorted, as a hand-built generator may name its states in
-    either order."""
-    for g, h, meet, join in zip(*arrays.columns()):
-        left = (g, h) if g < h else (h, g)
-        right = (meet, join) if meet < join else (join, meet)
-        yield (left, right) if left > right else (right, left)
-
-
 def _rewrite(mono: IndexMonomial, lead: IndexMonomial, tail: IndexMonomial) -> IndexMonomial:
     """mono / lead * tail, skipping the indices of lead that mono lacks: for
     two leads, _rewrite(lead_j, lead_i, tail_i) is lcm / lead_i * tail_i."""
@@ -640,20 +623,32 @@ def buchberger_check(generators: Sequence) -> Report:
     linear extension.
 
     Divided by its leading coefficient, every generator is lead - tail with
-    two quadratic monomials, so the S-polynomial of a pair is the difference
-    of the monomials lcm/lead_j*tail_j and lcm/lead_i*tail_i. A monomial is
-    rewritten by replacing the lead of the lowest-index generator dividing it
-    with that generator's tail, as the division algorithm would; the pair
-    reduces to 0 exactly when both monomials reach the same normal form.
-    Monomials are index tuples; only a failure line spells them in
-    q-variables.
+    two quadratic monomials, the lead by `default_lattice_order`, so the
+    S-polynomial of a pair is the difference of the monomials
+    lcm/lead_j*tail_j and lcm/lead_i*tail_i. A monomial is rewritten by
+    replacing the lead of the lowest-index generator dividing it with that
+    generator's tail, as the division algorithm would; the pair reduces to 0
+    exactly when both monomials reach the same normal form.
+    Monomials are sorted tuples of indices into the states; only the choice
+    of each lead and a failure line spell them in q-variables.
 
     By Buchberger's first criterion, a pair whose leading monomials are
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
     checked and passing."""
     arrays = GeneratorArrays.of(generators)
-    split = list(_lead_split(arrays))
+    order = default_lattice_order(arrays)
+
+    def q_monomial(mono: IndexMonomial) -> Monomial:
+        return tuple((q_var(arrays.states[i]), mono.count(i)) for i in dict.fromkeys(mono))
+
+    # [lead, tail] per generator, each a sorted pair: a hand-built generator
+    # may name a monomial's states in either order
+    split = [
+        sorted((tuple(sorted((g, h))), tuple(sorted((meet, join)))),
+               key=lambda mono: order.key(q_monomial(mono)), reverse=True)
+        for g, h, meet, join in zip(*arrays.columns())
+    ]
     by_lead: dict[IndexMonomial, int] = {}
     by_var: dict[int, list[int]] = {}
     for i, (lead, _) in enumerate(split):
@@ -668,9 +663,6 @@ def buchberger_check(generators: Sequence) -> Report:
                 return mono
             lead, tail = split[min(found)]
             mono = _rewrite(mono, lead, tail)
-
-    def q_monomial(mono: IndexMonomial) -> Monomial:
-        return tuple((q_var(arrays.states[i]), mono.count(i)) for i in dict.fromkeys(mono))
 
     failures = []
     reduced = 0
@@ -743,11 +735,11 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     incomparable = size * (size - 1) // 2 - (chains[1] - size)
     masks = list(lattice.masks)
     # led[a * size + b] marks each incomparable lead q_a*q_b, a < b, once. A
-    # lead is `_lead_split`'s, the larger of the sorted (g, h) and (meet,
-    # join); as indices are below size, sorted pairs compare as their flag
-    # positions do. Only an edited generator's (meet, join) can lead. With
-    # a < b, a comes before b in the linear extension, so b is not below a,
-    # and the pair is incomparable iff a is not below b.
+    # lead is the larger of the sorted (g, h) and (meet, join), as in
+    # `MonomialOrder`; as indices are below size, sorted pairs compare as
+    # their flag positions do. Only an edited generator's (meet, join) can
+    # lead. With a < b, a comes before b in the linear extension, so b is not
+    # below a, and the pair is incomparable iff a is not below b.
     led = bytearray(size * size)
     for g, h, meet, join in zip(*arrays.columns()):
         if g > h:

@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return run(args)
-    except (MaxlinError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (MaxlinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 from .errors import BadVertexError, CyclicGraphError, DagSyntaxError, quote
 from .poset import Poset
 
-# A line of the file format written plainly: two integers, ASCII digits with an
-# optional minus sign, spaces and tabs around them, no comment.
-_PLAIN_LINE = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*")
+# A line of the file format: two integers in ASCII digits with an optional
+# "-", or none, then a comment or the end; whitespace is any that str.split()
+# takes. An empty branch matches faster than an optional group.
+_LINE = re.compile(r"\s*(?:(-?[0-9]+)\s+(-?[0-9]+)\s*|)(?:#|\Z)")
 
 
 @dataclass(frozen=True)
@@ -20,14 +21,15 @@ class Dag:
 
     Vertex labels are 1-indexed throughout, matching the file format.
     Acyclicity is checked once at construction, by the peeling that fixes the
-    topological order, so downstream code never re-checks it or peels again.
+    topological order `order` (Kahn-style, smallest label first), so
+    downstream code never re-checks it or peels again.
     """
 
     n: int
     k: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     _parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -45,7 +47,6 @@ class Dag:
             up[v - 1].append(u)
             down[u - 1].append(v)
         object.__setattr__(self, "_parents", tuple(tuple(sorted(l)) for l in up))
-        # The topological order: Kahn-style peeling, smallest label first.
         indegree = [len(parents) for parents in up]
         heap = [v for v in range(1, self.n + 1) if indegree[v - 1] == 0]
         heapq.heapify(heap)
@@ -60,15 +61,12 @@ class Dag:
         if len(order) != self.n:
             stuck = [v for v in range(1, self.n + 1) if indegree[v - 1] > 0]
             raise CyclicGraphError(f"no topological order: cycle through vertices {stuck}")
-        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "order", tuple(order))
 
     def parents(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._parents[v - 1]
-
-    def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise BadVertexError(f"vertex {v} outside 1..{self.n}")
+        return self._parents[v - 1]
 
 
 def parse_dag(text: str) -> Dag:
@@ -86,12 +84,9 @@ def parse_dag(text: str) -> Dag:
     header: tuple[int, int] | None = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        match = _PLAIN_LINE.fullmatch(raw)
-        if match is None:  # a comment, a blank line, other whitespace, or malformed
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            match = _PLAIN_LINE.fullmatch(" ".join(line.split()))
+        match = _LINE.match(raw)
+        if match is not None and match[1] is None:  # blank, or a comment alone
+            continue
         try:
             if match is None:
                 raise ValueError
@@ -113,11 +108,6 @@ def parse_dag(text: str) -> Dag:
     return Dag(n=n, k=k, edges=frozenset(edges))
 
 
-def topological_order(dag: Dag) -> list[int]:
-    """The order `Dag` peeled when it was built (see there), as a new list."""
-    return list(dag._order)
-
-
 def transitive_closure(dag: Dag) -> Poset:
     """The reachability poset: j <= i iff j = i or there is a path j -> i.
 
@@ -127,7 +117,7 @@ def transitive_closure(dag: Dag) -> Poset:
     construction; this is the only code that builds a `Poset`."""
     strict = [0] * (dag.n + 1)  # by label
     down, covers = [0] * dag.n, [0] * dag.n
-    for v in dag._order:
+    for v in dag.order:
         below = parents = 0
         for u in dag._parents[v - 1]:
             below |= strict[u]

@@ -23,7 +23,7 @@ from operator import add, getitem, itemgetter, mul
 from typing import Union
 
 from .algebra import parse_fraction, state_digits
-from .dag import Dag, topological_order, transitive_closure
+from .dag import Dag, transitive_closure
 from .errors import ParseError, check_size
 from .poset import (
     Poset,
@@ -195,7 +195,7 @@ def full_distribution(
             for row, alpha in zip(theta.rows, theta.cumulative)]
     columns = list(zip(*lattice.states))
     codes = []
-    for column, parents in zip(columns, dag._parents):
+    for column, parents in zip(columns, map(dag.parents, range(1, n + 1))):
         code = map(mul, column, repeat(k))
         if len(parents) == 1:
             code = map(add, code, columns[parents[0] - 1])
@@ -280,7 +280,7 @@ def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int
     by an integer id. A vector's weight is its head's product times its
     entry in the outer product of the tail rows, built once per table."""
     n, k = dag.n, dag.k
-    order = [v - 1 for v in topological_order(dag)]
+    order = [v - 1 for v in dag.order]
     position = {v: t for t, v in enumerate(order)}
     parents = [[position[u - 1] for u in dag.parents(v + 1)] for v in order]
     r = 0
@@ -404,13 +404,14 @@ def oracle_equivalence_check(dag: Dag, trials: int, seed: int) -> Report:
     tables = [ParamTable.random(dag.n, dag.k, rng) for _ in range(trials)]
     oracles = oracle_distribution(dag, tables)
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    named = StateLattice(dag.n, dag.k, sorted(lattice._members.union(*oracles)))
+    members = set(lattice.states)
+    named = StateLattice(dag.n, dag.k, sorted(members.union(*oracles)))
     failures: list[str] = []
     for trial, (theta, by_oracle) in enumerate(zip(tables, oracles)):
         for g, factored in zip(named.states, full_distribution(dag, theta, named)):
             if factored != by_oracle.get(g, 0):
                 failures.append(f"trial {trial}: state {state_digits(g)}")
-            elif (factored == 0) != (g not in lattice):
+            elif (factored == 0) != (g not in members):
                 failures.append(f"trial {trial}: support at {state_digits(g)}")
     detail = (
         f"{trials}/{trials} trials, {len(lattice)} states each, exact match"

@@ -35,7 +35,6 @@ from maxlin.algebra import (
     MonomialMap,
     Polynomial,
     Variable,
-    _lead_split,
     generator_arrays,
     mono_degree,
     mono_from_dict,
@@ -832,9 +831,9 @@ def reference_vanishing(generators, mmap: MonomialMap) -> Report:
 
 def reference_hilbert_check(lattice: StateLattice, generators=None) -> Report:
     """`hilbert_check` on the map built one variable at a time, the
-    multichains counted over all pairs of masks, and the set of the
-    `_lead_split` leads: the count of the distinct incomparable leads, and
-    the first incomparable pair that is not in the set."""
+    multichains counted over all pairs of masks, and the set of the leads
+    that `leading_term` takes: the count of the distinct incomparable leads,
+    and the first incomparable pair that is not in the set."""
     generators = generator_arrays(lattice) if generators is None else generators
     arrays = GeneratorArrays.of(generators, lattice.states)
     vanishing = reference_vanishing(arrays, monomial_map_by_variable(lattice))
@@ -842,7 +841,7 @@ def reference_hilbert_check(lattice: StateLattice, generators=None) -> Report:
     size = len(masks)
     chains = multichain_counts(masks)
     incomparable = size * (size - 1) // 2 - (chains[1] - size)
-    leads = {lead for lead, _ in _lead_split(arrays)}
+    leads = reference_leads(arrays)
     unled = incomparable - sum(
         1 for a, b in leads if masks[a] & ~masks[b] and masks[b] & ~masks[a]
     )
@@ -864,6 +863,20 @@ def reference_hilbert_check(lattice: StateLattice, generators=None) -> Report:
         f"{len(arrays)} generators map to 0; standard/image monomials in degrees 1-3: {counts}"
     )
     return Report("groebner", total=pairs, detail=detail)
+
+
+def reference_leads(arrays: GeneratorArrays) -> set[tuple[int, ...]]:
+    """Each generator's leading monomial by `leading_term`, as the sorted
+    tuple of its indices into `arrays.states`. The binomial is built here,
+    not by `BinomialGenerator`, so a generator whose two monomials coincide
+    has that monomial as its lead."""
+    index = {q_var(s): i for i, s in enumerate(arrays.states)}
+    leads = set()
+    for quad in zip(*arrays.columns()):
+        g, h, meet, join = (((q_var(arrays.states[c]), 1),) for c in quad)
+        lead, _ = leading_term(Polynomial({mono_mul(g, h): 1, mono_mul(meet, join): -1}))
+        leads.add(tuple(index[v] for v, e in lead for _ in range(e)))
+    return leads
 
 
 def random_dag(rng: random.Random, max_n: int = 5, k: int = 2) -> Dag:

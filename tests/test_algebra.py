@@ -6,7 +6,6 @@ import dataclasses
 import math
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import combinations, combinations_with_replacement
@@ -81,6 +80,7 @@ from conftest import (
     random_table,
     reduce_modulo,
     reference_hilbert_check,
+    reference_leads,
     reference_parse,
     reference_vanishing,
     s_polynomial,
@@ -1015,11 +1015,6 @@ class TestBuchbergerAgainstDivision:
         assert report.total == len(generators) * (len(generators) - 1) // 2
 
 
-def q_monomial(mono, states):
-    """An index tuple of `buchberger_check` as a monomial in q-variables."""
-    return mono_from_dict(Counter(q_var(states[i]) for i in mono))
-
-
 class TestIndexRewriting:
     """The check's rewriting of sorted state-index tuples, against the
     division algorithm and the scan-based degrevlex comparison of
@@ -1041,11 +1036,6 @@ class TestIndexRewriting:
             generators[mid] = dataclasses.replace(gen, join=lattice.top)
         else:
             generators[mid] = dataclasses.replace(gen, h=gen.g)
-
-        states = lattice.states
-        split = algebra._lead_split(algebra.GeneratorArrays.of(generators, states))
-        for gen, (lead, _) in zip(generators, split):
-            assert q_monomial(lead, states) == leading_term(gen.polynomial())[0]
 
         coprime = coprime_pairs(generators)
         lines = [line for _, line in division_failures(generators, skip=coprime)]
@@ -1349,16 +1339,6 @@ def small_lattices(draw, max_n: int = 4):
     return ideal_lattice(poset) if k == 0 else order_preserving_maps(poset, k)
 
 
-def lead_indices(lattice, generators):
-    """The generators' leading monomials, by the division algorithm's
-    `leading_term`, as sorted tuples of indices into the lattice's states."""
-    index = {q_var(g): i for i, g in enumerate(lattice.states)}
-    return {
-        tuple(index[v] for v, e in leading_term(gen.polynomial())[0] for _ in range(e))
-        for gen in generators
-    }
-
-
 class TestCoverCounts:
     """The certificate's cover-table walks and monomial map against slow
     references: brute-force comparison of states, the per-variable map, and
@@ -1395,7 +1375,8 @@ class TestCoverCounts:
         chains = multichain_counts(list(lattice.masks))
         mmap = monomial_map(lattice)
         for gens in edits:
-            standard = standard_counts(len(lattice), lead_indices(lattice, gens))
+            leads = reference_leads(GeneratorArrays.of(gens, lattice.states))
+            standard = standard_counts(len(lattice), leads)
             report = hilbert_check(lattice, gens)
             vanishes = verify_vanishing(gens, mmap).passed
             assert report.passed == (vanishes and standard == chains)
@@ -1404,6 +1385,7 @@ class TestCoverCounts:
 
 
 EDITS = ("drop", "join_top", "duplicate_lead", "h_is_g", "swap_meet_join")
+SET_EDITS = ("join_top", "sides_swapped", "duplicate", "drop")
 
 
 def edited(lattice, kind, mid):
@@ -1480,6 +1462,35 @@ class TestAgainstMultipliedOutImages:
         mmap = broken_map(lattice, state)
         assert verify_vanishing(generators, mmap) == reference_vanishing(generators, mmap)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.sampled_from((2, 3)), st.data())
+    def test_random_edits_leave_the_reference_unled_pairs(self, dag, k, data):
+        """Up to four edits of the lattice's own set, each at a drawn
+        generator: its join set to the top, its two sides swapped (so it
+        reads q_meet*q_join - q_g*q_h), a duplicate appended, or a drop.
+        The inline lead test finds the unled count and first unled pair of
+        the reference's `leading_term` leads, in list and in arrays form."""
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        assume(len(lattice) <= 80)
+        generators = hibi_generators(lattice)
+        assume(generators)
+        for kind in data.draw(st.lists(st.sampled_from(SET_EDITS), min_size=1, max_size=4)):
+            if not generators:
+                break
+            mid = data.draw(st.integers(0, len(generators) - 1))
+            gen = generators[mid]
+            if kind == "join_top":
+                generators[mid] = dataclasses.replace(gen, join=lattice.top)
+            elif kind == "sides_swapped":
+                generators[mid] = BinomialGenerator(gen.meet, gen.join, meet=gen.g, join=gen.h)
+            elif kind == "duplicate":
+                generators.append(gen)
+            else:
+                del generators[mid]
+        expected = reference_hilbert_check(lattice, generators)
+        assert hilbert_check(lattice, generators) == expected
+        assert hilbert_check(lattice, GeneratorArrays.of(generators)) == expected
+
     def test_a_repeated_lead_is_counted_once(self, fig2_dag):
         """Every generator listed twice: each lead is flagged once, so the
         set still passes, with the pairs of the longer list as its total."""
@@ -1532,10 +1543,6 @@ class TestLeadInEitherOrder:
             dataclasses.replace(gen, meet=gen.join, join=gen.meet)
             for gen in hibi_generators(lattice)
         ]
-        states = lattice.states
-        split = algebra._lead_split(GeneratorArrays.of(swapped, states))
-        for gen, (lead, _) in zip(swapped, split):
-            assert q_monomial(lead, states) == leading_term(gen.polynomial())[0]
         report = hilbert_check(lattice, swapped)
         assert report == hilbert_check(lattice)
         assert report == reference_hilbert_check(lattice, swapped)

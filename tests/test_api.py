@@ -2,7 +2,8 @@
 class in src/maxlin is reached by other package code or by the benchmark,
 and so is every public method, property and classmethod of its classes, so
 API that only the tests reach does not build up in src/; only the closure
-builds a `Poset`; only the size guard reads the environment; every module of the package and of the
+builds a `Poset`; only the size guard reads the environment; no module reads
+another's private attributes; every module of the package and of the
 tests uses each name it imports; and every function the benchmark's tracer
 wraps still exists."""
 
@@ -173,6 +174,32 @@ def test_only_check_size_reads_the_environment():
                 if name in environment:
                     readers.add((path.name, getattr(stmt, "name", None)))
     assert readers == {("errors.py", "check_size")}
+
+
+def test_no_module_reads_a_private_attribute_it_does_not_define():
+    """A package module reads an underscore attribute (`dag._parents`) only
+    when it defines that name itself: as a function, class, field or other
+    assignment, or through `object.__setattr__`. Another module's private
+    state is read through its public names (`Dag.parents`). Dunders are
+    exempt."""
+    foreign = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined, reads = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("__setattr__"):
+                defined.update(a.value for a in node.args if isinstance(a, ast.Constant))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr.startswith("_") and not node.attr.startswith("__"):
+                    reads.add(node.attr)
+        foreign.update((path.name, name) for name in reads - defined)
+    assert foreign == set()
 
 
 def test_every_tracer_target_is_defined_in_the_package():

@@ -11,6 +11,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -27,13 +28,16 @@ from maxlin.report import Report
 
 from conftest import (
     RELABELLED,
+    binomial_of_pair,
     brute_force_ideals,
     brute_force_states,
+    dags,
     fractions_built,
     joint_edited_at,
     lattice_meet_join,
     random_dag,
     replace_joint,
+    state_leq,
     strict_pairs,
 )
 
@@ -457,6 +461,47 @@ class TestStateRendering:
             assert run_main(capsys, [command, "--dag", dag])[0] == 0
         assert len(built) == 2
         assert all("states" not in lattice.__dict__ for lattice in built)
+
+
+class TestContractOnRandomDags:
+    """`lattice`, `ideals` and `generators` through `main` on random DAGs
+    (n <= 5, scrambled labels, k <= 3, both formats) print the brute-force
+    references: `brute_force_states`, `brute_force_ideals`, and
+    `binomial_of_pair` of every incomparable pair of those states, the
+    lexicographically smaller first."""
+
+    @staticmethod
+    def printed(items, fmt: str) -> str:
+        if fmt == "json":
+            return json.dumps(items, indent=2) + "\n"
+        return "".join(f"{item}\n" for item in items) or "\n"
+
+    @classmethod
+    def expected_generators(cls, states, fmt: str) -> str:
+        gens = [binomial_of_pair(g, h) for g, h in combinations(states, 2)
+                if not (state_leq(g, h) or state_leq(h, g))]
+        return cls.printed([gen.to_json_dict() if fmt == "json" else gen.to_text()
+                            for gen in gens], fmt)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.integers(1, 3), st.sampled_from(("json", "text")))
+    def test_output_is_the_brute_force_reference(self, tmp_path_factory, dag, k, fmt):
+        path = tmp_path_factory.mktemp("contract") / "random.dag"
+        edges = "".join(f"{u} {v}\n" for u, v in sorted(dag.edges))
+        path.write_text(f"{dag.n} {k}\n{edges}", encoding="utf-8")
+        poset = transitive_closure(dag)
+        states, ideals = brute_force_states(poset, k), brute_force_ideals(poset)
+        expected = {
+            ("lattice",): self.printed([state_digits(g) for g in states], fmt),
+            ("ideals",): self.printed([state_digits(g) for g in ideals], fmt),
+            ("generators",): self.expected_generators(states, fmt),
+            ("generators", "--of", "ideals"): self.expected_generators(ideals, fmt),
+        }
+        for command, stdout in expected.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--dag", str(path), "--format", fmt])
+            assert (code, out.getvalue(), err.getvalue()) == (0, stdout, ""), command
 
 
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.dag import Dag, parse_dag, topological_order, transitive_closure
+from maxlin.dag import Dag, parse_dag, transitive_closure
 from maxlin.errors import BadVertexError, CyclicGraphError, DagSyntaxError
 
 from conftest import catalog_dags, checked_poset, covers_below, dags, random_dag, strict_pairs
@@ -172,23 +172,23 @@ class TestParseGoldens:
 
 class TestTopologicalOrder:
     def test_fig2(self):
-        assert topological_order(parse_dag(FIG2_TEXT)) == [1, 2, 3, 4, 5]
+        assert parse_dag(FIG2_TEXT).order == (1, 2, 3, 4, 5)
 
     def test_single(self):
-        assert topological_order(parse_dag("1 2\n")) == [1]
+        assert parse_dag("1 2\n").order == (1,)
 
     def test_edgeless_tie_break(self):
-        assert topological_order(Dag(n=3, k=2)) == [1, 2, 3]
+        assert Dag(n=3, k=2).order == (1, 2, 3)
 
     def test_scrambled_labels(self):
         dag = Dag(n=3, k=2, edges=frozenset({(3, 1), (3, 2)}))
-        assert topological_order(dag) == [3, 1, 2]
+        assert dag.order == (3, 1, 2)
 
     def test_edges_respect_order(self):
         rng = random.Random(5)
         for _ in range(40):
             dag = random_dag(rng)
-            position = {v: i for i, v in enumerate(topological_order(dag))}
+            position = {v: i for i, v in enumerate(dag.order)}
             for u, v in dag.edges:
                 assert position[u] < position[v]
 
@@ -249,7 +249,7 @@ def reference_down(dag: Dag) -> tuple[int, ...]:
     """The closure's down-set masks formed apart: each vertex's bit OR its
     parents' masks, in topological order."""
     down = [0] * dag.n
-    for v in topological_order(dag):
+    for v in dag.order:
         down[v - 1] = 1 << v - 1
         for u in dag.parents(v):
             down[v - 1] |= down[u - 1]
