@@ -22,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 from .errors import (
     ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
 )
-from .poset import State, StateLattice
+from .poset import State, StateLattice, state_digits
 from .report import Report
 
 Scalar = Union[int, Fraction]
@@ -56,38 +56,6 @@ def t_var() -> Variable:
 
 def x_var(i: int, r: int) -> Variable:
     return Variable("x", (i, r))
-
-
-# Byte v < 10 becomes the digit v; bytes 10..255 are deleted.
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_NOT_DIGITS = bytes(range(10, 256))
-
-
-def state_digits(state: Sequence[int]) -> str:
-    """The state as a digit string, e.g. (0, 1, 2) -> "012"; every entry
-    must be one digit, so that the string decodes to a single state."""
-    try:
-        text = bytes(state).translate(_DIGITS, _NOT_DIGITS).decode()
-    except ValueError:  # an entry outside 0..255
-        text = ""
-    if len(text) != len(state):
-        raise ValueError(f"state {tuple(state)} has entries outside 0..9")
-    return text
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
-
-
-def parse_fraction(text: str) -> Fraction:
-    """An integer, a fraction a/b or a plain decimal in ASCII digits, e.g.
-    "3", "-1/2", "0.25"; exponents, signs other than a leading "-", "_",
-    whitespace and non-ASCII digits are refused before `Fraction` sees them."""
-    if not _RATIONAL.fullmatch(text):
-        raise ParseError(f"bad rational {quote(text)}: expected an integer, a/b or a decimal")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int()'s digit limit
-        raise ParseError(f"bad rational {quote(text)}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +603,8 @@ def buchberger_check(generators: Sequence) -> Report:
     By Buchberger's first criterion, a pair whose leading monomials are
     coprime reduces to 0 modulo the two generators alone, so only the pairs
     whose leads share a variable are formed and reduced; the others count as
-    checked and passing."""
+    checked and passing. A generator whose lead is its tail is zero: it
+    rewrites nothing and forms no pair, and its pairs count as skipped."""
     arrays = GeneratorArrays.of(generators)
     order = default_lattice_order(arrays)
 
@@ -651,7 +620,9 @@ def buchberger_check(generators: Sequence) -> Report:
     ]
     by_lead: dict[IndexMonomial, int] = {}
     by_var: dict[int, list[int]] = {}
-    for i, (lead, _) in enumerate(split):
+    nonzero = [i for i, (lead, tail) in enumerate(split) if lead != tail]
+    for i in nonzero:
+        lead = split[i][0]
         by_lead.setdefault(lead, i)
         for var in lead:
             by_var.setdefault(var, []).append(i)
@@ -666,7 +637,8 @@ def buchberger_check(generators: Sequence) -> Report:
 
     failures = []
     reduced = 0
-    for i, (lead_i, tail_i) in enumerate(split):
+    for i in nonzero:
+        lead_i, tail_i = split[i]
         # the later generators whose leads share a variable with lead_i
         for j in sorted({j for var in lead_i for j in by_var[var] if j > i}):
             reduced += 1
@@ -738,15 +710,18 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     # lead is the larger of the sorted (g, h) and (meet, join), as in
     # `MonomialOrder`; as indices are below size, sorted pairs compare as
     # their flag positions do. Only an edited generator's (meet, join) can
-    # lead. With a < b, a comes before b in the linear extension, so b is not
-    # below a, and the pair is incomparable iff a is not below b.
+    # lead, and one whose sorted (meet, join) is its (g, h) is zero and leads
+    # nothing. With a < b, a comes before b in the linear extension, so b is
+    # not below a, and the pair is incomparable iff a is not below b.
     led = bytearray(size * size)
     for g, h, meet, join in zip(*arrays.columns()):
         if g > h:
             g, h = h, g
         lead = g * size + h
-        if meet * size + join > lead:
+        if meet * size + join >= lead:
             a, b = (meet, join) if meet < join else (join, meet)
+            if a * size + b == lead:
+                continue
             if a * size + b > lead:
                 g, h, lead = a, b, a * size + b
         if not led[lead] and masks[g] & ~masks[h]:

@@ -24,7 +24,6 @@ from .algebra import (
     generator_json,
     hilbert_check,
     parse_polynomial,
-    state_digits,
     verify_vanishing,
 )
 from .dag import Dag, parse_dag, transitive_closure
@@ -36,7 +35,7 @@ from .model import (
     integer_view,
     oracle_equivalence_check,
 )
-from .poset import StateLattice, ideal_lattice, order_preserving_maps
+from .poset import DIGITS, StateLattice, ideal_lattice, order_preserving_maps, state_digits
 from .report import Report
 from .transforms import eq5_check, roundtrip_check, zeta_transform
 
@@ -69,14 +68,14 @@ def _emit(fmt: str, data, lines: Iterable[str]) -> None:
 
 
 def _emit_states(lattice: StateLattice, fmt: str) -> None:
-    """Print the states' digits as `_emit` lays them out: one join, one translate of
-    bytes 0..9 (no separator byte is below 10), the brackets printed apart, not copied in.
+    """Print the states' digits as `_emit` lays them out: one join, one translate by
+    `DIGITS` (no separator byte is below 10), the brackets printed apart, not copied in.
     No entry exceeds 9 when k <= 10; otherwise the top state's entries do."""
     if lattice.k > 10:
         list(map(state_digits, lattice.vectors))  # raises at the first state with such an entry
     sep, head, tail = (b"\n", "", "") if fmt == "text" else (b'",\n  "', '[\n  "', '"\n]')
     raw = sep.join(map(bytes, lattice.vectors))
-    raw = raw.translate(bytes.maketrans(bytes(range(10)), b"0123456789"))  # frees the join
+    raw = raw.translate(DIGITS)  # frees the join
     print(head, raw.decode(), tail, sep="")
 
 

@@ -14,6 +14,7 @@ by default; the symbolic checks use the integer level table
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product, repeat
@@ -22,19 +23,33 @@ from numbers import Rational
 from operator import add, getitem, itemgetter, mul
 from typing import Union
 
-from .algebra import parse_fraction, state_digits
 from .dag import Dag, transitive_closure
-from .errors import ParseError, check_size
+from .errors import ParseError, check_size, quote
 from .poset import (
     Poset,
     State,
     StateLattice,
     ideal_lattice,
     order_preserving_maps,
+    state_digits,
 )
 from .report import Report
 
 Value = Union[int, Fraction]
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """An integer, a fraction a/b or a plain decimal in ASCII digits, e.g.
+    "3", "-1/2", "0.25"; exponents, signs other than a leading "-", "_",
+    whitespace and non-ASCII digits are refused before `Fraction` sees them."""
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {quote(text)}: expected an integer, a/b or a decimal")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # 1/0, or past int()'s digit limit
+        raise ParseError(f"bad rational {quote(text)}: {exc}") from None
 
 
 @dataclass(frozen=True)

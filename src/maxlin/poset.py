@@ -12,6 +12,23 @@ Label = Hashable
 State = tuple[int, ...]
 
 
+# Byte v < 10 becomes the digit v; bytes 10..255 are deleted.
+DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NOT_DIGITS = bytes(range(10, 256))
+
+
+def state_digits(state: Sequence[int]) -> str:
+    """The state as a digit string, e.g. (0, 1, 2) -> "012"; every entry
+    must be one digit, so that the string decodes to a single state."""
+    try:
+        text = bytes(state).translate(DIGITS, _NOT_DIGITS).decode()
+    except ValueError:  # an entry outside 0..255
+        text = ""
+    if len(text) != len(state):
+        raise ValueError(f"state {tuple(state)} has entries outside 0..9")
+    return text
+
+
 def bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of a nonnegative int, lowest first."""
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
@@ -54,10 +71,11 @@ class StateLattice:
     them from the two-state walk along a linear extension of the poset
     (`_monotone_vectors`), whose 0-1 vectors are the poset's filters: for
     k >= 3 each state is the sum of a multichain of k-1 filters
-    (`_multichains`). They are `bytes` of the entries when k <= 9, int
-    tuples otherwise; `ideal_lattice` complements the two-state walk's
-    bytes. `states`, the same vectors as int tuples, is built on first use,
-    so printing a lattice from `vectors` never makes a tuple per state.
+    (`_multichains`). They are `bytes` of the entries whenever an entry
+    fits in a byte (k <= 256), int tuples otherwise; `ideal_lattice`
+    complements the two-state walk's bytes. `state_digits` spells them.
+    `states`, the same vectors as int tuples, is built on first use, so
+    printing a lattice from `vectors` never makes a tuple per state.
 
     The walks on `covers` need the states to be all the monotone maps of a
     poset, as `order_preserving_maps` and `ideal_lattice` build them: then
@@ -167,7 +185,7 @@ def _multichains(filters: list[bytes], k: int) -> list:
     """The vectors 1_{F_1} + ... + 1_{F_{k-1}} of the multichains
     F_1 >= ... >= F_{k-1} of `filters`, the two-state walk's vectors: every
     monotone map g over {0..k-1}, whose F_v = {x : g_x >= v} is a filter.
-    Lexicographic order; `bytes` of the entries when k <= 9, int tuples
+    Lexicographic order; `bytes` of the entries when k <= 256, int tuples
     otherwise.
 
     A filter is one int with a slot of w bytes per position, coordinate 0
@@ -203,10 +221,8 @@ def _multichains(filters: list[bytes], k: int) -> list:
         ]
     states = sorted(chain.from_iterable(groups))
     vectors = list(map(int.to_bytes, states, repeat(n * w), repeat("big")))
-    if k <= 9:
-        return vectors
     if w == 1:
-        return list(map(tuple, vectors))
+        return vectors
     entries = map(int.from_bytes, zip(*[iter(b"".join(vectors))] * w), repeat("big"))
     return list(zip(*[entries] * n)) if n else [()]
 

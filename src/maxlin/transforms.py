@@ -8,10 +8,9 @@ import random
 from math import lcm, prod
 from typing import Sequence
 
-from .algebra import state_digits
 from .dag import Dag, transitive_closure
 from .model import ParamTable, Value, _Factors, _level_products, full_distribution, integer_view
-from .poset import StateLattice, order_preserving_maps
+from .poset import StateLattice, order_preserving_maps, state_digits
 from .report import Report
 
 

@@ -40,7 +40,6 @@ from maxlin.algebra import (
     mono_from_dict,
     mono_mul,
     q_var,
-    state_digits,
     t_var,
     x_var,
 )
@@ -55,6 +54,7 @@ from maxlin.poset import (
     bit_positions,
     ideal_lattice,
     order_preserving_maps,
+    state_digits,
 )
 from maxlin.report import Report
 from maxlin.transforms import zeta_transform
@@ -869,12 +869,15 @@ def reference_leads(arrays: GeneratorArrays) -> set[tuple[int, ...]]:
     """Each generator's leading monomial by `leading_term`, as the sorted
     tuple of its indices into `arrays.states`. The binomial is built here,
     not by `BinomialGenerator`, so a generator whose two monomials coincide
-    has that monomial as its lead."""
+    is zero and has no lead."""
     index = {q_var(s): i for i, s in enumerate(arrays.states)}
     leads = set()
     for quad in zip(*arrays.columns()):
         g, h, meet, join = (((q_var(arrays.states[c]), 1),) for c in quad)
-        lead, _ = leading_term(Polynomial({mono_mul(g, h): 1, mono_mul(meet, join): -1}))
+        left, right = mono_mul(g, h), mono_mul(meet, join)
+        if left == right:
+            continue
+        lead, _ = leading_term(Polynomial({left: 1, right: -1}))
         leads.add(tuple(index[v] for v, e in lead for _ in range(e)))
     return leads
 

@@ -6,9 +6,10 @@ import dataclasses
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from itertools import product as itertools_product
 
 import pytest
@@ -33,10 +34,8 @@ from maxlin.algebra import (
     mono_from_dict,
     mono_mul,
     monomial_map,
-    parse_fraction,
     parse_polynomial,
     q_var,
-    state_digits,
     t_var,
     verify_vanishing,
     x_var,
@@ -50,8 +49,8 @@ from maxlin.errors import (
     UnmappedVariableError,
     quote,
 )
-from maxlin.model import ParamTable, full_distribution, integer_view
-from maxlin.poset import ideal_lattice, order_preserving_maps
+from maxlin.model import ParamTable, full_distribution, integer_view, parse_fraction
+from maxlin.poset import ideal_lattice, order_preserving_maps, state_digits
 from maxlin.transforms import zeta_transform
 
 from conftest import (
@@ -1385,7 +1384,7 @@ class TestCoverCounts:
 
 
 EDITS = ("drop", "join_top", "duplicate_lead", "h_is_g", "swap_meet_join")
-SET_EDITS = ("join_top", "sides_swapped", "duplicate", "drop")
+SET_EDITS = ("join_top", "sides_swapped", "zero_swapped", "zero", "duplicate", "drop")
 
 
 def edited(lattice, kind, mid):
@@ -1467,29 +1466,42 @@ class TestAgainstMultipliedOutImages:
     def test_random_edits_leave_the_reference_unled_pairs(self, dag, k, data):
         """Up to four edits of the lattice's own set, each at a drawn
         generator: its join set to the top, its two sides swapped (so it
-        reads q_meet*q_join - q_g*q_h), a duplicate appended, or a drop.
-        The inline lead test finds the unled count and first unled pair of
-        the reference's `leading_term` leads, in list and in arrays form."""
+        reads q_meet*q_join - q_g*q_h), its (meet, join) set to (h, g) or
+        to (g, h) (a zero binomial, which leads nothing), a duplicate
+        appended, or a drop. The inline lead test finds the unled count and
+        first unled pair of the reference's `leading_term` leads, in arrays
+        form, and in list form when no generator is zero
+        (`BinomialGenerator` refuses one)."""
         lattice = order_preserving_maps(transitive_closure(dag), k)
         assume(len(lattice) <= 80)
-        generators = hibi_generators(lattice)
-        assume(generators)
+        quads = list(zip(*generator_arrays(lattice).columns()))
+        assume(quads)
+        top = len(lattice) - 1
         for kind in data.draw(st.lists(st.sampled_from(SET_EDITS), min_size=1, max_size=4)):
-            if not generators:
+            if not quads:
                 break
-            mid = data.draw(st.integers(0, len(generators) - 1))
-            gen = generators[mid]
+            mid = data.draw(st.integers(0, len(quads) - 1))
+            g, h, meet, join = quads[mid]
             if kind == "join_top":
-                generators[mid] = dataclasses.replace(gen, join=lattice.top)
+                quads[mid] = g, h, meet, top
             elif kind == "sides_swapped":
-                generators[mid] = BinomialGenerator(gen.meet, gen.join, meet=gen.g, join=gen.h)
+                quads[mid] = meet, join, g, h
+            elif kind == "zero_swapped":
+                quads[mid] = g, h, h, g
+            elif kind == "zero":
+                quads[mid] = g, h, g, h
             elif kind == "duplicate":
-                generators.append(gen)
+                quads.append(quads[mid])
             else:
-                del generators[mid]
-        expected = reference_hilbert_check(lattice, generators)
-        assert hilbert_check(lattice, generators) == expected
-        assert hilbert_check(lattice, GeneratorArrays.of(generators)) == expected
+                del quads[mid]
+        columns = [list(c) for c in zip(*quads)] or [[], [], [], []]
+        arrays = GeneratorArrays(lattice.states, *columns)
+        expected = reference_hilbert_check(lattice, arrays)
+        assert hilbert_check(lattice, arrays) == expected
+        if all({g, h} != {meet, join} for g, h, meet, join in quads):
+            generators = list(arrays)
+            assert hilbert_check(lattice, generators) == expected
+            assert hilbert_check(lattice, GeneratorArrays.of(generators)) == expected
 
     def test_a_repeated_lead_is_counted_once(self, fig2_dag):
         """Every generator listed twice: each lead is flagged once, so the
@@ -1564,3 +1576,58 @@ class TestLeadInEitherOrder:
         ]
         assert report == reference_hilbert_check(lattice, edited)
         assert certified(lattice, edited, CountOracle(lattice)) is False
+
+
+def zero_edits(lattice):
+    """The lattice's own set in arrays form with generator t's (meet, join)
+    set to (h, g) or to (g, h), for every t: q_g*q_h - q_h*q_g and
+    q_g*q_h - q_g*q_h are zero, so each edit drops that pair's binomial."""
+    arrays = generator_arrays(lattice)
+    for t in range(len(arrays)):
+        for swap in (True, False):
+            g, h, meet, join = (list(c) for c in arrays.columns())
+            meet[t], join[t] = (h[t], g[t]) if swap else (g[t], h[t])
+            yield t, GeneratorArrays(arrays.states, g, h, meet, join)
+
+
+class TestZeroGenerator:
+    """A hand-built generator whose two monomials coincide is zero: it leads
+    nothing in the certificate, and it rewrites nothing and forms no S-pair
+    in the Buchberger check, which therefore returns."""
+
+    def test_certificate_names_the_pair_it_no_longer_leads(self, fig3_dag):
+        lattice = order_preserving_maps(transitive_closure(fig3_dag), 3)
+        for _, arrays in islice(zero_edits(lattice), 2):  # generator 0, both edits
+            report = hilbert_check(lattice, arrays)
+            assert report.failures == [
+                "1 of 21 incomparable pairs lead no generator, the first q[001]*q[010]"
+            ]
+            assert report == reference_hilbert_check(lattice, arrays)
+
+    @pytest.mark.parametrize("figure, k", [("fig2", 2), ("fig3", 3)])
+    def test_buchberger_returns_as_if_the_generator_were_dropped(
+        self, figure, k, fig2_dag, fig3_dag
+    ):
+        """Run under an alarm, so a check that loops fails here instead of
+        hanging the suite. A zero generator forms no pair, so the failure
+        lines are those of the set without it; the total still counts its
+        pairs."""
+
+        def timeout(signum, frame):
+            raise TimeoutError("buchberger_check did not return within 10 s")
+
+        dag = {"fig2": fig2_dag, "fig3": fig3_dag}[figure]
+        lattice = order_preserving_maps(transitive_closure(dag), k)
+        generators = hibi_generators(lattice)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        try:
+            for t, arrays in zero_edits(lattice):
+                signal.alarm(10)
+                report = buchberger_check(arrays)
+                signal.alarm(0)
+                dropped = buchberger_check(generators[:t] + generators[t + 1 :])
+                assert report.failures == dropped.failures
+                assert report.total == math.comb(len(generators), 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

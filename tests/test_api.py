@@ -4,8 +4,9 @@ and so is every public method, property and classmethod of its classes, so
 API that only the tests reach does not build up in src/; only the closure
 builds a `Poset`; only the size guard reads the environment; no module reads
 another's private attributes; every module of the package and of the
-tests uses each name it imports; and every function the benchmark's tracer
-wraps still exists."""
+tests uses each name it imports; each package module imports only modules
+earlier in the pipeline; and every function the benchmark's tracer wraps
+still exists."""
 
 import ast
 import collections
@@ -200,6 +201,47 @@ def test_no_module_reads_a_private_attribute_it_does_not_define():
                     reads.add(node.attr)
         foreign.update((path.name, name) for name in reads - defined)
     assert foreign == set()
+
+
+# The package's modules in the order of the pipeline, DAG -> poset -> lattice
+# -> joint -> zeta coordinates -> binomials and certificates -> command line;
+# `__init__` holds only the version.
+PIPELINE = ("__init__", "errors", "report", "poset", "dag", "model", "transforms", "algebra", "cli")
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, at any depth: `from .poset
+    import State` names poset, `from . import __version__` names `__init__`,
+    and `import maxlin.model` names model."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("maxlin")):
+            module = (node.module or "").removeprefix("maxlin").lstrip(".")
+            imported.add(module or "__init__")
+            imported.update(a.name for a in node.names if not module and a.name in MODULES)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.removeprefix("maxlin.") for a in node.names
+                            if a.name.startswith("maxlin."))
+    return imported
+
+
+def test_each_module_imports_only_earlier_modules():
+    """A module imports only modules before it in `PIPELINE`, so the model
+    and the coordinate change never reach for the polynomial layer, and
+    `algebra` can read the model without a cycle."""
+    assert set(PIPELINE) == MODULES
+    later = set()
+    for path in PACKAGE:
+        imported = package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        earlier = PIPELINE[: PIPELINE.index(path.stem)]
+        later.update((path.stem, module) for module in imported - set(earlier))
+    assert later == set()
+
+
+def test_model_and_transforms_import_nothing_from_algebra():
+    for name in ("model", "transforms"):
+        tree = ast.parse((ROOT / "src" / "maxlin" / f"{name}.py").read_text(encoding="utf-8"))
+        assert "algebra" not in package_imports(tree), name
 
 
 def test_every_tracer_target_is_defined_in_the_package():

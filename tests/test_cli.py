@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlin import data
-from maxlin.algebra import generator_json, hibi_generators, state_digits
+from maxlin.algebra import generator_json, hibi_generators
 from maxlin.cli import VERIFY_SUITES, build_parser, main, run
 from maxlin.dag import parse_dag, transitive_closure
 from maxlin.errors import QUOTE_CAP, quote
-from maxlin.poset import ideal_lattice, order_preserving_maps
+from maxlin.poset import ideal_lattice, order_preserving_maps, state_digits
 from maxlin.report import Report
 
 from conftest import (

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import maxlin.model as model
 from maxlin import data
-from maxlin.algebra import state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.errors import (
@@ -34,7 +33,7 @@ from maxlin.model import (
     oracle_distribution,
     oracle_equivalence_check,
 )
-from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
+from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps, state_digits
 
 from conftest import (
     BadStateError,

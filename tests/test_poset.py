@@ -328,7 +328,7 @@ class TestOrderPreservingMaps:
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_equal_to_lattice_of_int_tuples(self, k):
-        """The walk keeps bytes for k <= 9; a lattice of the same states as
+        """The walk keeps bytes for k <= 256; a lattice of the same states as
         int tuples has the same states, masks and covers."""
         lattice = order_preserving_maps(chain(2), k)
         rebuilt = StateLattice(2, k, lattice.states)
@@ -594,9 +594,10 @@ class TestWalk:
 class TestMultichains:
     """k >= 3 is built as the sums of the multichains F_1 >= ... >= F_{k-1}
     of the two-state walk's filters, against the brute-force box filter at
-    the representation edges: k = 9 and 10 (the last `bytes` and the first
-    tuple lattice), k = 256 and 257 (one- and two-byte slots). fig2 stops at
-    k = 10: its box at k = 256 has 256**5 vectors."""
+    the representation edges: k = 9 and 10 (the first states with an entry
+    above 9), k = 256 and 257 (one- and two-byte slots: the last `bytes` and
+    the first tuple lattice). fig2 stops at k = 10: its box at k = 256 has
+    256**5 vectors."""
 
     POSETS = {
         "chain1": chain(1),
@@ -611,7 +612,7 @@ class TestMultichains:
     def check(poset, k):
         lattice = order_preserving_maps(poset, k)
         assert list(lattice) == brute_force_states(poset, k)
-        assert all(type(v) is (bytes if k <= 9 else tuple) for v in lattice.vectors)
+        assert all(type(v) is (bytes if k <= 256 else tuple) for v in lattice.vectors)
         assert (lattice.n, lattice.k) == (len(poset.elements), k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9, 10])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import maxlin.model as model
 import maxlin.transforms as transforms
 from maxlin import data
-from maxlin.algebra import state_digits
 from maxlin.cli import main
 from maxlin.dag import Dag, transitive_closure
 from maxlin.model import (
@@ -25,7 +24,7 @@ from maxlin.model import (
     cbn_distribution,
     full_distribution,
 )
-from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps
+from maxlin.poset import StateLattice, ideal_lattice, order_preserving_maps, state_digits
 from maxlin.transforms import (
     _level_products,
     eq5_check,
