@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import attrgetter, getitem
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -373,16 +373,20 @@ class GeneratorArrays:
     def of(cls, generators, states: Sequence[State] = ()) -> "GeneratorArrays":
         """Arrays as they are when no `states` are given or they index these
         very states; a list of `BinomialGenerator`s, or arrays over other
-        states, converted once, into `states` and the states it names in
-        lexicographic order, as `buchberger_check` needs."""
+        states, re-indexed once, into `states` and the states it names in
+        lexicographic order, as `buchberger_check` needs. Arrays are
+        re-indexed by their indices, so a zero generator stays as it is."""
         if isinstance(generators, cls):
             if not states or generators.states is states:
                 return generators
-            generators = list(generators)
-        quads = list(map(_STATES, generators))
-        states = tuple(sorted(set(chain(states, chain.from_iterable(quads)))))
+            old, columns = generators.states, generators.columns()
+        else:  # generator t's four states at 4t..4t+3
+            old = [s for generator in generators for s in _STATES(generator)]
+            columns = [range(c, len(old), 4) for c in range(4)]
+        named = {old[i] for column in columns for i in column}
+        states = tuple(sorted(named.union(states)))
         index = {s: i for i, s in enumerate(states)}
-        return cls(states, *([index[q[c]] for q in quads] for c in range(4)))
+        return cls(states, *([index[old[i]] for i in column] for column in columns))
 
     def columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
         return self.g, self.h, self.meet, self.join

@@ -6,9 +6,9 @@ scaled table whose values are integer numerators over the product of its row
 sums. The model's formulas are generic in the entries, so rows of other ring
 values, such as the tests' reference polynomials, give the same formulas
 over them; the innovation oracle alone needs rational rows. A joint forms
-each value by one `product` call on its n per-vertex factors, `math.prod`
-by default; the symbolic checks use the integer level table
-(`ParamTable.levels`) with `_Factors`, so no polynomial is formed.
+each value by one call of the table's `product` on its n per-vertex
+factors: `math.prod`, except on the level table (`ParamTable.levels`),
+whose values are symbolic, so no polynomial is formed.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class ParamTable:
     last entry is the row's sum (1 on a rational row, d_v on an integer row)
     for rational or integer rows, and the constant 1 for other rows, so
     polynomial output keeps the reduced form the weights satisfy on the
-    simplex.
+    simplex. `product` forms a joint's value from its n per-vertex factors.
     """
 
+    product = prod
     rows: tuple[tuple[Value, ...], ...]
     cumulative: tuple[tuple[Value, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -87,8 +88,8 @@ class ParamTable:
         return len(self.rows[0])
 
     def swapped(self) -> "ParamTable":
-        """Rows reversed; for k=2 this swaps the two state weights."""
-        return ParamTable(tuple(tuple(reversed(row)) for row in self.rows))
+        """Rows reversed, in a table of this type; for k=2 the weights swap."""
+        return type(self)(tuple(tuple(reversed(row)) for row in self.rows))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParamTable":
@@ -110,10 +111,10 @@ class ParamTable:
     def levels(cls, n: int, k: int) -> "ParamTable":
         """The level table: the weight theta_{v,j} is the int 1 << j, so a sum
         of distinct weights of a row is the bitmask of its levels, and
-        alpha_{v,m} is the mask of the levels 0..m. With values held as
-        `_Factors`, a mask stands for the formal sum of the weights at its
+        alpha_{v,m} is the mask of the levels 0..m. Its `product` is
+        `_Factors`: a mask stands for the formal sum of the weights at its
         levels, and the joint is the symbolic one."""
-        return cls((tuple(1 << j for j in range(k)),) * n)
+        return _LevelTable((tuple(1 << j for j in range(k)),) * n)
 
 
 def _cumulative(row: tuple, number: int, k: int) -> tuple:
@@ -178,6 +179,11 @@ class _Unfactored:
 _UNFACTORED = _Unfactored()
 
 
+class _LevelTable(ParamTable):
+    """A `ParamTable.levels` table, whose values are factor tuples."""
+    product = _Factors
+
+
 def _check_table(dag: Dag, theta: ParamTable) -> None:
     if theta.n != dag.n or theta.k != dag.k:
         raise ValueError(
@@ -185,15 +191,13 @@ def _check_table(dag: Dag, theta: ParamTable) -> None:
         )
 
 
-def _level_products(rows, states, product=prod) -> list:
+def _level_products(rows, states, product) -> list:
     """For each state g, in order, one `product` call on the n factors
     rows[i][g[i]], coordinates i in order."""
     return [product(map(getitem, rows, g)) for g in states]
 
 
-def full_distribution(
-    dag: Dag, theta: ParamTable, lattice: StateLattice, product=prod
-) -> list[Value]:
+def full_distribution(dag: Dag, theta: ParamTable, lattice: StateLattice) -> list[Value]:
     """The factored joint as a list aligned with `lattice.states`: at each
     vector the product over vertices v of the conditional of g_v given its
     DAG parents' maximum m (0 for a source): theta_{v,g_v} above m,
@@ -201,7 +205,7 @@ def full_distribution(
     On the lattice the values sum to 1 on a rational table, and to
     D = prod(d_v) on an integer one. The codes g_v*k + m, formed in C-level
     passes over the columns, pick each state's conditionals from rows of
-    k*k, and one `product` call forms its value from them in vertex order."""
+    k*k, and one `theta.product` call forms its value in vertex order."""
     _check_table(dag, theta)
     n, k = dag.n, dag.k
     if (lattice.n, lattice.k) != (n, k):
@@ -217,7 +221,7 @@ def full_distribution(
         elif parents:
             code = map(add, code, map(max, *[columns[u - 1] for u in parents]))
         codes.append(code)
-    return _level_products(rows, zip(*codes), product)
+    return _level_products(rows, zip(*codes), theta.product)
 
 
 def integer_view(theta: ParamTable) -> tuple[ParamTable, int]:
@@ -340,9 +344,7 @@ def _innovation_walk(dag: Dag, tables: list) -> tuple[list[State], list[list[int
     return [tuple([g[t] for t in vertex_order]) for g in ids], sums
 
 
-def cbn_distribution(
-    poset: Poset, theta: ParamTable, lattice: StateLattice, product=prod
-) -> list[Value]:
+def cbn_distribution(poset: Poset, theta: ParamTable, lattice: StateLattice) -> list[Value]:
     """The accumulation model's joint over the order ideals of the poset, as
     a list aligned with `lattice.states`, the ideals written as 0-1
     indicator vectors, as `ideal_lattice(poset)` gives them. An element can
@@ -351,8 +353,8 @@ def cbn_distribution(
     and has not, has the factor its cumulative row ends in: 1 on a rational
     table, and d_v on an integer one, whose values are then numerators over
     the product of the d_v. A 0-1 vector that is not an ideal has a factor
-    0. Each value is one `product` call on its n factors in vertex order;
-    with `_Factors` it is that tuple."""
+    0. Each value is one `theta.product` call on its n factors in vertex
+    order; on the level table it is that tuple."""
     n = len(poset.elements)
     if (theta.n, theta.k, lattice.n, lattice.k) != (n, 2, n, 2):
         got = f"{theta.n}x{theta.k} and {lattice.n}x{lattice.k}"
@@ -360,8 +362,8 @@ def cbn_distribution(
     tops = [row[-1] for row in theta.cumulative]
     elements = list(zip(theta.rows, tops, poset.lower_covers))
     return [
-        product([row[v] if not below & ~mask else 0 if v else top
-                 for (row, top, below), v in zip(elements, g)])
+        theta.product([row[v] if not below & ~mask else 0 if v else top
+                       for (row, top, below), v in zip(elements, g)])
         for g, mask in zip(lattice.states, lattice.masks)
     ]
 
@@ -381,15 +383,15 @@ def cbn_correspondence_check(dag: Dag, trials: int, seed: int) -> Report:
     states = order_preserving_maps(closure, 2)
     failures: list[str] = []
 
-    def compare(theta: ParamTable, label: str, product=prod) -> None:
-        accum = cbn_distribution(closure, theta, ideals, product)
-        maxmodel = full_distribution(dag2, theta.swapped(), states, product)
+    def compare(theta: ParamTable, label: str) -> None:
+        accum = cbn_distribution(closure, theta, ideals)
+        maxmodel = full_distribution(dag2, theta.swapped(), states)
         pairs = zip(ideals, reversed(states.states), accum, reversed(maxmodel))
         for g, image, value, other in pairs:
             if value != other:
                 failures.append(f"{label}: ideal {state_digits(g)} vs state {state_digits(image)}")
 
-    compare(ParamTable.levels(dag.n, 2), "symbolic", _Factors)
+    compare(ParamTable.levels(dag.n, 2), "symbolic")
     rng = random.Random(seed)
     for trial in range(trials):
         compare(ParamTable.random(dag.n, 2, rng), f"trial {trial}")

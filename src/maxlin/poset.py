@@ -160,8 +160,9 @@ def _monotone_vectors(poset: Poset) -> list[bytes]:
             covers &= covers - 1
             ones[j] |= ones[i]
     ones = [ones[i] for i in order]
-    # prefix[t]: the least vector that agrees with the current one before t.
-    prefix = [0] * n
+    # (t, least) per raised position t, increasing, least the vector its raise
+    # gave: the top one before t is the least that agrees with this one before t.
+    stack = [(-1, 0)]
     vec = 0
     out: list[bytes] = []
     while True:
@@ -171,8 +172,10 @@ def _monotone_vectors(poset: Poset) -> list[bytes]:
         if not raw:
             break
         t = len(raw) - n - 1
-        vec = prefix[t] | ones[t]
-        prefix[t + 1 :] = [vec] * (n - t - 1)
+        while stack[-1][0] >= t:
+            stack.pop()
+        vec = stack[-1][1] | ones[t]
+        stack.append((t, vec))
     out.sort()
     return out
 

@@ -5,11 +5,11 @@ factor into the cumulative weight rows of the parameter table."""
 from __future__ import annotations
 
 import random
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
 from .dag import Dag, transitive_closure
-from .model import ParamTable, Value, _Factors, _level_products, full_distribution, integer_view
+from .model import ParamTable, Value, _level_products, full_distribution, integer_view
 from .poset import StateLattice, order_preserving_maps, state_digits
 from .report import Report
 
@@ -48,29 +48,27 @@ def _cover_walk(values, lattice: StateLattice, inverse: bool) -> list[Value]:
     return out
 
 
-def zeta_factorization_check(
-    dag: Dag, theta: ParamTable, lattice: StateLattice, product=prod
-) -> Report:
+def zeta_factorization_check(dag: Dag, theta: ParamTable, lattice: StateLattice) -> Report:
     """Check that the cumulative coordinate of every lattice state factors as
     the product over vertices of the cumulative weight at the state's level.
 
     The left side is zeta of the factored joint; the right side is one
-    `product` call per state on the cumulative weights at its levels,
+    `theta.product` call per state on the cumulative weights at its levels,
     through `_level_products` as the joint's are, on other rows and codes.
     `lattice` is the DAG's state lattice.
 
     Exact for rational tables, as integer numerators over the one D of the
-    table's `integer_view`; an integer table is compared as it is. With
-    `product=_Factors` on the level table (`ParamTable.levels`) the check is
-    symbolic: each value is held as its tuple of per-vertex level masks,
-    each mask the formal sum of the weights at its levels, and equal tuples
-    are equal products. A zeta sum adds the one factor in which its
-    summands differ when their levels are disjoint, and is `_UNFACTORED`,
-    a failure, otherwise, so no polynomial is ever formed.
+    table's `integer_view`; an integer table is compared as it is. On the
+    level table (`ParamTable.levels`) the check is symbolic: each value is
+    held as its tuple of per-vertex level masks, each mask the formal sum
+    of the weights at its levels, and equal tuples are equal products. A
+    zeta sum adds the one factor in which its summands differ when their
+    levels are disjoint, and is a failure otherwise, so no polynomial is
+    ever formed.
     """
     theta, _ = integer_view(theta)
-    cumulative = zeta_transform(full_distribution(dag, theta, lattice, product), lattice)
-    products = _level_products(theta.cumulative, lattice.states, product)
+    cumulative = zeta_transform(full_distribution(dag, theta, lattice), lattice)
+    products = _level_products(theta.cumulative, lattice.states, theta.product)
     failures = [
         f"state {state_digits(g)}"
         for g, value, expected in zip(lattice.states, cumulative, products)
@@ -81,12 +79,11 @@ def zeta_factorization_check(
 
 
 def eq5_check(dag: Dag, trials: int, seed: int) -> Report:
-    """The eq5 suite: zeta_factorization_check on the level table held as
-    per-vertex factors (the symbolic check) and on seeded random integer
-    tables, all on one state lattice."""
+    """The eq5 suite: zeta_factorization_check on the level table (the
+    symbolic check) and on seeded random integer tables, all on one state
+    lattice."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    levels = ParamTable.levels(dag.n, dag.k)
-    symbolic = zeta_factorization_check(dag, levels, lattice, _Factors)
+    symbolic = zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice)
     failures = [f"symbolic: {f}" for f in symbolic.failures]
     total = symbolic.total
     rng = random.Random(seed)

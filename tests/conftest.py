@@ -628,18 +628,16 @@ def as_map(lattice: StateLattice, values) -> dict[State, Value]:
     return dict(zip(lattice.states, values))
 
 
-def joint_by_state(dag: Dag, theta: ParamTable, product=math.prod) -> dict[State, Value]:
+def joint_by_state(dag: Dag, theta: ParamTable) -> dict[State, Value]:
     """`full_distribution` on the DAG's state lattice, keyed by state."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return as_map(lattice, model.full_distribution(dag, theta, lattice, product))
+    return as_map(lattice, model.full_distribution(dag, theta, lattice))
 
 
-def accumulation_by_state(
-    poset: Poset, theta: ParamTable, product=math.prod
-) -> dict[State, Value]:
+def accumulation_by_state(poset: Poset, theta: ParamTable) -> dict[State, Value]:
     """`cbn_distribution` on the poset's ideal lattice, keyed by state."""
     lattice = ideal_lattice(poset)
-    return as_map(lattice, cbn_distribution(poset, theta, lattice, product))
+    return as_map(lattice, cbn_distribution(poset, theta, lattice))
 
 
 def increasing_column_sum_covers(lattice: StateLattice) -> tuple[tuple[int, int], ...]:
@@ -673,8 +671,8 @@ def joint_edited_at(state: State, edit):
     `state`, wherever a lattice has it, replaced by `edit(value)`."""
     joint = model.full_distribution
 
-    def edited(dag: Dag, theta: ParamTable, lattice: StateLattice, *product) -> list:
-        out = joint(dag, theta, lattice, *product)
+    def edited(dag: Dag, theta: ParamTable, lattice: StateLattice) -> list:
+        out = joint(dag, theta, lattice)
         if state in lattice:
             t = lattice.states.index(state)
             out[t] = edit(out[t])
@@ -689,7 +687,7 @@ def alpha_for_theta_walk(vertex: int):
     `vertex`, above its parents' maximum m, the factor is alpha_{v,m} where
     theta_{v,g_v} belongs."""
 
-    def joint(dag: Dag, theta: ParamTable, lattice: StateLattice, product=math.prod) -> list:
+    def joint(dag: Dag, theta: ParamTable, lattice: StateLattice) -> list:
         out = []
         for g in lattice.states:
             factors = []
@@ -699,7 +697,7 @@ def alpha_for_theta_walk(vertex: int):
                     factors.append(theta.cumulative[v - 1][m])
                 else:
                     factors.append(theta.rows[v - 1][g[v - 1]])
-            out.append(product(factors))
+            out.append(theta.product(factors))
         return out
 
     return joint

@@ -1604,6 +1604,21 @@ class TestZeroGenerator:
             ]
             assert report == reference_hilbert_check(lattice, arrays)
 
+    def test_arrays_over_an_equal_state_tuple_give_the_same_report(self, fig3_dag):
+        """Arrays that index an equal but distinct tuple of states, here a
+        second lattice of the same closure, are re-indexed by their
+        indices, a zero generator included, and give the same report."""
+        closure = transitive_closure(fig3_dag)
+        lattice, again = order_preserving_maps(closure, 3), order_preserving_maps(closure, 3)
+        assert again.states == lattice.states and again.states is not lattice.states
+        for _, arrays in islice(zero_edits(lattice), 2):
+            other = GeneratorArrays(again.states, *arrays.columns())
+            report = hilbert_check(lattice, other)
+            assert report == hilbert_check(lattice, arrays)
+            assert report.failures == [
+                "1 of 21 incomparable pairs lead no generator, the first q[001]*q[010]"
+            ]
+
     @pytest.mark.parametrize("figure, k", [("fig2", 2), ("fig3", 3)])
     def test_buchberger_returns_as_if_the_generator_were_dropped(
         self, figure, k, fig2_dag, fig3_dag

@@ -5,8 +5,9 @@ API that only the tests reach does not build up in src/; only the closure
 builds a `Poset`; only the size guard reads the environment; no module reads
 another's private attributes; every module of the package and of the
 tests uses each name it imports; each package module imports only modules
-earlier in the pipeline; and every function the benchmark's tracer wraps
-still exists."""
+earlier in the pipeline; every function the benchmark's tracer wraps
+still exists; the joints take no `product` argument; and README's library
+example runs."""
 
 import ast
 import collections
@@ -242,6 +243,32 @@ def test_model_and_transforms_import_nothing_from_algebra():
     for name in ("model", "transforms"):
         tree = ast.parse((ROOT / "src" / "maxlin" / f"{name}.py").read_text(encoding="utf-8"))
         assert "algebra" not in package_imports(tree), name
+
+
+def test_the_level_table_carries_its_own_product():
+    """The joints and the eq5 check take no `product` argument, since each
+    table carries its own (`ParamTable.product`), and no package module
+    imports the level table's factor tuples from the model."""
+    model = importlib.import_module("maxlin.model")
+    transforms = importlib.import_module("maxlin.transforms")
+    for function in (model.full_distribution, model.cbn_distribution,
+                     transforms.zeta_factorization_check):
+        assert list(inspect.signature(function).parameters)[1:] == ["theta", "lattice"]
+    importers = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_Factors" for a in node.names):
+                importers.add(path.name)
+    assert importers == set()
+
+
+def test_readme_library_example_runs():
+    """The fenced block under README's "## Library" runs as it is, in
+    process, so an API change cannot leave the example stale."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {"__name__": "readme_library_example"})
 
 
 def test_every_tracer_target_is_defined_in_the_package():

@@ -34,8 +34,10 @@ from conftest import (
     dags,
     fractions_built,
     joint_edited_at,
+    joint_factored,
     lattice_meet_join,
     random_dag,
+    random_table,
     replace_joint,
     state_leq,
     strict_pairs,
@@ -502,6 +504,52 @@ class TestContractOnRandomDags:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([*command, "--dag", str(path), "--format", fmt])
             assert (code, out.getvalue(), err.getvalue()) == (0, stdout, ""), command
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(dags(max_n=5), st.integers(1, 4), st.sampled_from(("json", "text")),
+           st.integers(0, 2**32))
+    def test_joint_and_symbolic_suites_are_the_brute_force_reference(
+        self, tmp_path_factory, dag, k, fmt, seed
+    ):
+        """`distribution` and `zeta` on a random rational table print
+        `joint_factored` at each of the `brute_force_states`, and its sums
+        over the states below each; `verify eq5` and `verify theorem31` PASS
+        with (trials + 1) checks per state and per ideal."""
+        directory = tmp_path_factory.mktemp("contract")
+        dag = dataclasses.replace(dag, k=k)
+        theta = random_table(dag.n, k, random.Random(seed))
+        edges = "".join(f"{u} {v}\n" for u, v in sorted(dag.edges))
+        (directory / "random.dag").write_text(f"{dag.n} {k}\n{edges}", encoding="utf-8")
+        rows = [[str(v) for v in row] for row in theta.rows]
+        (directory / "theta.json").write_text(json.dumps({"theta": rows}), encoding="utf-8")
+        poset = transitive_closure(dag)
+        states = brute_force_states(poset, k)
+        joint = {g: joint_factored(dag, theta, g) for g in states}
+        below = {g: sum(joint[h] for h in states if state_leq(h, g)) for g in states}
+        for command, values in (("distribution", joint), ("zeta", below)):
+            prefix = "p" if command == "distribution" else "q"
+            printed = {state_digits(g): str(v) for g, v in values.items()}
+            stdout = (json.dumps(printed, indent=2) if fmt == "json"
+                      else "\n".join(f"{prefix}{g} = {v}" for g, v in printed.items()))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--dag", str(directory / "random.dag"), "--format", fmt,
+                             "--theta", str(directory / "theta.json")])
+            assert (code, out.getvalue(), err.getvalue()) == (0, stdout + "\n", ""), command
+        trials = 2
+        counts = {"eq5": len(states), "theorem31": len(brute_force_ideals(poset))}
+        for suite, count in counts.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", suite, "--dag", str(directory / "random.dag"),
+                             "--format", fmt, "--trials", str(trials), "--seed", str(seed)])
+            total = (trials + 1) * count
+            if fmt == "json":
+                report = json.loads(out.getvalue())
+                assert (report["passed"], report["total"], report["failures"]) == (True, total, [])
+            else:
+                assert out.getvalue().startswith(f"{suite}: PASS ({total} checks)\n")
+            assert code == 0, suite
 
 
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
@@ -1195,12 +1243,12 @@ class TestBrokenWalk:
 
         level_products = model._level_products
 
-        def last_factor_from_the_state_before(rows, states, *product):
+        def last_factor_from_the_state_before(rows, states, product):
             # each state past the first takes its last factor from the state
             # before it
             states = list(states)
             shifted = [(*g[:-1], h[-1]) for h, g in zip(states, states[1:])]
-            return level_products(rows, states[:1] + shifted, *product)
+            return level_products(rows, states[:1] + shifted, product)
 
         assert transforms._level_products is model._level_products
         monkeypatch.setattr(model, "_level_products", last_factor_from_the_state_before)
@@ -1211,10 +1259,10 @@ class TestBrokenWalk:
 
         products = transforms._level_products
 
-        def corrupt(rows, states, *product):
+        def corrupt(rows, states, product):
             rows = [list(row) for row in rows]
             rows[3][1] += 1
-            return products(rows, states, *product)
+            return products(rows, states, product)
 
         monkeypatch.setattr(transforms, "_level_products", corrupt)
         report = self.verify(capsys, fig_files, "eq5")

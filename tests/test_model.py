@@ -142,7 +142,7 @@ class TestParamTable:
         # a level mask stands for the sum of the weights at its levels, and
         # the mask of every level for the symbolic table's constant 1
         for _, dag in catalog_dags(k):
-            factored = joint_by_state(dag, ParamTable.levels(dag.n, k), _Factors)
+            factored = joint_by_state(dag, ParamTable.levels(dag.n, k))
             symbolic = joint_by_state(dag, symbolic_table(dag.n, k))
             assert {g: level_product(f, k) for g, f in factored.items()} == symbolic
 
@@ -167,7 +167,7 @@ class TestParamTable:
         for table in tables:
             swapped = table.swapped()
             fresh = ParamTable(tuple(tuple(reversed(row)) for row in table.rows))
-            assert type(swapped) is ParamTable
+            assert type(swapped) is type(table)
             for got, want in ((swapped.rows, fresh.rows), (swapped.cumulative, fresh.cumulative)):
                 assert got == want
                 assert [list(map(type, row)) for row in got] == [
@@ -317,8 +317,9 @@ class TestFactoredWalk:
         theta = tables(dag.n, k, random.Random(seed))[kind]
         assert_joint_is_the_factored_joint(dag, theta)
 
-    def test_products_per_walk_node(self, fig2_dag):
-        # one product call per state, on its n conditionals in vertex order
+    def test_products_per_walk_node(self, fig2_dag, monkeypatch):
+        # one call of the table's product per state, on its n conditionals
+        # in vertex order
         calls = []
 
         def counted(factors):
@@ -327,8 +328,9 @@ class TestFactoredWalk:
 
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 2)
         theta = random_table(5, 2, random.Random(7))
-        joint = full_distribution(fig2_dag, theta, lattice, counted)
-        assert joint == full_distribution(fig2_dag, theta, lattice)
+        expected = full_distribution(fig2_dag, theta, lattice)
+        monkeypatch.setattr(ParamTable, "product", staticmethod(counted))
+        assert full_distribution(fig2_dag, theta, lattice) == expected
         assert calls == [
             [conditional_probability(fig2_dag, theta, v, g) for v in range(1, 6)] for g in lattice
         ]
@@ -796,8 +798,8 @@ class TestAccumulationModel:
         """On every 0-1 vector, ideal or not, the joint is the product of the
         per-element conditionals, on a random table, one with zero weights
         and an integer view; on a positive table it is 0 exactly off the
-        ideals. On the level table with `_Factors` every value has n
-        factors, a 0 among them exactly off the ideals."""
+        ideals. On the level table every value is a tuple of n factors,
+        a 0 among them exactly off the ideals."""
         poset = transitive_closure(dag)
         rng = random.Random(seed)
         box = StateLattice(dag.n, 2, tuple(product((0, 1), repeat=dag.n)))
@@ -817,7 +819,7 @@ class TestAccumulationModel:
         numerators = cbn_distribution(poset, view, box)
         assert numerators == [value * denominator for value in reference(rational)]
         assert [value == 0 for value in numerators] == off
-        factored = cbn_distribution(poset, ParamTable.levels(dag.n, 2), box, _Factors)
+        factored = cbn_distribution(poset, ParamTable.levels(dag.n, 2), box)
         assert all(type(f) is _Factors and len(f) == dag.n for f in factored)
         assert [0 in f for f in factored] == off
 
@@ -840,11 +842,10 @@ class TestAccumulationModel:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dags())
     def test_level_joint_multiplied_out_is_the_symbolic_joint(self, dag):
-        """With `_Factors` as the product every value is one level mask per
-        vertex, in vertex order, the element that cannot occur yet
-        included."""
+        """On the level table every value is one level mask per vertex, in
+        vertex order, the element that cannot occur yet included."""
         poset = transitive_closure(dag)
-        factored = accumulation_by_state(poset, ParamTable.levels(dag.n, 2), _Factors)
+        factored = accumulation_by_state(poset, ParamTable.levels(dag.n, 2))
         assert all(isinstance(f, _Factors) and len(f) == dag.n for f in factored.values())
         symbolic = accumulation_by_state(poset, symbolic_table(dag.n, 2))
         assert {g: level_product(f, 2) for g, f in factored.items()} == symbolic

@@ -283,12 +283,13 @@ class TestCoverTable:
         # walk adds two products that differ in one factor, at disjoint
         # levels, so each state's value stays one product of level masks.
         # A mask is the sum of the weights 1 << j at its levels, so the
-        # product of the masks is the value on the level table as integers,
-        # and it is the quadratic zeta of the integer joint.
+        # product of the masks is the value on the level rows as a plain
+        # integer table, and it is the quadratic zeta of that joint.
         theta = ParamTable.levels(dag.n, k)
-        factored = zeta_transform(full_distribution(dag, theta, lattice, _Factors), lattice)
+        factored = zeta_transform(full_distribution(dag, theta, lattice), lattice)
         assert all(isinstance(f, _Factors) for f in factored)
-        expected = quadratic_zeta(as_map(lattice, full_distribution(dag, theta, lattice)), lattice)
+        joint = full_distribution(dag, ParamTable(theta.rows), lattice)
+        expected = quadratic_zeta(as_map(lattice, joint), lattice)
         assert as_map(lattice, [math.prod(f) for f in factored]) == expected
 
     def test_built_once_and_only_by_the_walks(self, fig2_dag):
@@ -326,7 +327,8 @@ class TestLevelProducts:
             states = order_preserving_maps(transitive_closure(dag), k).states
             for theta in (random_table(dag.n, k, rng), symbolic_table(dag.n, k)):
                 rows = theta.cumulative
-                assert _level_products(rows, states) == self.per_state(rows, states)
+                got = _level_products(rows, states, theta.product)
+                assert got == self.per_state(rows, states)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=6), st.integers(1, 4), st.integers(0, 2**32))
@@ -336,7 +338,7 @@ class TestLevelProducts:
         rows = random_table(dag.n, k, rng).rows
         states = [tuple(rng.randrange(k) for _ in range(dag.n)) for _ in range(20)]
         states += states[:3]
-        assert _level_products(rows, states) == self.per_state(rows, states)
+        assert _level_products(rows, states, math.prod) == self.per_state(rows, states)
 
 
 class TestMoebiusInverse:
@@ -437,10 +439,10 @@ class TestXTable:
 
 
 def check_levels(dag):
-    """The symbolic eq5 check on the DAG's state lattice: the level table
-    held as factor tuples."""
+    """The symbolic eq5 check on the DAG's state lattice: the level table,
+    whose values are factor tuples."""
     lattice = order_preserving_maps(transitive_closure(dag), dag.k)
-    return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice, _Factors)
+    return zeta_factorization_check(dag, ParamTable.levels(dag.n, dag.k), lattice)
 
 
 class TestZetaFactorization:
@@ -463,17 +465,17 @@ class TestZetaFactorization:
             lattices.append(1)
             return build(*args)
 
-        def counted_check(dag, theta, lattice, *product):
+        def counted_check(dag, theta, lattice):
             ints = all(type(v) is int for row in theta.rows for v in row)
-            checks.append((ints, theta == ParamTable.levels(dag.n, dag.k), product))
-            return check(dag, theta, lattice, *product)
+            checks.append((ints, theta == ParamTable.levels(dag.n, dag.k), theta.product))
+            return check(dag, theta, lattice)
 
         monkeypatch.setattr(transforms, "order_preserving_maps", counted_build)
         monkeypatch.setattr(transforms, "zeta_factorization_check", counted_check)
         report = eq5_check(dataclasses.replace(fig2_dag, k=3), trials=4, seed=2)
         assert report.passed and report.total == 5 * 40
         assert len(lattices) == 1
-        assert checks == [(True, True, (_Factors,))] + [(True, False, ())] * 4
+        assert checks == [(True, True, _Factors)] + [(True, False, math.prod)] * 4
 
     def test_given_lattice_is_the_one_checked(self, fig3_dag):
         """The check reads the lattice's states, whether its vectors are
@@ -666,10 +668,10 @@ class TestFactorPath:
     def test_one_alpha_on_the_right_side(self, capsys, fig2_dag, fig2_path, monkeypatch):
         products = transforms._level_products
 
-        def corrupt(rows, states, *product):
+        def corrupt(rows, states, product):
             rows = [list(row) for row in rows]
             rows[3][1] += 1
-            return products(rows, states, *product)
+            return products(rows, states, product)
 
         monkeypatch.setattr(transforms, "_level_products", corrupt)
         lattice = order_preserving_maps(transitive_closure(fig2_dag), 3)
