@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import attrgetter, getitem
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     ParseError, UnboundVariableError, UnmappedVariableError, check_size, quote, shorten
@@ -446,27 +446,19 @@ def monomial_map(lattice: StateLattice) -> MonomialMap:
     """q_g -> t * prod of x[i, r] over the order ideal that g corresponds to
     in the product of the underlying poset with a (k-1)-chain, k = lattice.k:
     the pairs (i, r) with r < k - g_i - 1, coordinate i of a state taken to
-    belong to vertex i+1. On an ideal lattice (k = 2) the x[i, 0] of g are
-    the elements outside the ideal g.
-
-    A state's image is t followed by its n pieces (`_pieces`)."""
-    pieces = _pieces(lattice.k)
-    return MonomialMap({q_var(g): _image(g, pieces) for g in lattice})
-
-
-def _pieces(k: int) -> list[range]:
-    """pieces[v]: the r of the x[i+1, r] that coordinate i of a state
-    contributes to its image at value v, whatever i is: r < k - v - 1."""
-    return [range(k - v - 1) for v in range(k)]
+    belong to vertex i+1 (`_image`). On an ideal lattice (k = 2) the x[i, 0]
+    of g are the elements outside the ideal g."""
+    return MonomialMap({q_var(g): _image(g, lattice.k) for g in lattice})
 
 
 _T = ((t_var(), 1),)  # the factor t of every image
 
 
-def _image(g: State, pieces: list[range]) -> Monomial:
-    """The image monomial of the state g; variables sort by (family, index),
-    so t and then the pieces in coordinate order are already sorted."""
-    return _T + tuple((x_var(i + 1, r), 1) for i, v in enumerate(g) for r in pieces[v])
+def _image(g: State, k: int) -> Monomial:
+    """The image monomial of the state g, the x-map's one spelling; variables
+    sort by (family, index), so t and then the x[i+1, r] in coordinate order
+    are already sorted."""
+    return _T + tuple((x_var(i + 1, r), 1) for i, v in enumerate(g) for r in range(k - v - 1))
 
 
 def verify_vanishing(generators: Sequence, mmap: MonomialMap | StateLattice) -> Report:
@@ -477,11 +469,22 @@ def verify_vanishing(generators: Sequence, mmap: MonomialMap | StateLattice) -> 
     iff the two sums of packed images agree; only a failing generator has
     its images multiplied out, to print its image. The map is a
     `MonomialMap`, whose images `_pack_images` packs, or a lattice standing
-    for its own `monomial_map`, whose images are packed from its n*k pieces
-    (`_packed_lattice_images`), so that no monomial is built on a pass."""
+    for its own `monomial_map`, whose images are read off `lattice.masks`:
+    x[i+1, r] divides the image of g iff bit k-2-r of g's coordinate i is
+    clear, so two products of images agree iff the two pairs of masks have
+    the same AND and the same OR, that is, the same sums once each mask bit
+    is spread to a 2-bit slot. A state named off the lattice is unmapped,
+    as in the map itself."""
     arrays = GeneratorArrays.of(generators)
     if isinstance(mmap, StateLattice):
-        packed, image = _packed_lattice_images(mmap, arrays.states)
+        if arrays.states != mmap.states:
+            for s in arrays.states:
+                if s not in mmap:
+                    raise _unmapped(q_var(s))
+            arrays = GeneratorArrays.of(arrays, mmap.states)  # aligned with the masks
+        packed = [int(f"{m:b}", 4) for m in mmap.masks]
+        states, k = arrays.states, mmap.k
+        image = lambda i: _image(states[i], k)
     else:
         images = [mmap.image(q_var(s)) for s in arrays.states]
         packed, image = _pack_images(images), images.__getitem__
@@ -494,28 +497,6 @@ def verify_vanishing(generators: Sequence, mmap: MonomialMap | StateLattice) -> 
             failures.append(f"{arrays[t].to_text()} maps to {image_text}")
     detail = f"{len(arrays)} generators map to 0" if not failures else ""
     return Report("vanishing", total=len(arrays), failures=failures, detail=detail)
-
-
-def _packed_lattice_images(
-    lattice: StateLattice, states: Sequence[State]
-) -> tuple[list[int], Callable[[int], Monomial]]:
-    """The packed `monomial_map` images of `states`, and a function from an
-    index into `states` to its image monomial; a state off the lattice is
-    unmapped, as in the map itself.
-
-    t has slot 0 and x[i+1, r] slot 1 + i*(k-1) + r, two bits each, enough
-    for the exponent 2 of a product of two images; the n*k pieces are packed
-    once, and a state's packed image is t plus the sum of its n pieces."""
-    if states != lattice.states:
-        for s in states:
-            if s not in lattice:
-                raise _unmapped(q_var(s))
-    k = lattice.k
-    pieces = _pieces(k)
-    by_value = [sum(4 ** (1 + r) for r in rs) for rs in pieces]
-    packed_pieces = [[p << 2 * i * (k - 1) for p in by_value] for i in range(lattice.n)]
-    packed = [1 + sum(map(getitem, packed_pieces, g)) for g in states]
-    return packed, lambda i: _image(states[i], pieces)
 
 
 def _pack_images(images: Sequence[Monomial]) -> list[int]:
@@ -674,7 +655,7 @@ def hilbert_check(lattice: StateLattice, generators: Sequence | None = None) -> 
     degree-reverse-lexicographic order over the lattice's linear extension.
 
     Two conditions: every generator maps to 0 (G in I, `verify_vanishing`
-    on the lattice's packed pieces), and every incomparable pair's q_g*q_h
+    on the lattice's masks), and every incomparable pair's q_g*q_h
     is some generator's leading monomial (the lead test, which marks each
     incomparable lead once in a table of |L|**2 flags). Then in every degree a
     standard monomial of G (no leading monomial of G divides it) is a

@@ -109,7 +109,8 @@ class StateLattice:
         """Each state in unary, coordinate i holding g_i ones among k-1 bits,
         mapped to its index in `states`, in that order. g <= h iff g's bits lie
         in h's, and the meet and join (coordinate-wise min and max) of two
-        states have the AND and the OR of their masks."""
+        states have the AND and the OR of their masks; so the masks also
+        decide vanishing under the x-map (`algebra.verify_vanishing`)."""
         table = [[((1 << v) - 1) << i * (self.k - 1) for v in range(self.k)] for i in range(self.n)]
         masks = (sum(map(getitem, table, g)) for g in self.vectors)
         return {m: t for t, m in enumerate(masks)}

@@ -59,6 +59,7 @@ from conftest import (
     alpha_var,
     as_map,
     binomial_of_pair,
+    catalog_dag,
     catalog_dags,
     chain,
     dags,
@@ -777,24 +778,31 @@ class TestPackedVanishing:
             (((x_var(1, 0), 1),), ((x_var(1, 1), 1),)),
             # 3 + 3 in a 2-bit slot would read as x[1,0]^2*x[1,1]
             (((x_var(1, 0), 3),), ((x_var(1, 0), 2), (x_var(1, 1), 1))),
+            # the lattice's own map: mask(01) = 2*mask(10), so masks whose
+            # bits are not spread to 2-bit slots would read 1 + 1 = 2 + 0
+            pytest.param(None, None, id="own_map"),
         ],
     )
     def test_sums_never_carry(self, left, right):
-        """q[01]*q[10] - q[00]*q[11] with q[01], q[10] -> left and
-        q[00], q[11] -> right/1: the images differ, but a narrow slot would
-        make their packed sums agree."""
-        gen = BinomialGenerator((0, 1), (1, 0), (0, 0), (1, 1))
-        mmap = MonomialMap(
-            {
-                q_var((0, 1)): left,
-                q_var((1, 0)): left,
-                q_var((0, 0)): right,
-                q_var((1, 1)): (),
-            }
-        )
-        expected = reference_vanishing([gen], mmap).failures
-        assert len(expected) == 1
-        assert verify_vanishing([gen], mmap).failures == expected
+        """On the 2-antichain's states, k = 2, a generator whose images
+        differ, but whose packed sums a narrow slot would make agree:
+        q[01]*q[10] - q[00]*q[11] with q[01], q[10] -> left and q[00],
+        q[11] -> right, 1; with no images, q[10]*q[10] - q[01]*q[00] under
+        the lattice's own map, and the lattice standing for it gives the
+        same report."""
+        lattice = order_preserving_maps(transitive_closure(catalog_dag("antichain2", 2)), 2)
+        if left:
+            gen = BinomialGenerator((0, 1), (1, 0), (0, 0), (1, 1))
+            mmap = MonomialMap({q_var((0, 1)): left, q_var((1, 0)): left,
+                                q_var((0, 0)): right, q_var((1, 1)): ()})
+        else:
+            gen = BinomialGenerator((1, 0), (1, 0), (0, 1), (0, 0))
+            mmap = monomial_map(lattice)
+        expected = reference_vanishing([gen], mmap)
+        assert len(expected.failures) == 1
+        assert verify_vanishing([gen], mmap) == expected
+        if not left:
+            assert verify_vanishing([gen], lattice) == expected
 
 
 class TestPullback:
@@ -1415,10 +1423,10 @@ def broken_map(lattice, state):
 
 
 class TestAgainstMultipliedOutImages:
-    """`verify_vanishing` on the lattice's packed pieces and on a
-    `MonomialMap`, and `hilbert_check` with its lead flag table, give the
-    same `Report`s as the references that multiply every image out and
-    collect the leads in a set (`tests/conftest.py`)."""
+    """`verify_vanishing` on the lattice, whose images it reads off the
+    state masks, and on a `MonomialMap`, and `hilbert_check` with its lead
+    flag table, give the same `Report`s as the references that multiply
+    every image out and collect the leads in a set (`tests/conftest.py`)."""
 
     def assert_same_reports(self, lattice, generators):
         mmap = monomial_map(lattice)

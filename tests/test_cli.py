@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -470,7 +471,9 @@ class TestContractOnRandomDags:
     (n <= 5, scrambled labels, k <= 3, both formats) print the brute-force
     references: `brute_force_states`, `brute_force_ideals`, and
     `binomial_of_pair` of every incomparable pair of those states, the
-    lexicographically smaller first."""
+    lexicographically smaller first; `verify vanishing` and `verify
+    groebner` PASS with the README's totals, |G| and C(|G|, 2), |G| the
+    number of those pairs."""
 
     @staticmethod
     def printed(items, fmt: str) -> str:
@@ -478,12 +481,29 @@ class TestContractOnRandomDags:
             return json.dumps(items, indent=2) + "\n"
         return "".join(f"{item}\n" for item in items) or "\n"
 
+    @staticmethod
+    def incomparable(states) -> list:
+        return [(g, h) for g, h in combinations(states, 2)
+                if not (state_leq(g, h) or state_leq(h, g))]
+
     @classmethod
     def expected_generators(cls, states, fmt: str) -> str:
-        gens = [binomial_of_pair(g, h) for g, h in combinations(states, 2)
-                if not (state_leq(g, h) or state_leq(h, g))]
+        gens = [binomial_of_pair(g, h) for g, h in cls.incomparable(states)]
         return cls.printed([gen.to_json_dict() if fmt == "json" else gen.to_text()
                             for gen in gens], fmt)
+
+    @staticmethod
+    def assert_passes(suite: str, total: int, fmt: str, *argv: str) -> None:
+        """`verify suite` through `main` PASSes with `total` checks."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", suite, *argv, "--format", fmt])
+        assert (code, err.getvalue()) == (0, ""), suite
+        if fmt == "json":
+            report = json.loads(out.getvalue())
+            assert (report["passed"], report["total"], report["failures"]) == (True, total, [])
+        else:
+            assert out.getvalue().startswith(f"{suite}: PASS ({total} checks)\n")
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=5), st.integers(1, 3), st.sampled_from(("json", "text")))
@@ -504,6 +524,9 @@ class TestContractOnRandomDags:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([*command, "--dag", str(path), "--format", fmt])
             assert (code, out.getvalue(), err.getvalue()) == (0, stdout, ""), command
+        count = len(self.incomparable(states))
+        self.assert_passes("vanishing", count, fmt, "--dag", str(path))
+        self.assert_passes("groebner", math.comb(count, 2), fmt, "--dag", str(path))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(dags(max_n=5), st.integers(1, 4), st.sampled_from(("json", "text")),
@@ -539,17 +562,9 @@ class TestContractOnRandomDags:
         trials = 2
         counts = {"eq5": len(states), "theorem31": len(brute_force_ideals(poset))}
         for suite, count in counts.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["verify", suite, "--dag", str(directory / "random.dag"),
-                             "--format", fmt, "--trials", str(trials), "--seed", str(seed)])
-            total = (trials + 1) * count
-            if fmt == "json":
-                report = json.loads(out.getvalue())
-                assert (report["passed"], report["total"], report["failures"]) == (True, total, [])
-            else:
-                assert out.getvalue().startswith(f"{suite}: PASS ({total} checks)\n")
-            assert code == 0, suite
+            self.assert_passes(suite, (trials + 1) * count, fmt, "--dag",
+                               str(directory / "random.dag"), "--trials", str(trials),
+                               "--seed", str(seed))
 
 
 # (input, command, format) -> (bytes, sha-256) of stdout, taken from the
